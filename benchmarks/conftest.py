@@ -17,6 +17,7 @@ import pytest
 
 from repro.core import MaxsonConfig, MaxsonSystem, PredictorConfig
 from repro.engine import Session
+from repro.jsonlib import JacksonParser, JsonParseError, evaluate, parse_path
 from repro.storage import BlockFileSystem
 from repro.workload import (
     SyntheticTrace,
@@ -107,6 +108,25 @@ def save_bench_pr5(section: str, payload: dict) -> Path:
 def save_bench_pr8(section: str, payload: dict) -> Path:
     """Merge one section into the BENCH_pr8.json summary at the repo root."""
     return _merge_bench(BENCH_PR8_PATH, section, payload)
+
+
+class FullParseProjection:
+    """``Session.projection_parser_factory`` adapter that deserialises the
+    whole document on every ``get_json_object`` call and walks the tree:
+    what the paper's "Spark" / Spark+Jackson bars mean by definition
+    (and how the engine calls Mison, the bar they are compared with),
+    now that the engine's own raw path projects."""
+
+    def __init__(self) -> None:
+        self.parser = JacksonParser()
+        self.stats = self.parser.stats
+
+    def project(self, text: str, paths) -> dict:
+        try:
+            document = self.parser.parse(text)
+        except JsonParseError:
+            return {parse_path(path).raw: None for path in paths}
+        return {parse_path(path).raw: evaluate(path, document) for path in paths}
 
 
 class BenchEnv:

@@ -14,7 +14,7 @@ import pytest
 
 from repro.jsonlib import MisonParser
 
-from .conftest import once, save_result
+from .conftest import FullParseProjection, once, save_result
 
 #: The '300GB' budget point of the paper's Fig 15 setup.
 BUDGET_FRACTION = 0.75
@@ -25,7 +25,11 @@ CONFIGS = ("spark_jackson", "spark_mison", "maxson", "maxson_mison")
 
 def _run_all(env, use_maxson: bool, use_mison: bool) -> dict[str, float]:
     session = env.system.session
-    session.projection_parser_factory = MisonParser if use_mison else None
+    # Without Mison the raw path is Jackson *by definition* of the figure:
+    # full deserialisation, not the engine's projecting default.
+    session.projection_parser_factory = (
+        MisonParser if use_mison else FullParseProjection
+    )
     try:
         results = env.run_all(use_maxson=use_maxson)
         return {qid: r.metrics.total_seconds for qid, r in results.items()}

@@ -11,14 +11,18 @@ from repro.engine import Session
 from repro.storage import BlockFileSystem, DataType, Schema
 from repro.workload import NoBenchGenerator
 
-from .conftest import once, save_result
+from .conftest import FullParseProjection, once, save_result
 
 ROWS = 3000
 
 
 @pytest.fixture(scope="module")
 def nobench_session() -> Session:
-    session = Session(fs=BlockFileSystem())
+    # The figure is about vanilla Spark: Jackson deserialises the whole
+    # document, which the engine's projecting raw path no longer does.
+    session = Session(
+        fs=BlockFileSystem(), projection_parser_factory=FullParseProjection
+    )
     schema = Schema.of(("id", DataType.INT64), ("doc", DataType.STRING))
     session.catalog.create_table("nb", "docs", schema)
     generator = NoBenchGenerator()

@@ -55,6 +55,25 @@ _FROM_TABLE = re.compile(
 #: Ops the supervisor retries against a *respawned* shard are read-only;
 #: queries are never replayed automatically (the client owns retry).
 _HELLO_TIMEOUT = 120.0
+#: Seconds ``shutdown`` gives a shard to answer the shutdown RPC, and then
+#: to exit on its own, before it is sent SIGTERM.
+_SHUTDOWN_GRACE = 10.0
+#: Seconds a shard gets to die of SIGTERM before SIGKILL (and of SIGKILL
+#: before ``shutdown`` stops waiting for it).
+_KILL_GRACE = 5.0
+
+
+def _stop_process(process) -> None:
+    """Wait for a shard that was asked to shut down, escalating until it
+    is gone and reaped: its own exit, then SIGTERM, then SIGKILL (which a
+    stopped or SIGTERM-ignoring process cannot outlive)."""
+    process.join(timeout=_SHUTDOWN_GRACE)
+    if process.is_alive():
+        process.terminate()
+        process.join(timeout=_KILL_GRACE)
+    if process.is_alive():
+        process.kill()
+        process.join(timeout=_KILL_GRACE)
 
 
 class ShardCrashError(RuntimeError):
@@ -532,15 +551,13 @@ class ClusterRouter:
             shards = list(self._shards.values())
         for shard in shards:
             try:
-                shard.conn.call("shutdown", timeout=10.0)
+                shard.conn.call("shutdown", timeout=_SHUTDOWN_GRACE)
             except (ShardConnectionError, Exception):
                 pass
             shard.conn.close()
         for shard in shards:
             if shard.process is not None:
-                shard.process.join(timeout=10.0)
-                if shard.process.is_alive():
-                    shard.process.terminate()
+                _stop_process(shard.process)
         self._listener.close()
         # Anything a hard-killed shard left in /dev/shm is ours to reap.
         reap_orphan_segments()

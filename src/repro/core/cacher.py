@@ -29,7 +29,7 @@ from ..jsonlib.jackson import dumps
 from ..storage.orc import OrcFileReader, OrcWriter
 from ..storage.schema import DataType, Field, Schema
 from ..workload.trace import PathKey
-from .extraction import ValueExtractor, path_format
+from .extraction import ValueExtractor
 
 __all__ = [
     "CacheEntry",
@@ -233,6 +233,23 @@ def coerce_cache_value(value: object, dtype: DataType) -> object:
     if dtype is DataType.BOOL:
         return bool(value) if isinstance(value, bool) else None
     raise AssertionError(dtype)  # pragma: no cover
+
+
+def _column_projections(extractor: ValueExtractor, keys: list[PathKey]) -> list:
+    """``(column, projection, positions)`` per source column of ``keys``:
+    the extractor's projection of that column's paths, whose i-th value
+    belongs to ``keys[positions[i]]``."""
+    by_column: dict[str, list[int]] = {}
+    for position, key in enumerate(keys):
+        by_column.setdefault(key.column, []).append(position)
+    return [
+        (
+            column,
+            extractor.projection(tuple(keys[i].path for i in positions)),
+            positions,
+        )
+        for column, positions in sorted(by_column.items())
+    ]
 
 
 class JsonPathCacher:
@@ -452,26 +469,17 @@ class JsonPathCacher:
         group_rows = layout[0].row_count if layout else self.row_group_size
         writer = OrcWriter(schema, row_group_size=group_rows)
         n_rows = reader.row_count
-        formats_by_column = {
-            column: {
-                path_format(key.path) for key in keys if key.column == column
-            }
-            for column in columns_needed
-        }
+        projections = _column_projections(extractor, keys)
+        key_dtypes = [dtypes[key] for key in keys]
+        row: list[object] = [None] * len(keys)
         for row_index in range(n_rows):
-            decoded: dict[str, dict[str, object]] = {}
-            for column in columns_needed:
-                decoded[column] = extractor.decode(
-                    raw_columns[column][row_index], formats_by_column[column]
-                )
-            row = tuple(
-                coerce_cache_value(
-                    extractor.evaluate(decoded[key.column], key.path),
-                    dtypes[key],
-                )
-                for key in keys
-            )
-            writer.write_row(row)
+            for column, project, positions in projections:
+                values = project(raw_columns[column][row_index])
+                for position, value in zip(positions, values):
+                    row[position] = coerce_cache_value(
+                        value, key_dtypes[position]
+                    )
+            writer.write_row(tuple(row))
         return writer.finish(), n_rows
 
     # ------------------------------------------------------------------
@@ -493,23 +501,11 @@ class JsonPathCacher:
         columns_needed = sorted({key.column for key in keys})
         sample_columns, _ = first_reader.read_columns(columns_needed)
         sample_size = min(self.type_sample_rows, first_reader.row_count)
-        formats_by_column = {
-            column: {
-                path_format(key.path) for key in keys if key.column == column
-            }
-            for column in columns_needed
-        }
-        docs: dict[str, list[dict[str, object]]] = {}
-        for column in columns_needed:
-            docs[column] = [
-                extractor.decode(text, formats_by_column[column])
-                for text in sample_columns[column][:sample_size]
-            ]
-        for key in keys:
-            for documents in docs[key.column]:
-                value = extractor.evaluate(documents, key.path)
-                if value is not None:
-                    sample_values[key].append(value)
+        for column, project, positions in _column_projections(extractor, keys):
+            for text in sample_columns[column][:sample_size]:
+                for position, value in zip(positions, project(text)):
+                    if value is not None:
+                        sample_values[keys[position]].append(value)
         dtypes = {key: _infer_dtype(sample_values[key]) for key in keys}
 
         # Cache table schema: one field per cached path, stable order.

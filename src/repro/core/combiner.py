@@ -41,7 +41,7 @@ from ..storage.orc import CorruptStripeError, OrcError
 from ..storage.readers import OrcReader, split_reader
 from ..storage.sargs import Sarg
 from .cacher import CACHE_DATABASE, CacheEntry, coerce_cache_value
-from .extraction import ValueExtractor, path_format
+from .extraction import ValueExtractor
 
 __all__ = ["CachedFieldRequest", "MaxsonScanExec"]
 
@@ -397,14 +397,12 @@ class MaxsonScanExec(ScanExec):
     ) -> tuple[dict[str, list], int]:
         """Columnar core of the raw-parse fallback for one split."""
         read_columns = list(self.columns)
-        formats_by_column: dict[str, set[str]] = {}
+        requests_by_column: dict[str, list[CachedFieldRequest]] = {}
         for request in self.cached_fields:
             column = request.entry.key.column
             if column not in read_columns:
                 read_columns.append(column)
-            formats_by_column.setdefault(column, set()).add(
-                path_format(request.entry.key.path)
-            )
+            requests_by_column.setdefault(column, []).append(request)
         reader = split_reader(
             state.catalog.fs, raw_path, columns=read_columns, sarg=self.sarg
         )
@@ -427,20 +425,19 @@ class MaxsonScanExec(ScanExec):
             if state.tracer is not None
             else None
         )
-        for i in range(result.rows_read):
-            if i % 256 == 0:
-                state.check_cancelled()
-            documents = {
-                column: extractor.decode(series[column][i], formats)
-                for column, formats in formats_by_column.items()
-            }
-            for request in self.cached_fields:
-                value = extractor.evaluate(
-                    documents[request.entry.key.column], request.entry.key.path
-                )
-                env_series[request.env_key].append(
-                    coerce_cache_value(value, request.entry.dtype)
-                )
+        for column, requests in requests_by_column.items():
+            project = extractor.projection(
+                tuple(request.entry.key.path for request in requests)
+            )
+            sinks = [
+                (env_series[request.env_key].append, request.entry.dtype)
+                for request in requests
+            ]
+            for i, text in enumerate(series[column]):
+                if i % 256 == 0:
+                    state.check_cancelled()
+                for (append, dtype), value in zip(sinks, project(text)):
+                    append(coerce_cache_value(value, dtype))
         columns.update(env_series)
         for parser in (extractor.json_parser, extractor.xml_parser):
             state.metrics.parse_seconds += parser.stats.seconds

@@ -34,14 +34,13 @@ from ..engine.expressions import (
     walk,
 )
 from ..engine.physical import (
-    AggregateExec,
     ExecState,
     FilterExec,
-    HashJoinExec,
     PhysicalPlan,
-    ProjectExec,
     ScanExec,
-    SortExec,
+    expression_slots,
+    slot_expression,
+    walk_plan,
 )
 from ..engine.planner import PlannedQuery
 from ..engine.logical import SortKey
@@ -62,44 +61,6 @@ class RewriteReport:
     invalidated_tables: list[str] = field(default_factory=list)
     scans_rewritten: int = 0
     pruned_columns: list[str] = field(default_factory=list)
-
-
-def _expression_slots(plan: PhysicalPlan):
-    """Yield (getter, setter) pairs for every expression in the plan."""
-    for node in _walk_plan(plan):
-        if isinstance(node, FilterExec):
-            yield node, "condition"
-        elif isinstance(node, ProjectExec):
-            for i in range(len(node.expressions)):
-                yield node.expressions, i
-        elif isinstance(node, AggregateExec):
-            for i in range(len(node.group_keys)):
-                yield node.group_keys, i
-            for i in range(len(node.output)):
-                yield node.output, i
-        elif isinstance(node, SortExec):
-            for i in range(len(node.keys)):
-                yield node.keys, i
-        elif isinstance(node, HashJoinExec):
-            for i in range(len(node.left_keys)):
-                yield node.left_keys, i
-            for i in range(len(node.right_keys)):
-                yield node.right_keys, i
-            if node.residual is not None:
-                yield node, "residual"
-
-
-def _walk_plan(plan: PhysicalPlan):
-    yield plan
-    for child in plan.children():
-        yield from _walk_plan(child)
-
-
-def _get_slot(holder, slot) -> Expression:
-    value = holder[slot] if isinstance(slot, int) else getattr(holder, slot)
-    if isinstance(value, SortKey):
-        return value.expression
-    return value
 
 
 def _set_slot(holder, slot, expr: Expression) -> None:
@@ -169,7 +130,7 @@ class MaxsonPlanModifier:
         # swap replaces ``self.registry`` wholesale, and one query must
         # resolve every expression against a single consistent registry.
         registry = self.registry
-        scans = [n for n in _walk_plan(plan) if isinstance(n, ScanExec)]
+        scans = [n for n in walk_plan(plan) if isinstance(n, ScanExec)]
         if not scans:
             return plan
         resolvers = _build_resolvers(scans)
@@ -227,8 +188,8 @@ class MaxsonPlanModifier:
                 env_key=env_key,
             )
 
-        for holder, slot in list(_expression_slots(plan)):
-            _set_slot(holder, slot, transform(_get_slot(holder, slot), rewrite))
+        for holder, slot in list(expression_slots(plan)):
+            _set_slot(holder, slot, transform(slot_expression(holder, slot), rewrite))
 
         # Misses are counted at plan time (hits land in the metrics when
         # the combiner actually reads cached values at execution).
@@ -240,8 +201,8 @@ class MaxsonPlanModifier:
         # Column pruning: drop scan columns (typically the JSON column)
         # no longer referenced by any expression.
         referenced: set[str] = set()
-        for holder, slot in _expression_slots(plan):
-            for node in walk(_get_slot(holder, slot)):
+        for holder, slot in expression_slots(plan):
+            for node in walk(slot_expression(holder, slot)):
                 if isinstance(node, Column):
                     referenced.add(node.name)
 

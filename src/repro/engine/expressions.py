@@ -22,6 +22,7 @@ from ..jsonlib.errors import JsonParseError
 from ..jsonlib.jackson import JacksonParser
 from ..jsonlib.jsonpath import evaluate as eval_path
 from ..jsonlib.jsonpath import parse_path
+from ..jsonlib.projection import PathProjector
 from .errors import ExecutionError, PlanError
 
 __all__ = [
@@ -62,9 +63,15 @@ class EvalContext:
     #: Parse-once sharing scopes for the batch path (created lazily).
     #: Within one context, every distinct document text is parsed once no
     #: matter how many expressions extract paths from it; the parser's
-    #: stats charge that single parse, never the shared re-reads.
+    #: stats charge that single parse, never the shared re-reads. The
+    #: JSON scope holds, per text, the tuple a
+    #: :class:`~repro.jsonlib.projection.PathProjector` read from it.
     json_documents: DocumentCache = None  # type: ignore[assignment]
     xml_documents: DocumentCache = None  # type: ignore[assignment]
+    #: Every JSONPath the plan's remaining ``get_json_object`` calls read
+    #: (set by the session from the cached plan, copied to morsel forks
+    #: and process workers): what one pass over a document materialises.
+    json_paths: tuple[str, ...] = ()
     #: Byte budget handed to the document caches above (``None`` =
     #: unbounded; defaults to the cache's own 64 MiB budget).
     doc_cache_bytes: int | None = DEFAULT_DOC_CACHE_BYTES
@@ -110,21 +117,19 @@ class EvalContext:
     def get_json_objects(self, texts: list, raw_path: str) -> list:
         """Vectorized ``get_json_object`` over a whole column.
 
-        Parses each distinct document once per context (not once per
-        consuming expression) by routing through a shared
-        :class:`~repro.jsonlib.doccache.DocumentCache`; row semantics and
-        error messages are identical to :meth:`get_json_object`.
+        Projects each distinct document once per context (not once per
+        consuming expression): the first sight of a text makes one
+        validating pass that reads every path in :attr:`json_paths`, and
+        the shared :class:`~repro.jsonlib.doccache.DocumentCache` keeps
+        that small tuple. Row semantics and error messages are identical
+        to :meth:`get_json_object`.
         """
         if self.projection_parser is not None:
             # Projecting parsers skip full parsing already; nothing to
             # share, so delegate row-by-row for identical behaviour.
             return [self.get_json_object(text, raw_path) for text in texts]
-        if self.json_documents is None:
-            self.json_documents = DocumentCache(
-                self.parser, JsonParseError, max_bytes=self.doc_cache_bytes
-            )
+        slot = self._json_slot(parse_path(raw_path).raw)
         documents = self.json_documents
-        path = parse_path(raw_path)
         out = []
         append = out.append
         for text in texts:
@@ -136,9 +141,26 @@ class EvalContext:
                     "get_json_object expects a string column, "
                     f"got {type(text).__name__}"
                 )
-            document = documents.document(text)
-            append(None if document is INVALID else eval_path(path, document))
+            values = documents.document(text)
+            append(None if values is INVALID else values[slot])
         return out
+
+    def _json_slot(self, path: str) -> int:
+        """Position of ``path`` in the tuples ``json_documents`` holds."""
+        documents = self.json_documents
+        if documents is None or path not in documents.parser.index:
+            known = self.json_paths if documents is None else documents.parser.paths
+            projector = PathProjector((*known, path), self.parser)
+            if documents is None:
+                documents = self.json_documents = DocumentCache(
+                    projector, JsonParseError, max_bytes=self.doc_cache_bytes
+                )
+            else:
+                # A path the plan did not declare (a context driven by
+                # hand): the tuples cached so far do not hold it.
+                documents.parser = projector
+                documents.clear()
+        return documents.parser.index[path]
 
     def get_xml_objects(self, texts: list, raw_path: str) -> list:
         """Vectorized ``get_xml_object`` with the same sharing contract."""

@@ -26,6 +26,7 @@ from .expressions import (
     AggregateCall,
     EvalContext,
     Expression,
+    GetJsonObject,
     Literal,
     transform,
     walk,
@@ -43,6 +44,10 @@ __all__ = [
     "SortExec",
     "LimitExec",
     "HashJoinExec",
+    "walk_plan",
+    "expression_slots",
+    "slot_expression",
+    "json_paths_of",
 ]
 
 
@@ -105,6 +110,7 @@ class ExecState:
                 context.projection_parser = type(
                     self.context.projection_parser
                 )()
+        context.json_paths = self.context.json_paths
         return ExecState(
             catalog=self.catalog,
             context=context,
@@ -823,3 +829,63 @@ class HashJoinExec(PhysicalPlan):
             if len(keep) != joined.length:
                 joined = joined.take(keep)
         return joined
+
+
+# ----------------------------------------------------------------------
+# plan-wide expression access (plan modifiers, path-set derivation)
+# ----------------------------------------------------------------------
+def walk_plan(plan: PhysicalPlan):
+    """``plan`` and every operator below it, parents first."""
+    yield plan
+    for child in plan.children():
+        yield from walk_plan(child)
+
+
+def expression_slots(plan: PhysicalPlan):
+    """Yield a ``(holder, slot)`` pair for every expression in the plan:
+    ``holder[slot]`` for a list position, ``getattr(holder, slot)`` for
+    an attribute. Read through :func:`slot_expression`."""
+    for node in walk_plan(plan):
+        if isinstance(node, FilterExec):
+            yield node, "condition"
+        elif isinstance(node, ProjectExec):
+            for i in range(len(node.expressions)):
+                yield node.expressions, i
+        elif isinstance(node, AggregateExec):
+            for i in range(len(node.group_keys)):
+                yield node.group_keys, i
+            for i in range(len(node.output)):
+                yield node.output, i
+        elif isinstance(node, SortExec):
+            for i in range(len(node.keys)):
+                yield node.keys, i
+        elif isinstance(node, HashJoinExec):
+            for i in range(len(node.left_keys)):
+                yield node.left_keys, i
+            for i in range(len(node.right_keys)):
+                yield node.right_keys, i
+            if node.residual is not None:
+                yield node, "residual"
+
+
+def slot_expression(holder, slot) -> Expression:
+    value = holder[slot] if isinstance(slot, int) else getattr(holder, slot)
+    if isinstance(value, SortKey):
+        return value.expression
+    return value
+
+
+def json_paths_of(plan: PhysicalPlan) -> tuple[str, ...]:
+    """Every distinct JSONPath a ``get_json_object`` call of the plan
+    reads, in plan order — the path set one projection pass serves (see
+    :attr:`EvalContext.json_paths`). Taken after the plan modifiers ran,
+    so paths Maxson answers from its cache are not in it, and before
+    ``parallelize_plan`` absorbs operators into morsel pipelines."""
+    return tuple(
+        dict.fromkeys(
+            node.path
+            for holder, slot in expression_slots(plan)
+            for node in walk(slot_expression(holder, slot))
+            if isinstance(node, GetJsonObject)
+        )
+    )

@@ -78,6 +78,11 @@ class PlannedQuery:
     """Textually identical extraction calls beyond each first occurrence —
     the common subexpressions the batch compiler collapses to one node
     (and evaluates once per batch) at execution time."""
+    json_paths: tuple[str, ...] = ()
+    """The JSONPaths the plan still extracts from raw text once the plan
+    modifiers have run (``physical.json_paths_of``): what each execution
+    context projects out of a document in one pass. Filled in by the
+    session and kept with the plan in the plan cache."""
 
 
 _COMPARE_TO_SARG = {

@@ -365,9 +365,10 @@ class _WorkerEnv:
         return context
 
     def plan_for(self, blob: bytes):
-        """Unpickle the split's pipeline, memoising the last plan: all
-        splits of one query ship identical bytes, so the plan warms on
-        the first split and later splits skip the unpickle."""
+        """Unpickle the split's ``(pipeline, json_paths)``, memoising
+        the last plan: all splits of one query ship identical bytes, so
+        the plan warms on the first split and later splits skip the
+        unpickle."""
         cached = self._plan_cache
         if cached is not None and cached[0] == blob:
             return cached[1]
@@ -423,7 +424,7 @@ def _run_task(env: _WorkerEnv, task: dict) -> dict:
         split_span = tracer.begin(
             "split", backend="process", worker=f"pid-{os.getpid()}"
         )
-    plan = env.plan_for(task["plan"])
+    plan, worker.context.json_paths = env.plan_for(task["plan"])
     scan = plan.pipeline.scan if hasattr(plan, "pipeline") else plan.scan
     failures: list = []
     scan.failure_log = failures
@@ -696,7 +697,11 @@ class ProcessMorselPool:
         split order.
         """
         self.ensure_snapshot(state.catalog.version)
-        plan_blob = pickle.dumps(_sanitize_plan(plan))
+        # The plan's JSONPath set rides with the pipeline, so a worker's
+        # context projects the same paths the coordinator's would.
+        plan_blob = pickle.dumps(
+            (_sanitize_plan(plan), state.context.json_paths)
+        )
         token = state.cancel_token
         traced = state.tracer is not None
         slot = self._flag_slots.get()

@@ -28,7 +28,7 @@ from .errors import QueryCancelledError
 from .expressions import EvalContext
 from .metrics import QueryMetrics
 from .parallel import parallelize_plan
-from .physical import ExecState, PhysicalPlan
+from .physical import ExecState, PhysicalPlan, json_paths_of
 from .plancache import CachedPlan, PlanCache, fingerprint
 from .planner import PlannedQuery, Planner
 from .resultcache import ResultCache
@@ -470,6 +470,7 @@ class Session:
                 state.metrics.extra["plan_cache_hits"] = (
                     state.metrics.extra.get("plan_cache_hits", 0) + 1
                 )
+                state.context.json_paths = entry.planned.json_paths
                 return entry.planned, state, time.perf_counter() - started
         if tracer is not None:
             with tracer.span("plan"):
@@ -481,6 +482,7 @@ class Session:
             with tracer.span("rewrite", modifiers=len(modifiers)):
                 for modifier in modifiers:
                     planned.physical = modifier.modify(planned, state)
+            planned.json_paths = json_paths_of(planned.physical)
             # Traced sessions keep the classic operator tree at
             # scan_workers=1 so operator spans stay per-stage; parallel
             # sessions trade them for per-split spans.
@@ -493,6 +495,7 @@ class Session:
         else:
             for modifier in modifiers:
                 planned.physical = modifier.modify(planned, state)
+            planned.json_paths = json_paths_of(planned.physical)
             # Morsel execution is the default untraced path, at any
             # worker count — workers=1 runs the same code inline, which
             # is what makes serial-vs-parallel differentials exact.
@@ -508,6 +511,7 @@ class Session:
                 state.metrics.extra["plan_cache_misses"] = (
                     state.metrics.extra.get("plan_cache_misses", 0) + 1
                 )
+        state.context.json_paths = planned.json_paths
         plan_seconds = time.perf_counter() - started
         return planned, state, plan_seconds
 

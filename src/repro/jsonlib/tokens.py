@@ -64,6 +64,19 @@ _ESCAPES = {
 }
 
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
+def _hex4(text: str, i: int) -> int:
+    """The code unit spelled by ``text[i:i+4]``, or -1 unless that is
+    exactly four hex digits (``int(..., 16)`` alone also takes signs,
+    spaces, underscores and non-ASCII digits)."""
+    digits = text[i : i + 4]
+    if len(digits) != 4 or not _HEX_DIGITS.issuperset(digits):
+        return -1
+    return int(digits, 16)
+
+
 def scan_string(text: str, pos: int) -> tuple[str, int]:
     """Decode the JSON string starting at ``text[pos]`` (a ``\"``).
 
@@ -95,20 +108,14 @@ def scan_string(text: str, pos: int) -> tuple[str, int]:
             elif esc == "u":
                 if i + 6 > n:
                     raise JsonParseError("truncated \\u escape", i)
-                hex_digits = text[i + 2 : i + 6]
-                try:
-                    code = int(hex_digits, 16)
-                except ValueError as exc:
+                code = _hex4(text, i + 2)
+                if code < 0:
                     raise JsonParseError(
-                        f"invalid \\u escape {hex_digits!r}", i
-                    ) from exc
+                        f"invalid \\u escape {text[i + 2 : i + 6]!r}", i
+                    )
                 # Surrogate pair handling for astral-plane characters.
                 if 0xD800 <= code <= 0xDBFF and text[i + 6 : i + 8] == "\\u":
-                    low_digits = text[i + 8 : i + 12]
-                    try:
-                        low = int(low_digits, 16)
-                    except ValueError:
-                        low = -1
+                    low = _hex4(text, i + 8)
                     if 0xDC00 <= low <= 0xDFFF:
                         combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
                         parts.append(chr(combined))
@@ -165,8 +172,12 @@ def scan_number(text: str, pos: int) -> tuple[int | float, int]:
         while i < n and text[i] in _DIGITS:
             i += 1
     raw = text[pos:i]
-    value: int | float = float(raw) if is_float else int(raw)
-    return value, i
+    if is_float:
+        return float(raw), i
+    try:
+        return int(raw), i
+    except ValueError as exc:  # past the interpreter's int-digits limit
+        raise JsonParseError("integer has too many digits", pos) from exc
 
 
 def tokenize(text: str) -> Iterator[Token]:

@@ -18,8 +18,11 @@ from repro.cluster import (
 from repro.cluster.replay import build_replay_workload, replay_cluster
 from repro.cluster.rpc import ShardConnectionError
 from repro.cluster.shard import spec_queries
+from repro.jsonlib import get_json_object
 from repro.obs.promlint import validate_text
 from repro.server.admission import QueryShedError
+
+from irregular_documents import irregular_documents
 
 SPEC = ShardSpec(
     rows_per_table=40,
@@ -54,6 +57,29 @@ class TestDifferential:
             expected = server.execute(query.sql, tenant="t-diff")
             got = cluster.execute(query.sql, tenant="t-diff")
             assert got["rows"] == expected.rows, query.query_id
+
+    def test_irregular_documents_bit_identical(self, cluster, twin):
+        """The warehouse a ``ShardSpec`` generates holds only regular
+        documents, so irregular ones (duplicate keys, escaped key
+        spellings, malformed text) ride in as string literals: inside a
+        shard the batch path projects them like any column value."""
+        _, server = twin
+        paths = ("$.hot", "$.warm", "$.hot.x")
+        for text in irregular_documents(
+            {"hot": 4, "warm": "w1", "cold": 70}, vary_types=True
+        ):
+            calls = ", ".join(
+                f"get_json_object('{text}', '{path}') AS c{i}"
+                for i, path in enumerate(paths)
+            )
+            sql = f"SELECT {calls} FROM prod.t_q7 LIMIT 3"
+            row = {
+                f"c{i}": get_json_object(text, path)
+                for i, path in enumerate(paths)
+            }
+            expected = server.execute(sql, tenant="t-odd")
+            got = cluster.execute(sql, tenant="t-odd")
+            assert got["rows"] == expected.rows == [row] * 3, text[:80]
 
     def test_replay_accounting_matches_single_server(
         self, cluster, twin, queries
@@ -211,6 +237,31 @@ class TestCrashSupervision:
                 router.execute(sql, tenant="t0")
         finally:
             router.shutdown()
+
+    def test_shutdown_kills_and_reaps_a_shard_that_ignores_it(self, monkeypatch):
+        """A stopped shard answers no shutdown RPC and acts on no
+        SIGTERM; ``shutdown`` must still leave no process behind."""
+        import os
+        import signal
+
+        from repro.cluster import router as router_module
+
+        monkeypatch.setattr(router_module, "_SHUTDOWN_GRACE", 0.3)
+        monkeypatch.setattr(router_module, "_KILL_GRACE", 0.3)
+        spec = ShardSpec(
+            rows_per_table=10, days=1, table_ids=["Q7"], server={"max_workers": 1}
+        )
+        router = ClusterRouter(1, spec=spec, respawn=False)
+        process = router._shards[0].process
+        try:
+            os.kill(process.pid, signal.SIGSTOP)
+            router.shutdown()
+            assert not process.is_alive()
+            assert process.exitcode == -signal.SIGKILL  # joined: reaped
+        finally:
+            if process.is_alive():
+                process.kill()
+                process.join(timeout=10)
 
 
 class TestFaultDifferential:

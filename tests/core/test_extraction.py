@@ -75,3 +75,25 @@ class TestEvaluate:
         extractor.extract("<r/>", "/r")
         assert extractor.json_parser.stats.documents == 1
         assert extractor.xml_parser.stats.documents == 1
+
+
+class TestProjection:
+    def test_reads_mixed_formats_in_path_order(self):
+        extractor = ValueExtractor()
+        project = extractor.projection(("$.a.b", "/r/v", "$.c", "$.a.b"))
+        assert project('{"a": {"b": 7}, "c": "x"}') == [7, None, "x", 7]
+        assert project("<r><v>5</v></r>") == [None, 5, None, None]
+        assert project("{oops") == [None] * 4
+        assert project(None) == [None] * 4
+        assert project(42) == [None] * 4
+
+    def test_one_pass_per_distinct_text(self):
+        extractor = ValueExtractor()
+        project = extractor.projection(("$.a", "$.b"))
+        assert extractor.projection(("$.a", "$.b")) is project
+        text = '{"a": 1, "b": 2, "a": 3}'
+        assert project(text) == project(text) == [3, 2]
+        assert extractor.json_parser.stats.documents == 1
+        assert extractor.json_parser.stats.bytes_scanned == len(text)
+        assert extractor.shared_parse_hits == 1
+        assert extractor.xml_parser.stats.documents == 0

@@ -17,6 +17,8 @@ from repro.jsonlib import dumps
 from repro.storage import BlockFileSystem, DataType, Schema
 from repro.workload import PathKey
 
+from irregular_documents import irregular_documents, with_irregular_sales
+
 #: The parity matrix: one query per engine feature family.
 QUERIES = [
     "select mall_id, date from mydb.T",
@@ -58,6 +60,12 @@ QUERIES = [
 ]
 
 
+@pytest.fixture
+def sales_session(sales_session):
+    """Every differential below also runs over irregular documents."""
+    return with_irregular_sales(sales_session)
+
+
 class TestRowBatchParity:
     @pytest.mark.parametrize("sql", QUERIES)
     def test_batch_rows_identical_to_row_interpreter(self, sales_session, sql):
@@ -91,6 +99,12 @@ def build_cached_system(fs=None) -> tuple[MaxsonSystem, list[str]]:
         for i in range(60)
     ]
     session.catalog.append_rows("db", "t", rows, row_group_size=10)
+    # A second file of irregular documents: the cache build, the stitched
+    # read and the degraded fallback all project them.
+    odd = irregular_documents({"hot": 4, "warm": "w1", "cold": 70})
+    session.catalog.append_rows(
+        "db", "t", list(enumerate(odd, start=60)), row_group_size=10
+    )
     system = MaxsonSystem(
         session=session,
         config=MaxsonConfig(predictor=PredictorConfig(model="oracle")),

@@ -18,6 +18,8 @@ from repro.jsonlib import dumps
 from repro.storage import BlockFileSystem, DataType, Schema
 from repro.workload import PathKey
 
+from irregular_documents import irregular_documents, with_irregular_sales
+
 #: Metrics that must be bit-identical serial vs parallel (timing fields
 #: are excluded — wall/read seconds legitimately differ).
 COUNT_METRICS = (
@@ -65,6 +67,12 @@ QUERIES = [
 ]
 
 
+@pytest.fixture
+def sales_session(sales_session):
+    """Every differential below also runs over irregular documents."""
+    return with_irregular_sales(sales_session)
+
+
 def assert_metric_parity(serial, parallel, sql):
     s, p = serial.metrics, parallel.metrics
     for name in COUNT_METRICS:
@@ -86,7 +94,7 @@ class TestSerialParallelParity:
 
 
 def build_system(fs=None, scan_workers: int = 1, worker_backend: str = "thread"):
-    """One cached Maxson system over a 6-split table."""
+    """One cached Maxson system over a 7-split table."""
     session = Session(fs=fs or BlockFileSystem())
     schema = Schema.of(("id", DataType.INT64), ("payload", DataType.STRING))
     session.catalog.create_table("db", "t", schema)
@@ -105,6 +113,12 @@ def build_system(fs=None, scan_workers: int = 1, worker_backend: str = "thread")
             for i in range(20)
         ]
         session.catalog.append_rows("db", "t", rows, row_group_size=10)
+    # A seventh split of irregular documents (duplicate keys, escaped
+    # key spellings, malformed text): every backend projects them.
+    odd = irregular_documents({"hot": 4, "warm": "w1", "cold": 70})
+    session.catalog.append_rows(
+        "db", "t", list(enumerate(odd, start=120)), row_group_size=10
+    )
     system = MaxsonSystem(
         session=session,
         config=MaxsonConfig(

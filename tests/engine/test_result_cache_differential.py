@@ -18,6 +18,8 @@ from repro.jsonlib import dumps
 from repro.storage import BlockFileSystem, DataType, Schema
 from repro.workload import PathKey
 
+from irregular_documents import irregular_documents, with_irregular_sales
+
 #: A recurring trace: every statement runs twice, several statements are
 #: semantic recurrences of earlier ones (recased, realiased, reordered
 #: predicates, ORDER BY over a cached prefix).
@@ -36,6 +38,12 @@ TRACE = [
     "select mall_id, date from mydb.T order by date desc limit 5",
     "select count(*) as n from mydb.T where date = '29990101'",
 ]
+
+
+@pytest.fixture
+def sales_session(sales_session):
+    """Every differential below also runs over irregular documents."""
+    return with_irregular_sales(sales_session)
 
 
 def run_trace(session: Session, mode: str) -> list:
@@ -100,6 +108,10 @@ def build_system(fs=None, result_cache=False, scan_workers=1):
             for i in range(20)
         ]
         session.catalog.append_rows("db", "t", rows, row_group_size=10)
+    odd = irregular_documents({"hot": 4, "warm": "w1"})
+    session.catalog.append_rows(
+        "db", "t", list(enumerate(odd, start=120)), row_group_size=10
+    )
     system = MaxsonSystem(
         session=session,
         config=MaxsonConfig(predictor=PredictorConfig(model="oracle")),

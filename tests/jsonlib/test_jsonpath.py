@@ -122,6 +122,16 @@ class TestGetJsonObject:
     def test_malformed_json_yields_null(self):
         assert get_json_object("{broken", "$.a") is None
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"a": "\\u-123", "b": 1}', '{"a": ' + "9" * 5000 + ', "b": 1}'],
+        ids=["signed-unicode-escape", "integer-past-the-digit-limit"],
+    )
+    def test_tokenizer_value_errors_yield_null(self, text):
+        # Both used to escape as ValueError (from chr() and int()), which
+        # is not the JsonParseError that get_json_object turns into NULL.
+        assert get_json_object(text, "$.b") is None
+
     def test_missing_path_yields_null(self):
         assert get_json_object('{"a": 1}', "$.b") is None
 

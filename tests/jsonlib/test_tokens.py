@@ -77,6 +77,21 @@ class TestScanString:
         with pytest.raises(JsonParseError):
             scan_string('"\\uzzzz"', 0)
 
+    @pytest.mark.parametrize(
+        "digits", ["+041", " 41 ", "1_23", "-123", "0x41", "\uff11234", "004"]
+    )
+    def test_unicode_escape_needs_exactly_four_hex_digits(self, digits):
+        # int(digits, 16) takes every one of these; '-123' then makes
+        # chr() raise ValueError, which is not a JsonParseError.
+        with pytest.raises(JsonParseError):
+            scan_string(f'"\\u{digits}x"', 0)
+
+    def test_lenient_low_surrogate_is_not_paired(self):
+        value, _ = scan_string('"\\ud83d\\ude00"', 0)
+        assert value == "\U0001f600"
+        with pytest.raises(JsonParseError):
+            scan_string('"\\ud83d\\u+e00"', 0)
+
 
 class TestScanNumber:
     @pytest.mark.parametrize(
@@ -103,6 +118,14 @@ class TestScanNumber:
             result, end = scan_number(bad, 0)
             if end != len(bad):  # e.g. '1.' stops before the dot
                 raise JsonParseError("trailing", end)
+
+    def test_integer_past_the_digit_limit_is_a_parse_error(self):
+        # int() refuses more than sys.get_int_max_str_digits() digits
+        # with a bare ValueError.
+        with pytest.raises(JsonParseError):
+            scan_number("9" * 5000, 0)
+        value, end = scan_number("9" * 5000 + ".0", 0)
+        assert value == float("9" * 5000) and end == 5002
 
     def test_leading_zero_stops(self):
         # '01' scans as 0 then stops; the parser layer rejects trailing '1'.
