@@ -149,7 +149,7 @@ class BenchEnv:
         )
         self._record_history()
         self.candidates = self.system.collector.universe
-        self.records = self.system.collector.queries_between(0, 2)
+        self.shapes = self.system.collector.shapes_between(0, 2)
 
     def _record_history(self) -> None:
         """Three days of history: each query fires twice per day (the
@@ -166,10 +166,8 @@ class BenchEnv:
     # ------------------------------------------------------------------
     def total_candidate_bytes(self) -> int:
         """Bytes needed to cache every candidate MPJP (the '400GB' point)."""
-        return sum(
-            self.system.scoring.measure(key).estimated_total_bytes
-            for key in self.candidates
-        )
+        measured = self.system.scoring.measure_many(self.candidates)
+        return sum(stats.estimated_total_bytes for stats in measured.values())
 
     def cache_with_budget(self, budget_bytes: int, strategy: str = "score"):
         """(Re)populate the cache under a byte budget."""
@@ -177,7 +175,7 @@ class BenchEnv:
             self.candidates,
             budget_bytes=budget_bytes,
             strategy=strategy,
-            records=self.records,
+            shapes=self.shapes,
         )
 
     def drop_cache(self) -> None:

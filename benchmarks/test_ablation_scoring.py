@@ -43,7 +43,7 @@ def _select_variant(env, scored, budget, variant):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_ablation_scoring_variant(benchmark, env, variant):
     budget = int(env.total_candidate_bytes() * BUDGET_FRACTION)
-    scored = env.system.scoring.score(set(env.candidates), env.records)
+    scored = env.system.scoring.score(set(env.candidates), env.shapes)
     selected = _select_variant(env, scored, budget, variant)
     env.drop_cache()
     env.system.cacher.populate([sp.key for sp in selected])

@@ -158,7 +158,8 @@ def cmd_bench_cache(args) -> int:
     system.current_day = 2
     candidates = system.collector.universe
     total = sum(
-        system.scoring.measure(k).estimated_total_bytes for k in candidates
+        stats.estimated_total_bytes
+        for stats in system.scoring.measure_many(candidates).values()
     )
 
     def run_all():

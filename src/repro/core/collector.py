@@ -5,6 +5,13 @@ location (database, table, column), the per-day access count, and the
 query membership needed by the scoring function. The statistics store is
 partitioned by date, mirroring the production statistics table.
 
+Query membership is kept as a *shape log*: per day, a count per distinct
+path tuple. Recurring templates make most of a day's queries repeats of
+a few shapes (the paper's 89% duplicate-parse traffic), so the log — and
+the scoring pass over it — grows with what the day contained, not with
+how often it was asked. Individual :class:`QueryRecord` s are a view
+expanded from the counts.
+
 Two ingestion routes exist:
 
 * :meth:`JsonPathCollector.record_query` — explicit (day, paths) events,
@@ -42,19 +49,28 @@ class JsonPathCollector:
 
     def __init__(self) -> None:
         self._daily_counts: dict[int, Counter] = defaultdict(Counter)
-        self._queries: dict[int, list[QueryRecord]] = defaultdict(list)
+        #: day -> query shape (its path tuple, order and repeats kept)
+        #: -> number of queries of that shape
+        self._shapes: dict[int, Counter] = defaultdict(Counter)
         self._universe: set[PathKey] = set()
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # ingestion
     # ------------------------------------------------------------------
-    def record_query(self, day: int, paths: tuple[PathKey, ...] | list[PathKey]) -> None:
-        """Record one executed query touching ``paths`` on ``day``."""
+    def record_query(
+        self,
+        day: int,
+        paths: tuple[PathKey, ...] | list[PathKey],
+        count: int = 1,
+    ) -> None:
+        """Record ``count`` executed queries touching ``paths`` on ``day``."""
         paths = tuple(paths)
         with self._lock:
-            self._daily_counts[day].update(paths)
-            self._queries[day].append(QueryRecord(day=day, paths=paths))
+            self._shapes[day][paths] += count
+            daily = self._daily_counts[day]
+            for key in paths:
+                daily[key] += count
             self._universe.update(paths)
 
     def record_planned(self, day: int, referenced: list[tuple[str, str, str, str]]) -> None:
@@ -94,16 +110,30 @@ class JsonPathCollector:
         sequence feature)."""
         return [self.count(key, day) for day in days]
 
-    def queries_on(self, day: int) -> list[QueryRecord]:
+    def shapes_between(self, first_day: int, last_day: int) -> Counter:
+        """Query shape -> number of queries of that shape, summed over
+        first_day <= day <= last_day — what :meth:`ScoringFunction.score`
+        reads."""
         with self._lock:
-            return list(self._queries.get(day, ()))
+            out: Counter = Counter()
+            for day in range(first_day, last_day + 1):
+                out.update(self._shapes.get(day, ()))
+            return out
+
+    def queries_on(self, day: int) -> list[QueryRecord]:
+        """One record per query of ``day``, grouped by shape."""
+        return [
+            QueryRecord(day=day, paths=paths)
+            for paths, count in self.shapes_between(day, day).items()
+            for _ in range(count)
+        ]
 
     def queries_between(self, first_day: int, last_day: int) -> list[QueryRecord]:
         """Records with first_day <= day <= last_day."""
         with self._lock:
             out: list[QueryRecord] = []
             for day in range(first_day, last_day + 1):
-                out.extend(self._queries.get(day, ()))
+                out.extend(self.queries_on(day))
             return out
 
     def mpjp_on(self, day: int, threshold: int = 2) -> set[PathKey]:

@@ -13,12 +13,20 @@ Ranks the predicted MPJPs for caching under a byte budget:
   cacheable so whole queries become cache-only);
 * ``O_j`` — number of queries that access the path;
 * ``Score_j = A_j * R_j * O_j`` (Eq. 3).
+
+Both halves cost what their input holds, not candidates times it: a
+table is sampled once and each sampled document parsed once for all the
+candidate paths of its column, and Eq. 2 is summed for every candidate in
+one pass over the query log's distinct shapes (DESIGN.md §17).
 """
 
 from __future__ import annotations
 
 import time
+from collections import defaultdict
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from itertools import islice
 
 from ..engine.catalog import Catalog
 from ..jsonlib.jackson import dumps
@@ -88,56 +96,106 @@ class ScoringFunction:
         self.catalog = catalog
         self.sample_rows = sample_rows
         self.mpjp_threshold = mpjp_threshold
-        self._stats_cache: dict[PathKey, PathStats] = {}
+        #: (database, table) -> (the table's modification time when it
+        #: was sampled, the stats measured then). A table that has moved
+        #: since is measured again: its row count, hence every budget
+        #: charge, is stale.
+        self._measured: dict[
+            tuple[str, str], tuple[float, dict[PathKey, PathStats]]
+        ] = {}
+        #: What the latest :meth:`measure_many` call had to do (nothing,
+        #: on a memo hit) — the midnight's ``score`` span reports it.
+        self.last_measurement = {"paths_measured": 0, "documents_sampled": 0}
 
     # ------------------------------------------------------------------
     # measurement (B_j, P_j)
     # ------------------------------------------------------------------
     def measure(self, key: PathKey) -> PathStats:
         """Sample the raw table to estimate B_j and P_j for one path."""
-        cached = self._stats_cache.get(key)
-        if cached is not None:
-            return cached
-        files = self.catalog.table_files(key.database, key.table)
-        if not files:
-            stats = PathStats(key, 0.0, 0.0, 0)
-            self._stats_cache[key] = stats
-            return stats
-        extractor = ValueExtractor()
-        formats = {path_format(key.path)}
-        sampled = 0
-        total_bytes = 0
+        return self.measure_many([key])[key]
+
+    def measure_many(self, keys: Iterable[PathKey]) -> dict[PathKey, PathStats]:
+        """B_j and P_j of every path in ``keys``, sampling each raw table
+        once and parsing each sampled document once per column."""
+        by_table: dict[tuple[str, str], list[PathKey]] = defaultdict(list)
+        for key in keys:
+            by_table[key.database, key.table].append(key)
+        out: dict[PathKey, PathStats] = {}
+        work = {"paths_measured": 0, "documents_sampled": 0}
+        for (database, table), table_keys in by_table.items():
+            modified = self.catalog.modification_time(database, table)
+            known = self._measured.get((database, table))
+            if known is None or known[0] != modified:
+                known = self._measured[database, table] = (modified, {})
+            memo = known[1]
+            missing = [key for key in table_keys if key not in memo]
+            if missing:
+                memo.update(self._measure_table(database, table, missing, work))
+            out.update((key, memo[key]) for key in table_keys)
+        self.last_measurement = work
+        return out
+
+    def _measure_table(
+        self, database: str, table: str, keys: list[PathKey], work: dict[str, int]
+    ) -> dict[PathKey, PathStats]:
+        """Measure ``keys`` (all of one table) from one read of its files,
+        adding what that took to ``work``.
+
+        The sample is the first ``sample_rows`` string values of each
+        column. Per (column, format) group every sampled document is
+        fully parsed once — P_j is defined on the full Jackson parse —
+        and each path evaluated on the shared tree; a path is charged
+        the shared parse time plus its own evaluation time. The clock
+        covers ``decode`` and ``evaluate`` only: file reads, column
+        decoding, row counting and value sizing are outside it.
+        """
+        groups: dict[tuple[str, str], list[PathKey]] = defaultdict(list)
+        for key in keys:
+            groups[key.column, path_format(key.path)].append(key)
+        samples: dict[str, list[str]] = {column: [] for column, _ in groups}
         total_rows = 0
-        started = time.perf_counter()
-        for path in files:
+        for path in self.catalog.table_files(database, table):
             reader = OrcFileReader(self.catalog.fs.read(path))
             total_rows += reader.row_count
-            if sampled >= self.sample_rows:
+            short = [c for c, texts in samples.items() if len(texts) < self.sample_rows]
+            if not short:
                 continue
-            columns, _ = reader.read_columns([key.column])
-            for text in columns[key.column]:
-                if sampled >= self.sample_rows:
-                    break
-                if not isinstance(text, str):
-                    continue
-                documents = extractor.decode(text, formats)
-                value = extractor.evaluate(documents, key.path)
-                total_bytes += _value_bytes(value)
-                sampled += 1
-        elapsed = time.perf_counter() - started
-        if sampled == 0:
-            stats = PathStats(key, 0.0, 0.0, 0)
-        else:
-            avg_bytes = total_bytes / sampled
-            avg_parse = elapsed / sampled
-            stats = PathStats(
-                key=key,
-                avg_value_bytes=avg_bytes,
-                avg_parse_seconds=avg_parse,
-                estimated_total_bytes=int(avg_bytes * total_rows),
+            columns, _ = reader.read_columns(short)
+            for column in short:
+                texts = samples[column]
+                strings = (t for t in columns[column] if isinstance(t, str))
+                texts.extend(islice(strings, self.sample_rows - len(texts)))
+        out: dict[PathKey, PathStats] = {}
+        clock = time.perf_counter
+        for (column, fmt), group in groups.items():
+            texts = samples[column]
+            extractor = ValueExtractor()
+            parse_seconds = 0.0
+            tallies = [[key, 0.0, 0] for key in group]  # evaluation s, value bytes
+            for text in texts:
+                started = clock()
+                documents = extractor.decode(text, {fmt})
+                parse_seconds += clock() - started
+                for tally in tallies:
+                    started = clock()
+                    value = extractor.evaluate(documents, tally[0].path)
+                    tally[1] += clock() - started
+                    tally[2] += _value_bytes(value)
+            sampled = len(texts) or 1
+            for key, eval_seconds, value_bytes in tallies:
+                avg_bytes = value_bytes / sampled
+                out[key] = PathStats(
+                    key=key,
+                    avg_value_bytes=avg_bytes,
+                    avg_parse_seconds=(parse_seconds + eval_seconds) / sampled,
+                    estimated_total_bytes=int(avg_bytes * total_rows),
+                )
+            work["documents_sampled"] += (
+                extractor.json_parser.stats.documents
+                + extractor.xml_parser.stats.documents
             )
-        self._stats_cache[key] = stats
-        return stats
+        work["paths_measured"] += len(keys)
+        return out
 
     # ------------------------------------------------------------------
     # R_j and O_j from collected queries
@@ -148,7 +206,9 @@ class ScoringFunction:
         mpjp_set: set[PathKey],
         records: list[QueryRecord],
     ) -> tuple[float, int]:
-        """Eq. 2 over the queries in ``records`` that touch ``key``."""
+        """Eq. 2 over the queries in ``records`` that touch ``key`` —
+        the per-key definition, kept as the reference the tests hold
+        :meth:`score` to."""
         m_total = 0
         n_total = 0
         occurrences = 0
@@ -165,23 +225,39 @@ class ScoringFunction:
     def score(
         self,
         mpjp_set: set[PathKey],
-        records: list[QueryRecord],
+        shapes: Mapping[tuple[PathKey, ...], int],
     ) -> list[ScoredPath]:
-        """Score every MPJP candidate; descending score order."""
+        """Score every MPJP candidate; descending score order.
+
+        ``shapes`` is the window's query log as shape -> count
+        (:meth:`JsonPathCollector.shapes_between`). Eq. 2's sums are
+        taken for every candidate in one pass over the distinct shapes:
+        a shape of ``count`` queries adds ``count`` to O_j, ``count * N``
+        and ``count * M`` to the sums of each *distinct* candidate in it,
+        where N and M count its paths and its MPJPs with repeats.
+        """
+        stats = self.measure_many(mpjp_set)
+        tallies = {key: [0, 0, 0] for key in mpjp_set}  # O_j, sum N_i, sum M_i
+        for paths, count in shapes.items():
+            members = [p for p in paths if p in mpjp_set]
+            n = len(paths) * count
+            m = len(members) * count
+            for key in set(members):
+                tally = tallies[key]
+                tally[0] += count
+                tally[1] += n
+                tally[2] += m
         out: list[ScoredPath] = []
         for key in sorted(mpjp_set):
-            stats = self.measure(key)
-            relevance, occurrences = self.relevance_and_occurrence(
-                key, mpjp_set, records
-            )
-            score = stats.acceleration_per_byte * relevance * occurrences
+            occurrences, n_total, m_total = tallies[key]
+            relevance = m_total / n_total if n_total else 0.0
             out.append(
                 ScoredPath(
                     key=key,
-                    stats=stats,
+                    stats=stats[key],
                     relevance=relevance,
                     occurrences=occurrences,
-                    score=score,
+                    score=stats[key].acceleration_per_byte * relevance * occurrences,
                 )
             )
         out.sort(key=lambda sp: (-sp.score, sp.key))

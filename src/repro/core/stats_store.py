@@ -7,12 +7,15 @@ tables:
 
 * ``maxson_meta.jsonpath_stats`` — one row per (day, path) with the
   access count (the predictor's input);
-* ``maxson_meta.query_paths`` — one row per (day, query, path) membership
-  (what the scoring function's R_j/O_j need).
+* ``maxson_meta.query_shapes`` — the collector's shape log: one row per
+  (day, shape, path) carrying the number of queries of that shape (what
+  the scoring function's R_j/O_j need).
 
 Each ``save`` appends one daily partition file per table, matching the
 production append-only pattern; ``load`` rebuilds a collector from all
-persisted partitions.
+persisted partitions — including those of the earlier
+``maxson_meta.query_paths`` layout (one row per (day, query, path), no
+count), which is read but no longer written.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ __all__ = ["StatsStore", "META_DATABASE"]
 
 META_DATABASE = "maxson_meta"
 STATS_TABLE = "jsonpath_stats"
-MEMBERSHIP_TABLE = "query_paths"
+SHAPES_TABLE = "query_shapes"
+LEGACY_MEMBERSHIP_TABLE = "query_paths"
 
 
 def _stats_schema() -> Schema:
@@ -40,10 +44,11 @@ def _stats_schema() -> Schema:
     )
 
 
-def _membership_schema() -> Schema:
+def _shapes_schema() -> Schema:
     return Schema.of(
         ("day", DataType.INT64),
-        ("query_seq", DataType.INT64),
+        ("shape_seq", DataType.INT64),
+        ("queries", DataType.INT64),
         ("database", DataType.STRING),
         ("table_name", DataType.STRING),
         ("column_name", DataType.STRING),
@@ -61,10 +66,8 @@ class StatsStore:
     def _ensure_tables(self) -> None:
         if not self.catalog.table_exists(META_DATABASE, STATS_TABLE):
             self.catalog.create_table(META_DATABASE, STATS_TABLE, _stats_schema())
-        if not self.catalog.table_exists(META_DATABASE, MEMBERSHIP_TABLE):
-            self.catalog.create_table(
-                META_DATABASE, MEMBERSHIP_TABLE, _membership_schema()
-            )
+        if not self.catalog.table_exists(META_DATABASE, SHAPES_TABLE):
+            self.catalog.create_table(META_DATABASE, SHAPES_TABLE, _shapes_schema())
 
     # ------------------------------------------------------------------
     def save_day(self, collector: JsonPathCollector, day: int) -> None:
@@ -74,18 +77,17 @@ class StatsStore:
             (day, key.database, key.table, key.column, key.path, count)
             for key, count in sorted(counts.items())
         ]
-        membership_rows = []
-        for query_seq, record in enumerate(collector.queries_on(day)):
-            for key in record.paths:
-                membership_rows.append(
-                    (day, query_seq, key.database, key.table, key.column, key.path)
-                )
+        shape_rows = [
+            (day, seq, queries, key.database, key.table, key.column, key.path)
+            for seq, (paths, queries) in enumerate(
+                collector.shapes_between(day, day).items()
+            )
+            for key in paths
+        ]
         if stats_rows:
             self.catalog.append_rows(META_DATABASE, STATS_TABLE, stats_rows)
-        if membership_rows:
-            self.catalog.append_rows(
-                META_DATABASE, MEMBERSHIP_TABLE, membership_rows
-            )
+        if shape_rows:
+            self.catalog.append_rows(META_DATABASE, SHAPES_TABLE, shape_rows)
 
     def save_all(self, collector: JsonPathCollector) -> None:
         """Persist every collected day (one partition per day)."""
@@ -96,29 +98,33 @@ class StatsStore:
     def load(self) -> JsonPathCollector:
         """Rebuild a collector from the persisted partitions.
 
-        Query membership is reconstructed exactly (so R_j/O_j are
-        preserved); per-day counts are re-derived from membership, then
-        cross-checked against the stats partitions.
+        The shape log is reconstructed exactly (so R_j/O_j are
+        preserved); per-day counts are re-derived from it, and
+        :meth:`verify` cross-checks them against the stats partitions.
         """
+        collector = JsonPathCollector()
+        for table, counted in ((LEGACY_MEMBERSHIP_TABLE, False), (SHAPES_TABLE, True)):
+            for day, paths, queries in self._persisted_shapes(table, counted):
+                collector.record_query(day, paths, queries)
+        return collector
+
+    def _persisted_shapes(self, table: str, counted: bool):
+        """(day, paths, queries) per group of one partition's rows sharing
+        (day, sequence number); ``queries`` is the third field when the
+        layout is ``counted`` and 1 otherwise."""
         from ..storage.readers import OrcReader
 
-        collector = JsonPathCollector()
-        membership_files = self.catalog.table_files(
-            META_DATABASE, MEMBERSHIP_TABLE
-        )
-        # (day, query_seq) -> list of keys
-        grouped: dict[tuple[int, int], list[PathKey]] = {}
-        for path in membership_files:
-            reader = OrcReader(self.catalog.fs, path)
-            for day, query_seq, database, table, column, json_path in (
-                reader.read_rows()
-            ):
-                grouped.setdefault((day, query_seq), []).append(
-                    PathKey(database, table, column, json_path)
+        if not self.catalog.table_exists(META_DATABASE, table):
+            return
+        for path in self.catalog.table_files(META_DATABASE, table):
+            grouped: dict[tuple[int, int], tuple[int, list[PathKey]]] = {}
+            for row in OrcReader(self.catalog.fs, path).read_rows():
+                queries = row[2] if counted else 1
+                grouped.setdefault((row[0], row[1]), (queries, []))[1].append(
+                    PathKey(*row[-4:])
                 )
-        for (day, _), keys in sorted(grouped.items()):
-            collector.record_query(day, tuple(keys))
-        return collector
+            for (day, _), (queries, keys) in grouped.items():
+                yield day, tuple(keys), queries
 
     def verify(self, collector: JsonPathCollector) -> bool:
         """Check the persisted stats partitions agree with ``collector``.

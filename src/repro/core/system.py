@@ -117,6 +117,13 @@ class MidnightReport:
     selected: list[ScoredPath]
     build: CacheBuildReport
     skipped_missing_tables: int = 0
+    #: What the scoring stage had to chew through (why it took as long
+    #: as it did): queries in the history window, their distinct shapes,
+    #: paths whose B_j/P_j had to be (re)measured, documents parsed for it.
+    history_records: int = 0
+    distinct_shapes: int = 0
+    paths_measured: int = 0
+    documents_sampled: int = 0
 
     @property
     def cached_paths(self) -> list[PathKey]:
@@ -186,7 +193,7 @@ class MaxsonSystem:
         #: predicted/cached sets against the parse demand it actually saw.
         from ..obs.efficacy import EfficacyAccountant
 
-        self.efficacy = EfficacyAccountant(byte_weight=self._path_bytes)
+        self.efficacy = EfficacyAccountant(byte_weights=self._path_bytes)
         self.current_day = 0
         self.cache_build_metrics = QueryMetrics()
         #: Monotonic cache-generation counter; bumped by every swap.
@@ -214,9 +221,22 @@ class MaxsonSystem:
     def catalog(self) -> Catalog:
         return self.session.catalog
 
-    def _path_bytes(self, key: PathKey) -> int:
-        """Estimated parse bytes for one path (efficacy byte weighting)."""
-        return self.scoring.measure(key).estimated_total_bytes
+    def _path_bytes(self, keys) -> dict[PathKey, int]:
+        """Estimated parse bytes of each path (efficacy byte weighting),
+        measured a table at a time: one that is gone or unreadable costs
+        its own paths their weight, not everyone's."""
+        by_table: dict[tuple[str, str], list[PathKey]] = {}
+        for key in keys:
+            by_table.setdefault((key.database, key.table), []).append(key)
+        out: dict[PathKey, int] = {}
+        for table_keys in by_table.values():
+            try:
+                measured = self.scoring.measure_many(table_keys)
+            except Exception:
+                continue
+            for key, stats in measured.items():
+                out[key] = stats.estimated_total_bytes
+        return out
 
     # ------------------------------------------------------------------
     # query path
@@ -470,6 +490,32 @@ class MaxsonSystem:
     ) -> None:
         self.predictor.fit(self.collector, train_days, keys)
 
+    def _score_and_select(
+        self, cacheable, shapes, budget_bytes: int, strategy: str, tracer=None
+    ) -> tuple[list[ScoredPath], list[ScoredPath], dict[str, int]]:
+        """The ``score`` stage: rank ``cacheable`` against the shape log
+        and fill the budget. Also returns what the stage had to do, for
+        the span and the :class:`MidnightReport`."""
+        scoring = self.scoring
+        with _span(tracer, "score"):
+            scored = scoring.score(cacheable, shapes)
+            if strategy == "random":
+                selected = scoring.random_selection(
+                    scored, budget_bytes, seed=self.config.random_seed
+                )
+            else:
+                selected = scoring.select_within_budget(scored, budget_bytes)
+            workload = {
+                "history_records": sum(shapes.values()),
+                "distinct_shapes": len(shapes),
+                **scoring.last_measurement,
+            }
+            if tracer is not None:
+                tracer.annotate(
+                    scored=len(scored), selected=len(selected), **workload
+                )
+        return scored, selected, workload
+
     def run_midnight_cycle(
         self,
         day: int | None = None,
@@ -487,11 +533,11 @@ class MaxsonSystem:
         target_day = day if day is not None else self.current_day + 1
         with _span(tracer, "midnight", day=target_day):
             with _span(tracer, "collect"):
-                records = self.collector.queries_between(
+                shapes = self.collector.shapes_between(
                     max(0, target_day - history_days), target_day - 1
                 )
                 if tracer is not None:
-                    tracer.annotate(history_records=len(records))
+                    tracer.annotate(history_records=sum(shapes.values()))
             with _span(tracer, "predict"):
                 predicted = self.predictor.predict(
                     self.collector, target_day, candidate_keys
@@ -510,22 +556,13 @@ class MaxsonSystem:
                         cacheable=len(cacheable),
                         skipped_missing_tables=missing,
                     )
-            with _span(tracer, "score"):
-                scored = self.scoring.score(cacheable, records)
-                if self.config.selection_strategy == "random":
-                    selected = ScoringFunction.random_selection(
-                        scored,
-                        self.config.cache_budget_bytes,
-                        seed=self.config.random_seed,
-                    )
-                else:
-                    selected = self.scoring.select_within_budget(
-                        scored, self.config.cache_budget_bytes
-                    )
-                if tracer is not None:
-                    tracer.annotate(
-                        scored=len(scored), selected=len(selected)
-                    )
+            scored, selected, workload = self._score_and_select(
+                cacheable,
+                shapes,
+                self.config.cache_budget_bytes,
+                self.config.selection_strategy,
+                tracer,
+            )
             build = self._swap_generation(
                 [sp.key for sp in selected], tracer=tracer
             )
@@ -551,6 +588,7 @@ class MaxsonSystem:
             selected=selected,
             build=build,
             skipped_missing_tables=missing,
+            **workload,
         )
 
     def cache_paths_directly(
@@ -558,32 +596,31 @@ class MaxsonSystem:
         keys: list[PathKey],
         budget_bytes: int | None = None,
         strategy: str | None = None,
-        records=None,
+        shapes=None,
     ) -> MidnightReport:
         """Bypass prediction: score and cache the given candidate paths.
 
         Used by benchmarks that study scoring/caching in isolation
         (Fig 11 / Table V) where the candidate MPJP set is known.
+        ``shapes`` is the query log to score against, shape -> count as
+        :meth:`JsonPathCollector.shapes_between` returns it (default:
+        every collected day up to today).
         """
-        budget = (
-            budget_bytes if budget_bytes is not None else self.config.cache_budget_bytes
-        )
-        strategy = strategy or self.config.selection_strategy
-        records = records if records is not None else self.collector.queries_between(
-            0, self.current_day
-        )
+        if shapes is None:
+            shapes = self.collector.shapes_between(0, self.current_day)
         cacheable = {
             key
             for key in keys
             if self.catalog.table_exists(key.database, key.table)
         }
-        scored = self.scoring.score(cacheable, records)
-        if strategy == "random":
-            selected = ScoringFunction.random_selection(
-                scored, budget, seed=self.config.random_seed
-            )
-        else:
-            selected = self.scoring.select_within_budget(scored, budget)
+        scored, selected, workload = self._score_and_select(
+            cacheable,
+            shapes,
+            budget_bytes
+            if budget_bytes is not None
+            else self.config.cache_budget_bytes,
+            strategy or self.config.selection_strategy,
+        )
         build = self._swap_generation([sp.key for sp in selected])
         if not build.failed:
             self.efficacy.close_pending(
@@ -604,6 +641,7 @@ class MaxsonSystem:
             selected=selected,
             build=build,
             skipped_missing_tables=len(keys) - len(cacheable),
+            **workload,
         )
 
     # ------------------------------------------------------------------

@@ -70,15 +70,15 @@ class EfficacyAccountant:
 
     Thread-safe: the midnight cycle opens/closes generations from the
     maintenance thread while status snapshots read records from query
-    threads. ``byte_weight`` is an optional ``PathKey -> int`` estimating
-    per-path parse bytes (the system wires the scorer's sampler in); it
-    is consulted only at close time, once per realized path, and any
-    failure inside it degrades that path's weight to zero rather than
-    failing the cycle.
+    threads. ``byte_weights`` is an optional ``keys -> {key: int}``
+    estimating per-path parse bytes (the system wires the scorer's
+    per-table sampler in); it is consulted only at close time, once with
+    every realized path. A path it leaves out weighs zero, and so does
+    every path if it raises — neither fails the cycle.
     """
 
-    def __init__(self, byte_weight=None, max_records: int = 64) -> None:
-        self.byte_weight = byte_weight
+    def __init__(self, byte_weights=None, max_records: int = 64) -> None:
+        self.byte_weights = byte_weights
         self.max_records = max_records
         self.records: list[GenerationEfficacy] = []
         self._pending: _PendingGeneration | None = None
@@ -134,12 +134,13 @@ class EfficacyAccountant:
         )
         byte_total = 0.0
         byte_hit = 0.0
-        if self.byte_weight is not None:
-            for key in realized:
-                try:
-                    weight = float(self.byte_weight(key) or 0)
-                except Exception:
-                    weight = 0.0
+        if self.byte_weights is not None:
+            try:
+                weights = self.byte_weights(realized)
+            except Exception:
+                weights = {}
+            for key, weight in weights.items():
+                weight = float(weight or 0)
                 byte_total += weight
                 if key in pending.cached:
                     byte_hit += weight

@@ -6,7 +6,7 @@ from repro.core import JsonPathCollector, QueryRecord, ScoringFunction
 from repro.core.scoring import PathStats, ScoredPath
 from repro.engine import Session
 from repro.jsonlib import dumps
-from repro.storage import DataType, Schema
+from repro.storage import BlockFileSystem, DataType, Schema
 from repro.workload import PathKey
 
 
@@ -65,6 +65,84 @@ class TestMeasure:
         assert stats.avg_value_bytes > 0
 
 
+class TestMeasureMany:
+    PATHS = ("$.small", "$.big", "$.nested")
+
+    def test_one_key_is_the_batch_of_one(self, scoring_session):
+        batch = ScoringFunction(scoring_session.catalog, sample_rows=20)
+        single = ScoringFunction(scoring_session.catalog, sample_rows=20)
+        measured = batch.measure_many(key(p) for p in self.PATHS)
+        for p in self.PATHS:
+            alone = single.measure(key(p))
+            assert measured[key(p)].avg_value_bytes == alone.avg_value_bytes
+            assert measured[key(p)].estimated_total_bytes == alone.estimated_total_bytes
+            assert batch.measure(key(p)) is measured[key(p)]
+
+    def test_each_sampled_document_parsed_once_per_column(self, scoring_session):
+        scoring = ScoringFunction(scoring_session.catalog, sample_rows=20)
+        scoring.measure_many(key(p) for p in self.PATHS)
+        # 20 distinct documents through the extractor's JSON parser —
+        # not 20 per path.
+        assert scoring.last_measurement == {
+            "paths_measured": 3,
+            "documents_sampled": 20,
+        }
+
+    def test_each_path_is_charged_the_shared_parse_plus_its_evaluation(
+        self, scoring_session, monkeypatch
+    ):
+        import itertools
+
+        from repro.core import scoring as scoring_module
+
+        # A clock that advances one "second" per reading, so a timed
+        # region lasts as long as the clock readings inside it.
+        ticks = itertools.count()
+        monkeypatch.setattr(
+            scoring_module.time, "perf_counter", lambda: float(next(ticks))
+        )
+        scoring = ScoringFunction(scoring_session.catalog, sample_rows=20)
+        measured = scoring.measure_many(key(p) for p in self.PATHS)
+        alone = ScoringFunction(scoring_session.catalog, sample_rows=20).measure(
+            key("$.big")
+        )
+        # Per document: the parse all three share + one evaluation of its
+        # own — what the path is charged when it is measured alone.
+        assert {s.avg_parse_seconds for s in measured.values()} == {
+            alone.avg_parse_seconds
+        }
+        assert alone.avg_parse_seconds >= 2.0
+
+    def test_parse_clock_excludes_storage(self):
+        """P_j is decode + evaluate: neither read latency nor the number
+        of files the table has may show in it."""
+        session = Session(fs=BlockFileSystem(read_latency_seconds=0.02))
+        schema = Schema.of(("id", DataType.INT64), ("payload", DataType.STRING))
+        session.catalog.create_table("db", "t", schema)
+        for part in range(5):
+            rows = [(i, dumps({"small": i})) for i in range(part * 10, part * 10 + 10)]
+            session.catalog.append_rows("db", "t", rows)
+        scoring = ScoringFunction(session.catalog, sample_rows=10)
+        stats = scoring.measure(key("$.small"))
+        assert stats.estimated_total_bytes == 8 * 50  # all five files counted
+        assert stats.avg_parse_seconds < 0.002  # parent: 5 reads x 20 ms / 10
+
+    def test_appended_partition_is_charged(self, scoring_session):
+        """The memo lives as long as the table stands still: after an
+        append the next score() charges the budget for the larger table."""
+        scoring = ScoringFunction(scoring_session.catalog, sample_rows=20)
+        shapes = {(key("$.big"),): 2}
+        (before,) = scoring.score({key("$.big")}, shapes)
+        (again,) = scoring.score({key("$.big")}, shapes)
+        assert again.stats is before.stats
+        assert scoring.last_measurement["paths_measured"] == 0
+        rows = [(i, dumps({"big": "x" * 200})) for i in range(50, 100)]
+        scoring_session.catalog.append_rows("db", "t", rows, row_group_size=10)
+        (after,) = scoring.score({key("$.big")}, shapes)
+        assert after.budget_bytes() == 2 * before.budget_bytes()
+        assert scoring.last_measurement["paths_measured"] == 1
+
+
 class TestRelevanceOccurrence:
     def test_equation_2(self):
         a, b, c = key("$.a"), key("$.b"), key("$.c")
@@ -111,12 +189,7 @@ class TestScoreAndSelect:
     def test_score_ordering(self, scoring_session):
         scoring = ScoringFunction(scoring_session.catalog, sample_rows=10)
         a, b = key("$.small"), key("$.big")
-        records = [
-            QueryRecord(0, (a,)),
-            QueryRecord(0, (a,)),
-            QueryRecord(0, (a, b)),
-        ]
-        scored = scoring.score({a, b}, records)
+        scored = scoring.score({a, b}, {(a,): 2, (a, b): 1})
         assert scored[0].key == a  # higher A and O
         assert scored[0].score >= scored[-1].score
 

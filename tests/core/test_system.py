@@ -133,6 +133,29 @@ class TestBudgetAndStrategy:
         assert system.cache_summary()["build_seconds"] > first  # accumulates
 
 
+class TestEfficacyByteWeights:
+    def test_a_lost_table_costs_only_its_own_paths_their_weight(self):
+        """One generation serves a cached path of a healthy table and a
+        path of a table that is gone by the next midnight: the healthy
+        path keeps its weight, the lost one weighs zero."""
+        system = build_system()
+        schema = Schema.of(("id", DataType.INT64), ("payload", DataType.STRING))
+        system.catalog.create_table("db", "gone", schema)
+        system.catalog.append_rows("db", "gone", [(0, dumps({"x": 1}))])
+        hot = PathKey("db", "t", "payload", "$.hot")
+        lost = PathKey("db", "gone", "payload", "$.x")
+        system.cache_paths_directly([hot], budget_bytes=10**9)  # serves day 0
+        system.collector.record_query(0, (hot, hot, lost, lost))
+        system.catalog.drop_table("db", "gone")
+        assert system._path_bytes({hot, lost}) == {
+            hot: system.scoring.measure(hot).estimated_total_bytes
+        }
+        system.run_midnight_cycle(day=1)
+        record = system.efficacy.latest()
+        assert record.realized_paths == 2
+        assert record.byte_weighted_hit_ratio == 1.0
+
+
 class TestGenerationSwap:
     def test_cycle_increments_generation(self):
         system = build_system()

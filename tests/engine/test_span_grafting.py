@@ -107,8 +107,12 @@ class TestMidSplitCancellation:
         fs = FaultyFileSystem()
         session = build_session(fs=fs, backend="process")
         try:
+            # Workers read through the fs replica of the pool's warm
+            # snapshot, which the first query takes: a policy installed
+            # after it never reaches them. Installed before, every split
+            # read sleeps five deadlines, however fast the host is.
+            fs.policy = FaultPolicy(read_latency_seconds=0.1)
             assert session.sql(SQL).rows
-            fs.policy = FaultPolicy(read_latency_seconds=0.03)
             tracer = Tracer()
             with pytest.raises(DeadlineExceededError):
                 session.sql(SQL, tracer=tracer, deadline_ms=20)

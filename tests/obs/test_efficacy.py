@@ -48,24 +48,31 @@ class TestScoring:
 
     def test_byte_weighted_ratio_uses_weight_function(self):
         weights = {"a": 100, "c": 300}
-        accountant = EfficacyAccountant(byte_weight=weights.__getitem__)
+        accountant = EfficacyAccountant(
+            byte_weights=lambda keys: {key: weights[key] for key in keys}
+        )
         accountant.open_generation(1, day=1, predicted=["a"], cached=["a"])
         collector = FakeCollector({1: {"a": 2, "c": 2}})
         record = accountant.close_pending(collector, up_to_day=2)
         assert record.byte_weighted_hit_ratio == 100 / 400
 
     def test_byte_weight_failure_degrades_to_zero(self):
-        def weight(key):
-            if key == "c":
-                raise RuntimeError("sampler lost the file")
-            return 100
+        def lost_c(keys):  # the sampler could not weigh c
+            return {key: 100 for key in keys if key != "c"}
 
-        accountant = EfficacyAccountant(byte_weight=weight)
-        accountant.open_generation(1, day=1, predicted=["a"], cached=["a"])
+        def lost_everything(keys):
+            raise RuntimeError("sampler lost the warehouse")
+
         collector = FakeCollector({1: {"a": 2, "c": 2}})
-        record = accountant.close_pending(collector, up_to_day=2)
-        # c's weight degrades to 0, so the cached path holds all bytes.
-        assert record.byte_weighted_hit_ratio == 1.0
+        ratios = []
+        for weights in (lost_c, lost_everything):
+            accountant = EfficacyAccountant(byte_weights=weights)
+            accountant.open_generation(1, day=1, predicted=["a"], cached=["a"])
+            record = accountant.close_pending(collector, up_to_day=2)
+            ratios.append(record.byte_weighted_hit_ratio)
+        # c's weight degrades to 0, so the cached path holds all bytes;
+        # a sampler that fails outright weighs nothing and fails nothing.
+        assert ratios == [1.0, 0.0]
 
     def test_no_byte_weight_reports_zero(self):
         accountant = EfficacyAccountant()

@@ -152,9 +152,34 @@ class TestTracesAndLogs:
         names = {l["name"] for l in lines}
         assert {"query", "scan", "project"} <= names
         assert {"midnight", "collect", "predict", "score", "build", "swap"} <= names
+        # The score span says what the stage had to chew through: two
+        # day-0 queries of one shape, one path measured for the first
+        # time from the table's 60 (< sample size) documents.
+        (score,) = [l for l in lines if l["name"] == "score"]
+        assert score["attributes"] == {
+            "history_records": 2,
+            "distinct_shapes": 1,
+            "paths_measured": 1,
+            "documents_sampled": 60,
+            "scored": 1,
+            "selected": 1,
+        }
         query_ids = {l.get("query_id") for l in lines if "query_id" in l}
         assert query_ids == {"q-1", "q-2", "q-3"}
         assert status.observability["trace"]["spans_written"] == len(lines)
+
+    def test_midnight_report_carries_scoring_workload(self, server):
+        server.execute(HOT_SQL, day=0)
+        server.execute(HOT_SQL, day=0)
+        server.ingest(1, (HOT_KEY, HOT_KEY))
+        first = server.run_midnight_cycle(day=1)
+        assert (first.history_records, first.distinct_shapes) == (2, 1)
+        assert (first.paths_measured, first.documents_sampled) == (1, 60)
+        # Next midnight: the window also holds day 1's other shape, and
+        # the unchanged table is served from the memo — nothing re-parsed.
+        second = server.run_midnight_cycle(day=2)
+        assert (second.history_records, second.distinct_shapes) == (3, 2)
+        assert (second.paths_measured, second.documents_sampled) == (0, 0)
 
     def test_structured_log_file(self, tmp_path):
         log = tmp_path / "server.ndjson"

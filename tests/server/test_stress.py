@@ -167,6 +167,11 @@ def test_stress_across_generation_swaps():
     assert system.collector.count(HOT_KEY, STRESS_DAY) == total_hot
     assert system.collector.count(COLD_KEY, STRESS_DAY) == total_cold
     assert len(system.collector.queries_on(STRESS_DAY)) == total_hot + total_cold
+    # ... nor shape counts: the whole day collapsed to its two shapes.
+    assert system.collector.shapes_between(STRESS_DAY, STRESS_DAY) == {
+        (HOT_KEY,): total_hot,
+        (COLD_KEY,): total_cold,
+    }
     assert system.collector.count(INGEST_KEY, STRESS_DAY + 1) == INGEST_EVENTS
 
     status = server.status()
