@@ -12,8 +12,6 @@ CI chaos job — are:
   return nothing;
 * **p99 of completed queries ≤ deadline + slack**: the deadline actually
   bounds served latency instead of merely annotating it.
-
-The series rolls into ``BENCH_pr7.json``.
 """
 
 from __future__ import annotations

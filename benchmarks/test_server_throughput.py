@@ -20,7 +20,7 @@ from repro.storage import BlockFileSystem
 from repro.workload import build_queries, load_tables
 from repro.workload.tables import TABLE_SPECS
 
-from .conftest import once, save_bench_pr3, save_bench_pr8, save_result
+from .conftest import once, save_result
 
 CONCURRENCY_LEVELS = (1, 4, 8)
 REQUESTS_PER_LEVEL = 48
@@ -62,46 +62,22 @@ def _run_level(env, concurrency: int) -> dict[str, float]:
         "p95_seconds": percentile(latencies, 0.95),
         "max_seconds": latencies[-1],
         "parse_documents": parse_documents,
-        "execution_mode": env.system.session.execution_mode,
     }
 
 
 def test_server_throughput(benchmark, env):
     env.cache_with_budget(env.total_candidate_bytes(), "score")
 
-    def run_all_levels():
-        batch_levels = [_run_level(env, c) for c in CONCURRENCY_LEVELS]
-        # Same workload through the row interpreter at peak concurrency:
-        # the apples-to-apples denominator for the batch engine's gain.
-        env.system.session.execution_mode = "row"
-        try:
-            row_level = _run_level(env, CONCURRENCY_LEVELS[-1])
-        finally:
-            env.system.session.execution_mode = "batch"
-        return batch_levels, row_level
-
-    levels, row_level = once(benchmark, run_all_levels)
+    levels = once(
+        benchmark, lambda: [_run_level(env, c) for c in CONCURRENCY_LEVELS]
+    )
     payload = {
         "levels": levels,
-        "row_engine": row_level,
-        "speedup_vs_row": levels[-1]["qps"] / row_level["qps"],
         "paper_claim": "Maxson serves concurrent clients from shared "
         "cache tables; throughput scales with client concurrency until "
         "the engine saturates",
     }
     save_result("server_throughput", payload)
-    save_bench_pr3(
-        "server_throughput",
-        {
-            "batch_qps_by_concurrency": {
-                str(level["concurrency"]): level["qps"] for level in levels
-            },
-            "batch_parse_documents": levels[-1]["parse_documents"],
-            "row_engine_qps": row_level["qps"],
-            "row_parse_documents": row_level["parse_documents"],
-            "speedup_vs_row": payload["speedup_vs_row"],
-        },
-    )
     for level in levels:
         assert level["qps"] > 0
         assert level["p95_seconds"] >= level["p50_seconds"]
@@ -222,13 +198,6 @@ def test_backend_concurrency_sweep(benchmark):
         "help on CPU-bound coordinators",
     }
     save_result("backend_concurrency_sweep", payload)
-    save_bench_pr8("backend_concurrency_sweep_gate", {
-        "process_qps_by_concurrency": payload["qps"]["process"],
-        "thread_qps_by_concurrency": payload["qps"]["thread"],
-        "process_scaling_8_vs_1": payload["process_scaling_8_vs_1"],
-        "process_scaling_8_vs_4": payload["process_scaling_8_vs_4"],
-        "gate": "process@8 >= 1.5x process@1 and process@8 > process@4",
-    })
     # The PR gate: the process backend keeps scaling up to concurrency 8.
     assert proc["8"]["qps"] >= 1.5 * proc["1"]["qps"]
     assert proc["8"]["qps"] > proc["4"]["qps"]

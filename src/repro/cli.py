@@ -71,7 +71,6 @@ def cmd_demo(args) -> int:
     from .workload.tables import DocumentFactory, TABLE_SPECS
 
     system = MaxsonSystem.for_demo(rows_per_table=args.rows)
-    system.session.execution_mode = args.execution_mode
     if args.scan_workers is not None:
         system.session.scan_workers = args.scan_workers
     if args.worker_backend is not None:
@@ -133,7 +132,7 @@ def cmd_explain(args) -> int:
             ],
             budget_bytes=1 << 40,
         )
-    print(system.explain_analyze(query.sql, execution_mode=args.execution_mode))
+    print(system.explain_analyze(query.sql))
     return 0
 
 
@@ -223,7 +222,6 @@ def _cmd_replay_serve_cluster(args, admission_timeout) -> int:
         days=args.days,
         fault_profile=args.fault_profile,
         model=args.model,
-        execution_mode=args.execution_mode,
         build_workers=args.build_workers,
         server=_cluster_server_kwargs(args, admission_timeout),
     )
@@ -349,7 +347,6 @@ def cmd_replay_serve(args) -> int:
         session=session,
         config=MaxsonConfig(
             predictor=PredictorConfig(model=args.model),
-            execution_mode=args.execution_mode,
             build_workers=args.build_workers,
         ),
     )
@@ -638,12 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--query", default="Q2", help="Q1..Q10")
     p_demo.add_argument("--rows", type=int, default=600)
     p_demo.add_argument(
-        "--execution-mode",
-        default="batch",
-        choices=["batch", "row"],
-        help="engine path: vectorized batches or the row interpreter",
-    )
-    p_demo.add_argument(
         "--scan-workers",
         type=int,
         default=None,
@@ -665,12 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_explain.add_argument("--query", default="Q2", help="Q1..Q10")
     p_explain.add_argument("--rows", type=int, default=600)
-    p_explain.add_argument(
-        "--execution-mode",
-        default="batch",
-        choices=["batch", "row"],
-        help="engine path: vectorized batches or the row interpreter",
-    )
     p_explain.add_argument(
         "--cached",
         action="store_true",
@@ -785,12 +770,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=6,
         help="transient-fault retries per query",
-    )
-    p_serve.add_argument(
-        "--execution-mode",
-        default="batch",
-        choices=["batch", "row"],
-        help="engine path: vectorized batches or the row interpreter",
     )
     p_serve.add_argument(
         "--build-workers",

@@ -66,7 +66,6 @@ class ShardSpec:
     fault_profile: str = ""
     read_latency_seconds: float = 0.0
     model: str = "always"
-    execution_mode: str = "batch"
     build_workers: int = 1
     server: dict = field(default_factory=dict)
     """Keyword arguments for :class:`~repro.server.config.ServerConfig`."""
@@ -105,7 +104,6 @@ def build_shard_server(spec: ShardSpec):
         session=session,
         config=MaxsonConfig(
             predictor=PredictorConfig(model=spec.model),
-            execution_mode=spec.execution_mode,
             build_workers=spec.build_workers,
         ),
     )

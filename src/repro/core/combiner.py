@@ -80,90 +80,12 @@ class MaxsonScanExec(ScanExec):
         )
 
     # ------------------------------------------------------------------
-    def execute(self, state: ExecState) -> list[dict]:
-        if not self.cached_fields:
-            return super().execute(state)
-        started = time.perf_counter()
-        cache_table = self.cached_fields[0].entry.cache_table
-        for request in self.cached_fields:
-            if request.entry.cache_table != cache_table:
-                raise ExecutionError(
-                    "cached fields of one scan must come from one cache table"
-                )
-        raw_files = state.catalog.table_files(self.database, self.table)
-        try:
-            cache_files = state.catalog.table_files(CACHE_DATABASE, cache_table)
-        except (CatalogError, FsError):
-            cache_files = None
-        field_names = [r.entry.field_name for r in self.cached_fields]
-        env_keys = [r.env_key for r in self.cached_fields]
-        rows: list[dict] = []
-        fallback_splits = 0
-        combine_span = (
-            state.tracer.begin("combine", splits=len(raw_files))
-            if state.tracer is not None
-            else None
-        )
-        if cache_files is None or len(cache_files) != len(raw_files):
-            # The cache table vanished or is file-misaligned (e.g. a
-            # refresh died mid-append). Raw parsing answers the whole
-            # scan; the breaker quarantines the table.
-            self._note_cache_failure(cache_table, None)
-            for raw_path in raw_files:
-                state.check_cancelled()
-                rows.extend(self._read_split_fallback(state, raw_path))
-            fallback_splits = len(raw_files)
-        else:
-            for split_index in range(len(raw_files)):
-                state.check_cancelled()
-                try:
-                    split_rows = self._read_split(
-                        state,
-                        raw_files[split_index],
-                        cache_files[split_index],
-                        field_names,
-                        env_keys,
-                    )
-                except (FsError, OrcError, ExecutionError) as exc:
-                    # Cache-side failure on this split only: transient fs
-                    # error, checksum mismatch, corrupt file structure or
-                    # a row-count mismatch. Degrade, never guess.
-                    self._note_cache_failure(cache_table, exc)
-                    fallback_splits += 1
-                    split_rows = self._read_split_fallback(
-                        state, raw_files[split_index]
-                    )
-                rows.extend(split_rows)
-        if combine_span is not None:
-            combine_span.attributes["fallback_splits"] = fallback_splits
-            combine_span.attributes["degraded"] = bool(fallback_splits)
-            state.tracer.end(combine_span)
-        if fallback_splits:
-            # Per-query degraded marker: the session's result cache
-            # checks it to keep degraded answers out of admission.
-            state.metrics.extra["degraded_splits"] = (
-                state.metrics.extra.get("degraded_splits", 0) + fallback_splits
-            )
-            if self.resilience is not None:
-                self.resilience.add("fallback_queries")
-                self.resilience.add("fallback_splits", fallback_splits)
-        else:
-            state.metrics.cache_hits += len(self.cached_fields)
-            if self.breaker is not None:
-                # A fully-validated read: closes an open/half-open breaker
-                # (the successful re-probe) and is a no-op otherwise.
-                self.breaker.record_success(cache_table)
-        state.metrics.rows_scanned += len(rows)
-        state.metrics.read_seconds += time.perf_counter() - started
-        return rows
-
     def execute_batch(self, state: ExecState) -> ColumnBatch:
         """Columnar Value Combiner: stitch split columns, not rows.
 
-        Same split loop, same per-split degradation contract as
-        :meth:`execute` — a failing cache split falls back to raw parsing
-        for that split only — but the stitched values flow through as
-        columns, so no per-row dicts are built on the cached fast path.
+        A failing cache split falls back to raw parsing for that split
+        only; the stitched values flow through as columns, so no per-row
+        dicts are built on the cached fast path.
         """
         if not self.cached_fields:
             return super().execute_batch(state)
@@ -382,20 +304,15 @@ class MaxsonScanExec(ScanExec):
                 self.resilience.add("corruption_events")
 
     # ------------------------------------------------------------------
-    def _read_split_fallback(self, state: ExecState, raw_path: str) -> list[dict]:
+    def _fallback_columns(
+        self, state: ExecState, raw_path: str
+    ) -> tuple[dict[str, list], int]:
         """Answer one split without its cache file: parse the raw column.
 
         Re-derives exactly the values the cache file would have held —
         same extraction, same :func:`coerce_cache_value` coercion — so a
         degraded query is row-identical to the cached one, just slower.
         """
-        columns, length = self._fallback_columns(state, raw_path)
-        return self._stitch_rows(columns, length)
-
-    def _fallback_columns(
-        self, state: ExecState, raw_path: str
-    ) -> tuple[dict[str, list], int]:
-        """Columnar core of the raw-parse fallback for one split."""
         read_columns = list(self.columns)
         requests_by_column: dict[str, list[CachedFieldRequest]] = {}
         for request in self.cached_fields:
@@ -454,39 +371,6 @@ class MaxsonScanExec(ScanExec):
             state.tracer.end(parse_span)
         return columns, result.rows_read
 
-    def _stitch_rows(
-        self, columns: dict[str, list], length: int
-    ) -> list[dict]:
-        """Row dicts (bare + alias-qualified + env keys) from split columns."""
-        env_keys = [r.env_key for r in self.cached_fields]
-        rows: list[dict] = []
-        for i in range(length):
-            row: dict = {}
-            for name in self.columns:
-                value = columns[name][i]
-                row[name] = value
-                if self.alias:
-                    row[f"{self.alias}.{name}"] = value
-            for env_key in env_keys:
-                row[env_key] = columns[env_key][i]
-            rows.append(row)
-        return rows
-
-    # ------------------------------------------------------------------
-    def _read_split(
-        self,
-        state: ExecState,
-        raw_path: str,
-        cache_path: str,
-        field_names: list[str],
-        env_keys: list[str],
-    ) -> list[dict]:
-        """Algorithm 2 for one (raw file, cache file) pair."""
-        columns, length = self._split_columns(
-            state, raw_path, cache_path, field_names, env_keys
-        )
-        return self._stitch_rows(columns, length)
-
     def _split_columns(
         self,
         state: ExecState,
@@ -495,7 +379,7 @@ class MaxsonScanExec(ScanExec):
         field_names: list[str],
         env_keys: list[str],
     ) -> tuple[dict[str, list], int]:
-        """Columnar core of Algorithm 2 for one split."""
+        """Algorithm 2 for one (raw file, cache file) pair."""
         fs = state.catalog.fs
         cache_reader = OrcReader(
             fs, cache_path, columns=field_names, sarg=self.cache_sarg

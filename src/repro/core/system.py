@@ -86,9 +86,6 @@ class MaxsonConfig:
     alignment, crash-journal and generation-swap semantics are identical
     at any worker count; 1 (the default) also keeps seeded fault
     injection deterministic."""
-    execution_mode: str = "batch"
-    """Engine execution path for queries: 'batch' (vectorized with
-    parse-once document sharing) or 'row' (per-row interpreter)."""
     scan_workers: int = 1
     """Split-level morsel parallelism for query scans. Results are
     bit-identical at any worker count; >1 overlaps per-split I/O on a
@@ -140,7 +137,6 @@ class MaxsonSystem:
     ) -> None:
         self.session = session or Session()
         self.config = config or MaxsonConfig()
-        self.session.execution_mode = self.config.execution_mode
         self.session.scan_workers = self.config.scan_workers
         if self.config.worker_backend not in ("thread", "process"):
             raise ValueError(
@@ -268,12 +264,7 @@ class MaxsonSystem:
         )
         return result
 
-    def explain_analyze(
-        self,
-        sql: str,
-        execution_mode: str | None = None,
-        day: int | None = None,
-    ) -> str:
+    def explain_analyze(self, sql: str, day: int | None = None) -> str:
         """``EXPLAIN ANALYZE`` through the Maxson-modified session; the
         query still feeds the collector like any other."""
         planned = self.session.compile(sql)
@@ -281,7 +272,7 @@ class MaxsonSystem:
             day if day is not None else self.current_day,
             planned.referenced_json_paths,
         )
-        return self.session.explain_analyze(sql, execution_mode)
+        return self.session.explain_analyze(sql)
 
     def baseline_sql(self, sql: str) -> QueryResult:
         """Execute without Maxson (plain engine), for comparisons.

@@ -1,18 +1,17 @@
-"""Vectorized (batch) execution: column batches and compiled expressions.
+"""The execution engine's data model: column batches and compiled expressions.
 
-The row interpreter (:mod:`repro.engine.expressions` +
-:mod:`repro.engine.physical`) walks the expression tree once per row —
-which re-parses the same JSON document once per ``get_json_object`` node
-per row, exactly the duplicate-parsing pathology Maxson exists to remove.
-The batch path fixes the shape of the loop:
+There is one engine. Evaluating an expression tree once per row would
+re-parse the same JSON document once per ``get_json_object`` node per
+row — exactly the duplicate-parsing pathology Maxson exists to remove —
+so the loop is shaped the other way round:
 
 * Operators exchange :class:`ColumnBatch` — parallel value lists keyed by
   column name — instead of lists of per-row dicts.
 * :class:`BatchCompiler` lowers each :class:`~repro.engine.expressions.
   Expression` to a closure over whole columns (a
-  :class:`CompiledExpression`). Scalar semantics come from the *same*
-  kernel functions the row interpreter calls (``_apply_arith`` etc.), so
-  the two paths cannot drift apart.
+  :class:`CompiledExpression`). Scalar semantics come from the kernel
+  functions of :mod:`repro.engine.expressions` (``_apply_arith`` etc.),
+  the same ones ``Expression.evaluate`` calls.
 * Extraction calls route through the context's vectorized
   ``get_json_objects`` / ``get_xml_objects``, which share one parsed
   document per distinct text via :class:`~repro.jsonlib.doccache.
@@ -24,11 +23,13 @@ The batch path fixes the shape of the loop:
   to one node and evaluate once per batch. Re-served results are counted
   into ``QueryMetrics.duplicate_extractions_eliminated``.
 
-The fallback contract: anything the compiler does not know how to
-vectorize lowers to a closure that runs the row interpreter over
-``batch.rows()``. Batch mode is therefore never less *capable* than row
-mode — only faster where vectorized — and every query can still be
-forced down the pure row path via ``Session(execution_mode="row")``.
+The fallback contract: anything the compiler does not lower (scalar
+functions, ``IN`` over non-literal options) becomes a closure that calls
+the scalar ``Expression.evaluate`` over ``batch.rows()``, so no
+expression is unsupported — only slower where not vectorized. The
+reference the differential tests compare this engine against is not
+here: it is ``tests/reference_engine.py``, an interpreter over the
+logical plan that shares only those scalar kernels.
 """
 
 from __future__ import annotations
@@ -115,9 +116,10 @@ class ColumnBatch:
 
     ``names`` preserves column order (and may alias the same underlying
     list under two names — scans expose ``col`` and ``alias.col`` without
-    copying). ``rows()`` materialises per-row dict views lazily for the
-    row-interpreter fallback and is cached: repeated fallbacks on the
-    same batch pay the conversion once.
+    copying). ``rows()`` materialises per-row dict views lazily — for
+    the compiler's scalar fallback, aggregate representatives and the
+    final result rows — and is cached: repeated fallbacks on the same
+    batch pay the conversion once.
     """
 
     __slots__ = ("names", "columns", "length", "origin", "_rows")
@@ -134,11 +136,10 @@ class ColumnBatch:
 
     @classmethod
     def from_rows(cls, rows: list[dict], names=None) -> "ColumnBatch":
-        """Build a batch from row dicts (the row-path bridge).
+        """Build a batch from row dicts (aggregate output rows; tests).
 
         ``names`` must be given when ``rows`` may be empty, otherwise the
-        column set would be lost and downstream lookups would diverge
-        from row-path behaviour.
+        column set would be lost and downstream lookups would fail.
         """
         if names is None:
             names = tuple(rows[0]) if rows else ()
@@ -159,7 +160,8 @@ class ColumnBatch:
             ) from None
 
     def rows(self) -> list[dict]:
-        """Cached per-row dict views (for the row-interpreter fallback)."""
+        """Cached per-row dict views, for the compiler's scalar fallback
+        and for materialising result rows."""
         if self._rows is None:
             names = self.names
             if not names:
@@ -288,7 +290,7 @@ class BatchCompiler:
         return CompiledExpression(fn, extractions, self)
 
     def _fallback(self, expr: Expression):
-        """Row-interpreter escape hatch — the parity guarantee."""
+        """Scalar escape hatch: evaluate ``expr`` row by row."""
         context = self.context
         return lambda batch: [expr.evaluate(row, context) for row in batch.rows()]
 
@@ -378,13 +380,13 @@ class BatchCompiler:
                     high.evaluate(batch),
                 )
             ]
-        return None  # unknown node type: row fallback
+        return None  # unknown node type: scalar fallback
 
     def _lower_logic(self, op: str, left: CompiledExpression,
                      right: CompiledExpression):
         """AND/OR with batch-level short-circuiting.
 
-        The row interpreter never evaluates the right operand on rows the
+        Scalar ``evaluate`` never evaluates the right operand on rows the
         left operand decides (False for AND, True for OR). The batch form
         preserves that: the right side is evaluated only on the sub-batch
         of undecided rows, so errors and parse costs it would have

@@ -451,9 +451,9 @@ def _coerce_pair(left: object, right: object) -> tuple | None:
         return None
 
 
-# Scalar kernels shared verbatim by the row interpreter and the batch
+# Scalar kernels shared verbatim by ``Expression.evaluate`` and the batch
 # compiler (:mod:`repro.engine.batch`): one implementation per operator
-# means the two execution paths cannot drift apart semantically.
+# means compiled and scalar evaluation cannot drift apart semantically.
 def _combine_and(left: object, right: object) -> object:
     """Three-valued AND given a non-False left and an evaluated right."""
     if left is None or right is None:
@@ -526,8 +526,7 @@ def _in_list_result(value: object, others) -> object:
     """``value IN others`` with SQL NULL semantics.
 
     ``others`` may be a lazy iterable; a match short-circuits without
-    consuming (= evaluating) the remaining options, exactly like the row
-    interpreter always did.
+    consuming (= evaluating) the remaining options.
     """
     if value is None:
         return None

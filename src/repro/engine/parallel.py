@@ -17,7 +17,7 @@ nothing about the computation depends on completion order:
 * each worker gets a forked :class:`~repro.engine.physical.ExecState`
   (private parser, parse-once document cache, compiled-expression
   cache), so no shared mutable evaluation state exists;
-* batches, rows, metrics and partial aggregates are merged in split
+* batches, metrics and partial aggregates are merged in split
   order, so concatenation order and float-sum association are fixed;
 * group order and group representatives follow first occurrence across
   ordered splits — the same rows serial execution would pick;
@@ -109,9 +109,7 @@ def _graft_worker_spans(state: ExecState, results: list) -> None:
             state.tracer.graft(subtree)
 
 
-def _run_morsels(
-    state: ExecState, units: list, fn, plan=None, mode: str | None = None
-) -> list:
+def _run_morsels(state: ExecState, units: list, fn, plan=None) -> list:
     """Run ``fn(worker_state, unit)`` for every unit; results in unit order.
 
     Dispatches to the session's worker pool when the state carries one
@@ -119,9 +117,9 @@ def _run_morsels(
     Each invocation gets a forked state; the returned tuples carry the
     worker's metrics so the coordinator can merge them deterministically.
 
-    ``plan``/``mode`` describe the same work declaratively for the
-    process backend (:mod:`repro.engine.procpool`), whose workers cannot
-    run the ``fn`` closure and instead ship the pipeline itself.
+    ``plan`` describes the same work declaratively for the process
+    backend (:mod:`repro.engine.procpool`), whose workers cannot run the
+    ``fn`` closure and instead ship the pipeline itself.
     """
 
     def task(unit):
@@ -158,7 +156,7 @@ def _run_morsels(
                 # Process snapshots cannot see live telemetry appends;
                 # run system-table scans inline on the coordinator.
                 return [task(unit) for unit in units]
-            return run_in_processes(state, plan, mode, units)
+            return run_in_processes(state, plan, units)
         futures = [pool.submit(task, unit) for unit in units]
         results = []
         first_error: BaseException | None = None
@@ -280,7 +278,7 @@ class MorselPipelineExec(PhysicalPlan):
         return f"MorselPipeline{inner}"
 
     # -- per-split stages (worker side) --------------------------------
-    def _apply_prefilter_batch(self, worker: ExecState, batch: ColumnBatch):
+    def _apply_prefilter(self, worker: ExecState, batch: ColumnBatch):
         """Per-split Sparser prefilter with a worker-local cascade clone.
 
         ``FilterCascade.calibrate`` reorders its filter list and
@@ -318,36 +316,12 @@ class MorselPipelineExec(PhysicalPlan):
             return batch, counts
         return batch.take(keep), counts
 
-    def _apply_prefilter_rows(self, worker: ExecState, rows: list[dict]):
-        prefilter = self.prefilter
-        cascade = FilterCascade(list(prefilter.cascade.filters))
-        started = time.perf_counter()
-        sample = [
-            row[prefilter.column]
-            for row in rows[: prefilter.calibration_sample]
-            if isinstance(row.get(prefilter.column), str)
-        ]
-        cascade.calibrate(sample)
-        out = []
-        for row in rows:
-            text = row.get(prefilter.column)
-            if not isinstance(text, str) or cascade.matches(text):
-                out.append(row)
-        extra = worker.metrics.extra
-        extra["sparser_seconds"] = (
-            extra.get("sparser_seconds", 0.0) + time.perf_counter() - started
-        )
-        extra["sparser_rows_dropped"] = (
-            extra.get("sparser_rows_dropped", 0.0) + len(rows) - len(out)
-        )
-        return out, (len(rows), len(out))
-
-    def _process_batch(self, worker: ExecState, unit):
+    def _process(self, worker: ExecState, unit):
         batch, fallback = self.scan.run_morsel(worker, unit)
         worker.check_cancelled()
         prefilter_counts = None
         if self.prefilter is not None:
-            batch, prefilter_counts = self._apply_prefilter_batch(worker, batch)
+            batch, prefilter_counts = self._apply_prefilter(worker, batch)
         if self.condition is not None:
             values = (
                 worker.batch_compiler().compile(self.condition).evaluate(batch)
@@ -366,36 +340,6 @@ class MorselPipelineExec(PhysicalPlan):
                 columns[name] = compiler.compile(expr).evaluate(batch)
             batch = ColumnBatch(names, columns, batch.length)
         return (batch, prefilter_counts), fallback
-
-    def _process_rows(self, worker: ExecState, unit):
-        batch, fallback = self.scan.run_morsel(worker, unit)
-        worker.check_cancelled()
-        rows = batch.to_rows()
-        prefilter_counts = None
-        if self.prefilter is not None:
-            rows, prefilter_counts = self._apply_prefilter_rows(worker, rows)
-        context = worker.context
-        if self.condition is not None:
-            rows = [
-                row
-                for row in rows
-                if self.condition.evaluate(row, context) is True
-            ]
-        if self.projections is not None:
-            names = [e.output_name() for e in self.projections]
-            rows = [
-                {
-                    name: expr.evaluate(row, context)
-                    for name, expr in zip(names, self.projections)
-                }
-                for row in rows
-            ]
-        return (rows, prefilter_counts), fallback
-
-    def _process(self, worker: ExecState, unit, mode: str):
-        if mode == "batch":
-            return self._process_batch(worker, unit)
-        return self._process_rows(worker, unit)
 
     def _fold_prefilter(self, counts: list) -> None:
         """Deterministic whole-scan prefilter counters (coordinator)."""
@@ -419,9 +363,7 @@ class MorselPipelineExec(PhysicalPlan):
     # -- coordinator entry points --------------------------------------
     def execute_batch(self, state: ExecState) -> ColumnBatch:
         units = self.scan.morsel_units(state)
-        results = _run_morsels(
-            state, units, self._process_batch, plan=self, mode="batch"
-        )
+        results = _run_morsels(state, units, self._process, plan=self)
         payloads = [payload for payload, _, _, _ in results]
         _settle(state, self.scan, results, [p[0].length for p in payloads])
         self._fold_prefilter([p[1] for p in payloads])
@@ -431,19 +373,6 @@ class MorselPipelineExec(PhysicalPlan):
         if len(batches) == 1:
             return batches[0]
         return _concat_batches(batches)
-
-    def execute(self, state: ExecState) -> list[dict]:
-        units = self.scan.morsel_units(state)
-        results = _run_morsels(
-            state, units, self._process_rows, plan=self, mode="row"
-        )
-        payloads = [payload for payload, _, _, _ in results]
-        _settle(state, self.scan, results, [len(p[0]) for p in payloads])
-        self._fold_prefilter([p[1] for p in payloads])
-        rows: list[dict] = []
-        for split_rows, _ in payloads:
-            rows.extend(split_rows)
-        return rows
 
 
 @dataclass
@@ -471,70 +400,45 @@ class MorselAggregateExec(PhysicalPlan):
         keys = ", ".join(e.sql() for e in self.group_keys) or "<global>"
         return f"MorselAggregate keys=[{keys}]"
 
-    def _partials(self, worker: ExecState, unit, mode: str, aggregates):
-        payload, fallback = self.pipeline._process(worker, unit, mode)
-        data, prefilter_counts = payload
+    def _partials(self, worker: ExecState, unit):
+        (batch, prefilter_counts), fallback = self.pipeline._process(worker, unit)
+        aggregates = collect_aggregates(self.output)
         groups: dict[tuple, list[_Accumulator]] = {}
         representatives: dict[tuple, dict] = {}
-        if mode == "batch":
-            batch = data
-            compiler = worker.batch_compiler()
-            key_columns = [
-                compiler.compile(k).evaluate(batch) for k in self.group_keys
-            ]
-            argument_columns = [
-                None
-                if agg.argument is None
-                else compiler.compile(agg.argument).evaluate(batch)
-                for agg in aggregates
-            ]
-            for i in range(batch.length):
-                key = tuple(_hashable(column[i]) for column in key_columns)
-                accumulators = groups.get(key)
-                if accumulators is None:
-                    accumulators = groups[key] = [
-                        _Accumulator(a.func, a.distinct) for a in aggregates
-                    ]
-                    representatives[key] = batch.row(i)
-                for agg, argument, acc in zip(
-                    aggregates, argument_columns, accumulators
-                ):
-                    if argument is None:
-                        acc.count += 1  # count(*) counts rows, NULLs included
-                    else:
-                        acc.add(argument[i])
-            rows_seen = batch.length
-        else:
-            rows = data
-            context = worker.context
-            for row in rows:
-                key = tuple(
-                    _hashable(k.evaluate(row, context)) for k in self.group_keys
-                )
-                accumulators = groups.get(key)
-                if accumulators is None:
-                    accumulators = groups[key] = [
-                        _Accumulator(a.func, a.distinct) for a in aggregates
-                    ]
-                    representatives[key] = row
-                for agg, acc in zip(aggregates, accumulators):
-                    if agg.argument is None:
-                        acc.count += 1
-                    else:
-                        acc.add(agg.argument.evaluate(row, context))
-            rows_seen = len(rows)
-        return (groups, representatives, rows_seen, prefilter_counts), fallback
+        compiler = worker.batch_compiler()
+        key_columns = [
+            compiler.compile(k).evaluate(batch) for k in self.group_keys
+        ]
+        argument_columns = [
+            None
+            if agg.argument is None
+            else compiler.compile(agg.argument).evaluate(batch)
+            for agg in aggregates
+        ]
+        for i in range(batch.length):
+            key = tuple(_hashable(column[i]) for column in key_columns)
+            accumulators = groups.get(key)
+            if accumulators is None:
+                accumulators = groups[key] = [
+                    _Accumulator(a.func, a.distinct) for a in aggregates
+                ]
+                representatives[key] = batch.row(i)
+            for agg, argument, acc in zip(
+                aggregates, argument_columns, accumulators
+            ):
+                if argument is None:
+                    acc.count += 1  # count(*) counts rows, NULLs included
+                else:
+                    acc.add(argument[i])
+        return (
+            (groups, representatives, batch.length, prefilter_counts),
+            fallback,
+        )
 
-    def _execute_common(self, state: ExecState, mode: str):
+    def execute_batch(self, state: ExecState) -> ColumnBatch:
         aggregates = collect_aggregates(self.output)
         units = self.pipeline.scan.morsel_units(state)
-        results = _run_morsels(
-            state,
-            units,
-            lambda worker, unit: self._partials(worker, unit, mode, aggregates),
-            plan=self,
-            mode=mode,
-        )
+        results = _run_morsels(state, units, self._partials, plan=self)
         payloads = [payload for payload, _, _, _ in results]
         _settle(state, self.pipeline.scan, results, [p[2] for p in payloads])
         self.pipeline._fold_prefilter([p[3] for p in payloads])
@@ -578,14 +482,6 @@ class MorselAggregateExec(PhysicalPlan):
                 spliced = transform(expr, _splice)
                 row_out[name] = spliced.evaluate(representative, context)
             out.append(row_out)
-        return out, names
-
-    def execute(self, state: ExecState) -> list[dict]:
-        out, _ = self._execute_common(state, "row")
-        return out
-
-    def execute_batch(self, state: ExecState) -> ColumnBatch:
-        out, names = self._execute_common(state, "batch")
         return ColumnBatch.from_rows(
             out, list(dict.fromkeys(names)) if not out else None
         )

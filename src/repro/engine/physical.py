@@ -1,10 +1,11 @@
 """Physical operators.
 
-Operators are pull-at-once: ``execute(ExecState)`` returns a list of row
-environments (dicts). The engine's data volumes are single-node scale, so
-whole-operator materialisation keeps the code straightforward while still
-letting us attribute time precisely (scans time their own I/O; JSON parse
-time accrues inside the shared :class:`EvalContext`'s parser stats).
+Operators are pull-at-once: ``execute_batch(ExecState)`` returns one
+:class:`~repro.engine.batch.ColumnBatch`. The engine's data volumes are
+single-node scale, so whole-operator materialisation keeps the code
+straightforward while still letting us attribute time precisely (scans
+time their own I/O; JSON parse time accrues inside the shared
+:class:`EvalContext`'s parser stats).
 
 ``ScanExec`` is deliberately *replaceable*: Maxson's plan rewriter swaps it
 for a cache-aware subclass (``MaxsonScanExec`` in
@@ -28,6 +29,7 @@ from .expressions import (
     Expression,
     GetJsonObject,
     Literal,
+    _null_safe_compare,
     transform,
     walk,
 )
@@ -136,20 +138,11 @@ class ExecState:
 class PhysicalPlan:
     """Base class for physical operators."""
 
-    def execute(self, state: ExecState) -> list[dict]:
-        raise NotImplementedError
-
     def execute_batch(self, state: ExecState) -> ColumnBatch:
-        """Batch-mode execution; the default wraps the row path.
-
-        Operators without a native vectorized implementation run their
-        row-path ``execute`` and wrap the result, so *any* plan can run
-        in batch mode — the fallback contract that guarantees batch mode
-        is never less capable than row mode.
-        """
-        rows = self.execute(state)
-        names = None if rows else sorted(self.output_names())
-        return ColumnBatch.from_rows(rows, names)
+        """Run this operator over its inputs; every operator implements it."""
+        raise ExecutionError(
+            f"{type(self).__name__} does not implement execute_batch"
+        )
 
     def children(self) -> tuple["PhysicalPlan", ...]:
         return ()
@@ -203,29 +196,6 @@ class ScanExec(PhysicalPlan):
         return (
             f"Scan {self.database}.{self.table} cols={self.columns}{sarg}"
         )
-
-    def execute(self, state: ExecState) -> list[dict]:
-        started = time.perf_counter()
-        rows: list[dict] = []
-        for path in state.catalog.table_files(self.database, self.table):
-            state.check_cancelled()
-            reader = split_reader(
-                state.catalog.fs, path, columns=self.columns, sarg=self.sarg
-            )
-            result = reader.read()
-            state.metrics.bytes_read += result.bytes_read
-            state.metrics.row_groups_total += result.row_groups_total
-            state.metrics.row_groups_skipped += result.row_groups_skipped
-            series = [result.columns[name] for name in self.columns]
-            for values in zip(*series):
-                row = dict(zip(self.columns, values))
-                if self.alias:
-                    for name, value in zip(self.columns, values):
-                        row[f"{self.alias}.{name}"] = value
-                rows.append(row)
-        state.metrics.rows_scanned += len(rows)
-        state.metrics.read_seconds += time.perf_counter() - started
-        return rows
 
     def execute_batch(self, state: ExecState) -> ColumnBatch:
         started = time.perf_counter()
@@ -320,13 +290,6 @@ class FilterExec(PhysicalPlan):
     def _label(self) -> str:
         return f"Filter {self.condition.sql()}"
 
-    def execute(self, state: ExecState) -> list[dict]:
-        rows = self.child.execute(state)
-        context = state.context
-        return [
-            row for row in rows if self.condition.evaluate(row, context) is True
-        ]
-
     def execute_batch(self, state: ExecState) -> ColumnBatch:
         batch = self.child.execute_batch(state)
         values = state.batch_compiler().compile(self.condition).evaluate(batch)
@@ -355,20 +318,6 @@ class ProjectExec(PhysicalPlan):
     def _label(self) -> str:
         return f"Project [{', '.join(e.sql() for e in self.expressions)}]"
 
-    def execute(self, state: ExecState) -> list[dict]:
-        rows = self.child.execute(state)
-        context = state.context
-        names = [e.output_name() for e in self.expressions]
-        out: list[dict] = []
-        for row in rows:
-            out.append(
-                {
-                    name: expr.evaluate(row, context)
-                    for name, expr in zip(names, self.expressions)
-                }
-            )
-        return out
-
     def execute_batch(self, state: ExecState) -> ColumnBatch:
         batch = self.child.execute_batch(state)
         compiler = state.batch_compiler()
@@ -378,8 +327,7 @@ class ProjectExec(PhysicalPlan):
             name = expr.output_name()
             if name not in columns:
                 names.append(name)
-            # Duplicate output names keep the last expression's values,
-            # matching the row path's dict-comprehension semantics.
+            # Duplicate output names keep the last expression's values.
             columns[name] = compiler.compile(expr).evaluate(batch)
         return ColumnBatch(names, columns, batch.length)
 
@@ -415,17 +363,6 @@ class SortExec(PhysicalPlan):
         )
         return f"Sort [{keys}]"
 
-    def execute(self, state: ExecState) -> list[dict]:
-        rows = self.child.execute(state)
-        context = state.context
-        # Stable multi-key sort: apply keys right-to-left.
-        for key in reversed(self.keys):
-            rows.sort(
-                key=lambda row: _sort_token(key.expression.evaluate(row, context)),
-                reverse=not key.ascending,
-            )
-        return rows
-
     def execute_batch(self, state: ExecState) -> ColumnBatch:
         batch = self.child.execute_batch(state)
         compiler = state.batch_compiler()
@@ -459,9 +396,6 @@ class LimitExec(PhysicalPlan):
 
     def _label(self) -> str:
         return f"Limit {self.count}"
-
-    def execute(self, state: ExecState) -> list[dict]:
-        return self.child.execute(state)[: self.count]
 
     def execute_batch(self, state: ExecState) -> ColumnBatch:
         batch = self.child.execute_batch(state)
@@ -606,54 +540,6 @@ class AggregateExec(PhysicalPlan):
         keys = ", ".join(e.sql() for e in self.group_keys) or "<global>"
         return f"Aggregate keys=[{keys}]"
 
-    def execute(self, state: ExecState) -> list[dict]:
-        rows = self.child.execute(state)
-        context = state.context
-        aggregates = collect_aggregates(self.output)
-
-        groups: dict[tuple, list[_Accumulator]] = {}
-        sample_rows: dict[tuple, dict] = {}
-        for row in rows:
-            key = tuple(
-                _hashable(k.evaluate(row, context)) for k in self.group_keys
-            )
-            if key not in groups:
-                groups[key] = [
-                    _Accumulator(a.func, a.distinct) for a in aggregates
-                ]
-                sample_rows[key] = row
-            accumulators = groups[key]
-            for agg, acc in zip(aggregates, accumulators):
-                if agg.argument is None:
-                    acc.count += 1  # count(*) counts rows, NULLs included
-                else:
-                    acc.add(agg.argument.evaluate(row, context))
-
-        if not groups and not self.group_keys:
-            # Global aggregate over zero rows still yields one row.
-            groups[()] = [_Accumulator(a.func, a.distinct) for a in aggregates]
-            sample_rows[()] = {}
-
-        out: list[dict] = []
-        names = [e.output_name() for e in self.output]
-        for key, accumulators in groups.items():
-            results = {
-                agg: acc.result() for agg, acc in zip(aggregates, accumulators)
-            }
-            representative = sample_rows[key]
-
-            def _splice(node: Expression) -> Expression | None:
-                if isinstance(node, AggregateCall):
-                    return Literal(results[node])
-                return None
-
-            row_out: dict = {}
-            for name, expr in zip(names, self.output):
-                spliced = transform(expr, _splice)
-                row_out[name] = spliced.evaluate(representative, context)
-            out.append(row_out)
-        return out
-
     def execute_batch(self, state: ExecState) -> ColumnBatch:
         batch = self.child.execute_batch(state)
         context = state.context
@@ -662,7 +548,7 @@ class AggregateExec(PhysicalPlan):
 
         # Group keys and aggregate arguments evaluate as whole columns —
         # this is where repeated extractions share parses — then rows
-        # stream through the same accumulators as the row path.
+        # stream through the accumulators.
         key_columns = [
             compiler.compile(k).evaluate(batch) for k in self.group_keys
         ]
@@ -727,6 +613,37 @@ def _hashable(value: object) -> object:
     return value
 
 
+def _sql_equal(left: object, right: object) -> bool:
+    return _null_safe_compare("=", left, right) is True
+
+
+def _join_key(value: object, strings: dict[str, object]) -> object:
+    """A hash key that every pair ``=`` accepts shares.
+
+    ``=`` compares a number with a numeric string by float value, so
+    numbers and numeric strings hash by it; the probe re-checks pairs
+    that collide without being equal (``'7'`` and ``'7.0'``) with ``=``.
+    ``strings`` remembers each distinct string's key for one join.
+    """
+    if type(value) is str:
+        key = strings.get(value)
+        if key is None:
+            try:
+                key = float(value)
+            except ValueError:
+                key = value
+            if key != key:  # NaN equals nothing, the text 'nan' itself
+                key = value
+            strings[value] = key
+        return key
+    if isinstance(value, (int, float)):
+        try:
+            return float(value)
+        except OverflowError:
+            return value
+    return _hashable(value)
+
+
 @dataclass
 class HashJoinExec(PhysicalPlan):
     """Inner equi-join: hash build on the right, probe from the left.
@@ -754,68 +671,39 @@ class HashJoinExec(PhysicalPlan):
         residual = f" residual={self.residual.sql()}" if self.residual else ""
         return f"HashJoin [{pairs}]{residual}"
 
-    def execute(self, state: ExecState) -> list[dict]:
-        left_rows = self.left.execute(state)
-        right_rows = self.right.execute(state)
-        context = state.context
-        table: dict[tuple, list[dict]] = {}
-        for row in right_rows:
-            key = tuple(
-                _hashable(k.evaluate(row, context)) for k in self.right_keys
-            )
-            if any(part is None for part in key):
-                continue  # NULL keys never join
-            table.setdefault(key, []).append(row)
-        out: list[dict] = []
-        for row in left_rows:
-            key = tuple(
-                _hashable(k.evaluate(row, context)) for k in self.left_keys
-            )
-            if any(part is None for part in key):
-                continue
-            for match in table.get(key, ()):
-                merged = {**match, **row}
-                if (
-                    self.residual is None
-                    or self.residual.evaluate(merged, context) is True
-                ):
-                    out.append(merged)
-        return out
-
     def execute_batch(self, state: ExecState) -> ColumnBatch:
         left_batch = self.left.execute_batch(state)
         right_batch = self.right.execute_batch(state)
         compiler = state.batch_compiler()
-        right_columns = [
-            compiler.compile(k).evaluate(right_batch) for k in self.right_keys
-        ]
+        right_keys = list(
+            zip(*(compiler.compile(k).evaluate(right_batch) for k in self.right_keys))
+        )
         table: dict[tuple, list[int]] = {}
-        for i in range(right_batch.length):
-            key = tuple(_hashable(column[i]) for column in right_columns)
-            if any(part is None for part in key):
-                continue  # NULL keys never join
-            table.setdefault(key, []).append(i)
-        left_columns = [
-            compiler.compile(k).evaluate(left_batch) for k in self.left_keys
-        ]
+        strings: dict[str, object] = {}
+        for j, values in enumerate(right_keys):
+            key = tuple([_join_key(value, strings) for value in values])
+            if None not in key:  # NULL keys never join
+                table.setdefault(key, []).append(j)
+        left_keys = zip(
+            *(compiler.compile(k).evaluate(left_batch) for k in self.left_keys)
+        )
         # Probe to index pairs first, then gather whole columns — the
         # joined batch is never materialised as per-row dicts.
         left_index: list[int] = []
         right_index: list[int] = []
-        for i in range(left_batch.length):
-            key = tuple(_hashable(column[i]) for column in left_columns)
-            if any(part is None for part in key):
+        for i, values in enumerate(left_keys):
+            key = tuple([_join_key(value, strings) for value in values])
+            if None in key:
                 continue
-            matches = table.get(key)
-            if not matches:
-                continue
-            for j in matches:
-                left_index.append(i)
-                right_index.append(j)
+            for j in table.get(key, ()):
+                other = right_keys[j]
+                if values == other or all(map(_sql_equal, values, other)):
+                    left_index.append(i)
+                    right_index.append(j)
         left_taken = left_batch.take(left_index)
         right_taken = right_batch.take(right_index)
-        # Merged-row semantics of the row path ({**right, **left}):
-        # every left column, plus right columns not shadowed by a left name.
+        # Merged-row semantics ({**right, **left}): every left column,
+        # plus right columns not shadowed by a left name.
         names = list(left_taken.names)
         columns = dict(left_taken.columns)
         for name in right_taken.names:

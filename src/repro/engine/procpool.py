@@ -400,11 +400,8 @@ def _create_segment(name_prefix: str, size: int) -> shared_memory.SharedMemory:
 
 
 def _run_task(env: _WorkerEnv, task: dict) -> dict:
-    from .parallel import (
-        MorselAggregateExec,
-        _fold_context_stats,
-    )
-    from .physical import ExecState, collect_aggregates
+    from .parallel import MorselAggregateExec, _fold_context_stats
+    from .physical import ExecState
 
     token = _WorkerCancelToken(
         env.flag_buf, task["slot"], task["remaining"]
@@ -428,15 +425,11 @@ def _run_task(env: _WorkerEnv, task: dict) -> dict:
     scan = plan.pipeline.scan if hasattr(plan, "pipeline") else plan.scan
     failures: list = []
     scan.failure_log = failures
-    mode = task["mode"]
     started = time.perf_counter()
     if isinstance(plan, MorselAggregateExec):
-        aggregates = collect_aggregates(plan.output)
-        payload, fallback = plan._partials(
-            worker, task["unit"], mode, aggregates
-        )
+        payload, fallback = plan._partials(worker, task["unit"])
     else:
-        payload, fallback = plan._process(worker, task["unit"], mode)
+        payload, fallback = plan._process(worker, task["unit"])
     _fold_context_stats(worker.metrics, worker.context)
     seconds = time.perf_counter() - started
     tree = None
@@ -461,14 +454,8 @@ def _run_task(env: _WorkerEnv, task: dict) -> dict:
         reply["partials"] = payload
         reply["trace"] = tree
         return reply
-    data, prefilter_counts = payload
-    if mode == "batch":
-        reply["kind"] = "batch"
-        batch = data
-    else:
-        reply["kind"] = "rows"
-        names = list(data[0].keys()) if data else []
-        batch = ColumnBatch.from_rows(data, names)
+    batch, prefilter_counts = payload
+    reply["kind"] = "batch"
     frame = encode_batch(batch, trace=tree)
     segment = _create_segment(task["shm_prefix"], len(frame))
     try:
@@ -688,7 +675,7 @@ class ProcessMorselPool:
             self._live_segments.pop(name, None)
 
     # -- execution ------------------------------------------------------
-    def run_morsels(self, state, plan, mode: str, units: list) -> list:
+    def run_morsels(self, state, plan, units: list) -> list:
         """Execute every unit in worker processes; results in unit order.
 
         Returns the same ``(payload, fallback, metrics, seconds)``
@@ -719,7 +706,7 @@ class ProcessMorselPool:
         try:
             futures = [
                 self._dispatch.submit(
-                    self._run_unit, plan_blob, mode, unit, slot, token, traced
+                    self._run_unit, plan_blob, unit, slot, token, traced
                 )
                 for unit in units
             ]
@@ -785,7 +772,7 @@ class ProcessMorselPool:
             raise first_error
         return results
 
-    def _run_unit(self, plan_blob, mode, unit, slot, token, traced=False):
+    def _run_unit(self, plan_blob, unit, slot, token, traced=False):
         dispatched = time.perf_counter()
         index = self._free.get()
         # Capture the snapshot (version, blob) pair atomically: a
@@ -816,7 +803,6 @@ class ProcessMorselPool:
                         "task",
                         {
                             "plan": plan_blob,
-                            "mode": mode,
                             "unit": unit,
                             "slot": slot,
                             "remaining": remaining,
@@ -905,15 +891,12 @@ class ProcessMorselPool:
         extra["proc_dispatch_seconds"] = extra.get(
             "proc_dispatch_seconds", 0.0
         ) + max(0.0, elapsed - seconds)
-        if reply["kind"] == "agg":
-            groups, representatives, rows_seen, prefilter_counts = reply[
-                "partials"
-            ]
-            payload = (groups, representatives, rows_seen, prefilter_counts)
+        kind = reply["kind"]
+        if kind == "agg":
             tree = reply.get("trace")
             if isinstance(tree, dict):
                 extra["span_tree"] = tree
-            return payload, fallback, metrics, seconds, failures
+            return reply["partials"], fallback, metrics, seconds, failures
         name = reply["shm"]
         nbytes = reply["shm_bytes"]
         # Already tracked by _run_unit (while the worker handle was
@@ -926,6 +909,10 @@ class ProcessMorselPool:
                     f"worker result segment {name} vanished before adoption"
                 ) from None
             try:
+                if kind != "batch":
+                    raise ExecutionError(
+                        f"worker reply of unknown kind {kind!r}"
+                    )
                 batch, extras = decode_batch_frame(segment.buf)
             finally:
                 segment.close()
@@ -936,11 +923,7 @@ class ProcessMorselPool:
         if isinstance(tree, dict):
             extra["span_tree"] = tree
         extra["shm_bytes"] = extra.get("shm_bytes", 0) + nbytes
-        if reply["kind"] == "rows":
-            payload = (batch.to_rows(), reply["prefilter"])
-        else:
-            payload = (batch, reply["prefilter"])
-        return payload, fallback, metrics, seconds, failures
+        return (batch, reply["prefilter"]), fallback, metrics, seconds, failures
 
 
 def _sanitize_plan(plan):

@@ -99,42 +99,13 @@ class SparserPrefilterExec(PhysicalPlan):
         probes = ", ".join(f.describe() for f in self.cascade.filters)
         return f"SparserPrefilter {self.column} [{probes}]"
 
-    def execute(self, state: ExecState) -> list[dict]:
-        rows = self.child.execute(state)
-        started = time.perf_counter()
-        sample = [
-            row[self.column]
-            for row in rows[: self.calibration_sample]
-            if isinstance(row.get(self.column), str)
-        ]
-        self.cascade.calibrate(sample)
-        out = []
-        for row in rows:
-            text = row.get(self.column)
-            if not isinstance(text, str) or self.cascade.matches(text):
-                out.append(row)
-        self.rows_in = len(rows)
-        self.rows_out = len(out)
-        state.metrics.extra["sparser_seconds"] = (
-            state.metrics.extra.get("sparser_seconds", 0.0)
-            + time.perf_counter()
-            - started
-        )
-        state.metrics.extra["sparser_rows_dropped"] = (
-            state.metrics.extra.get("sparser_rows_dropped", 0.0)
-            + len(rows)
-            - len(out)
-        )
-        return out
-
     def execute_batch(self, state: ExecState) -> ColumnBatch:
         batch = self.child.execute_batch(state)
         started = time.perf_counter()
         if self.column in batch.columns:
             texts = batch.column(self.column)
         else:
-            # Row path keeps rows whose probe column is absent
-            # (row.get -> None); mirror that.
+            # Rows whose probe column is absent are kept, not probed.
             texts = [None] * batch.length
         sample = [
             text

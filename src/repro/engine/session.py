@@ -76,10 +76,6 @@ class Session:
     catalog: Catalog = None  # type: ignore[assignment]
     parser_factory: object = JacksonParser
     projection_parser_factory: object = None
-    #: "batch" (vectorized, parse-once sharing — the default) or "row"
-    #: (the per-row tree-walking interpreter). Any query can also be
-    #: forced down either path per call: ``session.sql(q, execution_mode=...)``.
-    execution_mode: str = "batch"
     #: Split-level parallelism for morsel scans. 1 runs every morsel
     #: inline on the coordinator thread (the deterministic baseline);
     #: higher values overlap per-split I/O on a shared worker pool.
@@ -105,11 +101,6 @@ class Session:
     worker_observer: object | None = None
 
     def __post_init__(self) -> None:
-        if self.execution_mode not in ("batch", "row"):
-            raise ValueError(
-                f"execution_mode must be 'batch' or 'row', "
-                f"got {self.execution_mode!r}"
-            )
         if self.scan_workers < 1:
             raise ValueError(
                 f"scan_workers must be >= 1, got {self.scan_workers!r}"
@@ -518,18 +509,11 @@ class Session:
     def sql(
         self,
         sql: str,
-        execution_mode: str | None = None,
         tracer=None,
         deadline_ms: float | None = None,
         cancel_token=None,
     ) -> QueryResult:
         """Compile and execute one SELECT statement.
-
-        ``execution_mode`` overrides the session default for this query:
-        ``"batch"`` runs the vectorized path (operators exchange column
-        batches, parses are shared), ``"row"`` forces the per-row
-        interpreter. Both produce identical rows — the batch compiler
-        falls back to the row interpreter for anything not vectorized.
 
         ``tracer`` (a :class:`repro.obs.trace.Tracer`) opts this query
         into span recording: the plan is instrumented so every operator
@@ -547,11 +531,6 @@ class Session:
         can cancel in-flight queries); when both are given the token is
         tightened to the earlier deadline.
         """
-        mode = execution_mode if execution_mode is not None else self.execution_mode
-        if mode not in ("batch", "row"):
-            raise ValueError(
-                f"execution_mode must be 'batch' or 'row', got {mode!r}"
-            )
         token = cancel_token
         if deadline_ms is not None:
             if token is None:
@@ -566,9 +545,8 @@ class Session:
         # -- semantic result cache -------------------------------------
         # Canonicalize first: the canonical fingerprint + parameter
         # vector + (catalog version, modifier tokens) is the result key.
-        # Execution mode is deliberately absent from the key — row,
-        # batch and morsel-parallel execution return identical rows, so
-        # a result produced by any mode serves all of them.
+        # Worker count and backend are deliberately absent from the key:
+        # serial and morsel-parallel execution return identical rows.
         rcache = self._result_cache
         canonical = None
         result_key = None
@@ -593,9 +571,7 @@ class Session:
             if served is not None:
                 return served
             result_cache_missed = True
-        query_span = (
-            tracer.begin("query", mode=mode) if tracer is not None else None
-        )
+        query_span = tracer.begin("query") if tracer is not None else None
         if tracer is not None and result_key is not None:
             # Traced queries never serve from the result cache (EXPLAIN
             # ANALYZE must show a real execution) but still record the
@@ -613,16 +589,10 @@ class Session:
         started = time.perf_counter()
         try:
             if tracer is None:
-                if mode == "batch":
-                    rows = planned.physical.execute_batch(state).to_rows()
-                else:
-                    rows = planned.physical.execute(state)
+                rows = planned.physical.execute_batch(state).to_rows()
             else:
-                with tracer.span("execute", mode=mode):
-                    if mode == "batch":
-                        rows = planned.physical.execute_batch(state).to_rows()
-                    else:
-                        rows = planned.physical.execute(state)
+                with tracer.span("execute"):
+                    rows = planned.physical.execute_batch(state).to_rows()
         except QueryCancelledError:
             # No partial rows, no result-cache admission: the exception
             # unwinds before any of the post-execution bookkeeping.
@@ -749,21 +719,14 @@ class Session:
                 observed += cache.current_bytes
         self.cache_ledger.set_tier("document", observed)
 
-    def explain_analyze(
-        self, sql: str, execution_mode: str | None = None
-    ) -> str:
+    def explain_analyze(self, sql: str) -> str:
         """Execute ``sql`` under a fresh tracer and render the annotated
         plan (per-operator wall time, rows, parse counts, cache hits)."""
         from ..obs.explain import render_explain_analyze
         from ..obs.trace import Tracer
 
-        mode = (
-            execution_mode if execution_mode is not None else self.execution_mode
-        )
-        result = self.sql(sql, execution_mode=mode, tracer=Tracer())
-        return render_explain_analyze(
-            result.trace, result.metrics, mode=mode, sql=sql
-        )
+        result = self.sql(sql, tracer=Tracer())
+        return render_explain_analyze(result.trace, result.metrics, sql=sql)
 
     def reset_session_metrics(self) -> None:
         with self._lock:

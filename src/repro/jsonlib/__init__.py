@@ -6,8 +6,9 @@ Three parsers, three roles:
   deserialisation (SparkSQL's default Jackson parser). The **reference
   semantics**: what it accepts, rejects and decodes is what every other
   consumer must agree with. It still runs wherever the whole tree is the
-  point — the row interpreter's ``get_json_object`` (the differential
-  oracle), the scorer's ``P_j`` measurement, Fig 15's Spark+Jackson bar.
+  point — the scalar ``get_json_object`` (what the tests' reference
+  interpreter evaluates), the scorer's ``P_j`` measurement, Fig 15's
+  Spark+Jackson bar.
 * :class:`~repro.jsonlib.projection.PathProjector` — validated
   multi-path projection, the **production raw path**: one validating
   pass per document that materialises only the JSONPaths asked for, and

@@ -4,9 +4,7 @@ Turns the span tree recorded by an instrumented execution into the
 familiar per-operator breakdown: one line per physical operator, indented
 by plan depth, annotated with actual wall time, row counts and the
 Maxson-specific counters (parse documents/bytes, cache hits, row groups
-skipped). The renderer reads only span names and attributes, so the
-output is identically shaped on the row and batch engines — the two
-paths differ in operator *internals*, not plan structure.
+skipped). The renderer reads only span names and attributes.
 """
 
 from __future__ import annotations
@@ -84,7 +82,6 @@ def _render_span(span: Span, depth: int, lines: list[str]) -> None:
 def render_explain_analyze(
     root: Span,
     metrics=None,
-    mode: str = "",
     sql: str = "",
 ) -> str:
     """Render a query trace as an ``EXPLAIN ANALYZE`` report.
@@ -95,10 +92,7 @@ def render_explain_analyze(
     query-level read/parse/compute footer the paper's evaluation plots.
     """
     lines: list[str] = []
-    header = "EXPLAIN ANALYZE"
-    if mode:
-        header += f" (mode={mode})"
-    lines.append(header)
+    lines.append("EXPLAIN ANALYZE")
     if sql:
         lines.append(f"query: {sql.strip()}")
     if root is not None and root.name == "query":

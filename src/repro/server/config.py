@@ -87,13 +87,6 @@ class ServerConfig:
     """How long ``shutdown()`` lets in-flight queries finish before
     cancelling them cooperatively."""
 
-    execution_mode: str | None = None
-    """Engine execution path for served queries: 'batch' (vectorized,
-    parse-once document sharing) or 'row' (per-row interpreter). Either
-    mode returns identical rows; 'row' is the comparison baseline and
-    escape hatch. ``None`` inherits the wrapped system's configured
-    mode (itself defaulting to 'batch')."""
-
     build_workers: int | None = None
     """Threads parsing raw files concurrently during midnight cache
     builds and refreshes (writes stay sequential; see
@@ -194,8 +187,6 @@ class ServerConfig:
             raise ValueError("memory_soft_limit_bytes must be >= 0")
         if self.drain_timeout_seconds < 0:
             raise ValueError("drain_timeout_seconds must be >= 0")
-        if self.execution_mode not in (None, "batch", "row"):
-            raise ValueError("execution_mode must be 'batch' or 'row'")
         if self.build_workers is not None and self.build_workers < 1:
             raise ValueError("build_workers must be >= 1")
         if self.scan_workers is not None and self.scan_workers < 1:

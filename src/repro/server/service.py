@@ -70,9 +70,6 @@ class MaxsonServer:
     ) -> None:
         self.system = system or MaxsonSystem()
         self.config = config or ServerConfig()
-        if self.config.execution_mode is not None:
-            self.system.config.execution_mode = self.config.execution_mode
-            self.system.session.execution_mode = self.config.execution_mode
         if self.config.build_workers is not None:
             self.system.config.build_workers = self.config.build_workers
             self.system.cacher.build_workers = self.config.build_workers
@@ -362,7 +359,6 @@ class MaxsonServer:
             "server_started",
             generation=self.system.generation,
             recovered_tables=len(self.recovered_tables),
-            execution_mode=self.system.session.execution_mode,
             tracing=self.trace_sink is not None,
         )
 
@@ -1176,7 +1172,6 @@ class MaxsonServer:
             query_retries=int(resilience["query_retries"]),
             build_failures=int(resilience["build_failures"]),
             recovery_actions=int(resilience["recovery_actions"]),
-            execution_mode=self.system.session.execution_mode,
             worker_backend=self.system.session.worker_backend,
             duplicate_extractions_eliminated=(
                 totals.duplicate_extractions_eliminated
@@ -1191,12 +1186,7 @@ class MaxsonServer:
             observability=observability,
         )
 
-    def explain_analyze(
-        self,
-        sql: str,
-        tenant: str | None = None,
-        execution_mode: str | None = None,
-    ) -> str:
+    def explain_analyze(self, sql: str, tenant: str | None = None) -> str:
         """Run one query under a fresh tracer (through admission and a
         generation lease, like any served query) and render the
         annotated plan."""
@@ -1204,7 +1194,7 @@ class MaxsonServer:
         with self.admission.admit(tenant):
             generation = self.generation_guard.acquire()
             try:
-                return self.system.explain_analyze(sql, execution_mode)
+                return self.system.explain_analyze(sql)
             finally:
                 self.generation_guard.release(generation)
 

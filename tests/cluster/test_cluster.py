@@ -23,6 +23,7 @@ from repro.obs.promlint import validate_text
 from repro.server.admission import QueryShedError
 
 from irregular_documents import irregular_documents
+from reference_engine import reference_rows
 
 SPEC = ShardSpec(
     rows_per_table=40,
@@ -52,11 +53,12 @@ def queries():
 
 class TestDifferential:
     def test_rows_and_order_bit_identical(self, cluster, twin, queries):
-        _, server = twin
+        system, server = twin
         for query in queries.values():
             expected = server.execute(query.sql, tenant="t-diff")
             got = cluster.execute(query.sql, tenant="t-diff")
             assert got["rows"] == expected.rows, query.query_id
+            assert expected.rows == reference_rows(system.session, query.sql)
 
     def test_irregular_documents_bit_identical(self, cluster, twin):
         """The warehouse a ``ShardSpec`` generates holds only regular

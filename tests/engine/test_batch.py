@@ -3,8 +3,8 @@
 Covers :class:`~repro.engine.batch.ColumnBatch`,
 :class:`~repro.engine.batch.BatchCompiler` (memoised CSE, per-batch
 result cache, extraction accounting), the parse-once
-:class:`~repro.jsonlib.doccache.DocumentCache`, and the session-level
-execution-mode plumbing.
+:class:`~repro.jsonlib.doccache.DocumentCache`, and what a session
+reports of them.
 """
 
 import pytest
@@ -132,26 +132,15 @@ class TestBatchCompiler:
 
 
 class TestExecutionModePlumbing:
+    """There is one engine: the knob that used to pick one is gone."""
+
     def test_invalid_session_mode_rejected(self, fs):
-        with pytest.raises(ValueError):
-            Session(fs=fs, execution_mode="turbo")
+        with pytest.raises(TypeError):
+            Session(fs=fs, execution_mode="row")
 
     def test_invalid_per_call_mode_rejected(self, sales_session):
-        with pytest.raises(ValueError):
-            sales_session.sql("select mall_id from mydb.T", execution_mode="x")
-
-    def test_per_call_override_forces_row_path(self, sales_session):
-        # Two *distinct* paths on one column: CSE cannot collapse them,
-        # so batch mode must share the parsed document instead.
-        sql = (
-            "select get_json_object(sale_logs, '$.price') as p, "
-            "get_json_object(sale_logs, '$.turnover') as t from mydb.T"
-        )
-        batch = sales_session.sql(sql)
-        row = sales_session.sql(sql, execution_mode="row")
-        assert batch.rows == row.rows
-        assert batch.metrics.shared_parse_hits > 0
-        assert row.metrics.shared_parse_hits == 0
+        with pytest.raises(TypeError):
+            sales_session.sql("select mall_id from mydb.T", execution_mode="row")
 
     def test_planner_counts_duplicate_extractions(self, sales_session):
         planned = sales_session.compile(

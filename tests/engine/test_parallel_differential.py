@@ -3,9 +3,9 @@
 ``scan_workers=1`` runs the exact morsel code inline, so a 4-worker run
 differs only in which thread executes each split. These tests assert
 the strong form of that claim: identical rows (including order) and
-identical count-valued metrics for every query family, on both
-execution modes, with the Value Combiner stitching cached columns, and
-under deterministic fault injection (where per-split fallback decisions
+identical count-valued metrics for every query family, equal to the
+reference interpreter's rows, with the Value Combiner stitching cached
+columns, and under deterministic fault injection (where per-split fallback decisions
 must stay split-local regardless of which worker hits them).
 """
 
@@ -19,6 +19,7 @@ from repro.storage import BlockFileSystem, DataType, Schema
 from repro.workload import PathKey
 
 from irregular_documents import irregular_documents, with_irregular_sales
+from reference_engine import reference_rows
 
 #: Metrics that must be bit-identical serial vs parallel (timing fields
 #: are excluded — wall/read seconds legitimately differ).
@@ -37,13 +38,26 @@ COUNT_METRICS = (
     "doc_cache_evictions",
 )
 
+#: One query per engine feature family (shared by the differential suites).
 QUERIES = [
     "select mall_id, date from mydb.T",
     "select * from mydb.T limit 7",
     "select date from mydb.T where date = '20190102'",
+    "select date from mydb.T where date between '20190101' and '20190102'",
+    "select mall_id from mydb.T where date in ('20190101', '20190103')",
     "select get_json_object(sale_logs, '$.item_name') as name from mydb.T",
     "select get_json_object(sale_logs, '$.turnover') as t from mydb.T "
     "where get_json_object(sale_logs, '$.turnover') > 900",
+    "select mall_id from mydb.T "
+    "where get_json_object(sale_logs, '$.ghost') = 1",
+    "select get_json_object(sale_logs, '$.price') * 2 + 1 as p from mydb.T "
+    "where not (get_json_object(sale_logs, '$.price') < 10)",
+    "select cast(get_json_object(sale_logs, '$.item_id') as string) as s "
+    "from mydb.T limit 9",
+    "select get_json_object(sale_logs, '$.price') as p from mydb.T "
+    "where get_json_object(sale_logs, '$.price') > 10 "
+    "and get_json_object(sale_logs, '$.turnover') > 100 "
+    "or get_json_object(sale_logs, '$.item_id') = 3",
     "select count(*) as n from mydb.T",
     "select date, count(*) as n from mydb.T group by date",
     "select get_json_object(sale_logs, '$.item_id') as item, "
@@ -82,18 +96,23 @@ def assert_metric_parity(serial, parallel, sql):
 class TestSerialParallelParity:
     """Same session, same query, 1 vs 4 workers: rows and counters."""
 
-    @pytest.mark.parametrize("mode", ["batch", "row"])
     @pytest.mark.parametrize("sql", QUERIES)
-    def test_rows_and_metrics_identical(self, sales_session, sql, mode):
+    def test_rows_and_metrics_identical(self, sales_session, sql):
         sales_session.scan_workers = 1
-        serial = sales_session.sql(sql, execution_mode=mode)
+        serial = sales_session.sql(sql)
         sales_session.scan_workers = 4
-        parallel = sales_session.sql(sql, execution_mode=mode)
-        assert serial.rows == parallel.rows  # including order
+        parallel = sales_session.sql(sql)
+        # including order
+        assert serial.rows == parallel.rows == reference_rows(sales_session, sql)
         assert_metric_parity(serial, parallel, sql)
 
 
-def build_system(fs=None, scan_workers: int = 1, worker_backend: str = "thread"):
+def build_system(
+    fs=None,
+    scan_workers: int = 1,
+    worker_backend: str = "thread",
+    result_cache: bool = False,
+):
     """One cached Maxson system over a 7-split table."""
     session = Session(fs=fs or BlockFileSystem())
     schema = Schema.of(("id", DataType.INT64), ("payload", DataType.STRING))
@@ -125,6 +144,7 @@ def build_system(fs=None, scan_workers: int = 1, worker_backend: str = "thread")
             predictor=PredictorConfig(model="oracle"),
             scan_workers=scan_workers,
             worker_backend=worker_backend,
+            result_cache=result_cache,
         ),
     )
     system.cache_paths_directly(
@@ -172,7 +192,8 @@ class TestMaxsonParallelParity:
             serial = system.sql(sql)
             system.session.scan_workers = 4
             parallel = system.sql(sql)
-            assert serial.rows == parallel.rows, sql
+            expected = reference_rows(system.session, sql)
+            assert serial.rows == parallel.rows == expected, sql
             assert_metric_parity(serial, parallel, sql)
             assert parallel.metrics.cache_hits > 0
 
@@ -190,36 +211,41 @@ class TestMaxsonParallelParity:
         )
 
 
+def run_fault_matrix(policy: FaultPolicy, configurations):
+    """One seeded fault profile on each ``(backend, workers)``: rows,
+    cache summary and resilience counters must equal the first one's."""
+    outputs = []
+    for backend, workers in configurations:
+        faulty = FaultyFileSystem()
+        system = build_system(
+            fs=faulty, scan_workers=workers, worker_backend=backend
+        )
+        faulty.policy = policy
+        try:
+            rows = [system.sql(sql).rows for sql in MAXSON_QUERIES]
+        finally:
+            system.session.close_worker_pools()
+        outputs.append((rows, system))
+    serial_rows, serial = outputs[0]
+    for (rows, system), key in zip(outputs, configurations):
+        assert rows == serial_rows, key
+        assert summary_view(system) == summary_view(serial), key
+        assert system.resilience.snapshot() == serial.resilience.snapshot(), key
+    return serial
+
+
 class TestFaultParallelParity:
     """Deterministic fault profiles: degraded identically, never divergent."""
 
-    def run_pair(self, policy: FaultPolicy):
-        results = {}
-        for workers in (1, 4):
-            faulty = FaultyFileSystem()
-            system = build_system(fs=faulty, scan_workers=workers)
-            faulty.policy = policy
-            rows = [system.sql(sql).rows for sql in MAXSON_QUERIES]
-            results[workers] = (rows, system)
-        (serial_rows, serial), (parallel_rows, parallel) = (
-            results[1],
-            results[4],
-        )
-        assert serial_rows == parallel_rows
-        assert summary_view(serial) == summary_view(parallel)
-        assert (
-            serial.resilience.snapshot() == parallel.resilience.snapshot()
-        )
-        return serial
+    PAIR = [("thread", 1), ("thread", 4)]
 
     def test_all_cache_reads_corrupt(self):
-        system = self.run_pair(FaultPolicy(corrupt_rate=1.0, seed=3))
+        system = run_fault_matrix(FaultPolicy(corrupt_rate=1.0, seed=3), self.PAIR)
         assert system.resilience.snapshot()["fallback_splits"] > 0
 
     def test_cache_prefix_read_errors(self):
-        system = self.run_pair(
-            FaultPolicy(
-                read_error_rate=1.0, seed=7, error_path_prefix=CACHE_PATH_PREFIX
-            )
+        policy = FaultPolicy(
+            read_error_rate=1.0, seed=7, error_path_prefix=CACHE_PATH_PREFIX
         )
+        system = run_fault_matrix(policy, self.PAIR)
         assert system.resilience.snapshot()["fallback_queries"] > 0

@@ -10,6 +10,7 @@ from repro.engine import (
     Literal,
     SortKey,
 )
+from repro.engine.batch import ColumnBatch
 from repro.engine.physical import (
     ExecState,
     LimitExec,
@@ -27,15 +28,16 @@ class _Rows(PhysicalPlan):
     def __init__(self, rows):
         self.rows = rows
 
-    def execute(self, state):
-        return list(self.rows)
+    def execute_batch(self, state):
+        return ColumnBatch.from_rows(list(self.rows))
 
     def output_names(self):
         return set(self.rows[0]) if self.rows else set()
 
 
-def _state():
-    return ExecState(catalog=None, context=EvalContext())
+def _run(plan) -> list[dict]:
+    state = ExecState(catalog=None, context=EvalContext())
+    return plan.execute_batch(state).to_rows()
 
 
 class TestSortToken:
@@ -67,7 +69,7 @@ class TestSortExec:
             _Rows(rows),
             [SortKey(Column("a")), SortKey(Column("b"), ascending=False)],
         )
-        out = sort.execute(_state())
+        out = _run(sort)
         assert out == [
             {"a": 1, "b": "y"},
             {"a": 1, "b": "x"},
@@ -77,22 +79,34 @@ class TestSortExec:
     def test_descending(self):
         rows = [{"a": i} for i in (2, 3, 1)]
         sort = SortExec(_Rows(rows), [SortKey(Column("a"), ascending=False)])
-        assert [r["a"] for r in sort.execute(_state())] == [3, 2, 1]
+        assert [r["a"] for r in _run(sort)] == [3, 2, 1]
 
     def test_nulls_first_ascending(self):
         rows = [{"a": 2}, {"a": None}, {"a": 1}]
         sort = SortExec(_Rows(rows), [SortKey(Column("a"))])
-        assert [r["a"] for r in sort.execute(_state())] == [None, 1, 2]
+        assert [r["a"] for r in _run(sort)] == [None, 1, 2]
 
 
 class TestLimitExec:
     def test_truncates(self):
         rows = [{"a": i} for i in range(10)]
-        assert len(LimitExec(_Rows(rows), 3).execute(_state())) == 3
+        assert len(_run(LimitExec(_Rows(rows), 3))) == 3
 
     def test_larger_than_input(self):
         rows = [{"a": 1}]
-        assert len(LimitExec(_Rows(rows), 99).execute(_state())) == 1
+        assert len(_run(LimitExec(_Rows(rows), 99))) == 1
+
+
+class TestOneExecutionProtocol:
+    def test_operator_without_execute_batch_fails_loudly(self):
+        class RowOnly(PhysicalPlan):
+            def execute(self, state):  # the retired row protocol
+                return []
+
+        with pytest.raises(
+            ExecutionError, match="RowOnly does not implement execute_batch"
+        ):
+            _run(LimitExec(RowOnly(), 1))
 
 
 class TestAccumulator:

@@ -3,8 +3,8 @@
 The process pool (:mod:`repro.engine.procpool`) must be invisible in
 every observable output: identical rows (including order), identical
 count-valued metrics, identical cache/resilience accounting — at any
-worker count, on both execution modes, under deterministic fault
-injection, and across cancellation. These tests assert that strong
+worker count, under deterministic fault injection, and across
+cancellation. These tests assert that strong
 form, plus the shared-memory lifecycle invariants (no segment survives
 completion, failure, cancellation or a worker crash; orphans of dead
 coordinators are reaped at startup).
@@ -28,8 +28,10 @@ from repro.engine import (
 from repro.engine.batch import ColumnBatch
 from repro.engine.cachebudget import CacheLedger
 from repro.engine.errors import ExecutionError
+from repro.engine.metrics import QueryMetrics
 from repro.engine.procpool import (
     SHM_PREFIX,
+    ProcessMorselPool,
     decode_batch,
     encode_batch,
     reap_orphan_segments,
@@ -39,11 +41,13 @@ from repro.jsonlib import dumps
 from repro.server.watchdog import MemoryWatchdog
 from repro.storage import BlockFileSystem, DataType, Schema
 
+from reference_engine import reference_rows
 from test_parallel_differential import (
-    COUNT_METRICS,
     MAXSON_QUERIES,
     QUERIES,
+    assert_metric_parity,
     build_system,
+    run_fault_matrix,
     summary_view,
 )
 
@@ -120,34 +124,22 @@ class TestFramingRoundtrip:
         assert out.columns["x"] == shared
 
 
-def assert_count_metric_parity(serial, other, sql):
-    for name in COUNT_METRICS:
-        assert getattr(serial.metrics, name) == getattr(
-            other.metrics, name
-        ), (sql, name)
-
-
 class TestProcessBackendParity:
     """Serial vs thread(4) vs process(2): rows, order and counters."""
 
     def test_plain_engine_differential(self, sales_session):
-        expected = {}
         sales_session.scan_workers = 1
-        for mode in ("batch", "row"):
-            for sql in QUERIES:
-                expected[(mode, sql)] = sales_session.sql(
-                    sql, execution_mode=mode
-                )
+        expected = {sql: sales_session.sql(sql) for sql in QUERIES}
+        for sql, want in expected.items():
+            assert want.rows == reference_rows(sales_session, sql), sql
         try:
             for backend, workers in (("thread", 4), ("process", WORKERS)):
                 sales_session.worker_backend = backend
                 sales_session.scan_workers = workers
-                for mode in ("batch", "row"):
-                    for sql in QUERIES:
-                        got = sales_session.sql(sql, execution_mode=mode)
-                        want = expected[(mode, sql)]
-                        assert got.rows == want.rows, (backend, mode, sql)
-                        assert_count_metric_parity(want, got, sql)
+                for sql, want in expected.items():
+                    got = sales_session.sql(sql)
+                    assert got.rows == want.rows, (backend, sql)
+                    assert_metric_parity(want, got, sql)
         finally:
             sales_session.close_worker_pools()
         assert not glob.glob(f"/dev/shm/{SHM_PREFIX}_{os.getpid()}_*")
@@ -162,7 +154,7 @@ class TestProcessBackendParity:
                 t = threads.sql(sql)
                 p = procs.sql(sql)
                 assert s.rows == t.rows == p.rows, sql
-                assert_count_metric_parity(s, p, sql)
+                assert_metric_parity(s, p, sql)
                 assert p.metrics.cache_hits > 0
             assert summary_view(serial) == summary_view(procs)
             assert summary_view(threads) == summary_view(procs)
@@ -182,48 +174,44 @@ class TestProcessBackendParity:
         finally:
             system.session.close_worker_pools()
 
+    def test_forged_rows_reply_rejected(self):
+        """Workers reply with a batch or aggregate partials; any other
+        kind (the retired row transport) is refused, segment released."""
+        from multiprocessing import shared_memory
+
+        frame = encode_batch(ColumnBatch(["a"], {"a": [1]}, 1))
+        name = f"{SHM_PREFIX}_{os.getpid()}_forged"
+        segment = shared_memory.SharedMemory(name=name, create=True, size=len(frame))
+        segment.buf[: len(frame)] = frame
+        segment.close()
+        reply = dict(
+            kind="rows", shm=name, shm_bytes=len(frame), prefilter=None,
+            metrics=QueryMetrics(), fallback=False, failures=[], seconds=0.0,
+        )
+        pool = ProcessMorselPool(1, snapshot_fn=dict)
+        try:
+            with pytest.raises(ExecutionError, match="unknown kind 'rows'"):
+                pool._adopt(reply, 0.0)
+        finally:
+            pool.close()
+        assert not os.path.exists(f"/dev/shm/{name}")
+
 
 class TestFaultMatrixParity:
     """Seeded fault profiles degrade identically on every backend."""
 
-    def run_triple(self, policy: FaultPolicy):
-        outputs = {}
-        for backend, workers in (
-            ("thread", 1),
-            ("thread", 4),
-            ("process", WORKERS),
-        ):
-            faulty = FaultyFileSystem()
-            system = build_system(
-                fs=faulty, scan_workers=workers, worker_backend=backend
-            )
-            faulty.policy = policy
-            try:
-                rows = [system.sql(sql).rows for sql in MAXSON_QUERIES]
-            finally:
-                system.session.close_worker_pools()
-            outputs[(backend, workers)] = (rows, system)
-        (serial_rows, serial) = outputs[("thread", 1)]
-        for key, (rows, system) in outputs.items():
-            assert rows == serial_rows, key
-            assert summary_view(system) == summary_view(serial), key
-            assert (
-                system.resilience.snapshot() == serial.resilience.snapshot()
-            ), key
-        return serial
+    TRIPLE = [("thread", 1), ("thread", 4), ("process", WORKERS)]
 
     def test_all_cache_reads_corrupt(self):
-        serial = self.run_triple(FaultPolicy(corrupt_rate=1.0, seed=3))
+        policy = FaultPolicy(corrupt_rate=1.0, seed=3)
+        serial = run_fault_matrix(policy, self.TRIPLE)
         assert serial.resilience.snapshot()["fallback_splits"] > 0
 
     def test_cache_prefix_read_errors(self):
-        serial = self.run_triple(
-            FaultPolicy(
-                read_error_rate=1.0,
-                seed=7,
-                error_path_prefix=CACHE_PATH_PREFIX,
-            )
+        policy = FaultPolicy(
+            read_error_rate=1.0, seed=7, error_path_prefix=CACHE_PATH_PREFIX
         )
+        serial = run_fault_matrix(policy, self.TRIPLE)
         assert serial.resilience.snapshot()["fallback_queries"] > 0
 
 
@@ -372,7 +360,7 @@ class TestWorkerCrash:
             pool = session._proc_pool
             pool.close()
             with pytest.raises(ExecutionError, match="pool is closed"):
-                pool._run_unit(b"", "batch", None, 0, None)
+                pool._run_unit(b"", None, 0, None)
             assert pool._handles == []
         finally:
             session.close_worker_pools()

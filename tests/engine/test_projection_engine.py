@@ -1,14 +1,14 @@
 """The projection parse at engine level.
 
-The batch path reads its JSONPaths through a
-:class:`~repro.jsonlib.projection.PathProjector`; the row interpreter
-still parses whole documents. Their agreement over irregular documents is
-asserted by the differential suites (``test_differential`` and friends,
+The engine reads its JSONPaths through a
+:class:`~repro.jsonlib.projection.PathProjector`; the reference
+interpreter parses whole documents. Their agreement over irregular
+documents is asserted by the differential suites (``test_differential`` and friends,
 whose fixtures hold such rows); this module pins what those cannot: the
 path set a plan carries, that malformed escapes and over-long integers
 yield NULL instead of failing the query, and that the parse counters a
-statement reports are the ones it reported when the batch path built
-whole trees.
+statement reports are the ones it reported when the engine built whole
+trees.
 """
 
 import pytest
@@ -21,6 +21,7 @@ from repro.storage import BlockFileSystem, DataType, Schema
 from repro.workload import PathKey
 
 from irregular_documents import irregular_documents
+from reference_engine import reference_rows
 
 EVERY = {"aa": 4, "bb": "w1", "cc": 70}
 
@@ -103,9 +104,7 @@ class TestCountersUnchanged:
 
     @pytest.mark.parametrize("sql", STATEMENTS)
     def test_batch_rows_identical_to_row_interpreter(self, every_session, sql):
-        batch = every_session.sql(sql, execution_mode="batch")
-        row = every_session.sql(sql, execution_mode="row")
-        assert batch.rows == row.rows
+        assert every_session.sql(sql).rows == reference_rows(every_session, sql)
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_backends_agree_on_rows_and_counters(self, every_session, backend):
@@ -134,17 +133,21 @@ class TestMalformedYieldsNull:
         ],
         ids=["escape-in-value", "escape-in-key", "integer-digits"],
     )
-    @pytest.mark.parametrize("mode", ["batch", "row"])
-    def test_null_not_failure(self, session, text, mode):
+    @pytest.mark.parametrize("side", ["batch", "row"])
+    def test_null_not_failure(self, session, text, side):
+        """Holds for the engine ("batch") and for the reference row
+        interpreter it is compared against ("row")."""
         schema = Schema.of(("id", DataType.INT64), ("payload", DataType.STRING))
         session.catalog.create_table("db", "bad", schema)
         session.catalog.append_rows("db", "bad", [(1, text), (2, '{"b":2}')])
-        result = session.sql(
-            "select id, get_json_object(payload, '$.b') as b from db.bad",
-            execution_mode=mode,
-        )
-        assert result.rows == [{"id": 1, "b": None}, {"id": 2, "b": 2}]
-        assert result.metrics.parse_documents == 2
+        sql = "select id, get_json_object(payload, '$.b') as b from db.bad"
+        expected = [{"id": 1, "b": None}, {"id": 2, "b": 2}]
+        if side == "row":
+            assert reference_rows(session, sql) == expected
+        else:
+            result = session.sql(sql)
+            assert result.rows == expected
+            assert result.metrics.parse_documents == 2
 
 
 class TestPlanPathSet:

@@ -3,22 +3,21 @@
 The strongest correctness statement for the result cache is that it is
 invisible in the answers: an identical query stream against identical
 data returns bit-identical rows (values *and* order) whether results
-are served from cache or re-executed — across the row and batch
-execution paths, morsel parallelism, and deterministic fault profiles
-(where degraded answers are never admitted, so the cached stream can
-never go stale-by-fault either).
+are served from cache or re-executed — and the rows the reference
+interpreter derives — across morsel parallelism and deterministic fault
+profiles (where degraded answers are never admitted, so the cached
+stream can never go stale-by-fault either).
 """
 
 import pytest
 
-from repro.core import MaxsonConfig, MaxsonSystem, PredictorConfig
 from repro.engine import Session
 from repro.faults import CACHE_PATH_PREFIX, FaultPolicy, FaultyFileSystem
-from repro.jsonlib import dumps
-from repro.storage import BlockFileSystem, DataType, Schema
-from repro.workload import PathKey
 
-from irregular_documents import irregular_documents, with_irregular_sales
+from reference_engine import reference_rows
+
+# sales_session: conftest's, plus a partition of irregular documents
+from test_parallel_differential import build_system, sales_session  # noqa: F401
 
 #: A recurring trace: every statement runs twice, several statements are
 #: semantic recurrences of earlier ones (recased, realiased, reordered
@@ -40,86 +39,35 @@ TRACE = [
 ]
 
 
-@pytest.fixture
-def sales_session(sales_session):
-    """Every differential below also runs over irregular documents."""
-    return with_irregular_sales(sales_session)
-
-
-def run_trace(session: Session, mode: str) -> list:
+def run_trace(sql_fn) -> list:
     out = []
     for _ in range(2):  # the second pass recurs entirely
         for sql in TRACE:
-            out.append(session.sql(sql, execution_mode=mode).rows)
+            out.append(sql_fn(sql))
     return out
 
 
 class TestSessionDifferential:
-    @pytest.mark.parametrize("mode", ["batch", "row"])
+    @pytest.mark.parametrize("against", ["batch", "row"])
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_on_off_rows_identical(self, sales_session, mode, workers):
+    def test_on_off_rows_identical(self, sales_session, against, workers):
+        """The cached stream against the uncached engine ("batch") and
+        against the reference row interpreter ("row")."""
         sales_session.scan_workers = workers
-        baseline = run_trace(sales_session, mode)
+        if against == "row":
+            baseline = run_trace(lambda sql: reference_rows(sales_session, sql))
+        else:
+            baseline = run_trace(lambda sql: sales_session.sql(sql).rows)
         cached = Session(
             fs=sales_session.fs,
             catalog=sales_session.catalog,
             result_cache_enabled=True,
         )
         cached.scan_workers = workers
-        served = run_trace(cached, mode)
+        served = run_trace(lambda sql: cached.sql(sql).rows)
         assert served == baseline  # values and order, every statement
         stats = cached.result_cache_stats()
         assert stats["hits"] > 0  # the cache actually served recurrences
-
-    def test_modes_share_entries(self, sales_session):
-        """Execution mode is absent from the key: a batch-produced
-        result serves the row-mode recurrence, identically."""
-        cached = Session(
-            fs=sales_session.fs,
-            catalog=sales_session.catalog,
-            result_cache_enabled=True,
-        )
-        sql = "select mall_id, date from mydb.T where date = '20190103'"
-        batch = cached.sql(sql, execution_mode="batch")
-        row = cached.sql(sql, execution_mode="row")
-        assert row.rows == batch.rows
-        assert row.metrics.extra.get("result_cache_hits") == 1
-        assert sales_session.sql(sql, execution_mode="row").rows == row.rows
-
-
-def build_system(fs=None, result_cache=False, scan_workers=1):
-    session = Session(
-        fs=fs or BlockFileSystem(), result_cache_enabled=result_cache
-    )
-    session.scan_workers = scan_workers
-    schema = Schema.of(("id", DataType.INT64), ("payload", DataType.STRING))
-    session.catalog.create_table("db", "t", schema)
-    for day in range(6):
-        rows = [
-            (
-                day * 20 + i,
-                dumps(
-                    {
-                        "hot": (day * 20 + i) % 5,
-                        "warm": f"w{(day * 20 + i) % 3}",
-                    }
-                ),
-            )
-            for i in range(20)
-        ]
-        session.catalog.append_rows("db", "t", rows, row_group_size=10)
-    odd = irregular_documents({"hot": 4, "warm": "w1"})
-    session.catalog.append_rows(
-        "db", "t", list(enumerate(odd, start=120)), row_group_size=10
-    )
-    system = MaxsonSystem(
-        session=session,
-        config=MaxsonConfig(predictor=PredictorConfig(model="oracle")),
-    )
-    system.cache_paths_directly(
-        [PathKey("db", "t", "payload", "$.hot")], budget_bytes=1 << 40
-    )
-    return system
 
 
 MAXSON_TRACE = [

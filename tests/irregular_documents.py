@@ -1,7 +1,7 @@
 """Documents the projection pass has a rule for, spelled with a fixture's
-own member names, so the engine-level differentials (row vs batch, serial
-vs thread vs process, result cache on vs off, cached vs baseline) run over
-them too: duplicate keys, escaped key spellings, every whitespace form,
+own member names, so the engine-level differentials (engine vs reference,
+serial vs thread vs process, result cache on vs off, cached vs baseline) run
+over them too: duplicate keys, escaped key spellings, every whitespace form,
 non-object roots, and malformed text of each kind the pass must leave to
 the reference parser — including the two that used to *fail* the query
 (``\\u-123`` and an integer past ``int()``'s digit limit) instead of
