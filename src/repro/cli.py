@@ -216,6 +216,7 @@ def _cmd_replay_serve_cluster(args, admission_timeout) -> int:
     from .cluster.replay import replay_cluster
     from .cluster.shard import spec_queries
     from .server import build_replay_workload
+    from .server.replay import accounted_requests
 
     spec = ShardSpec(
         rows_per_table=args.rows,
@@ -296,13 +297,7 @@ def _cmd_replay_serve_cluster(args, admission_timeout) -> int:
                     f"{status}={n}" for status, n in sorted(by_status.items())
                 )
                 print(f"  shard {sid}: {shard_line or 'empty'}")
-            accounted = (
-                report.completed
-                + report.failed
-                + report.shed
-                + report.deadline_exceeded
-                + report.cancelled
-            )
+            accounted = accounted_requests(report)
             if audit["total_rows"] != accounted:
                 print(
                     f"system.queries audit FAILED: {audit['total_rows']} "
@@ -331,6 +326,7 @@ def cmd_replay_serve(args) -> int:
     from .engine import Session
     from .faults import FaultPolicy, FaultyFileSystem, parse_fault_profile
     from .server import MaxsonServer, ServerConfig, build_replay_workload, replay
+    from .server.replay import accounted_requests
     from .workload import build_queries, load_tables
 
     admission_timeout = args.admission_timeout
@@ -420,13 +416,7 @@ def cmd_replay_serve(args) -> int:
             )
             print(f"system.queries: {breakdown}")
             total = sum(row["n"] for row in audit.rows)
-            accounted = (
-                report.completed
-                + report.failed
-                + report.shed
-                + report.deadline_exceeded
-                + report.cancelled
-            )
+            accounted = accounted_requests(report)
             if total != accounted:
                 print(
                     f"system.queries audit FAILED: {total} rows vs "
@@ -539,6 +529,8 @@ def cmd_incidents(args) -> int:
 
 def cmd_query_history(args) -> int:
     """Replay a workload, then audit it from ``system.queries`` alone."""
+    from .server.replay import accounted_requests
+
     server, report = _serve_system_tables_replay(args)
     try:
         audit = server.system.session.sql(
@@ -581,13 +573,7 @@ def cmd_query_history(args) -> int:
             ],
         )
         total = len(result.rows)
-        accounted = (
-            report.completed
-            + report.failed
-            + report.shed
-            + report.deadline_exceeded
-            + report.cancelled
-        )
+        accounted = accounted_requests(report)
         match = total == accounted
         print(
             f"audit: {total} query rows vs {accounted} accounted requests "

@@ -1,8 +1,9 @@
 """Trace replay through the cluster router.
 
-The cluster twin of :mod:`repro.server.replay`: the same day-by-day
-schedule (all of a day's requests in flight together, midnight broadcast
-to every shard before the next day starts), but submitted through a
+The cluster twin of :mod:`repro.server.replay`, and the same driver: the
+day loop (all of a day's requests in flight together, midnight broadcast
+to every shard before the next day starts), the outcome tallies and the
+verify step run over an adapter that submits through a
 :class:`~repro.cluster.router.ClusterRouter`, so each request is
 consistent-hash routed to its shard and executes under that shard's own
 admission/deadline/breaker budgets.
@@ -16,12 +17,11 @@ failures, and the coordinator metadata-cache hit rate over the replayed
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
-from ..engine.errors import DeadlineExceededError, QueryCancelledError
-from ..server.admission import AdmissionError
-from ..server.replay import ReplayRequest, build_replay_workload
+from ..server.config import ServerConfig
+from ..server.replay import ReplayRequest, build_replay_workload, replay
 from .router import ClusterRouter, ShardCrashError
 
 __all__ = ["ClusterReplayReport", "replay_cluster", "build_replay_workload"]
@@ -52,6 +52,36 @@ class ClusterReplayReport:
     status: dict | None = None
 
 
+class _RouterTarget:
+    """A :class:`ClusterRouter` as :func:`repro.server.replay.replay` drives
+    it: replies become objects with ``rows``, and the cluster-only tallies
+    go into ``report`` as each reply is read."""
+
+    def __init__(self, router: ClusterRouter, report: ClusterReplayReport) -> None:
+        self.router = router
+        self.report = report
+        # The virtual clock is shard-local; every shard builds its server
+        # from this one spec, so they share one seconds-per-day constant.
+        self.config = ServerConfig(**dict(router.spec.server))
+        self.ingest = router.ingest
+        self.advance_to = router.advance_to
+        self.status = router.status
+
+    def submit(self, sql: str, **request):
+        future = self.router.submit(sql, **request)
+        return SimpleNamespace(result=lambda: self._reply(future))
+
+    def _reply(self, future):
+        try:
+            response = future.result()
+        except ShardCrashError:
+            self.report.crash_failed += 1
+            raise
+        tally = self.report.per_shard_completed
+        tally[response["shard"]] = tally.get(response["shard"], 0) + 1
+        return SimpleNamespace(rows=response["rows"])
+
+
 def replay_cluster(
     router: ClusterRouter,
     requests: list[ReplayRequest],
@@ -73,77 +103,19 @@ def replay_cluster(
     this replay (warm entries from router startup are kept — that *is*
     the warmup).
     """
-    report = ClusterReplayReport(
-        requests=len(requests), shards=len(router.ring)
-    )
-    by_day: dict[int, list[ReplayRequest]] = {}
-    for request in requests:
-        by_day.setdefault(request.day, []).append(request)
-    events_by_day: dict[int, list[tuple]] = {}
-    for day, paths in stats_events or ():
-        events_by_day.setdefault(day, []).append(paths)
+    report = ClusterReplayReport(shards=len(router.ring))
     if reset_cache_stats:
         router.metacache.reset_stats()
-    if not by_day:
-        report.metadata_cache = router.metacache.snapshot()
-        report.status = router.status()
-        return report
-    started = time.perf_counter()
-    last_day = max(by_day)
-    # The virtual clock is shard-local; every shard was built from the
-    # same spec, so they share one seconds-per-day constant.
-    spd = float(dict(router.spec.server).get("seconds_per_day", 86400.0))
-    for day in range(min(by_day), last_day + 1):
-        day_requests = by_day.get(day, [])
-        futures = [
-            (
-                r,
-                router.submit(
-                    r.sql, tenant=r.tenant, day=r.day, deadline_ms=deadline_ms
-                ),
-            )
-            for r in day_requests
-        ]
-        for paths in events_by_day.get(day, ()):
-            router.ingest(day, paths)
-        for request, future in futures:
-            try:
-                response = future.result()
-                report.completed += 1
-            except ShardCrashError:
-                report.crash_failed += 1
-                continue
-            except AdmissionError:
-                report.shed += 1
-                continue
-            except DeadlineExceededError:
-                report.deadline_exceeded += 1
-                continue
-            except QueryCancelledError:
-                report.cancelled += 1
-                continue
-            except Exception:
-                report.failed += 1
-                continue
-            shard_id = response["shard"]
-            report.per_shard_completed[shard_id] = (
-                report.per_shard_completed.get(shard_id, 0) + 1
-            )
-            if baseline is not None:
-                expected = baseline(request.sql)
-                if expected is None:
-                    continue
-                if sorted(map(str, response["rows"])) == expected:
-                    report.verified += 1
-                else:
-                    report.mismatched += 1
-        # Midnight broadcast: every shard crosses into day+1 (each runs
-        # its own predict/score/build/swap) while this day's stragglers
-        # may still be draining — same interleaving as single-process.
-        if day < last_day:
-            router.advance_to((day + 1) * spd)
-    report.days = len(by_day)
-    report.wall_seconds = time.perf_counter() - started
+    replay(
+        _RouterTarget(router, report),
+        requests,
+        stats_events,
+        deadline_ms=deadline_ms,
+        baseline=baseline,
+        report=report,
+    )
+    # The driver files a shard crash under "failed" (it is no shed,
+    # deadline or cancellation); this report keeps the two apart.
+    report.failed -= report.crash_failed
     report.metadata_cache = router.metacache.snapshot()
-    report.status = router.status()
     return report

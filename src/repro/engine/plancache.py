@@ -146,6 +146,12 @@ class PlanCache:
             self.hits += 1
             return entry
 
+    def peek(self, key: tuple) -> CachedPlan | None:
+        """Counter-free, recency-free look-up (the flight recorder reads
+        a plan without skewing hit statistics or eviction order)."""
+        with self._lock:
+            return self._entries.get(key)
+
     def put(self, key: tuple, entry: CachedPlan) -> None:
         with self._lock:
             if key in self._entries:

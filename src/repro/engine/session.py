@@ -141,6 +141,9 @@ class Session:
             if self.result_cache_enabled
             else None
         )
+        #: Canonicalisation memo while the result tier is off (the flight
+        #: recorder fingerprints statements either way); stores no results.
+        self._statement_memo = ResultCache(capacity=0)
         self._scan_pool: ThreadPoolExecutor | None = None
         self._scan_pool_size = 0
         self._proc_pool = None  # ProcessMorselPool, built lazily
@@ -293,6 +296,30 @@ class Session:
             return rcache.peek(key, prefix_key)
         except Exception:  # noqa: BLE001 - a hint must never fail a query
             return False
+
+    def canonical_statement(self, sql: str):
+        """The canonical form of ``sql`` out of the canonicalisation memo
+        (parsed at most once per fingerprint and catalog version), or
+        ``None``. Never raises: the flight recorder asks about statements
+        that failed to parse."""
+        memo = self._result_cache
+        if memo is None:  # (an empty ResultCache is falsy: test identity)
+            memo = self._statement_memo
+        try:
+            return memo.canonicalize(sql, self.planner, self.catalog.version)
+        except Exception:  # noqa: BLE001 - diagnostics must not fail a query
+            return None
+
+    def cached_plan(self, sql: str) -> PhysicalPlan | None:
+        """The physical plan the plan cache holds for ``sql`` right now,
+        or ``None`` — never planned, evicted, or planned under a tracer
+        (traced queries bypass the plan cache). Counter-free."""
+        cache = self._plan_cache
+        _, tokens = self._modifier_snapshot()
+        if cache is None or tokens is None:
+            return None
+        entry = cache.peek((fingerprint(sql), self.catalog.version, tokens))
+        return entry.planned.physical if entry is not None else None
 
     def shrink_caches_to(self, budget_bytes: int) -> int:
         """Release cache bytes until the ledger total fits ``budget_bytes``.

@@ -146,7 +146,23 @@ class _Metric:
         return lines
 
 
-class Counter(_Metric):
+class _Scalar(_Metric):
+    """One number per label set: what counters and gauges share."""
+
+    def value(self, **labels) -> float:
+        key, _ = self._series_for(labels)
+        with self._lock:
+            return float(self._series.get(key, 0.0))
+
+    def samples(self):
+        with self._lock:
+            return [
+                (self.name, labels, float(value))
+                for labels, value in sorted(self._series.items())
+            ]
+
+
+class Counter(_Scalar):
     """Monotonically increasing counter (optionally labelled)."""
 
     kind = "counter"
@@ -158,20 +174,23 @@ class Counter(_Metric):
         with self._lock:
             self._series[key] = self._series.get(key, 0.0) + value
 
-    def value(self, **labels) -> float:
+    def advance_to(self, cumulative: float, **labels) -> None:
+        """Mirror a cumulative count that is kept elsewhere (an engine
+        cache's evictions, a store's appended events): raise the series
+        to ``cumulative`` if it is below it. Callable at any time, in
+        any order — the counter never moves backwards."""
         key, _ = self._series_for(labels)
         with self._lock:
-            return float(self._series.get(key, 0.0))
+            if cumulative > self._series.get(key, 0.0):
+                self._series[key] = float(cumulative)
 
-    def samples(self):
+    def total(self) -> float:
+        """Sum over every label set (the folded ``other`` series too)."""
         with self._lock:
-            return [
-                (self.name, labels, float(value))
-                for labels, value in sorted(self._series.items())
-            ]
+            return float(sum(self._series.values()))
 
 
-class Gauge(_Metric):
+class Gauge(_Scalar):
     """A value that can go up and down (set from status snapshots)."""
 
     kind = "gauge"
@@ -180,18 +199,6 @@ class Gauge(_Metric):
         key, _ = self._series_for(labels)
         with self._lock:
             self._series[key] = float(value)
-
-    def value(self, **labels) -> float:
-        key, _ = self._series_for(labels)
-        with self._lock:
-            return float(self._series.get(key, 0.0))
-
-    def samples(self):
-        with self._lock:
-            return [
-                (self.name, labels, float(value))
-                for labels, value in sorted(self._series.items())
-            ]
 
 
 class _HistogramSeries:
@@ -313,6 +320,12 @@ class MetricsRegistry:
                 self._full_name(name), help_text, buckets, tuple(label_names)
             )
         )
+
+    def names(self) -> list[str]:
+        """Every registered metric, sorted — including labelled ones that
+        have no series yet and so do not show in the exposition."""
+        with self._lock:
+            return sorted(self._metrics)
 
     def to_prometheus(self) -> str:
         """The complete text exposition, terminated by a newline."""

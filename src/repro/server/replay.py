@@ -19,17 +19,23 @@ Two request kinds exist, mirroring the server's two ingestion routes:
 
 from __future__ import annotations
 
+import functools
 import random
+import time
 from dataclasses import dataclass, field
 
-from ..engine.errors import DeadlineExceededError, QueryCancelledError
 from ..storage.fs import FsError
 from ..workload.queries import RepresentativeQuery
-from .admission import AdmissionError
-from .service import MaxsonServer
+from .service import MaxsonServer, outcome_of
 from .status import ServerStatus
 
-__all__ = ["ReplayRequest", "ReplayReport", "build_replay_workload", "replay"]
+__all__ = [
+    "ReplayRequest",
+    "ReplayReport",
+    "accounted_requests",
+    "build_replay_workload",
+    "replay",
+]
 
 
 @dataclass(frozen=True)
@@ -63,6 +69,18 @@ class ReplayReport:
     """Completed requests whose rows did NOT match — wrong answers."""
     status: ServerStatus | None = None
     midnight_reports: list = field(default_factory=list)
+
+
+def accounted_requests(report) -> int:
+    """Requests of a replay that reached one of the five outcomes — the
+    number of rows ``system.queries`` must then hold."""
+    return (
+        report.completed
+        + report.failed
+        + report.shed
+        + report.deadline_exceeded
+        + report.cancelled
+    )
 
 
 def build_replay_workload(
@@ -111,74 +129,72 @@ def _baseline_rows(server: MaxsonServer, sql: str) -> list[str] | None:
 
 
 def replay(
-    server: MaxsonServer,
+    target,
     requests: list[ReplayRequest],
     stats_events: list[tuple[int, tuple]] | None = None,
     verify: bool = False,
     deadline_ms: float | None = None,
+    baseline=None,
+    report=None,
 ) -> ReplayReport:
-    """Replay ``requests`` day by day at the server's concurrency.
+    """Replay ``requests`` day by day at the target's concurrency.
 
-    All of a day's requests are in flight together; the midnight cycle
-    for the next day runs from this driver thread while the *last* day's
-    stragglers may still be executing — the exact interleaving the
+    ``target`` is a :class:`MaxsonServer`, or anything with its
+    ``submit`` (a future whose result has ``rows``) / ``ingest`` /
+    ``advance_to`` / ``status`` and ``config.seconds_per_day`` — the
+    cluster replay passes a router adapter and its own ``report`` to
+    fill. All of a day's requests are in flight together; the midnight
+    cycle for the next day runs from this driver thread while the *last*
+    day's stragglers may still be executing — the exact interleaving the
     generation-swap protocol has to survive. ``stats_events`` are
-    interleaved through :meth:`MaxsonServer.ingest` on the matching day.
+    interleaved through ``ingest`` on the matching day.
 
-    With ``verify=True`` every completed request's rows are compared
-    against a plain-engine baseline of the same SQL — the wrong-answer
-    detector of the fault-injection harness (degraded results must be
-    row-identical, only slower).
+    ``baseline`` (``sql -> sorted row strings or None``) checks every
+    completed request's rows bit-for-bit — the wrong-answer detector of
+    the fault-injection harness (degraded results must be row-identical,
+    only slower); ``verify=True`` uses the server's own plain engine.
 
-    ``deadline_ms`` attaches a per-request deadline to every submitted
-    query (overriding the server default); deadline-exceeded and
-    otherwise-cancelled requests are tallied separately from failures —
-    the overload gates care about *wrong* answers, and a cancelled query
-    produces none.
+    ``deadline_ms`` attaches a deadline to every submitted query
+    (overriding the server default). A request that raises is tallied
+    under its :func:`~repro.server.service.outcome_of` — shed,
+    deadline-exceeded and cancelled apart from failed: the overload
+    gates care about *wrong* answers, and a cancelled query has none.
     """
-    import time
-
-    report = ReplayReport(requests=len(requests))
+    if report is None:
+        report = ReplayReport()
+    report.requests = len(requests)
+    if verify:
+        baseline = functools.partial(_baseline_rows, target)
     by_day: dict[int, list[ReplayRequest]] = {}
     for request in requests:
         by_day.setdefault(request.day, []).append(request)
     events_by_day: dict[int, list[tuple]] = {}
     for day, paths in stats_events or ():
         events_by_day.setdefault(day, []).append(paths)
-    if not by_day:
-        report.status = server.status()
-        return report
     started = time.perf_counter()
-    last_day = max(by_day)
-    spd = server.scheduler.clock.seconds_per_day
-    for day in range(min(by_day), last_day + 1):
-        day_requests = by_day.get(day, [])
+    first_day, last_day = (min(by_day), max(by_day)) if by_day else (0, -1)
+    for day in range(first_day, last_day + 1):
         futures = [
-            (r, server.submit(r.sql, tenant=r.tenant, day=r.day, deadline_ms=deadline_ms))
-            for r in day_requests
+            (
+                r,
+                target.submit(
+                    r.sql, tenant=r.tenant, day=r.day, deadline_ms=deadline_ms
+                ),
+            )
+            for r in by_day.get(day, [])
         ]
         for paths in events_by_day.get(day, ()):
-            server.ingest(day, paths)
+            target.ingest(day, paths)
         for request, future in futures:
             try:
                 result = future.result()
-                report.completed += 1
-            except AdmissionError:
-                report.shed += 1
+            except Exception as exc:
+                outcome = outcome_of(exc)
+                setattr(report, outcome, getattr(report, outcome) + 1)
                 continue
-            except DeadlineExceededError:
-                report.deadline_exceeded += 1
-                continue
-            except QueryCancelledError:
-                report.cancelled += 1
-                continue
-            except Exception:
-                report.failed += 1
-                continue
-            if verify:
-                expected = _baseline_rows(server, request.sql)
-                if expected is None:
-                    continue
+            report.completed += 1
+            expected = baseline(request.sql) if baseline is not None else None
+            if expected is not None:
                 if sorted(map(str, result.rows)) == expected:
                     report.verified += 1
                 else:
@@ -186,9 +202,11 @@ def replay(
         # Cross midnight into day+1: predict/score/build/swap. Runs while
         # any stragglers of this day still hold generation leases.
         if day < last_day:
-            server.scheduler.advance_to((day + 1) * spd)
+            target.advance_to((day + 1) * target.config.seconds_per_day)
     report.days = len(by_day)
     report.wall_seconds = time.perf_counter() - started
-    report.midnight_reports = list(server.scheduler.reports)
-    report.status = server.status()
+    scheduler = getattr(target, "scheduler", None)
+    if scheduler is not None:  # a MaxsonServer keeps its cycles' reports
+        report.midnight_reports = list(scheduler.reports)
+    report.status = target.status()
     return report

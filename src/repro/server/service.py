@@ -6,10 +6,12 @@ long-running service:
 * SQL requests from many logical clients execute on a thread pool
   (:meth:`submit` returns a future; :meth:`execute` is the synchronous
   path the pool workers run);
-* every request passes **admission control** (per-tenant concurrency
-  limit, bounded wait queue with shed/timeout) and then takes a
-  **generation lease** so the cache generation it plans against cannot
-  be retired under it;
+* every request walks one path over one per-query :class:`_Request`:
+  ``_admit`` (memory watchdog, then **admission control** — per-tenant
+  limit, bounded wait queue with shed/timeout) → ``_run`` (a
+  **generation lease** per attempt, so the cache generation it plans
+  against cannot be retired under it) → ``_settle`` (the one place an
+  outcome is counted, logged, traced and recorded);
 * statistics ingestion is online: executed queries feed the collector
   through ``system.sql`` and replayed trace events through
   :meth:`ingest`, concurrently and without losing counts;
@@ -28,16 +30,20 @@ import json
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..core.resilience import RetryPolicy
 from ..core.system import MaxsonSystem, MidnightReport
 from ..engine.cancel import CancelToken
 from ..engine.errors import DeadlineExceededError, QueryCancelledError
 from ..engine.metrics import QueryMetrics
+from ..engine.plancache import fingerprint
+from ..engine.procpool import reap_orphan_segments
 from ..engine.session import QueryResult
 from ..obs.logging import StructuredLogger
 from ..obs.metrics import MetricsRegistry
-from ..obs.trace import TraceSink, Tracer
+from ..obs.trace import TraceSink, Tracer, export_subtree
 from ..storage.fs import TransientFsError
 from ..workload.trace import PathKey
 from .admission import AdmissionController, AdmissionError, QueryShedError
@@ -47,7 +53,7 @@ from .scheduler import MaintenanceScheduler, VirtualClock
 from .status import ServerStatus, percentile
 from .watchdog import MemoryWatchdog
 
-__all__ = ["MaxsonServer"]
+__all__ = ["MaxsonServer", "outcome_of"]
 
 #: Latency samples kept for percentile estimation (newest win).
 _MAX_LATENCY_SAMPLES = 65536
@@ -60,6 +66,156 @@ _SHED_REASONS = {
 }
 
 
+class _Outcome(NamedTuple):
+    """How one way a request can end is accounted (see ``_settle``)."""
+
+    counter: str  # series advanced ({tenant} for completed, {reason} for shed)
+    event: str  # log event (a completed query escalates to ``slow_query``)
+    incident: str | None  # system.incidents kind (completed: only slow/degraded)
+    trace_status: str | None  # ``status`` stamped on the exported spans
+
+
+#: The outcome table, keyed by the ``system.queries`` status. Every
+#: request ends in exactly one row of it.
+_OUTCOMES = {
+    "completed": _Outcome("queries_total", "query", None, None),
+    "failed": _Outcome("queries_failed_total", "query_failed", "failed", "failed"),
+    "shed": _Outcome("shed_total", "query_shed", "shed", None),
+    "deadline_exceeded": _Outcome(
+        "deadline_exceeded_total",
+        "query_deadline_exceeded",
+        "deadline_exceeded",
+        "cancelled",
+    ),
+    "cancelled": _Outcome(
+        "queries_cancelled_total", "query_cancelled", "cancelled", "cancelled"
+    ),
+}
+
+
+def outcome_of(exc: BaseException) -> str:
+    """The outcome-table row an exception out of :meth:`MaxsonServer.execute`
+    (or out of a future of :meth:`~MaxsonServer.submit`) stands for."""
+    if isinstance(exc, AdmissionError):
+        return "shed"
+    if isinstance(exc, DeadlineExceededError):
+        return "deadline_exceeded"
+    if isinstance(exc, QueryCancelledError):
+        return "cancelled"
+    return "failed"
+
+
+@dataclass(slots=True)
+class _Request:
+    """What the request path knows about one query: the stages fill in
+    the middle block, ``_settle`` the last."""
+
+    query_id: str
+    tenant: str
+    sql: str
+    day: int | None
+    token: CancelToken
+    tracer: Tracer | None
+    started: float
+    probable_hit: bool = False
+    admitted: bool = False  # holds a tenant's admission slot
+    leased: bool = False  # holds a generation lease
+    generation: int | None = None  # leased by the latest attempt (shed: live)
+    attempts: int = 0  # retries taken after transient faults
+    status: str | None = None  # key of _OUTCOMES, once settled
+    seconds: float = 0.0
+    reason: str = ""  # shed reason (_admit sets the server's own)
+    retry_after_seconds: float | None = None  # the hint a shed client got
+    error: str = ""
+
+
+#: Every counter and gauge the server exports, in exposition notation:
+#: ``name{labels}`` → help; ``*_total`` are counters, the rest gauges set
+#: from a status snapshot at scrape time (``_sync_gauges``). README
+#: "Observability" lists the same series and
+#: tests/server/test_observability.py holds the two together.
+_SERIES = {
+    "queries_total{tenant}": "Completed queries",
+    "queries_failed_total": "Queries that raised an engine error",
+    "query_retries_total": "Retries after transient fs faults",
+    "stats_events_total": "Statistics events ingested (trace replay)",
+    "slow_queries_total": "Queries at or past slow_query_seconds",
+    "deadline_exceeded_total": "Queries cooperatively cancelled at their deadline",
+    "shed_total{reason}": "Requests shed (queue full, admission timeout, "
+    "deadline, memory pressure)",
+    "queries_cancelled_total": "Queries cancelled cooperatively (drain or "
+    "explicit cancel)",
+    "watchdog_shrinks_total": "Cache-shrink passes run by the memory-pressure "
+    "watchdog",
+    "cache_hits_total": "Cached-path hits across served queries",
+    "cache_misses_total": "Cache-eligible misses across served queries",
+    "parse_documents_total": "JSON/XML documents parsed by queries",
+    "trace_spans_total": "Spans exported to the JSONL trace sink",
+    "plan_cache_hits_total": "Served queries planned from the plan cache",
+    "plan_cache_misses_total": "Served queries that compiled a fresh plan",
+    "result_cache_hits_total": "Served queries answered from the semantic "
+    "result cache",
+    "result_cache_misses_total": "Result-cache-eligible queries that executed "
+    "in full",
+    "result_cache_admissions_total": "Result sets admitted by benefit-based scoring",
+    "result_cache_rejections_total": "Result sets rejected by benefit-based "
+    "admission",
+    "result_cache_evictions_total": "Result-cache entries evicted under "
+    "capacity or byte budget",
+    "telemetry_events_total{table}": "Events appended to the system-table "
+    "telemetry store",
+    "telemetry_events_dropped_total": "Telemetry events dropped by append failures",
+    "telemetry_segments_rotated_total": "Telemetry segments deleted by "
+    "byte-budget rotation",
+    "memory_pressure": "1 while the cache ledger exceeds the soft limit after "
+    "shrinking",
+    "cache_generation": "Live cache generation number",
+    "cached_paths": "JSONPaths materialised in the live generation",
+    "cache_bytes": "Bytes held by the live generation's cache tables",
+    "admission_queue_depth": "Requests waiting for a tenant slot",
+    "active_queries": "Queries currently executing",
+    "active_generation_leases": "In-flight cache-generation leases",
+    "scan_workers": "Morsel workers available per query",
+    "worker_backend{backend}": "Active morsel worker backend (1 on the "
+    "labelled backend)",
+    "shm_live_bytes": "Shared-memory bytes held by the process-pool backend",
+    "plan_cache_entries": "Plans currently held by the plan cache",
+    "result_cache_entries": "Result sets currently cached",
+    "cache_tier_bytes{tier}": "Byte occupancy of one cache tier in the "
+    "unified ledger",
+    "cache_budget_bytes": "Configured unified cache byte budget (0 = unlimited)",
+    "generation_precision{generation}": "Realized precision of the "
+    "generation's MPJP prediction",
+    "generation_recall{generation}": "Realized recall of the generation's "
+    "MPJP prediction",
+    "generation_byte_weighted_hit_ratio{generation}": "Byte-weighted share of "
+    "realized parse demand the cache held",
+    "telemetry_segments": "Telemetry segment files currently on the file system",
+}
+
+#: Fields (or ``extra`` keys) of the merged ``QueryMetrics`` of every
+#: completed query, each exported as the counter ``<name>_total``.
+_ENGINE_TOTALS = (
+    "cache_hits",
+    "cache_misses",
+    "parse_documents",
+    "plan_cache_hits",
+    "plan_cache_misses",
+    "result_cache_hits",
+    "result_cache_misses",
+    "result_cache_admissions",
+    "result_cache_rejections",
+)
+
+
+def _scalars(extra: dict) -> dict:
+    return {
+        key: value
+        for key, value in extra.items()
+        if isinstance(value, (int, float, str, bool))
+    }
+
+
 class MaxsonServer:
     """A concurrent Maxson query service over one :class:`MaxsonSystem`."""
 
@@ -70,27 +226,7 @@ class MaxsonServer:
     ) -> None:
         self.system = system or MaxsonSystem()
         self.config = config or ServerConfig()
-        if self.config.build_workers is not None:
-            self.system.config.build_workers = self.config.build_workers
-            self.system.cacher.build_workers = self.config.build_workers
-        if self.config.scan_workers is not None:
-            self.system.config.scan_workers = self.config.scan_workers
-            self.system.session.scan_workers = self.config.scan_workers
-        if self.config.worker_backend is not None:
-            self.system.config.worker_backend = self.config.worker_backend
-            self.system.session.worker_backend = self.config.worker_backend
-        if self.config.plan_cache_entries is not None:
-            self.system.config.plan_cache_entries = self.config.plan_cache_entries
-            self.system.session.configure_plan_cache(
-                self.config.plan_cache_entries
-            )
-        if self.config.cache_budget_bytes is not None:
-            self.system.session.configure_cache_budget(
-                self.config.cache_budget_bytes
-            )
-        if self.config.result_cache is not None:
-            self.system.config.result_cache = self.config.result_cache
-            self.system.session.configure_result_cache(self.config.result_cache)
+        self._push_down_config()
         self.admission = AdmissionController(
             per_tenant_limit=self.config.per_tenant_limit,
             queue_capacity=self.config.queue_capacity,
@@ -116,8 +252,6 @@ class MaxsonServer:
         #: Shared-memory segments from dead coordinators unlinked at
         #: startup — non-empty after a crash that orphaned process-pool
         #: result segments (see :func:`repro.engine.procpool.reap_orphan_segments`).
-        from ..engine.procpool import reap_orphan_segments
-
         self.reaped_shm_segments = reap_orphan_segments()
         self.scheduler = MaintenanceScheduler(
             self,
@@ -128,21 +262,17 @@ class MaxsonServer:
         self._pool = ThreadPoolExecutor(
             max_workers=self.config.max_workers, thread_name_prefix="maxson"
         )
+        # Guarded by self._lock: what the registry cannot hold — the
+        # latency sample (percentiles), the merged engine metrics, the
+        # per-tenant tally (the registry caps label sets) and drain state.
+        # Outcome tallies live in the registry counters alone.
         self._lock = threading.Lock()
         self._totals = QueryMetrics()
         self._latencies: list[float] = []
-        self._completed = 0
-        self._failed = 0
-        self._stats_events = 0
         self._per_tenant_completed: dict[str, int] = {}
         self._started = time.perf_counter()
         self._closed = False
         self._draining = False
-        # overload accounting (guarded by self._lock)
-        self._deadline_exceeded = 0
-        self._cancelled = 0
-        self._sheds = 0
-        self._shed_breakdown: dict[str, int] = {}
         self._drain_cancelled = 0
         #: EWMA of completed-query wall seconds — the service-time
         #: estimate behind deadline-aware shedding. 0 until the first
@@ -167,179 +297,20 @@ class MaxsonServer:
             log_all_queries=self.config.log_all_queries,
         )
         self.metrics = MetricsRegistry()
-        self._m_queries = self.metrics.counter(
-            "queries_total", "Completed queries", ("tenant",)
-        )
-        self._m_failed = self.metrics.counter(
-            "queries_failed_total", "Queries that raised an engine error"
-        )
-        self._m_retries = self.metrics.counter(
-            "query_retries_total", "Retries after transient fs faults"
-        )
-        self._m_stats = self.metrics.counter(
-            "stats_events_total", "Statistics events ingested (trace replay)"
-        )
-        self._m_slow = self.metrics.counter(
-            "slow_queries_total", "Queries at or past slow_query_seconds"
-        )
-        self._m_deadline_exceeded = self.metrics.counter(
-            "deadline_exceeded_total",
-            "Queries cooperatively cancelled at their deadline",
-        )
-        self._m_shed = self.metrics.counter(
-            "shed_total",
-            "Requests shed (queue full, admission timeout, deadline, "
-            "memory pressure)",
-            ("reason",),
-        )
-        self._m_cancelled = self.metrics.counter(
-            "queries_cancelled_total",
-            "Queries cancelled cooperatively (drain or explicit cancel)",
-        )
-        self._m_watchdog_shrinks = self.metrics.counter(
-            "watchdog_shrinks_total",
-            "Cache-shrink passes run by the memory-pressure watchdog",
-        )
-        self._watchdog_shrinks_seen = 0
-        self._g_memory_pressure = self.metrics.gauge(
-            "memory_pressure",
-            "1 while the cache ledger exceeds the soft limit after shrinking",
-        )
-        self._m_latency = self.metrics.histogram(
+        self._m = {}
+        for series, help_text in _SERIES.items():
+            name, _, labels = series.rstrip("}").partition("{")
+            register = (
+                self.metrics.counter
+                if name.endswith("_total")
+                else self.metrics.gauge
+            )
+            self._m[name] = register(
+                name, help_text, labels.split(",") if labels else ()
+            )
+        self._latency = self.metrics.histogram(
             "query_latency_seconds", "Query wall time (admission to result)"
         )
-        self._m_cache_hits = self.metrics.counter(
-            "cache_hits_total", "Cached-path hits across served queries"
-        )
-        self._m_cache_misses = self.metrics.counter(
-            "cache_misses_total", "Cache-eligible misses across served queries"
-        )
-        self._m_parse_docs = self.metrics.counter(
-            "parse_documents_total", "JSON/XML documents parsed by queries"
-        )
-        self._m_spans = self.metrics.counter(
-            "trace_spans_total", "Spans exported to the JSONL trace sink"
-        )
-        self._m_plan_cache_hits = self.metrics.counter(
-            "plan_cache_hits_total", "Served queries planned from the plan cache"
-        )
-        self._m_plan_cache_misses = self.metrics.counter(
-            "plan_cache_misses_total", "Served queries that compiled a fresh plan"
-        )
-        self._m_result_cache_hits = self.metrics.counter(
-            "result_cache_hits_total",
-            "Served queries answered from the semantic result cache",
-        )
-        self._m_result_cache_misses = self.metrics.counter(
-            "result_cache_misses_total",
-            "Result-cache-eligible queries that executed in full",
-        )
-        self._m_result_cache_admissions = self.metrics.counter(
-            "result_cache_admissions_total",
-            "Result sets admitted by benefit-based scoring",
-        )
-        self._m_result_cache_rejections = self.metrics.counter(
-            "result_cache_rejections_total",
-            "Result sets rejected by benefit-based admission",
-        )
-        self._m_result_cache_evictions = self.metrics.counter(
-            "result_cache_evictions_total",
-            "Result-cache entries evicted under capacity or byte budget",
-        )
-        self._result_cache_evictions_seen = 0
-        self._g_generation = self.metrics.gauge(
-            "cache_generation", "Live cache generation number"
-        )
-        self._g_cached_paths = self.metrics.gauge(
-            "cached_paths", "JSONPaths materialised in the live generation"
-        )
-        self._g_cache_bytes = self.metrics.gauge(
-            "cache_bytes", "Bytes held by the live generation's cache tables"
-        )
-        self._g_queue_depth = self.metrics.gauge(
-            "admission_queue_depth", "Requests waiting for a tenant slot"
-        )
-        self._g_active = self.metrics.gauge(
-            "active_queries", "Queries currently executing"
-        )
-        self._g_leases = self.metrics.gauge(
-            "active_generation_leases", "In-flight cache-generation leases"
-        )
-        self._g_scan_workers = self.metrics.gauge(
-            "scan_workers", "Morsel workers available per query"
-        )
-        self._g_worker_backend = self.metrics.gauge(
-            "worker_backend",
-            "Active morsel worker backend (1 on the labelled backend)",
-            ("backend",),
-        )
-        self._g_shm_bytes = self.metrics.gauge(
-            "shm_live_bytes",
-            "Shared-memory bytes held by the process-pool backend",
-        )
-        self._g_plan_cache_entries = self.metrics.gauge(
-            "plan_cache_entries", "Plans currently held by the plan cache"
-        )
-        self._g_result_cache_entries = self.metrics.gauge(
-            "result_cache_entries", "Result sets currently cached"
-        )
-        self._g_cache_tier_bytes = self.metrics.gauge(
-            "cache_tier_bytes",
-            "Byte occupancy of one cache tier in the unified ledger",
-            ("tier",),
-        )
-        self._g_cache_budget_bytes = self.metrics.gauge(
-            "cache_budget_bytes",
-            "Configured unified cache byte budget (0 = unlimited)",
-        )
-        self._g_cache_budget_used = self.metrics.gauge(
-            "cache_budget_used_bytes",
-            "Bytes held by the budgeted cache tiers together",
-        )
-        self._g_eff_precision = self.metrics.gauge(
-            "generation_precision",
-            "Realized precision of the generation's MPJP prediction",
-            ("generation",),
-        )
-        self._g_eff_recall = self.metrics.gauge(
-            "generation_recall",
-            "Realized recall of the generation's MPJP prediction",
-            ("generation",),
-        )
-        self._g_eff_byte_hit = self.metrics.gauge(
-            "generation_byte_weighted_hit_ratio",
-            "Byte-weighted share of realized parse demand the cache held",
-            ("generation",),
-        )
-        self._m_telemetry_events = self.metrics.counter(
-            "telemetry_events_total",
-            "Events appended to the system-table telemetry store",
-            ("table",),
-        )
-        self._m_telemetry_dropped = self.metrics.counter(
-            "telemetry_events_dropped_total",
-            "Telemetry events dropped by append failures",
-        )
-        self._m_telemetry_rotated = self.metrics.counter(
-            "telemetry_segments_rotated_total",
-            "Telemetry segments deleted by byte-budget rotation",
-        )
-        self._m_incidents = self.metrics.counter(
-            "incidents_total",
-            "Flight-recorder incident records captured",
-            ("kind",),
-        )
-        self._g_telemetry_bytes = self.metrics.gauge(
-            "telemetry_bytes",
-            "Bytes held by the system-table telemetry segments",
-        )
-        self._g_telemetry_segments = self.metrics.gauge(
-            "telemetry_segments",
-            "Telemetry segment files currently on the file system",
-        )
-        self._telemetry_events_seen: dict[str, int] = {}
-        self._telemetry_dropped_seen = 0
-        self._telemetry_rotated_seen = 0
         # ---- system tables (self-hosted telemetry) ------------------
         self.telemetry = None
         if self.config.system_tables:
@@ -362,8 +333,31 @@ class MaxsonServer:
             tracing=self.trace_sink is not None,
         )
 
+    def _push_down_config(self) -> None:
+        """Engine knobs the server config overrides (``None`` inherits
+        what the wrapped system already runs with)."""
+        config, system = self.config, self.system
+        session = system.session
+        if config.build_workers is not None:
+            system.config.build_workers = config.build_workers
+            system.cacher.build_workers = config.build_workers
+        if config.scan_workers is not None:
+            system.config.scan_workers = config.scan_workers
+            session.scan_workers = config.scan_workers
+        if config.worker_backend is not None:
+            system.config.worker_backend = config.worker_backend
+            session.worker_backend = config.worker_backend
+        if config.plan_cache_entries is not None:
+            system.config.plan_cache_entries = config.plan_cache_entries
+            session.configure_plan_cache(config.plan_cache_entries)
+        if config.cache_budget_bytes is not None:
+            session.configure_cache_budget(config.cache_budget_bytes)
+        if config.result_cache is not None:
+            system.config.result_cache = config.result_cache
+            session.configure_result_cache(config.result_cache)
+
     # ------------------------------------------------------------------
-    # request path
+    # request path: execute = _admit → _run → _settle over one _Request
     # ------------------------------------------------------------------
     def execute(
         self,
@@ -372,507 +366,284 @@ class MaxsonServer:
         day: int | None = None,
         deadline_ms: float | None = None,
     ) -> QueryResult:
-        """Admit, lease the cache generation, execute, account.
+        """Admit, run under a generation lease, settle.
 
         Raises :class:`QueueFullError` / :class:`AdmissionTimeout` /
         :class:`QueryShedError` when the request is shed, and re-raises
-        engine errors after counting them as failures. A
-        :class:`TransientFsError` (an injected or environmental fault
-        that may clear) is retried up to ``config.max_query_retries``
-        times with seeded full-jitter backoff — the admission slot is
-        held across attempts (the request occupies the tenant either
-        way), but the generation lease is re-acquired per attempt so
-        retries never pin a retiring generation. Admission rejections
-        and cancellations are never retried (see
-        :class:`~repro.core.resilience.RetryPolicy`).
-
-        ``deadline_ms`` (default ``config.default_deadline_ms``) bounds
-        the query's wall time through cooperative cancellation: a query
-        past its deadline raises :class:`DeadlineExceededError` within
-        bounded slack and never returns partial rows. Deadline-aware
-        admission sheds a cold query immediately when its remaining
-        budget is smaller than the server's service-time estimate;
-        probable result-cache hits are exempt and jump the queue.
+        engine errors after settling them as failures. ``deadline_ms``
+        (default ``config.default_deadline_ms``) bounds the query's wall
+        time through cooperative cancellation: past it the query raises
+        :class:`DeadlineExceededError` within bounded slack and never
+        returns partial rows. Whatever the outcome, the request is
+        settled exactly once, holding neither lease nor admission slot.
         """
-        tenant = tenant or self.config.default_tenant
-        query_id = f"q-{next(self._query_ids)}"
-        tracer = (
-            Tracer(trace_id=query_id) if self.trace_sink is not None else None
-        )
         if deadline_ms is None:
             deadline_ms = self.config.default_deadline_ms
-        # Every query gets a token (deadline or not) so drain can cancel
-        # whatever is in flight at its timeout.
-        token = CancelToken.with_deadline_ms(deadline_ms)
-        started = time.perf_counter()
-        probable_hit = self.system.session.probable_result_cache_hit(sql)
-        # Memory-pressure watchdog: shrink caches → shed → (breaker is
-        # never touched). Probable hits keep flowing — serving them
-        # releases pressure faster than recomputing anything.
+        query_id = f"q-{next(self._query_ids)}"
+        request = _Request(
+            query_id=query_id,
+            tenant=tenant or self.config.default_tenant,
+            sql=sql,
+            day=day,
+            # Every query gets a token (deadline or not) so drain can
+            # cancel whatever is in flight at its timeout.
+            token=CancelToken.with_deadline_ms(deadline_ms),
+            tracer=(
+                Tracer(trace_id=query_id)
+                if self.trace_sink is not None
+                else None
+            ),
+            started=time.perf_counter(),
+        )
+        try:
+            self._admit(request)
+            try:
+                result = self._run(request)
+            finally:
+                with self._lock:
+                    self._active_tokens.discard(request.token)
+                self.admission.release(request.tenant)
+                request.admitted = False
+        except Exception as exc:
+            self._settle(request, outcome_of(exc), error=exc)
+            raise
+        self._settle(request, "completed", result=result)
+        return result
+
+    def _admit(self, request: _Request) -> None:
+        """Memory watchdog, then admission control; raises when shed.
+
+        Deadline-aware admission sheds a cold query immediately when its
+        remaining budget is smaller than the server's service-time
+        estimate; probable result-cache hits are exempt, jump the queue,
+        and keep flowing under memory pressure — serving them releases
+        pressure faster than recomputing anything.
+        """
+        request.probable_hit = self.system.session.probable_result_cache_hit(
+            request.sql
+        )
+        # Watchdog ordering: shrink caches → shed → (the breaker is
+        # never touched).
         if self.watchdog is not None:
             pressure = self.watchdog.check()
-            self._g_memory_pressure.set(1 if pressure else 0)
-            if pressure and self.telemetry is not None:
-                self.telemetry.record(
-                    "cache_events",
-                    {
-                        "event": "watchdog_pressure",
-                        "table_name": "",
-                        "generation": self.system.generation,
-                        "detail": json.dumps(
-                            self.watchdog.snapshot(), sort_keys=True
-                        ),
-                    },
-                )
-            if pressure and not probable_hit:
-                retry_after = max(self._service_estimate(), 0.01)
-                self._note_shed(
-                    "memory_pressure",
-                    tenant,
-                    time.perf_counter() - started,
-                    query_id=query_id,
-                    sql=sql,
-                    retry_after_seconds=retry_after,
-                )
+            self._m["memory_pressure"].set(1 if pressure else 0)
+            if pressure:
+                self._cache_event("watchdog_pressure", **self.watchdog.snapshot())
+            if pressure and not request.probable_hit:
+                request.reason = "memory_pressure"
                 raise QueryShedError(
                     "server under memory pressure: cold query shed",
-                    retry_after_seconds=retry_after,
+                    retry_after_seconds=max(self._service_estimate(), 0.01),
                 )
-        estimate = 0.0 if probable_hit else self._service_estimate()
-        try:
-            self.admission.acquire(
-                tenant,
-                timeout=self.config.admission_timeout_seconds,
-                priority=1 if probable_hit else 0,
-                deadline=token.deadline,
-                service_estimate=estimate * self.config.deadline_shed_factor,
-            )
-        except AdmissionError as exc:
-            self._note_shed(
-                _SHED_REASONS.get(type(exc).__name__, "admission"),
-                tenant,
-                time.perf_counter() - started,
-                query_id=query_id,
-                sql=sql,
-                retry_after_seconds=getattr(exc, "retry_after_seconds", None),
-            )
-            raise
-        try:
-            with self._lock:
-                self._active_tokens.add(token)
-            attempt = 0
-            while True:
-                generation = self.generation_guard.acquire()
-                try:
-                    result = self.system.sql(
-                        sql, day=day, tracer=tracer, cancel_token=token
-                    )
-                    break
-                except TransientFsError as exc:
-                    if not self.retry_policy.should_retry(exc, attempt, token):
-                        self._record_failure(
-                            query_id,
-                            tenant,
-                            generation,
-                            exc,
-                            sql=sql,
-                            elapsed=time.perf_counter() - started,
-                            tracer=tracer,
-                        )
-                        raise
-                    self.system.resilience.add("query_retries")
-                    self._m_retries.inc()
-                    backoff = self.retry_policy.backoff_for(attempt)
-                    attempt += 1
-                except DeadlineExceededError as exc:
-                    self._note_deadline_exceeded(
-                        query_id,
-                        tenant,
-                        generation,
-                        time.perf_counter() - started,
-                        tracer,
-                        exc,
-                        sql=sql,
-                    )
-                    raise
-                except QueryCancelledError as exc:
-                    self._note_cancelled(
-                        query_id,
-                        tenant,
-                        generation,
-                        time.perf_counter() - started,
-                        tracer,
-                        exc,
-                        sql=sql,
-                    )
-                    raise
-                except Exception as exc:
-                    self._record_failure(
-                        query_id,
-                        tenant,
-                        generation,
-                        exc,
-                        sql=sql,
-                        elapsed=time.perf_counter() - started,
-                        tracer=tracer,
-                    )
-                    raise
-                finally:
-                    self.generation_guard.release(generation)
-                if backoff > 0:
-                    remaining = token.remaining_seconds()
-                    if remaining is not None:
-                        backoff = min(backoff, max(0.0, remaining))
-                    time.sleep(backoff)
-        finally:
-            with self._lock:
-                self._active_tokens.discard(token)
-            self.admission.release(tenant)
-        elapsed = time.perf_counter() - started
+        estimate = 0.0 if request.probable_hit else self._service_estimate()
+        self.admission.acquire(
+            request.tenant,
+            timeout=self.config.admission_timeout_seconds,
+            priority=1 if request.probable_hit else 0,
+            deadline=request.token.deadline,
+            service_estimate=estimate * self.config.deadline_shed_factor,
+        )
+        request.admitted = True
         with self._lock:
-            self._completed += 1
-            self._latency_ewma = (
-                elapsed
-                if self._completed == 1
-                else 0.8 * self._latency_ewma + 0.2 * elapsed
-            )
-            self._per_tenant_completed[tenant] = (
-                self._per_tenant_completed.get(tenant, 0) + 1
-            )
-            self._totals.merge(result.metrics)
+            self._active_tokens.add(request.token)
+
+    def _run(self, request: _Request) -> QueryResult:
+        """Execute under a generation lease, inside the admitted region.
+
+        A :class:`TransientFsError` (an injected or environmental fault
+        that may clear) is retried up to ``config.max_query_retries``
+        times with seeded full-jitter backoff. The admission slot is
+        held across attempts (the request occupies the tenant either
+        way), but the lease is re-acquired per attempt so retries never
+        pin a retiring generation. Cancellations are never retried (see
+        :class:`~repro.core.resilience.RetryPolicy`).
+        """
+        token = request.token
+        while True:
+            request.generation = self.generation_guard.acquire()
+            request.leased = True
+            try:
+                return self.system.sql(
+                    request.sql,
+                    day=request.day,
+                    tracer=request.tracer,
+                    cancel_token=token,
+                )
+            except TransientFsError as exc:
+                if not self.retry_policy.should_retry(
+                    exc, request.attempts, token
+                ):
+                    raise
+            finally:
+                self.generation_guard.release(request.generation)
+                request.leased = False
+            self.system.resilience.add("query_retries")
+            backoff = self.retry_policy.backoff_for(request.attempts)
+            request.attempts += 1
+            if backoff > 0:
+                remaining = token.remaining_seconds()
+                if remaining is not None:
+                    backoff = min(backoff, max(0.0, remaining))
+                time.sleep(backoff)
+
+    def _settle(
+        self,
+        request: _Request,
+        status: str,
+        result: QueryResult | None = None,
+        error: Exception | None = None,
+    ) -> None:
+        """Account one request's outcome — the only place that does.
+
+        Whatever ``status`` (a key of ``_OUTCOMES``): one counter
+        increment, one latency observation (histogram and the status
+        percentiles — overload never vanishes from the latency
+        accounting), one log event, the span tree exported if the query
+        got as far as opening one, and — with system tables on — exactly
+        one ``system.queries`` row (the invariant the reconciliation
+        gate audits) plus at most one incident.
+        """
+        assert request.status is None, "a request settles exactly once"
+        assert not (request.leased or request.admitted), (
+            "settled while holding a generation lease or an admission slot"
+        )
+        request.status = status
+        request.seconds = elapsed = time.perf_counter() - request.started
+        outcome = _OUTCOMES[status]
+        tenant, tracer = request.tenant, request.tracer
+        with self._lock:
             self._latencies.append(elapsed)
             if len(self._latencies) > _MAX_LATENCY_SAMPLES:
                 del self._latencies[: -_MAX_LATENCY_SAMPLES // 2]
-        metrics = result.metrics
-        self._m_queries.inc(tenant=tenant)
-        self._m_latency.observe(elapsed)
-        if metrics.cache_hits:
-            self._m_cache_hits.inc(metrics.cache_hits)
-        if metrics.cache_misses:
-            self._m_cache_misses.inc(metrics.cache_misses)
-        if metrics.parse_documents:
-            self._m_parse_docs.inc(metrics.parse_documents)
-        plan_hits = int(metrics.extra.get("plan_cache_hits", 0))
-        if plan_hits:
-            self._m_plan_cache_hits.inc(plan_hits)
-        plan_misses = int(metrics.extra.get("plan_cache_misses", 0))
-        if plan_misses:
-            self._m_plan_cache_misses.inc(plan_misses)
-        for extra_key, counter in (
-            ("result_cache_hits", self._m_result_cache_hits),
-            ("result_cache_misses", self._m_result_cache_misses),
-            ("result_cache_admissions", self._m_result_cache_admissions),
-            ("result_cache_rejections", self._m_result_cache_rejections),
-        ):
-            value = int(metrics.extra.get(extra_key, 0))
-            if value:
-                counter.inc(value)
-        if (
-            self.config.slow_query_seconds > 0
-            and elapsed >= self.config.slow_query_seconds
-        ):
-            self._m_slow.inc()
+        self._latency.observe(elapsed)
+        if result is not None:
+            self._m[outcome.counter].inc(tenant=tenant)
+            self._tally_completed(request, result)
+        elif status == "shed":
+            request.reason = request.reason or _SHED_REASONS.get(
+                type(error).__name__, "admission"
+            )
+            # The retry-after hint rides the server response
+            # (QueryShedError); log and record what the client was told.
+            retry_after = getattr(error, "retry_after_seconds", None)
+            if retry_after is not None:
+                request.retry_after_seconds = round(retry_after, 6)
+            # Never leased: recorded under the generation it would have read.
+            request.generation = self.system.generation
+            self._m[outcome.counter].inc(reason=request.reason)
+            self.logger.log(
+                outcome.event,
+                query_id=request.query_id,
+                tenant=tenant,
+                reason=request.reason,
+                retry_after_seconds=request.retry_after_seconds,
+            )
+        else:
+            request.error = f"{type(error).__name__}: {error}"
+            self._m[outcome.counter].inc()
+            self.logger.log(
+                outcome.event,
+                query_id=request.query_id,
+                tenant=tenant,
+                generation=request.generation,
+                elapsed_seconds=round(elapsed, 6),
+                error=request.error,
+            )
+        traced = tracer is not None and tracer.root is not None
+        if traced:
+            # A query that raised outside the session's cancellation
+            # path left its spans open; close them so the partial tree
+            # exports with real durations.
+            tracer.end(tracer.root)
+            self._export_spans(
+                tracer,
+                query_id=request.query_id,
+                tenant=tenant,
+                generation=request.generation,
+                **({"status": outcome.trace_status} if outcome.trace_status else {}),
+            )
+        if self.telemetry is None:
+            return
+        self._record_query_row(request, result)
+        if traced:
+            self.telemetry.record_spans(
+                tracer,
+                request.query_id,
+                backend=self.system.session.worker_backend,
+            )
+        kind = outcome.incident
+        if result is not None:
+            if 0 < self.config.slow_query_seconds <= elapsed:
+                kind = "slow_query"
+            elif result.metrics.extra.get("degraded_splits"):
+                kind = "degraded"
+        if kind is not None:
+            self._capture_incident(request, kind, result)
+
+    def _tally_completed(self, request: _Request, result: QueryResult) -> None:
+        """What only a completed query adds: the service-time estimate,
+        the tenant tally, the merged engine metrics (the engine-work
+        counters mirror them at scrape time) and its ``query`` log event
+        (which is also where the logger counts slow queries)."""
+        metrics, elapsed = result.metrics, request.seconds
+        with self._lock:
+            self._latency_ewma = (
+                0.8 * self._latency_ewma + 0.2 * elapsed
+                if self._latency_ewma
+                else elapsed
+            )
+            self._per_tenant_completed[request.tenant] = (
+                self._per_tenant_completed.get(request.tenant, 0) + 1
+            )
+            self._totals.merge(metrics)
         self.logger.query(
-            query_id,
+            request.query_id,
             elapsed,
-            tenant=tenant,
-            generation=generation,
+            tenant=request.tenant,
+            generation=request.generation,
             read_seconds=round(metrics.read_seconds, 6),
             parse_seconds=round(metrics.parse_seconds, 6),
             parse_documents=metrics.parse_documents,
             cache_hits=metrics.cache_hits,
             rows=len(result.rows),
-            retries=attempt,
+            retries=request.attempts,
         )
-        if tracer is not None:
-            written = self.trace_sink.write(
-                tracer, query_id=query_id, tenant=tenant, generation=generation
-            )
-            if written:
-                self._m_spans.inc(written)
-        self._record_query_row(
-            query_id,
-            tenant,
-            "completed",
-            elapsed,
-            generation=generation,
-            metrics=metrics,
-            rows=len(result.rows),
-        )
-        if self.telemetry is not None and tracer is not None:
-            self.telemetry.record_spans(
-                tracer, query_id, backend=self.system.session.worker_backend
-            )
-        degraded_splits = int(metrics.extra.get("degraded_splits", 0))
-        slow = (
-            self.config.slow_query_seconds > 0
-            and elapsed >= self.config.slow_query_seconds
-        )
-        if slow or degraded_splits:
-            self._capture_incident(
-                "slow_query" if slow else "degraded",
-                query_id,
-                tenant,
-                sql,
-                elapsed,
-                generation=generation,
-                tracer=tracer,
-                metrics=metrics,
-            )
-        return result
 
-    def _record_failure(
-        self,
-        query_id: str,
-        tenant: str,
-        generation: int,
-        exc: Exception,
-        sql: str = "",
-        elapsed: float = 0.0,
-        tracer=None,
-    ) -> None:
-        with self._lock:
-            self._failed += 1
-        self._m_failed.inc()
-        error = f"{type(exc).__name__}: {exc}"
-        self.logger.log(
-            "query_failed",
-            query_id=query_id,
-            tenant=tenant,
-            generation=generation,
-            error=error,
-        )
-        self._record_query_row(
-            query_id,
-            tenant,
-            "failed",
-            elapsed,
-            generation=generation,
-            error=error,
-        )
-        self._capture_incident(
-            "failed",
-            query_id,
-            tenant,
-            sql,
-            elapsed,
-            generation=generation,
-            tracer=tracer,
-            error=exc,
-        )
+    def _export_spans(self, tracer: Tracer, **metadata) -> None:
+        """Write one finished trace to the sink (``trace_sink`` is set
+        whenever a tracer exists) and count the spans that fitted."""
+        written = self.trace_sink.write(tracer, **metadata)
+        if written:
+            self._m["trace_spans_total"].inc(written)
 
     def _service_estimate(self) -> float:
         """Moving estimate of query service seconds (0 on a cold server)."""
         with self._lock:
             return self._latency_ewma
 
-    def _observe_request_latency(self, elapsed: float) -> None:
-        """Latency accounting shared by completed, timed-out and shed
-        requests: every request that consumed server time appears in the
-        histogram and the status percentiles — overload never silently
-        vanishes from throughput accounting."""
-        with self._lock:
-            self._latencies.append(elapsed)
-            if len(self._latencies) > _MAX_LATENCY_SAMPLES:
-                del self._latencies[: -_MAX_LATENCY_SAMPLES // 2]
-        self._m_latency.observe(elapsed)
-
-    def _note_shed(
-        self,
-        reason: str,
-        tenant: str,
-        elapsed: float,
-        query_id: str = "",
-        sql: str = "",
-        retry_after_seconds: float | None = None,
-    ) -> None:
-        with self._lock:
-            self._sheds += 1
-            self._shed_breakdown[reason] = (
-                self._shed_breakdown.get(reason, 0) + 1
-            )
-        self._m_shed.inc(reason=reason)
-        self._observe_request_latency(elapsed)
-        # The retry-after hint rides the server response (QueryShedError);
-        # log the same value so the NDJSON record matches what the client
-        # was told instead of omitting it.
-        self.logger.log(
-            "query_shed",
-            reason=reason,
-            tenant=tenant,
-            query_id=query_id,
-            retry_after_seconds=(
-                round(retry_after_seconds, 6)
-                if retry_after_seconds is not None
-                else None
-            ),
-        )
-        self._record_query_row(
-            query_id,
-            tenant,
-            "shed",
-            elapsed,
-            reason=reason,
-            retry_after_seconds=retry_after_seconds,
-        )
-        self._capture_incident(
-            "shed",
-            query_id,
-            tenant,
-            sql,
-            elapsed,
-            reason=reason,
-        )
-
-    def _note_deadline_exceeded(
-        self,
-        query_id: str,
-        tenant: str,
-        generation: int,
-        elapsed: float,
-        tracer,
-        exc: Exception,
-        sql: str = "",
-    ) -> None:
-        with self._lock:
-            self._deadline_exceeded += 1
-        self._m_deadline_exceeded.inc()
-        self._observe_request_latency(elapsed)
-        error = f"{type(exc).__name__}: {exc}"
-        self.logger.log(
-            "query_deadline_exceeded",
-            query_id=query_id,
-            tenant=tenant,
-            generation=generation,
-            elapsed_seconds=round(elapsed, 6),
-            error=error,
-        )
-        self._write_cancelled_trace(tracer, query_id, tenant, generation)
-        self._record_query_row(
-            query_id,
-            tenant,
-            "deadline_exceeded",
-            elapsed,
-            generation=generation,
-            error=error,
-        )
-        self._capture_incident(
-            "deadline_exceeded",
-            query_id,
-            tenant,
-            sql,
-            elapsed,
-            generation=generation,
-            tracer=tracer,
-            error=exc,
-        )
-
-    def _note_cancelled(
-        self,
-        query_id: str,
-        tenant: str,
-        generation: int,
-        elapsed: float,
-        tracer,
-        exc: Exception,
-        sql: str = "",
-    ) -> None:
-        with self._lock:
-            self._cancelled += 1
-        self._m_cancelled.inc()
-        self._observe_request_latency(elapsed)
-        error = f"{type(exc).__name__}: {exc}"
-        self.logger.log(
-            "query_cancelled",
-            query_id=query_id,
-            tenant=tenant,
-            generation=generation,
-            elapsed_seconds=round(elapsed, 6),
-            error=error,
-        )
-        self._write_cancelled_trace(tracer, query_id, tenant, generation)
-        self._record_query_row(
-            query_id,
-            tenant,
-            "cancelled",
-            elapsed,
-            generation=generation,
-            error=error,
-        )
-        self._capture_incident(
-            "cancelled",
-            query_id,
-            tenant,
-            sql,
-            elapsed,
-            generation=generation,
-            tracer=tracer,
-            error=exc,
-        )
-
-    def _write_cancelled_trace(
-        self, tracer, query_id: str, tenant: str, generation: int
-    ) -> None:
-        """Cancelled queries still export their (partial) span tree —
-        the query span carries ``status="cancelled"`` (set by the
-        session) so traces distinguish them from completed queries."""
-        if tracer is None or self.trace_sink is None:
-            return
-        written = self.trace_sink.write(
-            tracer,
-            query_id=query_id,
-            tenant=tenant,
-            generation=generation,
-            status="cancelled",
-        )
-        if written:
-            self._m_spans.inc(written)
-        if self.telemetry is not None:
-            self.telemetry.record_spans(
-                tracer, query_id, backend=self.system.session.worker_backend
-            )
-
     # ------------------------------------------------------------------
     # system tables (self-hosted telemetry)
     # ------------------------------------------------------------------
     def _record_query_row(
-        self,
-        query_id: str,
-        tenant: str,
-        status: str,
-        seconds: float,
-        generation: int | None = None,
-        reason: str = "",
-        retry_after_seconds: float | None = None,
-        error: str = "",
-        metrics=None,
-        rows: int | None = None,
+        self, request: _Request, result: QueryResult | None
     ) -> None:
-        """Exactly one ``system.queries`` row per request outcome — the
-        invariant the replay-reconciliation gate audits (row count ==
-        completed + failed + shed + deadline_exceeded + cancelled)."""
-        if self.telemetry is None:
-            return
+        """The settled request's ``system.queries`` row (``_settle`` is
+        the only caller, so exactly one per request)."""
         row: dict[str, object] = {
-            "query_id": query_id,
-            "tenant": tenant,
-            "status": status,
-            "seconds": round(seconds, 6),
-            "generation": (
-                self.system.generation if generation is None else generation
-            ),
+            "query_id": request.query_id,
+            "tenant": request.tenant,
+            "status": request.status,
+            "seconds": round(request.seconds, 6),
+            "generation": request.generation,
             "backend": self.system.session.worker_backend,
-            "reason": reason,
-            "retry_after_seconds": (
-                round(retry_after_seconds, 6)
-                if retry_after_seconds is not None
-                else None
-            ),
+            "reason": request.reason,
+            "retry_after_seconds": request.retry_after_seconds,
             "result_cache": "",
             "plan_cache": "",
-            "error": error,
+            "error": request.error,
         }
-        if metrics is not None:
+        if result is not None:
+            metrics = result.metrics
             extra = metrics.extra
             if extra.get("result_cache_hits"):
                 row["result_cache"] = "hit"
@@ -886,106 +657,91 @@ class MaxsonServer:
                 row["plan_cache"] = "hit"
             elif extra.get("plan_cache_misses"):
                 row["plan_cache"] = "miss"
-            extras = {
+            row["extras"] = {
                 "parse_documents": metrics.parse_documents,
                 "cache_hits": metrics.cache_hits,
                 "cache_misses": metrics.cache_misses,
                 "read_seconds": round(metrics.read_seconds, 6),
                 "parse_seconds": round(metrics.parse_seconds, 6),
                 "doc_cache_evictions": metrics.doc_cache_evictions,
+                **_scalars(extra),
             }
-            for key, value in extra.items():
-                if isinstance(value, (int, float, str, bool)):
-                    extras[key] = value
-            row["extras"] = extras
-        if rows is not None:
-            row["rows"] = rows
+            row["rows"] = len(result.rows)
         self.telemetry.record("queries", row)
 
     def _capture_incident(
-        self,
-        kind: str,
-        query_id: str,
-        tenant: str,
-        sql: str,
-        seconds: float,
-        generation: int | None = None,
-        tracer=None,
-        error: Exception | None = None,
-        metrics=None,
-        reason: str = "",
+        self, request: _Request, kind: str, result: QueryResult | None
     ) -> None:
         """Flight recorder: a self-contained ``system.incidents`` record
         for slow, degraded, shed, deadline-exceeded, cancelled and failed
-        queries — canonical statement + parameter hash, physical plan,
-        full span tree, breaker/watchdog/admission state — enough to
-        diagnose the query after the fact without its process alive."""
-        if self.telemetry is None:
-            return
-        self._m_incidents.inc(kind=kind)
-        fingerprint_text = ""
-        params: tuple = ()
-        try:
-            from ..engine.resultcache import canonicalize
-
-            canonical = canonicalize(sql, self.system.session.planner)
-            if canonical is not None:
-                fingerprint_text = canonical.text
-                params = canonical.params
-        except Exception:
-            pass
-        if not fingerprint_text:
-            try:
-                from ..engine.plancache import fingerprint
-
-                fingerprint_text = fingerprint(sql)
-            except Exception:
-                fingerprint_text = sql
-        params_hash = hashlib.sha256(
-            repr(params).encode("utf-8")
-        ).hexdigest()[:16]
-        plan_text = ""
-        try:
-            plan_text = self.system.session.compile(sql).physical.describe()
-        except Exception:
-            plan_text = ""
+        queries — canonical statement + parameter hash, the physical plan
+        that ran, full span tree, breaker/watchdog/admission state —
+        enough to diagnose the query after the fact without its process
+        alive. Parses nothing: the statement comes out of the session's
+        canonicalisation memo and the plan from the result or the plan
+        cache (a shed request was never planned and records none), so
+        recording a shed stays cheaper than serving the query.
+        """
+        session = self.system.session
+        canonical = session.canonical_statement(request.sql)
+        params = canonical.params if canonical is not None else ()
         record: dict[str, object] = {
-            "query_id": query_id,
+            "query_id": request.query_id,
             "kind": kind,
-            "tenant": tenant,
-            "sql": sql,
-            "fingerprint": fingerprint_text,
-            "seconds": round(seconds, 6),
-            "params_hash": params_hash,
-            "generation": (
-                self.system.generation if generation is None else generation
+            "tenant": request.tenant,
+            "sql": request.sql,
+            "fingerprint": (
+                canonical.text
+                if canonical is not None
+                else fingerprint(request.sql)
             ),
-            "backend": self.system.session.worker_backend,
-            "plan": plan_text,
+            "seconds": round(request.seconds, 6),
+            "params_hash": hashlib.sha256(
+                repr(params).encode("utf-8")
+            ).hexdigest()[:16],
+            "generation": request.generation,
+            "backend": session.worker_backend,
             "breaker": self.system.breaker.snapshot(),
             "admission": self.admission.snapshot(),
             "watchdog": (
                 self.watchdog.snapshot() if self.watchdog is not None else {}
             ),
         }
-        if reason:
-            record["reason"] = reason
-        if error is not None:
-            record["error"] = f"{type(error).__name__}: {error}"
-        if metrics is not None:
-            record["extras"] = {
-                key: value
-                for key, value in metrics.extra.items()
-                if isinstance(value, (int, float, str, bool))
-            }
+        if kind != "shed":
+            plan = (
+                result.plan
+                if result is not None
+                else session.cached_plan(request.sql)
+            )
+            record["plan"] = plan.describe() if plan is not None else ""
+        if request.reason:
+            record["reason"] = request.reason
+        if request.error:
+            record["error"] = request.error
+        if result is not None:
+            record["extras"] = _scalars(result.metrics.extra)
+        tracer = request.tracer
         if tracer is not None and tracer.root is not None:
-            try:
-                from ..obs.trace import export_subtree
-
-                record["span_tree"] = export_subtree(tracer.root)
-            except Exception:
-                pass
+            record["span_tree"] = export_subtree(tracer.root)
         self.telemetry.record("incidents", record)
+
+    def _cache_event(self, event: str, table_name: str = "", **detail) -> None:
+        """One ``system.cache_events`` row (no-op with system tables off)."""
+        if self.telemetry is None:
+            return
+        self.telemetry.record(
+            "cache_events",
+            {
+                "event": event,
+                "table_name": table_name,
+                "generation": self.system.generation,
+                "detail": (
+                    json.dumps(detail, sort_keys=True, default=str)
+                    if detail
+                    else ""
+                ),
+            },
+        )
 
     def _note_worker_event(self, event: str, **fields) -> None:
         """Process-pool lifecycle observer → ``system.workers`` rows."""
@@ -1007,17 +763,7 @@ class MaxsonServer:
 
     def _note_breaker_event(self, cache_table: str, state: str) -> None:
         """Circuit-breaker transition observer → ``system.cache_events``."""
-        if self.telemetry is None:
-            return
-        self.telemetry.record(
-            "cache_events",
-            {
-                "event": f"breaker_{state}",
-                "table_name": cache_table,
-                "generation": self.system.generation,
-                "detail": "",
-            },
-        )
+        self._cache_event(f"breaker_{state}", table_name=cache_table)
 
     def submit(
         self,
@@ -1039,13 +785,16 @@ class MaxsonServer:
     def ingest(self, day: int, paths: tuple[PathKey, ...] | list[PathKey]) -> None:
         """Online statistics ingestion for non-SQL events (trace replay)."""
         self.system.collector.record_query(day, paths)
-        with self._lock:
-            self._stats_events += 1
-        self._m_stats.inc()
+        self._m["stats_events_total"].inc()
 
     # ------------------------------------------------------------------
     # maintenance path (called by the scheduler, or directly)
     # ------------------------------------------------------------------
+    def advance_to(self, seconds: float) -> list[str]:
+        """Move the virtual clock to ``seconds`` and run the maintenance
+        that came due (see :meth:`MaintenanceScheduler.advance_to`)."""
+        return self.scheduler.advance_to(seconds)
+
     def run_midnight_cycle(
         self, day: int | None = None, history_days: int = 7
     ) -> MidnightReport:
@@ -1057,14 +806,12 @@ class MaxsonServer:
             day=day, history_days=history_days, tracer=tracer
         )
         if tracer is not None:
-            written = self.trace_sink.write(
+            self._export_spans(
                 tracer,
                 kind="midnight",
                 day=report.day,
                 generation=self.system.generation,
             )
-            if written:
-                self._m_spans.inc(written)
         self.logger.log(
             "midnight_cycle",
             day=report.day,
@@ -1072,30 +819,14 @@ class MaxsonServer:
             cached_paths=len(report.selected),
             build_failed=report.build.failed,
         )
-        if self.telemetry is not None:
-            self.telemetry.record(
-                "cache_events",
-                {
-                    "event": (
-                        "generation_build_failed"
-                        if report.build.failed
-                        else "generation_swap"
-                    ),
-                    "table_name": "",
-                    "generation": self.system.generation,
-                    "detail": json.dumps(
-                        {
-                            "day": report.day,
-                            "cached_paths": len(report.selected),
-                            "build_seconds": round(
-                                report.build.build_seconds, 6
-                            ),
-                        },
-                        sort_keys=True,
-                        default=str,
-                    ),
-                },
-            )
+        self._cache_event(
+            "generation_build_failed"
+            if report.build.failed
+            else "generation_swap",
+            day=report.day,
+            cached_paths=len(report.selected),
+            build_seconds=round(report.build.build_seconds, 6),
+        )
         return report
 
     def refresh_cache(self):
@@ -1105,21 +836,28 @@ class MaxsonServer:
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
+    def _outcome_tallies(self) -> dict[str, int]:
+        """Requests settled so far, by outcome — read from the registry
+        counters ``_settle`` advances, so status and ``/metrics`` cannot
+        disagree."""
+        return {
+            status: int(self._m[outcome.counter].total())
+            for status, outcome in _OUTCOMES.items()
+        }
+
     def status(self) -> ServerStatus:
         uptime = time.perf_counter() - self._started
         with self._lock:
-            completed = self._completed
-            failed = self._failed
-            stats_events = self._stats_events
             tenants = dict(self._per_tenant_completed)
             totals = self._totals.snapshot()
             latencies = sorted(self._latencies)
-            deadline_exceeded = self._deadline_exceeded
-            cancelled = self._cancelled
-            sheds = self._sheds
-            shed_breakdown = dict(self._shed_breakdown)
             draining = self._draining
             drain_cancelled = self._drain_cancelled
+        tallies = self._outcome_tallies()
+        shed_breakdown = {
+            labels[0][1]: int(count)
+            for _, labels, count in self._m["shed_total"].samples()
+        }
         admission = self.admission.snapshot()
         guard = self.generation_guard.snapshot()
         maintenance = self.scheduler.snapshot()
@@ -1132,12 +870,12 @@ class MaxsonServer:
             observability["telemetry"] = self.telemetry.snapshot()
         return ServerStatus(
             uptime_seconds=uptime,
-            queries_completed=completed,
-            queries_failed=failed,
-            queries_shed=sheds,
+            queries_completed=tallies["completed"],
+            queries_failed=tallies["failed"],
+            queries_shed=tallies["shed"],
             queries_timed_out=int(admission["timed_out"]),
-            queries_deadline_exceeded=deadline_exceeded,
-            queries_cancelled=cancelled,
+            queries_deadline_exceeded=tallies["deadline_exceeded"],
+            queries_cancelled=tallies["cancelled"],
             shed_breakdown=shed_breakdown,
             priority_admitted=int(admission["priority_admitted"]),
             draining=draining,
@@ -1145,8 +883,8 @@ class MaxsonServer:
             watchdog=(
                 self.watchdog.snapshot() if self.watchdog is not None else {}
             ),
-            stats_events_ingested=stats_events,
-            qps=completed / uptime if uptime > 0 else 0.0,
+            stats_events_ingested=int(self._m["stats_events_total"].total()),
+            qps=tallies["completed"] / uptime if uptime > 0 else 0.0,
             latency_p50_seconds=percentile(latencies, 0.50),
             latency_p95_seconds=percentile(latencies, 0.95),
             latency_p99_seconds=percentile(latencies, 0.99),
@@ -1191,90 +929,69 @@ class MaxsonServer:
         generation lease, like any served query) and render the
         annotated plan."""
         tenant = tenant or self.config.default_tenant
-        with self.admission.admit(tenant):
-            generation = self.generation_guard.acquire()
-            try:
-                return self.system.explain_analyze(sql)
-            finally:
-                self.generation_guard.release(generation)
+        with self.admission.admit(tenant), self.generation_guard.lease():
+            return self.system.explain_analyze(sql)
 
     def _sync_gauges(self, status: ServerStatus) -> None:
-        self._g_generation.set(status.generation)
-        self._g_cached_paths.set(status.cached_paths)
-        self._g_cache_bytes.set(status.cache_bytes)
-        self._g_queue_depth.set(status.queue_depth)
-        self._g_active.set(status.active_queries)
-        self._g_leases.set(status.active_leases)
-        self._g_scan_workers.set(self.system.session.scan_workers)
-        backend = self.system.session.worker_backend
-        for candidate in ("thread", "process"):
-            self._g_worker_backend.set(
-                1 if candidate == backend else 0, backend=candidate
+        """Scrape-time half of the registry: gauges from the status
+        snapshot, and every counter whose count is already kept once
+        elsewhere — the merged engine metrics, the logger's slow-query
+        filter, the resilience tallies, an engine cache, the telemetry
+        store — mirrored (``advance_to``) rather than kept twice."""
+        m = self._m
+        session = self.system.session
+        totals = status.totals
+        for name in _ENGINE_TOTALS:
+            m[name + "_total"].advance_to(
+                totals.get(name, totals["extra"].get(name, 0))
             )
-        self._g_shm_bytes.set(self.system.session.live_shm_bytes())
-        self._g_plan_cache_entries.set(
-            int(self.system.session.plan_cache_stats()["entries"])
-        )
-        self._g_result_cache_entries.set(
-            int(status.result_cache.get("entries", 0))
+        m["slow_queries_total"].advance_to(status.slow_queries)
+        m["query_retries_total"].advance_to(status.query_retries)
+        m["cache_generation"].set(status.generation)
+        m["cached_paths"].set(status.cached_paths)
+        m["cache_bytes"].set(status.cache_bytes)
+        m["admission_queue_depth"].set(status.queue_depth)
+        m["active_queries"].set(status.active_queries)
+        m["active_generation_leases"].set(status.active_leases)
+        m["scan_workers"].set(session.scan_workers)
+        for backend in ("thread", "process"):
+            m["worker_backend"].set(
+                1 if backend == session.worker_backend else 0, backend=backend
+            )
+        m["shm_live_bytes"].set(session.live_shm_bytes())
+        m["plan_cache_entries"].set(int(session.plan_cache_stats()["entries"]))
+        m["result_cache_entries"].set(int(status.result_cache.get("entries", 0)))
+        m["result_cache_evictions_total"].advance_to(
+            int(status.result_cache.get("evictions", 0))
         )
         ledger = status.cache_ledger
-        budget = ledger.get("budget_bytes")
-        self._g_cache_budget_bytes.set(int(budget or 0))
-        self._g_cache_budget_used.set(int(ledger.get("total_bytes", 0)))
+        m["cache_budget_bytes"].set(int(ledger.get("budget_bytes") or 0))
         for tier, nbytes in dict(ledger.get("tiers", {})).items():
-            self._g_cache_tier_bytes.set(int(nbytes), tier=tier)
-        # Evictions happen inside the engine (no per-query extra), so the
-        # counter advances by scrape-time delta against the stats total.
-        evictions = int(status.result_cache.get("evictions", 0))
-        delta = evictions - self._result_cache_evictions_seen
-        if delta > 0:
-            self._m_result_cache_evictions.inc(delta)
-        self._result_cache_evictions_seen = evictions
+            m["cache_tier_bytes"].set(int(nbytes), tier=tier)
         if status.watchdog:
-            shrinks = int(status.watchdog.get("shrinks", 0))
-            shrink_delta = shrinks - self._watchdog_shrinks_seen
-            if shrink_delta > 0:
-                self._m_watchdog_shrinks.inc(shrink_delta)
-            self._watchdog_shrinks_seen = shrinks
-            self._g_memory_pressure.set(
+            m["watchdog_shrinks_total"].advance_to(
+                int(status.watchdog.get("shrinks", 0))
+            )
+            m["memory_pressure"].set(
                 1 if status.watchdog.get("under_pressure") else 0
             )
-        if self.telemetry is not None:
-            telemetry = self.telemetry.snapshot()
-            self._g_telemetry_bytes.set(int(telemetry["bytes"]))
-            self._g_telemetry_segments.set(int(telemetry["segments"]))
-            # Store counters are cumulative; the Prometheus counters
-            # advance by scrape-time delta (same pattern as evictions).
+        telemetry = status.observability.get("telemetry")
+        if telemetry is not None:
+            m["telemetry_segments"].set(int(telemetry["segments"]))
             for table, count in dict(telemetry["events"]).items():
-                delta = count - self._telemetry_events_seen.get(table, 0)
-                if delta > 0:
-                    self._m_telemetry_events.inc(delta, table=table)
-                self._telemetry_events_seen[table] = count
-            dropped = int(telemetry["events_dropped"])
-            if dropped > self._telemetry_dropped_seen:
-                self._m_telemetry_dropped.inc(
-                    dropped - self._telemetry_dropped_seen
-                )
-            self._telemetry_dropped_seen = dropped
-            rotated = int(telemetry["segments_rotated"])
-            if rotated > self._telemetry_rotated_seen:
-                self._m_telemetry_rotated.inc(
-                    rotated - self._telemetry_rotated_seen
-                )
-            self._telemetry_rotated_seen = rotated
+                m["telemetry_events_total"].advance_to(count, table=table)
+            m["telemetry_events_dropped_total"].advance_to(
+                int(telemetry["events_dropped"])
+            )
+            m["telemetry_segments_rotated_total"].advance_to(
+                int(telemetry["segments_rotated"])
+            )
         for record in status.cache_efficacy:
             generation = str(record.get("generation", 0))
-            self._g_eff_precision.set(
-                float(record.get("precision", 0.0)), generation=generation
-            )
-            self._g_eff_recall.set(
-                float(record.get("recall", 0.0)), generation=generation
-            )
-            self._g_eff_byte_hit.set(
-                float(record.get("byte_weighted_hit_ratio", 0.0)),
-                generation=generation,
-            )
+            for field in ("precision", "recall", "byte_weighted_hit_ratio"):
+                m[f"generation_{field}"].set(
+                    float(record.get(field, 0.0)), generation=generation
+                )
 
     def metrics_text(self) -> str:
         """The Prometheus text exposition — the ``/metrics`` payload.
@@ -1341,11 +1058,10 @@ class MaxsonServer:
         )
         self.logger.log(
             "server_stopped",
-            queries_completed=self._completed,
-            queries_failed=self._failed,
-            queries_cancelled=self._cancelled,
-            queries_deadline_exceeded=self._deadline_exceeded,
-            queries_shed=self._sheds,
+            **{
+                f"queries_{status}": count
+                for status, count in self._outcome_tallies().items()
+            },
         )
         self.logger.close()
 

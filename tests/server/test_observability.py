@@ -1,11 +1,14 @@
 """Server observability: percentiles, Prometheus metrics, traces, logs."""
 
 import json
+import re
+import time
+from pathlib import Path
 
 import pytest
 
 from repro.core import MaxsonConfig, MaxsonSystem, PredictorConfig
-from repro.engine import Session
+from repro.engine import QueryCancelledError, Session
 from repro.jsonlib import dumps
 from repro.obs.promlint import validate_text
 from repro.server import MaxsonServer, ServerConfig
@@ -113,6 +116,106 @@ class TestPrometheusExport:
         snap = json.loads(json.dumps(server.metrics_snapshot()))
         assert snap["maxson_queries_total"]['{tenant="default"}'] == 3.0
         assert snap["maxson_query_latency_seconds_count"]["{}"] == 3.0
+
+
+@pytest.fixture(scope="module")
+def scrapes():
+    """Two scripted servers and what a scrape of each returns.
+
+    ``cycles``: a cached day, then a second midnight that retires and
+    scores generation 1. ``held`` / ``final``: one server with the result
+    cache, the watchdog and system tables on, scraped once while a
+    request waits for its tenant's only slot and a lease is out, and once
+    at the end. ``store`` is the telemetry store's own snapshot at the
+    final scrape — the cumulative source the ``telemetry_*`` series mirror.
+    """
+    with MaxsonServer(build_system(), ServerConfig(max_workers=2)) as server:
+        run_cached_day(server)
+        server.ingest(2, (HOT_KEY, HOT_KEY))
+        server.run_midnight_cycle(day=2)
+        out = {"cycles": server.metrics_snapshot()}
+        out["names"] = set(server.metrics.names())
+    config = ServerConfig(
+        max_workers=2,
+        per_tenant_limit=1,
+        admission_timeout_seconds=5.0,
+        system_tables=True,
+        result_cache=True,
+        memory_soft_limit_bytes=10**9,
+        telemetry_budget_bytes=1024,
+        telemetry_segment_bytes=256,
+    )
+    with MaxsonServer(build_system(), config) as server:
+        session = server.system.session
+        server.execute(HOT_SQL, day=0)  # result cache: miss, admitted
+        server.execute(HOT_SQL, day=0)  # hit
+        session.configure_cache_budget(1)
+        server.execute(COLD_SQL, day=0)  # miss, rejected: no byte fits
+        session.configure_cache_budget(None)
+        server.admission.acquire("default")
+        waiter = server.submit(HOT_SQL, day=0)
+        lease = server.generation_guard.acquire()
+        give_up = time.monotonic() + 5.0
+        while not server.admission.snapshot()["waiting"]:
+            assert time.monotonic() < give_up, "the waiter never queued"
+            time.sleep(0.001)
+        out["held"] = server.metrics_snapshot()
+        server.generation_guard.release(lease)
+        server.admission.release("default")
+        assert waiter.result(timeout=10).rows  # hit
+        real_sql = server.system.sql
+
+        def cancelled_on_arrival(sql, **kwargs):
+            kwargs["cancel_token"].cancel("scripted")
+            return real_sql(sql, **kwargs)
+
+        server.system.sql = cancelled_on_arrival
+        with pytest.raises(QueryCancelledError):
+            server.execute(HOT_SQL, day=0)
+        del server.system.sql  # back to the class's method
+        server.watchdog.soft_limit_bytes = 1  # next check shrinks every tier
+        server.execute(HOT_SQL, day=0)  # its entry was evicted: miss, admitted
+        server.watchdog.soft_limit_bytes = 10**9
+        out["final"] = server.metrics_snapshot()
+        out["store"] = server.telemetry.snapshot()
+    assert out["store"]["segments_rotated"] > 0  # the script does rotate
+    return out
+
+
+class TestEverySeries:
+    """No telemetry nothing reads: each series the other tests never
+    name is asserted to the value its script must produce, and README
+    "Observability" lists exactly the series the server exports."""
+
+    @pytest.mark.parametrize(
+        "series, labels, scrape, expected",
+        [
+            ("generation_recall", '{generation="1"}', "cycles", 1.0),
+            ("stats_events_total", "{}", "cycles", 2.0),
+            ("admission_queue_depth", "{}", "held", 1.0),
+            ("active_generation_leases", "{}", "held", 1.0),
+            ("shm_live_bytes", "{}", "final", 0.0),  # thread backend
+            ("result_cache_hits_total", "{}", "final", 2.0),
+            ("result_cache_misses_total", "{}", "final", 3.0),
+            ("result_cache_admissions_total", "{}", "final", 2.0),
+            ("result_cache_rejections_total", "{}", "final", 1.0),
+            ("result_cache_evictions_total", "{}", "final", 1.0),
+            ("watchdog_shrinks_total", "{}", "final", 1.0),
+            ("queries_cancelled_total", "{}", "final", 1.0),
+            ("telemetry_segments", "{}", "final", "segments"),
+            ("telemetry_segments_rotated_total", "{}", "final", "segments_rotated"),
+            ("telemetry_events_dropped_total", "{}", "final", "events_dropped"),
+        ],
+    )
+    def test_scripted_value(self, scrapes, series, labels, scrape, expected):
+        if isinstance(expected, str):
+            expected = scrapes["store"][expected]
+        assert scrapes[scrape][f"maxson_{series}"][labels] == expected
+
+    def test_readme_lists_exactly_the_exported_series(self, scrapes):
+        readme = (Path(__file__).parents[2] / "README.md").read_text()
+        listed = set(re.findall(r"^\| `(maxson_[a-z_]+)[`{]", readme, re.M))
+        assert listed == scrapes["names"]
 
 
 class TestStatusObservability:

@@ -200,13 +200,13 @@ class TestMixedOutcomes:
             assert isinstance(doc["breaker"], dict)
             assert isinstance(doc["admission"], dict)
 
-    def test_slow_query_incident_has_plan_and_span_tree(self):
+    def test_slow_query_incident_has_plan_and_span_tree(self, tmp_path):
         system = build_slow_system()
         config = ServerConfig(
             max_workers=2,
             system_tables=True,
             slow_query_seconds=0.0001,
-            trace_dir=None,
+            trace_dir=str(tmp_path),
         )
         with MaxsonServer(system, config) as server:
             assert server.execute(SLOW_SQL).rows
@@ -219,6 +219,51 @@ class TestMixedOutcomes:
             assert "ScanExec" in doc["plan"] or "Scan" in doc["plan"]
             assert doc["fingerprint"]
             assert doc["params_hash"]
+            tree = doc["span_tree"]
+            assert tree["name"] == "query"
+            assert "execute" in {child["name"] for child in tree["children"]}
+
+    def test_shedding_a_recurring_statement_parses_nothing(self, monkeypatch):
+        """Shedding must stay cheaper than serving: the flight record of
+        a shed takes the statement out of the canonicalisation memo and
+        holds no plan (a shed request was never planned)."""
+        from repro.engine import resultcache, session
+
+        parses = []
+
+        def count_parses(module, real):
+            monkeypatch.setattr(
+                module, "parse_sql", lambda sql: parses.append(sql) or real(sql)
+            )
+
+        config = ServerConfig(
+            max_workers=2,
+            per_tenant_limit=1,
+            admission_timeout_seconds=0.001,
+            system_tables=True,
+        )
+        with MaxsonServer(build_slow_system(read_latency=0.0), config) as server:
+            assert server.execute(SLOW_SQL, tenant="t").rows
+            server.admission.acquire("t")  # every further request is shed
+            with pytest.raises(AdmissionError):
+                server.execute(SLOW_SQL, tenant="t")  # first shed fills the memo
+            count_parses(resultcache, resultcache.parse_sql)
+            count_parses(session, session.parse_sql)
+            for _ in range(5):
+                with pytest.raises(AdmissionError):
+                    server.execute(SLOW_SQL, tenant="t")
+            assert parses == []
+            server.admission.release("t")
+            sheds = [
+                json.loads(r["payload"])
+                for r in server.system.session.sql(
+                    "SELECT kind, payload FROM system.incidents"
+                ).rows
+                if r["kind"] == "shed"
+            ]
+            assert len(sheds) == 6
+            assert all("plan" not in doc and doc["fingerprint"] for doc in sheds)
+            assert len({doc["fingerprint"] for doc in sheds}) == 1
 
 
 class TestDisabledByDefault:

@@ -1,5 +1,6 @@
 """Repository-level consistency checks."""
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -69,3 +70,17 @@ class TestExamples:
             text = path.read_text()
             assert '__name__ == "__main__"' in text, path.name
             assert text.startswith('"""'), path.name
+
+
+class TestRequestPathStaysLegible:
+    def test_no_server_function_longer_than_120_lines(self):
+        """``MaxsonServer.__init__`` once reached 306 lines and ``execute``
+        256; the request path must not silently re-accrete."""
+        too_long = []
+        for path in sorted((ROOT / "src" / "repro" / "server").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    lines = node.end_lineno - node.lineno + 1
+                    if lines > 120:
+                        too_long.append(f"{path.name}:{node.name} ({lines})")
+        assert not too_long, too_long
