@@ -70,6 +70,9 @@ class MaxsonScanExec(ScanExec):
     """Optional :class:`~repro.core.resilience.CacheCircuitBreaker`."""
     resilience: object = None
     """Optional :class:`~repro.core.resilience.ResilienceStats`."""
+    failure_log: list | None = None
+    """On a process-worker replica (see :meth:`__getstate__`): the cache
+    failures of the split being run, as ``(cache_table, is_corruption)``."""
 
     def _label(self) -> str:
         cached = ", ".join(r.entry.field_name for r in self.cached_fields)
@@ -79,112 +82,23 @@ class MaxsonScanExec(ScanExec):
             f"cached=[{cached}]{sarg}"
         )
 
-    # ------------------------------------------------------------------
     def execute_batch(self, state: ExecState) -> ColumnBatch:
-        """Columnar Value Combiner: stitch split columns, not rows.
-
-        A failing cache split falls back to raw parsing for that split
-        only; the stitched values flow through as columns, so no per-row
-        dicts are built on the cached fast path.
-        """
-        if not self.cached_fields:
-            return super().execute_batch(state)
-        started = time.perf_counter()
-        cache_table = self.cached_fields[0].entry.cache_table
-        for request in self.cached_fields:
-            if request.entry.cache_table != cache_table:
-                raise ExecutionError(
-                    "cached fields of one scan must come from one cache table"
-                )
-        raw_files = state.catalog.table_files(self.database, self.table)
-        try:
-            cache_files = state.catalog.table_files(CACHE_DATABASE, cache_table)
-        except (CatalogError, FsError):
-            cache_files = None
-        field_names = [r.entry.field_name for r in self.cached_fields]
-        env_keys = [r.env_key for r in self.cached_fields]
-
-        names = list(self.columns)
-        columns_out: dict[str, list] = {name: [] for name in self.columns}
-        if self.alias:
-            for name in self.columns:
-                qualified = f"{self.alias}.{name}"
-                columns_out[qualified] = columns_out[name]
-                names.append(qualified)
-        for env_key in env_keys:
-            columns_out[env_key] = []
-            names.append(env_key)
-        length = 0
-        fallback_splits = 0
-        combine_span = (
-            state.tracer.begin("combine", splits=len(raw_files))
-            if state.tracer is not None
-            else None
-        )
-
-        def extend(split_columns: dict, split_length: int) -> None:
-            nonlocal length
-            for name in self.columns:
-                columns_out[name].extend(split_columns[name])
-            for env_key in env_keys:
-                columns_out[env_key].extend(split_columns[env_key])
-            length += split_length
-
-        if cache_files is None or len(cache_files) != len(raw_files):
-            self._note_cache_failure(cache_table, None)
-            for raw_path in raw_files:
-                state.check_cancelled()
-                extend(*self._fallback_columns(state, raw_path))
-            fallback_splits = len(raw_files)
-        else:
-            for split_index in range(len(raw_files)):
-                state.check_cancelled()
-                try:
-                    split_columns, split_length = self._split_columns(
-                        state,
-                        raw_files[split_index],
-                        cache_files[split_index],
-                        field_names,
-                        env_keys,
-                    )
-                except (FsError, OrcError, ExecutionError) as exc:
-                    self._note_cache_failure(cache_table, exc)
-                    fallback_splits += 1
-                    split_columns, split_length = self._fallback_columns(
-                        state, raw_files[split_index]
-                    )
-                extend(split_columns, split_length)
-        if combine_span is not None:
-            combine_span.attributes["fallback_splits"] = fallback_splits
-            combine_span.attributes["degraded"] = bool(fallback_splits)
-            state.tracer.end(combine_span)
-        if fallback_splits:
-            # Per-query degraded marker: the session's result cache
-            # checks it to keep degraded answers out of admission.
-            state.metrics.extra["degraded_splits"] = (
-                state.metrics.extra.get("degraded_splits", 0) + fallback_splits
-            )
-            if self.resilience is not None:
-                self.resilience.add("fallback_queries")
-                self.resilience.add("fallback_splits", fallback_splits)
-        else:
-            state.metrics.cache_hits += len(self.cached_fields)
-            if self.breaker is not None:
-                self.breaker.record_success(cache_table)
-        state.metrics.rows_scanned += length
-        state.metrics.read_seconds += time.perf_counter() - started
-        return ColumnBatch(names, columns_out, length)
+        # The inherited every-unit-inline driver. It is re-stated here, and
+        # run_morsel below is not folded into a hook of the base method,
+        # only because bench/trace.py wraps both names as plain functions
+        # of this class (``MaxsonScanExec.__dict__``).
+        return super().execute_batch(state)
 
     # ------------------------------------------------------------------
-    # morsel API: the same Value Combiner, one split at a time
+    # morsel API: the Value Combiner, one split at a time
     # ------------------------------------------------------------------
     def morsel_units(self, state: ExecState) -> list:
         """(raw file, cache file) pairs, one per split.
 
-        The whole-scan decisions of :meth:`execute_batch` — cache-table
-        consistency and file alignment — happen here on the coordinator,
-        exactly once; a misaligned cache degrades every unit to raw
-        parsing (``cache_path`` None) just like the serial path.
+        The whole-scan decisions — cache-table consistency and file
+        alignment — happen here on the coordinator, exactly once; a
+        misaligned cache degrades every unit to raw parsing
+        (``cache_path`` None).
         """
         if not self.cached_fields:
             return super().morsel_units(state)
@@ -215,50 +129,45 @@ class MaxsonScanExec(ScanExec):
         Runs on a worker thread: only worker-local ``state`` and the
         thread-safe breaker/resilience objects are touched. The shared
         skip mask (Algorithm 3) is computed inside ``_split_columns``,
-        once per split, and handed to both readers of this worker.
+        once per split, and handed to both readers of this worker. A
+        failing cache split falls back to raw parsing for that split
+        only; the stitched values flow through as columns, so no per-row
+        dicts are built on the cached fast path.
         """
         if not self.cached_fields:
             return super().run_morsel(state, unit)
         state.check_cancelled()
         started = time.perf_counter()
         raw_path, cache_path = unit
-        cache_table = self.cached_fields[0].entry.cache_table
-        field_names = [r.entry.field_name for r in self.cached_fields]
-        env_keys = [r.env_key for r in self.cached_fields]
-        fallback = False
-        if cache_path is None:
-            columns, length = self._fallback_columns(state, raw_path)
-            fallback = True
-        else:
+        span = (
+            state.tracer.begin("combine", split=str(raw_path))
+            if state.tracer is not None
+            else None
+        )
+        fallback = cache_path is None
+        if not fallback:
             try:
                 columns, length = self._split_columns(
-                    state, raw_path, cache_path, field_names, env_keys
+                    state, raw_path, cache_path
                 )
             except (FsError, OrcError, ExecutionError) as exc:
-                self._note_cache_failure(cache_table, exc)
+                self._note_cache_failure(
+                    self.cached_fields[0].entry.cache_table, exc
+                )
                 fallback = True
-                columns, length = self._fallback_columns(state, raw_path)
-        names = list(self.columns)
-        out: dict[str, list] = {name: columns[name] for name in self.columns}
-        if self.alias:
-            for name in self.columns:
-                qualified = f"{self.alias}.{name}"
-                out[qualified] = out[name]
-                names.append(qualified)
-        for env_key in env_keys:
-            out[env_key] = columns[env_key]
-            names.append(env_key)
-        state.metrics.rows_scanned += length
-        state.metrics.read_seconds += time.perf_counter() - started
-        return ColumnBatch(names, out, length), fallback
+        if fallback:
+            columns, length = self._fallback_columns(state, raw_path)
+        if span is not None:
+            span.attributes.update(fallback_splits=int(fallback), degraded=fallback)
+            state.tracer.end(span)
+        return self._morsel_batch(state, columns, length, started), fallback
 
     def finish_morsels(self, state: ExecState, fallback_splits: int) -> None:
-        """Whole-scan accounting, mirroring the serial combiner exactly:
-        any degraded split marks the query degraded; a fully-validated
-        scan counts its cache hits and closes the breaker."""
+        """Whole-scan accounting, once on the coordinator: any degraded
+        split marks the query degraded; a fully-validated scan counts its
+        cache hits and closes the breaker."""
         if not self.cached_fields:
             return
-        cache_table = self.cached_fields[0].entry.cache_table
         if fallback_splits:
             # Per-query degraded marker: the session's result cache
             # checks it to keep degraded answers out of admission.
@@ -271,15 +180,28 @@ class MaxsonScanExec(ScanExec):
         else:
             state.metrics.cache_hits += len(self.cached_fields)
             if self.breaker is not None:
-                self.breaker.record_success(cache_table)
+                self.breaker.record_success(
+                    self.cached_fields[0].entry.cache_table
+                )
+
+    def __getstate__(self) -> dict:
+        """Pickling a scan means one thing — shipment to a process-backend
+        worker (``ProcessMorselPool.run_morsels``, the only place a plan is
+        pickled) — and is supported for nothing else; copy a scan on the
+        coordinator with ``dataclasses.replace``. Breaker and resilience
+        hold coordinator locks (and must act on the shared instances
+        anyway), so the replica drops them and records failures in
+        ``failure_log`` for split-ordered replay on the coordinator."""
+        return {
+            **self.__dict__,
+            "breaker": None,
+            "resilience": None,
+            "failure_log": [],
+        }
 
     def _note_cache_failure(self, cache_table: str, exc: Exception | None) -> None:
-        log = getattr(self, "failure_log", None)
-        if log is not None:
-            # Process-backend worker replica: breaker/resilience are
-            # stripped (they hold coordinator locks), so the failure is
-            # recorded for split-ordered replay on the coordinator.
-            log.append(
+        if self.failure_log is not None:  # a worker replica
+            self.failure_log.append(
                 (cache_table, isinstance(exc, (CorruptStripeError, OrcError)))
             )
         if self.breaker is not None:
@@ -372,15 +294,12 @@ class MaxsonScanExec(ScanExec):
         return columns, result.rows_read
 
     def _split_columns(
-        self,
-        state: ExecState,
-        raw_path: str,
-        cache_path: str,
-        field_names: list[str],
-        env_keys: list[str],
+        self, state: ExecState, raw_path: str, cache_path: str
     ) -> tuple[dict[str, list], int]:
         """Algorithm 2 for one (raw file, cache file) pair."""
         fs = state.catalog.fs
+        field_names = [r.entry.field_name for r in self.cached_fields]
+        env_keys = [r.env_key for r in self.cached_fields]
         cache_reader = OrcReader(
             fs, cache_path, columns=field_names, sarg=self.cache_sarg
         )

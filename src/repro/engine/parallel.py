@@ -23,32 +23,35 @@ nothing about the computation depends on completion order:
   ordered splits — the same rows serial execution would pick;
 * per-split fallback stays split-local (the combiner's morsel API), and
   whole-scan accounting (cache hits, breaker close, degraded counters)
-  settles once on the coordinator, exactly as the serial combiner does.
+  settles once on the coordinator (``finish_morsels``).
 
 ``scan_workers == 1`` runs the identical morsel path inline, so "serial"
-and "parallel" differ only in which thread executes a split.
+and "parallel" differ only in which thread executes a split. There is no
+other scan path: the pipeline applies the absorbed operators' own bodies
+(``UnaryExec.apply``), and a traced plan is this plan with its nodes
+wrapped (:mod:`repro.obs.instrument`).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from ..jsonlib.sparser import FilterCascade
 from .batch import ColumnBatch
-from .expressions import AggregateCall, Expression, Literal, transform
+from .expressions import Expression
 from .metrics import QueryMetrics
 from .physical import (
     AggregateExec,
     ExecState,
     FilterExec,
+    GroupedAggregation,
     PhysicalPlan,
     ProjectExec,
     ScanExec,
+    UnaryExec,
     _Accumulator,
-    _hashable,
-    collect_aggregates,
+    concat_batches,
 )
 from .rawfilter import SparserPrefilterExec
 
@@ -73,12 +76,20 @@ def _fold_context_stats(metrics: QueryMetrics, context) -> None:
         metrics.parse_bytes += stats.bytes_scanned
 
 
+def _unwrapped(node):
+    """The operator itself: a traced plan runs its nodes through wrappers
+    (:class:`repro.obs.instrument.TracedExec`) that keep it in ``inner``."""
+    return getattr(node, "inner", node)
+
+
 def _scan_of(plan) -> ScanExec | None:
-    """The scan feeding a morsel plan (pipeline or partial aggregate)."""
+    """The scan feeding a morsel plan (pipeline or partial aggregate) —
+    unwrapped, for the coordinator half of the morsel API and the scan's
+    own fields; only ``run_morsel`` goes through ``pipeline.scan``."""
     if plan is None:
         return None
     pipeline = getattr(plan, "pipeline", plan)
-    return getattr(pipeline, "scan", None)
+    return _unwrapped(getattr(pipeline, "scan", None))
 
 
 def _reads_live_segments(plan) -> bool:
@@ -197,13 +208,7 @@ def _settle(state: ExecState, scan: ScanExec, results: list, row_counts: list) -
         if fallback:
             fallback_splits += 1
         if state.tracer is not None:
-            if isinstance(subtree, dict):
-                span = state.tracer.graft(subtree)
-            else:
-                # No worker subtree shipped (legacy worker): synthesize
-                # the split span coordinator-side as before.
-                span = state.tracer.begin("split")
-                state.tracer.end(span)
+            span = state.tracer.graft(subtree)
             span.attributes["index"] = index
             span.attributes["rows"] = row_counts[index]
             span.attributes["fallback"] = bool(fallback)
@@ -219,167 +224,67 @@ def _settle(state: ExecState, scan: ScanExec, results: list, row_counts: list) -
     return fallback_splits
 
 
-def _concat_batches(batches: list[ColumnBatch]) -> ColumnBatch:
-    """Concatenate per-split batches in order, preserving aliasing:
-    names that share one list in every input share one list in the
-    output (the qualified-alias invariant scans rely on)."""
-    first = batches[0]
-    names = list(first.names)
-    merged_by_identity: dict[tuple, list] = {}
-    columns: dict[str, list] = {}
-    for name in names:
-        identity = tuple(id(batch.columns[name]) for batch in batches)
-        merged = merged_by_identity.get(identity)
-        if merged is None:
-            merged = []
-            for batch in batches:
-                merged.extend(batch.columns[name])
-            merged_by_identity[identity] = merged
-        columns[name] = merged
-    return ColumnBatch(names, columns, sum(batch.length for batch in batches))
-
-
 @dataclass
 class MorselPipelineExec(PhysicalPlan):
     """Scan→prefilter→filter→project, executed one split at a time.
 
-    The stages are *absorbed* operators from the serial plan; attribute
-    names deliberately avoid ``child`` so later plan rewrites (and span
-    instrumentation, which recurses through ``child``/``left``/``right``)
-    treat the pipeline as one opaque operator.
+    ``stages`` are the operators absorbed from above the scan, in the
+    order they apply; each keeps its one body (``UnaryExec.apply``) and
+    its ``child`` pointer — the operator below it — so the chain still
+    describes itself. The attribute names deliberately avoid ``child`` so
+    later plan rewrites treat the pipeline as one opaque operator.
     """
 
     scan: ScanExec
-    prefilter: SparserPrefilterExec | None = None
-    condition: Expression | None = None
-    projections: list[Expression] | None = None
+    stages: list[UnaryExec] = field(default_factory=list)
+
+    @property
+    def top(self) -> PhysicalPlan:
+        """The last operator a split's batch passes through."""
+        return self.stages[-1] if self.stages else self.scan
 
     def children(self) -> tuple[PhysicalPlan, ...]:
-        # For describe(): show the prefilter (which still points at the
-        # scan) when present, so EXPLAIN keeps the familiar subtree.
-        if self.prefilter is not None:
-            return (self.prefilter,)
-        return (self.scan,)
+        return (self.top,)
 
     def output_names(self) -> set[str]:
-        if self.projections is not None:
-            return {e.output_name() for e in self.projections}
-        return self.scan.output_names()
+        return self.top.output_names()
 
     def _label(self) -> str:
-        stages = []
-        if self.condition is not None:
-            stages.append(f"Filter {self.condition.sql()}")
-        if self.projections is not None:
-            stages.append(
-                f"Project [{', '.join(e.sql() for e in self.projections)}]"
-            )
-        inner = f" [{'; '.join(stages)}]" if stages else ""
-        return f"MorselPipeline{inner}"
+        return "MorselPipeline"
 
-    # -- per-split stages (worker side) --------------------------------
-    def _apply_prefilter(self, worker: ExecState, batch: ColumnBatch):
-        """Per-split Sparser prefilter with a worker-local cascade clone.
-
-        ``FilterCascade.calibrate`` reorders its filter list and
-        ``matches`` mutates stats, so the plan's cascade is a template:
-        each split calibrates its own copy on its own leading sample —
-        deterministic because it only depends on the split's rows.
-        """
-        prefilter = self.prefilter
-        cascade = FilterCascade(list(prefilter.cascade.filters))
-        started = time.perf_counter()
-        if prefilter.column in batch.columns:
-            texts = batch.column(prefilter.column)
-        else:
-            texts = [None] * batch.length
-        sample = [
-            text
-            for text in texts[: prefilter.calibration_sample]
-            if isinstance(text, str)
-        ]
-        cascade.calibrate(sample)
-        keep = [
-            i
-            for i, text in enumerate(texts)
-            if not isinstance(text, str) or cascade.matches(text)
-        ]
-        extra = worker.metrics.extra
-        extra["sparser_seconds"] = (
-            extra.get("sparser_seconds", 0.0) + time.perf_counter() - started
-        )
-        extra["sparser_rows_dropped"] = (
-            extra.get("sparser_rows_dropped", 0.0) + batch.length - len(keep)
-        )
-        counts = (batch.length, len(keep))
-        if len(keep) == batch.length:
-            return batch, counts
-        return batch.take(keep), counts
-
-    def _process(self, worker: ExecState, unit):
+    def _process(self, worker: ExecState, unit) -> tuple[ColumnBatch, bool]:
+        """One split on a worker-local state: the scan's morsel, then
+        every stage's body."""
         batch, fallback = self.scan.run_morsel(worker, unit)
         worker.check_cancelled()
-        prefilter_counts = None
-        if self.prefilter is not None:
-            batch, prefilter_counts = self._apply_prefilter(worker, batch)
-        if self.condition is not None:
-            values = (
-                worker.batch_compiler().compile(self.condition).evaluate(batch)
-            )
-            keep = [i for i, value in enumerate(values) if value is True]
-            if len(keep) != batch.length:
-                batch = batch.take(keep)
-        if self.projections is not None:
-            compiler = worker.batch_compiler()
-            names: list[str] = []
-            columns: dict[str, list] = {}
-            for expr in self.projections:
-                name = expr.output_name()
-                if name not in columns:
-                    names.append(name)
-                columns[name] = compiler.compile(expr).evaluate(batch)
-            batch = ColumnBatch(names, columns, batch.length)
-        return (batch, prefilter_counts), fallback
+        for stage in self.stages:
+            batch = stage.apply(worker, batch)
+        return batch, fallback
 
-    def _fold_prefilter(self, counts: list) -> None:
-        """Deterministic whole-scan prefilter counters (coordinator)."""
-        if self.prefilter is None:
-            return
-        pairs = [pair for pair in counts if pair is not None]
-        self.prefilter.rows_in = sum(pair[0] for pair in pairs)
-        self.prefilter.rows_out = sum(pair[1] for pair in pairs)
-
-    def _output_name_list(self) -> list[str]:
-        if self.projections is not None:
-            return list(
-                dict.fromkeys(e.output_name() for e in self.projections)
-            )
-        return self.scan.morsel_output_names()
-
-    def _empty_batch(self) -> ColumnBatch:
-        names = self._output_name_list()
-        return ColumnBatch(names, {name: [] for name in names}, 0)
-
-    # -- coordinator entry points --------------------------------------
     def execute_batch(self, state: ExecState) -> ColumnBatch:
-        units = self.scan.morsel_units(state)
-        results = _run_morsels(state, units, self._process, plan=self)
-        payloads = [payload for payload, _, _, _ in results]
-        _settle(state, self.scan, results, [p[0].length for p in payloads])
-        self._fold_prefilter([p[1] for p in payloads])
-        batches = [p[0] for p in payloads]
-        if not batches:
-            return self._empty_batch()
-        if len(batches) == 1:
-            return batches[0]
-        return _concat_batches(batches)
+        scan = _scan_of(self)
+        results = _run_morsels(
+            state, scan.morsel_units(state), self._process, plan=self
+        )
+        batches = [batch for batch, _, _, _ in results]
+        _settle(state, scan, results, [b.length for b in batches])
+        if batches:
+            return concat_batches(batches)
+        # No split ran, so the plan alone shapes the (empty) output: a
+        # projection's SELECT-list names, else the scan's columns.
+        top = _unwrapped(self.top)
+        if isinstance(top, ProjectExec):
+            names = dict.fromkeys(e.output_name() for e in top.expressions)
+        else:
+            names = scan.morsel_output_names()
+        return concat_batches([], list(names))
 
 
 @dataclass
-class MorselAggregateExec(PhysicalPlan):
+class MorselAggregateExec(GroupedAggregation, PhysicalPlan):
     """Per-split partial aggregation with an ordered final merge.
 
-    Each worker runs the pipeline stages over its split and builds
+    Each worker runs the pipeline stages over its split and accumulates
     group→accumulator partials; the coordinator merges partials in
     split-index order (:meth:`_Accumulator.merge`), so GROUP BY
     parallelizes without serializing rows at the sink and without
@@ -391,61 +296,28 @@ class MorselAggregateExec(PhysicalPlan):
     output: list[Expression]
 
     def children(self) -> tuple[PhysicalPlan, ...]:
-        return (self.pipeline,)
-
-    def output_names(self) -> set[str]:
-        return {e.output_name() for e in self.output}
+        # This operator is what runs the pipeline's splits (the pipeline's
+        # own execute_batch never does), so the plan lists the chain here.
+        return self.pipeline.children()
 
     def _label(self) -> str:
         keys = ", ".join(e.sql() for e in self.group_keys) or "<global>"
         return f"MorselAggregate keys=[{keys}]"
 
     def _partials(self, worker: ExecState, unit):
-        (batch, prefilter_counts), fallback = self.pipeline._process(worker, unit)
-        aggregates = collect_aggregates(self.output)
-        groups: dict[tuple, list[_Accumulator]] = {}
-        representatives: dict[tuple, dict] = {}
-        compiler = worker.batch_compiler()
-        key_columns = [
-            compiler.compile(k).evaluate(batch) for k in self.group_keys
-        ]
-        argument_columns = [
-            None
-            if agg.argument is None
-            else compiler.compile(agg.argument).evaluate(batch)
-            for agg in aggregates
-        ]
-        for i in range(batch.length):
-            key = tuple(_hashable(column[i]) for column in key_columns)
-            accumulators = groups.get(key)
-            if accumulators is None:
-                accumulators = groups[key] = [
-                    _Accumulator(a.func, a.distinct) for a in aggregates
-                ]
-                representatives[key] = batch.row(i)
-            for agg, argument, acc in zip(
-                aggregates, argument_columns, accumulators
-            ):
-                if argument is None:
-                    acc.count += 1  # count(*) counts rows, NULLs included
-                else:
-                    acc.add(argument[i])
-        return (
-            (groups, representatives, batch.length, prefilter_counts),
-            fallback,
-        )
+        batch, fallback = self.pipeline._process(worker, unit)
+        return (*self.accumulate(worker, batch), batch.length), fallback
 
     def execute_batch(self, state: ExecState) -> ColumnBatch:
-        aggregates = collect_aggregates(self.output)
-        units = self.pipeline.scan.morsel_units(state)
-        results = _run_morsels(state, units, self._partials, plan=self)
+        scan = _scan_of(self)
+        results = _run_morsels(
+            state, scan.morsel_units(state), self._partials, plan=self
+        )
         payloads = [payload for payload, _, _, _ in results]
-        _settle(state, self.pipeline.scan, results, [p[2] for p in payloads])
-        self.pipeline._fold_prefilter([p[3] for p in payloads])
-
+        _settle(state, scan, results, [p[2] for p in payloads])
         merged: dict[tuple, list[_Accumulator]] = {}
         representatives: dict[tuple, dict] = {}
-        for groups, reps, _, _ in payloads:
+        for groups, reps, _ in payloads:
             for key, accumulators in groups.items():
                 mine = merged.get(key)
                 if mine is None:
@@ -457,34 +329,7 @@ class MorselAggregateExec(PhysicalPlan):
                 else:
                     for acc, other in zip(mine, accumulators):
                         acc.merge(other)
-
-        if not merged and not self.group_keys:
-            # Global aggregate over zero rows still yields one row.
-            merged[()] = [_Accumulator(a.func, a.distinct) for a in aggregates]
-            representatives[()] = {}
-
-        context = state.context
-        names = [e.output_name() for e in self.output]
-        out: list[dict] = []
-        for key, accumulators in merged.items():
-            results_map = {
-                agg: acc.result() for agg, acc in zip(aggregates, accumulators)
-            }
-            representative = representatives[key]
-
-            def _splice(node: Expression) -> Expression | None:
-                if isinstance(node, AggregateCall):
-                    return Literal(results_map[node])
-                return None
-
-            row_out: dict = {}
-            for name, expr in zip(names, self.output):
-                spliced = transform(expr, _splice)
-                row_out[name] = spliced.evaluate(representative, context)
-            out.append(row_out)
-        return ColumnBatch.from_rows(
-            out, list(dict.fromkeys(names)) if not out else None
-        )
+        return self.finalise(state, merged, representatives)
 
 
 def parallelize_plan(plan: PhysicalPlan) -> PhysicalPlan:
@@ -495,57 +340,36 @@ def parallelize_plan(plan: PhysicalPlan) -> PhysicalPlan:
     pipeline fold into it (in that stage order); an aggregation over a
     projection-less pipeline becomes a partial-aggregate operator.
     Anything else — sorts, limits, joins, filters over aggregates —
-    keeps its serial operator and simply pulls from morselized inputs.
+    keeps its operator and simply pulls from morselized inputs.
     """
+    # The stage kinds a pipeline may already hold when it absorbs a node.
+    absorbable = {
+        SparserPrefilterExec: (),
+        FilterExec: (SparserPrefilterExec,),
+        ProjectExec: (SparserPrefilterExec, FilterExec),
+    }
 
     def visit(node: PhysicalPlan) -> PhysicalPlan | None:
         if isinstance(node, ScanExec):
             return MorselPipelineExec(scan=node)
-        if isinstance(node, SparserPrefilterExec):
-            child = node.child
-            if (
-                isinstance(child, MorselPipelineExec)
-                and child.prefilter is None
-                and child.condition is None
-                and child.projections is None
-            ):
-                # Re-point the absorbed prefilter at the real scan (the
-                # bottom-up rewrite made its child the pipeline itself).
-                node.child = child.scan
-                child.prefilter = node
-                return child
+        child = getattr(node, "child", None)
+        if not isinstance(child, MorselPipelineExec):
             return None
-        if isinstance(node, FilterExec):
-            child = node.child
-            if (
-                isinstance(child, MorselPipelineExec)
-                and child.condition is None
-                and child.projections is None
-            ):
-                child.condition = node.condition
-                return child
-            return None
-        if isinstance(node, ProjectExec):
-            child = node.child
-            if (
-                isinstance(child, MorselPipelineExec)
-                and child.projections is None
-            ):
-                child.projections = node.expressions
-                return child
-            return None
-        if isinstance(node, AggregateExec):
-            child = node.child
-            if (
-                isinstance(child, MorselPipelineExec)
-                and child.projections is None
-            ):
-                return MorselAggregateExec(
-                    pipeline=child,
-                    group_keys=node.group_keys,
-                    output=node.output,
-                )
-            return None
+        below = absorbable.get(type(node))
+        if below is not None:
+            if not all(isinstance(stage, below) for stage in child.stages):
+                return None
+            # The bottom-up rewrite made the node's child the pipeline
+            # itself; re-point it at the operator below it.
+            node.child = child.top
+            child.stages.append(node)
+            return child
+        if isinstance(node, AggregateExec) and not isinstance(
+            child.top, ProjectExec
+        ):
+            return MorselAggregateExec(
+                pipeline=child, group_keys=node.group_keys, output=node.output
+            )
         return None
 
     return plan.transform_nodes(visit)

@@ -39,6 +39,7 @@ from .metrics import QueryMetrics
 __all__ = [
     "ExecState",
     "PhysicalPlan",
+    "UnaryExec",
     "ScanExec",
     "FilterExec",
     "ProjectExec",
@@ -171,6 +172,51 @@ class PhysicalPlan:
         return replacement if replacement is not None else self
 
 
+class UnaryExec(PhysicalPlan):
+    """An operator with one input: :meth:`apply` is its whole body, batch
+    in, batch out. ``execute_batch`` is that body over the child's batch;
+    a morsel pipeline that absorbed the node calls the same body once per
+    split (see :mod:`repro.engine.parallel`)."""
+
+    child: PhysicalPlan
+
+    def children(self) -> tuple[PhysicalPlan, ...]:
+        return (self.child,)
+
+    def output_names(self) -> set[str]:
+        return self.child.output_names()
+
+    def apply(self, state: ExecState, batch: ColumnBatch) -> ColumnBatch:
+        raise NotImplementedError
+
+    def execute_batch(self, state: ExecState) -> ColumnBatch:
+        return self.apply(state, self.child.execute_batch(state))
+
+
+def concat_batches(batches: list[ColumnBatch], names=()) -> ColumnBatch:
+    """Concatenate per-split batches in order (``names`` shapes the empty
+    result), preserving aliasing: names that share one list in every
+    input share one list in the output (the qualified-alias invariant
+    scans rely on)."""
+    if not batches:
+        return ColumnBatch(names, {name: [] for name in names}, 0)
+    if len(batches) == 1:
+        return batches[0]
+    names = list(batches[0].names)
+    merged_by_identity: dict[tuple, list] = {}
+    columns: dict[str, list] = {}
+    for name in names:
+        identity = tuple(id(batch.columns[name]) for batch in batches)
+        merged = merged_by_identity.get(identity)
+        if merged is None:
+            merged = []
+            for batch in batches:
+                merged.extend(batch.columns[name])
+            merged_by_identity[identity] = merged
+        columns[name] = merged
+    return ColumnBatch(names, columns, sum(batch.length for batch in batches))
+
+
 @dataclass
 class ScanExec(PhysicalPlan):
     """Table scan with column pruning and optional SARG pushdown.
@@ -198,30 +244,16 @@ class ScanExec(PhysicalPlan):
         )
 
     def execute_batch(self, state: ExecState) -> ColumnBatch:
-        started = time.perf_counter()
-        columns: dict[str, list] = {name: [] for name in self.columns}
-        for path in state.catalog.table_files(self.database, self.table):
-            state.check_cancelled()
-            reader = split_reader(
-                state.catalog.fs, path, columns=self.columns, sarg=self.sarg
-            )
-            result = reader.read()
-            state.metrics.bytes_read += result.bytes_read
-            state.metrics.row_groups_total += result.row_groups_total
-            state.metrics.row_groups_skipped += result.row_groups_skipped
-            for name in self.columns:
-                columns[name].extend(result.columns[name])
-        length = len(columns[self.columns[0]]) if self.columns else 0
-        names = list(self.columns)
-        if self.alias:
-            # Qualified names alias the same lists — no copies.
-            for name in self.columns:
-                qualified = f"{self.alias}.{name}"
-                columns[qualified] = columns[name]
-                names.append(qualified)
-        state.metrics.rows_scanned += length
-        state.metrics.read_seconds += time.perf_counter() - started
-        return ColumnBatch(names, columns, length)
+        """Every unit inline, in order, then :meth:`finish_morsels` — the
+        morsel API driven by hand. Served plans run the same units through
+        a ``MorselPipelineExec``; this is a bare scan pulled on its own."""
+        results = [
+            self.run_morsel(state, unit) for unit in self.morsel_units(state)
+        ]
+        self.finish_morsels(state, sum(fallback for _, fallback in results))
+        return concat_batches(
+            [batch for batch, _ in results], self.morsel_output_names()
+        )
 
     # -- morsel API (split-level parallel execution) -------------------
     def morsel_units(self, state: ExecState) -> list:
@@ -258,16 +290,25 @@ class ScanExec(PhysicalPlan):
         state.metrics.row_groups_total += result.row_groups_total
         state.metrics.row_groups_skipped += result.row_groups_skipped
         columns = {name: result.columns[name] for name in self.columns}
-        length = result.rows_read
-        names = list(self.columns)
+        return self._morsel_batch(state, columns, result.rows_read, started), False
+
+    def _morsel_batch(
+        self, state: ExecState, columns: dict, length: int, started: float
+    ) -> ColumnBatch:
+        """One split's columns as a batch, with the scan's row and
+        read-time accounting. ``columns`` holds the bare columns first,
+        then whatever a subclass adds; qualified names (which alias the
+        bare lists — no copies) go in between, which is
+        :meth:`morsel_output_names` order."""
+        names = list(columns)
         if self.alias:
-            for name in self.columns:
-                qualified = f"{self.alias}.{name}"
-                columns[qualified] = columns[name]
-                names.append(qualified)
+            qualified = [f"{self.alias}.{name}" for name in self.columns]
+            for alias, name in zip(qualified, self.columns):
+                columns[alias] = columns[name]
+            names[len(qualified):len(qualified)] = qualified
         state.metrics.rows_scanned += length
         state.metrics.read_seconds += time.perf_counter() - started
-        return ColumnBatch(names, columns, length), False
+        return ColumnBatch(names, columns, length)
 
     def finish_morsels(self, state: ExecState, fallback_splits: int) -> None:
         """Coordinator hook after all morsels merged (no-op for plain
@@ -275,23 +316,16 @@ class ScanExec(PhysicalPlan):
 
 
 @dataclass
-class FilterExec(PhysicalPlan):
+class FilterExec(UnaryExec):
     """Keep rows where the condition evaluates to SQL TRUE."""
 
     child: PhysicalPlan
     condition: Expression
 
-    def children(self) -> tuple[PhysicalPlan, ...]:
-        return (self.child,)
-
-    def output_names(self) -> set[str]:
-        return self.child.output_names()
-
     def _label(self) -> str:
         return f"Filter {self.condition.sql()}"
 
-    def execute_batch(self, state: ExecState) -> ColumnBatch:
-        batch = self.child.execute_batch(state)
+    def apply(self, state: ExecState, batch: ColumnBatch) -> ColumnBatch:
         values = state.batch_compiler().compile(self.condition).evaluate(batch)
         indices = [i for i, value in enumerate(values) if value is True]
         if len(indices) == batch.length:
@@ -303,14 +337,11 @@ class FilterExec(PhysicalPlan):
 
 
 @dataclass
-class ProjectExec(PhysicalPlan):
+class ProjectExec(UnaryExec):
     """Evaluate the SELECT list; output keys are the expressions' names."""
 
     child: PhysicalPlan
     expressions: list[Expression]
-
-    def children(self) -> tuple[PhysicalPlan, ...]:
-        return (self.child,)
 
     def output_names(self) -> set[str]:
         return {e.output_name() for e in self.expressions}
@@ -318,8 +349,7 @@ class ProjectExec(PhysicalPlan):
     def _label(self) -> str:
         return f"Project [{', '.join(e.sql() for e in self.expressions)}]"
 
-    def execute_batch(self, state: ExecState) -> ColumnBatch:
-        batch = self.child.execute_batch(state)
+    def apply(self, state: ExecState, batch: ColumnBatch) -> ColumnBatch:
         compiler = state.batch_compiler()
         names: list[str] = []
         columns: dict[str, list] = {}
@@ -344,17 +374,11 @@ def _sort_token(value: object) -> tuple:
 
 
 @dataclass
-class SortExec(PhysicalPlan):
+class SortExec(UnaryExec):
     """ORDER BY with NULLS FIRST semantics (Hive default for ASC)."""
 
     child: PhysicalPlan
     keys: list[SortKey]
-
-    def children(self) -> tuple[PhysicalPlan, ...]:
-        return (self.child,)
-
-    def output_names(self) -> set[str]:
-        return self.child.output_names()
 
     def _label(self) -> str:
         keys = ", ".join(
@@ -363,8 +387,7 @@ class SortExec(PhysicalPlan):
         )
         return f"Sort [{keys}]"
 
-    def execute_batch(self, state: ExecState) -> ColumnBatch:
-        batch = self.child.execute_batch(state)
+    def apply(self, state: ExecState, batch: ColumnBatch) -> ColumnBatch:
         compiler = state.batch_compiler()
         indices = list(range(batch.length))
         # Same stable right-to-left multi-key sort, over row indices;
@@ -382,23 +405,16 @@ class SortExec(PhysicalPlan):
 
 
 @dataclass
-class LimitExec(PhysicalPlan):
+class LimitExec(UnaryExec):
     """LIMIT n."""
 
     child: PhysicalPlan
     count: int
 
-    def children(self) -> tuple[PhysicalPlan, ...]:
-        return (self.child,)
-
-    def output_names(self) -> set[str]:
-        return self.child.output_names()
-
     def _label(self) -> str:
         return f"Limit {self.count}"
 
-    def execute_batch(self, state: ExecState) -> ColumnBatch:
-        batch = self.child.execute_batch(state)
+    def apply(self, state: ExecState, batch: ColumnBatch) -> ColumnBatch:
         if batch.length <= self.count:
             return batch
         return batch.take(range(self.count))
@@ -504,11 +520,7 @@ def _to_number(value: object) -> int | float | None:
 
 
 def collect_aggregates(output: list[Expression]) -> list[AggregateCall]:
-    """The distinct AggregateCalls inside ``output``, in walk order.
-
-    Shared by serial aggregation and the morsel partial-aggregate path so
-    both index accumulators identically.
-    """
+    """The distinct AggregateCalls inside ``output``, in walk order."""
     aggregates: list[AggregateCall] = []
     for expr in output:
         for node in walk(expr):
@@ -517,35 +529,31 @@ def collect_aggregates(output: list[Expression]) -> list[AggregateCall]:
     return aggregates
 
 
-@dataclass
-class AggregateExec(PhysicalPlan):
-    """Hash aggregation over the group keys.
+class GroupedAggregation:
+    """Hash aggregation as two steps over ``group_keys`` and ``output``:
+    :meth:`accumulate` (batch → ordered partials) and :meth:`finalise`
+    (partials → rows). ``AggregateExec`` runs one after the other;
+    ``MorselAggregateExec`` accumulates per split and merges the partials
+    in split order in between.
 
     Output expressions may mix group keys, aggregates and arithmetic over
     both; aggregates inside each output expression are computed first and
     spliced in as literals before the outer expression evaluates.
     """
 
-    child: PhysicalPlan
     group_keys: list[Expression]
     output: list[Expression]
-
-    def children(self) -> tuple[PhysicalPlan, ...]:
-        return (self.child,)
 
     def output_names(self) -> set[str]:
         return {e.output_name() for e in self.output}
 
-    def _label(self) -> str:
-        keys = ", ".join(e.sql() for e in self.group_keys) or "<global>"
-        return f"Aggregate keys=[{keys}]"
-
-    def execute_batch(self, state: ExecState) -> ColumnBatch:
-        batch = self.child.execute_batch(state)
-        context = state.context
+    def accumulate(
+        self, state: ExecState, batch: ColumnBatch
+    ) -> tuple[dict[tuple, list[_Accumulator]], dict[tuple, dict]]:
+        """``(groups, representatives)`` in first-occurrence order: per
+        group key its accumulators and the first row that produced it."""
         compiler = state.batch_compiler()
         aggregates = collect_aggregates(self.output)
-
         # Group keys and aggregate arguments evaluate as whole columns —
         # this is where repeated extractions share parses — then rows
         # stream through the accumulators.
@@ -558,9 +566,8 @@ class AggregateExec(PhysicalPlan):
             else compiler.compile(agg.argument).evaluate(batch)
             for agg in aggregates
         ]
-
         groups: dict[tuple, list[_Accumulator]] = {}
-        sample_index: dict[tuple, int | None] = {}
+        representatives: dict[tuple, dict] = {}
         for i in range(batch.length):
             key = tuple(_hashable(column[i]) for column in key_columns)
             accumulators = groups.get(key)
@@ -568,27 +575,28 @@ class AggregateExec(PhysicalPlan):
                 accumulators = groups[key] = [
                     _Accumulator(a.func, a.distinct) for a in aggregates
                 ]
-                sample_index[key] = i
-            for agg, argument, acc in zip(
-                aggregates, argument_columns, accumulators
-            ):
+                representatives[key] = batch.row(i)
+            for argument, acc in zip(argument_columns, accumulators):
                 if argument is None:
                     acc.count += 1  # count(*) counts rows, NULLs included
                 else:
                     acc.add(argument[i])
+        return groups, representatives
 
+    def finalise(
+        self, state: ExecState, groups: dict, representatives: dict
+    ) -> ColumnBatch:
+        aggregates = collect_aggregates(self.output)
         if not groups and not self.group_keys:
-            groups[()] = [_Accumulator(a.func, a.distinct) for a in aggregates]
-            sample_index[()] = None
-
+            # Global aggregate over zero rows still yields one row.
+            groups = {(): [_Accumulator(a.func, a.distinct) for a in aggregates]}
+            representatives = {(): {}}
         out: list[dict] = []
         names = [e.output_name() for e in self.output]
         for key, accumulators in groups.items():
             results = {
                 agg: acc.result() for agg, acc in zip(aggregates, accumulators)
             }
-            index = sample_index[key]
-            representative = {} if index is None else batch.row(index)
 
             def _splice(node: Expression) -> Expression | None:
                 if isinstance(node, AggregateCall):
@@ -598,11 +606,29 @@ class AggregateExec(PhysicalPlan):
             row_out: dict = {}
             for name, expr in zip(names, self.output):
                 spliced = transform(expr, _splice)
-                row_out[name] = spliced.evaluate(representative, context)
+                row_out[name] = spliced.evaluate(
+                    representatives[key], state.context
+                )
             out.append(row_out)
         return ColumnBatch.from_rows(
             out, list(dict.fromkeys(names)) if not out else None
         )
+
+
+@dataclass
+class AggregateExec(GroupedAggregation, UnaryExec):
+    """Hash aggregation over the group keys of the child's whole batch."""
+
+    child: PhysicalPlan
+    group_keys: list[Expression]
+    output: list[Expression]
+
+    def _label(self) -> str:
+        keys = ", ".join(e.sql() for e in self.group_keys) or "<global>"
+        return f"Aggregate keys=[{keys}]"
+
+    def apply(self, state: ExecState, batch: ColumnBatch) -> ColumnBatch:
+        return self.finalise(state, *self.accumulate(state, batch))
 
 
 def _hashable(value: object) -> object:
@@ -739,7 +765,7 @@ def expression_slots(plan: PhysicalPlan):
         elif isinstance(node, ProjectExec):
             for i in range(len(node.expressions)):
                 yield node.expressions, i
-        elif isinstance(node, AggregateExec):
+        elif isinstance(node, GroupedAggregation):
             for i in range(len(node.group_keys)):
                 yield node.group_keys, i
             for i in range(len(node.output)):
@@ -767,8 +793,7 @@ def json_paths_of(plan: PhysicalPlan) -> tuple[str, ...]:
     """Every distinct JSONPath a ``get_json_object`` call of the plan
     reads, in plan order — the path set one projection pass serves (see
     :attr:`EvalContext.json_paths`). Taken after the plan modifiers ran,
-    so paths Maxson answers from its cache are not in it, and before
-    ``parallelize_plan`` absorbs operators into morsel pipelines."""
+    so paths Maxson answers from its cache are not in it."""
     return tuple(
         dict.fromkeys(
             node.path

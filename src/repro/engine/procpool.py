@@ -63,6 +63,7 @@ from multiprocessing import get_context, shared_memory
 from .batch import ColumnBatch
 from .cancel import CancelToken
 from .errors import ExecutionError
+from .parallel import MorselAggregateExec, _fold_context_stats, _scan_of
 
 __all__ = [
     "ProcessMorselPool",
@@ -400,7 +401,6 @@ def _create_segment(name_prefix: str, size: int) -> shared_memory.SharedMemory:
 
 
 def _run_task(env: _WorkerEnv, task: dict) -> dict:
-    from .parallel import MorselAggregateExec, _fold_context_stats
     from .physical import ExecState
 
     token = _WorkerCancelToken(
@@ -422,9 +422,10 @@ def _run_task(env: _WorkerEnv, task: dict) -> dict:
             "split", backend="process", worker=f"pid-{os.getpid()}"
         )
     plan, worker.context.json_paths = env.plan_for(task["plan"])
-    scan = plan.pipeline.scan if hasattr(plan, "pipeline") else plan.scan
-    failures: list = []
-    scan.failure_log = failures
+    # The scan replica's failure log (see MaxsonScanExec.__getstate__);
+    # the replica is memoised across this query's splits, so start empty.
+    failures = getattr(_scan_of(plan), "failure_log", [])
+    failures.clear()
     started = time.perf_counter()
     if isinstance(plan, MorselAggregateExec):
         payload, fallback = plan._partials(worker, task["unit"])
@@ -454,9 +455,8 @@ def _run_task(env: _WorkerEnv, task: dict) -> dict:
         reply["partials"] = payload
         reply["trace"] = tree
         return reply
-    batch, prefilter_counts = payload
     reply["kind"] = "batch"
-    frame = encode_batch(batch, trace=tree)
+    frame = encode_batch(payload, trace=tree)
     segment = _create_segment(task["shm_prefix"], len(frame))
     try:
         segment.buf[: len(frame)] = frame
@@ -468,7 +468,6 @@ def _run_task(env: _WorkerEnv, task: dict) -> dict:
     segment.close()
     reply["shm"] = segment_name
     reply["shm_bytes"] = len(frame)
-    reply["prefilter"] = prefilter_counts
     return reply
 
 
@@ -686,9 +685,7 @@ class ProcessMorselPool:
         self.ensure_snapshot(state.catalog.version)
         # The plan's JSONPath set rides with the pipeline, so a worker's
         # context projects the same paths the coordinator's would.
-        plan_blob = pickle.dumps(
-            (_sanitize_plan(plan), state.context.json_paths)
-        )
+        plan_blob = pickle.dumps((plan, state.context.json_paths))
         token = state.cancel_token
         traced = state.tracer is not None
         slot = self._flag_slots.get()
@@ -743,8 +740,7 @@ class ProcessMorselPool:
         # so breaker trips / corruption counters must advance for splits
         # that completed even when the query itself errors (e.g. a later
         # split's cancellation or deadline).
-        scan = plan.pipeline.scan if hasattr(plan, "pipeline") else plan.scan
-        replay = getattr(scan, "replay_cache_failures", None)
+        replay = getattr(_scan_of(plan), "replay_cache_failures", None)
         results = []
         for entry in raw_results:
             if entry is None:
@@ -923,33 +919,7 @@ class ProcessMorselPool:
         if isinstance(tree, dict):
             extra["span_tree"] = tree
         extra["shm_bytes"] = extra.get("shm_bytes", 0) + nbytes
-        return (batch, reply["prefilter"]), fallback, metrics, seconds, failures
-
-
-def _sanitize_plan(plan):
-    """A picklable copy of the pipeline for worker shipment.
-
-    Breaker/resilience hold locks and must act on the coordinator's
-    shared instances anyway — workers record per-split failures into
-    ``failure_log`` and the coordinator replays them. The coordinator's
-    own plan object is never mutated.
-    """
-    pipeline = plan.pipeline if hasattr(plan, "pipeline") else plan
-    scan = pipeline.scan
-    if (
-        getattr(scan, "breaker", None) is not None
-        or getattr(scan, "resilience", None) is not None
-    ):
-        scan = dataclasses.replace(scan, breaker=None, resilience=None)
-    prefilter = pipeline.prefilter
-    if prefilter is not None:
-        prefilter = dataclasses.replace(prefilter, child=scan)
-    pipeline = dataclasses.replace(
-        pipeline, scan=scan, prefilter=prefilter
-    )
-    if hasattr(plan, "pipeline"):
-        return dataclasses.replace(plan, pipeline=pipeline)
-    return pipeline
+        return batch, fallback, metrics, seconds, failures
 
 
 def build_snapshot(session) -> dict:

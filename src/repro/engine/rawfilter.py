@@ -22,7 +22,7 @@ from ..jsonlib.jsonpath import Member, parse_path
 from ..jsonlib.sparser import FilterCascade, KeyValueFilter
 from .batch import ColumnBatch
 from .expressions import BinaryOp, Column, Expression, GetJsonObject, Literal
-from .physical import ExecState, FilterExec, PhysicalPlan, ScanExec
+from .physical import ExecState, FilterExec, PhysicalPlan, ScanExec, UnaryExec
 from .planner import PlannedQuery
 
 __all__ = ["SparserPrefilterExec", "SparserPlanModifier"]
@@ -79,28 +79,27 @@ def derive_cascade(
 
 
 @dataclass
-class SparserPrefilterExec(PhysicalPlan):
+class SparserPrefilterExec(UnaryExec):
     """Drop rows whose raw JSON bytes cannot satisfy the predicate."""
 
     child: ScanExec
     column: str
     cascade: FilterCascade
     calibration_sample: int = 64
-    rows_in: int = 0
-    rows_out: int = 0
-
-    def children(self) -> tuple[PhysicalPlan, ...]:
-        return (self.child,)
-
-    def output_names(self) -> set[str]:
-        return self.child.output_names()
 
     def _label(self) -> str:
         probes = ", ".join(f.describe() for f in self.cascade.filters)
         return f"SparserPrefilter {self.column} [{probes}]"
 
-    def execute_batch(self, state: ExecState) -> ColumnBatch:
-        batch = self.child.execute_batch(state)
+    def apply(self, state: ExecState, batch: ColumnBatch) -> ColumnBatch:
+        """Probe one batch (one split, under a morsel pipeline).
+
+        ``FilterCascade.calibrate`` reorders its filter list and
+        ``matches`` mutates stats, so the plan's cascade is a template:
+        every batch calibrates its own copy on its own leading sample —
+        deterministic because it only depends on the batch's rows.
+        """
+        cascade = FilterCascade(list(self.cascade.filters))
         started = time.perf_counter()
         if self.column in batch.columns:
             texts = batch.column(self.column)
@@ -112,23 +111,18 @@ class SparserPrefilterExec(PhysicalPlan):
             for text in texts[: self.calibration_sample]
             if isinstance(text, str)
         ]
-        self.cascade.calibrate(sample)
+        cascade.calibrate(sample)
         keep = [
             i
             for i, text in enumerate(texts)
-            if not isinstance(text, str) or self.cascade.matches(text)
+            if not isinstance(text, str) or cascade.matches(text)
         ]
-        self.rows_in = batch.length
-        self.rows_out = len(keep)
-        state.metrics.extra["sparser_seconds"] = (
-            state.metrics.extra.get("sparser_seconds", 0.0)
-            + time.perf_counter()
-            - started
+        extra = state.metrics.extra
+        extra["sparser_seconds"] = (
+            extra.get("sparser_seconds", 0.0) + time.perf_counter() - started
         )
-        state.metrics.extra["sparser_rows_dropped"] = (
-            state.metrics.extra.get("sparser_rows_dropped", 0.0)
-            + batch.length
-            - len(keep)
+        extra["sparser_rows_dropped"] = (
+            extra.get("sparser_rows_dropped", 0.0) + batch.length - len(keep)
         )
         if len(keep) == batch.length:
             return batch

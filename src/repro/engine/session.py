@@ -16,6 +16,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from ..jsonlib.doccache import DEFAULT_DOC_CACHE_BYTES
@@ -35,6 +36,11 @@ from .resultcache import ResultCache
 from .sqlparser import parse_sql
 
 __all__ = ["QueryResult", "Session"]
+
+
+def _no_span(name: str, **attributes):
+    """``Tracer.span`` for a query that carries no tracer."""
+    return nullcontext()
 
 
 @dataclass
@@ -468,9 +474,9 @@ class Session:
     ) -> tuple[PlannedQuery, ExecState, float]:
         started = time.perf_counter()
         # Traced queries bypass the plan cache entirely (no lookup, no
-        # store): instrumented plans carry tracer-bound wrappers that
-        # must never leak into untraced executions, and EXPLAIN ANALYZE
-        # should always show a freshly derived plan.
+        # store): an instrumented plan's wrappers record into the state's
+        # tracer and must never leak into untraced executions, and
+        # EXPLAIN ANALYZE should always show a freshly derived plan.
         cache = self._plan_cache if tracer is None else None
         modifiers, tokens = self._modifier_snapshot()
         if tokens is None:  # an unkeyed modifier makes the query uncacheable
@@ -490,45 +496,33 @@ class Session:
                 )
                 state.context.json_paths = entry.planned.json_paths
                 return entry.planned, state, time.perf_counter() - started
-        if tracer is not None:
-            with tracer.span("plan"):
-                planned = self.compile(sql)
-        else:
+        span = tracer.span if tracer is not None else _no_span
+        with span("plan"):
             planned = self.compile(sql)
         state = self._make_state(tracer=tracer, cancel_token=cancel_token)
-        if tracer is not None:
-            with tracer.span("rewrite", modifiers=len(modifiers)):
-                for modifier in modifiers:
-                    planned.physical = modifier.modify(planned, state)
-            planned.json_paths = json_paths_of(planned.physical)
-            # Traced sessions keep the classic operator tree at
-            # scan_workers=1 so operator spans stay per-stage; parallel
-            # sessions trade them for per-split spans.
-            if self.scan_workers > 1:
-                planned.physical = parallelize_plan(planned.physical)
-            if tracer.enabled:
-                from ..obs.instrument import instrument_plan
-
-                planned.physical = instrument_plan(planned.physical, tracer)
-        else:
+        with span("rewrite", modifiers=len(modifiers)):
             for modifier in modifiers:
                 planned.physical = modifier.modify(planned, state)
-            planned.json_paths = json_paths_of(planned.physical)
-            # Morsel execution is the default untraced path, at any
-            # worker count — workers=1 runs the same code inline, which
-            # is what makes serial-vs-parallel differentials exact.
-            planned.physical = parallelize_plan(planned.physical)
-            if cache is not None:
-                cache.put(
-                    key,
-                    CachedPlan(
-                        planned=planned,
-                        planned_metrics=state.metrics.snapshot(),
-                    ),
-                )
-                state.metrics.extra["plan_cache_misses"] = (
-                    state.metrics.extra.get("plan_cache_misses", 0) + 1
-                )
+        planned.json_paths = json_paths_of(planned.physical)
+        # Morsel execution is the only scan path, traced or not, at any
+        # worker count — workers=1 runs the same code inline, which is
+        # what makes serial-vs-parallel differentials exact.
+        planned.physical = parallelize_plan(planned.physical)
+        if tracer is not None and tracer.enabled:
+            from ..obs.instrument import instrument_plan
+
+            planned.physical = instrument_plan(planned.physical)
+        if cache is not None:
+            cache.put(
+                key,
+                CachedPlan(
+                    planned=planned,
+                    planned_metrics=state.metrics.snapshot(),
+                ),
+            )
+            state.metrics.extra["plan_cache_misses"] = (
+                state.metrics.extra.get("plan_cache_misses", 0) + 1
+            )
         state.context.json_paths = planned.json_paths
         plan_seconds = time.perf_counter() - started
         return planned, state, plan_seconds

@@ -19,6 +19,7 @@ reconciliation tests subtract child spans where they need self-time.
 
 from __future__ import annotations
 
+from ..engine.parallel import MorselPipelineExec
 from ..engine.physical import (
     AggregateExec,
     ExecState,
@@ -30,7 +31,6 @@ from ..engine.physical import (
     ScanExec,
     SortExec,
 )
-from .trace import Tracer
 
 __all__ = ["TracedExec", "instrument_plan", "stage_of", "COUNTER_KEYS"]
 
@@ -106,17 +106,21 @@ def counter_snapshot(state: ExecState) -> tuple[float, ...]:
 class TracedExec(PhysicalPlan):
     """Transparent tracing decorator around one physical operator.
 
-    Delegates plan-shape queries (children, labels, output names) to the
-    wrapped node so ``describe`` output and downstream plan inspection
-    are unchanged; only ``execute_batch`` differs, recording a span
-    around the inner call. Child operators are wrapped too (the
-    rewrite is bottom-up), so the inner node's own child calls produce
-    correctly nested child spans.
+    Delegates the plan-shape queries (children, labels, output names) to
+    the wrapped node, so ``describe`` output is unchanged, and nothing
+    else: whoever needs the operator itself reads ``inner`` (the morsel
+    pipeline does, for the coordinator half of its scan's morsel API).
+    Only the three ways a node runs differ, each recording a span around
+    the inner call: ``execute_batch`` (an operator pulled by its parent),
+    ``apply`` (a pipeline stage, once per split) and ``run_morsel`` (a
+    pipeline's scan, once per split). The span goes to ``state.tracer`` —
+    the query's tracer on the coordinator, the split's own on a thread or
+    process worker — so a wrapped plan holds no tracer and pickles to
+    process workers as the plain one-field object it is.
     """
 
-    def __init__(self, inner: PhysicalPlan, tracer: Tracer) -> None:
+    def __init__(self, inner: PhysicalPlan) -> None:
         self.inner = inner
-        self.tracer = tracer
 
     # -- plan-shape passthrough ----------------------------------------
     def children(self) -> tuple[PhysicalPlan, ...]:
@@ -132,11 +136,12 @@ class TracedExec(PhysicalPlan):
         return self.inner._label()
 
     # -- traced execution ----------------------------------------------
-    def execute_batch(self, state: ExecState):
-        span = self.tracer.begin(stage_of(self.inner), label=self.inner._label())
+    def _traced(self, state: ExecState, run, *args):
+        tracer = state.tracer
+        span = tracer.begin(stage_of(self.inner), label=self.inner._label())
         before = counter_snapshot(state)
         try:
-            result = self.inner.execute_batch(state)
+            result = run(state, *args)
         except Exception as exc:
             span.attributes["error"] = f"{type(exc).__name__}: {exc}"
             raise
@@ -146,31 +151,38 @@ class TracedExec(PhysicalPlan):
                 delta = a - b
                 if delta:
                     span.attributes[key] = delta
-            self.tracer.end(span)
-        span.attributes["rows_out"] = result.length
+            tracer.end(span)
+        batch = result[0] if isinstance(result, tuple) else result
+        span.attributes["rows_out"] = batch.length
         return result
 
+    def execute_batch(self, state: ExecState):
+        return self._traced(state, self.inner.execute_batch)
 
-def instrument_plan(plan: PhysicalPlan, tracer: Tracer) -> PhysicalPlan:
-    """Wrap every node of ``plan`` (bottom-up) in :class:`TracedExec`.
+    def apply(self, state: ExecState, batch):
+        return self._traced(state, self.inner.apply, batch)
 
-    Run *after* plan modifiers so cache-aware scan replacements are
-    what gets timed. Idempotence guard: an already-wrapped node is
-    left alone, so double instrumentation cannot double-count.
+    def run_morsel(self, state: ExecState, unit):
+        return self._traced(state, self.inner.run_morsel, unit)
+
+
+def instrument_plan(plan: PhysicalPlan) -> PhysicalPlan:
+    """Wrap every node of ``plan`` (bottom-up) in :class:`TracedExec`,
+    a morsel pipeline's scan and absorbed stages included.
+
+    Run *after* plan modifiers and ``parallelize_plan`` so the plan that
+    is served is what gets timed. Idempotence guard: an already-wrapped
+    node is left alone, so double instrumentation cannot double-count.
     """
-    if not tracer.enabled:
-        return plan
 
     def wrap(node: PhysicalPlan) -> PhysicalPlan | None:
         if isinstance(node, TracedExec):
             return None
-        return TracedExec(node, tracer)
+        pipeline = getattr(node, "pipeline", node)
+        if isinstance(pipeline, MorselPipelineExec):
+            pipeline.scan = TracedExec(pipeline.scan)
+            pipeline.stages = [TracedExec(stage) for stage in pipeline.stages]
+        return TracedExec(node)
 
     return plan.transform_nodes(wrap)
 
-
-def unwrap_plan(plan: PhysicalPlan) -> PhysicalPlan:
-    """The original operator at the top of a possibly-wrapped plan."""
-    while isinstance(plan, TracedExec):
-        plan = plan.inner
-    return plan

@@ -33,6 +33,55 @@ class TestStitching:
             assert row["m"] == row["id"]
             assert row["s"] == f"v{row['id']}"
 
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_aliased_morsel_names_in_declared_order(self, corrupt):
+        """Bare, then alias-qualified, then cached columns — stitched or
+        re-parsed — as ``morsel_output_names`` (the empty result) says."""
+        from repro.engine.physical import ScanExec, walk_plan
+
+        system = build_system()
+        system.cacher.populate(KEYS)
+        if corrupt:
+            cache = system.catalog.table_files(
+                CACHE_DATABASE, cache_table_name("db", "t")
+            )[0]
+            system.session.fs.delete(cache)
+            system.session.fs.create(cache, b"not an orc file")
+        planned, state, _ = system.session._prepare(
+            "select a.id, get_json_object(a.payload, '$.m') as m from db.t a"
+        )
+        (scan,) = [n for n in walk_plan(planned.physical) if isinstance(n, ScanExec)]
+        batch = scan.execute_batch(state)
+        assert batch.names == tuple(scan.morsel_output_names())
+        assert batch.names == ("id", "a.id", scan.cached_fields[0].env_key)
+        assert batch.columns["a.id"] is batch.columns["id"]
+
+    def test_traced_plan_pickles_to_a_worker_replica(self):
+        """What the process backend ships: wrappers intact, the scan under
+        them without breaker/resilience and with an empty failure log. (A
+        wrapper must not answer the pickle protocol's ``__getstate__``
+        probe with the scan's — Python 3.10 asks the instance.)"""
+        import pickle
+
+        from repro.obs import Tracer
+        from repro.obs.instrument import TracedExec
+
+        system = build_system()
+        system.cacher.populate(KEYS)
+        planned, _, _ = system.session._prepare(
+            "select get_json_object(payload, '$.m') as m from db.t",
+            tracer=Tracer(),
+        )
+        pipeline = planned.physical.inner
+        assert pipeline.scan.inner.breaker is not None
+        assert pipeline.scan.inner.failure_log is None
+        replica = pickle.loads(pickle.dumps(pipeline))
+        assert [type(s) for s in replica.stages] == [TracedExec]
+        assert replica.stages[0].inner.child is replica.scan.inner
+        scan = replica.scan.inner
+        assert (scan.breaker, scan.resilience, scan.failure_log) == (None, None, [])
+        assert replica.describe() == pipeline.describe()
+
     def test_multiple_files_alignment(self):
         session = Session(fs=BlockFileSystem())
         schema = Schema.of(("id", DataType.INT64), ("payload", DataType.STRING))

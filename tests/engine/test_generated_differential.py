@@ -6,16 +6,26 @@ rows ``tests/reference_engine.py`` derives — in order under ORDER BY, as a
 multiset otherwise. The table is the differential suites' seven-split one:
 row groups of ten (so SARGs have boundaries to get wrong) and a split of
 irregular documents.
+
+The same statements then pin "tracing must not change what is executed":
+at every worker count and backend a traced run returns the rows and the
+count-valued metrics of the untraced one, its operator spans are the
+operators ``Session.explain`` lists, and its span deltas reconcile with
+its ``QueryMetrics`` — also with the paths cached, and with a cache file
+corrupted (``test_trace_reconcile.py``'s fixtures).
 """
 
 import pytest
 
 from repro.faults import CACHE_PATH_PREFIX, FaultPolicy, FaultyFileSystem
+from repro.obs import Tracer
+from repro.obs.explain import operator_root
 from repro.workload import PathKey
 
 from reference_engine import reference_rows
 from sql_generator import MEMBERS, statements
-from test_parallel_differential import build_system
+from test_parallel_differential import assert_metric_parity, build_system
+import test_trace_reconcile as reconcile
 
 STATEMENTS = statements(seed=7, count=500)
 
@@ -69,3 +79,48 @@ def test_maxson_under_flaky_cache_reads(world):
     assert_all_equal(system.sql, expected)
     assert system.resilience.snapshot()["fallback_splits"] > 0
     assert system.session.session_metrics.cache_hits > 0
+
+
+def assert_tracing_changes_nothing(session, sqls) -> None:
+    for sql in sqls:
+        plain = session.sql(sql)
+        traced = session.sql(sql, tracer=Tracer())
+        assert traced.rows == plain.rows, sql
+        assert_metric_parity(plain, traced, sql)
+        assert traced.metrics.extra.get("degraded_splits") == (
+            plain.metrics.extra.get("degraded_splits")
+        ), sql
+        # operator spans are labelled; split/combine/parse ones are not
+        # (an unset label reads as the span's name)
+        spans = operator_root(traced.trace).walk()
+        assert {span.label for span in spans if span.label != span.name} == {
+            line.strip() for line in session.explain(sql).splitlines()
+        }, sql
+        reconcile.assert_reconciles(traced)
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_traced_equals_untraced(world, workers, backend):
+    system, fs, _ = world
+    fs.policy = FaultPolicy()  # an earlier test's may still be installed
+    session = system.session
+    session.scan_workers, session.worker_backend = workers, backend
+    session.remove_plan_modifier(system.modifier)  # the plain engine parses
+    try:
+        assert_tracing_changes_nothing(session, STATEMENTS)
+    finally:
+        session.add_plan_modifier(system.modifier)
+    assert_tracing_changes_nothing(session, STATEMENTS[::5])  # every path cached
+    fixture = reconcile.TestDegradedReconciliation()
+    for corrupt in (False, True):
+        small = fixture.build_system(workers, backend)
+        small.cacher.populate(fixture.KEYS)
+        if corrupt:
+            fixture.corrupt_first_cache_file(small)
+            small.breaker.quarantine_seconds = 0.0  # both runs probe the cache
+        try:
+            assert_tracing_changes_nothing(small.session, [fixture.SQL])
+            assert bool(small.resilience.get("fallback_queries")) == corrupt
+        finally:
+            small.session.close_worker_pools()

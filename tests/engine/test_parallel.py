@@ -14,13 +14,13 @@ from repro.engine import (
     LimitExec,
     MorselAggregateExec,
     MorselPipelineExec,
+    ProjectExec,
     ScanExec,
     Session,
     SortExec,
     parallelize_plan,
 )
 from repro.engine.rawfilter import SparserPlanModifier, SparserPrefilterExec
-from repro.obs.trace import Tracer
 from repro.storage import DataType, Schema
 
 
@@ -45,13 +45,15 @@ class TestParallelizePlan:
         plan = plan_for(multi, "select a from db.m")
         assert isinstance(plan, MorselPipelineExec)
         assert isinstance(plan.scan, ScanExec)
-        assert plan.projections is not None
+        assert [type(stage) for stage in plan.stages] == [ProjectExec]
 
     def test_filter_and_project_absorbed(self, multi):
         plan = plan_for(multi, "select a from db.m where b = 's1'")
         assert isinstance(plan, MorselPipelineExec)
-        assert plan.condition is not None
-        assert not isinstance(plan.scan, (FilterExec, MorselPipelineExec))
+        assert [type(stage) for stage in plan.stages] == [FilterExec, ProjectExec]
+        # absorbed nodes point at the operator below them, down to the scan
+        assert plan.stages[1].child is plan.stages[0]
+        assert plan.stages[0].child is plan.scan
 
     def test_aggregate_lowered_to_partials(self, multi):
         plan = plan_for(
@@ -88,10 +90,10 @@ class TestParallelizePlan:
             planned.physical = modifier.modify(planned, state)
         plan = parallelize_plan(planned.physical)
         assert isinstance(plan, MorselPipelineExec)
-        assert isinstance(plan.prefilter, SparserPrefilterExec)
+        assert isinstance(plan.stages[0], SparserPrefilterExec)
         # the absorbed prefilter's child is the real scan, so describe()
         # still renders the full chain
-        assert plan.prefilter.child is plan.scan
+        assert plan.stages[0].child is plan.scan
         text = plan.describe()
         assert "SparserPrefilter" in text and "Scan db.m" in text
 
@@ -105,6 +107,26 @@ class TestEdgeCases:
             assert session.sql("select a from db.empty").rows == []
             agg = session.sql("select count(*) as n from db.empty")
             assert agg.rows == [{"n": 0}]
+
+    def test_no_split_runs_no_stage(self, session):
+        """The plan alone shapes an empty result: no stage body runs on
+        the coordinator (no Sparser counters, no span outside a split)."""
+        from repro.obs import Tracer
+
+        schema = Schema.of(("a", DataType.INT64), ("b", DataType.STRING))
+        session.catalog.create_table("db", "empty", schema)
+        session.add_plan_modifier(SparserPlanModifier(json_columns={"b"}))
+        where = "from db.empty where get_json_object(b, '$.k') = 'v'"
+        planned, state, _ = session._prepare(f"select a as x, a as x, b {where}")
+        assert planned.physical.execute_batch(state).names == ("x", "b")
+        planned, state, _ = session._prepare(f"select * {where}")
+        assert planned.physical.execute_batch(state).names == ("a", "b")
+        tracer = Tracer()
+        result = session.sql(f"select a {where}", tracer=tracer)
+        assert "SparserPrefilter" in result.plan.describe()
+        assert not [k for k in result.metrics.extra if k.startswith("sparser")]
+        names = {span.name for span in tracer.root.find_all("execute")[0].walk()}
+        assert names == {"execute", "morselpipeline"}
 
     def test_single_split(self, session):
         schema = Schema.of(("a", DataType.INT64))
@@ -121,21 +143,3 @@ class TestEdgeCases:
             Session(fs=BlockFileSystem(), scan_workers=0)
         with pytest.raises(ValueError):
             Session(fs=BlockFileSystem(), plan_cache_entries=-1)
-
-
-class TestObservability:
-    def test_parallel_traced_queries_emit_split_spans(self, multi):
-        multi.scan_workers = 4
-        tracer = Tracer()
-        multi.sql("select a from db.m where b = 's1'", tracer=tracer)
-        splits = [s for s in tracer.spans() if s.name == "split"]
-        assert len(splits) == 4  # one per daily file
-        # the rows attribute is each split's post-filter output
-        assert sum(int(s.attributes["rows"]) for s in splits) == 12
-
-    def test_serial_traced_queries_keep_operator_spans(self, multi):
-        multi.scan_workers = 1
-        tracer = Tracer()
-        multi.sql("select a from db.m where b = 's1'", tracer=tracer)
-        names = {s.name for s in tracer.spans()}
-        assert "scan" in names and "split" not in names

@@ -185,7 +185,7 @@ class TestProcessBackendParity:
         segment.buf[: len(frame)] = frame
         segment.close()
         reply = dict(
-            kind="rows", shm=name, shm_bytes=len(frame), prefilter=None,
+            kind="rows", shm=name, shm_bytes=len(frame),
             metrics=QueryMetrics(), fallback=False, failures=[], seconds=0.0,
         )
         pool = ProcessMorselPool(1, snapshot_fn=dict)

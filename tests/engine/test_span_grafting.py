@@ -57,6 +57,34 @@ def assert_well_formed(tracer: Tracer) -> list:
     return spans
 
 
+class TestSplitSubtrees:
+    @pytest.mark.parametrize(
+        "workers,backend", [(1, "thread"), (WORKERS, "thread"), (WORKERS, "process")]
+    )
+    def test_every_split_is_a_worker_subtree(self, workers, backend):
+        """No backend leaves the coordinator to make up a split span: each
+        carries the attribution only its worker's tracer sets, and the
+        stage spans recorded under it."""
+        session = build_session(backend=backend)
+        session.scan_workers = workers
+        tracer = Tracer()
+        try:
+            session.sql(SQL + " where id < 50", tracer=tracer)
+        finally:
+            session.close_worker_pools()
+        splits = [s for s in assert_well_formed(tracer) if s.name == "split"]
+        assert [s.attributes["index"] for s in splits] == list(range(6))
+        # the rows attribute is each split's post-filter output
+        assert [s.attributes["rows"] for s in splits] == [20, 20, 10, 0, 0, 0]
+        for split in splits:
+            assert split.attributes["backend"] == (
+                backend if workers > 1 else "thread"
+            )
+            assert split.attributes["worker"]
+            assert [c.name for c in split.children] == ["scan", "filter", "project"]
+            assert split.children[-1].attributes["rows_out"] == split.attributes["rows"]
+
+
 class TestFailingSplit:
     def test_thread_tree_well_formed_when_splits_error(self):
         fs = FaultyFileSystem()

@@ -9,10 +9,10 @@ these tests pin them together on a plain and a degraded
 
 import pytest
 
-from repro.core import MaxsonSystem, cache_table_name
+from repro.core import MaxsonConfig, MaxsonSystem, cache_table_name
 from repro.engine import Session
 from repro.jsonlib import dumps
-from repro.obs import Tracer
+from repro.obs import Tracer, render_explain_analyze
 from repro.obs.explain import operator_root
 from repro.storage import BlockFileSystem, DataType, Schema
 from repro.workload import PathKey
@@ -89,19 +89,21 @@ class TestDegradedReconciliation:
     KEYS = [PathKey("db", "t", "payload", "$.m")]
     SQL = "select id, get_json_object(payload, '$.m') as m from db.t"
 
-    def build_system(self, rows=30) -> MaxsonSystem:
+    def build_system(self, scan_workers=1, worker_backend="thread") -> MaxsonSystem:
+        """Three ten-row splits, so two workers have splits to share."""
         session = Session(fs=BlockFileSystem())
         schema = Schema.of(
             ("id", DataType.INT64), ("payload", DataType.STRING)
         )
         session.catalog.create_table("db", "t", schema)
-        session.catalog.append_rows(
-            "db",
-            "t",
-            [(i, dumps({"m": i})) for i in range(rows)],
-            row_group_size=10,
+        for first in (0, 10, 20):
+            session.catalog.append_rows(
+                "db", "t", [(i, dumps({"m": i})) for i in range(first, first + 10)]
+            )
+        config = MaxsonConfig(
+            scan_workers=scan_workers, worker_backend=worker_backend
         )
-        return MaxsonSystem(session=session)
+        return MaxsonSystem(session=session, config=config)
 
     def corrupt_first_cache_file(self, system: MaxsonSystem) -> None:
         from repro.core.cacher import CACHE_DATABASE
@@ -113,24 +115,30 @@ class TestDegradedReconciliation:
         system.session.fs.delete(path)
         system.session.fs.create(path, bytes(blob))
 
-    def test_fallback_spans_tagged_degraded_and_reconcile(self):
-        system = self.build_system()
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fallback_spans_tagged_degraded_and_reconcile(self, workers, backend):
+        system = self.build_system(workers, backend)
         system.cacher.populate(self.KEYS)
         self.corrupt_first_cache_file(system)
-        tracer = Tracer()
-        result = system.sql(self.SQL, tracer=tracer)
+        try:
+            result = system.sql(self.SQL, tracer=Tracer())
+        finally:
+            system.session.close_worker_pools()
         assert system.resilience.get("fallback_queries") == 1
         assert [r["m"] for r in result.rows] == list(range(30))
-        # The combine span records the degradation...
-        combine = result.trace.find("combine")
-        assert combine is not None
-        assert combine.attributes["degraded"] is True
-        assert combine.attributes["fallback_splits"] >= 1
+        # The first split's combine span records the degradation...
+        combines = result.trace.find_all("combine")
+        assert [c.attributes["degraded"] for c in combines] == [True, False, False]
+        assert combines[0].attributes["fallback_splits"] == 1
         # ...and the raw re-parse is a tagged child parse span.
-        parse = combine.find("parse")
+        parse = combines[0].find("parse")
         assert parse is not None
         assert parse.attributes["degraded"] is True
-        assert parse.attributes["parse_documents"] > 0
+        assert parse.attributes["parse_documents"] == 10
+        # The operator surface says so on every backend.
+        report = render_explain_analyze(result.trace, result.metrics)
+        assert "fallback_splits=1" in report and "degraded=yes" in report
         # Even through the fallback path the channels agree.
         assert_reconciles(result)
 
@@ -140,7 +148,7 @@ class TestDegradedReconciliation:
         result = system.sql(self.SQL, tracer=Tracer())
         assert result.metrics.parse_documents == 0
         assert result.metrics.cache_hits > 0
-        combine = result.trace.find("combine")
-        assert combine is not None
-        assert combine.attributes.get("degraded", False) is False
+        combines = result.trace.find_all("combine")
+        assert len(combines) == 3
+        assert not any(c.attributes["degraded"] for c in combines)
         assert_reconciles(result)

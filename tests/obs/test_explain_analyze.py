@@ -38,10 +38,12 @@ class TestSessionApi:
         result = sales_session.sql(SQL, tracer=Tracer())
         root = result.trace
         assert root.name == "query"
-        for stage in ("plan", "rewrite", "execute", "scan", "project"):
+        for stage in ("plan", "rewrite", "execute", "split", "scan", "project"):
             assert root.find(stage) is not None, stage
-        scan = root.find("scan")
-        assert scan.attributes.get("rows_out") == 40
+        # one scan span per split; together they read the day's rows
+        scans = root.find_all("scan")
+        assert len(scans) == len(root.find_all("split")) > 1
+        assert sum(s.attributes.get("rows_out") for s in scans) == 40
 
 
 class TestRenderer:

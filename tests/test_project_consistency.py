@@ -72,15 +72,52 @@ class TestExamples:
             assert text.startswith('"""'), path.name
 
 
+def functions_longer_than(limit: int, paths) -> list[str]:
+    too_long = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                lines = node.end_lineno - node.lineno + 1
+                if lines > limit:
+                    too_long.append(f"{path.name}:{node.name} ({lines})")
+    return too_long
+
+
 class TestRequestPathStaysLegible:
     def test_no_server_function_longer_than_120_lines(self):
         """``MaxsonServer.__init__`` once reached 306 lines and ``execute``
         256; the request path must not silently re-accrete."""
-        too_long = []
-        for path in sorted((ROOT / "src" / "repro" / "server").glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    lines = node.end_lineno - node.lineno + 1
-                    if lines > 120:
-                        too_long.append(f"{path.name}:{node.name} ({lines})")
-        assert not too_long, too_long
+        server = sorted((ROOT / "src" / "repro" / "server").glob("*.py"))
+        assert not functions_longer_than(120, server)
+
+
+class TestOneScanPath:
+    SRC = ROOT / "src" / "repro"
+
+    def test_prepare_parallelizes_every_plan_exactly_once(self):
+        """A second ``parallelize_plan`` call site in ``Session._prepare``
+        is a second scan path (traced queries once had their own)."""
+        tree = ast.parse((self.SRC / "engine" / "session.py").read_text())
+        (prepare,) = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_prepare"
+        ]
+        calls = [
+            node
+            for node in ast.walk(prepare)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "parallelize_plan"
+        ]
+        assert len(calls) == 1
+
+    def test_no_scan_side_function_longer_than_80_lines(self):
+        """The whole-scan ``MaxsonScanExec.execute_batch`` was 94 lines
+        beside its per-split twin."""
+        scan_side = [
+            self.SRC / "core" / "combiner.py",
+            self.SRC / "engine" / "physical.py",
+            self.SRC / "engine" / "parallel.py",
+            self.SRC / "engine" / "rawfilter.py",
+        ]
+        assert not functions_longer_than(80, scan_side)
