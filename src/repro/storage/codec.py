@@ -5,6 +5,12 @@ value streams: zigzag varints for integers, IEEE doubles for floats,
 length-prefixed UTF-8 for strings, and packed bits for booleans. The codec
 is deliberately byte-exact and versioned so files round-trip across
 writer/reader revisions.
+
+Encoding walks the values; decoding works a lane at a time (one integer
+for a bitmap, one ``struct`` call for the doubles, one table look-up per
+one-byte varint) over the same bytes. What those bytes mean is defined
+by the per-value decoder kept in ``tests/storage/reference_codec.py``,
+which the differential suite holds this one to.
 """
 
 from __future__ import annotations
@@ -72,12 +78,8 @@ def read_varint(data: bytes, pos: int) -> tuple[int, int]:
 
 
 def zigzag_encode(value: int) -> int:
-    """Map a signed int to unsigned so small magnitudes stay small."""
-    return (value << 1) ^ (value >> 63) if -(2**63) <= value < 2**63 else _big_zigzag(value)
-
-
-def _big_zigzag(value: int) -> int:
-    # Arbitrary-precision fallback (Python ints are unbounded).
+    """Map a signed int to unsigned so small magnitudes stay small
+    (arbitrary precision: Python ints are unbounded)."""
     return value << 1 if value >= 0 else ((-value) << 1) - 1
 
 
@@ -91,15 +93,6 @@ def _encode_presence(out: bytearray, values: list[object]) -> None:
         if v is not None:
             bits[i >> 3] |= 1 << (i & 7)
     out.extend(bits)
-
-
-def _decode_presence(data: bytes, pos: int, count: int) -> tuple[list[bool], int]:
-    nbytes = (count + 7) // 8
-    if pos + nbytes > len(data):
-        raise CodecError("truncated presence bitmap")
-    bits = data[pos : pos + nbytes]
-    present = [bool(bits[i >> 3] & (1 << (i & 7))) for i in range(count)]
-    return present, pos + nbytes
 
 
 _TYPE_TAGS = {
@@ -120,7 +113,7 @@ def encode_column(dtype: DataType, values: list[object]) -> bytes:
     if dtype is DataType.INT64:
         for v in values:
             if v is not None:
-                write_varint(out, _big_zigzag(int(v)))
+                write_varint(out, zigzag_encode(int(v)))
     elif dtype is DataType.FLOAT64:
         for v in values:
             if v is not None:
@@ -142,45 +135,96 @@ def encode_column(dtype: DataType, values: list[object]) -> bytes:
     return bytes(out)
 
 
-def decode_column(data: bytes, pos: int = 0) -> tuple[DataType, list[object], int]:
-    """Decode a column chunk; returns (dtype, values, new_pos)."""
-    if pos >= len(data):
+#: ``zigzag_decode`` of every one-byte varint.
+_ZIGZAG_BYTE = tuple(map(zigzag_decode, range(0x80)))
+
+
+def _flags(bits: int, count: int) -> str:
+    """Bits 0..count-1 of ``bits`` as a string of "0"/"1", bit 0 first."""
+    return bin(bits & (1 << count) - 1 | 1 << count)[:2:-1]
+
+
+def decode_column(
+    data: bytes, pos: int = 0, end: int | None = None
+) -> tuple[DataType, list[object], int]:
+    """Decode a column chunk a lane at a time; returns (dtype, values, new_pos).
+
+    ``end`` bounds the chunk (default: the end of ``data``): nothing at or
+    past it is read, exactly as if ``data`` stopped there. The present
+    values are decoded densely in one pass, then scattered through the
+    presence bitmap once if the lane has nulls.
+    """
+    if end is None or end > len(data):
+        end = len(data)
+    if pos >= end:
         raise CodecError("empty column chunk")
-    tag = data[pos]
-    pos += 1
-    if tag not in _TAG_TYPES:
-        raise CodecError(f"unknown type tag {tag}")
-    dtype = _TAG_TYPES[tag]
-    count, pos = read_varint(data, pos)
-    present, pos = _decode_presence(data, pos, count)
-    values: list[object] = [None] * count
+    dtype = _TAG_TYPES.get(data[pos])
+    if dtype is None:
+        raise CodecError(f"unknown type tag {data[pos]}")
+    count, pos = read_varint(data, pos + 1)
+    nbytes = (count + 7) // 8
+    if pos + nbytes > end:
+        raise CodecError("truncated presence bitmap")
+    full = (1 << count) - 1
+    presence = int.from_bytes(data[pos : pos + nbytes], "little") & full
+    pos += nbytes
+    n = count if presence == full else presence.bit_count()
+    dense: list[object]
     if dtype is DataType.INT64:
-        for i in range(count):
-            if present[i]:
-                raw, pos = read_varint(data, pos)
-                values[i] = zigzag_decode(raw)
+        lane = data[pos : min(pos + n, end)]
+        if len(lane) == n and lane.isascii():  # n one-byte varints
+            table = _ZIGZAG_BYTE
+            dense = [table[b] for b in lane]
+            pos += n
+        else:
+            dense = []
+            append = dense.append
+            for _ in range(n):
+                raw = shift = 0
+                while True:
+                    if pos >= end:
+                        raise CodecError("truncated varint")
+                    byte = data[pos]
+                    pos += 1
+                    raw |= (byte & 0x7F) << shift
+                    if byte < 0x80:
+                        break
+                    shift += 7
+                    if shift > 70:
+                        raise CodecError("varint too long")
+                append((raw >> 1) ^ -(raw & 1))
     elif dtype is DataType.FLOAT64:
-        for i in range(count):
-            if present[i]:
-                if pos + 8 > len(data):
-                    raise CodecError("truncated float64")
-                (values[i],) = struct.unpack_from("<d", data, pos)
-                pos += 8
+        if pos + 8 * n > end:
+            raise CodecError("truncated float64")
+        dense = list(struct.unpack_from(f"<{n}d", data, pos))
+        pos += 8 * n
     elif dtype is DataType.STRING:
-        for i in range(count):
-            if present[i]:
-                length, pos = read_varint(data, pos)
-                if pos + length > len(data):
-                    raise CodecError("truncated string")
-                values[i] = data[pos : pos + length].decode("utf-8")
-                pos += length
-    elif dtype is DataType.BOOL:
-        nbytes = (count + 7) // 8
-        if pos + nbytes > len(data):
+        dense = []
+        append = dense.append
+        for _ in range(n):
+            if pos >= end:
+                raise CodecError("truncated varint")
+            length = data[pos]
+            pos += 1
+            if length >= 0x80:  # a length of two bytes or more
+                length, pos = read_varint(data, pos - 1)
+            if pos + length > end:
+                raise CodecError("truncated string")
+            append(str(data[pos : pos + length], "utf-8"))
+            pos += length
+    else:
+        if pos + nbytes > end:
             raise CodecError("truncated bool bitmap")
-        bits = data[pos : pos + nbytes]
+        bits = int.from_bytes(data[pos : pos + nbytes], "little")
         pos += nbytes
-        for i in range(count):
-            if present[i]:
-                values[i] = bool(bits[i >> 3] & (1 << (i & 7)))
-    return dtype, values, pos
+        if n == count:
+            return dtype, [c == "1" for c in _flags(bits, count)], pos
+        values = [
+            (c == "1") if p == "1" else None
+            for p, c in zip(_flags(presence, count), _flags(bits, count))
+        ]
+        return dtype, values, pos
+    if n == count:
+        return dtype, dense, pos
+    take = iter(dense).__next__
+    return dtype, [take() if p == "1" else None for p in _flags(presence, count)], pos

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .codec import (
     CodecError,
@@ -280,7 +281,21 @@ def _encode_footer(
     return bytes(out)
 
 
-def _decode_footer(data: bytes, version: int = VERSION) -> tuple[Schema, list[StripeInfo]]:
+#: What a damaged chunk or footer can make the decoders raise.
+_DECODE_ERRORS = (CodecError, UnicodeDecodeError, struct.error, IndexError)
+
+
+@lru_cache(maxsize=256)
+def _decode_footer(
+    data: bytes, version: int = VERSION
+) -> tuple[Schema, tuple[StripeInfo, ...]]:
+    """Decode a footer: a pure function of its bytes and the version.
+
+    Files are immutable and the result is frozen, so it is memoised on
+    exactly that key — every reader of the same file content (or of
+    another file with an identical footer) shares one decoded directory.
+    Nothing here needs invalidating: different bytes are a different key.
+    """
     pos = 0
     n_fields, pos = read_varint(data, pos)
     fields: list[Field] = []
@@ -288,7 +303,9 @@ def _decode_footer(data: bytes, version: int = VERSION) -> tuple[Schema, list[St
         length, pos = read_varint(data, pos)
         name = data[pos : pos + length].decode("utf-8")
         pos += length
-        dtype = _CODE_DTYPES[data[pos]]
+        dtype = _CODE_DTYPES.get(data[pos])
+        if dtype is None:
+            raise CodecError(f"unknown dtype code {data[pos]}")
         pos += 1
         fields.append(Field(name, dtype))
     schema = Schema(tuple(fields))
@@ -331,16 +348,18 @@ def _decode_footer(data: bytes, version: int = VERSION) -> tuple[Schema, list[St
                 checksum=checksum,
             )
         )
-    return schema, stripes
+    return schema, tuple(stripes)
 
 
 class OrcFileReader:
     """Random-access reader over serialised ORC-like bytes.
 
-    The reader decodes the footer eagerly and stripes lazily. Column
-    pruning (read only some columns) and row-group skipping (via a boolean
-    include mask) are both supported — they are the levers Maxson's
-    predicate pushdown pulls.
+    Opening verifies the footer's checksum and takes the decoded
+    directory for those footer bytes (decoded once per distinct content,
+    see :func:`_decode_footer`); stripes are verified and decoded lazily,
+    a lane at a time. Column pruning (read only some columns) and
+    row-group skipping (via a boolean include mask) are both supported —
+    they are the levers Maxson's predicate pushdown pulls.
     """
 
     def __init__(self, data: bytes) -> None:
@@ -366,7 +385,7 @@ class OrcFileReader:
                 raise OrcError("corrupt footer (checksum mismatch)")
         try:
             self.schema, self.stripes = _decode_footer(footer, self.version)
-        except (CodecError, IndexError) as exc:
+        except _DECODE_ERRORS as exc:
             raise OrcError(f"corrupt footer: {exc}") from exc
         self._data = data
         self._verified_stripes: set[int] = set()
@@ -421,31 +440,46 @@ class OrcFileReader:
         for name in wanted:
             self.schema.index_of(name)  # raise early on unknown columns
         columns: dict[str, list[object]] = {name: [] for name in wanted}
+        fields = [(f.name, f.name in columns) for f in self.schema.fields]
+        data = self._data
         bytes_decoded = 0
-        group_index = 0
+        group_index = -1
         for stripe_index, stripe in enumerate(self.stripes):
             pos = stripe.offset
+            verified = False
             for rg in stripe.row_groups:
-                include = (
-                    row_group_mask[group_index]
-                    if row_group_mask is not None and group_index < len(row_group_mask)
-                    else True
-                )
-                for fld, chunk_len in zip(self.schema.fields, rg.chunk_lengths):
-                    if include and fld.name in columns:
-                        self._verify_stripe(stripe_index, stripe)
-                        _, values, end = decode_column(self._data, pos)
-                        if end - pos != chunk_len:
-                            raise OrcError(
-                                f"chunk length mismatch for {fld.name!r}: "
-                                f"directory says {chunk_len}, decoded {end - pos}"
-                            )
-                        columns[fld.name].extend(values)
-                        bytes_decoded += chunk_len
-                        pos = end
-                    else:
-                        pos += chunk_len  # true seek: skipped chunks cost nothing
                 group_index += 1
+                if (
+                    row_group_mask is not None
+                    and group_index < len(row_group_mask)
+                    and not row_group_mask[group_index]
+                ):
+                    pos += sum(rg.chunk_lengths)  # true seek: skipped chunks cost nothing
+                    continue
+                for (name, selected), chunk_len in zip(fields, rg.chunk_lengths):
+                    if not selected:
+                        pos += chunk_len
+                        continue
+                    if not verified:
+                        self._verify_stripe(stripe_index, stripe)
+                        verified = True
+                    try:
+                        _, values, end = decode_column(data, pos, pos + chunk_len)
+                    except _DECODE_ERRORS as exc:
+                        raise OrcError(
+                            f"corrupt chunk for {name!r} in row group {group_index}: {exc}"
+                        ) from exc
+                    if end - pos != chunk_len:
+                        raise OrcError(
+                            f"chunk length mismatch for {name!r}: "
+                            f"directory says {chunk_len}, decoded {end - pos}"
+                        )
+                    if columns[name]:
+                        columns[name].extend(values)
+                    else:  # the usual single row group: no copy
+                        columns[name] = values
+                    bytes_decoded += chunk_len
+                    pos = end
         return columns, bytes_decoded
 
     def read_rows(

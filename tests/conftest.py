@@ -9,6 +9,15 @@ from repro.jsonlib import dumps
 from repro.storage import BlockFileSystem, DataType, Schema
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--every-statement",
+        action="store_true",
+        help="test_traced_equals_untraced: run all 500 generated statements "
+        "on every leg, not one per plan shape",
+    )
+
+
 @pytest.fixture
 def fs() -> BlockFileSystem:
     return BlockFileSystem()

@@ -1,10 +1,14 @@
 """Circuit breaker + graceful degradation of cache reads."""
 
+import struct
+
 from repro.core import MaxsonSystem, cache_table_name
+from repro.core.cacher import CACHE_DATABASE
 from repro.core.resilience import CacheCircuitBreaker, ResilienceStats
 from repro.engine import Session
 from repro.jsonlib import dumps
-from repro.storage import BlockFileSystem, DataType, Schema
+from repro.storage import BlockFileSystem, DataType, OrcFileReader, Schema
+from repro.storage.orc import MAGIC, _encode_footer
 from repro.workload import PathKey
 
 KEYS = [PathKey("db", "t", "payload", "$.m")]
@@ -23,8 +27,6 @@ def build_system(rows=30) -> MaxsonSystem:
 
 def corrupt_first_cache_file(system: MaxsonSystem) -> str:
     cache_table = cache_table_name("db", "t")
-    from repro.core.cacher import CACHE_DATABASE
-
     path = system.catalog.table_files(CACHE_DATABASE, cache_table)[0]
     blob = bytearray(system.session.fs.read(path))
     blob[len(blob) // 2] ^= 0xFF
@@ -134,3 +136,30 @@ class TestGracefulDegradation:
             "half_open": [],
         }
         assert cache_table not in system.breaker.quarantined_tables()
+
+    def test_bad_chunk_in_an_unchecksummed_file_degrades_only_its_split(self):
+        """A version-1 cache file has no stripe CRC, so torn bytes reach the
+        chunk decoder; whatever it raises must be the ``OrcError`` the
+        split fallback catches, not a failed query."""
+        session = Session(fs=BlockFileSystem())
+        schema = Schema.of(("id", DataType.INT64), ("payload", DataType.STRING))
+        session.catalog.create_table("db", "t", schema)
+        for start in (0, 30):  # two files, two splits
+            rows = [(i, dumps({"s": f"name-{i}"})) for i in range(start, start + 30)]
+            session.catalog.append_rows("db", "t", rows, row_group_size=10)
+        system = MaxsonSystem(session=session)
+        system.cacher.populate([PathKey("db", "t", "payload", "$.s")])
+        fs = system.session.fs
+        path = system.catalog.table_files(CACHE_DATABASE, cache_table_name("db", "t"))[0]
+        reader = OrcFileReader(fs.read(path))
+        body = bytearray(reader._data[: reader.stripes[-1].offset + reader.stripes[-1].length])
+        body[len(MAGIC)] = 1
+        body[body.index(b"name-3")] = 0xFF  # not UTF-8, inside a string chunk
+        footer = _encode_footer(reader.schema, reader.stripes, version=1)
+        fs.delete(path)
+        fs.create(path, bytes(body) + footer + struct.pack("<I", len(footer)) + MAGIC)
+        sql = "select id, get_json_object(payload, '$.s') as s from db.t"
+        result = system.sql(sql)
+        assert result.rows == system.baseline_sql(sql).rows
+        assert [r["s"] for r in result.rows] == [f"name-{i}" for i in range(60)]
+        assert result.metrics.extra["degraded_splits"] == 1

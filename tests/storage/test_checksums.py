@@ -86,21 +86,42 @@ class TestCorruptionDetection:
             corrupted.read_rows()
 
 
+def as_v1(blob: bytes) -> bytes:
+    """Re-serialise a v2 file as v1: version byte 1, v1 footer, no CRCs."""
+    reader = OrcFileReader(blob)
+    footer = _encode_footer(reader.schema, reader.stripes, version=1)
+    body_end = max(s.offset + s.length for s in reader.stripes)
+    v1 = bytearray()
+    v1 += MAGIC
+    v1.append(1)
+    v1 += blob[len(MAGIC) + 1 : body_end]
+    v1 += footer
+    v1 += struct.pack("<I", len(footer))
+    v1 += MAGIC
+    return bytes(v1)
+
+
 class TestBackwardCompatibility:
     def test_v1_files_still_readable(self):
         """A pre-checksum (version 1) file opens and reads normally."""
         blob = build_file()
-        reader = OrcFileReader(blob)
-        # re-serialise as v1: version byte 1, v1 footer, no footer CRC
-        footer = _encode_footer(reader.schema, reader.stripes, version=1)
-        body_end = max(s.offset + s.length for s in reader.stripes)
-        v1 = bytearray()
-        v1 += MAGIC
-        v1.append(1)
-        v1 += blob[len(MAGIC) + 1 : body_end]
-        v1 += footer
-        v1 += struct.pack("<I", len(footer))
-        v1 += MAGIC
-        v1_reader = OrcFileReader(bytes(v1))
+        v1_reader = OrcFileReader(as_v1(blob))
         assert v1_reader.version == 1
-        assert v1_reader.read_rows() == reader.read_rows()
+        assert v1_reader.read_rows() == OrcFileReader(blob).read_rows()
+
+    def test_v1_damage_is_an_orc_error_or_nothing(self):
+        """No checksum catches a flipped byte in a v1 file, so the decoders
+        meet it: whatever they make of it (bad UTF-8, a short chunk, an
+        unknown dtype code) surfaces as ``OrcError`` — the one storage
+        error the scan's split fallback catches — or the read returns."""
+        v1 = as_v1(build_file(rows=20, row_group_size=5, rows_per_stripe=10))
+        raised = 0
+        for position in range(len(v1)):
+            for flip in (0xFF, 0x80, 0x01):
+                mutated = bytearray(v1)
+                mutated[position] ^= flip
+                try:
+                    OrcFileReader(bytes(mutated)).read_rows()
+                except OrcError:
+                    raised += 1
+        assert raised > len(v1)  # the sweep does reach the decoders
