@@ -22,20 +22,23 @@ from __future__ import annotations
 import re
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from ..engine.catalog import Catalog
+from ..engine.expressions import EvalContext, path_format
 from ..jsonlib.jackson import dumps
 from ..storage.orc import OrcFileReader, OrcWriter
 from ..storage.schema import DataType, Field, Schema
 from ..workload.trace import PathKey
-from .extraction import ValueExtractor
 
 __all__ = [
     "CacheEntry",
     "CacheBuildReport",
     "CacheRegistry",
     "JsonPathCacher",
+    "cache_columns",
     "coerce_cache_value",
 ]
 
@@ -194,26 +197,17 @@ def _infer_dtype(values: list[object]) -> DataType:
             kinds.add(DataType.STRING)
         else:
             return DataType.STRING  # dict/list -> JSON string
-    if not kinds:
-        return DataType.STRING
     if kinds == {DataType.INT64}:
         return DataType.INT64
-    if kinds <= {DataType.INT64, DataType.FLOAT64}:
+    if kinds and kinds <= {DataType.INT64, DataType.FLOAT64}:
         return DataType.FLOAT64
     if kinds == {DataType.BOOL}:
         return DataType.BOOL
-    if kinds == {DataType.STRING}:
-        return DataType.STRING
-    return DataType.STRING
+    return DataType.STRING  # strings, a mix of kinds, or nothing sampled
 
 
 def coerce_cache_value(value: object, dtype: DataType) -> object:
-    """Coerce one extracted value to a cache column's type.
-
-    Public because the graceful-degradation path (combiner fallback)
-    must reproduce the cacher's exact coercions so raw-parsed values are
-    byte-identical to what the cache table would have returned.
-    """
+    """Coerce one extracted value to a cache column's type."""
     if value is None:
         return None
     if dtype is DataType.STRING:
@@ -235,20 +229,36 @@ def coerce_cache_value(value: object, dtype: DataType) -> object:
     raise AssertionError(dtype)  # pragma: no cover
 
 
-def _column_projections(extractor: ValueExtractor, keys: list[PathKey]) -> list:
-    """``(column, projection, positions)`` per source column of ``keys``:
-    the extractor's projection of that column's paths, whose i-th value
-    belongs to ``keys[positions[i]]``."""
+def _path_values(context: EvalContext, texts: dict, keys: list[PathKey]) -> list[list]:
+    """What ``context`` reads at each key's path, one list per key, at one
+    document lookup per row per source column. ``texts`` maps each source
+    column to one raw file's values of it."""
     by_column: dict[str, list[int]] = {}
     for position, key in enumerate(keys):
         by_column.setdefault(key.column, []).append(position)
+    out: list = [None] * len(keys)  # every position is filled below
+    for column, positions in by_column.items():
+        paths = [keys[position].path for position in positions]
+        for position, values in zip(
+            positions, context.extract_paths(texts[column], paths)
+        ):
+            out[position] = values
+    return out
+
+
+def cache_columns(
+    context: EvalContext, texts: dict, keys: list[PathKey], dtypes: list[DataType]
+) -> list[list]:
+    """The cache-table columns of ``keys`` for one raw file: each key's
+    values, coerced to its column type.
+
+    The cacher writes these lists and the Value Combiner's degraded
+    fallback stitches them, so a split answered without its cache file
+    reads exactly what the file holds.
+    """
     return [
-        (
-            column,
-            extractor.projection(tuple(keys[i].path for i in positions)),
-            positions,
-        )
-        for column, positions in sorted(by_column.items())
+        [coerce_cache_value(value, dtype) for value in values]
+        for values, dtype in zip(_path_values(context, texts, keys), dtypes)
     ]
 
 
@@ -291,9 +301,10 @@ class JsonPathCacher:
         self.registry.clear()
 
     def populate(self, keys: list[PathKey], tracer=None) -> CacheBuildReport:
-        """Parse and cache the values of ``keys`` (already budget-chosen,
-        in score order). Paths are grouped per raw table; each group
-        becomes one cache table whose files align with the raw files.
+        """Bring the cache tables of ``keys`` (already budget-chosen, in
+        score order) level with their raw tables. Paths are grouped per
+        raw table; each group is one cache table whose files align with
+        the raw files (:meth:`_build_table`).
 
         ``tracer`` (optional) records one ``cache_table`` span per group
         under the midnight cycle's ``build`` span."""
@@ -303,251 +314,155 @@ class JsonPathCacher:
         for key in keys:
             groups.setdefault((key.database, key.table), []).append(key)
         for (database, table), group in sorted(groups.items()):
-            if tracer is not None:
-                rows_before = report.rows_parsed
-                with tracer.span(
-                    "cache_table",
-                    label=f"{database}.{table}",
-                    paths=len(group),
-                ):
-                    self._cache_one_table(database, table, group, report)
-                    tracer.annotate(
-                        rows_parsed=report.rows_parsed - rows_before
-                    )
-            else:
-                self._cache_one_table(database, table, group, report)
+            rows_before = report.rows_parsed
+            with nullcontext() if tracer is None else tracer.span(
+                "cache_table", label=f"{database}.{table}", paths=len(group)
+            ):
+                self._build_table(database, table, group, report)
+                if tracer is not None:
+                    tracer.annotate(rows_parsed=report.rows_parsed - rows_before)
         report.build_seconds = time.perf_counter() - started
         return report
 
-    # ------------------------------------------------------------------
-    # extension: incremental refresh
-    # ------------------------------------------------------------------
     def refresh(self, keys: list[PathKey]) -> CacheBuildReport:
-        """Incrementally extend existing cache tables for appended data.
+        """:meth:`populate`, then clear the tables' invalid marks.
 
         The paper re-populates the whole cache nightly; with the
         production append-only pattern (§II-B: appended data "will hardly
-        be changed") it suffices to parse only the raw files added since
-        the cache was built and append the matching cache files. This
-        keeps file-index alignment intact and re-validates the entries.
-
-        Falls back to a full :meth:`populate` for any table whose cached
-        key set changed or whose cache is missing.
+        be changed") parsing the raw files added since the build and
+        appending the matching cache files is exactly the repair an
+        invalidated-but-intact cache table calls for.
         """
-        report = CacheBuildReport()
-        started = time.perf_counter()
-        groups: dict[tuple[str, str], list[PathKey]] = {}
-        for key in keys:
-            groups.setdefault((key.database, key.table), []).append(key)
-        for (database, table), group in sorted(groups.items()):
-            cache_table = self._table_name(database, table)
-            # Invalidated-but-intact cache tables are refreshable in place:
-            # appending the missing partitions is exactly the repair the
-            # append-only update pattern calls for.
-            existing = {
-                entry.key
-                for entry in self.registry.entries_including_invalid(cache_table)
-            }
-            if existing != set(group) or not self.catalog.table_exists(
-                CACHE_DATABASE, cache_table
-            ):
-                self._cache_one_table(database, table, group, report)
-            else:
-                self._refresh_one_table(database, table, group, report)
-            self.registry.revalidate_table(cache_table)
-        report.build_seconds = time.perf_counter() - started
+        report = self.populate(keys)
+        for database, table in {(key.database, key.table) for key in keys}:
+            self.registry.revalidate_table(self._table_name(database, table))
         return report
 
-    def _refresh_one_table(
+    # ------------------------------------------------------------------
+    def _build_table(
         self,
         database: str,
         table: str,
         keys: list[PathKey],
         report: CacheBuildReport,
     ) -> None:
-        keys = sorted(keys)  # must match the cache table's field order
+        """Write the cache files of ``keys`` that are not there yet,
+        starting at the first raw file that has none.
+
+        A table with no cache table (every ``__g{N}`` generation build), a
+        different registered key set, or fewer raw files than cache files
+        (compaction/repair) is built from file 0 with column types
+        inferred from a sample of it; otherwise the registered types are
+        kept and only the raw files past the last cache file are parsed.
+        """
+        keys = sorted(keys)  # canonical field order, stable across rebuilds
+        catalog = self.catalog
         cache_table = self._table_name(database, table)
-        raw_files = self.catalog.table_files(database, table)
-        cache_files = self.catalog.table_files(CACHE_DATABASE, cache_table)
-        if len(cache_files) > len(raw_files):
-            # Raw table shrank (compaction/repair): rebuild from scratch.
-            self._cache_one_table(database, table, keys, report)
-            return
-        info = self.catalog.get_table(CACHE_DATABASE, cache_table)
-        entries = {
+        raw_files = catalog.table_files(database, table)
+        registered = {
             entry.key: entry
             for entry in self.registry.entries_including_invalid(cache_table)
         }
-        dtypes = {key: entries[key].dtype for key in keys}
-        extractor = ValueExtractor()
-        columns_needed = sorted({key.column for key in keys})
-        appended_rows = 0
-        appended_bytes = 0
-        new_files = raw_files[len(cache_files):]
-        for offset, (data, n_rows) in enumerate(
-            self._parse_files(
-                new_files, info.schema, keys, dtypes, columns_needed, extractor
-            )
-        ):
-            file_index = len(cache_files) + offset
-            cache_path = f"{info.location}/part-{file_index:05d}.orc"
-            self.catalog.fs.create(cache_path, data)
-            appended_rows += n_rows
-            appended_bytes += len(data)
-        report.rows_parsed += appended_rows
-        report.bytes_written += appended_bytes
-        report.tables_written += 1
-        cache_time = self.catalog.modification_time(CACHE_DATABASE, cache_table)
-        for key in keys:
-            old = entries[key]
-            entry = CacheEntry(
-                key=key,
-                cache_table=cache_table,
-                field_name=old.field_name,
-                dtype=old.dtype,
-                cache_time=cache_time,
-                rows=old.rows + appended_rows,
-                bytes_on_disk_share=old.bytes_on_disk_share
-                + appended_bytes // max(len(keys), 1),
-            )
-            self.registry.register(entry)
-            report.entries.append(entry)
-
-    def _parse_files(
-        self,
-        paths: list[str],
-        schema: Schema,
-        keys: list[PathKey],
-        dtypes: dict[PathKey, DataType],
-        columns_needed: list[str],
-        extractor: ValueExtractor,
-    ):
-        """Yield ``(cache_bytes, n_rows)`` for each raw file, in order.
-
-        With ``build_workers > 1`` the per-file parse runs on a thread
-        pool (each worker gets its own :class:`ValueExtractor` — parser
-        stats and document caches are not shared across threads); results
-        are yielded strictly in file order so the caller's sequential
-        writes keep raw/cache file alignment. Worker exceptions —
-        including injected crashes — surface on the build thread at the
-        failing file's position, exactly where the serial loop would have
-        raised.
-        """
-        if self.build_workers <= 1 or len(paths) <= 1:
-            for path in paths:
-                yield self._parse_file_to_cache(
-                    path, schema, keys, dtypes, columns_needed, extractor
-                )
-            return
-        from concurrent.futures import ThreadPoolExecutor
-
-        def parse(path: str) -> tuple[bytes, int]:
-            return self._parse_file_to_cache(
-                path, schema, keys, dtypes, columns_needed, ValueExtractor()
-            )
-
-        with ThreadPoolExecutor(
-            max_workers=min(self.build_workers, len(paths))
-        ) as pool:
-            futures = [pool.submit(parse, path) for path in paths]
-            for future in futures:
-                yield future.result()
-
-    def _parse_file_to_cache(
-        self,
-        raw_path: str,
-        schema: Schema,
-        keys: list[PathKey],
-        dtypes: dict[PathKey, DataType],
-        columns_needed: list[str],
-        extractor: ValueExtractor,
-    ) -> tuple[bytes, int]:
-        """Parse one raw file into serialised cache-file bytes."""
-        reader = OrcFileReader(self.catalog.fs.read(raw_path))
-        raw_columns, _ = reader.read_columns(columns_needed)
-        layout = reader.row_group_layout()
-        group_rows = layout[0].row_count if layout else self.row_group_size
-        writer = OrcWriter(schema, row_group_size=group_rows)
-        n_rows = reader.row_count
-        projections = _column_projections(extractor, keys)
-        key_dtypes = [dtypes[key] for key in keys]
-        row: list[object] = [None] * len(keys)
-        for row_index in range(n_rows):
-            for column, project, positions in projections:
-                values = project(raw_columns[column][row_index])
-                for position, value in zip(positions, values):
-                    row[position] = coerce_cache_value(
-                        value, key_dtypes[position]
-                    )
-            writer.write_row(tuple(row))
-        return writer.finish(), n_rows
-
-    # ------------------------------------------------------------------
-    def _cache_one_table(
-        self,
-        database: str,
-        table: str,
-        keys: list[PathKey],
-        report: CacheBuildReport,
-    ) -> None:
-        keys = sorted(keys)  # canonical field order, stable across rebuilds
-        files = self.catalog.table_files(database, table)
-        if not files:
-            return
-        extractor = ValueExtractor()
-        # Pass 1: sample for column types.
-        sample_values: dict[PathKey, list[object]] = {key: [] for key in keys}
-        first_reader = OrcFileReader(self.catalog.fs.read(files[0]))
-        columns_needed = sorted({key.column for key in keys})
-        sample_columns, _ = first_reader.read_columns(columns_needed)
-        sample_size = min(self.type_sample_rows, first_reader.row_count)
-        for column, project, positions in _column_projections(extractor, keys):
-            for text in sample_columns[column][:sample_size]:
-                for position, value in zip(positions, project(text)):
-                    if value is not None:
-                        sample_values[keys[position]].append(value)
-        dtypes = {key: _infer_dtype(sample_values[key]) for key in keys}
-
-        # Cache table schema: one field per cached path, stable order.
-        fields = tuple(
-            Field(cache_field_name(key.column, key.path), dtypes[key])
-            for key in keys
+        exists = catalog.table_exists(CACHE_DATABASE, cache_table)
+        start = len(catalog.table_files(CACHE_DATABASE, cache_table)) if exists else 0
+        context = EvalContext(
+            json_paths=tuple(k.path for k in keys if path_format(k.path) == "json")
         )
-        schema = Schema(fields)
-        cache_table = self._table_name(database, table)
-        if self.catalog.table_exists(CACHE_DATABASE, cache_table):
-            self.catalog.drop_table(CACHE_DATABASE, cache_table)
-        info = self.catalog.create_table(CACHE_DATABASE, cache_table, schema)
-
-        # Pass 2: file-aligned parse and write. One raw file -> one cache
-        # file with identical row count, order, and row-group boundaries —
-        # the preconditions for the Value Combiner's positional stitch and
-        # for sharing skip masks between readers (§IV-F).
-        rows_per_path = 0
-        total_written = 0
-        for file_index, (data, n_rows) in enumerate(
-            self._parse_files(files, schema, keys, dtypes, columns_needed, extractor)
-        ):
-            # Mirror the raw file's index in the cache file name so both
-            # directories sort identically (the paper's renaming trick).
-            cache_path = f"{info.location}/part-{file_index:05d}.orc"
-            self.catalog.fs.create(cache_path, data)
-            total_written += len(data)
-            rows_per_path += n_rows
-            report.rows_parsed += n_rows
+        if not exists or set(registered) != set(keys) or start > len(raw_files):
+            if not raw_files:
+                return
+            registered, start = {}, 0
+            dtypes = self._sample_dtypes(context, raw_files[0], keys)
+            fields = tuple(
+                Field(cache_field_name(key.column, key.path), dtype)
+                for key, dtype in zip(keys, dtypes)
+            )
+            if exists:
+                catalog.drop_table(CACHE_DATABASE, cache_table)
+            info = catalog.create_table(CACHE_DATABASE, cache_table, Schema(fields))
+        else:
+            info = catalog.get_table(CACHE_DATABASE, cache_table)
+            dtypes = [registered[key].dtype for key in keys]
+        rows, written = self._write_files(
+            info, raw_files, start, keys, dtypes, context
+        )
+        report.rows_parsed += rows
+        report.bytes_written += written
         report.tables_written += 1
-        report.bytes_written += total_written
-        cache_time = self.catalog.modification_time(CACHE_DATABASE, cache_table)
-        share = total_written // max(len(keys), 1)
-        for key in keys:
+        cache_time = catalog.modification_time(CACHE_DATABASE, cache_table)
+        for key, dtype in zip(keys, dtypes):
+            old = registered.get(key)
             entry = CacheEntry(
                 key=key,
                 cache_table=cache_table,
                 field_name=cache_field_name(key.column, key.path),
-                dtype=dtypes[key],
+                dtype=dtype,
                 cache_time=cache_time,
-                rows=rows_per_path,
-                bytes_on_disk_share=share,
+                rows=rows + (old.rows if old else 0),
+                bytes_on_disk_share=written // len(keys)
+                + (old.bytes_on_disk_share if old else 0),
             )
             self.registry.register(entry)
             report.entries.append(entry)
+
+    def _sample_dtypes(
+        self, context: EvalContext, raw_path: str, keys: list[PathKey]
+    ) -> list[DataType]:
+        """Column types for ``keys``, from the first ``type_sample_rows``
+        rows of one raw file."""
+        reader = OrcFileReader(self.catalog.fs.read(raw_path))
+        texts, _ = reader.read_columns(sorted({key.column for key in keys}))
+        rows = self.type_sample_rows
+        sample = {column: values[:rows] for column, values in texts.items()}
+        return [_infer_dtype(v) for v in _path_values(context, sample, keys)]
+
+    def _write_files(
+        self,
+        info,
+        raw_files: list[str],
+        start: int,
+        keys: list[PathKey],
+        dtypes: list[DataType],
+        context: EvalContext,
+    ) -> tuple[int, int]:
+        """Parse ``raw_files[start:]`` into cache files; the rows and bytes
+        written. Raw file *i* becomes ``part-{i}`` of the cache table (so
+        both directories sort identically — the paper's renaming trick)
+        with its row count, order and row-group boundaries: the
+        preconditions for the Value Combiner's positional stitch and for
+        sharing skip masks between readers (§IV-F).
+
+        With ``build_workers > 1`` the per-file parse runs on a thread
+        pool (each file on a sibling of ``context`` — parser stats and
+        document caches are not shared across threads), but files are
+        created strictly in order on this thread, so raw/cache alignment
+        holds and a worker's exception — including an injected crash —
+        surfaces at the failing file's position, exactly where the serial
+        loop would have raised.
+        """
+        paths = raw_files[start:]
+        columns = sorted({key.column for key in keys})
+
+        def parse(path: str, context: EvalContext) -> tuple[bytes, int]:
+            reader = OrcFileReader(self.catalog.fs.read(path))
+            texts, _ = reader.read_columns(columns)
+            layout = reader.row_group_layout()
+            group_rows = layout[0].row_count if layout else self.row_group_size
+            writer = OrcWriter(info.schema, row_group_size=group_rows)
+            writer.write_rows(zip(*cache_columns(context, texts, keys, dtypes)))
+            return writer.finish(), reader.row_count
+
+        if self.build_workers <= 1 or len(paths) <= 1:
+            pool = nullcontext()
+            results = (parse(path, context) for path in paths)
+        else:
+            pool = ThreadPoolExecutor(min(self.build_workers, len(paths)))
+            futures = [pool.submit(parse, path, context.fresh()) for path in paths]
+            results = (future.result() for future in futures)
+        rows = written = 0
+        with pool:
+            for index, (data, n_rows) in enumerate(results, start=start):
+                self.catalog.fs.create(f"{info.location}/part-{index:05d}.orc", data)
+                rows += n_rows
+                written += len(data)
+        return rows, written

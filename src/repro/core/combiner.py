@@ -21,11 +21,11 @@ is single-stripe (§IV-F's precondition).
 **Graceful degradation.** A cache file that cannot be read — missing,
 misaligned with the raw table, transiently erroring, or failing its
 stripe/footer checksum — never fails the query and never leaks garbage:
-the affected split falls back to parsing the raw JSON column directly,
-re-deriving exactly the values the cache would have held (same
-extraction, same type coercion). The failure trips the system's circuit
-breaker so subsequent queries skip the broken table at plan time until
-its quarantine half-opens for a re-probe.
+the affected split falls back to parsing the raw JSON column directly
+with the routine the cacher built the file with (DESIGN §9 "Build
+path"). The failure trips the system's circuit breaker so subsequent
+queries skip the broken table at plan time until its quarantine
+half-opens for a re-probe.
 """
 
 from __future__ import annotations
@@ -35,13 +35,14 @@ from dataclasses import dataclass, field
 
 from ..engine.batch import ColumnBatch
 from ..engine.errors import CatalogError, ExecutionError
+from ..engine.metrics import QueryMetrics
+from ..engine.parallel import _fold_context_stats
 from ..engine.physical import ExecState, ScanExec
 from ..storage.fs import FsError
 from ..storage.orc import CorruptStripeError, OrcError
 from ..storage.readers import OrcReader, split_reader
 from ..storage.sargs import Sarg
-from .cacher import CACHE_DATABASE, CacheEntry, coerce_cache_value
-from .extraction import ValueExtractor
+from .cacher import CACHE_DATABASE, CacheEntry, cache_columns
 
 __all__ = ["CachedFieldRequest", "MaxsonScanExec"]
 
@@ -229,19 +230,15 @@ class MaxsonScanExec(ScanExec):
     def _fallback_columns(
         self, state: ExecState, raw_path: str
     ) -> tuple[dict[str, list], int]:
-        """Answer one split without its cache file: parse the raw column.
-
-        Re-derives exactly the values the cache file would have held —
-        same extraction, same :func:`coerce_cache_value` coercion — so a
-        degraded query is row-identical to the cached one, just slower.
-        """
-        read_columns = list(self.columns)
-        requests_by_column: dict[str, list[CachedFieldRequest]] = {}
-        for request in self.cached_fields:
-            column = request.entry.key.column
-            if column not in read_columns:
-                read_columns.append(column)
-            requests_by_column.setdefault(column, []).append(request)
+        """Answer one split without its cache file: parse the raw columns
+        into the columns the file would have held
+        (:func:`~repro.core.cacher.cache_columns`, the routine that wrote
+        it), so a degraded query is row-identical to the cached one, just
+        slower."""
+        entries = [request.entry for request in self.cached_fields]
+        read_columns = list(
+            dict.fromkeys([*self.columns, *(e.key.column for e in entries)])
+        )
         reader = split_reader(
             state.catalog.fs, raw_path, columns=read_columns, sarg=self.sarg
         )
@@ -249,48 +246,34 @@ class MaxsonScanExec(ScanExec):
         state.metrics.bytes_read += result.bytes_read
         state.metrics.row_groups_total += result.row_groups_total
         state.metrics.row_groups_skipped += result.row_groups_skipped
-        series = {name: result.columns[name] for name in read_columns}
-        extractor = ValueExtractor()
-        columns: dict[str, list] = {
-            name: series[name] for name in self.columns
-        }
-        env_series: dict[str, list] = {
-            request.env_key: [] for request in self.cached_fields
-        }
+        state.check_cancelled()
         parse_span = (
-            state.tracer.begin(
-                "parse", split=str(raw_path), degraded=True
-            )
+            state.tracer.begin("parse", split=str(raw_path), degraded=True)
             if state.tracer is not None
             else None
         )
-        for column, requests in requests_by_column.items():
-            project = extractor.projection(
-                tuple(request.entry.key.path for request in requests)
-            )
-            sinks = [
-                (env_series[request.env_key].append, request.entry.dtype)
-                for request in requests
-            ]
-            for i, text in enumerate(series[column]):
-                if i % 256 == 0:
-                    state.check_cancelled()
-                for (append, dtype), value in zip(sinks, project(text)):
-                    append(coerce_cache_value(value, dtype))
-        columns.update(env_series)
-        for parser in (extractor.json_parser, extractor.xml_parser):
-            state.metrics.parse_seconds += parser.stats.seconds
-            state.metrics.parse_documents += parser.stats.documents
-            state.metrics.parse_bytes += parser.stats.bytes_scanned
+        context = state.context.fresh(json_paths=())
+        values = cache_columns(
+            context,
+            result.columns,
+            [entry.key for entry in entries],
+            [entry.dtype for entry in entries],
+        )
+        parsed = QueryMetrics()
+        _fold_context_stats(parsed, context)
+        state.metrics.merge(parsed)
         if parse_span is not None:
             parse_span.attributes.update(
                 rows=result.rows_read,
-                parse_documents=extractor.json_parser.stats.documents
-                + extractor.xml_parser.stats.documents,
-                parse_bytes=extractor.json_parser.stats.bytes_scanned
-                + extractor.xml_parser.stats.bytes_scanned,
+                parse_documents=parsed.parse_documents,
+                parse_bytes=parsed.parse_bytes,
             )
             state.tracer.end(parse_span)
+        columns: dict[str, list] = {
+            name: result.columns[name] for name in self.columns
+        }
+        for request, column in zip(self.cached_fields, values):
+            columns[request.env_key] = column
         return columns, result.rows_read
 
     def _split_columns(

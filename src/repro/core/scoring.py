@@ -29,11 +29,15 @@ from dataclasses import dataclass
 from itertools import islice
 
 from ..engine.catalog import Catalog
-from ..jsonlib.jackson import dumps
+from ..engine.expressions import path_format
+from ..jsonlib.errors import JsonParseError
+from ..jsonlib.jackson import JacksonParser, dumps
+from ..jsonlib.jsonpath import evaluate as eval_json_path
 from ..storage.orc import OrcFileReader
 from ..workload.trace import PathKey
 from .collector import QueryRecord
-from .extraction import ValueExtractor, path_format
+from ..xmllib.parser import XmlParseError, XmlParser
+from ..xmllib.xpath import evaluate_xpath
 
 __all__ = ["PathStats", "ScoredPath", "ScoringFunction"]
 
@@ -146,8 +150,11 @@ class ScoringFunction:
         fully parsed once — P_j is defined on the full Jackson parse —
         and each path evaluated on the shared tree; a path is charged
         the shared parse time plus its own evaluation time. The clock
-        covers ``decode`` and ``evaluate`` only: file reads, column
-        decoding, row counting and value sizing are outside it.
+        covers the parse and the evaluation only: file reads, column
+        decoding, row counting and value sizing are outside it. This is
+        deliberately not the engine's raw path, which projects: the
+        selection is defined on the cost the paper measures (DESIGN §9
+        "Build path").
         """
         groups: dict[tuple[str, str], list[PathKey]] = defaultdict(list)
         for key in keys:
@@ -169,16 +176,28 @@ class ScoringFunction:
         clock = time.perf_counter
         for (column, fmt), group in groups.items():
             texts = samples[column]
-            extractor = ValueExtractor()
+            parser, malformed, evaluate = (
+                (JacksonParser(), JsonParseError, eval_json_path)
+                if fmt == "json"
+                else (XmlParser(), XmlParseError, evaluate_xpath)
+            )
+            documents: dict[str, object] = {}  # each distinct text parses once
             parse_seconds = 0.0
             tallies = [[key, 0.0, 0] for key in group]  # evaluation s, value bytes
             for text in texts:
                 started = clock()
-                documents = extractor.decode(text, {fmt})
+                if text not in documents:
+                    try:
+                        documents[text] = parser.parse(text)
+                    except malformed:
+                        documents[text] = None
+                document = documents[text]
                 parse_seconds += clock() - started
                 for tally in tallies:
                     started = clock()
-                    value = extractor.evaluate(documents, tally[0].path)
+                    value = (
+                        None if document is None else evaluate(tally[0].path, document)
+                    )
                     tally[1] += clock() - started
                     tally[2] += _value_bytes(value)
             sampled = len(texts) or 1
@@ -190,10 +209,7 @@ class ScoringFunction:
                     avg_parse_seconds=(parse_seconds + eval_seconds) / sampled,
                     estimated_total_bytes=int(avg_bytes * total_rows),
                 )
-            work["documents_sampled"] += (
-                extractor.json_parser.stats.documents
-                + extractor.xml_parser.stats.documents
-            )
+            work["documents_sampled"] += parser.stats.documents
         work["paths_measured"] += len(keys)
         return out
 

@@ -311,10 +311,9 @@ class MaxsonSystem:
         """
         with self._generation_lock:
             next_generation = self.generation + 1
-            new_registry = CacheRegistry()
             new_cacher = JsonPathCacher(
                 self.catalog,
-                new_registry,
+                CacheRegistry(),
                 row_group_size=self.cacher.row_group_size,
                 type_sample_rows=self.cacher.type_sample_rows,
                 table_suffix=f"__g{next_generation}",
@@ -334,80 +333,82 @@ class MaxsonSystem:
                     build = new_cacher.populate(keys, tracer=tracer)
                     if tracer is not None:
                         tracer.annotate(
-                            cache_tables=len(new_registry.cache_tables()),
-                            cache_bytes=new_registry.total_bytes(),
+                            cache_tables=len(new_cacher.registry.cache_tables()),
+                            cache_bytes=new_cacher.registry.total_bytes(),
                         )
             except Exception as exc:
                 # Build failed (fs fault, corrupt raw read, ...): GC the
                 # half-built generation and keep the old one serving.
                 # A simulated process crash (InjectedCrash) is a
                 # BaseException and deliberately NOT caught here.
-                self._gc_generation(next_generation, new_registry)
+                self._gc_generation(next_generation, new_cacher.registry)
                 self.journal.abort(next_generation)
-                self.resilience.add("build_failures")
-                failed = CacheBuildReport()
-                failed.failed = True
-                failed.error = f"{type(exc).__name__}: {exc}"
-                self.cache_build_metrics.extra["failed_builds"] = (
-                    self.cache_build_metrics.extra.get("failed_builds", 0.0)
-                    + 1.0
-                )
-                return failed
+                return self._failed_build(exc)
             self.journal.commit(next_generation)
             old_registry = self.registry
-            old_tables = old_registry.cache_tables()
-
-            def install() -> None:
-                self.registry = new_registry
-                self.cacher = new_cacher
-                self.modifier.registry = new_registry
-                self.generation = next_generation
-                # Cached plans reference the retired generation's scan
-                # operators; the registry-identity token in their keys
-                # already makes them unreachable, and clearing frees
-                # them immediately.
-                self.session.invalidate_plan_cache()
-                # Result-cache keys carry the same token, so retired
-                # entries can never be served; clearing releases their
-                # bytes back to the unified budget right away.
-                self.session.invalidate_result_cache()
-                # Publish the new generation's jsonpath-tier occupancy
-                # (reported beside the budgeted tiers; the midnight
-                # selector enforces its own budget at selection time).
-                self.session.cache_ledger.set_tier(
-                    "jsonpath", new_registry.total_bytes()
-                )
-
-            def retire() -> None:
-                for table in sorted(old_tables):
-                    if self.catalog.table_exists(CACHE_DATABASE, table):
-                        self.catalog.drop_table(CACHE_DATABASE, table)
-                old_registry.clear()
-
             guard = self.generation_guard
             with _span(
                 tracer,
                 "swap",
                 generation=next_generation,
-                retired_tables=len(old_tables),
+                retired_tables=len(old_registry.cache_tables()),
                 guarded=guard is not None,
             ):
                 if guard is None:
-                    install()
-                    retire()
+                    self._install_generation(next_generation, new_cacher)
+                    self._retire_generation(old_registry)
                 else:
                     guard.complete_swap(
-                        self.generation, next_generation, install, retire
+                        self.generation,
+                        next_generation,
+                        lambda: self._install_generation(next_generation, new_cacher),
+                        lambda: self._retire_generation(old_registry),
                     )
-            self.cache_build_metrics.extra["build_seconds"] = (
-                self.cache_build_metrics.extra.get("build_seconds", 0.0)
-                + build.build_seconds
-            )
-            self.cache_build_metrics.extra["generations_built"] = (
-                self.cache_build_metrics.extra.get("generations_built", 0.0)
-                + 1.0
-            )
+            self._count_build("build_seconds", build.build_seconds)
+            self._count_build("generations_built", 1.0)
             return build
+
+    def _install_generation(self, generation: int, cacher: JsonPathCacher) -> None:
+        """Point the plan modifier (and the next build) at ``cacher``'s
+        registry: the moment a generation starts serving."""
+        self.registry = cacher.registry
+        self.cacher = cacher
+        self.modifier.registry = cacher.registry
+        self.generation = generation
+        # Cached plans reference the retired generation's scan operators;
+        # the registry-identity token in their keys already makes them
+        # unreachable, and clearing frees them immediately.
+        self.session.invalidate_plan_cache()
+        # Result-cache keys carry the same token, so retired entries can
+        # never be served; clearing releases their bytes back to the
+        # unified budget right away.
+        self.session.invalidate_result_cache()
+        # Publish the new generation's jsonpath-tier occupancy (reported
+        # beside the budgeted tiers; the midnight selector enforces its
+        # own budget at selection time).
+        self.session.cache_ledger.set_tier(
+            "jsonpath", cacher.registry.total_bytes()
+        )
+
+    def _retire_generation(self, registry: CacheRegistry) -> None:
+        """Drop the tables of a generation nothing reads any more."""
+        for table in sorted(registry.cache_tables()):
+            if self.catalog.table_exists(CACHE_DATABASE, table):
+                self.catalog.drop_table(CACHE_DATABASE, table)
+        registry.clear()
+
+    def _count_build(self, counter: str, amount: float) -> None:
+        extra = self.cache_build_metrics.extra
+        extra[counter] = extra.get(counter, 0.0) + amount
+
+    def _failed_build(self, exc: Exception) -> CacheBuildReport:
+        """The report of a build or refresh that raised ``exc``; whatever
+        was serving before it keeps serving."""
+        self.resilience.add("build_failures")
+        self._count_build("failed_builds", 1.0)
+        return CacheBuildReport(
+            failed=True, error=f"{type(exc).__name__}: {exc}"
+        )
 
     def _gc_generation(self, generation: int, registry: CacheRegistry) -> None:
         """Drop every cache table of a failed/orphaned generation."""
@@ -462,15 +463,8 @@ class MaxsonSystem:
             try:
                 build = self.cacher.refresh(keys)
             except Exception as exc:
-                self.resilience.add("build_failures")
-                failed = CacheBuildReport()
-                failed.failed = True
-                failed.error = f"{type(exc).__name__}: {exc}"
-                return failed
-            self.cache_build_metrics.extra["build_seconds"] = (
-                self.cache_build_metrics.extra.get("build_seconds", 0.0)
-                + build.build_seconds
-            )
+                return self._failed_build(exc)
+            self._count_build("build_seconds", build.build_seconds)
             return build
 
     # ------------------------------------------------------------------
@@ -481,12 +475,20 @@ class MaxsonSystem:
     ) -> None:
         self.predictor.fit(self.collector, train_days, keys)
 
-    def _score_and_select(
-        self, cacheable, shapes, budget_bytes: int, strategy: str, tracer=None
-    ) -> tuple[list[ScoredPath], list[ScoredPath], dict[str, int]]:
-        """The ``score`` stage: rank ``cacheable`` against the shape log
-        and fill the budget. Also returns what the stage had to do, for
-        the span and the :class:`MidnightReport`."""
+    def _select_and_swap(
+        self,
+        day: int,
+        predicted,
+        cacheable: set[PathKey],
+        shapes,
+        budget_bytes: int,
+        strategy: str,
+        tracer=None,
+    ) -> MidnightReport:
+        """The tail every cycle shares: rank ``cacheable`` against the
+        shape log, fill the budget, build and swap in the generation, and
+        open its efficacy book. ``predicted`` is what was proposed for
+        ``day`` (the cacheable paths plus those over missing tables)."""
         scoring = self.scoring
         with _span(tracer, "score"):
             scored = scoring.score(cacheable, shapes)
@@ -496,6 +498,7 @@ class MaxsonSystem:
                 )
             else:
                 selected = scoring.select_within_budget(scored, budget_bytes)
+            # What the stage had to chew through, for the span and report.
             workload = {
                 "history_records": sum(shapes.values()),
                 "distinct_shapes": len(shapes),
@@ -505,7 +508,34 @@ class MaxsonSystem:
                 tracer.annotate(
                     scored=len(scored), selected=len(selected), **workload
                 )
-        return scored, selected, workload
+        keys = [sp.key for sp in selected]
+        build = self._swap_generation(keys, tracer=tracer)
+        if not build.failed:
+            # Close the book on the generation this swap retired, then
+            # start accounting for the one that now serves.
+            self.efficacy.close_pending(
+                self.collector,
+                up_to_day=day,
+                threshold=self.config.mpjp_threshold,
+            )
+            self.efficacy.open_generation(self.generation, day, predicted, keys)
+        return MidnightReport(
+            day=day,
+            predicted_mpjp=len(predicted),
+            candidates_scored=len(scored),
+            selected=selected,
+            build=build,
+            skipped_missing_tables=len(predicted) - len(cacheable),
+            **workload,
+        )
+
+    def _cacheable(self, keys) -> set[PathKey]:
+        """Only paths over real tables can be cached."""
+        return {
+            key
+            for key in keys
+            if self.catalog.table_exists(key.database, key.table)
+        }
 
     def run_midnight_cycle(
         self,
@@ -533,54 +563,24 @@ class MaxsonSystem:
                 predicted = self.predictor.predict(
                     self.collector, target_day, candidate_keys
                 )
-                # Only paths over real tables can be cached.
-                cacheable: set[PathKey] = set()
-                missing = 0
-                for key in predicted:
-                    if self.catalog.table_exists(key.database, key.table):
-                        cacheable.add(key)
-                    else:
-                        missing += 1
+                cacheable = self._cacheable(predicted)
                 if tracer is not None:
                     tracer.annotate(
                         predicted=len(predicted),
                         cacheable=len(cacheable),
-                        skipped_missing_tables=missing,
+                        skipped_missing_tables=len(predicted) - len(cacheable),
                     )
-            scored, selected, workload = self._score_and_select(
+            report = self._select_and_swap(
+                target_day,
+                predicted,
                 cacheable,
                 shapes,
                 self.config.cache_budget_bytes,
                 self.config.selection_strategy,
                 tracer,
             )
-            build = self._swap_generation(
-                [sp.key for sp in selected], tracer=tracer
-            )
-            if not build.failed:
-                # Close the book on the generation this swap retired,
-                # then start accounting for the one that now serves.
-                self.efficacy.close_pending(
-                    self.collector,
-                    up_to_day=target_day,
-                    threshold=self.config.mpjp_threshold,
-                )
-                self.efficacy.open_generation(
-                    self.generation,
-                    target_day,
-                    predicted,
-                    [sp.key for sp in selected],
-                )
             self.current_day = target_day
-        return MidnightReport(
-            day=target_day,
-            predicted_mpjp=len(predicted),
-            candidates_scored=len(scored),
-            selected=selected,
-            build=build,
-            skipped_missing_tables=missing,
-            **workload,
-        )
+        return report
 
     def cache_paths_directly(
         self,
@@ -599,40 +599,15 @@ class MaxsonSystem:
         """
         if shapes is None:
             shapes = self.collector.shapes_between(0, self.current_day)
-        cacheable = {
-            key
-            for key in keys
-            if self.catalog.table_exists(key.database, key.table)
-        }
-        scored, selected, workload = self._score_and_select(
-            cacheable,
+        return self._select_and_swap(
+            self.current_day,
+            keys,
+            self._cacheable(keys),
             shapes,
             budget_bytes
             if budget_bytes is not None
             else self.config.cache_budget_bytes,
             strategy or self.config.selection_strategy,
-        )
-        build = self._swap_generation([sp.key for sp in selected])
-        if not build.failed:
-            self.efficacy.close_pending(
-                self.collector,
-                up_to_day=self.current_day,
-                threshold=self.config.mpjp_threshold,
-            )
-            self.efficacy.open_generation(
-                self.generation,
-                self.current_day,
-                keys,
-                [sp.key for sp in selected],
-            )
-        return MidnightReport(
-            day=self.current_day,
-            predicted_mpjp=len(keys),
-            candidates_scored=len(scored),
-            selected=selected,
-            build=build,
-            skipped_missing_tables=len(keys) - len(cacheable),
-            **workload,
         )
 
     # ------------------------------------------------------------------

@@ -26,6 +26,7 @@ from ..jsonlib.projection import PathProjector
 from .errors import ExecutionError, PlanError
 
 __all__ = [
+    "path_format",
     "EvalContext",
     "Expression",
     "Column",
@@ -46,9 +47,23 @@ __all__ = [
 ]
 
 
+def path_format(path: str) -> str:
+    """'json' for ``$...`` paths, 'xml' for ``/...`` paths."""
+    stripped = path.lstrip()
+    if stripped.startswith("$"):
+        return "json"
+    if stripped.startswith("/"):
+        return "xml"
+    raise ValueError(f"cannot determine format of path {path!r}")
+
+
 @dataclass
 class EvalContext:
     """Shared evaluation state: the parsers and their stats.
+
+    The one extractor: a query's raw scan, the cache build and the
+    combiner's degraded fallback all read path values through a context,
+    so the value a cache file stores is the value a raw query computes.
 
     ``projection_parser`` optionally replaces full parsing with a
     Mison-style projecting parser; when set, ``get_json_object`` projects a
@@ -128,8 +143,11 @@ class EvalContext:
             # Projecting parsers skip full parsing already; nothing to
             # share, so delegate row-by-row for identical behaviour.
             return [self.get_json_object(text, raw_path) for text in texts]
-        slot = self._json_slot(parse_path(raw_path).raw)
+        path = parse_path(raw_path).raw
         documents = self.json_documents
+        if documents is None or path not in documents.parser.index:
+            documents = self._declare_json_paths([path])
+        slot = documents.parser.index[path]
         out = []
         append = out.append
         for text in texts:
@@ -145,35 +163,40 @@ class EvalContext:
             append(None if values is INVALID else values[slot])
         return out
 
-    def _json_slot(self, path: str) -> int:
-        """Position of ``path`` in the tuples ``json_documents`` holds."""
+    def _declare_json_paths(self, paths: list[str]) -> DocumentCache:
+        """``json_documents``, made to hold the canonical ``paths`` beside
+        the ones it holds (or, on first use, the declared ones)."""
         documents = self.json_documents
-        if documents is None or path not in documents.parser.index:
-            known = self.json_paths if documents is None else documents.parser.paths
-            projector = PathProjector((*known, path), self.parser)
-            if documents is None:
-                documents = self.json_documents = DocumentCache(
-                    projector, JsonParseError, max_bytes=self.doc_cache_bytes
-                )
-            else:
-                # A path the plan did not declare (a context driven by
-                # hand): the tuples cached so far do not hold it.
-                documents.parser = projector
-                documents.clear()
-        return documents.parser.index[path]
+        known = self.json_paths if documents is None else documents.parser.paths
+        projector = PathProjector((*known, *paths), self.parser)
+        if documents is None:
+            documents = self.json_documents = DocumentCache(
+                projector, JsonParseError, max_bytes=self.doc_cache_bytes
+            )
+        else:
+            # A path the plan did not declare (a context driven by hand):
+            # the tuples cached so far do not hold it.
+            documents.parser = projector
+            documents.clear()
+        return documents
 
-    def get_xml_objects(self, texts: list, raw_path: str) -> list:
-        """Vectorized ``get_xml_object`` with the same sharing contract."""
-        from ..xmllib.parser import XmlParseError, XmlParser
-        from ..xmllib.xpath import evaluate_xpath
-
-        if self.xml_parser is None:
-            self.xml_parser = XmlParser()
+    def _xml_scope(self) -> DocumentCache:
+        """The XML sharing scope, with its parser, made on first use."""
         if self.xml_documents is None:
+            from ..xmllib.parser import XmlParseError, XmlParser
+
+            if self.xml_parser is None:
+                self.xml_parser = XmlParser()
             self.xml_documents = DocumentCache(
                 self.xml_parser, XmlParseError, max_bytes=self.doc_cache_bytes
             )
-        documents = self.xml_documents
+        return self.xml_documents
+
+    def get_xml_objects(self, texts: list, raw_path: str) -> list:
+        """Vectorized ``get_xml_object`` with the same sharing contract."""
+        from ..xmllib.xpath import evaluate_xpath
+
+        documents = self._xml_scope()
         out = []
         append = out.append
         for text in texts:
@@ -188,6 +211,61 @@ class EvalContext:
             document = documents.document(text)
             append(None if document is INVALID else evaluate_xpath(raw_path, document))
         return out
+
+    def extract_paths(self, texts: list, raw_paths: list[str]) -> list[list]:
+        """One value list per path of ``raw_paths`` (``$...`` JSONPaths and
+        ``/...`` XPaths may mix) over a whole column, at one document
+        lookup per text per format.
+
+        This is the cache-table reading of a column, not the query's: a
+        value that is not a string, is malformed, or lacks the path reads
+        as ``None`` and nothing raises. It reads the document caches
+        :meth:`get_json_objects` and :meth:`get_xml_objects` read, so on
+        a string column the three agree value for value.
+        """
+        out: list[list] = [[None] * len(texts) for _ in raw_paths]
+        by_format: dict[str, list[int]] = {"json": [], "xml": []}
+        for position, raw_path in enumerate(raw_paths):
+            by_format[path_format(raw_path)].append(position)
+        if by_format["json"]:
+            paths = [parse_path(raw_paths[i]).raw for i in by_format["json"]]
+            documents = self.json_documents
+            if documents is None or not documents.parser.index.keys() >= set(paths):
+                documents = self._declare_json_paths(paths)
+            index = documents.parser.index
+            sinks = [(out[i], index[p]) for i, p in zip(by_format["json"], paths)]
+            for row, text in enumerate(texts):
+                if isinstance(text, str):
+                    values = documents.document(text)
+                    if values is not INVALID:
+                        for column, slot in sinks:
+                            column[row] = values[slot]
+        if by_format["xml"]:
+            from ..xmllib.xpath import evaluate_xpath
+
+            sinks = [(out[i], raw_paths[i]) for i in by_format["xml"]]
+            documents = self._xml_scope()
+            for row, text in enumerate(texts):
+                if isinstance(text, str):
+                    document = documents.document(text)
+                    if document is not INVALID:
+                        for column, raw_path in sinks:
+                            column[row] = evaluate_xpath(raw_path, document)
+        return out
+
+    def fresh(self, json_paths: tuple[str, ...] | None = None) -> "EvalContext":
+        """A sibling for another split, worker or build thread: the same
+        parser classes and document budget, declaring ``json_paths``
+        (default: the same paths); its own parsers, stats and documents."""
+        projection_parser = self.projection_parser
+        return EvalContext(
+            parser=type(self.parser)(),
+            projection_parser=None
+            if projection_parser is None
+            else type(projection_parser)(),
+            json_paths=self.json_paths if json_paths is None else json_paths,
+            doc_cache_bytes=self.doc_cache_bytes,
+        )
 
     def shared_parse_hits(self) -> int:
         """Parses avoided by document sharing in this context so far."""

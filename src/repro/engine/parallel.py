@@ -59,12 +59,10 @@ __all__ = ["MorselPipelineExec", "MorselAggregateExec", "parallelize_plan"]
 
 
 def _fold_context_stats(metrics: QueryMetrics, context) -> None:
-    """Fold a worker context's parser/sharing counters into its metrics.
-
-    Mirrors what the session does for the coordinator context at the end
-    of a query — workers must do it before returning because their
-    contexts are not visible to the session.
-    """
+    """Fold a context's parser and sharing counters into ``metrics`` —
+    the one place they meet. A context is folded once, when its work is
+    over: the coordinator's by the session, a split's by its worker, a
+    degraded split's fallback context by the combiner."""
     metrics.shared_parse_hits += context.shared_parse_hits()
     metrics.doc_cache_evictions += context.doc_cache_evictions()
     for parser in (context.parser, context.projection_parser, context.xml_parser):

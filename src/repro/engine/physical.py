@@ -66,10 +66,6 @@ class ExecState:
     #: on the untraced path; operators that emit interior spans (e.g. the
     #: Maxson combiner) must guard on ``state.tracer is not None``.
     tracer: object | None = None
-    #: Factory for worker-local :class:`EvalContext`s (morsel execution).
-    #: ``None`` falls back to cloning the coordinator context's parser
-    #: classes.
-    context_factory: object | None = None
     #: Degree of split-level parallelism for morsel scans (1 = inline).
     scan_workers: int = 1
     #: Shared ``ThreadPoolExecutor`` supplied by the session when
@@ -105,19 +101,9 @@ class ExecState:
         the fork and grafts its subtree back afterwards. Workers never
         re-fork.
         """
-        if self.context_factory is not None:
-            context = self.context_factory()  # type: ignore[operator]
-        else:
-            context = EvalContext(parser=type(self.context.parser)())
-            if self.context.projection_parser is not None:
-                context.projection_parser = type(
-                    self.context.projection_parser
-                )()
-        context.json_paths = self.context.json_paths
         return ExecState(
             catalog=self.catalog,
-            context=context,
-            context_factory=self.context_factory,
+            context=self.context.fresh(),
             cancel_token=self.cancel_token,
             expression_analysis=self.expression_analysis,
         )

@@ -337,11 +337,8 @@ class _WorkerEnv:
             catalog._tables[(info.database, info.name)] = info
         catalog._version = snapshot["catalog_version"]
         self.catalog = catalog
-        self._parser_factory = snapshot["parser_factory"]
-        self._projection_parser_factory = snapshot[
-            "projection_parser_factory"
-        ]
-        self._doc_cache_bytes = snapshot["doc_cache_bytes"]
+        #: The session's context as shipped; each task runs on a sibling.
+        self.context = snapshot["context"]
         self._plan_cache: tuple[bytes, object] | None = None
         flag_name = snapshot["flag_slab"]
         self.flag_buf = None
@@ -354,16 +351,6 @@ class _WorkerEnv:
                 self.flag_buf = self._flag_segment.buf
             except FileNotFoundError:
                 self.flag_buf = None
-
-    def context(self):
-        from .expressions import EvalContext
-
-        context = EvalContext(parser=self._parser_factory())
-        if self._projection_parser_factory is not None:
-            context.projection_parser = self._projection_parser_factory()
-        if self._doc_cache_bytes != "default":
-            context.doc_cache_bytes = self._doc_cache_bytes
-        return context
 
     def plan_for(self, blob: bytes):
         """Unpickle the split's ``(pipeline, json_paths)``, memoising
@@ -408,7 +395,7 @@ def _run_task(env: _WorkerEnv, task: dict) -> dict:
     )
     worker = ExecState(
         catalog=env.catalog,
-        context=env.context(),
+        context=env.context.fresh(),
         cancel_token=token,
     )
     tracer = None
@@ -944,13 +931,6 @@ def build_snapshot(session) -> dict:
             path: (f.data, f.modification_time)
             for path, f in fs._files.items()
         }
-    doc_cache_bytes: object = "default"
-    if session.cache_ledger.budget is not None:
-        from ..jsonlib.doccache import DEFAULT_DOC_CACHE_BYTES
-
-        doc_cache_bytes = min(
-            DEFAULT_DOC_CACHE_BYTES, session.cache_ledger.budget
-        )
     return {
         "fs_class": type(fs),
         "block_size": fs.block_size,
@@ -960,8 +940,6 @@ def build_snapshot(session) -> dict:
         "warehouse_root": session.catalog.warehouse_root,
         "tables": session.catalog.list_tables(None),
         "catalog_version": session.catalog.version,
-        "parser_factory": session.parser_factory,
-        "projection_parser_factory": session.projection_parser_factory,
-        "doc_cache_bytes": doc_cache_bytes,
+        "context": session._context_factory(),
         "flag_slab": None,  # filled in by the pool
     }

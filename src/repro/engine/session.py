@@ -28,7 +28,7 @@ from .catalog import Catalog
 from .errors import QueryCancelledError
 from .expressions import EvalContext
 from .metrics import QueryMetrics
-from .parallel import parallelize_plan
+from .parallel import _fold_context_stats, parallelize_plan
 from .physical import ExecState, PhysicalPlan, json_paths_of
 from .plancache import CachedPlan, PlanCache, fingerprint
 from .planner import PlannedQuery, Planner
@@ -198,7 +198,13 @@ class Session:
             raise ValueError(f"plan_cache_entries must be >= 0, got {entries!r}")
         with self._lock:
             self.plan_cache_entries = entries
-            self._plan_cache = PlanCache(entries) if entries > 0 else None
+            # Clearing gives the old cache's bytes back to the ledger.
+            self.invalidate_plan_cache()
+            self._plan_cache = (
+                PlanCache(entries, ledger=self.cache_ledger)
+                if entries > 0
+                else None
+            )
 
     def plan_cache_stats(self) -> dict[str, int]:
         """Counters of the plan cache (all zero when disabled)."""
@@ -432,7 +438,6 @@ class Session:
             catalog=self.catalog,
             context=self._context_factory(),
             tracer=tracer,
-            context_factory=self._context_factory,
             scan_workers=self.scan_workers,
             scan_pool=self._morsel_pool(),
             cancel_token=cancel_token,
@@ -626,20 +631,7 @@ class Session:
         metrics.plan_seconds = plan_seconds
         metrics.total_seconds = total
         metrics.rows_output = len(rows)
-        metrics.shared_parse_hits += state.context.shared_parse_hits()
-        metrics.doc_cache_evictions += state.context.doc_cache_evictions()
-        parse_stats = state.context.parser.stats
-        metrics.parse_seconds += parse_stats.seconds
-        metrics.parse_documents += parse_stats.documents
-        metrics.parse_bytes += parse_stats.bytes_scanned
-        for extra_parser in (
-            state.context.projection_parser,
-            state.context.xml_parser,
-        ):
-            if extra_parser is not None and hasattr(extra_parser, "stats"):
-                metrics.parse_seconds += extra_parser.stats.seconds
-                metrics.parse_documents += extra_parser.stats.documents
-                metrics.parse_bytes += extra_parser.stats.bytes_scanned
+        _fold_context_stats(metrics, state.context)
         self._observe_document_tier(state)
         # -- result-cache admission ------------------------------------
         # A query that degraded (any split answered by raw-parse

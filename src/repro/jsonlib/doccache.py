@@ -6,10 +6,10 @@ expressions extract different paths from the *same* source column: each
 ``get_json_object`` call re-parses the document once per expression per
 row. :class:`DocumentCache` is the shared-parse primitive that fixes
 this: it wraps a parser and memoises parsed documents by source text, so
-within one evaluation scope (a query's :class:`~repro.engine.expressions.
-EvalContext`, a cache build, a combiner fallback split) every distinct
-document is parsed exactly once no matter how many consumers evaluate
-paths against it.
+within one evaluation scope (an :class:`~repro.engine.expressions.
+EvalContext` — a query's, a split's, a cache build's, a degraded
+fallback's) every distinct document is parsed exactly once no matter how
+many consumers evaluate paths against it.
 
 Cost accounting contract: the wrapped parser's
 :class:`~repro.jsonlib.jackson.ParseStats` charge each unique parse

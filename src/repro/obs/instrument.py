@@ -19,7 +19,8 @@ reconciliation tests subtract child spans where they need self-time.
 
 from __future__ import annotations
 
-from ..engine.parallel import MorselPipelineExec
+from ..engine.metrics import QueryMetrics
+from ..engine.parallel import MorselPipelineExec, _fold_context_stats
 from ..engine.physical import (
     AggregateExec,
     ExecState,
@@ -73,32 +74,20 @@ def stage_of(node: PhysicalPlan) -> str:
 def counter_snapshot(state: ExecState) -> tuple[float, ...]:
     """Current inclusive counter values, parsers folded in live."""
     metrics = state.metrics
-    context = state.context
-    parse_seconds = metrics.parse_seconds
-    parse_documents = metrics.parse_documents
-    parse_bytes = metrics.parse_bytes
-    for parser in (
-        context.parser,
-        context.projection_parser,
-        context.xml_parser,
-    ):
-        stats = getattr(parser, "stats", None)
-        if stats is not None:
-            parse_seconds += stats.seconds
-            parse_documents += stats.documents
-            parse_bytes += stats.bytes_scanned
+    live = QueryMetrics()
+    _fold_context_stats(live, state.context)
     return (
         metrics.read_seconds,
-        parse_seconds,
-        parse_documents,
-        parse_bytes,
+        metrics.parse_seconds + live.parse_seconds,
+        metrics.parse_documents + live.parse_documents,
+        metrics.parse_bytes + live.parse_bytes,
         metrics.bytes_read,
         metrics.rows_scanned,
         metrics.row_groups_total,
         metrics.row_groups_skipped,
         metrics.cache_hits,
         metrics.cache_misses,
-        metrics.shared_parse_hits + state.context.shared_parse_hits(),
+        metrics.shared_parse_hits + live.shared_parse_hits,
         metrics.duplicate_extractions_eliminated,
     )
 

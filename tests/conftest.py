@@ -55,3 +55,44 @@ def sales_session(session: Session) -> Session:
             rows.append(("0001", f"2019010{day}", dumps(log)))
         session.catalog.append_rows("mydb", "T", rows, row_group_size=10)
     return session
+
+
+@pytest.fixture
+def assert_fallback_equals_build():
+    """``check(system, database, table)``: every split of a cached table,
+    answered fully degraded (no cache file), returns the columns its cache
+    file holds — value for value and type for type."""
+    from repro.core.cacher import CACHE_DATABASE
+    from repro.core.combiner import CachedFieldRequest, MaxsonScanExec
+    from repro.storage import OrcFileReader
+
+    def check(system, database: str, table: str) -> None:
+        entries = [
+            entry
+            for entry in system.registry.all_entries()
+            if (entry.key.database, entry.key.table) == (database, table)
+        ]
+        assert entries
+        scan = MaxsonScanExec(
+            database,
+            table,
+            None,
+            [],
+            cached_fields=[CachedFieldRequest(e, e.field_name) for e in entries],
+        )
+        catalog = system.catalog
+        raw_files = catalog.table_files(database, table)
+        cache_files = catalog.table_files(CACHE_DATABASE, entries[0].cache_table)
+        assert len(raw_files) == len(cache_files) > 0
+        for raw_path, cache_path in zip(raw_files, cache_files):
+            batch, degraded = scan.run_morsel(
+                system.session._make_state(), (raw_path, None)
+            )
+            stored, _ = OrcFileReader(catalog.fs.read(cache_path)).read_columns()
+            assert degraded and set(stored) == set(batch.names)
+            for name, values in stored.items():
+                assert list(map(repr, batch.columns[name])) == list(
+                    map(repr, values)
+                ), (raw_path, name)
+
+    return check

@@ -4,14 +4,15 @@ import pytest
 
 from repro.core import CACHE_DATABASE, JsonPathCacher, cache_table_name
 from repro.engine import Session
+from repro.faults import FaultPolicy, FaultyFileSystem, InjectedCrash
 from repro.jsonlib import dumps
 from repro.storage import BlockFileSystem, DataType, OrcFileReader, Schema
 from repro.workload import PathKey
 
 
-def make_session() -> Session:
+def make_session(fs_class=BlockFileSystem) -> Session:
     ticks = iter(float(i) for i in range(1_000_000))
-    session = Session(fs=BlockFileSystem(clock=lambda: next(ticks)))
+    session = Session(fs=fs_class(clock=lambda: next(ticks)))
     schema = Schema.of(("id", DataType.INT64), ("payload", DataType.STRING))
     session.catalog.create_table("db", "t", schema)
     return session
@@ -157,3 +158,75 @@ class TestRefresh:
         assert first.schema.names == second.schema.names
         columns, _ = second.read_columns()
         assert columns["payload__m"] == list(range(20, 40))
+
+
+def cache_file_bytes(session: Session, suffix: str = "") -> list[bytes]:
+    table = cache_table_name("db", "t") + suffix
+    return [
+        session.fs.read(path)
+        for path in session.catalog.table_files(CACHE_DATABASE, table)
+    ]
+
+
+def from_scratch(session: Session, key_list: list[PathKey]) -> list[bytes]:
+    """The files a populate of ``key_list`` writes into tables of its own."""
+    JsonPathCacher(session.catalog, table_suffix="__scratch").populate(key_list)
+    return cache_file_bytes(session, "__scratch")
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+class TestRefreshEqualsPopulate:
+    """However a cache table reached the raw table's length, its files are
+    byte for byte those of a from-scratch populate on the same raw files."""
+
+    def test_appended_partitions(self, workers):
+        session = make_session()
+        append_partition(session, 0)
+        cacher = JsonPathCacher(session.catalog, build_workers=workers)
+        cacher.populate(keys())
+        for start in (20, 40, 60):
+            append_partition(session, start)
+        assert cacher.refresh(keys()).rows_parsed == 60
+        assert cache_file_bytes(session) == from_scratch(session, keys())
+        assert cacher.populate(keys()).rows_parsed == 0  # nothing left to do
+
+    def test_changed_key_set_and_shrunk_raw_table(self, workers):
+        session = make_session()
+        for start in (0, 20, 40):
+            append_partition(session, start)
+        cacher = JsonPathCacher(session.catalog, build_workers=workers)
+        cacher.populate(keys()[:1])
+        assert cacher.refresh(keys()).rows_parsed == 60  # rebuilt: new key set
+        assert cache_file_bytes(session) == from_scratch(session, keys())
+        session.fs.delete(session.catalog.table_files("db", "t")[-1])
+        assert cacher.refresh(keys()).rows_parsed == 40  # rebuilt: raw shrank
+        assert cache_file_bytes(session) == from_scratch(session, keys())
+
+    def test_invalidated_but_intact_table(self, workers):
+        session = make_session()
+        append_partition(session, 0)
+        cacher = JsonPathCacher(session.catalog, build_workers=workers)
+        cacher.populate(keys())
+        append_partition(session, 20)
+        cacher.registry.mark_table_invalid(cache_table_name("db", "t"))
+        assert cacher.refresh(keys()).rows_parsed == 20
+        assert not cacher.registry.invalid_tables()
+        assert cache_file_bytes(session) == from_scratch(session, keys())
+
+    def test_crash_between_two_appended_files(self, workers):
+        session = make_session(FaultyFileSystem)
+        append_partition(session, 0)
+        cacher = JsonPathCacher(session.catalog, build_workers=workers)
+        cacher.populate(keys())
+        before = cacher.registry.all_entries()
+        append_partition(session, 20)
+        append_partition(session, 40)
+        session.fs.policy = FaultPolicy(crash_after_writes=2)
+        with pytest.raises(InjectedCrash):
+            cacher.refresh(keys())
+        # one appended file landed; the registry still describes the table
+        # as it was (20 rows), so nothing reads past what it vouches for
+        assert len(cache_file_bytes(session)) == 2
+        assert cacher.registry.all_entries() == before
+        assert cacher.refresh(keys()).rows_parsed == 20  # the missing file
+        assert cache_file_bytes(session) == from_scratch(session, keys())

@@ -125,7 +125,9 @@ class TestGracefulDegradation:
         system.cacher.populate(KEYS)
         cache_table = corrupt_first_cache_file(system)
         system.sql(SQL)  # fallback + breaker opens
-        # repair the cache file (rebuild the whole generation)
+        # repair the cache file (rebuild the whole generation; populate
+        # alone would keep the files that are there)
+        system.cacher.drop_all()
         system.cacher.populate(KEYS)
         # zero-second quarantine: the next query is the half-open probe,
         # reads the repaired cache successfully and closes the breaker

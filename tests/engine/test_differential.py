@@ -56,6 +56,24 @@ class TestMaxsonParity:
         assert result.metrics.cache_hits > 0
 
 
+    def test_degraded_split_equals_its_cache_file(
+        self, sales_session, assert_fallback_equals_build
+    ):
+        """Over the 7-split table (one split of irregular documents) and
+        the sale-logs table whose irregular members also change type."""
+        from repro.core import MaxsonSystem
+        from repro.workload import PathKey
+
+        assert_fallback_equals_build(build_system(), "db", "t")
+        system = MaxsonSystem(session=sales_session)
+        names = ("item_id", "item_name", "sale_count", "turnover", "price", "ghost")
+        system.cache_paths_directly(
+            [PathKey("mydb", "T", "sale_logs", f"$.{name}") for name in names],
+            budget_bytes=1 << 40,
+        )
+        assert_fallback_equals_build(system, "mydb", "T")
+
+
 class TestFaultDifferential:
     """Scans under PR-2 fault profiles: degraded, never divergent."""
 

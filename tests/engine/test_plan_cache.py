@@ -82,6 +82,18 @@ class TestPlanCacheHits:
         tiny.sql("select a from db.t")  # recompiles
         assert tiny.plan_cache_stats()["misses"] == 4
 
+    def test_reconfigured_cache_stays_on_the_ledger(self, tiny):
+        ledger = tiny.cache_ledger
+        tiny.sql("select a from db.t")
+        assert ledger.tier_bytes("plan") > 0
+        tiny.configure_plan_cache(8)  # the old cache's charge is released
+        assert ledger.tier_bytes("plan") == 0
+        tiny.sql("select a from db.t")  # a plan cached afterwards is charged
+        assert ledger.tier_bytes("plan") > 0
+        assert tiny.shrink_caches_to(0) > 0  # ... and the watchdog can evict it
+        assert ledger.tier_bytes("plan") == 0
+        assert tiny.plan_cache_stats()["entries"] == 0
+
     def test_capacity_zero_disables(self, tiny):
         tiny.configure_plan_cache(0)
         tiny.sql("select a from db.t")

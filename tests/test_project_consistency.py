@@ -121,3 +121,52 @@ class TestOneScanPath:
             self.SRC / "engine" / "rawfilter.py",
         ]
         assert not functions_longer_than(80, scan_side)
+
+
+class TestOneBuildPath:
+    """One extractor: the value the cacher stores, the value the degraded
+    fallback re-derives and the value a raw query reads (DESIGN §9)."""
+
+    SRC = ROOT / "src" / "repro"
+
+    def call_sites(self, name: str) -> set[str]:
+        """``module.scope`` of every call of ``name`` outside ``jsonlib/``,
+        a scope being a top-level class or function."""
+        sites = set()
+        for path in self.SRC.rglob("*.py"):
+            if "jsonlib" in path.parts:
+                continue
+            for scope in ast.parse(path.read_text()).body:
+                for node in ast.walk(scope):
+                    if isinstance(node, ast.Call) and name in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None),
+                    ):
+                        sites.add(f"{path.stem}.{getattr(scope, 'name', '<module>')}")
+        return sites
+
+    def test_one_class_builds_document_caches_and_projectors(self):
+        assert self.call_sites("DocumentCache") == {"expressions.EvalContext"}
+        assert self.call_sites("PathProjector") == {"expressions.EvalContext"}
+
+    def test_contexts_are_rooted_in_two_places(self):
+        """A query's context comes from the session's configuration, a
+        build's from the table's path set; every other one is a sibling
+        (``EvalContext.fresh``)."""
+        assert self.call_sites("EvalContext") == {
+            "session.Session",
+            "cacher.JsonPathCacher",
+            "expressions.EvalContext",
+        }
+        assert self.call_sites("_fold_context_stats") >= {
+            "session.Session",
+            "combiner.MaxsonScanExec",
+            "instrument.counter_snapshot",
+        }
+
+    def test_no_build_side_function_longer_than_80_lines(self):
+        """``_swap_generation`` was 113 lines; ``populate``, ``refresh`` and
+        their two private halves 185."""
+        core = self.SRC / "core"
+        build_side = [core / "cacher.py", core / "combiner.py", core / "system.py"]
+        assert not functions_longer_than(80, build_side)

@@ -76,6 +76,13 @@ class TestCachedXml:
         assert result.metrics.parse_documents == 0
         assert xml_system.modifier.last_report.hits >= 2
 
+    def test_degraded_split_equals_its_cache_file(
+        self, xml_system, assert_fallback_equals_build
+    ):
+        keys = self.KEYS + [PathKey("db", "events", "payload", "/event/@kind")]
+        xml_system.cacher.populate(keys)
+        assert_fallback_equals_build(xml_system, "db", "events")
+
     def test_cached_columns_typed(self, xml_system):
         report = xml_system.cacher.populate(self.KEYS)
         dtypes = {e.key.path: e.dtype for e in report.entries}
