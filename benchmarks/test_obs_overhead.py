@@ -23,13 +23,11 @@ nothing else.
 from __future__ import annotations
 
 import statistics
-import time
 
 import pytest
 
 from bench.estimators import quartile_spread, run_calibrated
 
-from repro.engine import Session
 from repro.obs import Tracer
 from repro.obs.instrument import TracedExec
 
@@ -40,22 +38,37 @@ REPEATS = 7
 OVERHEAD_BUDGET = 1.03  # the acceptance criterion's < 3%
 
 
-def calibrated_series(session: Session, rounds: int = 2 * REPEATS):
-    """Normalised seconds of ``rounds`` runs each of the bench query
-    untraced (``a``), untraced again (``b``) and ``traced``, interleaved so
-    host drift and cache warming hit every series equally."""
-
-    def execute(label: str):
-        result = session.sql(SQL, tracer=Tracer() if label == "traced" else None)
-        assert len(result.rows) == N_ROWS
-
-    series: dict[str, list[float]] = {"a": [], "b": [], "traced": []}
+def calibrated_series(execute, treatment: str, rounds: int = 2 * REPEATS):
+    """Normalised seconds of ``rounds`` runs each of ``execute("a")``,
+    ``execute("b")`` (the same baseline twice) and ``execute(treatment)``,
+    interleaved so host drift and cache warming hit every series equally."""
+    series: dict[str, list[float]] = {"a": [], "b": [], treatment: []}
     results, _ = run_calibrated(list(series) * rounds, execute)
     for label, latency, outcome, scale in results:
         if isinstance(outcome, Exception):
             raise outcome
         series[label].append(latency * scale)
     return series
+
+
+def aa_summary(series: dict[str, list[float]], baseline: str, treatment: str):
+    """The payload both gates share: medians of the two baseline series
+    and of the treatment, the treatment's ratio to the faster baseline,
+    and the margin a gate may add for noise — two standard errors of a
+    difference of medians, from the spread the two baseline series
+    themselves show (2 x sqrt(2) x 1.2533 / 1.349)."""
+    first, second, treated = (statistics.median(s) for s in series.values())
+    spread = quartile_spread(series["a"] + series["b"])
+    return {
+        f"{baseline}_median_seconds_a": first,
+        f"{baseline}_median_seconds_b": second,
+        "aa_noise_ratio": max(first, second) / min(first, second),
+        "aa_quartile_spread": spread,
+        "aa_margin": 2.63 * spread / len(series["a"]) ** 0.5,
+        f"{treatment}_median_seconds": treated,
+        "overhead_ratio": treated / min(first, second),
+        "overhead_budget": OVERHEAD_BUDGET,
+    }
 
 
 def test_tracing_off_is_structurally_free():
@@ -73,26 +86,18 @@ def test_tracing_off_is_structurally_free():
 
 def test_tracing_off_overhead(benchmark):
     session = build_session()
-    calibrated_series(session, rounds=1)  # warm the page cache / code paths
 
-    series = once(benchmark, lambda: calibrated_series(session))
-    first, second, traced = (statistics.median(series[k]) for k in series)
-    aa_ratio = max(first, second) / min(first, second)
-    # Two standard errors of a difference of medians, from the spread the
-    # two untraced series themselves show: 2 x sqrt(2) x 1.2533 / 1.349.
-    spread = quartile_spread(series["a"] + series["b"])
-    margin = 2.63 * spread / len(series["a"]) ** 0.5
-    traced_ratio = traced / min(first, second)
-    payload = {
-        "untraced_median_seconds_a": first,
-        "untraced_median_seconds_b": second,
-        "aa_noise_ratio": aa_ratio,
-        "aa_quartile_spread": spread,
-        "aa_margin": margin,
-        "traced_median_seconds": traced,
-        "tracing_on_overhead_ratio": traced_ratio,
-        "overhead_budget": OVERHEAD_BUDGET,
-        "contract": (
+    def execute(label: str):
+        result = session.sql(SQL, tracer=Tracer() if label == "traced" else None)
+        assert len(result.rows) == N_ROWS
+
+    calibrated_series(execute, "traced", rounds=1)  # warm page cache / code paths
+
+    series = once(benchmark, lambda: calibrated_series(execute, "traced"))
+    payload = aa_summary(series, "untraced", "traced")
+    payload["tracing_on_overhead_ratio"] = payload.pop("overhead_ratio")
+    payload.update(
+        contract=(
             "untraced plans contain no instrumentation nodes; seconds are "
             "normalised by the calibration kernels around each query; the "
             "A/A ratio stays inside the 3% budget plus two standard errors "
@@ -100,24 +105,26 @@ def test_tracing_off_overhead(benchmark):
             "traced vs untraced on the same plan (the served morsel "
             "pipeline with its nodes wrapped), gated at <= 2.0"
         ),
-    }
+    )
     save_result("obs_overhead_summary", payload)
-    assert aa_ratio <= OVERHEAD_BUDGET + margin, payload
+    assert payload["aa_noise_ratio"] <= OVERHEAD_BUDGET + payload["aa_margin"], payload
     # Tracing *on* is allowed to cost something, but a blowup here means
     # the per-operator snapshots regressed badly.
-    assert traced_ratio <= 2.0, payload
+    assert payload["tracing_on_overhead_ratio"] <= 2.0, payload
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
 def test_system_tables_overhead(benchmark, backend):
     """The telemetry store enabled (traced off) must cost < 3% per query.
 
-    One server, system tables on, same untraced workload — interleaved
-    A/B where B detaches the store between iterations, so every query
-    pays identical admission/caching/scan costs and the only delta is
-    the per-outcome NDJSON append. The result cache is disabled so the
-    repeat queries do real work; a cached hit would shrink the
-    denominator to microseconds and gate on noise.
+    One server, system tables on, same untraced workload — three
+    interleaved series (store detached, detached again, attached), each
+    query timed against the calibration kernels around it, so every
+    query pays identical admission/caching/scan costs, the only delta is
+    the per-outcome NDJSON append, and the margin the gate allows for
+    noise is what the two detached series themselves show. The result
+    cache is disabled so the repeat queries do real work; a cached hit
+    would shrink the denominator to microseconds and gate on noise.
     """
     from repro.core import MaxsonConfig, MaxsonSystem, PredictorConfig
     from repro.server import MaxsonServer, ServerConfig
@@ -136,53 +143,21 @@ def test_system_tables_overhead(benchmark, backend):
     try:
         store = server.telemetry
         assert store is not None
-        for _ in range(3):  # warm both pools and the page cache
+
+        def execute(label: str):
+            server.telemetry = store if label == "store_on" else None
             assert len(server.execute(SQL).rows) == N_ROWS
 
-        def series():
-            # ABBA blocks (on, off, off, on): within a block the clock
-            # drift and GC phase hit both sides symmetrically, so the
-            # paired per-block difference cancels order bias. Scheduler
-            # jitter dominates single iterations, so the gate takes the
-            # smaller of two estimators — best-of and paired-median —
-            # which noise rarely inflates together.
-            import statistics
-
-            pattern = (store, None, None, store)
-            best = {True: float("inf"), False: float("inf")}
-            diffs, off_samples = [], []
-            for _block in range(REPEATS):
-                t = []
-                for active in pattern:
-                    server.telemetry = active
-                    started = time.perf_counter()
-                    result = server.execute(SQL)
-                    t.append(time.perf_counter() - started)
-                    assert len(result.rows) == N_ROWS
-                best[True] = min(best[True], t[0], t[3])
-                best[False] = min(best[False], t[1], t[2])
-                diffs.append(((t[0] + t[3]) - (t[1] + t[2])) / 2)
-                off_samples.extend((t[1], t[2]))
-            server.telemetry = store
-            paired = 1 + statistics.median(diffs) / statistics.median(
-                off_samples
-            )
-            return best[True], best[False], paired
-
-        with_store, without_store, paired_ratio = once(benchmark, series)
-        best_ratio = with_store / without_store
-        ratio = min(best_ratio, paired_ratio)
+        # warm both pools and the page cache
+        calibrated_series(execute, "store_on", rounds=1)
+        series = once(benchmark, lambda: calibrated_series(execute, "store_on"))
+        server.telemetry = store
         payload = {
             "backend": backend,
-            "with_store_best_seconds": with_store,
-            "without_store_best_seconds": without_store,
-            "best_of_overhead_ratio": best_ratio,
-            "paired_median_overhead_ratio": paired_ratio,
-            "overhead_ratio": ratio,
-            "overhead_budget": OVERHEAD_BUDGET,
+            **aa_summary(series, "store_off", "store_on"),
             "queries_recorded": store.snapshot()["events"]["queries"],
         }
         save_result(f"systables_overhead_{backend}", payload)
-        assert ratio <= OVERHEAD_BUDGET, payload
+        assert payload["overhead_ratio"] <= OVERHEAD_BUDGET + payload["aa_margin"], payload
     finally:
         server.shutdown()

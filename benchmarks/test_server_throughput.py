@@ -109,7 +109,9 @@ SWEEP_DAYS = 2
 def _build_sweep_system(backend: str):
     """A one-table Q2 system over a latency-armed filesystem."""
     session = Session(
-        fs=BlockFileSystem(read_latency_seconds=SWEEP_READ_LATENCY)
+        fs=BlockFileSystem(read_latency_seconds=SWEEP_READ_LATENCY),
+        scan_workers=SWEEP_POOL_WORKERS,
+        worker_backend=backend,
     )
     spec = next(s for s in TABLE_SPECS if s.query_id == "Q2")
     factories = load_tables(
@@ -122,11 +124,7 @@ def _build_sweep_system(backend: str):
     queries = build_queries(factories)
     system = MaxsonSystem(
         session=session,
-        config=MaxsonConfig(
-            predictor=PredictorConfig(model="oracle"),
-            scan_workers=SWEEP_POOL_WORKERS,
-            worker_backend=backend,
-        ),
+        config=MaxsonConfig(predictor=PredictorConfig(model="oracle")),
     )
     return system, queries["Q2"].sql
 

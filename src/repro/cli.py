@@ -65,32 +65,38 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def cmd_demo(args) -> int:
+def _engine_knobs(args) -> dict:
+    """The engine knobs the command line set (an unset flag inherits)."""
+    knobs = {k: getattr(args, k) for k in ("scan_workers", "worker_backend")}
+    return {k: v for k, v in knobs.items() if v is not None}
+
+
+def _demo_query(args):
+    """What ``demo`` and ``explain`` start from: a demo system running
+    with the command line's engine knobs, the chosen Table II query and
+    the ``PathKey`` of every JSONPath it reads."""
     from .core import MaxsonSystem
-    from .workload import build_queries
+    from .workload import PathKey, build_queries
     from .workload.tables import DocumentFactory, TABLE_SPECS
 
     system = MaxsonSystem.for_demo(rows_per_table=args.rows)
-    if args.scan_workers is not None:
-        system.session.scan_workers = args.scan_workers
-    if args.worker_backend is not None:
-        system.session.worker_backend = args.worker_backend
+    system.session.configure(**_engine_knobs(args))
     scale = max(1, 10_000 // args.rows)
     factories = {
         s.query_id: DocumentFactory(s, metric_scale=scale) for s in TABLE_SPECS
     }
-    queries = build_queries(factories)
-    query = queries[args.query.upper()]
+    query = build_queries(factories)[args.query.upper()]
+    keys = [
+        PathKey(query.database, query.table, query.column, path)
+        for path in query.paths
+    ]
+    return system, query, keys
+
+
+def cmd_demo(args) -> int:
+    system, query, keys = _demo_query(args)
     baseline = system.baseline_sql(query.sql)
-    system.cache_paths_directly(
-        [
-            __import__("repro.workload", fromlist=["PathKey"]).PathKey(
-                query.database, query.table, query.column, path
-            )
-            for path in query.paths
-        ],
-        budget_bytes=1 << 40,
-    )
+    system.cache_paths_directly(keys, budget_bytes=1 << 40)
     cached = system.sql(query.sql)
     assert sorted(map(str, cached.rows)) == sorted(map(str, baseline.rows))
     b, c = baseline.metrics, cached.metrics
@@ -109,29 +115,9 @@ def cmd_demo(args) -> int:
 
 def cmd_explain(args) -> int:
     """EXPLAIN ANALYZE one Table II query, cold and (optionally) cached."""
-    from .core import MaxsonSystem
-    from .workload import PathKey, build_queries
-    from .workload.tables import DocumentFactory, TABLE_SPECS
-
-    system = MaxsonSystem.for_demo(rows_per_table=args.rows)
-    if args.scan_workers is not None:
-        system.session.scan_workers = args.scan_workers
-    if args.worker_backend is not None:
-        system.session.worker_backend = args.worker_backend
-    scale = max(1, 10_000 // args.rows)
-    factories = {
-        s.query_id: DocumentFactory(s, metric_scale=scale) for s in TABLE_SPECS
-    }
-    queries = build_queries(factories)
-    query = queries[args.query.upper()]
+    system, query, keys = _demo_query(args)
     if args.cached:
-        system.cache_paths_directly(
-            [
-                PathKey(query.database, query.table, query.column, path)
-                for path in query.paths
-            ],
-            budget_bytes=1 << 40,
-        )
+        system.cache_paths_directly(keys, budget_bytes=1 << 40)
     print(system.explain_analyze(query.sql))
     return 0
 
@@ -188,9 +174,16 @@ def cmd_bench_cache(args) -> int:
     return 0
 
 
-def _cluster_server_kwargs(args, admission_timeout) -> dict:
-    """The ServerConfig kwargs each shard runs with (JSON-safe dict)."""
-    return {
+def _serve_spec(args):
+    """The served warehouse ``replay-serve`` asks for, as the one
+    ``ShardSpec`` that ``build_shard_server`` turns into a server — in
+    this process, or in each shard of ``--shards N``."""
+    from .cluster import ShardSpec
+
+    admission_timeout = args.admission_timeout
+    if args.max_queue_wait_ms is not None:
+        admission_timeout = args.max_queue_wait_ms / 1000.0
+    server = {
         "max_workers": args.concurrency,
         "per_tenant_limit": max(1, args.concurrency // 2),
         "queue_capacity": args.queue_capacity,
@@ -200,56 +193,61 @@ def _cluster_server_kwargs(args, admission_timeout) -> dict:
         "drain_timeout_seconds": args.drain_timeout,
         "refresh_interval_seconds": args.refresh_interval,
         "max_query_retries": args.retries,
-        "scan_workers": args.scan_workers,
-        "worker_backend": args.worker_backend,
+        "build_workers": args.build_workers,
         "plan_cache_entries": args.plan_cache_entries,
         "result_cache": True if args.result_cache else None,
         "cache_budget_bytes": args.cache_budget_bytes,
         "system_tables": args.system_tables,
         "telemetry_budget_bytes": args.telemetry_budget_bytes,
+        **_engine_knobs(args),
     }
-
-
-def _cmd_replay_serve_cluster(args, admission_timeout) -> int:
-    """The ``--shards N`` path: same replay, routed through the cluster."""
-    from .cluster import ClusterRouter, ShardSpec
-    from .cluster.replay import replay_cluster
-    from .cluster.shard import spec_queries
-    from .server import build_replay_workload
-    from .server.replay import accounted_requests
-
-    spec = ShardSpec(
+    if args.shards == 1:  # one process: one trace directory, one log file
+        server.update(
+            trace_dir=args.trace_dir or None,
+            slow_query_seconds=args.slow_query_ms / 1000.0,
+            log_file=args.log_json or None,
+            log_all_queries=bool(args.log_json),
+        )
+    return ShardSpec(
         rows_per_table=args.rows,
         days=args.days,
         fault_profile=args.fault_profile,
         model=args.model,
-        build_workers=args.build_workers,
-        server=_cluster_server_kwargs(args, admission_timeout),
+        server=server,
     )
-    queries = spec_queries(spec)
-    requests = build_replay_workload(
-        queries,
+
+
+def _replay_requests(args, spec):
+    """The seeded replay schedule over the spec's representative queries."""
+    from .cluster.shard import spec_queries
+    from .server import build_replay_workload
+
+    return build_replay_workload(
+        spec_queries(spec),
         days=args.days,
         per_day=args.per_day,
         tenants=args.tenants,
         seed=args.seed,
     )
+
+
+def _cmd_replay_serve_cluster(args, spec) -> int:
+    """The ``--shards N`` path: same replay, routed through the cluster."""
+    from dataclasses import replace
+
+    from .cluster import ClusterRouter, build_shard_server
+    from .cluster.replay import replay_cluster
+    from .server.replay import accounted_requests
+
+    requests = _replay_requests(args, spec)
     baseline = None
     oracle_server = None
     if args.verify:
         # One fault-free in-process warehouse is the row oracle for every
         # shard (they all built the same deterministic tables).
-        from .cluster.shard import build_shard_server
-
-        oracle = build_shard_server(
-            ShardSpec(
-                rows_per_table=args.rows,
-                days=args.days,
-                model=args.model,
-                server={"max_workers": 1},
-            )
+        oracle_system, oracle_server = build_shard_server(
+            replace(spec, fault_profile="", server={"max_workers": 1})
         )
-        oracle_system, oracle_server = oracle
 
         def baseline(sql):
             return sorted(map(str, oracle_system.baseline_sql(sql).rows))
@@ -322,66 +320,16 @@ def _cmd_replay_serve_cluster(args, admission_timeout) -> int:
 
 
 def cmd_replay_serve(args) -> int:
-    from .core import MaxsonConfig, MaxsonSystem, PredictorConfig
-    from .engine import Session
-    from .faults import FaultPolicy, FaultyFileSystem, parse_fault_profile
-    from .server import MaxsonServer, ServerConfig, build_replay_workload, replay
+    from .cluster import build_shard_server
+    from .server import replay
     from .server.replay import accounted_requests
-    from .workload import build_queries, load_tables
 
-    admission_timeout = args.admission_timeout
-    if args.max_queue_wait_ms is not None:
-        admission_timeout = args.max_queue_wait_ms / 1000.0
+    spec = _serve_spec(args)
     if args.shards > 1:
-        return _cmd_replay_serve_cluster(args, admission_timeout)
-    session = None
-    if args.fault_profile:
-        # Quiet policy while fixtures load; the profile arms afterwards
-        # so raw data on disk is intact and the baseline is trustworthy.
-        session = Session(fs=FaultyFileSystem(policy=FaultPolicy()))
-    system = MaxsonSystem(
-        session=session,
-        config=MaxsonConfig(
-            predictor=PredictorConfig(model=args.model),
-            build_workers=args.build_workers,
-        ),
-    )
-    factories = load_tables(
-        system.catalog, rows_per_table=args.rows, days=args.days
-    )
-    queries = build_queries(factories)
-    if args.fault_profile:
-        system.session.fs.policy = parse_fault_profile(args.fault_profile)
-    config = ServerConfig(
-        max_workers=args.concurrency,
-        per_tenant_limit=max(1, args.concurrency // 2),
-        queue_capacity=args.queue_capacity,
-        admission_timeout_seconds=admission_timeout,
-        default_deadline_ms=args.deadline_ms,
-        memory_soft_limit_bytes=args.memory_soft_limit_bytes,
-        drain_timeout_seconds=args.drain_timeout,
-        refresh_interval_seconds=args.refresh_interval,
-        max_query_retries=args.retries,
-        scan_workers=args.scan_workers,
-        worker_backend=args.worker_backend,
-        plan_cache_entries=args.plan_cache_entries,
-        result_cache=True if args.result_cache else None,
-        cache_budget_bytes=args.cache_budget_bytes,
-        trace_dir=args.trace_dir or None,
-        slow_query_seconds=args.slow_query_ms / 1000.0,
-        log_file=args.log_json or None,
-        log_all_queries=bool(args.log_json),
-        system_tables=args.system_tables,
-        telemetry_budget_bytes=args.telemetry_budget_bytes,
-    )
-    with MaxsonServer(system, config) as server:
-        requests = build_replay_workload(
-            queries,
-            days=args.days,
-            per_day=args.per_day,
-            tenants=args.tenants,
-            seed=args.seed,
-        )
+        return _cmd_replay_serve_cluster(args, spec)
+    requests = _replay_requests(args, spec)  # before the server's clock starts
+    system, server = build_shard_server(spec)
+    with server:
         report = replay(server, requests, verify=args.verify)
         status = report.status
         print(
@@ -437,34 +385,22 @@ def _serve_system_tables_replay(args):
     """A short seeded replay with system tables on: the shared setup of
     ``repro incidents`` and ``repro query-history``. Returns the live
     server (telemetry queryable) and the replay report."""
-    from .core import MaxsonConfig, MaxsonSystem, PredictorConfig
-    from .server import MaxsonServer, ServerConfig, build_replay_workload, replay
-    from .workload import build_queries, load_tables
+    from .cluster import ShardSpec, build_shard_server
+    from .server import replay
 
-    system = MaxsonSystem(
-        config=MaxsonConfig(predictor=PredictorConfig(model="always"))
-    )
-    factories = load_tables(
-        system.catalog, rows_per_table=args.rows, days=args.days
-    )
-    queries = build_queries(factories)
-    config = ServerConfig(
-        max_workers=4,
-        system_tables=True,
-        slow_query_seconds=args.slow_query_ms / 1000.0,
-        scan_workers=args.scan_workers,
-        worker_backend=args.worker_backend,
-    )
-    server = MaxsonServer(system, config)
-    requests = build_replay_workload(
-        queries,
+    spec = ShardSpec(
+        rows_per_table=args.rows,
         days=args.days,
-        per_day=args.per_day,
-        tenants=args.tenants,
-        seed=args.seed,
+        server={
+            "max_workers": 4,
+            "system_tables": True,
+            "slow_query_seconds": args.slow_query_ms / 1000.0,
+            **_engine_knobs(args),
+        },
     )
-    report = replay(server, requests)
-    return server, report
+    requests = _replay_requests(args, spec)
+    _, server = build_shard_server(spec)
+    return server, replay(server, requests)
 
 
 def _print_rows(header: list[str], rows: list[tuple]) -> None:
@@ -591,6 +527,8 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .engine.session import WORKER_BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro", description="Maxson reproduction toolkit"
     )
@@ -601,6 +539,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--users", type=int, default=24)
         p.add_argument("--tables", type=int, default=14)
         p.add_argument("--seed", type=int, default=11)
+
+    def add_engine_args(p):
+        p.add_argument(
+            "--scan-workers",
+            type=int,
+            default=None,
+            help="morsel workers per query: a scan's file splits execute "
+            "concurrently on a shared pool (1 = serial, the same code "
+            "inline)",
+        )
+        p.add_argument(
+            "--worker-backend",
+            default=None,
+            choices=WORKER_BACKENDS,
+            help="morsel worker backend when --scan-workers > 1: GIL-shared "
+            "threads (default) or spawned processes exchanging ColumnBatch "
+            "payloads over shared memory",
+        )
 
     p_analyze = sub.add_parser("analyze", help="workload analysis report")
     add_trace_args(p_analyze)
@@ -620,20 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo = sub.add_parser("demo", help="run one Table II query both ways")
     p_demo.add_argument("--query", default="Q2", help="Q1..Q10")
     p_demo.add_argument("--rows", type=int, default=600)
-    p_demo.add_argument(
-        "--scan-workers",
-        type=int,
-        default=None,
-        help="morsel workers per query (file splits execute concurrently; "
-        "1 = serial, same code path inline)",
-    )
-    p_demo.add_argument(
-        "--worker-backend",
-        default=None,
-        choices=["thread", "process"],
-        help="morsel worker backend: GIL-shared threads or spawned "
-        "processes with shared-memory batch transport",
-    )
+    add_engine_args(p_demo)
     p_demo.set_defaults(func=cmd_demo)
 
     p_explain = sub.add_parser(
@@ -648,20 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cache the query's JSONPaths first, so the plan shows the "
         "Maxson scan + value combiner",
     )
-    p_explain.add_argument(
-        "--scan-workers",
-        type=int,
-        default=None,
-        help="morsel workers per query (traced plans parallelize only "
-        "when > 1)",
-    )
-    p_explain.add_argument(
-        "--worker-backend",
-        default=None,
-        choices=["thread", "process"],
-        help="morsel worker backend: GIL-shared threads or spawned "
-        "processes with shared-memory batch transport",
-    )
+    add_engine_args(p_explain)
     p_explain.set_defaults(func=cmd_explain)
 
     p_bench = sub.add_parser(
@@ -764,21 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="threads parsing raw files during cache builds "
         "(writes stay sequential)",
     )
-    p_serve.add_argument(
-        "--scan-workers",
-        type=int,
-        default=None,
-        help="morsel workers per query: a scan's file splits execute "
-        "concurrently on a shared pool (1 = serial)",
-    )
-    p_serve.add_argument(
-        "--worker-backend",
-        default=None,
-        choices=["thread", "process"],
-        help="morsel worker backend when --scan-workers > 1: GIL-shared "
-        "threads (default) or spawned processes exchanging ColumnBatch "
-        "payloads over shared memory",
-    )
+    add_engine_args(p_serve)
     p_serve.add_argument(
         "--plan-cache-entries",
         type=int,
@@ -851,10 +767,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=1.0,
             help="slow-query threshold driving flight-recorder capture",
         )
-        p.add_argument("--scan-workers", type=int, default=None)
-        p.add_argument(
-            "--worker-backend", default=None, choices=["thread", "process"]
-        )
+        add_engine_args(p)
 
     p_incidents = sub.add_parser(
         "incidents",

@@ -66,9 +66,10 @@ class ShardSpec:
     fault_profile: str = ""
     read_latency_seconds: float = 0.0
     model: str = "always"
-    build_workers: int = 1
     server: dict = field(default_factory=dict)
-    """Keyword arguments for :class:`~repro.server.config.ServerConfig`."""
+    """Keyword arguments for :class:`~repro.server.config.ServerConfig` —
+    the shard's admission, deadline and telemetry settings and its
+    overrides of the engine knobs (``scan_workers``, ``build_workers``…)."""
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -78,21 +79,40 @@ class ShardSpec:
         return cls(**data)
 
 
+def _load_warehouse(spec: ShardSpec, catalog):
+    """Materialise the spec's (deterministic) Table II tables into
+    ``catalog``; returns the document factory per query id."""
+    from ..workload import load_tables
+    from ..workload.tables import TABLE_SPECS
+
+    specs = None
+    if spec.table_ids is not None:
+        wanted = set(spec.table_ids)
+        specs = [s for s in TABLE_SPECS if s.query_id in wanted]
+    return load_tables(
+        catalog,
+        rows_per_table=spec.rows_per_table,
+        days=spec.days,
+        row_group_size=spec.row_group_size,
+        specs=specs,
+    )
+
+
 def build_shard_server(spec: ShardSpec):
-    """Build (system, server) for a spec — the shard child's core, also
-    used in-process by the differential tests' single-server twin."""
+    """Build (system, server) for a spec: the one recipe for a served
+    warehouse — the shard child's core, the differential tests'
+    single-server twin and the command line's in-process server."""
     from ..core import MaxsonConfig, MaxsonSystem, PredictorConfig
     from ..engine import Session
     from ..server import MaxsonServer, ServerConfig
     from ..storage import BlockFileSystem
-    from ..workload import load_tables
-    from ..workload.tables import TABLE_SPECS
 
+    config = ServerConfig(**spec.server)  # a bad spec fails before the load
     if spec.fault_profile:
         from ..faults import FaultPolicy, FaultyFileSystem, parse_fault_profile
 
         # Quiet policy while fixtures load; arm afterwards so raw data
-        # on disk is intact (same protocol as single-process replay).
+        # on disk is intact and a baseline read of it is trustworthy.
         session = Session(fs=FaultyFileSystem(policy=FaultPolicy()))
     else:
         session = Session(
@@ -102,26 +122,12 @@ def build_shard_server(spec: ShardSpec):
         )
     system = MaxsonSystem(
         session=session,
-        config=MaxsonConfig(
-            predictor=PredictorConfig(model=spec.model),
-            build_workers=spec.build_workers,
-        ),
+        config=MaxsonConfig(predictor=PredictorConfig(model=spec.model)),
     )
-    specs = None
-    if spec.table_ids is not None:
-        wanted = set(spec.table_ids)
-        specs = [s for s in TABLE_SPECS if s.query_id in wanted]
-    load_tables(
-        system.catalog,
-        rows_per_table=spec.rows_per_table,
-        days=spec.days,
-        row_group_size=spec.row_group_size,
-        specs=specs,
-    )
+    _load_warehouse(spec, system.catalog)
     if spec.fault_profile:
         system.session.fs.policy = parse_fault_profile(spec.fault_profile)
-    server = MaxsonServer(system, ServerConfig(**dict(spec.server)))
-    return system, server
+    return system, MaxsonServer(system, config)
 
 
 def spec_queries(spec: ShardSpec):
@@ -129,25 +135,13 @@ def spec_queries(spec: ShardSpec):
 
     The router holds no warehouse of its own, so workload generation
     rebuilds the (deterministic) table factories into a throwaway
-    catalog — same generator arguments as :func:`build_shard_server`,
-    hence the same SQL text every shard compiled its tables for.
+    catalog — the loader :func:`build_shard_server` uses, hence the same
+    SQL text every shard compiled its tables for.
     """
     from ..engine import Session
-    from ..workload import build_queries, load_tables
-    from ..workload.tables import TABLE_SPECS
+    from ..workload import build_queries
 
-    specs = None
-    if spec.table_ids is not None:
-        wanted = set(spec.table_ids)
-        specs = [s for s in TABLE_SPECS if s.query_id in wanted]
-    factories = load_tables(
-        Session().catalog,
-        rows_per_table=spec.rows_per_table,
-        days=spec.days,
-        row_group_size=spec.row_group_size,
-        specs=specs,
-    )
-    return build_queries(factories)
+    return build_queries(_load_warehouse(spec, Session().catalog))
 
 
 # ---------------------------------------------------------------------------

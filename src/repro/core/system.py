@@ -65,7 +65,9 @@ def _span(tracer, name: str, **attributes):
 
 @dataclass
 class MaxsonConfig:
-    """System-level knobs."""
+    """Maxson's own knobs. Split parallelism and the engine's plan /
+    result caches are the host session's settings
+    (:class:`~repro.engine.session.Session`), not repeated here."""
 
     cache_budget_bytes: int = 512 * 1024 * 1024
     mpjp_threshold: int = 2
@@ -86,22 +88,6 @@ class MaxsonConfig:
     alignment, crash-journal and generation-swap semantics are identical
     at any worker count; 1 (the default) also keeps seeded fault
     injection deterministic."""
-    scan_workers: int = 1
-    """Split-level morsel parallelism for query scans. Results are
-    bit-identical at any worker count; >1 overlaps per-split I/O on a
-    worker pool."""
-    worker_backend: str = "thread"
-    """Morsel worker backend when ``scan_workers > 1``: 'thread' (shared
-    GIL) or 'process' (spawned workers with warm snapshots exchanging
-    ColumnBatch payloads over shared memory). Results are bit-identical
-    across backends."""
-    plan_cache_entries: int = 64
-    """Capacity of the recurring-query plan cache (0 disables it)."""
-    result_cache: bool = False
-    """Enable the semantic result cache layered above the plan cache
-    (canonicalized recurring statements replay their result set)."""
-    result_cache_entries: int = 256
-    """Capacity of the result cache when enabled."""
 
 
 @dataclass
@@ -137,19 +123,6 @@ class MaxsonSystem:
     ) -> None:
         self.session = session or Session()
         self.config = config or MaxsonConfig()
-        self.session.scan_workers = self.config.scan_workers
-        if self.config.worker_backend not in ("thread", "process"):
-            raise ValueError(
-                f"worker_backend must be 'thread' or 'process', "
-                f"got {self.config.worker_backend!r}"
-            )
-        self.session.worker_backend = self.config.worker_backend
-        if self.session.plan_cache_entries != self.config.plan_cache_entries:
-            self.session.configure_plan_cache(self.config.plan_cache_entries)
-        if self.config.result_cache and not self.session.result_cache_enabled:
-            self.session.configure_result_cache(
-                True, entries=self.config.result_cache_entries
-            )
         self.collector = JsonPathCollector()
         self.registry = CacheRegistry()
         self.cacher = JsonPathCacher(

@@ -157,7 +157,7 @@ def _run_morsels(state: ExecState, units: list, fn, plan=None) -> list:
         return payload, fallback, worker.metrics, time.perf_counter() - started
 
     pool = state.scan_pool
-    if pool is not None and state.scan_workers > 1 and len(units) > 1:
+    if pool is not None and len(units) > 1:
         state.check_cancelled()
         run_in_processes = getattr(pool, "run_morsels", None)
         if run_in_processes is not None and plan is not None:

@@ -66,10 +66,8 @@ class ExecState:
     #: on the untraced path; operators that emit interior spans (e.g. the
     #: Maxson combiner) must guard on ``state.tracer is not None``.
     tracer: object | None = None
-    #: Degree of split-level parallelism for morsel scans (1 = inline).
-    scan_workers: int = 1
-    #: Shared ``ThreadPoolExecutor`` supplied by the session when
-    #: ``scan_workers > 1``; ``None`` runs morsels inline.
+    #: The session's morsel worker pool (thread or process backend);
+    #: ``None`` — a serial session — runs every split inline.
     scan_pool: object | None = None
     #: Optional :class:`repro.engine.cancel.CancelToken` shared by the
     #: coordinator and every morsel worker. Checked at split/batch

@@ -35,7 +35,56 @@ from .planner import PlannedQuery, Planner
 from .resultcache import ResultCache
 from .sqlparser import parse_sql
 
-__all__ = ["QueryResult", "Session"]
+__all__ = ["QueryResult", "Session", "WORKER_BACKENDS", "check_engine_knobs"]
+
+#: The legal morsel worker backends: what the validator accepts, the
+#: command line offers and the server's per-backend gauge labels.
+WORKER_BACKENDS = ("thread", "process")
+
+#: The ``Session`` fields that are engine knobs — what
+#: :meth:`Session.configure` may set on a live session.
+_ENGINE_KNOBS = (
+    "scan_workers",
+    "worker_backend",
+    "plan_cache_entries",
+    "result_cache_enabled",
+    "result_cache_entries",
+    "cache_budget_bytes",
+)
+
+#: Smallest legal value of each numeric engine knob.
+_KNOB_FLOORS = {
+    "scan_workers": 1,
+    "build_workers": 1,
+    "plan_cache_entries": 0,
+    "result_cache_entries": 0,
+    "cache_budget_bytes": 0,
+}
+
+
+def check_engine_knobs(**knobs) -> None:
+    """Raise ``ValueError`` for an engine knob outside its range.
+
+    The one statement of these rules: the ``Session`` constructor,
+    :meth:`Session.configure` and ``ServerConfig`` (whose overrides, a
+    shard's ``ShardSpec.server`` dict included, carry the same names) all
+    check here, so every route rejects the same values with the same
+    message. ``None`` — "inherit" for an override, "unlimited" for the
+    byte budget — always passes.
+    """
+    for name, value in knobs.items():
+        if value is None:
+            continue
+        if name == "worker_backend":
+            if value not in WORKER_BACKENDS:
+                legal = " or ".join(map(repr, WORKER_BACKENDS))
+                raise ValueError(
+                    f"worker_backend must be {legal}, got {value!r}"
+                )
+        elif name in _KNOB_FLOORS and value < _KNOB_FLOORS[name]:
+            raise ValueError(
+                f"{name} must be >= {_KNOB_FLOORS[name]}, got {value!r}"
+            )
 
 
 def _no_span(name: str, **attributes):
@@ -107,53 +156,25 @@ class Session:
     worker_observer: object | None = None
 
     def __post_init__(self) -> None:
-        if self.scan_workers < 1:
-            raise ValueError(
-                f"scan_workers must be >= 1, got {self.scan_workers!r}"
-            )
-        if self.worker_backend not in ("thread", "process"):
-            raise ValueError(
-                f"worker_backend must be 'thread' or 'process', "
-                f"got {self.worker_backend!r}"
-            )
-        if self.plan_cache_entries < 0:
-            raise ValueError(
-                "plan_cache_entries must be >= 0, "
-                f"got {self.plan_cache_entries!r}"
-            )
-        if self.result_cache_entries < 0:
-            raise ValueError(
-                "result_cache_entries must be >= 0, "
-                f"got {self.result_cache_entries!r}"
-            )
-        if self.cache_budget_bytes is not None and self.cache_budget_bytes < 0:
-            raise ValueError(
-                "cache_budget_bytes must be >= 0, "
-                f"got {self.cache_budget_bytes!r}"
-            )
+        check_engine_knobs(**{name: getattr(self, name) for name in _ENGINE_KNOBS})
         if self.catalog is None:
             self.catalog = Catalog(self.fs)
         self.planner = Planner(self.catalog)
         self._plan_modifiers: list = []
         self._lock = threading.RLock()
         self.cache_ledger = CacheLedger(budget=self.cache_budget_bytes)
-        self._plan_cache: PlanCache | None = (
-            PlanCache(self.plan_cache_entries, ledger=self.cache_ledger)
-            if self.plan_cache_entries > 0
-            else None
-        )
-        self._result_cache: ResultCache | None = (
-            ResultCache(self.cache_ledger, capacity=self.result_cache_entries)
-            if self.result_cache_enabled
-            else None
-        )
+        self._plan_cache: PlanCache | None = None
+        self._result_cache: ResultCache | None = None
+        self._rebuild_plan_cache()
+        self._rebuild_result_cache()
         #: Canonicalisation memo while the result tier is off (the flight
         #: recorder fingerprints statements either way); stores no results.
         self._statement_memo = ResultCache(capacity=0)
-        self._scan_pool: ThreadPoolExecutor | None = None
-        self._scan_pool_size = 0
-        self._proc_pool = None  # ProcessMorselPool, built lazily
-        self._proc_pool_size = 0
+        #: The morsel worker pool (a ``ThreadPoolExecutor`` or a
+        #: ``ProcessMorselPool``, built lazily) and the ``(backend,
+        #: workers)`` it was built for.
+        self._pool = None
+        self._pool_key: tuple[str, int] | None = None
         #: accumulated across queries; reset with `reset_session_metrics`
         self.session_metrics = QueryMetrics()
 
@@ -192,19 +213,48 @@ class Session:
         if self._plan_cache is not None:
             self._plan_cache.clear()
 
-    def configure_plan_cache(self, entries: int) -> None:
-        """Resize (or disable, with 0) the plan cache."""
-        if entries < 0:
-            raise ValueError(f"plan_cache_entries must be >= 0, got {entries!r}")
+    def configure(self, **knobs) -> None:
+        """Set engine knobs on a live session: the constructor's keywords,
+        under the constructor's rules (:func:`check_engine_knobs`).
+
+        A value the session already has changes nothing — warm caches
+        stay warm. A changed plan- or result-cache knob replaces that
+        tier with an empty one (the old entries' bytes go back to the
+        ledger first), a changed ``cache_budget_bytes`` re-budgets the
+        ledger, and ``scan_workers`` / ``worker_backend`` are read by the
+        next query, as they are after plain assignment.
+        """
+        unknown = sorted(knobs.keys() - set(_ENGINE_KNOBS))
+        if unknown:
+            raise TypeError(f"not an engine knob: {', '.join(unknown)}")
+        check_engine_knobs(**knobs)
         with self._lock:
-            self.plan_cache_entries = entries
-            # Clearing gives the old cache's bytes back to the ledger.
-            self.invalidate_plan_cache()
-            self._plan_cache = (
-                PlanCache(entries, ledger=self.cache_ledger)
-                if entries > 0
-                else None
-            )
+            changed = {n for n, v in knobs.items() if getattr(self, n) != v}
+            for name in changed:
+                setattr(self, name, knobs[name])
+            if "cache_budget_bytes" in changed:
+                self.cache_ledger.budget = self.cache_budget_bytes
+            if "plan_cache_entries" in changed:
+                self._rebuild_plan_cache()
+            if changed & {"result_cache_enabled", "result_cache_entries"}:
+                self._rebuild_result_cache()
+
+    def _rebuild_plan_cache(self) -> None:
+        # Clearing gives the old cache's bytes back to the ledger.
+        self.invalidate_plan_cache()
+        self._plan_cache = (
+            PlanCache(self.plan_cache_entries, ledger=self.cache_ledger)
+            if self.plan_cache_entries > 0
+            else None
+        )
+
+    def _rebuild_result_cache(self) -> None:
+        self.invalidate_result_cache()
+        self._result_cache = (
+            ResultCache(self.cache_ledger, capacity=self.result_cache_entries)
+            if self.result_cache_enabled
+            else None
+        )
 
     def plan_cache_stats(self) -> dict[str, int]:
         """Counters of the plan cache (all zero when disabled)."""
@@ -227,40 +277,8 @@ class Session:
 
         Keys already embed catalog/modifier tokens, so this is about
         releasing budget bytes promptly, not correctness."""
-        if getattr(self, "_result_cache", None) is not None:
+        if self._result_cache is not None:
             self._result_cache.clear()
-
-    def configure_result_cache(
-        self, enabled: bool, entries: int | None = None
-    ) -> None:
-        """Enable, resize or disable the semantic result cache."""
-        with self._lock:
-            if entries is not None:
-                if entries < 0:
-                    raise ValueError(
-                        f"result_cache_entries must be >= 0, got {entries!r}"
-                    )
-                self.result_cache_entries = entries
-            if self._result_cache is not None:
-                self._result_cache.clear()
-            self.result_cache_enabled = enabled
-            self._result_cache = (
-                ResultCache(
-                    self.cache_ledger, capacity=self.result_cache_entries
-                )
-                if enabled
-                else None
-            )
-
-    def configure_cache_budget(self, budget_bytes: int | None) -> None:
-        """Set (or clear) the unified byte budget for all cache tiers."""
-        if budget_bytes is not None and budget_bytes < 0:
-            raise ValueError(
-                f"cache_budget_bytes must be >= 0, got {budget_bytes!r}"
-            )
-        with self._lock:
-            self.cache_budget_bytes = budget_bytes
-            self.cache_ledger.budget = budget_bytes
 
     def result_cache_stats(self) -> dict[str, int]:
         """Counters of the result cache (all zero when disabled)."""
@@ -354,8 +372,9 @@ class Session:
         return before - self.cache_ledger.total()
 
     def _morsel_pool(self):
-        """The shared split-worker pool (rebuilt if ``scan_workers`` or
-        ``worker_backend`` changed); None when the session is serial.
+        """The shared split-worker pool for the session's current
+        ``scan_workers`` / ``worker_backend`` (rebuilt when either has
+        changed since it was built); None when the session is serial.
 
         Thread backend: a plain ``ThreadPoolExecutor``. Process backend:
         a :class:`repro.engine.procpool.ProcessMorselPool`, which the
@@ -363,63 +382,42 @@ class Session:
         if self.scan_workers <= 1:
             return None
         with self._lock:
-            if self.worker_backend == "process":
-                if self._scan_pool is not None:
-                    self._scan_pool.shutdown(wait=False)
-                    self._scan_pool = None
-                    self._scan_pool_size = 0
-                if (
-                    self._proc_pool is None
-                    or self._proc_pool_size != self.scan_workers
-                ):
+            key = (self.worker_backend, self.scan_workers)
+            if self._pool_key != key:
+                check_engine_knobs(worker_backend=self.worker_backend)
+                self.close_worker_pools()
+                if self.worker_backend == "process":
                     from .procpool import ProcessMorselPool, build_snapshot
 
-                    if self._proc_pool is not None:
-                        self._proc_pool.close()
-                    self._proc_pool = ProcessMorselPool(
+                    self._pool = ProcessMorselPool(
                         self.scan_workers,
                         snapshot_fn=lambda: build_snapshot(self),
                         observer=self.worker_observer,
                     )
-                    self._proc_pool_size = self.scan_workers
-                return self._proc_pool
-            if self._proc_pool is not None:
-                self._proc_pool.close()
-                self._proc_pool = None
-                self._proc_pool_size = 0
-            if (
-                self._scan_pool is None
-                or self._scan_pool_size != self.scan_workers
-            ):
-                if self._scan_pool is not None:
-                    self._scan_pool.shutdown(wait=False)
-                self._scan_pool = ThreadPoolExecutor(
-                    max_workers=self.scan_workers,
-                    thread_name_prefix="morsel",
-                )
-                self._scan_pool_size = self.scan_workers
-            return self._scan_pool
+                else:
+                    self._pool = ThreadPoolExecutor(
+                        max_workers=self.scan_workers,
+                        thread_name_prefix="morsel",
+                    )
+                self._pool_key = key
+            return self._pool
 
     def live_shm_bytes(self) -> int:
         """Bytes of shared memory currently held by the process-pool
         backend (result segments in flight plus the cancel-flag slab);
         0 on the thread backend. The memory watchdog charges this
         against its soft limit."""
-        pool = self._proc_pool
-        return pool.live_shm_bytes if pool is not None else 0
+        return getattr(self._pool, "live_shm_bytes", 0)
 
     def close_worker_pools(self) -> None:
-        """Tear down morsel worker pools (thread and process). Safe to
-        call repeatedly; pools rebuild lazily on the next query."""
+        """Tear down the morsel worker pool (thread or process). Safe to
+        call repeatedly; the pool rebuilds lazily on the next query."""
         with self._lock:
-            if self._scan_pool is not None:
-                self._scan_pool.shutdown(wait=False)
-                self._scan_pool = None
-                self._scan_pool_size = 0
-            if self._proc_pool is not None:
-                self._proc_pool.close()
-                self._proc_pool = None
-                self._proc_pool_size = 0
+            pool, self._pool, self._pool_key = self._pool, None, None
+            if isinstance(pool, ThreadPoolExecutor):
+                pool.shutdown(wait=False)
+            elif pool is not None:
+                pool.close()
 
     def _context_factory(self) -> EvalContext:
         context = EvalContext(parser=self.parser_factory())
@@ -438,7 +436,6 @@ class Session:
             catalog=self.catalog,
             context=self._context_factory(),
             tracer=tracer,
-            scan_workers=self.scan_workers,
             scan_pool=self._morsel_pool(),
             cancel_token=cancel_token,
         )

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..engine.session import check_engine_knobs
+
 __all__ = ["ServerConfig"]
 
 
@@ -187,19 +189,25 @@ class ServerConfig:
             raise ValueError("memory_soft_limit_bytes must be >= 0")
         if self.drain_timeout_seconds < 0:
             raise ValueError("drain_timeout_seconds must be >= 0")
-        if self.build_workers is not None and self.build_workers < 1:
-            raise ValueError("build_workers must be >= 1")
-        if self.scan_workers is not None and self.scan_workers < 1:
-            raise ValueError("scan_workers must be >= 1")
-        if self.worker_backend not in (None, "thread", "process"):
-            raise ValueError("worker_backend must be 'thread' or 'process'")
-        if self.plan_cache_entries is not None and self.plan_cache_entries < 0:
-            raise ValueError("plan_cache_entries must be >= 0")
-        if self.cache_budget_bytes is not None and self.cache_budget_bytes < 0:
-            raise ValueError("cache_budget_bytes must be >= 0")
+        check_engine_knobs(
+            build_workers=self.build_workers, **self.engine_overrides()
+        )
         if self.slow_query_seconds < 0:
             raise ValueError("slow_query_seconds must be >= 0")
         if self.telemetry_budget_bytes < 1:
             raise ValueError("telemetry_budget_bytes must be >= 1")
         if self.telemetry_segment_bytes < 1:
             raise ValueError("telemetry_segment_bytes must be >= 1")
+
+    def engine_overrides(self) -> dict:
+        """The :class:`~repro.engine.session.Session` knobs this config
+        sets, under the session's field names; a ``None`` override
+        inherits and is left out."""
+        overrides = {
+            "scan_workers": self.scan_workers,
+            "worker_backend": self.worker_backend,
+            "plan_cache_entries": self.plan_cache_entries,
+            "result_cache_enabled": self.result_cache,
+            "cache_budget_bytes": self.cache_budget_bytes,
+        }
+        return {k: v for k, v in overrides.items() if v is not None}

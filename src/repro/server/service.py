@@ -40,7 +40,7 @@ from ..engine.errors import DeadlineExceededError, QueryCancelledError
 from ..engine.metrics import QueryMetrics
 from ..engine.plancache import fingerprint
 from ..engine.procpool import reap_orphan_segments
-from ..engine.session import QueryResult
+from ..engine.session import WORKER_BACKENDS, QueryResult
 from ..obs.logging import StructuredLogger
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import TraceSink, Tracer, export_subtree
@@ -334,27 +334,12 @@ class MaxsonServer:
         )
 
     def _push_down_config(self) -> None:
-        """Engine knobs the server config overrides (``None`` inherits
-        what the wrapped system already runs with)."""
-        config, system = self.config, self.system
-        session = system.session
-        if config.build_workers is not None:
-            system.config.build_workers = config.build_workers
-            system.cacher.build_workers = config.build_workers
-        if config.scan_workers is not None:
-            system.config.scan_workers = config.scan_workers
-            session.scan_workers = config.scan_workers
-        if config.worker_backend is not None:
-            system.config.worker_backend = config.worker_backend
-            session.worker_backend = config.worker_backend
-        if config.plan_cache_entries is not None:
-            system.config.plan_cache_entries = config.plan_cache_entries
-            session.configure_plan_cache(config.plan_cache_entries)
-        if config.cache_budget_bytes is not None:
-            session.configure_cache_budget(config.cache_budget_bytes)
-        if config.result_cache is not None:
-            system.config.result_cache = config.result_cache
-            session.configure_result_cache(config.result_cache)
+        """Apply the engine knobs the server config overrides (``None``
+        inherits what the wrapped system already runs with; an override
+        equal to what it runs with changes nothing)."""
+        self.system.session.configure(**self.config.engine_overrides())
+        if self.config.build_workers is not None:
+            self.system.cacher.build_workers = self.config.build_workers
 
     # ------------------------------------------------------------------
     # request path: execute = _admit → _run → _settle over one _Request
@@ -954,7 +939,7 @@ class MaxsonServer:
         m["active_queries"].set(status.active_queries)
         m["active_generation_leases"].set(status.active_leases)
         m["scan_workers"].set(session.scan_workers)
-        for backend in ("thread", "process"):
+        for backend in WORKER_BACKENDS:
             m["worker_backend"].set(
                 1 if backend == session.worker_backend else 0, backend=backend
             )

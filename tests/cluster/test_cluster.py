@@ -7,6 +7,8 @@ the same order — and accounts sheds the same way; sharding may only
 change *where* a query runs.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import (
@@ -59,6 +61,24 @@ class TestDifferential:
             got = cluster.execute(query.sql, tenant="t-diff")
             assert got["rows"] == expected.rows, query.query_id
             assert expected.rows == reference_rows(system.session, query.sql)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_engine_overrides_in_the_spec_bit_identical(
+        self, twin, queries, backend
+    ):
+        """``ShardSpec.server`` is a shard's only route to the engine
+        knobs: they reach its session, and change no row."""
+        overrides = {"scan_workers": 4, "worker_backend": backend}
+        system, server = build_shard_server(
+            replace(SPEC, server={**SPEC.server, **overrides})
+        )
+        with server:
+            session = system.session
+            assert (session.scan_workers, session.worker_backend) == (4, backend)
+            for query in queries.values():
+                got = server.execute(query.sql, tenant="t-diff")
+                expected = twin[1].execute(query.sql, tenant="t-diff")
+                assert got.rows == expected.rows, query.query_id
 
     def test_irregular_documents_bit_identical(self, cluster, twin):
         """The warehouse a ``ShardSpec`` generates holds only regular

@@ -117,7 +117,7 @@ class TestSessionDeadlines:
         # An expired query must fail even when the answer is sitting in
         # the result cache — a deadline is a contract, not a hint.
         session = build_session()
-        session.configure_result_cache(True)
+        session.configure(result_cache_enabled=True)
         session.sql(SQL)
         session.sql(SQL)  # second run makes it a cached recurrence
         assert session.probable_result_cache_hit(SQL)
@@ -132,7 +132,7 @@ class TestSessionDeadlines:
 
     def test_cancelled_query_leaves_no_result_cache_entry(self):
         session = build_session()
-        session.configure_result_cache(True)
+        session.configure(result_cache_enabled=True)
         token = CancelToken()
         token.cancel("mid-flight")
         with pytest.raises(QueryCancelledError):
@@ -152,7 +152,7 @@ class TestSessionDeadlines:
 class TestShrinkCaches:
     def test_shrink_releases_result_then_plan_bytes(self):
         session = build_session()
-        session.configure_result_cache(True)
+        session.configure(result_cache_enabled=True)
         session.sql(SQL)
         session.sql(SQL)
         before = session.cache_ledger.total()

@@ -26,6 +26,10 @@ from repro.storage import DataType, Schema
 
 @pytest.fixture
 def multi(session: Session) -> Session:
+    return load_multi(session)
+
+
+def load_multi(session: Session) -> Session:
     schema = Schema.of(("a", DataType.INT64), ("b", DataType.STRING))
     session.catalog.create_table("db", "m", schema)
     for day in range(4):
@@ -143,3 +147,25 @@ class TestEdgeCases:
             Session(fs=BlockFileSystem(), scan_workers=0)
         with pytest.raises(ValueError):
             Session(fs=BlockFileSystem(), plan_cache_entries=-1)
+
+    def test_configured_session_is_the_session_that_runs(self):
+        """A session's knobs survive ``MaxsonSystem(session=...)`` and a
+        server with no overrides: reported, and run with."""
+        from repro.core import MaxsonSystem
+        from repro.obs import Tracer
+        from repro.server import MaxsonServer, ServerConfig
+        from repro.storage import BlockFileSystem
+
+        knobs = dict(scan_workers=4, worker_backend="process", plan_cache_entries=8)
+        caching = dict(result_cache_enabled=True, result_cache_entries=16)
+        session = load_multi(Session(fs=BlockFileSystem(), **knobs, **caching))
+        system = MaxsonSystem(session=session)
+        with MaxsonServer(system, ServerConfig()) as server:
+            summary = system.cache_summary()
+            assert (summary["scan_workers"], summary["worker_backend"]) == (4, "process")
+            assert summary["plan_cache"]["capacity"] == 8
+            assert summary["result_cache"]["capacity"] == 16
+            assert server.status().worker_backend == "process"
+            traced = system.sql("select a from db.m", tracer=Tracer())
+            splits = traced.trace.find_all("split")
+            assert [s.attributes["backend"] for s in splits] == ["process"] * 4

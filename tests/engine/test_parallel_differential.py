@@ -114,7 +114,12 @@ def build_system(
     result_cache: bool = False,
 ):
     """One cached Maxson system over a 7-split table."""
-    session = Session(fs=fs or BlockFileSystem())
+    session = Session(
+        fs=fs or BlockFileSystem(),
+        scan_workers=scan_workers,
+        worker_backend=worker_backend,
+        result_cache_enabled=result_cache,
+    )
     schema = Schema.of(("id", DataType.INT64), ("payload", DataType.STRING))
     session.catalog.create_table("db", "t", schema)
     for day in range(6):
@@ -140,12 +145,7 @@ def build_system(
     )
     system = MaxsonSystem(
         session=session,
-        config=MaxsonConfig(
-            predictor=PredictorConfig(model="oracle"),
-            scan_workers=scan_workers,
-            worker_backend=worker_backend,
-            result_cache=result_cache,
-        ),
+        config=MaxsonConfig(predictor=PredictorConfig(model="oracle")),
     )
     system.cache_paths_directly(
         [
@@ -249,3 +249,51 @@ class TestFaultParallelParity:
         )
         system = run_fault_matrix(policy, self.PAIR)
         assert system.resilience.snapshot()["fallback_queries"] > 0
+
+
+class TestThreeRoutesOneAnswer:
+    """An engine knob set by ``Session(...)`` keyword, by
+    ``Session.configure`` or by a ``ServerConfig`` / ``ShardSpec.server``
+    override: one set of rules, one set of rows."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"scan_workers": 0},
+            {"worker_backend": "fork"},
+            {"plan_cache_entries": -1},
+            {"result_cache_entries": -1},
+            {"cache_budget_bytes": -1},
+        ],
+        ids=lambda bad: next(iter(bad)),
+    )
+    def test_every_route_rejects_the_same_values(self, bad):
+        from repro.cluster import ShardSpec, build_shard_server
+        from repro.server import ServerConfig
+
+        messages = set()
+        routes = [lambda: Session(**bad), lambda: Session().configure(**bad)]
+        if "result_cache_entries" not in bad:  # the knob no server overrides
+            routes.append(lambda: ServerConfig(**bad))
+            routes.append(lambda: build_shard_server(ShardSpec(server=bad)))
+        for route in routes:
+            with pytest.raises(ValueError) as info:
+                route()
+            messages.add(str(info.value))
+        assert len(messages) == 1, messages
+
+    @pytest.mark.parametrize("route", ["keyword", "configure", "override"])
+    def test_good_values_give_identical_rows(self, route):
+        from repro.server import MaxsonServer, ServerConfig
+
+        serial = [build_system().sql(sql).rows for sql in MAXSON_QUERIES]
+        for backend in ("thread", "process"):
+            knobs = {"scan_workers": 4, "worker_backend": backend}
+            system = build_system(**(knobs if route == "keyword" else {}))
+            if route == "configure":
+                system.session.configure(**knobs)
+            config = ServerConfig(**(knobs if route == "override" else {}))
+            with MaxsonServer(system, config):  # shutdown closes the worker pool
+                session = system.session
+                assert (session.scan_workers, session.worker_backend) == (4, backend)
+                assert [system.sql(q).rows for q in MAXSON_QUERIES] == serial

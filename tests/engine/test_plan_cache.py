@@ -73,7 +73,7 @@ class TestPlanCacheHits:
         assert tiny.plan_cache_stats()["misses"] == 2
 
     def test_lru_eviction_at_capacity(self, tiny):
-        tiny.configure_plan_cache(2)
+        tiny.configure(plan_cache_entries=2)
         tiny.sql("select a from db.t")
         tiny.sql("select b from db.t")
         tiny.sql("select a, b from db.t")  # evicts "select a from db.t"
@@ -86,7 +86,7 @@ class TestPlanCacheHits:
         ledger = tiny.cache_ledger
         tiny.sql("select a from db.t")
         assert ledger.tier_bytes("plan") > 0
-        tiny.configure_plan_cache(8)  # the old cache's charge is released
+        tiny.configure(plan_cache_entries=8)  # the old cache's charge is released
         assert ledger.tier_bytes("plan") == 0
         tiny.sql("select a from db.t")  # a plan cached afterwards is charged
         assert ledger.tier_bytes("plan") > 0
@@ -95,7 +95,7 @@ class TestPlanCacheHits:
         assert tiny.plan_cache_stats()["entries"] == 0
 
     def test_capacity_zero_disables(self, tiny):
-        tiny.configure_plan_cache(0)
+        tiny.configure(plan_cache_entries=0)
         tiny.sql("select a from db.t")
         tiny.sql("select a from db.t")
         stats = tiny.plan_cache_stats()
@@ -153,7 +153,7 @@ class TestPlanCacheInvalidation:
 
     def test_reconfigure_resets(self, tiny):
         tiny.sql("select a from db.t")
-        tiny.configure_plan_cache(8)
+        tiny.configure(plan_cache_entries=8)
         stats = tiny.plan_cache_stats()
         assert stats["entries"] == 0 and stats["capacity"] == 8
 
@@ -175,6 +175,32 @@ def _cached_system(fs=None):
 
 class TestMaxsonStaleness:
     SQL = "select get_json_object(payload, '$.hot') as h from db.t"
+
+    def test_override_equal_to_what_runs_keeps_caches_warm(self):
+        """A server override asking for what the session already has is a
+        no-op; one asking for something else rebuilds that tier alone."""
+        from repro.server import MaxsonServer, ServerConfig
+
+        system, _ = _cached_system()
+        session, ledger = system.session, system.session.cache_ledger
+        session.configure(result_cache_enabled=True)
+        for _ in range(2):
+            system.sql(self.SQL)
+
+        def warm():
+            entries = [
+                stats()["entries"]
+                for stats in (session.plan_cache_stats, session.result_cache_stats)
+            ]
+            return (*entries, ledger.tier_bytes("plan"), ledger.tier_bytes("result"))
+
+        before = warm()
+        assert before[:2] == (1, 1) and min(before) > 0
+        same = ServerConfig(result_cache=True, plan_cache_entries=64)
+        with MaxsonServer(system, same):
+            assert warm() == before
+        with MaxsonServer(system, ServerConfig(plan_cache_entries=8)):
+            assert warm() == (0, 1, 0, before[3])
 
     def test_generation_swap_invalidates(self):
         """A plan cached against generation N references __g{N} cache

@@ -241,7 +241,7 @@ def build_latency_session(read_latency: float = 0.0) -> Session:
 
 
 def assert_no_live_segments(session: Session) -> None:
-    pool = session._proc_pool
+    pool = session._morsel_pool()
     assert pool is not None and pool._live_segments == {}
     # Only the cancel-flag slab remains on disk for this coordinator.
     mine = glob.glob(f"/dev/shm/{SHM_PREFIX}_{os.getpid()}_*")
@@ -251,7 +251,7 @@ def assert_no_live_segments(session: Session) -> None:
 class TestCancellationMidSplit:
     def test_cancel_mid_split_leaves_nothing_behind(self):
         session = build_latency_session(read_latency=0.03)
-        session.configure_result_cache(True)
+        session.configure(result_cache_enabled=True)
         try:
             warm = session.sql(SQL)
             assert warm.rows
@@ -297,7 +297,7 @@ class TestWorkerCrash:
         session = build_latency_session()
         try:
             before = session.sql(SQL)
-            pool = session._proc_pool
+            pool = session._morsel_pool()
             os.kill(pool._handles[0].process.pid, 9)
             with pytest.raises(ExecutionError, match="died mid-split"):
                 session.sql(SQL)
@@ -317,7 +317,7 @@ class TestWorkerCrash:
         session = build_latency_session()
         try:
             session.sql(SQL)  # spawn the pool
-            pool = session._proc_pool
+            pool = session._morsel_pool()
             victim = pool._handles[0]
             pid = victim.process.pid
             leaked = shared_memory.SharedMemory(
@@ -357,7 +357,7 @@ class TestWorkerCrash:
         session = build_latency_session()
         try:
             session.sql(SQL)
-            pool = session._proc_pool
+            pool = session._morsel_pool()
             pool.close()
             with pytest.raises(ExecutionError, match="pool is closed"):
                 pool._run_unit(b"", None, 0, None)

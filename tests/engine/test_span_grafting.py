@@ -155,7 +155,7 @@ class TestWorkerCrash:
         try:
             before = session.sql(SQL)
             assert before.rows
-            os.kill(session._proc_pool._handles[0].process.pid, 9)
+            os.kill(session._morsel_pool()._handles[0].process.pid, 9)
             tracer = Tracer()
             with pytest.raises(ExecutionError, match="died mid-split"):
                 session.sql(SQL, tracer=tracer)
@@ -193,7 +193,7 @@ class TestWorkerCrash:
         session = build_session(backend="process")
         try:
             session.sql(SQL)
-            os.kill(session._proc_pool._handles[0].process.pid, 9)
+            os.kill(session._morsel_pool()._handles[0].process.pid, 9)
             with pytest.raises(ExecutionError):
                 session.sql(SQL)
             process_tracer = Tracer()

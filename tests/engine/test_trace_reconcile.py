@@ -9,7 +9,7 @@ these tests pin them together on a plain and a degraded
 
 import pytest
 
-from repro.core import MaxsonConfig, MaxsonSystem, cache_table_name
+from repro.core import MaxsonSystem, cache_table_name
 from repro.engine import Session
 from repro.jsonlib import dumps
 from repro.obs import Tracer, render_explain_analyze
@@ -91,7 +91,11 @@ class TestDegradedReconciliation:
 
     def build_system(self, scan_workers=1, worker_backend="thread") -> MaxsonSystem:
         """Three ten-row splits, so two workers have splits to share."""
-        session = Session(fs=BlockFileSystem())
+        session = Session(
+            fs=BlockFileSystem(),
+            scan_workers=scan_workers,
+            worker_backend=worker_backend,
+        )
         schema = Schema.of(
             ("id", DataType.INT64), ("payload", DataType.STRING)
         )
@@ -100,10 +104,7 @@ class TestDegradedReconciliation:
             session.catalog.append_rows(
                 "db", "t", [(i, dumps({"m": i})) for i in range(first, first + 10)]
             )
-        config = MaxsonConfig(
-            scan_workers=scan_workers, worker_backend=worker_backend
-        )
-        return MaxsonSystem(session=session, config=config)
+        return MaxsonSystem(session=session)
 
     def corrupt_first_cache_file(self, system: MaxsonSystem) -> None:
         from repro.core.cacher import CACHE_DATABASE

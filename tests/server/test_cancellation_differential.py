@@ -57,7 +57,7 @@ def build_system(policy_kwargs: dict, warm_cache: bool) -> MaxsonSystem:
             for i in range(10)
         ]
         session.catalog.append_rows("db", "t", rows, row_group_size=10)
-    session.configure_result_cache(True)
+    session.configure(result_cache_enabled=True)
     session.scan_workers = 4
     system = MaxsonSystem(
         session=session,

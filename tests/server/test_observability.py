@@ -149,9 +149,9 @@ def scrapes():
         session = server.system.session
         server.execute(HOT_SQL, day=0)  # result cache: miss, admitted
         server.execute(HOT_SQL, day=0)  # hit
-        session.configure_cache_budget(1)
+        session.configure(cache_budget_bytes=1)
         server.execute(COLD_SQL, day=0)  # miss, rejected: no byte fits
-        session.configure_cache_budget(None)
+        session.configure(cache_budget_bytes=None)
         server.admission.acquire("default")
         waiter = server.submit(HOT_SQL, day=0)
         lease = server.generation_guard.acquire()

@@ -24,7 +24,7 @@ def build_session() -> Session:
 
 def warm_caches(session: Session) -> None:
     """Put bytes in the result + plan tiers (two recurrences each)."""
-    session.configure_result_cache(True)
+    session.configure(result_cache_enabled=True)
     for _ in range(2):
         session.sql(SQL)
         session.sql(OTHER_SQL)

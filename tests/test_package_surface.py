@@ -149,8 +149,7 @@ CONFIG_SURFACE = {
     "repro.core.MaxsonConfig": """
         cache_budget_bytes mpjp_threshold selection_strategy enable_pushdown
         predictor scoring_sample_rows random_seed quarantine_seconds
-        breaker_failure_threshold build_workers scan_workers worker_backend
-        plan_cache_entries result_cache result_cache_entries""",
+        breaker_failure_threshold build_workers""",
     "repro.server.ServerConfig": """
         max_workers per_tenant_limit queue_capacity admission_timeout_seconds
         default_tenant midnight_history_days refresh_interval_seconds
@@ -163,7 +162,7 @@ CONFIG_SURFACE = {
         log_all_queries""",
     "repro.cluster.ShardSpec": """
         shard_id rows_per_table days row_group_size table_ids fault_profile
-        read_latency_seconds model build_workers server""",
+        read_latency_seconds model server""",
 }
 
 

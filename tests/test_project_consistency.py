@@ -170,3 +170,64 @@ class TestOneBuildPath:
         core = self.SRC / "core"
         build_side = [core / "cacher.py", core / "combiner.py", core / "system.py"]
         assert not functions_longer_than(80, build_side)
+
+
+class TestOneOwnerPerKnob:
+    """An engine knob is declared by the ``Session`` that reads it and the
+    ``ServerConfig`` that may override it (README "Configuration")."""
+
+    SRC = ROOT / "src" / "repro"
+    #: knob -> every class under src/ with an annotated field of that name
+    #: (``ServerStatus`` reports two of them; it configures nothing).
+    OWNERS = {
+        "scan_workers": {"Session", "ServerConfig"},
+        "worker_backend": {"Session", "ServerConfig", "ServerStatus"},
+        "plan_cache_entries": {"Session", "ServerConfig"},
+        "result_cache_entries": {"Session"},
+        "result_cache_enabled": {"Session"},
+        "result_cache": {"ServerConfig", "ServerStatus"},
+        "build_workers": {"MaxsonConfig", "ServerConfig"},
+    }
+
+    def nodes(self, *types):
+        for path in sorted(self.SRC.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, types):
+                    yield path.name, node
+
+    def test_knobs_are_fields_of_their_owners_only(self):
+        declared: dict[str, set[str]] = {}
+        for _, cls in self.nodes(ast.ClassDef):
+            for stmt in cls.body:
+                name = getattr(getattr(stmt, "target", None), "id", None)
+                if isinstance(stmt, ast.AnnAssign) and name in self.OWNERS:
+                    declared.setdefault(name, set()).add(cls.name)
+        assert declared == self.OWNERS
+
+    def test_legal_backends_are_stated_once_and_flags_declared_once(self):
+        """One constant, read by the validator, the per-backend gauge loop
+        and the one ``choices=`` of the one ``--worker-backend``."""
+        literals = [
+            name
+            for name, node in self.nodes(ast.Tuple, ast.List, ast.Set)
+            if {getattr(e, "value", None) for e in node.elts} == {"thread", "process"}
+        ]
+        assert literals == ["session.py"]
+        readers = {
+            name
+            for name, node in self.nodes(ast.Name)
+            if node.id == "WORKER_BACKENDS" and isinstance(node.ctx, ast.Load)
+        }
+        assert readers == {"session.py", "cli.py", "service.py"}
+        flags = {
+            call.args[0].value: {kw.arg: kw.value for kw in call.keywords}
+            for name, call in self.nodes(ast.Call)
+            if name == "cli.py" and getattr(call.func, "attr", "") == "add_argument"
+        }
+        cli = (self.SRC / "cli.py").read_text()
+        assert cli.count('"--scan-workers"') == cli.count('"--worker-backend"') == 1
+        assert flags["--worker-backend"]["choices"].id == "WORKER_BACKENDS"
+
+    def test_every_server_comes_from_the_one_recipe(self):
+        sites = TestOneBuildPath().call_sites("MaxsonServer")
+        assert sites == {"shard.build_shard_server"}
