@@ -1,15 +1,23 @@
-"""Length-prefixed JSON RPC between the router and its shard processes.
+"""Length-prefixed RPC between the router and its shard processes.
 
-The wire format is deliberately tiny: every message is one JSON object
-preceded by a 4-byte little-endian length. Requests are ``{"id": n,
-"op": ..., **kwargs}``; responses echo the ``id`` (queries execute on
-the shard's thread pool, so responses return out of order and one
-socket multiplexes a whole day's concurrency) and are either
-``{"id": n, "ok": true, "v": <version-vector>, ...payload}`` or an
-**error envelope**::
+A message is a JSON **envelope** — one object preceded by its 4-byte
+little-endian length — optionally followed by a binary **body**.
+Requests are ``{"id": n, "op": ..., **kwargs}``; responses echo the
+``id`` (queries execute on the shard's thread pool, so responses return
+out of order and one socket multiplexes a whole day's concurrency) and
+are either ``{"id": n, "ok": true, "v": <version-vector>, ...payload}``
+or an **error envelope**::
 
     {"id": n, "ok": false, "v": ..., "error": {"type": "QueryShedError",
      "message": "...", "retry_after_seconds": 0.25}}
+
+Rows never travel as JSON: a reply that carries a result set is an
+envelope with the column ``names`` and ``"body": <byte length>``, then
+that many bytes of lane frame (:mod:`repro.engine.frame`) — for a
+result-cache hit the entry's stored bytes, forwarded as they are. The
+reader thread parses only the envelope; :meth:`RpcConnection.call`
+decodes the body into ``rows`` on the *calling* thread, so one large
+reply never stalls the other callers multiplexed on the socket.
 
 ``v`` is the shard's metadata version vector (see
 :mod:`repro.cluster.metacache`), piggybacked on *every* response so the
@@ -37,6 +45,7 @@ from ..engine.errors import (
     ExecutionError,
     QueryCancelledError,
 )
+from ..engine.frame import frame_rows
 from ..server.admission import (
     AdmissionError,
     AdmissionTimeout,
@@ -86,32 +95,52 @@ _WIRE_TYPES: dict[str, type[Exception]] = {
 }
 
 
-def send_frame(sock: socket.socket, obj: dict) -> None:
+def send_frame(sock: socket.socket, obj: dict, body: bytes | None = None) -> None:
+    """Send one envelope; with a ``body`` the envelope declares its length
+    under ``"body"`` and the bytes follow it."""
+    if body is not None:
+        obj = {**obj, "body": len(body)}
+    elif "body" in obj:  # the peer would wait for that many bytes
+        raise ValueError('"body" is reserved for the envelope\'s body length')
     payload = json.dumps(obj, separators=(",", ":")).encode("utf-8")
     try:
-        sock.sendall(_LENGTH.pack(len(payload)) + payload)
-    except (BrokenPipeError, ConnectionResetError, OSError) as exc:
+        sock.sendall(b"".join((_LENGTH.pack(len(payload)), payload, body or b"")))
+    except OSError as exc:
         raise ShardConnectionError(f"send failed: {exc}") from exc
 
 
-def _recv_exact(sock: socket.socket, nbytes: int) -> bytes:
-    chunks = bytearray()
-    while len(chunks) < nbytes:
+def _recv_exact(sock: socket.socket, nbytes: int) -> bytearray:
+    buffer = bytearray(nbytes)
+    view = memoryview(buffer)
+    while view:
         try:
-            chunk = sock.recv(nbytes - len(chunks))
-        except (ConnectionResetError, OSError) as exc:
+            received = sock.recv_into(view)
+        except OSError as exc:
             raise ShardConnectionError(f"recv failed: {exc}") from exc
-        if not chunk:
+        if not received:
             raise ShardConnectionError("peer closed the connection")
-        chunks.extend(chunk)
-    return bytes(chunks)
+        view = view[received:]
+    return buffer
 
 
 def recv_frame(sock: socket.socket) -> dict:
+    """Receive one envelope; a declared body arrives under ``"body"`` as
+    the raw bytes, undecoded."""
     (length,) = _LENGTH.unpack(_recv_exact(sock, _LENGTH.size))
     if length > MAX_FRAME_BYTES:
         raise ShardConnectionError(f"frame of {length} bytes exceeds cap")
-    return json.loads(_recv_exact(sock, length).decode("utf-8"))
+    try:
+        envelope = json.loads(_recv_exact(sock, length))
+    except ValueError as exc:
+        raise ShardConnectionError(f"envelope is not JSON: {exc}") from exc
+    if not isinstance(envelope, dict):
+        raise ShardConnectionError("envelope is not a JSON object")
+    if "body" in envelope:
+        length = envelope["body"]
+        if type(length) is not int or not 0 <= length <= MAX_FRAME_BYTES:
+            raise ShardConnectionError(f"bad body length {length!r}")
+        envelope["body"] = _recv_exact(sock, length)
+    return envelope
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +206,14 @@ class RpcConnection:
         try:
             while True:
                 response = recv_frame(self._sock)
-                waiter = None
                 with self._pending_lock:
                     waiter = self._pending.pop(response.get("id"), None)
                 if waiter is not None:
                     waiter["response"] = response
                     waiter["event"].set()
-        except (ShardConnectionError, json.JSONDecodeError, ValueError):
+        except ShardConnectionError:
+            pass
+        finally:  # however the loop ends, nobody is left waiting on it
             self._fail_pending()
 
     def _fail_pending(self) -> None:
@@ -226,6 +256,10 @@ class RpcConnection:
         if self.version_observer is not None and "v" in response:
             self.version_observer(response["v"])
         if response.get("ok"):
+            if "body" in response:  # decoded here, on the caller's thread
+                response["rows"] = frame_rows(
+                    response.pop("body"), response.pop("names", ())
+                )
             return response
         raise decode_error(response.get("error", {}))
 

@@ -6,7 +6,7 @@ warehouse from it — every shard materialises the same Table II tables,
 so any shard can answer any table bit-identically; *which* shard a
 ``(tenant, table)`` pair actually hits is the ring's decision — and
 then serves length-prefixed RPC requests over the socket it dialled
-back to the router.
+back to the router (result sets leave as lane frames, never as JSON rows).
 
 Everything that was process-global in single-server mode is now
 **shard-local by construction**: the admission controller, deadline
@@ -220,17 +220,24 @@ def shard_main(spec_dict: dict, host: str, port: int) -> None:
     system, server = build_shard_server(spec)
     write_lock = threading.Lock()
 
-    def respond(request_id, payload: dict | None = None, error=None) -> None:
+    def respond(request_id, payload=None, error=None, result=None) -> None:
+        """Answer one request. ``result`` makes it the reply that carries
+        rows (``execute`` and ``sql`` alike): its names join the envelope
+        and its lane frame is the body — a result-cache hit's stored bytes
+        as they are, no rows built and nothing re-encoded."""
         response: dict = {"id": request_id, "v": _version_vector(system)}
+        body = None
         if error is not None:
             response["ok"] = False
             response["error"] = encode_error(error)
         else:
             response["ok"] = True
-            if payload:
-                response.update(payload)
+            response.update(payload or {})
+            if result is not None:
+                names, _, body = result.frame()
+                response["names"] = list(names)
         with write_lock:
-            send_frame(sock, response)
+            send_frame(sock, response, body)
 
     # Tell the router who connected (hello carries the shard id + pid so
     # the supervisor can map sockets to processes and reap SHM by pid).
@@ -247,30 +254,17 @@ def shard_main(spec_dict: dict, host: str, port: int) -> None:
     def finish_execute(request_id, future) -> None:
         try:
             result = future.result()
+            metrics, extra = result.metrics, result.metrics.extra
+            payload = {
+                "total_seconds": metrics.total_seconds,
+                "parse_documents": metrics.parse_documents,
+                "cache_hits": metrics.cache_hits,
+                "cache_misses": metrics.cache_misses,
+                "result_cache_hits": int(extra.get("result_cache_hits", 0)),
+                "plan_cache_hits": int(extra.get("plan_cache_hits", 0)),
+            }
+            respond(request_id, {"metrics": payload}, result=result)
         except BaseException as exc:  # typed envelope, never a hang
-            respond(request_id, error=exc)
-            return
-        metrics = result.metrics
-        try:
-            respond(
-                request_id,
-                {
-                    "rows": result.rows,
-                    "metrics": {
-                        "total_seconds": metrics.total_seconds,
-                        "parse_documents": metrics.parse_documents,
-                        "cache_hits": metrics.cache_hits,
-                        "cache_misses": metrics.cache_misses,
-                        "result_cache_hits": int(
-                            metrics.extra.get("result_cache_hits", 0)
-                        ),
-                        "plan_cache_hits": int(
-                            metrics.extra.get("plan_cache_hits", 0)
-                        ),
-                    },
-                },
-            )
-        except (TypeError, ValueError) as exc:
             respond(request_id, error=exc)
 
     running = True
@@ -328,8 +322,7 @@ def shard_main(spec_dict: dict, host: str, port: int) -> None:
             elif op == "metrics_text":
                 respond(request_id, {"text": server.metrics_text()})
             elif op == "sql":
-                result = system.session.sql(request["sql"])
-                respond(request_id, {"rows": result.rows})
+                respond(request_id, result=system.session.sql(request["sql"]))
             elif op == "metadata":
                 payload = metadata_payload(
                     system,

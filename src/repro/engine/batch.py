@@ -122,7 +122,7 @@ class ColumnBatch:
     batch pay the conversion once.
     """
 
-    __slots__ = ("names", "columns", "length", "origin", "_rows")
+    __slots__ = ("names", "columns", "length", "origin", "_rows", "_frame")
 
     def __init__(self, names, columns: dict, length: int) -> None:
         self.names = tuple(names)
@@ -133,6 +133,8 @@ class ColumnBatch:
         #: cached results across a filter instead of re-evaluating.
         self.origin: tuple["ColumnBatch", list[int]] | None = None
         self._rows: list[dict] | None = None
+        #: Memo of :func:`repro.engine.frame.encode_frame`.
+        self._frame: bytes | None = None
 
     @classmethod
     def from_rows(cls, rows: list[dict], names=None) -> "ColumnBatch":

@@ -18,13 +18,13 @@ Design (DESIGN.md §14):
   Presto's worker-side metadata cache. Workers never write, so replicas
   cannot drift inside one version.
 * **Typed shared-memory framing.** A split's :class:`ColumnBatch`
-  result returns through a ``multiprocessing.shared_memory`` segment:
-  ``[8-byte LE header length][JSON header][per-column lanes]`` with
-  typed lanes (bool / int64 / float64 / utf-8 string / JSON fallback)
-  and per-lane null index lists. Row data is never pickled on the hot
-  path; only small control metadata (per-split metrics, fallback flags,
-  aggregate partials) crosses the pipe. Column aliasing (several names
-  sharing one list) survives the trip, which ``_concat_batches``'s
+  result returns through a ``multiprocessing.shared_memory`` segment
+  holding a JSON header (names, span subtree) and the typed lane frame
+  of :mod:`repro.engine.frame` — the codec result-cache entries and RPC
+  replies use too. Row data is never pickled on the hot path; only small
+  control metadata (per-split metrics, fallback flags, aggregate
+  partials) crosses the pipe. Column aliasing (several names sharing
+  one list) survives the trip, which ``_concat_batches``'s
   identity-based merge depends on.
 * **Deterministic adoption + reaping.** The coordinator adopts each
   segment, decodes it and unlinks it in a ``finally`` — completion,
@@ -49,30 +49,21 @@ from __future__ import annotations
 
 import atexit
 import dataclasses
-import json
 import os
 import pickle
 import queue
-import struct
 import threading
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
 from multiprocessing import get_context, shared_memory
 
-from .batch import ColumnBatch
 from .cancel import CancelToken
 from .errors import ExecutionError
+from .frame import decode_batch_frame, encode_batch
 from .parallel import MorselAggregateExec, _fold_context_stats, _scan_of
 
-__all__ = [
-    "ProcessMorselPool",
-    "reap_orphan_segments",
-    "encode_batch",
-    "decode_batch",
-    "decode_batch_frame",
-    "SHM_PREFIX",
-]
+__all__ = ["ProcessMorselPool", "reap_orphan_segments", "SHM_PREFIX"]
 
 #: Every segment this module creates starts with this prefix followed by
 #: the *coordinator* pid — the reaper keys liveness off that pid.
@@ -126,156 +117,6 @@ def reap_orphan_segments(prefix: str = SHM_PREFIX) -> int:
         except FileNotFoundError:
             pass
     return reaped
-
-
-# ----------------------------------------------------------------------
-# ColumnBatch <-> shared-memory framing
-# ----------------------------------------------------------------------
-# Lane tags: "b" bool (one byte per row: 0=NULL 1=False 2=True),
-# "i" int64, "f" float64 (exact bit round-trip), "s" utf-8 strings with
-# 8-byte char-length prefixes, "z" all-NULL, "j" JSON fallback for
-# mixed/nested values. "i"/"f"/"s" carry NULLs as an index list in the
-# header; "j" round-trips null natively.
-
-
-def _encode_lane(values: list) -> tuple[str, list[int], bytes]:
-    kinds = {type(v) for v in values if v is not None}
-    n = len(values)
-    if not kinds:
-        return "z", [], b""
-    if kinds == {bool}:
-        return (
-            "b",
-            [],
-            bytes(0 if v is None else (2 if v else 1) for v in values),
-        )
-    nulls = [i for i, v in enumerate(values) if v is None]
-    if kinds == {int} and all(
-        v is None or -(1 << 63) <= v < (1 << 63) for v in values
-    ):
-        data = struct.pack(
-            f"<{n}q", *(0 if v is None else v for v in values)
-        )
-        return "i", nulls, data
-    if kinds == {float}:
-        data = struct.pack(
-            f"<{n}d", *(0.0 if v is None else v for v in values)
-        )
-        return "f", nulls, data
-    if kinds == {str}:
-        lengths = struct.pack(
-            f"<{n}Q", *(0 if v is None else len(v) for v in values)
-        )
-        blob = "".join(v for v in values if v is not None).encode("utf-8")
-        return "s", nulls, lengths + blob
-    data = json.dumps(values, separators=(",", ":")).encode("utf-8")
-    return "j", [], data
-
-
-def _decode_lane(buf, tag: str, offset: int, nbytes: int, nulls: list, n: int):
-    if tag == "z":
-        return [None] * n
-    if tag == "b":
-        return [
-            None if byte == 0 else byte == 2
-            for byte in bytes(buf[offset : offset + n])
-        ]
-    if tag == "i":
-        out = list(struct.unpack_from(f"<{n}q", buf, offset))
-    elif tag == "f":
-        out = list(struct.unpack_from(f"<{n}d", buf, offset))
-    elif tag == "s":
-        lengths = struct.unpack_from(f"<{n}Q", buf, offset)
-        text = bytes(
-            buf[offset + 8 * n : offset + nbytes]
-        ).decode("utf-8")
-        out = []
-        pos = 0
-        for length in lengths:
-            out.append(text[pos : pos + length])
-            pos += length
-    elif tag == "j":
-        return json.loads(bytes(buf[offset : offset + nbytes]))
-    else:  # pragma: no cover - framing version mismatch
-        raise ExecutionError(f"unknown SHM lane tag {tag!r}")
-    for index in nulls:
-        out[index] = None
-    return out
-
-
-def encode_batch(batch: ColumnBatch, trace: dict | None = None) -> bytes:
-    """Frame a batch as ``[8B header length][JSON header][lane data]``.
-
-    Names sharing one column list share one lane (identity-deduplicated)
-    so alias relationships survive decoding. ``trace`` (a worker span
-    subtree from :func:`repro.obs.trace.export_subtree`) rides in the
-    header — the "result-segment header frame" of the cross-process
-    trace-propagation protocol — so span shipment costs zero extra pipe
-    messages and zero extra segments.
-    """
-    lanes = []
-    chunks: list[bytes] = []
-    lane_of_identity: dict[int, int] = {}
-    column_lane: list[int] = []
-    offset = 0
-    for name in batch.names:
-        column = batch.columns[name]
-        index = lane_of_identity.get(id(column))
-        if index is None:
-            tag, nulls, data = _encode_lane(column)
-            index = len(lanes)
-            lane_of_identity[id(column)] = index
-            lanes.append(
-                {"t": tag, "o": offset, "l": len(data), "nulls": nulls}
-            )
-            chunks.append(data)
-            offset += len(data)
-        column_lane.append(index)
-    payload = {
-        "n": batch.length,
-        "names": list(batch.names),
-        "cols": column_lane,
-        "lanes": lanes,
-    }
-    if trace is not None:
-        payload["trace"] = trace
-    header = json.dumps(
-        payload, separators=(",", ":"), default=str
-    ).encode("utf-8")
-    return b"".join(
-        [struct.pack("<Q", len(header)), header, *chunks]
-    )
-
-
-def decode_batch_frame(buf) -> tuple[ColumnBatch, dict]:
-    """Rebuild ``(batch, header extras)`` from an :func:`encode_batch`
-    frame; extras currently carry the optional ``trace`` subtree."""
-    (header_length,) = struct.unpack_from("<Q", buf, 0)
-    header = json.loads(bytes(buf[8 : 8 + header_length]))
-    base = 8 + header_length
-    n = header["n"]
-    lists = [
-        _decode_lane(
-            buf, lane["t"], base + lane["o"], lane["l"], lane["nulls"], n
-        )
-        for lane in header["lanes"]
-    ]
-    names = header["names"]
-    columns = {
-        name: lists[index] for name, index in zip(names, header["cols"])
-    }
-    extras = {
-        key: value
-        for key, value in header.items()
-        if key not in ("n", "names", "cols", "lanes")
-    }
-    return ColumnBatch(names, columns, n), extras
-
-
-def decode_batch(buf) -> ColumnBatch:
-    """Rebuild a :class:`ColumnBatch` from an :func:`encode_batch` frame."""
-    batch, _ = decode_batch_frame(buf)
-    return batch
 
 
 # ----------------------------------------------------------------------
@@ -864,8 +705,8 @@ class ProcessMorselPool:
         return reaped
 
     def _adopt(self, reply: dict, elapsed: float):
-        """Adopt the worker's segment into a batch and unlink it — on
-        every path, including decode errors."""
+        """Adopt the worker's segment into a batch; it is copied out and
+        unlinked on every path before anything is decoded."""
         metrics = reply["metrics"]
         fallback = reply["fallback"]
         failures = reply["failures"]
@@ -896,12 +737,13 @@ class ProcessMorselPool:
                     raise ExecutionError(
                         f"worker reply of unknown kind {kind!r}"
                     )
-                batch, extras = decode_batch_frame(segment.buf)
+                frame = bytes(segment.buf[:nbytes])
             finally:
                 segment.close()
                 segment.unlink()
         finally:
             self._untrack_segment(name)
+        batch, extras = decode_batch_frame(frame)
         tree = extras.get("trace")
         if isinstance(tree, dict):
             extra["span_tree"] = tree

@@ -20,10 +20,13 @@ literals are replaced by placeholders whose values move into a separate
 one canonical fingerprint; statements differing only in literal values
 share the fingerprint (for recurrence statistics) but not the cache key.
 
-**Result store.** Entries hold final result sets, and — for queries
-shaped ``scan → filter → project`` — double as *intermediate* results:
-a recurrence that adds only ``ORDER BY``/``LIMIT`` on top of a cached
-prefix is served by replaying the engine's exact sort/limit semantics
+**Result store.** Entries hold final result sets as encoded lane frames
+(:mod:`repro.engine.frame`: the bytes a shard's reply carries, so a hit
+is forwarded as it is and row dicts are built, fresh for every reader,
+only when someone reads them), and — for queries shaped ``scan → filter
+→ project`` — double as *intermediate* results: a recurrence that adds
+only ``ORDER BY``/``LIMIT`` on top of a cached prefix is served by
+replaying the engine's exact sort/limit semantics
 (:func:`repro.engine.physical._sort_token`, stable right-to-left) over
 the cached rows. Keys embed the same catalog-version and plan-modifier
 tokens the plan cache uses, so DDL, data appends, cache-generation
@@ -41,8 +44,9 @@ lowest-value resident entries, which are then evicted.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .batch import ColumnBatch
 from .cachebudget import CacheLedger
 from .errors import EngineError
 from .expressions import (
@@ -57,6 +61,7 @@ from .expressions import (
     Literal,
     UnaryOp,
 )
+from .frame import decode_frame, encode_frame
 from .functions import FunctionCall
 from .logical import (
     LogicalAggregate,
@@ -407,15 +412,13 @@ def _canonical_from(
 # ----------------------------------------------------------------------
 # the store
 # ----------------------------------------------------------------------
-def _estimate_bytes(rows) -> int:
-    """Cheap deterministic size estimate of a result set (rows may be
-    dicts or tuples). Accuracy matters less than monotonicity: bigger
-    results must cost more budget."""
-    total = 0
-    for row in rows:
-        total += 80
-        values = row.values() if isinstance(row, dict) else row
-        for value in values:
+def _estimate_bytes(batch: ColumnBatch) -> int:
+    """Cheap deterministic size estimate of a result set (80 a row plus
+    its values, the number a walk of its row dicts gives). Accuracy
+    matters less than monotonicity: bigger results must cost more budget."""
+    total = 80 * batch.length
+    for name in dict.fromkeys(batch.names):
+        for value in batch.columns[name]:
             if value is None:
                 total += 8
             elif isinstance(value, (bool, int, float)):
@@ -429,18 +432,17 @@ def _estimate_bytes(rows) -> int:
 
 @dataclass
 class _Entry:
-    key: tuple
     canonical_text: str
     nbytes: int
     cost_seconds: float
     referenced_paths: tuple
     plan: object
     is_prefix: bool
-    #: Remappable storage: values per select item, in select-list order.
-    tuples: list[tuple] | None = None
-    #: Verbatim storage (non-remappable statements).
-    rows: list[dict] | None = None
-    hits: int = 0
+    #: The stored result: the producing statement's output names, its row
+    #: count and its lane frame (:func:`repro.engine.frame.encode_frame`).
+    names: tuple
+    count: int
+    frame: bytes
 
 
 @dataclass
@@ -513,38 +515,35 @@ class ResultCache:
     ):
         """Serve ``key`` (or its prefix) if cached.
 
-        Returns ``(rows, entry, from_intermediate)`` or ``None``. Rows
-        are freshly-built dicts carrying the *caller's* output names, so
-        a recurrence that only renamed its aliases still reads correctly
-        labelled columns.
+        Returns ``None``, ``(entry, None)`` for an exact hit — the caller
+        serves ``entry.frame`` under its *own* output names, so a
+        recurrence that only renamed its aliases still reads correctly
+        labelled columns — or ``(prefix entry, batch)``: the cached prefix
+        decoded under the caller's names, re-sorted and limited.
         """
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None:
-                self._entries[key] = self._entries.pop(key)  # LRU touch
-                self.stats_counters.hits += 1
-                entry.hits += 1
-                return self._build_rows(entry, canonical), entry, False
-            if prefix_key is not None:
+            intermediate = False
+            if (
+                entry is None
+                and prefix_key is not None
+                and canonical.output_names is not None
+            ):
                 prefix = self._entries.get(prefix_key)
-                if (
-                    prefix is not None
-                    and prefix.is_prefix
-                    and prefix.tuples is not None
-                    and canonical.output_names is not None
-                ):
-                    self._entries[prefix_key] = self._entries.pop(prefix_key)
-                    self.stats_counters.hits += 1
-                    self.stats_counters.intermediate_hits += 1
-                    prefix.hits += 1
-                    rows = [
-                        dict(zip(canonical.output_names, values))
-                        for values in prefix.tuples
-                    ]
-                    rows = _apply_suffix(rows, canonical)
-                    return rows, prefix, True
-            self.stats_counters.misses += 1
-            return None
+                if prefix is not None and prefix.is_prefix:
+                    key, entry, intermediate = prefix_key, prefix, True
+            if entry is None:
+                self.stats_counters.misses += 1
+                return None
+            self._entries[key] = self._entries.pop(key)  # LRU touch
+            self.stats_counters.hits += 1
+            if not intermediate:
+                return entry, None
+            self.stats_counters.intermediate_hits += 1
+        names = canonical.output_names
+        rows, columns = decode_frame(entry.frame, names)
+        batch = ColumnBatch(names, dict(zip(names, columns)), rows)
+        return entry, _apply_suffix(batch, canonical)
 
     def peek(self, key: tuple, prefix_key: tuple | None = None) -> bool:
         """Counter-free presence check (traced queries record the
@@ -557,50 +556,28 @@ class ResultCache:
                 return prefix is not None and prefix.is_prefix
             return False
 
-    def _build_rows(
-        self, entry: _Entry, canonical: CanonicalStatement
-    ) -> list[dict]:
-        if entry.tuples is not None and canonical.output_names is not None:
-            names = canonical.output_names
-            return [dict(zip(names, values)) for values in entry.tuples]
-        if entry.rows is not None:
-            return [dict(row) for row in entry.rows]
-        # Remappable entry fetched by a statement whose own canonical
-        # lost its names — cannot happen for matching keys, but fail
-        # safe by rebuilding verbatim from tuples with stored order.
-        return [dict(row) for row in (entry.rows or [])]
-
     # -- admission ------------------------------------------------------
     def admit(
         self,
         key: tuple,
         canonical: CanonicalStatement,
-        rows: list[dict],
+        batch: ColumnBatch,
         cost_seconds: float,
         referenced_paths=(),
         plan: object = None,
     ) -> bool:
-        """Benefit-scored admission; True when the entry was stored."""
-        if self.capacity == 0:
+        """Benefit-scored admission of an executed batch; True when the
+        entry — its lane frame, encoded here at most once — was stored."""
+        names = canonical.output_names
+        if self.capacity == 0 or (
+            # Output names drifted from the executed columns (defensive:
+            # should not happen post identifier resolution).
+            names is not None and batch.names != names
+        ):
             with self._lock:
                 self.stats_counters.rejections += 1
             return False
-        tuples: list[tuple] | None = None
-        verbatim: list[dict] | None = None
-        if canonical.output_names is not None:
-            names = canonical.output_names
-            try:
-                tuples = [tuple(row[n] for n in names) for row in rows]
-            except KeyError:
-                # Output names drifted from executed row keys (defensive:
-                # should not happen post identifier resolution).
-                with self._lock:
-                    self.stats_counters.rejections += 1
-                return False
-            nbytes = _estimate_bytes(tuples)
-        else:
-            verbatim = [dict(row) for row in rows]
-            nbytes = _estimate_bytes(verbatim)
+        nbytes = _estimate_bytes(batch)
         with self._lock:
             recurrence = self._recurrence.get(canonical.text, 1)
             score = _score(cost_seconds, recurrence, nbytes)
@@ -628,15 +605,15 @@ class ResultCache:
                 self.stats_counters.rejections += 1
                 return False
             entry = _Entry(
-                key=key,
                 canonical_text=canonical.text,
                 nbytes=nbytes,
                 cost_seconds=cost_seconds,
                 referenced_paths=tuple(referenced_paths),
                 plan=plan,
                 is_prefix=canonical.is_bare_prefix,
-                tuples=tuples,
-                rows=verbatim,
+                names=batch.names,
+                count=batch.length,
+                frame=encode_frame(batch),
             )
             self._entries[key] = entry
             self.ledger.charge("result", nbytes)
@@ -690,10 +667,6 @@ class ResultCache:
         with self._lock:
             return len(self._entries)
 
-    def bytes_used(self) -> int:
-        with self._lock:
-            return sum(e.nbytes for e in self._entries.values())
-
     def stats(self) -> dict[str, int]:
         with self._lock:
             c = self.stats_counters
@@ -717,12 +690,12 @@ def _score(cost_seconds: float, recurrence: int, nbytes: int) -> float:
     return (max(cost_seconds, 0.0) * max(recurrence, 1)) / max(nbytes, 1)
 
 
-def _apply_suffix(rows: list[dict], canonical: CanonicalStatement) -> list[dict]:
-    """Replay ORDER BY/LIMIT over cached prefix rows with the engine's
-    exact semantics: stable right-to-left sorts on
+def _apply_suffix(batch: ColumnBatch, canonical: CanonicalStatement) -> ColumnBatch:
+    """Replay ORDER BY/LIMIT over a cached prefix with the engine's exact
+    semantics: stable right-to-left sorts on
     :func:`~repro.engine.physical._sort_token`, then the limit slice."""
+    order = list(range(batch.length))
     for name, ascending in reversed(canonical.suffix_sort):
-        rows.sort(key=lambda row: _sort_token(row[name]), reverse=not ascending)
-    if canonical.suffix_limit is not None:
-        rows = rows[: canonical.suffix_limit]
-    return rows
+        tokens = [_sort_token(value) for value in batch.columns[name]]
+        order.sort(key=tokens.__getitem__, reverse=not ascending)
+    return batch.take(order[: canonical.suffix_limit])

@@ -22,11 +22,13 @@ from dataclasses import dataclass, field
 from ..jsonlib.doccache import DEFAULT_DOC_CACHE_BYTES
 from ..jsonlib.jackson import JacksonParser
 from ..storage.fs import BlockFileSystem
+from .batch import ColumnBatch
 from .cachebudget import CacheLedger
 from .cancel import CancelToken
 from .catalog import Catalog
 from .errors import QueryCancelledError
 from .expressions import EvalContext
+from .frame import encode_frame, frame_rows
 from .metrics import QueryMetrics
 from .parallel import _fold_context_stats, parallelize_plan
 from .physical import ExecState, PhysicalPlan, json_paths_of
@@ -92,25 +94,51 @@ def _no_span(name: str, **attributes):
     return nullcontext()
 
 
-@dataclass
 class QueryResult:
-    """Rows plus the metrics of the execution that produced them."""
+    """Rows plus the metrics of the execution that produced them.
 
-    rows: list[dict]
-    metrics: QueryMetrics
-    plan: PhysicalPlan
-    #: Root :class:`repro.obs.trace.Span` when the query ran with a
-    #: tracer; None on the (default) untraced path.
-    trace: object | None = None
-    #: ``(database, table, column, path)`` tuples the planner found, so
-    #: callers (e.g. the Maxson stats collector) need not re-compile the
-    #: SQL — re-compiling would defeat the plan cache.
-    referenced_json_paths: list[tuple[str, str, str, str]] = field(
-        default_factory=list
-    )
+    An executed query holds its ``batch`` and the rows built from it; a
+    result-cache hit holds the entry's lane ``frame`` — ``(names, row
+    count, body)``, see :mod:`repro.engine.frame` — and builds its row
+    dicts, fresh and the caller's to mutate, when ``rows`` is first read.
+    ``trace`` is the root :class:`repro.obs.trace.Span` of a traced query;
+    ``referenced_json_paths`` the ``(database, table, column, path)``
+    tuples the planner found, so callers (the Maxson stats collector) need
+    not re-compile the SQL — re-compiling would defeat the plan cache.
+    """
+
+    def __init__(
+        self,
+        metrics: QueryMetrics,
+        plan: PhysicalPlan,
+        rows: list[dict] | None = None,
+        trace: object | None = None,
+        referenced_json_paths=(),
+        batch: ColumnBatch | None = None,
+        frame: tuple | None = None,
+    ) -> None:
+        self.metrics, self.plan, self.trace = metrics, plan, trace
+        self.referenced_json_paths = list(referenced_json_paths)
+        self._rows, self._batch, self._frame = rows, batch, frame
+
+    @property
+    def rows(self) -> list[dict]:
+        if self._rows is None and self._batch is not None:
+            self._rows = self._batch.to_rows()
+        elif self._rows is None:
+            self._rows = frame_rows(self._frame[2], self._frame[0])
+        return self._rows
+
+    def frame(self) -> tuple[tuple, int, bytes]:
+        """``(names, row count, lane frame)``: a hit's stored bytes as they
+        are, else the batch's one encode (shared with its admission)."""
+        if self._frame is None:
+            batch = self._batch
+            self._frame = (batch.names, batch.length, encode_frame(batch))
+        return self._frame
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self._frame[1] if self._batch is None else self._batch.length
 
     def __iter__(self):
         return iter(self.rows)
@@ -611,11 +639,9 @@ class Session:
         )
         started = time.perf_counter()
         try:
-            if tracer is None:
-                rows = planned.physical.execute_batch(state).to_rows()
-            else:
-                with tracer.span("execute"):
-                    rows = planned.physical.execute_batch(state).to_rows()
+            with tracer.span("execute") if tracer is not None else nullcontext():
+                batch = planned.physical.execute_batch(state)
+                rows = batch.to_rows()
         except QueryCancelledError:
             # No partial rows, no result-cache admission: the exception
             # unwinds before any of the post-execution bookkeeping.
@@ -644,7 +670,7 @@ class Session:
                 admitted = rcache.admit(
                     result_key,
                     canonical,
-                    rows,
+                    batch,
                     cost_seconds=plan_seconds + total,
                     referenced_paths=planned.referenced_json_paths,
                     plan=planned.physical,
@@ -682,11 +708,12 @@ class Session:
             tracer.end(query_span)
             trace_root = query_span
         return QueryResult(
+            metrics,
+            planned.physical,
             rows=rows,
-            metrics=metrics,
-            plan=planned.physical,
             trace=trace_root,
             referenced_json_paths=planned.referenced_json_paths,
+            batch=batch,
         )
 
     def _serve_cached_result(
@@ -697,21 +724,27 @@ class Session:
         found = self._result_cache.fetch(key, canonical, prefix_key)
         if found is None:
             return None
-        rows, entry, from_intermediate = found
+        entry, batch = found
         metrics = QueryMetrics()
-        metrics.rows_output = len(rows)
+        frame = None
+        if batch is None:  # an exact hit: the stored bytes, the caller's names
+            names = canonical.output_names or entry.names
+            frame = (names, entry.count, entry.frame)
+        result = QueryResult(
+            metrics,
+            entry.plan,
+            referenced_json_paths=entry.referenced_paths,
+            batch=batch,
+            frame=frame,
+        )
+        metrics.rows_output = len(result)
         metrics.total_seconds = time.perf_counter() - started
         metrics.extra["result_cache_hits"] = 1
-        if from_intermediate:
+        if batch is not None:
             metrics.extra["result_cache_intermediate_hits"] = 1
         with self._lock:
             self.session_metrics.merge(metrics)
-        return QueryResult(
-            rows=rows,
-            metrics=metrics,
-            plan=entry.plan,
-            referenced_json_paths=list(entry.referenced_paths),
-        )
+        return result
 
     def _observe_document_tier(self, state: ExecState) -> None:
         """Publish the document cache's bytes to the unified ledger.

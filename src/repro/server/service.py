@@ -590,7 +590,7 @@ class MaxsonServer:
             parse_seconds=round(metrics.parse_seconds, 6),
             parse_documents=metrics.parse_documents,
             cache_hits=metrics.cache_hits,
-            rows=len(result.rows),
+            rows=len(result),
             retries=request.attempts,
         )
 
@@ -651,7 +651,7 @@ class MaxsonServer:
                 "doc_cache_evictions": metrics.doc_cache_evictions,
                 **_scalars(extra),
             }
-            row["rows"] = len(result.rows)
+            row["rows"] = len(result)
         self.telemetry.record("queries", row)
 
     def _capture_incident(

@@ -7,6 +7,7 @@ the same order — and accounts sheds the same way; sharding may only
 change *where* a query runs.
 """
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -53,6 +54,20 @@ def queries():
     return spec_queries(SPEC)
 
 
+IRREGULAR_BASE = {"hot": 4, "warm": "w1", "cold": 70}
+
+
+def literal_query(text: str, paths) -> tuple[str, list[dict]]:
+    """A statement projecting ``paths`` out of the string literal ``text``
+    and the rows it must return."""
+    calls = ", ".join(
+        f"get_json_object('{text}', '{path}') AS c{i}"
+        for i, path in enumerate(paths)
+    )
+    row = {f"c{i}": get_json_object(text, p) for i, p in enumerate(paths)}
+    return f"SELECT {calls} FROM prod.t_q7 LIMIT 3", [row] * 3
+
+
 class TestDifferential:
     def test_rows_and_order_bit_identical(self, cluster, twin, queries):
         system, server = twin
@@ -86,22 +101,11 @@ class TestDifferential:
         spellings, malformed text) ride in as string literals: inside a
         shard the batch path projects them like any column value."""
         _, server = twin
-        paths = ("$.hot", "$.warm", "$.hot.x")
-        for text in irregular_documents(
-            {"hot": 4, "warm": "w1", "cold": 70}, vary_types=True
-        ):
-            calls = ", ".join(
-                f"get_json_object('{text}', '{path}') AS c{i}"
-                for i, path in enumerate(paths)
-            )
-            sql = f"SELECT {calls} FROM prod.t_q7 LIMIT 3"
-            row = {
-                f"c{i}": get_json_object(text, path)
-                for i, path in enumerate(paths)
-            }
+        for text in irregular_documents(IRREGULAR_BASE, vary_types=True):
+            sql, rows = literal_query(text, ("$.hot", "$.warm", "$.hot.x"))
             expected = server.execute(sql, tenant="t-odd")
             got = cluster.execute(sql, tenant="t-odd")
-            assert got["rows"] == expected.rows == [row] * 3, text[:80]
+            assert got["rows"] == expected.rows == rows, text[:80]
 
     def test_replay_accounting_matches_single_server(
         self, cluster, twin, queries
@@ -137,6 +141,71 @@ class TestDifferential:
             for query in queries.values()
         }
         assert shards == {0, 1}
+
+
+#: One document per lane kind a reply body has, NULs and a lone surrogate
+#: included; ``true`` and ``1`` must come back as themselves.
+LANE_DOCUMENT = (
+    '{"nz":-0.0,"max":1e308,"big":123456789012345678901234567890,'
+    '"yes":true,"one":1,"empty":"","nul":"a\\u0000b","lone":"\\ud800",'
+    '"obj":{"k":[1,{"z":null}],"f":1.0}}'
+)
+
+
+class TestResultCacheDifferential:
+    """The same differential with the result cache on in both: a *hit*
+    crosses the wire as the entry's stored frame, and must still read
+    bit-identically — types and the sign of zero, hence ``repr``."""
+
+    SPEC = replace(SPEC, server={**SPEC.server, "result_cache": True})
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        _, server = build_shard_server(self.SPEC)
+        with ClusterRouter(1, spec=self.SPEC) as router, server:
+            yield router, server
+
+    @staticmethod
+    def run(pair, sql, hits=(0, 1, 1)):
+        router, server = pair
+        for want in hits:
+            expected = server.execute(sql, tenant="t-rc")
+            got = router.execute(sql, tenant="t-rc")
+            assert repr(got["rows"]) == repr(expected.rows), sql
+            assert expected.metrics.extra.get("result_cache_hits", 0) == want
+            assert got["metrics"]["result_cache_hits"] == want, sql
+        return got["rows"]
+
+    def test_miss_hit_hit_bit_identical(self, pair, queries):
+        wire = as_json = 0
+        for query in queries.values():
+            rows = self.run(pair, query.sql)
+            assert rows == reference_rows(pair[1].system.session, query.sql)
+            hit = pair[1].execute(query.sql, tenant="t-rc")
+            wire += len(json.dumps(list(hit.frame()[0]))) + len(hit.frame()[2])
+            as_json += len(json.dumps(rows, separators=(",", ":")))
+        assert wire < 0.9 * as_json  # names + lane bytes against JSON rows
+
+    def test_recurrence_variants_hit_under_the_callers_names(self, pair, queries):
+        sql = queries["Q8"].sql
+        self.run(pair, sql, hits=(1,))  # warm since the test above
+        renamed = self.run(pair, sql.replace(" as v", " as w"), hits=(1, 1))
+        assert list(renamed[0]) == ["id", "w0", "w1", "w2", "w3", "w4"]
+        recased = sql.replace("select ", "SELECT ").replace(" from ", "\nFROM ")
+        assert self.run(pair, recased, hits=(1,)) != renamed
+        # Q1 is a bare scan-filter-project: a LIMIT on top reuses its rows.
+        limited = self.run(pair, queries["Q1"].sql + " LIMIT 5", hits=(1, 1))
+        assert limited == self.run(pair, queries["Q1"].sql, hits=(1,))[:5]
+        assert self.run(pair, "SELECT id FROM prod.t_q7 WHERE id < 0") == []
+
+    def test_every_lane_kind_bit_identical(self, pair):
+        lanes = [f"$.{name}" for name in json.loads(LANE_DOCUMENT)]
+        sql, rows = literal_query(LANE_DOCUMENT, lanes)
+        assert rows[0]["c1"] == 1e308 and rows[0]["c7"] == "\ud800"
+        assert repr(self.run(pair, sql)) == repr(rows)
+        for text in irregular_documents(IRREGULAR_BASE, vary_types=True):
+            sql, rows = literal_query(text, ("$.hot", "$.warm", "$.hot.x"))
+            assert repr(self.run(pair, sql)) == repr(rows), text[:80]
 
 
 class TestShedPropagation:

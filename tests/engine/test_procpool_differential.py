@@ -28,12 +28,11 @@ from repro.engine import (
 from repro.engine.batch import ColumnBatch
 from repro.engine.cachebudget import CacheLedger
 from repro.engine.errors import ExecutionError
+from repro.engine.frame import decode_batch_frame, encode_batch
 from repro.engine.metrics import QueryMetrics
 from repro.engine.procpool import (
     SHM_PREFIX,
     ProcessMorselPool,
-    decode_batch,
-    encode_batch,
     reap_orphan_segments,
 )
 from repro.faults import CACHE_PATH_PREFIX, FaultPolicy, FaultyFileSystem
@@ -57,11 +56,11 @@ WORKERS = 2
 
 
 def roundtrip(batch: ColumnBatch) -> ColumnBatch:
-    return decode_batch(memoryview(encode_batch(batch)))
+    return decode_batch_frame(memoryview(encode_batch(batch)))[0]
 
 
 class TestFramingRoundtrip:
-    """encode_batch/decode_batch must be lossless for every lane type."""
+    """encode_batch/decode_batch_frame must be lossless for every lane type."""
 
     def test_int64_with_nulls(self):
         batch = ColumnBatch(["a"], {"a": [1, None, -5, 2**62, None]}, 5)

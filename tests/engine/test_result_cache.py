@@ -11,10 +11,14 @@ transitions, and fault-degraded executions (which must never be
 admitted at all).
 """
 
+import random
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.core import MaxsonConfig, MaxsonSystem, PredictorConfig
 from repro.engine import BUDGETED_TIERS, CacheLedger, ResultCache, Session
+from repro.engine.batch import ColumnBatch
 from repro.engine.resultcache import canonicalize
 from repro.faults import FaultPolicy, FaultyFileSystem
 from repro.jsonlib import dumps
@@ -154,6 +158,24 @@ class TestResultCacheServing:
         assert renamed.rows == [{"y": 10}, {"y": 11}]
         assert rc_session.result_cache_stats()["hits"] == 1
 
+    def test_hits_hand_out_fresh_rows(self, rc_session):
+        """"Rows are freshly-built dicts": whatever a reader does to a
+        hit's rows, the entry (one encoded frame) and every other reader,
+        concurrent ones included, are unaffected."""
+        sql = "select a, b from db.t where a > 8"
+        expected = [dict(row) for row in rc_session.sql(sql).rows]
+        first = rc_session.sql(sql)
+        assert len(first) == len(expected) and first.rows is first.rows
+        first.rows[0]["a"] = "scribbled"
+        first.rows.pop()
+        assert rc_session.sql(sql).rows == expected
+        with ThreadPoolExecutor(4) as pool:
+            hits = list(pool.map(lambda _: rc_session.sql(sql).rows, range(8)))
+        assert all(rows == expected for rows in hits)
+        dicts = [id(row) for rows in hits for row in rows]
+        assert len(set(dicts)) == len(dicts)
+        assert rc_session.result_cache_stats()["hits"] == 10
+
     def test_intermediate_prefix_serves_sorted_suffix(self, rc_session):
         prefix = rc_session.sql("select a, c from db.t where a > 6")
         suffixed = rc_session.sql(
@@ -217,7 +239,7 @@ class TestAdmission:
         ledger = CacheLedger(budget=4000)
         cache = ResultCache(ledger)
         ledger.charge("plan", 3000)  # another tier owns most of it
-        rows = [{"v": "x" * 50} for _ in range(20)]  # > 1000 bytes
+        rows = ColumnBatch.from_rows([{"v": "x" * 50}] * 20)  # > 1000 bytes
         admitted = cache.admit(
             ("big",), fixed_canonical("big"), rows, cost_seconds=1.0
         )
@@ -228,7 +250,7 @@ class TestAdmission:
     def test_higher_benefit_evicts_lower(self):
         ledger = CacheLedger(budget=6000)
         cache = ResultCache(ledger)
-        rows = [{"v": "x" * 40} for _ in range(20)]
+        rows = ColumnBatch.from_rows([{"v": "x" * 40}] * 20)
         assert cache.admit(
             ("cold",), fixed_canonical("cold"), rows, cost_seconds=0.001
         )
@@ -245,7 +267,7 @@ class TestAdmission:
     def test_lower_benefit_is_rejected_not_swapped(self):
         ledger = CacheLedger(budget=6000)
         cache = ResultCache(ledger)
-        rows = [{"v": "x" * 40} for _ in range(20)]
+        rows = ColumnBatch.from_rows([{"v": "x" * 40}] * 20)
         for _ in range(5):
             cache.note_recurrence("hot")
         assert cache.admit(
@@ -258,11 +280,50 @@ class TestAdmission:
         assert stats["rejections"] == 1 and stats["evictions"] == 0
         assert cache.fetch(("hot",), fixed_canonical("hot")) is not None
 
+    def test_recorded_replay_admits_and_evicts_as_before(self):
+        """Entries hold frames, not tuples; the policy did not move. 300
+        seeded admissions into a 40-entry, 60 kB cache: the admit/reject
+        sequence, eviction count and byte accounting are those recorded at
+        the commit before (PR 23), where rows were stored."""
+        rng = random.Random(24)
+        ledger = CacheLedger(budget=60_000)
+        cache = ResultCache(ledger, capacity=40)
+        outcome = ""
+        for i in range(300):
+            tag = f"q{rng.randrange(80)}"
+            cache.note_recurrence(tag)
+            rows = [
+                {"v": rng.choice([None, 7, 1.5, True, "x" * rng.randrange(60), [1, 2]]), "w": i}
+                for _ in range(rng.randrange(1, 30))
+            ]
+            admitted = cache.admit(
+                (tag, i % 3),
+                fixed_canonical(tag, ("v", "w")),
+                ColumnBatch.from_rows(rows),
+                cost_seconds=rng.random(),
+            )
+            outcome += "01"[admitted]
+        assert hex(int(outcome, 2)) == (
+            "0xfffffffffefffb5f5df0e3ff11db608a73defdbde80f21d33177ae467dda6e82"
+            "3fbb1511406"
+        )
+        stats = cache.stats()
+        assert (stats["admissions"], stats["rejections"], stats["evictions"]) == (
+            189,
+            111,
+            100,
+        )
+        assert stats["bytes"] == ledger.tier_bytes("result") == 39428
+        assert list(cache._entries)[:3] == [("q12", 1), ("q49", 1), ("q12", 0)]
+
     def test_clear_releases_ledger_bytes(self):
         ledger = CacheLedger(budget=1 << 20)
         cache = ResultCache(ledger)
         cache.admit(
-            ("k",), fixed_canonical("k"), [{"v": 1}], cost_seconds=0.1
+            ("k",),
+            fixed_canonical("k"),
+            ColumnBatch.from_rows([{"v": 1}]),
+            cost_seconds=0.1,
         )
         assert ledger.tier_bytes("result") > 0
         cache.clear()

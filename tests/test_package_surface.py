@@ -36,6 +36,8 @@ class TestAllExports:
             "repro.faults",
             "repro.obs",
             "repro.cluster",
+            "repro.engine.frame",  # the lane codec's home since PR 24
+            "repro.engine.procpool",  # ... and no longer exported from here
         ],
     )
     def test_all_names_resolve(self, module_name):
@@ -72,6 +74,7 @@ class TestDocstrings:
             "repro.engine.physical",
             "repro.engine.functions",
             "repro.engine.rawfilter",
+            "repro.engine.frame",
             "repro.ml.lstm",
             "repro.ml.crf",
             "repro.ml.lstm_crf",

@@ -172,6 +172,62 @@ class TestOneBuildPath:
         assert not functions_longer_than(80, build_side)
 
 
+class TestOneFrameCodec:
+    """SHM segments, result-cache entries and RPC reply bodies hold the
+    lane frame of ``engine/frame.py`` (DESIGN §12 "One lane frame"); JSON
+    on the wire is the envelope only."""
+
+    SRC = ROOT / "src" / "repro"
+    CODEC = {
+        "_encode_lane", "_decode_lane", "encode_frame", "decode_frame",
+        "frame_rows", "encode_batch", "decode_batch_frame",
+    }  # fmt: skip
+
+    def test_lane_codec_is_defined_once_and_imported_from_there(self):
+        definers, importers = set(), set()
+        for path in self.SRC.rglob("*.py"):
+            imported, used = set(), set()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.FunctionDef) and node.name in self.CODEC:
+                    definers.add(path.name)
+                elif isinstance(node, ast.ImportFrom) and node.module in (
+                    "frame",
+                    "engine.frame",
+                ):
+                    imported |= {alias.name for alias in node.names}
+                elif isinstance(node, (ast.Name, ast.Attribute)):
+                    used.add(getattr(node, "id", getattr(node, "attr", None)))
+            if path.name != "frame.py":
+                assert used & self.CODEC <= imported, path
+                importers |= {path.name} if imported else set()
+        assert definers == {"frame.py"}
+        # The shard and the router reach it through these: a reply's body is
+        # ``QueryResult.frame()``, its rows ``RpcConnection.call``'s decode.
+        assert importers == {"procpool.py", "resultcache.py", "session.py", "rpc.py"}
+
+    def test_cluster_json_is_envelopes_only(self):
+        """``json`` is called by ``send_frame`` / ``recv_frame`` alone, on
+        the envelope, and ``"rows"`` is spelled only where a reply is
+        decoded (``RpcConnection``) or read — never where one is built
+        (``metadata_payload``'s is a stripe's row count)."""
+        json_users, rows_users = set(), set()
+        for path in (self.SRC / "cluster").glob("*.py"):
+            for scope in ast.parse(path.read_text()).body:
+                where = f"{path.stem}.{getattr(scope, 'name', '')}"
+                for node in ast.walk(scope):
+                    if getattr(getattr(node, "value", None), "id", "") == "json":
+                        json_users.add(where)
+                    if isinstance(node, ast.Constant) and node.value == "rows":
+                        rows_users.add(where)
+        assert json_users == {"rpc.send_frame", "rpc.recv_frame"}
+        assert rows_users == {
+            "rpc.RpcConnection",
+            "router.ClusterRouter",
+            "replay._RouterTarget",
+            "shard.metadata_payload",
+        }
+
+
 class TestOneOwnerPerKnob:
     """An engine knob is declared by the ``Session`` that reads it and the
     ``ServerConfig`` that may override it (README "Configuration")."""
