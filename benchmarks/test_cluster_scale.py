@@ -10,7 +10,7 @@ The PR-10 gates:
   multi-node serving tier.
 * **Metadata-cache hit rate** — replaying a multi-day workload through
   the router after warmup, the coordinator cache must answer at least
-  **90%** of hot-path metadata lookups without touching a shard, even
+  **90%** of hot-path schema lookups without touching a shard, even
   though every midnight generation swap invalidates each shard's
   entries once.
 """
@@ -161,9 +161,8 @@ def test_metadata_cache_replay_hit_rate(benchmark):
         "misses": meta["misses"],
         "hit_rate": meta["hit_rate"],
         "invalidations": meta["invalidations"],
-        "hits_by_kind": meta["hits_by_kind"],
         "paper_claim": "a Presto-style coordinator metadata cache keeps "
-        "table metadata lookups off the hot path; only DDL/append/"
+        "table schema lookups off the hot path; only DDL/append/"
         "generation swaps invalidate, and only on the shard they hit",
     }
     save_result("cluster_metadata_cache", payload)

@@ -80,7 +80,6 @@ def test_result_cache_replay(benchmark):
             "queries": len(statements) * RECURRENCES,
             "hits": stats["hits"],
             "misses": stats["misses"],
-            "intermediate_hits": stats["intermediate_hits"],
             "admissions": stats["admissions"],
             "hit_rate": hit_rate,
             "baseline_repeat_seconds": base_repeat_s,

@@ -1,11 +1,9 @@
-"""Router-side metadata cache with per-shard version-vector invalidation.
+"""Router-side schema cache with per-shard version-vector invalidation.
 
 Modeled on "Metadata Caching in Presto" (PAPERS.md): the coordinator
-keeps the plan-relevant metadata of every shard — table **schemas**,
-**MORC footers** (stripe directories + row counts), **stripe indexes**
-and the **cache-registry version** — in its own memory, so routing a
-query and answering metadata lookups never pays a shard round trip on
-the hot path.
+keeps what its hot path reads — each routed table's **schema** — in its
+own memory, so routing a query never pays a metadata round trip to the
+shard once the entry is warm.
 
 Invalidation is by **version vector**, not TTL. Every shard maintains a
 small vector — ``{"catalog": N, "generation": M}`` — where the catalog
@@ -48,23 +46,18 @@ def version_advances(known, candidate) -> bool:
 
 
 class MetadataCache:
-    """Versioned ``(shard, kind, key) -> payload`` cache.
-
-    ``kind`` names the metadata family (``schema`` / ``footers`` /
-    ``stripes`` / ``registry``); ``key`` is the qualified table name.
-    """
+    """Versioned ``(shard, table) -> schema payload`` cache; ``table`` is
+    the qualified table name."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        #: (shard, kind, key) -> {"version": vec, "value": payload}
-        self._entries: dict[tuple[int, str, str], dict] = {}
+        #: (shard, table) -> {"version": vec, "value": payload}
+        self._entries: dict[tuple[int, str], dict] = {}
         #: Last vector observed per shard (from RPC piggybacks).
         self._versions: dict[int, dict] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-        self.hits_by_kind: dict[str, int] = {}
-        self.misses_by_kind: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     def observe_version(self, shard: int, version: dict) -> bool:
@@ -84,8 +77,8 @@ class MetadataCache:
                 self.invalidations += 1
             return bool(stale)
 
-    def lookup(self, shard: int, kind: str, key: str, loader):
-        """Serve ``(shard, kind, key)`` from cache, or load it.
+    def lookup(self, shard: int, table: str, loader):
+        """Serve ``(shard, table)`` from cache, or load it.
 
         ``loader()`` must return ``(payload, version_vector)`` — in the
         cluster it is one shard RPC. A hit requires the entry's vector
@@ -93,7 +86,7 @@ class MetadataCache:
         before an append/DDL/swap can never be served after it.
         """
         with self._lock:
-            entry = self._entries.get((shard, kind, key))
+            entry = self._entries.get((shard, table))
             known = self._versions.get(shard)
             if (
                 entry is not None
@@ -101,17 +94,15 @@ class MetadataCache:
                 and version_equal(entry["version"], known)
             ):
                 self.hits += 1
-                self.hits_by_kind[kind] = self.hits_by_kind.get(kind, 0) + 1
                 return entry["value"]
             self.misses += 1
-            self.misses_by_kind[kind] = self.misses_by_kind.get(kind, 0) + 1
         value, version = loader()
         self.observe_version(shard, version)
         with self._lock:
             # Store against the vector the payload was read at; if the
             # shard moved on *while* we loaded, the next lookup misses
             # again rather than serving possibly-stale metadata.
-            self._entries[(shard, kind, key)] = {
+            self._entries[(shard, table)] = {
                 "version": dict(version),
                 "value": value,
             }
@@ -132,8 +123,6 @@ class MetadataCache:
             self.hits = 0
             self.misses = 0
             self.invalidations = 0
-            self.hits_by_kind = {}
-            self.misses_by_kind = {}
 
     @property
     def hit_rate(self) -> float:
@@ -149,7 +138,5 @@ class MetadataCache:
                 "misses": self.misses,
                 "hit_rate": self.hits / total if total else 0.0,
                 "invalidations": self.invalidations,
-                "hits_by_kind": dict(self.hits_by_kind),
-                "misses_by_kind": dict(self.misses_by_kind),
                 "shards_tracked": len(self._versions),
             }

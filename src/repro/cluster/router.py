@@ -11,9 +11,10 @@ embedding client) talks to instead of a single
   in-flight queries on that shard fail (:class:`ShardCrashError`);
 * it **routes** every query by consistent hash of ``(tenant, database,
   table)`` (:mod:`repro.cluster.hashing`) — one RPC per query, no
-  metadata round trips on the hot path thanks to the coordinator
-  **metadata cache** (:mod:`repro.cluster.metacache`) fed by the
-  version vectors shards piggyback on every response;
+  schema round trips on the hot path thanks to the coordinator
+  **metadata cache** (:mod:`repro.cluster.metacache`), which holds
+  table schemas and is kept current by the version vectors shards
+  piggyback on every response;
 * it forwards **deadlines** down and typed **shed errors** back
   *unchanged* — a ``QueryShedError``'s ``retry_after_seconds`` and
   reason reach the client exactly as the shard raised them, so backoff
@@ -259,32 +260,15 @@ class ClusterRouter:
     # ------------------------------------------------------------------
     # metadata (coordinator cache)
     # ------------------------------------------------------------------
-    def _metadata(self, shard_id: int, kind: str, database: str, table: str):
-        key = f"{database}.{table}"
-
+    def _schema(self, shard_id: int, database: str, table: str):
         def loader():
             shard = self._shard_for(shard_id)
             response = shard.conn.call(
-                "metadata", kind=kind, database=database, table=table
+                "metadata", kind="schema", database=database, table=table
             )
             return response["payload"], response["v"]
 
-        return self.metacache.lookup(shard_id, kind, key, loader)
-
-    def table_metadata(
-        self,
-        database: str,
-        table: str,
-        tenant: str | None = None,
-        kinds: tuple[str, ...] = ("schema", "footers", "stripes", "registry"),
-    ) -> dict:
-        """Plan-relevant metadata for one table, served from the
-        coordinator cache (shard RPC only on miss/invalidation)."""
-        shard_id = self.route(tenant or self.default_tenant, database, table)
-        return {
-            kind: self._metadata(shard_id, kind, database, table)
-            for kind in kinds
-        }
+        return self.metacache.lookup(shard_id, f"{database}.{table}", loader)
 
     # ------------------------------------------------------------------
     # request path
@@ -304,10 +288,10 @@ class ClusterRouter:
         database, table = self.table_of(sql)
         shard_id = self.route(tenant, database, table)
         if database and database != "system":
-            # Plan-relevant lookup from the coordinator cache: a warm
-            # entry answers without touching the shard; version-vector
+            # Schema lookup from the coordinator cache: a warm entry
+            # answers without touching the shard; version-vector
             # piggybacks keep it honest across DDL/append/swap.
-            self._metadata(shard_id, "schema", database, table)
+            self._schema(shard_id, database, table)
         shard = self._shard_for(shard_id)
         started = time.perf_counter()
         try:

@@ -19,9 +19,10 @@ speaks the small op set below.
 Ops: ``execute`` (runs on the shard's own thread pool, responses return
 out of order), ``ingest``, ``advance_to`` / ``midnight`` / ``refresh``
 (maintenance), ``status`` / ``metrics_text`` / ``sql`` (observability
-and the shard-aware ``system.queries`` audit), ``metadata`` (the
-coordinator cache's loader), ``ping``, ``shutdown``, and ``crash`` —
-``os._exit`` mid-flight, the chaos hook the supervision tests use.
+and the shard-aware ``system.queries`` audit), ``metadata`` (a table's
+schema: the coordinator cache's loader), ``ping``, ``shutdown``, and
+``crash`` — ``os._exit`` mid-flight, the chaos hook the supervision
+tests use.
 
 Every response carries the shard's metadata **version vector**
 ``{"catalog": ..., "generation": ...}`` so the router's
@@ -148,51 +149,15 @@ def spec_queries(spec: ShardSpec):
 # metadata (the coordinator cache's loader)
 # ---------------------------------------------------------------------------
 def metadata_payload(system, kind: str, database: str, table: str) -> dict:
-    """One shard-side metadata answer: schema / footers / stripes /
-    registry, all JSON-safe."""
-    catalog = system.catalog
-    if kind == "schema":
-        info = catalog.get_table(database, table)
-        return {
-            "columns": [
-                [f.name, f.dtype.name] for f in info.schema.fields
-            ],
-            "location": info.location,
-        }
-    if kind in ("footers", "stripes"):
-        from ..storage.orc import OrcFileReader
-
-        files = []
-        for path in catalog.table_files(database, table):
-            reader = OrcFileReader(catalog.fs.read(path))
-            stripes = [
-                {
-                    "offset": s.offset,
-                    "length": s.length,
-                    "rows": s.row_count,
-                    "row_groups": len(s.row_groups),
-                }
-                for s in reader.stripes
-            ]
-            entry = {
-                "path": path,
-                "version": reader.version,
-                "stripe_count": len(stripes),
-                "row_count": sum(s["rows"] for s in stripes),
-            }
-            if kind == "stripes":
-                entry["stripes"] = stripes
-            files.append(entry)
-        return {"files": files}
-    if kind == "registry":
-        entries = system.registry.entries()
-        return {
-            "generation": system.generation,
-            "cached_paths": len(entries),
-            "cache_tables": sorted({e.cache_table for e in entries}),
-            "cache_bytes": system.registry.total_bytes(),
-        }
-    raise ValueError(f"unknown metadata kind {kind!r}")
+    """One shard-side metadata answer, JSON-safe. ``schema`` is the only
+    kind: the coordinator caches what its hot path reads."""
+    if kind != "schema":
+        raise ValueError(f"unknown metadata kind {kind!r}")
+    info = system.catalog.get_table(database, table)
+    return {
+        "columns": [[f.name, f.dtype.name] for f in info.schema.fields],
+        "location": info.location,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 The engine holds three in-memory cache tiers that all trade bytes for
 repeated work: the **plan cache** (compiled plans), the **document
 cache** (parse-once document sharing inside a query), and the **result
-cache** (final and intermediate result sets). Before this module each
+cache** (final result sets). Before this module each
 tier sized itself independently, so their sum was unbounded even when
 every individual tier was. :class:`CacheLedger` gives them one shared
 budget: tiers charge and release bytes against a single account, and

@@ -23,14 +23,11 @@ share the fingerprint (for recurrence statistics) but not the cache key.
 **Result store.** Entries hold final result sets as encoded lane frames
 (:mod:`repro.engine.frame`: the bytes a shard's reply carries, so a hit
 is forwarded as it is and row dicts are built, fresh for every reader,
-only when someone reads them), and — for queries shaped ``scan → filter
-→ project`` — double as *intermediate* results: a recurrence that adds
-only ``ORDER BY``/``LIMIT`` on top of a cached prefix is served by
-replaying the engine's exact sort/limit semantics
-(:func:`repro.engine.physical._sort_token`, stable right-to-left) over
-the cached rows. Keys embed the same catalog-version and plan-modifier
-tokens the plan cache uses, so DDL, data appends, cache-generation
-swaps and circuit-breaker transitions all invalidate by key mismatch.
+only when someone reads them). Only an exact recurrence — same canonical
+text, same parameters — is answered; the cache replays no operator.
+Keys embed the same catalog-version and plan-modifier tokens the plan
+cache uses, so DDL, data appends, cache-generation swaps and
+circuit-breaker transitions all invalidate by key mismatch.
 
 **Benefit-based admission.** Candidates are scored Maxson-style by
 acceleration per byte — (observed execution seconds saved × recurrence
@@ -57,11 +54,12 @@ from .expressions import (
     CastExpr,
     Column,
     Expression,
+    ExtractionCall,
     InList,
     Literal,
     UnaryOp,
 )
-from .frame import decode_frame, encode_frame
+from .frame import encode_frame
 from .functions import FunctionCall
 from .logical import (
     LogicalAggregate,
@@ -73,7 +71,6 @@ from .logical import (
     LogicalScan,
     LogicalSort,
 )
-from .physical import _sort_token
 from .plancache import fingerprint
 from .planner import _resolve_keys_against_output
 from .sqlparser import Star, parse_sql
@@ -106,19 +103,6 @@ class CanonicalStatement:
     #: duplicate output names); non-remappable results are stored and
     #: served verbatim, with the alias pattern folded into ``params``.
     output_names: tuple[str, ...] | None
-    #: Canonical text of the shared scan→filter→project prefix when the
-    #: statement decomposes as prefix + ORDER BY/LIMIT; ``None`` otherwise.
-    prefix_text: str | None = None
-    #: ``(output column, ascending)`` sort keys to replay over cached
-    #: prefix rows (empty tuple = no sort, limit only).
-    suffix_sort: tuple[tuple[str, bool], ...] = ()
-    suffix_limit: int | None = None
-
-    @property
-    def is_bare_prefix(self) -> bool:
-        """True when the statement *is* its own prefix (its final rows
-        double as the shared intermediate, in scan order)."""
-        return self.prefix_text is not None and self.prefix_text == self.text
 
 
 class _Renderer:
@@ -173,8 +157,6 @@ class _Renderer:
         # ExtractionCall subclasses (get_json_object / get_xml_object)
         # carry their path as data; render it verbatim but fold the
         # column reference.
-        from .expressions import ExtractionCall
-
         if isinstance(e, ExtractionCall):
             return f"{e.function_name}({self.expr(e.column)}, '{e.path}')"
         raise _Uncanonical(type(e).__name__)
@@ -321,75 +303,9 @@ def _canonical_from(
     remappable = (
         len(names) == len(items) and len(set(names)) == len(names)
     )
-    # Decompose prefix + ORDER BY/LIMIT before rendering so both the
-    # full text and the prefix text come from one parameter binding.
-    node = logical
-    limit: int | None = None
-    sort_keys = None
-    if isinstance(node, LogicalLimit):
-        limit = node.count
-        node = node.child
-    if isinstance(node, LogicalSort):
-        sort_keys = node.keys
-        node = node.child
-    decomposable = (
-        remappable
-        and (limit is not None or sort_keys is not None)
-        and isinstance(node, LogicalProject)
-        and (
-            isinstance(node.child, LogicalScan)
-            or (
-                isinstance(node.child, LogicalFilter)
-                and isinstance(node.child.child, LogicalScan)
-            )
-        )
-    )
-    suffix_sort: tuple[tuple[str, bool], ...] = ()
-    sort_positions: list[tuple[int, bool]] = []
-    if decomposable and sort_keys is not None:
-        positions = {name: i for i, name in enumerate(names)}
-        resolved, ok = _resolve_keys_against_output(sort_keys, node.expressions)
-        if ok and all(
-            isinstance(k.expression, Column) and k.expression.name in positions
-            for k in resolved
-        ):
-            suffix_sort = tuple(
-                (k.expression.name, k.ascending) for k in resolved
-            )
-            sort_positions = [
-                (positions[k.expression.name], k.ascending) for k in resolved
-            ]
-        else:
-            decomposable = False  # sort runs below the projection
-    bare_prefix = (
-        remappable
-        and limit is None
-        and sort_keys is None
-        and isinstance(logical, LogicalProject)
-        and (
-            isinstance(logical.child, LogicalScan)
-            or (
-                isinstance(logical.child, LogicalFilter)
-                and isinstance(logical.child.child, LogicalScan)
-            )
-        )
-    )
-    if decomposable:
-        prefix_text = _render_plan(node, renderer)
-        text = prefix_text
-        if sort_keys is not None:
-            # Positional sort keys: sorting by an output column is the
-            # same statement whatever that column was aliased to.
-            keys = ",".join(
-                f"#{position} {'asc' if asc else 'desc'}"
-                for position, asc in sort_positions
-            )
-            text = f"sort({text},[{keys}])"
-        if limit is not None:
-            text = f"limit({text},{limit})"
-    else:
+    text = _positional_sort(logical, names, renderer) if remappable else None
+    if text is None:
         text = _render_plan(logical, renderer)
-        prefix_text = text if bare_prefix else None
     out_params: tuple = tuple(params)
     output_names: tuple[str, ...] | None = names if remappable else None
     if not remappable:
@@ -400,13 +316,46 @@ def _canonical_from(
         )
         out_params = out_params + ("__names__",) + markers
     return CanonicalStatement(
-        text=text,
-        params=out_params,
-        output_names=output_names,
-        prefix_text=prefix_text,
-        suffix_sort=suffix_sort,
-        suffix_limit=limit,
+        text=text, params=out_params, output_names=output_names
     )
+
+
+def _positional_sort(
+    logical: LogicalPlan, names: tuple[str, ...], r: _Renderer
+) -> str | None:
+    """Canonical text of an ``ORDER BY`` (under an optional ``LIMIT``)
+    over the projection of one, possibly filtered, scan whose sort keys
+    are output columns, each key rendered by its select-list position:
+    sorting by an output column is the same statement whatever that
+    column was aliased to. ``None`` (and nothing bound into the
+    renderer's parameters) for any other statement."""
+    node = logical.child if isinstance(logical, LogicalLimit) else logical
+    if not isinstance(node, LogicalSort):
+        return None
+    project = node.child
+    if not isinstance(project, LogicalProject) or not (
+        isinstance(project.child, LogicalScan)
+        or (
+            isinstance(project.child, LogicalFilter)
+            and isinstance(project.child.child, LogicalScan)
+        )
+    ):
+        return None
+    positions = {name: i for i, name in enumerate(names)}
+    resolved, ok = _resolve_keys_against_output(node.keys, project.expressions)
+    if not ok or not all(
+        isinstance(k.expression, Column) and k.expression.name in positions
+        for k in resolved
+    ):
+        return None  # the sort runs below the projection
+    keys = ",".join(
+        f"#{positions[k.expression.name]} {'asc' if k.ascending else 'desc'}"
+        for k in resolved
+    )
+    text = f"sort({_render_plan(project, r)},[{keys}])"
+    if isinstance(logical, LogicalLimit):
+        text = f"limit({text},{logical.count})"
+    return text
 
 
 # ----------------------------------------------------------------------
@@ -437,7 +386,6 @@ class _Entry:
     cost_seconds: float
     referenced_paths: tuple
     plan: object
-    is_prefix: bool
     #: The stored result: the producing statement's output names, its row
     #: count and its lane frame (:func:`repro.engine.frame.encode_frame`).
     names: tuple
@@ -448,7 +396,6 @@ class _Entry:
 @dataclass
 class ResultCacheStats:
     hits: int = 0
-    intermediate_hits: int = 0
     misses: int = 0
     admissions: int = 0
     rejections: int = 0
@@ -507,54 +454,24 @@ class ResultCache:
             return count
 
     # -- lookup ---------------------------------------------------------
-    def fetch(
-        self,
-        key: tuple,
-        canonical: CanonicalStatement,
-        prefix_key: tuple | None = None,
-    ):
-        """Serve ``key`` (or its prefix) if cached.
-
-        Returns ``None``, ``(entry, None)`` for an exact hit — the caller
-        serves ``entry.frame`` under its *own* output names, so a
-        recurrence that only renamed its aliases still reads correctly
-        labelled columns — or ``(prefix entry, batch)``: the cached prefix
-        decoded under the caller's names, re-sorted and limited.
-        """
+    def fetch(self, key: tuple) -> _Entry | None:
+        """The entry stored under ``key``, or ``None``. The caller serves
+        ``entry.frame`` under its *own* output names, so a recurrence that
+        only renamed its aliases still reads correctly labelled columns."""
         with self._lock:
-            entry = self._entries.get(key)
-            intermediate = False
-            if (
-                entry is None
-                and prefix_key is not None
-                and canonical.output_names is not None
-            ):
-                prefix = self._entries.get(prefix_key)
-                if prefix is not None and prefix.is_prefix:
-                    key, entry, intermediate = prefix_key, prefix, True
+            entry = self._entries.pop(key, None)
             if entry is None:
                 self.stats_counters.misses += 1
                 return None
-            self._entries[key] = self._entries.pop(key)  # LRU touch
+            self._entries[key] = entry  # LRU touch
             self.stats_counters.hits += 1
-            if not intermediate:
-                return entry, None
-            self.stats_counters.intermediate_hits += 1
-        names = canonical.output_names
-        rows, columns = decode_frame(entry.frame, names)
-        batch = ColumnBatch(names, dict(zip(names, columns)), rows)
-        return entry, _apply_suffix(batch, canonical)
+            return entry
 
-    def peek(self, key: tuple, prefix_key: tuple | None = None) -> bool:
+    def peek(self, key: tuple) -> bool:
         """Counter-free presence check (traced queries record the
         decision without consuming or skewing hit statistics)."""
         with self._lock:
-            if key in self._entries:
-                return True
-            if prefix_key is not None:
-                prefix = self._entries.get(prefix_key)
-                return prefix is not None and prefix.is_prefix
-            return False
+            return key in self._entries
 
     # -- admission ------------------------------------------------------
     def admit(
@@ -610,7 +527,6 @@ class ResultCache:
                 cost_seconds=cost_seconds,
                 referenced_paths=tuple(referenced_paths),
                 plan=plan,
-                is_prefix=canonical.is_bare_prefix,
                 names=batch.names,
                 count=batch.length,
                 frame=encode_frame(batch),
@@ -675,7 +591,6 @@ class ResultCache:
                 "capacity": self.capacity,
                 "bytes": sum(e.nbytes for e in self._entries.values()),
                 "hits": c.hits,
-                "intermediate_hits": c.intermediate_hits,
                 "misses": c.misses,
                 "admissions": c.admissions,
                 "rejections": c.rejections,
@@ -688,14 +603,3 @@ def _score(cost_seconds: float, recurrence: int, nbytes: int) -> float:
     """Benefit density: seconds saved × expected recurrences per byte —
     the result-set analogue of Maxson's acceleration-per-byte scoring."""
     return (max(cost_seconds, 0.0) * max(recurrence, 1)) / max(nbytes, 1)
-
-
-def _apply_suffix(batch: ColumnBatch, canonical: CanonicalStatement) -> ColumnBatch:
-    """Replay ORDER BY/LIMIT over a cached prefix with the engine's exact
-    semantics: stable right-to-left sorts on
-    :func:`~repro.engine.physical._sort_token`, then the limit slice."""
-    order = list(range(batch.length))
-    for name, ascending in reversed(canonical.suffix_sort):
-        tokens = [_sort_token(value) for value in batch.columns[name]]
-        order.sort(key=tokens.__getitem__, reverse=not ascending)
-    return batch.take(order[: canonical.suffix_limit])

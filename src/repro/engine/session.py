@@ -170,8 +170,8 @@ class Session:
     worker_backend: str = "thread"
     #: Capacity of the recurring-query plan cache; 0 disables it.
     plan_cache_entries: int = 64
-    #: Enables the semantic result cache (final + intermediate result
-    #: reuse across canonically-equivalent recurrences).
+    #: Enables the semantic result cache (final results answer exact
+    #: canonically-equivalent recurrences).
     result_cache_enabled: bool = False
     #: Entry-count cap of the result cache.
     result_cache_entries: int = 256
@@ -309,20 +309,10 @@ class Session:
             self._result_cache.clear()
 
     def result_cache_stats(self) -> dict[str, int]:
-        """Counters of the result cache (all zero when disabled)."""
+        """Counters of the result cache (all zero when disabled: the
+        capacity-0 memo's, which stores no results)."""
         if self._result_cache is None:
-            return {
-                "entries": 0,
-                "capacity": 0,
-                "bytes": 0,
-                "hits": 0,
-                "intermediate_hits": 0,
-                "misses": 0,
-                "admissions": 0,
-                "rejections": 0,
-                "evictions": 0,
-                "invalidations": 0,
-            }
+            return self._statement_memo.stats()
         return self._result_cache.stats()
 
     def probable_result_cache_hit(self, sql: str) -> bool:
@@ -344,14 +334,9 @@ class Session:
             )
             if canonical is None:
                 return False
-            version = self.catalog.version
-            key = (canonical.text, canonical.params, version, tokens)
-            prefix_key = None
-            if canonical.prefix_text is not None:
-                prefix_key = (
-                    canonical.prefix_text, canonical.params, version, tokens
-                )
-            return rcache.peek(key, prefix_key)
+            return rcache.peek(
+                (canonical.text, canonical.params, self.catalog.version, tokens)
+            )
         except Exception:  # noqa: BLE001 - a hint must never fail a query
             return False
 
@@ -601,7 +586,6 @@ class Session:
         rcache = self._result_cache
         canonical = None
         result_key = None
-        prefix_key = None
         if rcache is not None:
             _, tokens = self._modifier_snapshot()
             if tokens is not None:  # unkeyed modifiers bypass, like plans
@@ -609,16 +593,13 @@ class Session:
                     sql, self.planner, self.catalog.version
                 )
             if canonical is not None:
-                version = self.catalog.version
-                result_key = (canonical.text, canonical.params, version, tokens)
-                if canonical.prefix_text is not None:
-                    prefix_key = (
-                        canonical.prefix_text, canonical.params, version, tokens
-                    )
+                result_key = (
+                    canonical.text, canonical.params, self.catalog.version, tokens
+                )
                 rcache.note_recurrence(canonical.text)
         result_cache_missed = False
         if result_key is not None and tracer is None:
-            served = self._serve_cached_result(result_key, prefix_key, canonical)
+            served = self._serve_cached_result(result_key, canonical)
             if served is not None:
                 return served
             result_cache_missed = True
@@ -627,7 +608,7 @@ class Session:
             # Traced queries never serve from the result cache (EXPLAIN
             # ANALYZE must show a real execution) but still record the
             # decision as a span.
-            would_hit = rcache.peek(result_key, prefix_key)
+            would_hit = rcache.peek(result_key)
             with tracer.span(
                 "result_cache",
                 decision="bypass_traced" if would_hit else "miss",
@@ -716,32 +697,24 @@ class Session:
             batch=batch,
         )
 
-    def _serve_cached_result(
-        self, key: tuple, prefix_key: tuple | None, canonical
-    ) -> QueryResult | None:
-        """Answer a query from the result cache, or None on a miss."""
+    def _serve_cached_result(self, key: tuple, canonical) -> QueryResult | None:
+        """Answer a query from the result cache — the stored frame under
+        the caller's output names — or None on a miss."""
         started = time.perf_counter()
-        found = self._result_cache.fetch(key, canonical, prefix_key)
-        if found is None:
+        entry = self._result_cache.fetch(key)
+        if entry is None:
             return None
-        entry, batch = found
         metrics = QueryMetrics()
-        frame = None
-        if batch is None:  # an exact hit: the stored bytes, the caller's names
-            names = canonical.output_names or entry.names
-            frame = (names, entry.count, entry.frame)
+        names = canonical.output_names or entry.names
         result = QueryResult(
             metrics,
             entry.plan,
             referenced_json_paths=entry.referenced_paths,
-            batch=batch,
-            frame=frame,
+            frame=(names, entry.count, entry.frame),
         )
-        metrics.rows_output = len(result)
+        metrics.rows_output = entry.count
         metrics.total_seconds = time.perf_counter() - started
         metrics.extra["result_cache_hits"] = 1
-        if batch is not None:
-            metrics.extra["result_cache_intermediate_hits"] = 1
         with self._lock:
             self.session_metrics.merge(metrics)
         return result

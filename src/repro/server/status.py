@@ -200,12 +200,11 @@ class ServerStatus:
             budget = self.cache_ledger.get("budget_bytes")
             lines.append(
                 "  result cache:  {} entries ({:,} bytes), "
-                "{} hits (+{} intermediate) / {} misses, "
+                "{} hits / {} misses, "
                 "{} admitted, {} rejected, {} evicted".format(
                     rc.get("entries", 0),
                     int(rc.get("bytes", 0)),
                     rc.get("hits", 0),
-                    rc.get("intermediate_hits", 0),
                     rc.get("misses", 0),
                     rc.get("admissions", 0),
                     rc.get("rejections", 0),

@@ -5,7 +5,8 @@ JSONPath cached, and so under a PR-2 fault profile, and must return the
 rows ``tests/reference_engine.py`` derives — in order under ORDER BY, as a
 multiset otherwise. The table is the differential suites' seven-split one:
 row groups of ten (so SARGs have boundaries to get wrong) and a split of
-irregular documents.
+irregular documents. With the result cache on, the recurrence of each
+statement — served from the cache — must return those rows too.
 
 The same statements then pin "tracing must not change what is executed":
 at every worker count and backend a traced run returns the rows and the
@@ -110,6 +111,37 @@ def one_per_plan_shape(session, sqls) -> list[str]:
         shape = tuple((len(line) - len(line.lstrip()), line.split()[0]) for line in lines)
         by_shape.setdefault(shape, sql)
     return list(by_shape.values())
+
+
+def test_result_cache_serves_the_reference(world, request):
+    """Each statement twice on a result-cache session, plain and then
+    Maxson-cached: the second pass is served from the cache, and both
+    passes return the reference rows. One statement per plan shape in
+    tier-1, all of them with ``--every-statement``."""
+    _, _, expected = world
+    system = build_system(result_cache=True)
+    session = system.session
+    session.configure(result_cache_entries=2 * len(STATEMENTS))  # no evictions
+    system.cache_paths_directly(
+        [PathKey("db", "t", "payload", f"$.{name}") for name in MEMBERS],
+        budget_bytes=1 << 40,
+    )
+    want = dict(zip(STATEMENTS, expected))
+    sqls = list(want)
+    if not request.config.getoption("--every-statement"):
+        sqls = one_per_plan_shape(session, sqls)
+    for run in (system.baseline_sql, system.sql):
+        for _ in range(2):
+            wrong = [
+                sql
+                for sql in sqls
+                if comparable(sql, run(sql).rows) != comparable(sql, want[sql])
+            ]
+            assert not wrong, f"{len(wrong)} statements diverge, first: {wrong[0]}"
+    # Plain and Maxson-rewritten plans key apart; each recurs once.
+    keyed = sum(session.canonical_statement(sql) is not None for sql in sqls)
+    assert keyed > 0
+    assert session.result_cache_stats()["hits"] == 2 * keyed
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])

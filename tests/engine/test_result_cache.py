@@ -12,6 +12,7 @@ admitted at all).
 """
 
 import random
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -24,6 +25,8 @@ from repro.faults import FaultPolicy, FaultyFileSystem
 from repro.jsonlib import dumps
 from repro.storage import BlockFileSystem, DataType, Schema
 from repro.workload import PathKey
+
+from sql_generator import _predicate, statements
 
 
 @pytest.fixture
@@ -103,16 +106,7 @@ class TestCanonicalization:
         a = canon(rc_session, "select a as x from db.t order by x limit 3")
         b = canon(rc_session, "select a as y from db.t order by y limit 3")
         assert (a.text, a.params) == (b.text, b.params)
-        assert a.prefix_text is not None and not a.is_bare_prefix
-        assert a.suffix_sort == (("x", True),) and a.suffix_limit == 3
-
-    def test_bare_projection_is_its_own_prefix(self, rc_session):
-        a = canon(rc_session, "select a, c from db.t where a > 2")
-        assert a.is_bare_prefix
-        suffixed = canon(
-            rc_session, "select a, c from db.t where a > 2 order by c desc"
-        )
-        assert suffixed.prefix_text == a.text
+        assert "#0 asc" in a.text and a.output_names == ("x",)
 
     def test_star_is_not_remappable(self, rc_session):
         a = canon(rc_session, "select * from db.t")
@@ -137,6 +131,107 @@ class TestCanonicalization:
         for left, right in pairs:
             a, b = canon(rc_session, left), canon(rc_session, right)
             assert (a.text, a.params) != (b.text, b.params), (left, right)
+
+
+# ----------------------------------------------------------------------
+# near-miss keys over the generated corpus
+# ----------------------------------------------------------------------
+def _unquoted(sql: str, edit) -> str:
+    """Apply ``edit`` to the text outside string literals."""
+    parts = sql.split("'")
+    parts[::2] = [edit(part) for part in parts[::2]]
+    return "'".join(parts)
+
+
+def _first(pattern: str, replace):
+    return lambda sql: re.sub(pattern, replace, sql, count=1)
+
+
+def _swap(a: str, b: str):
+    """Swap the first ``a`` or ``b`` of a statement for the other."""
+    other = {a: b, b: a}
+    return _first(f"{re.escape(a)}|{re.escape(b)}", lambda m: other[m.group(0)])
+
+
+def _swap_and_or(sql: str) -> str:
+    guarded = re.sub(r"between (\d+) and ", r"between \1 AND_ ", sql)
+    return _swap(" and ", " or ")(guarded).replace(" AND_ ", " and ")
+
+
+def _bump(m) -> str:
+    return str(int(m.group(0)) + 1)
+
+
+#: A mutation that changes the answer must change the key.
+NEAR_MISSES = {
+    "bump a literal": _first(r"\b\d+\b", _bump),
+    "flip asc/desc": _swap(" asc", " desc"),
+    "swap > and >=": _swap(" > ", " >= "),
+    "swap and/or": _swap_and_or,
+    "change the limit": _first(r"(?<= limit )\d+", _bump),
+}
+KEYWORDS = (
+    r"\b(select|from|where|and|or|not|order|by|limit|group|having|asc|desc"
+    r"|between|in|is|null|as|join|on)\b"
+)
+#: A mutation that keeps the answer must keep the key.
+NEAR_HITS = {
+    "recase": lambda sql: _unquoted(
+        sql, lambda s: re.sub(KEYWORDS, lambda m: m.group(0).upper(), s)
+    ),
+    "re-space": lambda sql: _unquoted(sql, lambda s: s.replace(" ", " \n  ")),
+}
+
+
+@pytest.fixture(scope="module")
+def corpus_session() -> Session:
+    session = Session(fs=BlockFileSystem())
+    schema = Schema.of(("id", DataType.INT64), ("payload", DataType.STRING))
+    session.catalog.create_table("db", "t", schema)
+    return session
+
+
+def _key(session, sql):
+    statement = canonicalize(sql, session.planner)
+    return None if statement is None else (statement.text, statement.params)
+
+
+class TestNearMissKeys:
+    CORPUS = statements(seed=7, count=500)
+
+    @pytest.mark.parametrize("mutation", NEAR_MISSES)
+    def test_semantic_change_changes_the_key(self, corpus_session, mutation):
+        mutate, pairs = NEAR_MISSES[mutation], 0
+        for sql in self.CORPUS:
+            mutated = mutate(sql)
+            key = _key(corpus_session, sql)
+            if mutated == sql or key is None:
+                continue
+            assert _key(corpus_session, mutated) != key, (sql, mutated)
+            pairs += 1
+        assert pairs >= 150, pairs
+
+    @pytest.mark.parametrize("mutation", NEAR_HITS)
+    def test_spelling_change_keeps_the_key(self, corpus_session, mutation):
+        keyed = [sql for sql in self.CORPUS if _key(corpus_session, sql)]
+        assert len(keyed) >= 400
+        for sql in keyed:
+            mutated = NEAR_HITS[mutation](sql)
+            assert mutated != sql
+            assert _key(corpus_session, mutated) == _key(corpus_session, sql)
+
+    def test_reordered_and_chain_keeps_the_key(self, corpus_session):
+        rng = random.Random(25)
+        for sql in self.CORPUS[:200]:
+            if " join " in sql:
+                continue
+            head, _, rest = sql.partition(" from db.t")
+            tail = re.search(r" (group by|order by)|$", rest)
+            leaves = [f"({_predicate(rng, depth=0)})" for _ in range(3)]
+            build = f"{head} from db.t where {{}}{rest[tail.start():]}".format
+            key = _key(corpus_session, build(" and ".join(leaves)))
+            shuffled = " and ".join(rng.sample(leaves, len(leaves)))
+            assert key is not None and key == _key(corpus_session, build(shuffled))
 
 
 # ----------------------------------------------------------------------
@@ -176,22 +271,23 @@ class TestResultCacheServing:
         assert len(set(dicts)) == len(dicts)
         assert rc_session.result_cache_stats()["hits"] == 10
 
-    def test_intermediate_prefix_serves_sorted_suffix(self, rc_session):
-        prefix = rc_session.sql("select a, c from db.t where a > 6")
+    def test_sort_over_a_cached_projection_misses(self, rc_session):
+        """Only exact recurrences are answered: appending ORDER BY/LIMIT
+        to a cached projection is a miss that executes."""
+        rc_session.sql("select a, c from db.t where a > 6")
         suffixed = rc_session.sql(
             "select a, c from db.t where a > 6 order by c desc limit 3"
         )
-        from repro.obs.trace import Tracer
-
-        # a traced run always executes for real: the ground truth
-        expected = rc_session.sql(
-            "select a, c from db.t where a > 6 order by c desc limit 3",
-            tracer=Tracer(),
-        )
-        assert suffixed.rows == expected.rows
-        assert len(prefix.rows) > len(suffixed.rows)
+        assert suffixed.rows == [{"a": 11, "c": 22}, {"a": 10, "c": 20}, {"a": 9, "c": 18}]
         stats = rc_session.result_cache_stats()
-        assert stats["intermediate_hits"] == 1
+        assert (stats["hits"], stats["misses"]) == (0, 2)
+
+    def test_stats_keys_do_not_depend_on_the_tier(self, rc_session, session):
+        """Off, the counters are the capacity-0 memo's: the same keys."""
+        assert set(session.result_cache_stats()) == set(
+            rc_session.result_cache_stats()
+        )
+        assert not any(session.result_cache_stats().values())
 
     def test_star_statement_round_trips_verbatim(self, rc_session):
         first = rc_session.sql("select * from db.t limit 5")
@@ -261,7 +357,7 @@ class TestAdmission:
         )
         stats = cache.stats()
         assert stats["evictions"] == 1 and stats["entries"] == 1
-        assert cache.fetch(("hot",), fixed_canonical("hot")) is not None
+        assert cache.fetch(("hot",)) is not None
         assert ledger.total() <= 6000
 
     def test_lower_benefit_is_rejected_not_swapped(self):
@@ -278,7 +374,7 @@ class TestAdmission:
         )
         stats = cache.stats()
         assert stats["rejections"] == 1 and stats["evictions"] == 0
-        assert cache.fetch(("hot",), fixed_canonical("hot")) is not None
+        assert cache.fetch(("hot",)) is not None
 
     def test_recorded_replay_admits_and_evicts_as_before(self):
         """Entries hold frames, not tuples; the policy did not move. 300

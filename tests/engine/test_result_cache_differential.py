@@ -21,7 +21,8 @@ from test_parallel_differential import build_system, sales_session  # noqa: F401
 
 #: A recurring trace: every statement runs twice, several statements are
 #: semantic recurrences of earlier ones (recased, realiased, reordered
-#: predicates, ORDER BY over a cached prefix).
+#: predicates) or near misses of them (ORDER BY/LIMIT over a cached
+#: projection).
 TRACE = [
     "select mall_id, date from mydb.T",
     "SELECT  mall_id , date FROM mydb.T",

@@ -208,8 +208,7 @@ class TestOneFrameCodec:
     def test_cluster_json_is_envelopes_only(self):
         """``json`` is called by ``send_frame`` / ``recv_frame`` alone, on
         the envelope, and ``"rows"`` is spelled only where a reply is
-        decoded (``RpcConnection``) or read — never where one is built
-        (``metadata_payload``'s is a stripe's row count)."""
+        decoded (``RpcConnection``) or read — never where one is built."""
         json_users, rows_users = set(), set()
         for path in (self.SRC / "cluster").glob("*.py"):
             for scope in ast.parse(path.read_text()).body:
@@ -224,8 +223,18 @@ class TestOneFrameCodec:
             "rpc.RpcConnection",
             "router.ClusterRouter",
             "replay._RouterTarget",
-            "shard.metadata_payload",
         }
+
+    def test_result_cache_replays_no_operator(self):
+        """A hit is a stored final answer: ``resultcache.py`` imports
+        nothing from the physical operators."""
+        tree = ast.parse((self.SRC / "engine" / "resultcache.py").read_text())
+        modules = {
+            node.module
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+        }
+        assert not modules & {"physical", "engine.physical", "repro.engine.physical"}
 
 
 class TestOneOwnerPerKnob:
