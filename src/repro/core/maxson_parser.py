@@ -138,6 +138,9 @@ class MaxsonPlanModifier:
             id(scan): {} for scan in scans
         }
         column_counter = [0]
+        #: (database, table) -> raw modification time, read once per
+        #: scanned table per rewrite (a read lists the table's files).
+        mtimes: dict[tuple[str, str], float] = {}
 
         def rewrite(expr: Expression) -> Expression | None:
             # MatchExpr (Algorithm 1 lines 11-25). Matching the base class
@@ -167,10 +170,10 @@ class MaxsonPlanModifier:
                 report.misses += 1
                 return None
             # Validity: cache must be newer than the raw table (lines 16-19).
-            modify_time = state.catalog.modification_time(
-                scan.database, scan.table
-            )
-            if modify_time > entry.cache_time:
+            table = (scan.database, scan.table)
+            if table not in mtimes:
+                mtimes[table] = state.catalog.modification_time(*table)
+            if mtimes[table] > entry.cache_time:
                 registry.mark_table_invalid(entry.cache_table)
                 report.invalidated_tables.append(entry.cache_table)
                 report.misses += 1

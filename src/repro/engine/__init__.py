@@ -61,7 +61,7 @@ from .physical import (
     SortExec,
 )
 from .cachebudget import BUDGETED_TIERS, CacheLedger
-from .plancache import PlanCache, fingerprint as plan_fingerprint
+from .plancache import PlanCache
 from .planner import PlannedQuery, Planner
 from .resultcache import CanonicalStatement, ResultCache, canonicalize
 from .session import QueryResult, Session
@@ -126,7 +126,6 @@ __all__ = [
     "MorselAggregateExec",
     "parallelize_plan",
     "PlanCache",
-    "plan_fingerprint",
     "CacheLedger",
     "BUDGETED_TIERS",
     "ResultCache",

@@ -8,11 +8,14 @@ rewrites too. This module caches the finished
 :class:`~repro.engine.planner.PlannedQuery` (post plan-modifier, post
 morsel rewrite, with its compiled batch closures) keyed by:
 
-* a **normalized SQL fingerprint** — whitespace collapsed and keywords
-  and identifiers case-folded outside single-quoted strings (SparkSQL
-  resolves identifiers case-insensitively, and the paper's recurring
-  queries arrive with arbitrary keyword casing); text inside ``'...'``
-  is data and is left byte-exact;
+* the **canonical statement** — the result cache's canonical text,
+  parameter vector and output names
+  (:class:`~repro.engine.resultcache.CanonicalStatement`), so re-spaced,
+  re-cased and reordered spellings of a statement share one plan while a
+  changed literal or output alias does not (the plan produces the
+  aliases as its column names); a statement that does not canonicalise
+  is keyed on its exact text. The session's canonicalisation memo parses
+  the statement once and hands that parse to the planner on a miss;
 * the **catalog version** — a monotonic counter bumped by every DDL and
   data append, so schema changes *and* cache-generation swaps (which
   create/drop generation tables) invalidate stale plans;
@@ -29,7 +32,6 @@ server shares one session across request threads).
 
 from __future__ import annotations
 
-import re
 import threading
 from dataclasses import dataclass
 
@@ -37,48 +39,7 @@ from .cachebudget import CacheLedger
 from .metrics import QueryMetrics
 from .planner import PlannedQuery
 
-__all__ = ["CachedPlan", "PlanCache", "fingerprint", "split_quoted"]
-
-_QUOTED = re.compile(r"'(?:[^']|'')*'")
-_WS = re.compile(r"\s+")
-
-
-def split_quoted(sql: str):
-    """Tokenize ``sql`` into ``(is_literal, text)`` segments.
-
-    Splits on single-quoted string literals (``''`` escapes included),
-    so callers can normalize code without touching data. Shared by
-    :func:`fingerprint` and the result-cache canonicalizer
-    (:mod:`repro.engine.resultcache`).
-    """
-    last = 0
-    for match in _QUOTED.finditer(sql):
-        if match.start() > last:
-            yield False, sql[last : match.start()]
-        yield True, match.group(0)
-        last = match.end()
-    if last < len(sql):
-        yield False, sql[last:]
-
-
-def fingerprint(sql: str) -> str:
-    """Normalized fingerprint of a SQL text.
-
-    Outside quoted string literals, collapses runs of whitespace to
-    single spaces and folds keywords and identifiers to lower case
-    (SparkSQL resolves identifiers case-insensitively — see the
-    planner's identifier resolution pass — and keyword casing never
-    changes a query's meaning). Text inside ``'...'`` is data and stays
-    byte-exact. Reformatted or recased recurrences of the same query
-    therefore share one plan.
-    """
-    pieces: list[str] = []
-    for is_literal, segment in split_quoted(sql):
-        if is_literal:
-            pieces.append(segment)
-        else:
-            pieces.append(_WS.sub(" ", segment).lower())
-    return "".join(pieces).strip()
+__all__ = ["CachedPlan", "PlanCache"]
 
 
 @dataclass
@@ -96,15 +57,15 @@ class CachedPlan:
 
 #: Flat per-entry overhead estimate for a cached plan: operator objects,
 #: compiled batch closures and the metrics snapshot. Plans are small and
-#: roughly uniform, so a constant plus the fingerprint length is enough
+#: roughly uniform, so a constant plus the key text's length is enough
 #: for ledger purposes — the point is that many cached plans show up as
 #: real bytes against the shared budget, not byte-exact accounting.
 _PLAN_ENTRY_OVERHEAD = 4096
 
 
 def _plan_entry_bytes(key: tuple) -> int:
-    text = key[0] if key and isinstance(key[0], str) else ""
-    return _PLAN_ENTRY_OVERHEAD + len(text)
+    statement = key[0]  # a CanonicalStatement, or a statement's exact text
+    return _PLAN_ENTRY_OVERHEAD + len(getattr(statement, "text", statement))
 
 
 class PlanCache:
@@ -205,10 +166,6 @@ class PlanCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def bytes_used(self) -> int:
-        with self._lock:
-            return sum(self._charges.values())
 
     def stats(self) -> dict[str, int]:
         with self._lock:

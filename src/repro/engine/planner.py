@@ -6,8 +6,10 @@ optimizer:
 * resolve identifiers case-insensitively — table and column references
   are rewritten to the catalog's canonical spelling (exact match first),
   matching SparkSQL's default ``spark.sql.caseSensitive=false``; this is
-  what makes the plan-cache fingerprint's case folding safe, since two
-  recased spellings of a query now compile to the same plan. (Schemas
+  what makes the canonical statement's case folding (the result- and
+  plan-cache key) safe, since two recased spellings of a query now
+  compile to the same plan. The canonicaliser runs this pass on the
+  parse the planner later consumes; it is idempotent. (Schemas
   with column names differing only in case would defeat the folding; no
   schema in this repo does.);
 * resolve ``*`` against scan schemas;
@@ -101,9 +103,12 @@ class Planner:
         self.catalog = catalog
 
     # ------------------------------------------------------------------
-    def plan(self, logical: LogicalPlan) -> PlannedQuery:
+    def plan(self, logical: LogicalPlan, resolved: bool = False) -> PlannedQuery:
+        """Plan ``logical`` (consumed: the passes rewrite it in place);
+        ``resolved`` says the identifier pass already ran on it."""
         scans = _collect_scans(logical)
-        self._resolve_identifier_case(logical, scans)
+        if not resolved:
+            self._resolve_identifier_case(logical, scans)
         logical = self._expand_stars(logical, scans)
         required = self._required_columns(logical, scans)
         physical = self._lower(logical, required)

@@ -17,8 +17,10 @@ output aliases are stripped, commutative predicate chains (AND/OR,
 IN lists, ``=``/``!=`` operands) are ordered deterministically, and
 literals are replaced by placeholders whose values move into a separate
 *parameter vector*. Semantically equivalent statements therefore share
-one canonical fingerprint; statements differing only in literal values
-share the fingerprint (for recurrence statistics) but not the cache key.
+one canonical text; statements differing only in literal values share
+the text (for recurrence statistics) but not the cache key. The memo
+holds the parse it rendered from until the session's planner takes it,
+so a statement is parsed once whether it is keyed, planned or both.
 
 **Result store.** Entries hold final result sets as encoded lane frames
 (:mod:`repro.engine.frame`: the bytes a shard's reply carries, so a hit
@@ -35,12 +37,17 @@ count from the session's trace statistics) / result bytes — and compete
 for space with the plan and document caches under one shared
 :class:`~repro.engine.cachebudget.CacheLedger` byte budget: a candidate
 is admitted only if it fits the remaining budget or out-scores the
-lowest-value resident entries, which are then evicted.
+lowest-value resident entries, which are then evicted. The victim order
+is a heap of ``(score, recency stamp)`` with lazy deletion: the lowest
+score goes first and, among equal scores, the least recently stored or
+served entry.
 """
 
 from __future__ import annotations
 
+import heapq
 import threading
+from collections import Counter
 from dataclasses import dataclass
 
 from .batch import ColumnBatch
@@ -71,7 +78,6 @@ from .logical import (
     LogicalScan,
     LogicalSort,
 )
-from .plancache import fingerprint
 from .planner import _resolve_keys_against_output
 from .sqlparser import Star, parse_sql
 
@@ -90,10 +96,10 @@ class CanonicalStatement:
     """The semantic identity of one parsed statement.
 
     ``text`` + ``params`` identify the statement (together with the
-    session's catalog/modifier tokens); ``text`` alone is the
-    *fingerprint* under which recurrence statistics accumulate, so two
-    recurrences with different literal values still count toward the
-    same query template's popularity.
+    session's catalog/modifier tokens); ``text`` alone is the template
+    under which recurrence statistics accumulate, so two recurrences with
+    different literal values still count toward the same template's
+    popularity.
     """
 
     text: str
@@ -251,18 +257,24 @@ def _select_items(plan: LogicalPlan) -> list[Expression] | None:
 
 
 def canonicalize(sql: str, planner) -> CanonicalStatement | None:
-    """Canonicalize one statement, or ``None`` when it cannot be.
-
-    ``planner`` supplies the identifier-case resolution pass (the same
-    analyzer step real planning runs first), so canonical output names
-    match the names execution will actually produce. Parse or analysis
-    failures return ``None`` — the caller falls through to the normal
-    path, which raises the real error.
-    """
+    """Canonicalize one statement, or ``None`` when it cannot be (a
+    statement that does not parse included)."""
     try:
         logical = parse_sql(sql)
     except EngineError:
         return None
+    return _canonical_of(logical, planner)
+
+
+def _canonical_of(logical: LogicalPlan, planner) -> CanonicalStatement | None:
+    """The canonical form of a parsed statement, or ``None``.
+
+    ``planner`` supplies the identifier-case resolution pass (the same
+    analyzer step real planning runs first, applied here in place), so
+    canonical output names match the names execution will actually
+    produce. Analysis failures return ``None`` — the caller falls through
+    to the normal path, which raises the real error.
+    """
     scans = _collect_scans(logical)
     if not scans:
         return None
@@ -361,21 +373,27 @@ def _positional_sort(
 # ----------------------------------------------------------------------
 # the store
 # ----------------------------------------------------------------------
+_NONE = type(None)
+
+
 def _estimate_bytes(batch: ColumnBatch) -> int:
-    """Cheap deterministic size estimate of a result set (80 a row plus
-    its values, the number a walk of its row dicts gives). Accuracy
-    matters less than monotonicity: bigger results must cost more budget."""
+    """Cheap deterministic size estimate of a result set, counted per value
+    type: 80 a row, 8 a ``None``, 32 a number, 56 plus the length of a
+    string (of its ``repr`` for anything else). Accuracy matters less than
+    monotonicity: bigger results must cost more budget."""
     total = 80 * batch.length
     for name in dict.fromkeys(batch.names):
-        for value in batch.columns[name]:
-            if value is None:
-                total += 8
-            elif isinstance(value, (bool, int, float)):
-                total += 32
-            elif isinstance(value, str):
-                total += 56 + len(value)
-            else:
-                total += 56 + len(repr(value))
+        values = batch.columns[name]
+        kinds = Counter(map(type, values))
+        for kind, n in kinds.items():
+            if kind is _NONE or issubclass(kind, (int, float)):  # bool is int
+                total += (8 if kind is _NONE else 32) * n
+                continue
+            same = values
+            if len(kinds) > 1:
+                same = [v for v in values if type(v) is kind]
+            sized = same if issubclass(kind, str) else map(repr, same)
+            total += 56 * n + sum(map(len, sized))
     return total
 
 
@@ -391,18 +409,12 @@ class _Entry:
     names: tuple
     count: int
     frame: bytes
+    #: Its live victim-heap item: current score, stamp of last store/serve.
+    score: float = 0.0
+    stamp: int = 0
 
 
-@dataclass
-class ResultCacheStats:
-    hits: int = 0
-    misses: int = 0
-    admissions: int = 0
-    rejections: int = 0
-    evictions: int = 0
-    invalidations: int = 0
-
-
+_COUNTERS = ("hits", "misses", "admissions", "rejections", "evictions", "invalidations")
 _MEMO_CAPACITY = 512
 _RECURRENCE_CAPACITY = 4096
 
@@ -419,38 +431,68 @@ class ResultCache:
             raise ValueError(f"result cache capacity must be >= 0, got {capacity}")
         self.ledger = ledger if ledger is not None else CacheLedger()
         self.capacity = capacity
-        self.stats_counters = ResultCacheStats()
+        self._counts = dict.fromkeys(_COUNTERS, 0)
+        #: key -> entry, least recently stored or served first.
         self._entries: dict[tuple, _Entry] = {}
-        #: canonical fingerprint -> times seen (the recurrence estimate).
+        #: ``(score, stamp, key)`` heap: an item matching its entry's score
+        #: and stamp is live, the rest are dropped when they surface.
+        self._victims: list[tuple] = []
+        self._stamp = 0
+        #: canonical text -> keys of the resident entries carrying it.
+        self._by_text: dict[str, set] = {}
+        #: canonical text -> times seen (the recurrence estimate).
         self._recurrence: dict[str, int] = {}
-        #: (sql fingerprint, catalog version) -> CanonicalStatement | None
-        self._memo: dict[tuple, CanonicalStatement | None] = {}
+        #: (exact statement text, catalog version) -> [its canonical
+        #: statement or None, its parse until the planner takes it (a
+        #: LogicalPlan or the parse error), then None].
+        self._memo: dict[tuple, list] = {}
         self._lock = threading.RLock()
 
-    # -- canonicalization (memoized per catalog version) ----------------
+    # -- canonicalization (one parse per statement and catalog version) --
     def canonicalize(
         self, sql: str, planner, catalog_version: int
     ) -> CanonicalStatement | None:
-        memo_key = (fingerprint(sql), catalog_version)
+        memo_key = (sql, catalog_version)
         with self._lock:
-            if memo_key in self._memo:
-                self._memo[memo_key] = self._memo.pop(memo_key)  # LRU touch
-                return self._memo[memo_key]
-        canonical = canonicalize(sql, planner)
+            held = self._memo.pop(memo_key, None)
+            if held is not None:
+                self._memo[memo_key] = held  # LRU touch
+                return held[0]
+        try:
+            logical = parse_sql(sql)
+            held = [_canonical_of(logical, planner), logical]
+        except EngineError as error:
+            held = [None, error]
         with self._lock:
             while len(self._memo) >= _MEMO_CAPACITY:
                 self._memo.pop(next(iter(self._memo)))
-            self._memo[memo_key] = canonical
-        return canonical
+            self._memo[memo_key] = held
+        return held[0]
+
+    def take_parse(self, sql: str, catalog_version: int) -> tuple | None:
+        """``(logical plan, identifiers resolved)`` of the parse
+        :meth:`canonicalize` made, handed over once (the planner consumes
+        it), or ``None``; a held parse error is raised instead."""
+        with self._lock:
+            held = self._memo.get((sql, catalog_version))
+            parse = None if held is None else held[1]
+            if parse is not None:
+                held[1] = None
+        if isinstance(parse, EngineError):
+            raise parse
+        return None if parse is None else (parse, held[0] is not None)
 
     def note_recurrence(self, canonical_text: str) -> int:
-        """Record one observation of a canonical fingerprint; returns the
-        updated recurrence count (the admission-time benefit multiplier)."""
+        """Record one observation of a canonical text; returns the updated
+        recurrence count (the admission-time benefit multiplier)."""
         with self._lock:
             count = self._recurrence.pop(canonical_text, 0) + 1
             while len(self._recurrence) >= _RECURRENCE_CAPACITY:
-                self._recurrence.pop(next(iter(self._recurrence)))
+                dropped = next(iter(self._recurrence))
+                del self._recurrence[dropped]  # its count falls back to 1
+                self._rescore_locked(dropped)
             self._recurrence[canonical_text] = count
+            self._rescore_locked(canonical_text)
             return count
 
     # -- lookup ---------------------------------------------------------
@@ -461,10 +503,10 @@ class ResultCache:
         with self._lock:
             entry = self._entries.pop(key, None)
             if entry is None:
-                self.stats_counters.misses += 1
+                self._counts["misses"] += 1
                 return None
-            self._entries[key] = entry  # LRU touch
-            self.stats_counters.hits += 1
+            self._store_locked(key, entry)  # LRU touch
+            self._counts["hits"] += 1
             return entry
 
     def peek(self, key: tuple) -> bool:
@@ -486,65 +528,93 @@ class ResultCache:
         """Benefit-scored admission of an executed batch; True when the
         entry — its lane frame, encoded here at most once — was stored."""
         names = canonical.output_names
-        if self.capacity == 0 or (
-            # Output names drifted from the executed columns (defensive:
-            # should not happen post identifier resolution).
-            names is not None and batch.names != names
-        ):
-            with self._lock:
-                self.stats_counters.rejections += 1
-            return False
-        nbytes = _estimate_bytes(batch)
+        # Output names drifted from the executed columns (defensive:
+        # should not happen post identifier resolution).
+        drifted = names is not None and batch.names != names
+        nbytes = None if self.capacity == 0 or drifted else _estimate_bytes(batch)
         with self._lock:
-            recurrence = self._recurrence.get(canonical.text, 1)
-            score = _score(cost_seconds, recurrence, nbytes)
-            budget = self.ledger.budget
-            if budget is not None and nbytes > budget:
-                self.stats_counters.rejections += 1
-                return False
-            if key in self._entries:
-                self._evict_locked(key, count=False)
-            while self._entries and (
-                len(self._entries) >= self.capacity
-                or self.ledger.over_budget(nbytes)
-            ):
-                victim_key, victim = min(
-                    self._entries.items(),
-                    key=lambda item: self._score_of(item[1]),
-                )
-                if self._score_of(victim) >= score:
-                    self.stats_counters.rejections += 1
-                    return False
-                self._evict_locked(victim_key)
-            if self.ledger.over_budget(nbytes):
-                # Nothing left to evict and still no room: the other
-                # tiers own the budget right now.
-                self.stats_counters.rejections += 1
-                return False
-            entry = _Entry(
-                canonical_text=canonical.text,
-                nbytes=nbytes,
-                cost_seconds=cost_seconds,
-                referenced_paths=tuple(referenced_paths),
-                plan=plan,
-                names=batch.names,
-                count=batch.length,
-                frame=encode_frame(batch),
+            admitted = nbytes is not None and self._make_room_locked(
+                key, canonical.text, cost_seconds, nbytes
             )
-            self._entries[key] = entry
-            self.ledger.charge("result", nbytes)
-            self.stats_counters.admissions += 1
-            return True
+            if admitted:
+                entry = _Entry(
+                    canonical_text=canonical.text,
+                    nbytes=nbytes,
+                    cost_seconds=cost_seconds,
+                    referenced_paths=tuple(referenced_paths),
+                    plan=plan,
+                    names=batch.names,
+                    count=batch.length,
+                    frame=encode_frame(batch),
+                )
+                self._store_locked(key, entry)
+                self.ledger.charge("result", nbytes)
+            self._counts["admissions" if admitted else "rejections"] += 1
+            return admitted
+
+    def _make_room_locked(self, key: tuple, text: str, cost: float, nbytes) -> bool:
+        """Evict lower-scored entries until ``nbytes`` fit; False when they
+        cannot (a resident entry scores at least as high, or the other
+        tiers own the budget)."""
+        score = _score(cost, self._recurrence.get(text, 1), nbytes)
+        budget = self.ledger.budget
+        if budget is not None and nbytes > budget:
+            return False
+        if key in self._entries:
+            self._evict_locked(key, count=False)
+        while self._entries and (
+            len(self._entries) >= self.capacity or self.ledger.over_budget(nbytes)
+        ):
+            victim_key, victim = self._victim_locked()
+            if self._score_of(victim) >= score:
+                return False
+            self._evict_locked(victim_key)
+        return not self.ledger.over_budget(nbytes)
 
     def _score_of(self, entry: _Entry) -> float:
         recurrence = self._recurrence.get(entry.canonical_text, 1)
         return _score(entry.cost_seconds, recurrence, entry.nbytes)
 
+    def _store_locked(self, key: tuple, entry: _Entry) -> None:
+        """(Re)insert ``entry`` as the most recent and push its heap item."""
+        self._stamp += 1
+        entry.stamp = self._stamp
+        self._entries[key] = entry
+        self._by_text.setdefault(entry.canonical_text, set()).add(key)
+        self._push_locked(key, entry)
+
+    def _push_locked(self, key: tuple, entry: _Entry) -> None:
+        entry.score = self._score_of(entry)
+        heapq.heappush(self._victims, (entry.score, entry.stamp, key))
+        if len(self._victims) > 2 * len(self._entries) + 64:
+            self._victims = [(e.score, e.stamp, k) for k, e in self._entries.items()]
+            heapq.heapify(self._victims)
+
+    def _rescore_locked(self, canonical_text: str) -> None:
+        for key in self._by_text.get(canonical_text, ()):
+            self._push_locked(key, self._entries[key])
+
+    def _victim_locked(self) -> tuple[tuple, _Entry]:
+        """The lowest-scored entry, the least recent among equals (the
+        heap's top once stale items are dropped; entries must be
+        non-empty)."""
+        victims = self._victims
+        while True:
+            score, stamp, key = victims[0]
+            entry = self._entries.get(key)
+            if entry is not None and (entry.stamp, entry.score) == (stamp, score):
+                return key, entry
+            heapq.heappop(victims)
+
     def _evict_locked(self, key: tuple, count: bool = True) -> None:
         entry = self._entries.pop(key)
+        keys = self._by_text[entry.canonical_text]
+        keys.discard(key)
+        if not keys:
+            del self._by_text[entry.canonical_text]
         self.ledger.release("result", entry.nbytes)
         if count:
-            self.stats_counters.evictions += 1
+            self._counts["evictions"] += 1
 
     # -- maintenance ----------------------------------------------------
     def shrink_to_bytes(self, target_bytes: int) -> int:
@@ -552,31 +622,28 @@ class ResultCache:
 
         Returns bytes released. The server's memory-pressure watchdog
         calls this before shedding queries; victim order matches
-        admission's min-score choice, so the cheapest-to-recompute
-        results go first.
+        admission's, so the cheapest-to-recompute results go first.
         """
         released = 0
         with self._lock:
             used = sum(e.nbytes for e in self._entries.values())
             while self._entries and used > target_bytes:
-                victim_key = min(
-                    self._entries.items(),
-                    key=lambda item: self._score_of(item[1]),
-                )[0]
-                nbytes = self._entries[victim_key].nbytes
+                victim_key, victim = self._victim_locked()
                 self._evict_locked(victim_key)
-                used -= nbytes
-                released += nbytes
+                used -= victim.nbytes
+                released += victim.nbytes
         return released
 
     def clear(self) -> None:
         """Drop everything (generation swaps, modifier changes)."""
         with self._lock:
-            self.stats_counters.invalidations += len(self._entries)
+            self._counts["invalidations"] += len(self._entries)
             self.ledger.release(
                 "result", sum(e.nbytes for e in self._entries.values())
             )
             self._entries.clear()
+            self._victims.clear()
+            self._by_text.clear()
             self._memo.clear()
 
     def __len__(self) -> int:
@@ -585,17 +652,11 @@ class ResultCache:
 
     def stats(self) -> dict[str, int]:
         with self._lock:
-            c = self.stats_counters
             return {
                 "entries": len(self._entries),
                 "capacity": self.capacity,
                 "bytes": sum(e.nbytes for e in self._entries.values()),
-                "hits": c.hits,
-                "misses": c.misses,
-                "admissions": c.admissions,
-                "rejections": c.rejections,
-                "evictions": c.evictions,
-                "invalidations": c.invalidations,
+                **self._counts,
             }
 
 

@@ -32,7 +32,7 @@ from .frame import encode_frame, frame_rows
 from .metrics import QueryMetrics
 from .parallel import _fold_context_stats, parallelize_plan
 from .physical import ExecState, PhysicalPlan, json_paths_of
-from .plancache import CachedPlan, PlanCache, fingerprint
+from .plancache import CachedPlan, PlanCache
 from .planner import PlannedQuery, Planner
 from .resultcache import ResultCache
 from .sqlparser import parse_sql
@@ -195,8 +195,9 @@ class Session:
         self._result_cache: ResultCache | None = None
         self._rebuild_plan_cache()
         self._rebuild_result_cache()
-        #: Canonicalisation memo while the result tier is off (the flight
-        #: recorder fingerprints statements either way); stores no results.
+        #: Canonicalisation memo while the result tier is off (plan-cache
+        #: keys, the planner's parse and the flight recorder read it either
+        #: way); stores no results.
         self._statement_memo = ResultCache(capacity=0)
         #: The morsel worker pool (a ``ThreadPoolExecutor`` or a
         #: ``ProcessMorselPool``, built lazily) and the ``(backend,
@@ -286,16 +287,8 @@ class Session:
 
     def plan_cache_stats(self) -> dict[str, int]:
         """Counters of the plan cache (all zero when disabled)."""
-        if self._plan_cache is None:
-            return {
-                "entries": 0,
-                "capacity": 0,
-                "hits": 0,
-                "misses": 0,
-                "evictions": 0,
-                "invalidations": 0,
-            }
-        return self._plan_cache.stats()
+        cache = self._plan_cache
+        return (PlanCache(0) if cache is None else cache).stats()
 
     # ------------------------------------------------------------------
     # result cache
@@ -322,36 +315,48 @@ class Session:
         perturb hit/miss statistics. Never raises: canonicalization
         failures (e.g. syntax errors) simply report False.
         """
-        rcache = self._result_cache
-        if rcache is None:
-            return False
         try:
-            _, tokens = self._modifier_snapshot()
-            if tokens is None:
-                return False
-            canonical = rcache.canonicalize(
-                sql, self.planner, self.catalog.version
-            )
-            if canonical is None:
-                return False
-            return rcache.peek(
-                (canonical.text, canonical.params, self.catalog.version, tokens)
-            )
+            _, key = self._result_key(sql)
+            return key is not None and self._result_cache.peek(key)
         except Exception:  # noqa: BLE001 - a hint must never fail a query
             return False
 
+    def _result_key(self, sql: str) -> tuple:
+        """``(canonical statement, result-cache key)``, or ``(None, None)``
+        when the tier is off, a modifier is unkeyed (bypassing it, as it
+        bypasses the plan cache) or the statement does not canonicalise.
+        The key has no worker count or backend: both return equal rows."""
+        rcache = self._result_cache
+        tokens = None if rcache is None else self._modifier_snapshot()[1]
+        if tokens is None:
+            return None, None
+        version = self.catalog.version
+        canonical = rcache.canonicalize(sql, self.planner, version)
+        if canonical is None:
+            return None, None
+        return canonical, (canonical.text, canonical.params, version, tokens)
+
+    def _memo(self) -> ResultCache:
+        """The canonicalisation memo: the result tier's, else the
+        results-free one (an empty ResultCache is falsy: test identity)."""
+        rcache = self._result_cache
+        return self._statement_memo if rcache is None else rcache
+
     def canonical_statement(self, sql: str):
-        """The canonical form of ``sql`` out of the canonicalisation memo
-        (parsed at most once per fingerprint and catalog version), or
-        ``None``. Never raises: the flight recorder asks about statements
-        that failed to parse."""
-        memo = self._result_cache
-        if memo is None:  # (an empty ResultCache is falsy: test identity)
-            memo = self._statement_memo
+        """The canonical form of ``sql`` (parsed at most once per statement
+        text and catalog version), or ``None``. Never raises: the flight
+        recorder asks about statements that failed to parse."""
         try:
-            return memo.canonicalize(sql, self.planner, self.catalog.version)
+            return self._memo().canonicalize(sql, self.planner, self.catalog.version)
         except Exception:  # noqa: BLE001 - diagnostics must not fail a query
             return None
+
+    def _plan_key(self, sql: str, tokens: tuple) -> tuple:
+        """The plan-cache key: the canonical statement, output names and
+        all (re-aliased statements share rows, not column labels), or the
+        exact text of a statement that does not canonicalise."""
+        statement = self.canonical_statement(sql) or sql
+        return (statement, self.catalog.version, tokens)
 
     def cached_plan(self, sql: str) -> PhysicalPlan | None:
         """The physical plan the plan cache holds for ``sql`` right now,
@@ -361,7 +366,7 @@ class Session:
         _, tokens = self._modifier_snapshot()
         if cache is None or tokens is None:
             return None
-        entry = cache.peek((fingerprint(sql), self.catalog.version, tokens))
+        entry = cache.peek(self._plan_key(sql, tokens))
         return entry.planned.physical if entry is not None else None
 
     def shrink_caches_to(self, budget_bytes: int) -> int:
@@ -475,9 +480,10 @@ class Session:
 
     # ------------------------------------------------------------------
     def compile(self, sql: str) -> PlannedQuery:
-        """Parse and plan without executing."""
-        logical = parse_sql(sql)
-        return self.planner.plan(logical)
+        """Parse and plan without executing; a parse the canonicalisation
+        memo holds for ``sql`` is taken, not redone."""
+        taken = self._memo().take_parse(sql, self.catalog.version)
+        return self.planner.plan(*(taken or (parse_sql(sql), False)))
 
     def explain(self, sql: str) -> str:
         """The physical plan as text, after plan modifiers run."""
@@ -498,7 +504,7 @@ class Session:
             cache = None
         key = None
         if cache is not None:
-            key = (fingerprint(sql), self.catalog.version, tokens)
+            key = self._plan_key(sql, tokens)
             entry = cache.get(key)
             if entry is not None:
                 state = self._make_state(cancel_token=cancel_token)
@@ -579,24 +585,10 @@ class Session:
             # result-cache serve, so "expired" never silently succeeds.
             token.check()
         # -- semantic result cache -------------------------------------
-        # Canonicalize first: the canonical fingerprint + parameter
-        # vector + (catalog version, modifier tokens) is the result key.
-        # Worker count and backend are deliberately absent from the key:
-        # serial and morsel-parallel execution return identical rows.
         rcache = self._result_cache
-        canonical = None
-        result_key = None
-        if rcache is not None:
-            _, tokens = self._modifier_snapshot()
-            if tokens is not None:  # unkeyed modifiers bypass, like plans
-                canonical = rcache.canonicalize(
-                    sql, self.planner, self.catalog.version
-                )
-            if canonical is not None:
-                result_key = (
-                    canonical.text, canonical.params, self.catalog.version, tokens
-                )
-                rcache.note_recurrence(canonical.text)
+        canonical, result_key = self._result_key(sql)
+        if result_key is not None:
+            rcache.note_recurrence(canonical.text)
         result_cache_missed = False
         if result_key is not None and tracer is None:
             served = self._serve_cached_result(result_key, canonical)
@@ -642,37 +634,24 @@ class Session:
         # fallback) may hold an incomplete or stale-shaped answer; it is
         # never admitted. Failed queries never reach this point.
         if result_key is not None:
+            extra = metrics.extra
             if result_cache_missed:
-                metrics.extra["result_cache_misses"] = (
-                    metrics.extra.get("result_cache_misses", 0) + 1
-                )
-            degraded = metrics.extra.get("degraded_splits", 0)
-            if degraded == 0:
-                admitted = rcache.admit(
-                    result_key,
-                    canonical,
-                    batch,
-                    cost_seconds=plan_seconds + total,
-                    referenced_paths=planned.referenced_json_paths,
-                    plan=planned.physical,
-                )
-                counter = (
-                    "result_cache_admissions"
-                    if admitted
-                    else "result_cache_rejections"
-                )
-                metrics.extra[counter] = metrics.extra.get(counter, 0) + 1
-                if tracer is not None:
-                    with tracer.span(
-                        "result_cache_admission", admitted=admitted
-                    ):
-                        pass
-            elif tracer is not None:
-                with tracer.span(
-                    "result_cache_admission",
-                    admitted=False,
-                    reason="degraded_splits",
-                ):
+                extra["result_cache_misses"] = extra.get("result_cache_misses", 0) + 1
+            degraded = bool(extra.get("degraded_splits"))
+            admitted = not degraded and rcache.admit(
+                result_key,
+                canonical,
+                batch,
+                cost_seconds=plan_seconds + total,
+                referenced_paths=planned.referenced_json_paths,
+                plan=planned.physical,
+            )
+            if not degraded:
+                counter = f"result_cache_{'admissions' if admitted else 'rejections'}"
+                extra[counter] = extra.get(counter, 0) + 1
+            if tracer is not None:
+                reason = {"reason": "degraded_splits"} if degraded else {}
+                with tracer.span("result_cache_admission", admitted=admitted, **reason):
                     pass
         with self._lock:
             self.session_metrics.merge(metrics)

@@ -109,8 +109,8 @@ class ServerConfig:
     system's setting (itself defaulting to 'thread')."""
 
     plan_cache_entries: int | None = None
-    """Capacity of the recurring-query plan cache (LRU over normalized
-    SQL fingerprints). 0 disables plan caching. ``None`` inherits the
+    """Capacity of the recurring-query plan cache (LRU over canonical
+    statements). 0 disables plan caching. ``None`` inherits the
     wrapped system's setting."""
 
     result_cache: bool | None = None

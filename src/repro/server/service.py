@@ -38,7 +38,6 @@ from ..core.system import MaxsonSystem, MidnightReport
 from ..engine.cancel import CancelToken
 from ..engine.errors import DeadlineExceededError, QueryCancelledError
 from ..engine.metrics import QueryMetrics
-from ..engine.plancache import fingerprint
 from ..engine.procpool import reap_orphan_segments
 from ..engine.session import WORKER_BACKENDS, QueryResult
 from ..obs.logging import StructuredLogger
@@ -676,9 +675,7 @@ class MaxsonServer:
             "tenant": request.tenant,
             "sql": request.sql,
             "fingerprint": (
-                canonical.text
-                if canonical is not None
-                else fingerprint(request.sql)
+                canonical.text if canonical is not None else request.sql
             ),
             "seconds": round(request.seconds, 6),
             "params_hash": hashlib.sha256(

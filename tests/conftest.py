@@ -19,6 +19,17 @@ def pytest_addoption(parser):
 
 
 @pytest.fixture
+def parse_calls(monkeypatch) -> list[str]:
+    """The statements ``parse_sql`` is called on from here on."""
+    from repro.engine import resultcache, session
+
+    calls, real = [], resultcache.parse_sql
+    for module in (resultcache, session):
+        monkeypatch.setattr(module, "parse_sql", lambda s: calls.append(s) or real(s))
+    return calls
+
+
+@pytest.fixture
 def fs() -> BlockFileSystem:
     return BlockFileSystem()
 

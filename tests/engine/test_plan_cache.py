@@ -1,6 +1,6 @@
 """Plan cache: recurring statements reuse their compiled plan, safely.
 
-The cache is keyed on (SQL fingerprint, catalog version, modifier
+The cache is keyed on (canonical statement, catalog version, modifier
 tokens), so the dangerous direction is *staleness*: a cached plan must
 stop matching the moment anything that influenced planning changes — a
 DDL statement, appended data, a cache-generation swap, a registry
@@ -10,12 +10,17 @@ and the bypass rules (tracing, unkeyed modifiers, capacity 0).
 
 import pytest
 
-from repro.core import MaxsonConfig, MaxsonSystem, PredictorConfig
-from repro.engine import Session, plan_fingerprint
+from repro.engine import Session, SqlSyntaxError
+from repro.engine.catalog import Catalog
 from repro.jsonlib import dumps
 from repro.obs.trace import Tracer
-from repro.storage import BlockFileSystem, DataType, Schema
-from repro.workload import PathKey
+from repro.server import MaxsonServer, ServerConfig
+from repro.storage import DataType, Schema
+
+from reference_engine import reference_rows
+from test_generated_differential import comparable, one_per_plan_shape
+from test_parallel_differential import build_system
+import test_result_cache as near  # near-miss pairs, the cached Maxson system
 
 
 @pytest.fixture
@@ -26,29 +31,34 @@ def tiny(session: Session) -> Session:
     return session
 
 
+def shares_plan(session: Session, first: str, second: str) -> bool:
+    """Whether ``second``, run right after ``first``, hit its plan."""
+    session.sql(first)
+    hits = session.plan_cache_stats()["hits"]
+    session.sql(second)
+    return session.plan_cache_stats()["hits"] == hits + 1
+
+
 class TestFingerprint:
-    def test_whitespace_insensitive(self):
-        assert plan_fingerprint("select  a\nfrom db.t") == plan_fingerprint(
-            "select a from db.t"
-        )
+    """The plan key is the canonical statement (text, parameters, output
+    names): spellings of one statement share a plan, data does not."""
 
-    def test_quoted_literals_keep_their_spacing(self):
-        a = plan_fingerprint("select a from db.t where b = 'x  y'")
-        b = plan_fingerprint("select a from db.t where b = 'x y'")
-        assert a != b
+    def test_whitespace_insensitive(self, tiny):
+        assert shares_plan(tiny, "select a from db.t", "select  a\nfrom db.t")
 
-    def test_case_folds_outside_literals(self):
+    def test_quoted_literals_keep_their_spacing(self, tiny):
+        where = "select a from db.t where b = "
+        assert not shares_plan(tiny, where + "'x  y'", where + "'x y'")
+
+    def test_case_folds_outside_literals(self, tiny):
         # keywords and identifiers fold (the planner resolves
         # identifiers case-insensitively, SparkSQL-style)...
-        assert plan_fingerprint("SELECT A FROM db.t") == plan_fingerprint(
-            "select a from db.t"
-        )
+        assert shares_plan(tiny, "select a from db.t", "SELECT A FROM db.t")
 
-    def test_case_inside_literals_is_data(self):
+    def test_case_inside_literals_is_data(self, tiny):
         # ...but string literals are data and keep their case
-        assert plan_fingerprint(
-            "select a from db.t where b = 'X'"
-        ) != plan_fingerprint("select a from db.t where b = 'x'")
+        where = "select a from db.t where b = "
+        assert not shares_plan(tiny, where + "'X'", where + "'x'")
 
     def test_recased_statement_hits_plan_cache(self, tiny):
         tiny.sql("select a from db.t")
@@ -56,11 +66,69 @@ class TestFingerprint:
         stats = tiny.plan_cache_stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
 
+    def test_realiased_statements_keep_their_names(self, tiny):
+        first = tiny.sql("select a as x, b from db.t where a < 3")
+        second = tiny.sql("select a as y, b from db.t where a < 3")
+        assert [list(first.rows[0]), list(second.rows[0])] == [["x", "b"], ["y", "b"]]
+        assert tiny.plan_cache_stats()["hits"] == 0
+
+    def test_near_miss_pairs_planned_back_to_back(self, request):
+        """Each ``TestNearMissKeys`` pair planned back to back returns the
+        reference rows (one per plan shape, all with ``--every-statement``)."""
+        session, sqls = build_system().session, near.TestNearMissKeys.CORPUS
+        if not request.config.getoption("--every-statement"):
+            sqls = one_per_plan_shape(session, sqls)
+        for sql in sqls:
+            want = reference_rows(session, sql)
+            pairs = [(hit(sql), want) for hit in near.NEAR_HITS.values()] + [
+                (miss(sql), reference_rows(session, miss(sql)))
+                for miss in near.NEAR_MISSES.values() if miss(sql) != sql
+            ]
+            for each, rows in [run for pair in pairs for run in ((sql, want), pair)]:
+                assert comparable(sql, session.sql(each).rows) == comparable(sql, rows)
+        assert session.plan_cache_stats()["hits"] > 0
+
+
+#: Table II's Q5 shape, ad-hoc LIMIT: three extractions of two cached paths.
+Q5_ADHOC = (
+    "select id, get_json_object(payload, '$.hot') as h, "
+    "get_json_object(payload, '$.warm') as w from db.t where id between 3 and 90 "
+    "and get_json_object(payload, '$.warm') != 'w2' "
+    "order by get_json_object(payload, '$.hot') desc limit 137"
+)
+
+
+class TestOneParse:
+    """A miss through the server is parsed once (admission hint, result
+    key and plan share the parse), a result-cache hit never; the Maxson
+    rewrite reads a scanned table's mtime once (Algorithm 1, l. 16-19)."""
+
+    def test_adhoc_miss_and_failure_parse_once_a_recurrence_never(self, parse_calls):
+        bad = "select id from db.t where"
+        with MaxsonServer(build_system(), ServerConfig(result_cache=True)) as server:
+            first = server.submit(Q5_ADHOC).result(timeout=30)
+            second = server.submit(Q5_ADHOC).result(timeout=30)
+            with pytest.raises(SqlSyntaxError) as planned:
+                server.system.session.compile(bad)  # the error a plan raises
+            with pytest.raises(SqlSyntaxError) as served:
+                server.submit(bad).result(timeout=30)
+        assert first.metrics.extra["result_cache_admissions"] == 1
+        assert second.metrics.extra["result_cache_hits"] == 1
+        assert second.rows == first.rows and str(served.value) == str(planned.value)
+        assert parse_calls == [Q5_ADHOC, bad, bad]  # compile's own, the served one
+
+    def test_rewrite_reads_each_tables_mtime_once(self, monkeypatch):
+        system, reads, real = build_system(), [], Catalog.modification_time
+        count = lambda catalog, *table: reads.append(table) or real(catalog, *table)
+        monkeypatch.setattr(Catalog, "modification_time", count)
+        system.sql(Q5_ADHOC)
+        assert system.modifier.last_report.hits == 3 and reads == [("db", "t")]
+
 
 class TestPlanCacheHits:
     def test_repeat_statement_hits(self, tiny):
         first = tiny.sql("select a from db.t")
-        second = tiny.sql("select a   from db.t")  # same fingerprint
+        second = tiny.sql("select a   from db.t")  # same canonical statement
         stats = tiny.plan_cache_stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert first.metrics.extra.get("plan_cache_misses") == 1
@@ -158,21 +226,6 @@ class TestPlanCacheInvalidation:
         assert stats["entries"] == 0 and stats["capacity"] == 8
 
 
-def _cached_system(fs=None):
-    session = Session(fs=fs or BlockFileSystem())
-    schema = Schema.of(("id", DataType.INT64), ("payload", DataType.STRING))
-    session.catalog.create_table("db", "t", schema)
-    rows = [(i, dumps({"hot": i % 5, "cold": i * 7})) for i in range(40)]
-    session.catalog.append_rows("db", "t", rows, row_group_size=10)
-    system = MaxsonSystem(
-        session=session,
-        config=MaxsonConfig(predictor=PredictorConfig(model="oracle")),
-    )
-    keys = [PathKey("db", "t", "payload", "$.hot")]
-    system.cache_paths_directly(keys, budget_bytes=1 << 40)
-    return system, keys
-
-
 class TestMaxsonStaleness:
     SQL = "select get_json_object(payload, '$.hot') as h from db.t"
 
@@ -181,7 +234,7 @@ class TestMaxsonStaleness:
         no-op; one asking for something else rebuilds that tier alone."""
         from repro.server import MaxsonServer, ServerConfig
 
-        system, _ = _cached_system()
+        system, _ = near.cached_result_system(result_cache=False)
         session, ledger = system.session, system.session.cache_ledger
         session.configure(result_cache_enabled=True)
         for _ in range(2):
@@ -205,7 +258,7 @@ class TestMaxsonStaleness:
     def test_generation_swap_invalidates(self):
         """A plan cached against generation N references __g{N} cache
         tables; after a swap it must recompile, never fall back."""
-        system, keys = _cached_system()
+        system, keys = near.cached_result_system(result_cache=False)
         first = system.sql(self.SQL)
         assert first.metrics.cache_hits > 0
         hit = system.sql(self.SQL)
@@ -221,7 +274,7 @@ class TestMaxsonStaleness:
     def test_registry_repair_invalidates(self):
         """Refresh repairs an invalidated cache table in place; the plan
         compiled while the table was invalid must not be replayed."""
-        system, keys = _cached_system()
+        system, keys = near.cached_result_system(result_cache=False)
         system.sql(self.SQL)
         system.session.catalog.append_rows(
             "db", "t", [(100, dumps({"hot": 1, "cold": 2}))]
@@ -234,7 +287,7 @@ class TestMaxsonStaleness:
         assert repaired.metrics.cache_hits > 0
 
     def test_plan_cache_stats_in_cache_summary(self):
-        system, _ = _cached_system()
+        system, _ = near.cached_result_system(result_cache=False)
         system.sql(self.SQL)
         system.sql(self.SQL)
         summary = system.cache_summary()

@@ -16,16 +16,20 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import MaxsonConfig, MaxsonSystem, PredictorConfig
 from repro.engine import BUDGETED_TIERS, CacheLedger, ResultCache, Session
 from repro.engine.batch import ColumnBatch
-from repro.engine.resultcache import canonicalize
+from repro.engine import resultcache
+from repro.engine.resultcache import _estimate_bytes, canonicalize
 from repro.faults import FaultPolicy, FaultyFileSystem
 from repro.jsonlib import dumps
 from repro.storage import BlockFileSystem, DataType, Schema
 from repro.workload import PathKey
 
+from reference_admission import MinScanResultCache, walk_estimate_bytes
 from sql_generator import _predicate, statements
 
 
@@ -412,6 +416,34 @@ class TestAdmission:
         assert stats["bytes"] == ledger.tier_bytes("result") == 39428
         assert list(cache._entries)[:3] == [("q12", 1), ("q49", 1), ("q12", 0)]
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("capacity, budget", [(8, None), (64, 4000)])
+    def test_victim_heap_decides_as_the_min_scan(
+        self, monkeypatch, seed, capacity, budget
+    ):
+        """Admissions (re-admitted keys, equal scores), LRU touches, more
+        templates than recurrence slots, shrinks: as the min-scan oracle."""
+        monkeypatch.setattr(resultcache, "_RECURRENCE_CAPACITY", 12)
+        rng, ops = random.Random(seed), []
+        for _ in range(600):
+            tag = f"q{rng.randrange(30)}"
+            key, cost = (tag, rng.randrange(2)), rng.choice([0.0, 0.25, 0.5])
+            rows = [{"v": "x" * rng.randrange(40)} for _ in range(rng.randrange(1, 8))]
+            batch, shrink = ColumnBatch.from_rows(rows), rng.randrange(3000)
+            admit = ("admit", key, fixed_canonical(tag), batch, cost)
+            note, shrink = ("note_recurrence", tag), ("shrink_to_bytes", shrink)
+            ops.append(rng.choice([admit, admit, ("fetch", key), note, note, shrink]))
+
+        def replay(cache):
+            return [(getattr(cache, op)(*args), list(cache._entries), cache.stats())
+                    for op, *args in ops]
+
+        heap = replay(ResultCache(CacheLedger(budget), capacity))
+        assert heap == replay(MinScanResultCache(CacheLedger(budget), capacity))
+        assert all(heap[-1][2][n] for n in ("hits", "evictions", "rejections"))
+        notes = [(op[1], out[0]) for op, out in zip(ops, heap) if op[0][0] == "n"]
+        assert any(n == 1 and (t, 2) in notes[:i] for i, (t, n) in enumerate(notes))
+
     def test_clear_releases_ledger_bytes(self):
         ledger = CacheLedger(budget=1 << 20)
         cache = ResultCache(ledger)
@@ -447,12 +479,30 @@ class TestAdmission:
         assert ledger.tier_bytes("result") > 0  # something was admitted
 
 
+TAGS = st.text(max_size=9).map(type("Tag", (str,), {}))  # a str subclass
+SCALAR = st.none() | st.booleans() | st.integers() | st.floats() | TAGS.map(str) | TAGS
+NESTED = st.recursive(SCALAR, lambda v: st.lists(v, max_size=3) | st.dictionaries(
+    TAGS.map(str), v, max_size=3))
+COLUMN = st.sampled_from([NESTED, SCALAR, st.none(), st.booleans(), TAGS])
+
+
+@settings(deadline=None)
+@given(st.integers(0, 9).flatmap(lambda n: st.lists(
+    COLUMN.flatmap(lambda values: st.lists(values, min_size=n, max_size=n)), min_size=1
+)))
+def test_size_estimate_counts_as_the_walk(columns):
+    """Mixed, nested, all-None, bool, str-subclass and repeated columns."""
+    names = [f"c{i}" for i in range(len(columns))]
+    batch = ColumnBatch(names + names[:1], dict(zip(names, columns)), len(columns[0]))
+    assert _estimate_bytes(batch) == walk_estimate_bytes(batch)
+
+
 # ----------------------------------------------------------------------
 # invalidation matrix
 # ----------------------------------------------------------------------
-def cached_result_system(fs=None):
-    """A Maxson system with JSONPath caching *and* the result cache on."""
-    session = Session(fs=fs or BlockFileSystem(), result_cache_enabled=True)
+def cached_result_system(fs=None, result_cache=True):
+    """A Maxson system with JSONPath caching (and the result cache) on."""
+    session = Session(fs=fs or BlockFileSystem(), result_cache_enabled=result_cache)
     schema = Schema.of(("id", DataType.INT64), ("payload", DataType.STRING))
     session.catalog.create_table("db", "t", schema)
     rows = [(i, dumps({"hot": i % 5, "cold": i * 7})) for i in range(40)]

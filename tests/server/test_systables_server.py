@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.core import MaxsonConfig, MaxsonSystem, PredictorConfig
-from repro.engine import DeadlineExceededError, Session
+from repro.engine import DeadlineExceededError, QueryCancelledError, Session
 from repro.faults import FaultPolicy, FaultyFileSystem
 from repro.jsonlib import dumps
 from repro.server import (
@@ -223,19 +223,27 @@ class TestMixedOutcomes:
             assert tree["name"] == "query"
             assert "execute" in {child["name"] for child in tree["children"]}
 
-    def test_shedding_a_recurring_statement_parses_nothing(self, monkeypatch):
+    def test_incident_plan_comes_out_of_the_plan_cache(self):
+        """A recurrence cancelled on arrival is never planned: its flight
+        record reads the plan its slow predecessor cached, by plan key."""
+        config = ServerConfig(system_tables=True, slow_query_seconds=0.0001)
+        with MaxsonServer(build_slow_system(), config) as server:
+            for _ in range(2):  # planned, then served by the plan cache
+                assert server.execute(SLOW_SQL).rows
+            real_sql = server.system.sql
+            server.system.sql = lambda sql, cancel_token, **kw: real_sql(
+                sql, cancel_token=cancel_token.cancel("scripted") or cancel_token, **kw
+            )
+            with pytest.raises(QueryCancelledError):
+                server.execute(SLOW_SQL)
+            rows = real_sql("SELECT kind, payload FROM system.incidents").rows
+            plans = {r["kind"]: json.loads(r["payload"])["plan"] for r in rows}
+            assert "Scan" in plans["slow_query"] == plans["cancelled"]
+
+    def test_shedding_a_recurring_statement_parses_nothing(self, parse_calls):
         """Shedding must stay cheaper than serving: the flight record of
         a shed takes the statement out of the canonicalisation memo and
         holds no plan (a shed request was never planned)."""
-        from repro.engine import resultcache, session
-
-        parses = []
-
-        def count_parses(module, real):
-            monkeypatch.setattr(
-                module, "parse_sql", lambda sql: parses.append(sql) or real(sql)
-            )
-
         config = ServerConfig(
             max_workers=2,
             per_tenant_limit=1,
@@ -247,12 +255,11 @@ class TestMixedOutcomes:
             server.admission.acquire("t")  # every further request is shed
             with pytest.raises(AdmissionError):
                 server.execute(SLOW_SQL, tenant="t")  # first shed fills the memo
-            count_parses(resultcache, resultcache.parse_sql)
-            count_parses(session, session.parse_sql)
+            del parse_calls[:]
             for _ in range(5):
                 with pytest.raises(AdmissionError):
                     server.execute(SLOW_SQL, tenant="t")
-            assert parses == []
+            assert parse_calls == []
             server.admission.release("t")
             sheds = [
                 json.loads(r["payload"])
