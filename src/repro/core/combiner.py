@@ -16,7 +16,8 @@ are the cheap path the *relevance* score optimises for).
 Predicate pushdown (Algorithm 3) plugs in here: an optional SARG over
 cached fields is evaluated on the cache file's row-group statistics and
 the resulting skip mask is shared with the primary reader when the file
-is single-stripe (§IV-F's precondition).
+is single-stripe (§IV-F's precondition). A conjunct either file's
+statistics prove for the split is not evaluated, nor a lane only it reads decoded.
 
 **Graceful degradation.** A cache file that cannot be read — missing,
 misaligned with the raw table, transiently erroring, or failing its
@@ -37,11 +38,11 @@ from ..engine.batch import ColumnBatch
 from ..engine.errors import CatalogError, ExecutionError
 from ..engine.metrics import QueryMetrics
 from ..engine.parallel import _fold_context_stats
-from ..engine.physical import ExecState, ScanExec
+from ..engine.physical import ExecState, ScanExec, _sarg_label
 from ..storage.fs import FsError
 from ..storage.orc import CorruptStripeError, OrcError
 from ..storage.readers import OrcReader, split_reader
-from ..storage.sargs import Sarg
+from ..storage.sargs import conjunction
 from .cacher import CACHE_DATABASE, CacheEntry, cache_columns
 
 __all__ = ["CachedFieldRequest", "MaxsonScanExec"]
@@ -64,8 +65,8 @@ class MaxsonScanExec(ScanExec):
     """Scan that stitches raw columns with cached JSONPath values."""
 
     cached_fields: list[CachedFieldRequest] = field(default_factory=list)
-    cache_sarg: Sarg | None = None
-    """SARG over cached fields (pushed by Algorithm 3)."""
+    cache_sargs: tuple = ()
+    """``(conjunct, SARG over cached fields)`` pairs (Algorithm 3)."""
     share_mask_with_primary: bool = True
     breaker: object = None
     """Optional :class:`~repro.core.resilience.CacheCircuitBreaker`."""
@@ -77,10 +78,11 @@ class MaxsonScanExec(ScanExec):
 
     def _label(self) -> str:
         cached = ", ".join(r.entry.field_name for r in self.cached_fields)
-        sarg = " +cache_sarg" if self.cache_sarg else ""
         return (
             f"MaxsonScan {self.database}.{self.table} cols={self.columns} "
-            f"cached=[{cached}]{sarg}"
+            f"cached=[{cached}]"
+            + _sarg_label("sarg", self.sargs)
+            + _sarg_label("cache_sarg", self.cache_sargs)
         )
 
     def execute_batch(self, state: ExecState) -> ColumnBatch:
@@ -146,9 +148,10 @@ class MaxsonScanExec(ScanExec):
             else None
         )
         fallback = cache_path is None
+        proven = frozenset()
         if not fallback:
             try:
-                columns, length = self._split_columns(
+                columns, length, proven = self._split_columns(
                     state, raw_path, cache_path
                 )
             except (FsError, OrcError, ExecutionError) as exc:
@@ -161,7 +164,9 @@ class MaxsonScanExec(ScanExec):
         if span is not None:
             span.attributes.update(fallback_splits=int(fallback), degraded=fallback)
             state.tracer.end(span)
-        return self._morsel_batch(state, columns, length, started), fallback
+        batch = self._morsel_batch(state, columns, length, started)
+        batch.proven = proven
+        return batch, fallback
 
     def finish_morsels(self, state: ExecState, fallback_splits: int) -> None:
         """Whole-scan accounting, once on the coordinator: any degraded
@@ -242,10 +247,7 @@ class MaxsonScanExec(ScanExec):
         reader = split_reader(
             state.catalog.fs, raw_path, columns=read_columns, sarg=self.sarg
         )
-        result = reader.read()
-        state.metrics.bytes_read += result.bytes_read
-        state.metrics.row_groups_total += result.row_groups_total
-        state.metrics.row_groups_skipped += result.row_groups_skipped
+        result = self._read(state, reader)
         state.check_cancelled()
         parse_span = (
             state.tracer.begin("parse", split=str(raw_path), degraded=True)
@@ -278,79 +280,74 @@ class MaxsonScanExec(ScanExec):
 
     def _split_columns(
         self, state: ExecState, raw_path: str, cache_path: str
-    ) -> tuple[dict[str, list], int]:
-        """Algorithm 2 for one (raw file, cache file) pair."""
+    ) -> tuple[dict[str, list], int, frozenset]:
+        """Algorithm 2 for one (raw file, cache file) pair: the stitched
+        columns, their row count and the conjuncts the split's
+        statistics prove."""
         fs = state.catalog.fs
-        field_names = [r.entry.field_name for r in self.cached_fields]
-        env_keys = [r.env_key for r in self.cached_fields]
+        lanes = {r.env_key: r.entry.field_name for r in self.cached_fields}
+        cache_sarg = conjunction(sarg for _, sarg in self.cache_sargs)
         cache_reader = OrcReader(
-            fs, cache_path, columns=field_names, sarg=self.cache_sarg
+            fs, cache_path, columns=list(lanes.values()), sarg=cache_sarg
         )
-
-        if not self.columns:
-            # "when one reader has no value to read, we will directly
-            # return the value of the other reader" — the cache-only read.
-            cache_result = cache_reader.read()
-            state.metrics.bytes_read += cache_result.bytes_read
-            state.metrics.row_groups_total += cache_result.row_groups_total
-            state.metrics.row_groups_skipped += cache_result.row_groups_skipped
-            return (
-                {
-                    env_key: cache_result.columns[name]
-                    for env_key, name in zip(env_keys, field_names)
-                },
-                cache_result.rows_read,
+        # "when one reader has no value to read, we will directly return
+        # the value of the other reader" — the cache-only read.
+        primary_reader = None
+        if self.columns:
+            primary_reader = split_reader(
+                fs, raw_path, columns=self.columns, sarg=self.sarg
             )
-
-        primary_reader = split_reader(
-            fs, raw_path, columns=self.columns, sarg=self.sarg
-        )
-        can_align = (
-            self.share_mask_with_primary
-            and cache_reader.can_align_row_groups()
-            and primary_reader.can_align_row_groups()
-            and len(cache_reader.row_group_mask)
-            == len(primary_reader.row_group_mask)
-        )
-        if can_align:
-            # Algorithm 3 line 7: both readers skip exactly the row groups
-            # eliminated by *either* side's SARG — the cache reader's skip
-            # array is shared with the primary reader, and vice versa.
-            combined = [
-                a and b
-                for a, b in zip(
-                    cache_reader.row_group_mask, primary_reader.row_group_mask
+            if (
+                self.share_mask_with_primary
+                and cache_reader.can_align_row_groups()
+                and primary_reader.can_align_row_groups()
+                and len(cache_reader.row_group_mask)
+                == len(primary_reader.row_group_mask)
+            ):
+                # Algorithm 3 line 7: both readers skip exactly the row
+                # groups eliminated by *either* side's SARG — the cache
+                # reader's skip array is shared with the primary reader,
+                # and vice versa.
+                combined = [
+                    a and b
+                    for a, b in zip(
+                        cache_reader.row_group_mask, primary_reader.row_group_mask
+                    )
+                ]
+                cache_reader.share_row_group_mask(combined)
+                primary_reader.share_row_group_mask(combined)
+            else:
+                # Cannot align (multi-stripe or layout mismatch): read both
+                # sides fully; the residual filter preserves correctness.
+                cache_reader = OrcReader(fs, cache_path, columns=cache_reader.columns)
+                primary_reader = split_reader(fs, raw_path, columns=self.columns)
+        proven = self._proven(cache_reader, self.cache_sargs)
+        if primary_reader is not None:
+            proven |= self._proven(primary_reader, self.sargs)
+        env_keys = self._decoded(list(lanes), self.cache_sargs, proven, lanes)
+        cache_reader.columns = [lanes[key] for key in env_keys]
+        cache_result = self._read(state, cache_reader)
+        columns: dict[str, list] = {}
+        if primary_reader is not None:
+            primary_reader.columns = self._decoded(self.columns, self.sargs, proven)
+            primary_result = self._read(state, primary_reader)
+            # Counted from each file's row-group directory, so the check
+            # holds even when one side decodes no column.
+            if primary_result.rows_read != cache_result.rows_read:
+                raise ExecutionError(
+                    "value combiner row mismatch in split "
+                    f"{raw_path!r}: primary={primary_result.rows_read} "
+                    f"cache={cache_result.rows_read}"
                 )
-            ]
-            cache_reader.share_row_group_mask(combined)
-            primary_reader.share_row_group_mask(combined)
-        else:
-            # Cannot align (multi-stripe or layout mismatch): read both
-            # sides fully; the residual filter preserves correctness.
-            cache_reader = OrcReader(fs, cache_path, columns=field_names)
-            primary_reader = split_reader(fs, raw_path, columns=self.columns)
-        cache_result = cache_reader.read()
-        primary_result = primary_reader.read()
-        for result in (cache_result, primary_result):
-            state.metrics.bytes_read += result.bytes_read
-            state.metrics.row_groups_total += result.row_groups_total
-            state.metrics.row_groups_skipped += result.row_groups_skipped
-
-        if primary_result.rows_read != cache_result.rows_read:
-            raise ExecutionError(
-                "value combiner row mismatch in split "
-                f"{raw_path!r}: primary={primary_result.rows_read} "
-                f"cache={cache_result.rows_read}"
-            )
-
-        # Stitch: place each value at its schema position (here, its
-        # env key) to form the complete record.
-        columns: dict[str, list] = {
-            name: primary_result.columns[name] for name in self.columns
-        }
-        for env_key, name in zip(env_keys, field_names):
-            columns[env_key] = cache_result.columns[name]
-        return columns, primary_result.rows_read
+            columns = {
+                name: primary_result.columns[name]
+                for name in primary_reader.columns
+            }
+        # Stitch: place each value at its schema position (here, its env
+        # key) to form the complete record.
+        for key in env_keys:
+            columns[key] = cache_result.columns[lanes[key]]
+        return columns, cache_result.rows_read, proven
 
     def output_names(self) -> set[str]:
         names = super().output_names()

@@ -47,7 +47,7 @@ from ..engine.logical import SortKey
 from ..workload.trace import PathKey
 from .cacher import CacheRegistry
 from .combiner import CachedFieldRequest, MaxsonScanExec
-from .pushdown import extract_cache_sarg
+from .pushdown import cache_sarg_pairs
 
 __all__ = ["MaxsonPlanModifier", "RewriteReport"]
 
@@ -228,7 +228,7 @@ class MaxsonPlanModifier:
                 table=node.table,
                 alias=node.alias,
                 columns=surviving,
-                sarg=node.sarg if surviving else None,
+                sargs=node.sargs,
                 cached_fields=sorted(
                     scan_requests.values(), key=lambda r: r.env_key
                 ),
@@ -282,9 +282,7 @@ def _push_cache_sargs(plan: PhysicalPlan) -> None:
     def visit(node: PhysicalPlan) -> PhysicalPlan | None:
         if isinstance(node, FilterExec) and isinstance(node.child, MaxsonScanExec):
             scan = node.child
-            sarg = extract_cache_sarg(node.condition, scan.cached_fields)
-            if sarg is not None:
-                scan.cache_sarg = sarg
+            scan.cache_sargs = cache_sarg_pairs(node.condition, scan.cached_fields)
         return None
 
     plan.transform_nodes(visit)

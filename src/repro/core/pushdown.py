@@ -9,95 +9,32 @@ SARG-able conjuncts of a filter condition that reference
 
 The mask computed from that SARG is shared with the primary reader inside
 :class:`~repro.core.combiner.MaxsonScanExec` (Algorithm 3 line 7), so both
-the cache file and the raw file skip the same row groups.
+the cache file and the raw file skip the same row groups; a conjunct whose
+SARG the cache file's statistics prove for a split is not evaluated there.
 """
 
 from __future__ import annotations
 
-from ..engine.expressions import (
-    Between,
-    BinaryOp,
-    CachedField,
-    Expression,
-    Literal,
-    UnaryOp,
-)
-from ..storage.sargs import AndSarg, ComparisonSarg, Sarg, SargOp
+from ..engine.expressions import CachedField, Expression
+from ..engine.planner import conjunct_sargs
+from ..storage.sargs import Sarg, conjunction
 from .combiner import CachedFieldRequest
 
-__all__ = ["extract_cache_sarg"]
-
-_OPS = {
-    "=": SargOp.EQ,
-    "<": SargOp.LT,
-    "<=": SargOp.LE,
-    ">": SargOp.GT,
-    ">=": SargOp.GE,
-}
-
-_FLIP = {
-    SargOp.EQ: SargOp.EQ,
-    SargOp.LT: SargOp.GT,
-    SargOp.LE: SargOp.GE,
-    SargOp.GT: SargOp.LT,
-    SargOp.GE: SargOp.LE,
-}
+__all__ = ["cache_sarg_pairs", "extract_cache_sarg"]
 
 
-def _split_conjuncts(expr: Expression) -> list[Expression]:
-    if isinstance(expr, BinaryOp) and expr.op == "and":
-        return _split_conjuncts(expr.left) + _split_conjuncts(expr.right)
-    return [expr]
+def cache_sarg_pairs(
+    condition: Expression, cached_fields: list[CachedFieldRequest]
+) -> tuple:
+    """``(conjunct, SARG over cache-table columns)`` for each pushable
+    conjunct of ``condition`` — the planner's translator, with a leaf
+    named by the lane of the cached field it reads."""
+    lanes = {r.env_key: r.entry.field_name for r in cached_fields}
 
+    def column_of(expr: Expression) -> str | None:
+        return lanes.get(expr.env_key) if isinstance(expr, CachedField) else None
 
-def _field_for(
-    expr: Expression, requests: dict[str, CachedFieldRequest]
-) -> str | None:
-    """The cache-table column name if ``expr`` is a known CachedField."""
-    if isinstance(expr, CachedField) and expr.env_key in requests:
-        return requests[expr.env_key].entry.field_name
-    return None
-
-
-def _literal_value(expr: Expression) -> object | None:
-    if isinstance(expr, Literal) and expr.value is not None:
-        return expr.value
-    return None
-
-
-def _conjunct_to_sarg(
-    conjunct: Expression, requests: dict[str, CachedFieldRequest]
-) -> Sarg | None:
-    if isinstance(conjunct, BinaryOp) and conjunct.op in _OPS:
-        field = _field_for(conjunct.left, requests)
-        literal = _literal_value(conjunct.right)
-        op = _OPS[conjunct.op]
-        if field is None:
-            field = _field_for(conjunct.right, requests)
-            literal = _literal_value(conjunct.left)
-            op = _FLIP[op]
-        if field is None or literal is None:
-            return None
-        return ComparisonSarg(field, op, literal)
-    if isinstance(conjunct, Between):
-        field = _field_for(conjunct.child, requests)
-        low = _literal_value(conjunct.low)
-        high = _literal_value(conjunct.high)
-        if field is None or low is None or high is None:
-            return None
-        return AndSarg(
-            (
-                ComparisonSarg(field, SargOp.GE, low),
-                ComparisonSarg(field, SargOp.LE, high),
-            )
-        )
-    if isinstance(conjunct, UnaryOp) and conjunct.op in ("is null", "is not null"):
-        field = _field_for(conjunct.child, requests)
-        if field is None:
-            return None
-        op = SargOp.IS_NULL if conjunct.op == "is null" else SargOp.IS_NOT_NULL
-        return ComparisonSarg(field, op)
-    return None
+    return conjunct_sargs(condition, column_of)
 
 
 def extract_cache_sarg(
@@ -105,12 +42,4 @@ def extract_cache_sarg(
 ) -> Sarg | None:
     """SARG over cache-table columns for the pushable conjuncts of
     ``condition``; ``None`` when nothing is pushable."""
-    requests = {request.env_key: request for request in cached_fields}
-    sargs: list[Sarg] = []
-    for conjunct in _split_conjuncts(condition):
-        sarg = _conjunct_to_sarg(conjunct, requests)
-        if sarg is not None:
-            sargs.append(sarg)
-    if not sargs:
-        return None
-    return sargs[0] if len(sargs) == 1 else AndSarg(tuple(sargs))
+    return conjunction(s for _, s in cache_sarg_pairs(condition, cached_fields))

@@ -122,7 +122,7 @@ class ColumnBatch:
     batch pay the conversion once.
     """
 
-    __slots__ = ("names", "columns", "length", "origin", "_rows", "_frame")
+    __slots__ = ("names", "columns", "length", "origin", "proven", "_rows", "_frame")
 
     def __init__(self, names, columns: dict, length: int) -> None:
         self.names = tuple(names)
@@ -132,6 +132,9 @@ class ColumnBatch:
         #: another — the lineage CompiledExpression uses to re-serve
         #: cached results across a filter instead of re-evaluating.
         self.origin: tuple["ColumnBatch", list[int]] | None = None
+        #: Conjuncts the split's statistics prove TRUE on every row (kept
+        #: by ``take``: a subset keeps the proof); the filter skips them.
+        self.proven: frozenset = frozenset()
         self._rows: list[dict] | None = None
         #: Memo of :func:`repro.engine.frame.encode_frame`.
         self._frame: bytes | None = None
@@ -182,23 +185,26 @@ class ColumnBatch:
         """Fresh row dicts (callers may mutate them freely)."""
         return [dict(row) for row in self.rows()]
 
-    def take(self, indices) -> "ColumnBatch":
-        """A new batch holding the given row indices, in order.
+    def take(self, indices, names=None) -> "ColumnBatch":
+        """A new batch holding the given row indices, in order, of the
+        given columns (default: all).
 
         Columns aliased to the same list stay aliased in the result.
         """
         indices = list(indices)
+        names = self.names if names is None else names
         copies: dict[int, list] = {}
         taken: dict[str, list] = {}
-        for name in self.names:
+        for name in names:
             source = self.columns[name]
             key = id(source)
             copy = copies.get(key)
             if copy is None:
                 copy = copies[key] = [source[i] for i in indices]
             taken[name] = copy
-        batch = ColumnBatch(self.names, taken, len(indices))
+        batch = ColumnBatch(names, taken, len(indices))
         batch.origin = (self, indices)
+        batch.proven = self.proven
         return batch
 
     def __len__(self) -> int:

@@ -44,6 +44,8 @@ __all__ = [
     "AggregateCall",
     "walk",
     "transform",
+    "split_conjuncts",
+    "conjoin",
 ]
 
 
@@ -836,6 +838,21 @@ def walk(expr: Expression):
     yield expr
     for child in expr.children():
         yield from walk(child)
+
+
+def split_conjuncts(expr: Expression) -> list[Expression]:
+    """The operands of a (nested) AND, left to right."""
+    if isinstance(expr, BinaryOp) and expr.op == "and":
+        return split_conjuncts(expr.left) + split_conjuncts(expr.right)
+    return [expr]
+
+
+def conjoin(conjuncts) -> Expression | None:
+    """AND the conjuncts back together (``None`` for none)."""
+    result = None
+    for conjunct in conjuncts:
+        result = conjunct if result is None else BinaryOp("and", result, conjunct)
+    return result
 
 
 def transform(expr: Expression, fn) -> Expression:

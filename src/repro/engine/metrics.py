@@ -30,6 +30,9 @@ class QueryMetrics:
     rows_output: int = 0
     row_groups_total: int = 0
     row_groups_skipped: int = 0
+    #: Row groups read whose statistics prove a reader's whole SARG (ORC's
+    #: YES; ``row_groups_skipped`` counts the NO groups).
+    row_groups_proven: int = 0
     parse_documents: int = 0
     parse_bytes: int = 0
     cache_hits: int = 0
@@ -89,6 +92,7 @@ class QueryMetrics:
             "rows_output": self.rows_output,
             "row_groups_total": self.row_groups_total,
             "row_groups_skipped": self.row_groups_skipped,
+            "row_groups_proven": self.row_groups_proven,
             "parse_documents": self.parse_documents,
             "parse_bytes": self.parse_bytes,
             "cache_hits": self.cache_hits,
@@ -119,6 +123,7 @@ class QueryMetrics:
         self.rows_output += other.rows_output
         self.row_groups_total += other.row_groups_total
         self.row_groups_skipped += other.row_groups_skipped
+        self.row_groups_proven += other.row_groups_proven
         self.parse_documents += other.parse_documents
         self.parse_bytes += other.parse_bytes
         self.cache_hits += other.cache_hits

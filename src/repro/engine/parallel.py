@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 
 from .batch import ColumnBatch
-from .expressions import Expression
+from .expressions import CachedField, Column, Expression, split_conjuncts, walk
 from .metrics import QueryMetrics
 from .physical import (
     AggregateExec,
@@ -52,6 +52,8 @@ from .physical import (
     UnaryExec,
     _Accumulator,
     concat_batches,
+    expression_slots,
+    slot_expression,
 )
 from .rawfilter import SparserPrefilterExec
 
@@ -330,6 +332,45 @@ class MorselAggregateExec(GroupedAggregation, PhysicalPlan):
         return self.finalise(state, merged, representatives)
 
 
+def _names_read(expr: Expression) -> set[str]:
+    """The batch columns an expression reads."""
+    return {
+        node.env_key if isinstance(node, CachedField) else node.name
+        for node in walk(expr)
+        if isinstance(node, (Column, CachedField))
+    }
+
+
+def _settle_filter_only(node: FilterExec, scan: ScanExec, plan) -> None:
+    """Mark the columns of ``plan`` that only the scan's SARG-paired
+    conjuncts read (``ScanExec.filter_only``): a split that proves those
+    conjuncts does not decode them, and the filter drops them in every
+    split."""
+    pairs = (*scan.sargs, *getattr(scan, "cache_sargs", ()))
+    if not pairs:
+        return
+    paired = {conjunct for conjunct, _ in pairs}
+    elsewhere = set().union(
+        *(
+            _names_read(slot_expression(holder, slot))
+            for holder, slot in expression_slots(plan)
+            if holder is not node
+        ),
+        *(
+            _names_read(conjunct)
+            for conjunct in split_conjuncts(node.condition)
+            if conjunct not in paired
+        ),
+    )
+    # A bare name qualifies only if its qualified spelling does too.
+    prefix = f"{scan.alias}." if scan.alias else ""
+    node.drop = scan.filter_only = frozenset(
+        name
+        for name in scan.morsel_output_names()
+        if name not in elsewhere and prefix + name not in elsewhere
+    )
+
+
 def parallelize_plan(plan: PhysicalPlan) -> PhysicalPlan:
     """Rewrite a physical plan onto the morsel execution path.
 
@@ -361,6 +402,8 @@ def parallelize_plan(plan: PhysicalPlan) -> PhysicalPlan:
             # itself; re-point it at the operator below it.
             node.child = child.top
             child.stages.append(node)
+            if isinstance(node, FilterExec):
+                _settle_filter_only(node, child.scan, plan)
             return child
         if isinstance(node, AggregateExec) and not isinstance(
             child.top, ProjectExec

@@ -18,8 +18,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ..storage.readers import split_reader
-from ..storage.sargs import Sarg
+from ..storage.readers import ReadResult, split_reader
+from ..storage.sargs import Sarg, conjunction
 from .batch import BatchCompiler, ColumnBatch, ExpressionAnalysis
 from .catalog import Catalog
 from .errors import ExecutionError
@@ -30,6 +30,8 @@ from .expressions import (
     GetJsonObject,
     Literal,
     _null_safe_compare,
+    conjoin,
+    split_conjuncts,
     transform,
     walk,
 )
@@ -201,6 +203,13 @@ def concat_batches(batches: list[ColumnBatch], names=()) -> ColumnBatch:
     return ColumnBatch(names, columns, sum(batch.length for batch in batches))
 
 
+def _sarg_label(key: str, pairs: tuple) -> str:
+    """EXPLAIN's mark of the conjuncts statistics can decide."""
+    if not pairs:
+        return ""
+    return f" {key}=[{', '.join(c.sql() for c, _ in pairs)}]"
+
+
 @dataclass
 class ScanExec(PhysicalPlan):
     """Table scan with column pruning and optional SARG pushdown.
@@ -213,7 +222,18 @@ class ScanExec(PhysicalPlan):
     table: str
     alias: str | None
     columns: list[str]
-    sarg: Sarg | None = None
+    sargs: tuple = ()
+    """``(conjunct, SARG)`` per statistics-decidable conjunct of the
+    filter above (see ``planner.conjunct_sargs``)."""
+    filter_only: frozenset = frozenset()
+    """Output columns that only those conjuncts read (set when the filter
+    joins the scan's morsel pipeline): a split whose statistics prove
+    every conjunct reading one does not decode it."""
+
+    @property
+    def sarg(self) -> Sarg | None:
+        """The row-group test: the conjunction of the pushed SARGs."""
+        return conjunction(sarg for _, sarg in self.sargs)
 
     def output_names(self) -> set[str]:
         names = set(self.columns)
@@ -222,9 +242,9 @@ class ScanExec(PhysicalPlan):
         return names
 
     def _label(self) -> str:
-        sarg = f" sarg={self.sarg!r}" if self.sarg else ""
         return (
-            f"Scan {self.database}.{self.table} cols={self.columns}{sarg}"
+            f"Scan {self.database}.{self.table} cols={self.columns}"
+            + _sarg_label("sarg", self.sargs)
         )
 
     def execute_batch(self, state: ExecState) -> ColumnBatch:
@@ -269,27 +289,55 @@ class ScanExec(PhysicalPlan):
         reader = split_reader(
             state.catalog.fs, unit, columns=self.columns, sarg=self.sarg
         )
+        proven = self._proven(reader, self.sargs)
+        reader.columns = self._decoded(self.columns, self.sargs, proven)
+        result = self._read(state, reader)
+        columns = {name: result.columns[name] for name in reader.columns}
+        batch = self._morsel_batch(state, columns, result.rows_read, started)
+        batch.proven = proven
+        return batch, False
+
+    @staticmethod
+    def _proven(reader, pairs: tuple) -> frozenset:
+        """The conjuncts whose SARGs hold on every row the reader reads."""
+        return frozenset(c for c, sarg in pairs if reader.proves(sarg))
+
+    def _decoded(self, names: list, pairs: tuple, proven, lane=None) -> list:
+        """``names`` less the filter-only ones no unproven conjunct reads;
+        ``lane`` maps a name to its statistics column (default: itself)."""
+        needed = {c for j, sarg in pairs if j not in proven for c in sarg.columns()}
+        lane = lane or {}
+        return [
+            name
+            for name in names
+            if name not in self.filter_only or lane.get(name, name) in needed
+        ]
+
+    @staticmethod
+    def _read(state: ExecState, reader) -> ReadResult:
+        """``reader.read()``, counted into the query's read metrics."""
         result = reader.read()
-        state.metrics.bytes_read += result.bytes_read
-        state.metrics.row_groups_total += result.row_groups_total
-        state.metrics.row_groups_skipped += result.row_groups_skipped
-        columns = {name: result.columns[name] for name in self.columns}
-        return self._morsel_batch(state, columns, result.rows_read, started), False
+        metrics = state.metrics
+        metrics.bytes_read += result.bytes_read
+        metrics.row_groups_total += result.row_groups_total
+        metrics.row_groups_skipped += result.row_groups_skipped
+        metrics.row_groups_proven += result.row_groups_proven
+        return result
 
     def _morsel_batch(
         self, state: ExecState, columns: dict, length: int, started: float
     ) -> ColumnBatch:
         """One split's columns as a batch, with the scan's row and
-        read-time accounting. ``columns`` holds the bare columns first,
-        then whatever a subclass adds; qualified names (which alias the
-        bare lists — no copies) go in between, which is
-        :meth:`morsel_output_names` order."""
+        read-time accounting. ``columns`` holds the decoded bare columns
+        first, then whatever a subclass adds; qualified names (which alias
+        the bare lists — no copies) go in between, which is
+        :meth:`morsel_output_names` order less the undecoded columns."""
         names = list(columns)
         if self.alias:
-            qualified = [f"{self.alias}.{name}" for name in self.columns]
-            for alias, name in zip(qualified, self.columns):
-                columns[alias] = columns[name]
-            names[len(qualified):len(qualified)] = qualified
+            bare = [name for name in self.columns if name in columns]
+            for name in bare:
+                columns[f"{self.alias}.{name}"] = columns[name]
+            names[len(bare):len(bare)] = [f"{self.alias}.{n}" for n in bare]
         state.metrics.rows_scanned += length
         state.metrics.read_seconds += time.perf_counter() - started
         return ColumnBatch(names, columns, length)
@@ -301,23 +349,34 @@ class ScanExec(PhysicalPlan):
 
 @dataclass
 class FilterExec(UnaryExec):
-    """Keep rows where the condition evaluates to SQL TRUE."""
+    """Keep rows where the condition evaluates to SQL TRUE; conjuncts in
+    ``batch.proven`` are not evaluated. The ``drop`` columns (its scan's
+    ``filter_only``) leave here, so every split's batch has one shape."""
 
     child: PhysicalPlan
     condition: Expression
+    drop: frozenset = frozenset()
 
     def _label(self) -> str:
         return f"Filter {self.condition.sql()}"
 
     def apply(self, state: ExecState, batch: ColumnBatch) -> ColumnBatch:
-        values = state.batch_compiler().compile(self.condition).evaluate(batch)
-        indices = [i for i, value in enumerate(values) if value is True]
-        if len(indices) == batch.length:
+        condition = self.condition
+        if batch.proven:
+            condition = conjoin(
+                c for c in split_conjuncts(condition) if c not in batch.proven
+            )
+        names = [name for name in batch.names if name not in self.drop]
+        indices = range(batch.length)
+        if condition is not None:
+            values = state.batch_compiler().compile(condition).evaluate(batch)
+            indices = [i for i, value in enumerate(values) if value is True]
+        if len(indices) == batch.length and len(names) == len(batch.names):
             # Passing the child batch through unchanged lets downstream
             # operators reuse per-batch compiled results (CSE across
             # filter and projection).
             return batch
-        return batch.take(indices)
+        return batch.take(indices, names)
 
 
 @dataclass

@@ -15,10 +15,16 @@ optimizer:
 * resolve ``*`` against scan schemas;
 * column pruning — each scan reads only the columns the plan references;
 * SARG extraction — conjuncts of a WHERE clause that compare a plain
-  column to a literal become search arguments pushed into the scan (the
-  baseline engine can only push predicates on *real* columns; pushing
-  predicates on cached JSONPaths is Maxson's contribution, implemented in
-  :mod:`repro.core.pushdown`);
+  column to a literal become search arguments pushed into the scan, each
+  paired with the conjunct it came from (the baseline engine can only
+  push predicates on *real* columns; pushing predicates on cached
+  JSONPaths is Maxson's contribution, implemented in
+  :mod:`repro.core.pushdown` with the same translator,
+  :func:`conjunct_sargs`);
+* join-side pushdown — a WHERE conjunct above an inner join that is such
+  a comparison over columns qualified to one side only moves to a filter
+  on that side's scan; anything else (a bare name, an extraction, a
+  function, a cross-side OR) stays above the join;
 * ORDER BY / HAVING resolution — sort keys and having predicates that
   textually match a SELECT expression are rewritten to reference its
   output column, otherwise the sort is planned below the projection.
@@ -40,6 +46,8 @@ from .expressions import (
     Expression,
     Literal,
     UnaryOp,
+    conjoin,
+    split_conjuncts,
     walk,
 )
 from .logical import (
@@ -65,7 +73,7 @@ from .physical import (
 )
 from .sqlparser import Star
 
-__all__ = ["Planner", "PlannedQuery"]
+__all__ = ["Planner", "PlannedQuery", "conjunct_sargs"]
 
 
 @dataclass
@@ -93,6 +101,15 @@ _COMPARE_TO_SARG = {
     "<=": SargOp.LE,
     ">": SargOp.GT,
     ">=": SargOp.GE,
+}
+
+#: The comparison read right to left (``5 < a`` is ``a > 5``).
+_FLIP = {
+    SargOp.EQ: SargOp.EQ,
+    SargOp.LT: SargOp.GT,
+    SargOp.LE: SargOp.GE,
+    SargOp.GT: SargOp.LT,
+    SargOp.GE: SargOp.LE,
 }
 
 
@@ -256,10 +273,6 @@ class Planner:
                 qualified = f"{scan.alias}.{name}" if scan.alias else None
                 if name in referenced or (qualified and qualified in referenced):
                     needed.append(name)
-            if not needed:
-                # Degenerate plans (e.g. count(*)) still need one column to
-                # drive row counts; pick the narrowest-looking first column.
-                needed = [info.schema.names[0]]
             required[id(scan)] = needed
         return required
 
@@ -280,11 +293,9 @@ class Planner:
         if isinstance(plan, LogicalFilter):
             if isinstance(plan.child, LogicalAggregate):
                 return self._lower_having(plan, required)
-            child = self._lower(plan.child, required)
-            child, condition = self._push_sargs(child, plan.condition)
-            if condition is None:
-                return child
-            return FilterExec(child, condition)
+            if isinstance(plan.child, LogicalJoin):
+                return self._lower_join(plan.child, required, plan.condition)
+            return _filtered(self._lower(plan.child, required), plan.condition)
         if isinstance(plan, LogicalProject):
             child = self._lower(plan.child, required)
             return ProjectExec(child, plan.expressions)
@@ -334,16 +345,25 @@ class Planner:
         return filtered
 
     def _lower_join(
-        self, plan: LogicalJoin, required: dict[int, list[str]]
+        self, plan: LogicalJoin, required: dict[int, list[str]], where=None
     ) -> PhysicalPlan:
+        """The hash join, under the conjuncts of ``where`` that did not
+        move to a filter on one side's scan (see :func:`_side_of`)."""
         left = self._lower(plan.left, required)
         right = self._lower(plan.right, required)
+        above: list[Expression] = []
+        pushed: tuple[list, list] = ([], [])
+        for conjunct in split_conjuncts(where) if where is not None else ():
+            side = _side_of(conjunct, left, right)
+            (above if side is None else pushed[side]).append(conjunct)
+        left = _filtered(left, conjoin(pushed[0]))
+        right = _filtered(right, conjoin(pushed[1]))
         left_names = left.output_names()
         right_names = right.output_names()
         left_keys: list[Expression] = []
         right_keys: list[Expression] = []
         residual: list[Expression] = []
-        for conjunct in _split_conjuncts(plan.condition):
+        for conjunct in split_conjuncts(plan.condition):
             pair = _equi_pair(conjunct, left_names, right_names)
             if pair is None:
                 residual.append(conjunct)
@@ -355,14 +375,8 @@ class Planner:
                 "join requires at least one equi-condition "
                 f"(got {plan.condition.sql()})"
             )
-        residual_expr: Expression | None = None
-        for conjunct in residual:
-            residual_expr = (
-                conjunct
-                if residual_expr is None
-                else BinaryOp("and", residual_expr, conjunct)
-            )
-        return HashJoinExec(left, right, left_keys, right_keys, residual_expr)
+        join = HashJoinExec(left, right, left_keys, right_keys, conjoin(residual))
+        return _filtered(join, conjoin(above))
 
     def _lower_sort(
         self, plan: LogicalSort, required: dict[int, list[str]]
@@ -391,26 +405,6 @@ class Planner:
             )
         child = self._lower(child_logical, required)
         return SortExec(child, plan.keys)
-
-    def _push_sargs(
-        self, child: PhysicalPlan, condition: Expression
-    ) -> tuple[PhysicalPlan, Expression | None]:
-        """Attach SARG-able conjuncts to a directly-underlying scan.
-
-        The full condition is *kept* as a residual filter (SARGs eliminate
-        row groups, not rows), so correctness never depends on statistics.
-        """
-        if not isinstance(child, ScanExec):
-            return child, condition
-        scan_columns = set(child.columns)
-        sargs: list[Sarg] = []
-        for conjunct in _split_conjuncts(condition):
-            sarg = _to_sarg(conjunct, scan_columns, child.alias)
-            if sarg is not None:
-                sargs.append(sarg)
-        if sargs:
-            child.sarg = AndSarg(tuple(sargs)) if len(sargs) > 1 else sargs[0]
-        return child, condition
 
     # ------------------------------------------------------------------
     def _referenced_paths(
@@ -501,58 +495,91 @@ def _all_expressions(plan: LogicalPlan):
         yield from _all_expressions(child)
 
 
-def _split_conjuncts(expr: Expression) -> list[Expression]:
-    if isinstance(expr, BinaryOp) and expr.op == "and":
-        return _split_conjuncts(expr.left) + _split_conjuncts(expr.right)
-    return [expr]
+def _filtered(child: PhysicalPlan, condition: Expression | None) -> PhysicalPlan:
+    """``child`` under a filter on ``condition`` (none for ``None``). Over
+    a scan, the SARG-able conjuncts also go to the scan, paired with their
+    SARGs; the filter keeps every conjunct (SARGs prune row groups, not
+    rows), so correctness never depends on statistics."""
+    if condition is None:
+        return child
+    if isinstance(child, ScanExec):
+        child.sargs = conjunct_sargs(condition, _column_of(child))
+    return FilterExec(child, condition)
 
 
-def _column_name_for_scan(
-    expr: Expression, scan_columns: set[str], alias: str | None
-) -> str | None:
-    if not isinstance(expr, Column):
+def _side_of(
+    conjunct: Expression, left: PhysicalPlan, right: PhysicalPlan
+) -> int | None:
+    """0 or 1 when ``conjunct`` may move below the join to that side's
+    scan: an error-free column-vs-literal form whose every column is
+    qualified to that side alone; ``None`` keeps it above the join."""
+    sides = [
+        index
+        for index, scan in enumerate((left, right))
+        if isinstance(scan, ScanExec)
+        and _to_sarg(conjunct, _column_of(scan, qualified=True)) is not None
+    ]
+    return sides[0] if len(sides) == 1 else None
+
+
+def _column_of(scan: ScanExec, qualified: bool = False):
+    """The leaf naming for ``scan``: a column as ``name`` or
+    ``alias.name`` (only the latter when ``qualified``) -> ``name``."""
+    columns, prefix = set(scan.columns), f"{scan.alias}."
+
+    def column_of(expr: Expression) -> str | None:
+        if not isinstance(expr, Column):
+            return None
+        if expr.name in columns and not qualified:
+            return expr.name
+        if scan.alias and expr.name.startswith(prefix):
+            bare = expr.name[len(prefix):]
+            return bare if bare in columns else None
         return None
-    name = expr.name
-    if name in scan_columns:
-        return name
-    if alias and name.startswith(f"{alias}."):
-        bare = name[len(alias) + 1 :]
-        if bare in scan_columns:
-            return bare
+
+    return column_of
+
+
+def conjunct_sargs(condition: Expression, column_of) -> tuple:
+    """``(conjunct, SARG)`` for each conjunct of ``condition`` that
+    compares one column to a literal — the one translator of SARG-able
+    conjuncts. ``column_of(expr)`` names the statistics column a leaf
+    reads (a scan column, or a cached field's lane) or returns ``None``."""
+    pairs = ((c, _to_sarg(c, column_of)) for c in split_conjuncts(condition))
+    return tuple((conjunct, sarg) for conjunct, sarg in pairs if sarg is not None)
+
+
+def _literal(expr: Expression) -> object:
+    """A scalar literal's value, else ``None``."""
+    if isinstance(expr, Literal) and isinstance(expr.value, (int, float, str)):
+        return expr.value
     return None
 
 
-def _to_sarg(
-    conjunct: Expression, scan_columns: set[str], alias: str | None
-) -> Sarg | None:
+def _to_sarg(conjunct: Expression, column_of) -> Sarg | None:
     """Translate one conjunct to a SARG if it compares a column to a literal."""
     if isinstance(conjunct, BinaryOp) and conjunct.op in _COMPARE_TO_SARG:
-        column = _column_name_for_scan(conjunct.left, scan_columns, alias)
-        literal = conjunct.right
         op = _COMPARE_TO_SARG[conjunct.op]
+        column, literal = column_of(conjunct.left), _literal(conjunct.right)
         if column is None:
-            column = _column_name_for_scan(conjunct.right, scan_columns, alias)
-            literal = conjunct.left
-            op = _flip(op)
-        if column is None or not isinstance(literal, Literal) or literal.value is None:
+            column, literal = column_of(conjunct.right), _literal(conjunct.left)
+            op = _FLIP[op]
+        if column is None or literal is None:
             return None
-        return ComparisonSarg(column, op, literal.value)
+        return ComparisonSarg(column, op, literal)
     if isinstance(conjunct, Between):
-        column = _column_name_for_scan(conjunct.child, scan_columns, alias)
-        if (
-            column is None
-            or not isinstance(conjunct.low, Literal)
-            or not isinstance(conjunct.high, Literal)
-        ):
+        column = column_of(conjunct.child)
+        low, high = _literal(conjunct.low), _literal(conjunct.high)
+        if column is None or low is None or high is None:
             return None
         return AndSarg(
             (
-                ComparisonSarg(column, SargOp.GE, conjunct.low.value),
-                ComparisonSarg(column, SargOp.LE, conjunct.high.value),
+                ComparisonSarg(column, SargOp.GE, low),
+                ComparisonSarg(column, SargOp.LE, high),
             )
         )
     if isinstance(conjunct, UnaryOp) and conjunct.op in ("is null", "is not null"):
-        column = _column_name_for_scan(conjunct.child, scan_columns, alias)
+        column = column_of(conjunct.child)
         if column is None:
             return None
         op = SargOp.IS_NULL if conjunct.op == "is null" else SargOp.IS_NOT_NULL
@@ -580,16 +607,6 @@ def _equi_pair(
     if a_cols <= right_names and b_cols <= left_names:
         return conjunct.right, conjunct.left
     return None
-
-
-def _flip(op: SargOp) -> SargOp:
-    return {
-        SargOp.EQ: SargOp.EQ,
-        SargOp.LT: SargOp.GT,
-        SargOp.LE: SargOp.GE,
-        SargOp.GT: SargOp.LT,
-        SargOp.GE: SargOp.LE,
-    }[op]
 
 
 def _resolve_keys_against_output(

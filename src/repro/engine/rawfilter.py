@@ -21,7 +21,14 @@ from ..jsonlib.jackson import dumps
 from ..jsonlib.jsonpath import Member, parse_path
 from ..jsonlib.sparser import FilterCascade, KeyValueFilter
 from .batch import ColumnBatch
-from .expressions import BinaryOp, Column, Expression, GetJsonObject, Literal
+from .expressions import (
+    BinaryOp,
+    Column,
+    Expression,
+    GetJsonObject,
+    Literal,
+    split_conjuncts,
+)
 from .physical import ExecState, FilterExec, PhysicalPlan, ScanExec, UnaryExec
 from .planner import PlannedQuery
 
@@ -38,19 +45,13 @@ def _render_literal(value: object) -> str | None:
     return None
 
 
-def _split_conjuncts(expr: Expression) -> list[Expression]:
-    if isinstance(expr, BinaryOp) and expr.op == "and":
-        return _split_conjuncts(expr.left) + _split_conjuncts(expr.right)
-    return [expr]
-
-
 def derive_cascade(
     condition: Expression, json_columns: set[str]
 ) -> tuple[str, FilterCascade] | None:
     """Build (column, cascade) from the pushable equality conjuncts."""
     filters = []
     column_name: str | None = None
-    for conjunct in _split_conjuncts(condition):
+    for conjunct in split_conjuncts(condition):
         if not (isinstance(conjunct, BinaryOp) and conjunct.op == "="):
             continue
         call, literal = conjunct.left, conjunct.right

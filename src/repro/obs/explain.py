@@ -25,6 +25,7 @@ _ANNOTATIONS = (
     ("cache_hits", "cache_hits", lambda v: f"{int(v)}"),
     ("cache_misses", "cache_misses", lambda v: f"{int(v)}"),
     ("row_groups_skipped", "rg_skipped", lambda v: f"{int(v)}"),
+    ("row_groups_proven", "rg_proven", lambda v: f"{int(v)}"),
     ("row_groups_total", "rg_total", lambda v: f"{int(v)}"),
     ("shared_parse_hits", "shared_parse_hits", lambda v: f"{int(v)}"),
     (
@@ -119,7 +120,7 @@ def render_explain_analyze(
         lines.append(
             "metrics: read={:.2f}ms parse={:.2f}ms compute={:.2f}ms "
             "parse_fraction={:.1%} docs={} cache_hits={} "
-            "rg_skipped={}/{}".format(
+            "rg_skipped={}/{} rg_proven={}".format(
                 metrics.read_seconds * 1000,
                 metrics.parse_seconds * 1000,
                 metrics.compute_seconds * 1000,
@@ -128,6 +129,7 @@ def render_explain_analyze(
                 metrics.cache_hits,
                 metrics.row_groups_skipped,
                 metrics.row_groups_total,
+                metrics.row_groups_proven,
             )
         )
     return "\n".join(lines)

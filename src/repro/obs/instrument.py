@@ -45,6 +45,7 @@ COUNTER_KEYS = (
     "rows_scanned",
     "row_groups_total",
     "row_groups_skipped",
+    "row_groups_proven",
     "cache_hits",
     "cache_misses",
     "shared_parse_hits",
@@ -85,6 +86,7 @@ def counter_snapshot(state: ExecState) -> tuple[float, ...]:
         metrics.rows_scanned,
         metrics.row_groups_total,
         metrics.row_groups_skipped,
+        metrics.row_groups_proven,
         metrics.cache_hits,
         metrics.cache_misses,
         metrics.shared_parse_hits + live.shared_parse_hits,

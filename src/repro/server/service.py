@@ -149,6 +149,8 @@ _SERIES = {
     "cache_hits_total": "Cached-path hits across served queries",
     "cache_misses_total": "Cache-eligible misses across served queries",
     "parse_documents_total": "JSON/XML documents parsed by queries",
+    "row_groups_proven_total": "Row groups read whose statistics proved "
+    "the pushed predicate",
     "trace_spans_total": "Spans exported to the JSONL trace sink",
     "plan_cache_hits_total": "Served queries planned from the plan cache",
     "plan_cache_misses_total": "Served queries that compiled a fresh plan",
@@ -198,6 +200,7 @@ _ENGINE_TOTALS = (
     "cache_hits",
     "cache_misses",
     "parse_documents",
+    "row_groups_proven",
     "plan_cache_hits",
     "plan_cache_misses",
     "result_cache_hits",

@@ -20,6 +20,7 @@ from .sargs import (
     OrSarg,
     Sarg,
     SargOp,
+    Truth,
     always_true,
 )
 from .schema import DataType, Field, Schema, SchemaError
@@ -47,6 +48,7 @@ __all__ = [
     "AndSarg",
     "OrSarg",
     "ColumnStats",
+    "Truth",
     "always_true",
     "DataType",
     "Field",

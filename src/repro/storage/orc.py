@@ -331,7 +331,8 @@ def _decode_footer(
                 maximum, pos = _decode_stat_value(data, pos)
                 null_count, pos = read_varint(data, pos)
                 value_count, pos = read_varint(data, pos)
-                stats[fld.name] = ColumnStats(minimum, maximum, null_count, value_count)
+                floats = fld.dtype is DataType.FLOAT64
+                stats[fld.name] = ColumnStats(minimum, maximum, null_count, value_count, floats)
             groups.append(
                 RowGroupInfo(
                     row_count=rg_rows,

@@ -2,8 +2,9 @@
 
 :class:`OrcReader` connects the pieces: it loads a file from the
 :class:`~repro.storage.fs.BlockFileSystem`, evaluates an optional SARG
-against every row group's statistics to build a skip mask, and decodes only
-the surviving groups for the requested columns.
+against every row group's statistics to build a skip mask (the ``NO``
+groups), and decodes only the surviving groups for the requested columns;
+:meth:`OrcReader.proves` asks whether a SARG holds on every row it reads.
 
 The skip mask is exposed (:attr:`OrcReader.row_group_mask`) because
 Maxson's predicate pushdown (paper Algorithm 3) shares the mask computed on
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 from .fs import BlockFileSystem, FsError
 from .orc import OrcError, OrcFileReader
-from .sargs import Sarg
+from .sargs import Sarg, Truth
 
 __all__ = ["ReadResult", "OrcReader", "NdjsonReader", "split_reader"]
 
@@ -31,6 +32,8 @@ class ReadResult:
     row_groups_total: int
     row_groups_read: int
     bytes_read: int
+    row_groups_proven: int = 0
+    """Read groups whose statistics prove the reader's whole SARG."""
 
     @property
     def row_groups_skipped(self) -> int:
@@ -65,6 +68,7 @@ class OrcReader:
         self.sarg = sarg
         self._file = OrcFileReader(fs.read(path))
         self._mask: list[bool] | None = None
+        self._truths: list[Truth] = []
         self._shared_mask: list[bool] | None = None
 
     @property
@@ -90,11 +94,11 @@ class OrcReader:
         :meth:`share_row_group_mask`. Computed lazily and cached.
         """
         if self._mask is None:
-            layout = self._file.row_group_layout()
             if self.sarg is None:
-                mask = [True] * len(layout)
+                mask = [True] * len(self._file.row_group_layout())
             else:
-                mask = [self.sarg.may_match(rg.column_stats) for rg in layout]
+                self._truths = self.truths(self.sarg)
+                mask = [truth is not Truth.NO for truth in self._truths]
             if self._shared_mask is not None:
                 if len(self._shared_mask) != len(mask):
                     raise OrcError(
@@ -119,20 +123,47 @@ class OrcReader:
         """Pushdown sharing precondition: the file has exactly one stripe."""
         return self.stripe_count == 1
 
+    def truths(self, sarg: Sarg) -> list[Truth]:
+        """``sarg``'s truth per row group; a version-1 footer carries no
+        checksum, so its statistics may skip a group but prove none."""
+        layout = self._file.row_group_layout()
+        truths = [sarg.truth(rg.column_stats) for rg in layout]
+        if self._file.version < 2:
+            truths = [Truth.MAYBE if t is Truth.YES else t for t in truths]
+        return truths
+
+    def proves(self, sarg: Sarg) -> bool:
+        """True when the statistics prove ``sarg`` for every row group
+        this reader reads — its conjunct need not be evaluated."""
+        return all(
+            truth is Truth.YES
+            for truth, keep in zip(self.truths(sarg), self.row_group_mask)
+            if keep
+        )
+
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
     def read(self) -> ReadResult:
-        """Decode the requested columns of all non-skipped row groups."""
+        """Decode the requested columns of all non-skipped row groups;
+        the row count comes from the row-group directory, so a read of no
+        column still counts its rows."""
         mask = self.row_group_mask
         columns, bytes_read = self._file.read_columns(self.columns, mask)
-        rows = len(next(iter(columns.values()))) if columns else 0
+        layout = self._file.row_group_layout()
+        rows = sum(rg.row_count for rg, keep in zip(layout, mask) if keep)
+        if any(len(values) != rows for values in columns.values()):
+            raise OrcError(f"a decoded lane disagrees with the directory's {rows} rows")
         return ReadResult(
             columns=columns,
             rows_read=rows,
             row_groups_total=len(mask),
             row_groups_read=sum(mask),
             bytes_read=bytes_read,
+            row_groups_proven=sum(
+                truth is Truth.YES and keep
+                for truth, keep in zip(self._truths, mask)
+            ),
         )
 
     def read_rows(self) -> list[tuple]:
@@ -214,6 +245,10 @@ class NdjsonReader:
     def can_align_row_groups(self) -> bool:
         return False
 
+    def proves(self, sarg: Sarg) -> bool:
+        """Never: there are no statistics to prove anything with."""
+        return False
+
     @staticmethod
     def _cell(doc: dict, name: str) -> object:
         if name == "payload":
@@ -243,11 +278,6 @@ class NdjsonReader:
             row_groups_read=1,
             bytes_read=self._bytes_read,
         )
-
-    def read_rows(self) -> list[tuple]:
-        result = self.read()
-        series = list(result.columns.values())
-        return list(zip(*series)) if series else []
 
 
 def split_reader(

@@ -1,17 +1,18 @@
 """Search ARGuments (SARGs): row-group elimination predicates.
 
 ORC readers evaluate simplified predicate trees against the per-row-group
-min/max statistics to decide which row groups can be skipped entirely
-(paper §IV-F). A SARG answers *maybe* or *no* per row group: ``no`` means
-the predicate provably matches zero rows of the group; ``maybe`` means the
-group must be read. The evaluation is therefore conservative — SARGs can
-never drop a matching row.
+min/max statistics (paper §IV-F). A SARG answers one of ORC's truth values
+per row group: ``NO`` (no row matches: skip the group), ``YES`` (every row
+matches: its conjunct need not be evaluated) or ``MAYBE``. Neither may be
+wrong, so ``YES`` asks more: no NULL in the group, and no float (a NaN
+compares false with everything, so min/max never see it). Readers add a
+third condition, a CRC-checked (version 2) footer.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "ColumnStats",
@@ -20,7 +21,9 @@ __all__ = [
     "ComparisonSarg",
     "AndSarg",
     "OrSarg",
+    "Truth",
     "always_true",
+    "conjunction",
 ]
 
 
@@ -32,6 +35,9 @@ class ColumnStats:
     maximum: object
     null_count: int
     value_count: int
+    float_domain: bool = field(default=False, compare=False)
+    """The column may hold floats, so min/max may miss a NaN (not stored:
+    a footer derives it from the column's type)."""
 
     @property
     def all_null(self) -> bool:
@@ -48,6 +54,7 @@ class ColumnStats:
             maximum=max(non_null),
             null_count=len(values) - len(non_null),
             value_count=len(values),
+            float_domain=any(isinstance(v, float) for v in non_null),
         )
 
 
@@ -63,10 +70,18 @@ class SargOp(enum.Enum):
     IS_NOT_NULL = "is not null"
 
 
-class Sarg:
-    """Base class. ``may_match(stats)`` is the row-group test."""
+class Truth(enum.Enum):
+    """ORC's SARG truth values for one row group."""
 
-    def may_match(self, stats_by_column: dict[str, ColumnStats]) -> bool:
+    NO = "no"
+    MAYBE = "maybe"
+    YES = "yes"
+
+
+class Sarg:
+    """Base class. ``truth(stats)`` is the row-group test."""
+
+    def truth(self, stats_by_column: dict[str, ColumnStats]) -> Truth:
         raise NotImplementedError
 
     def columns(self) -> set[str]:
@@ -84,6 +99,16 @@ def _comparable(a: object, b: object) -> bool:
     return type(a) is type(b)
 
 
+#: op -> (no row of [lo, hi] can match, every row must), for literal x.
+_DECIDE = {
+    SargOp.EQ: lambda lo, hi, x: (not lo <= x <= hi, lo == hi == x),
+    SargOp.LT: lambda lo, hi, x: (not lo < x, hi < x),
+    SargOp.LE: lambda lo, hi, x: (not lo <= x, hi <= x),
+    SargOp.GT: lambda lo, hi, x: (not hi > x, lo > x),
+    SargOp.GE: lambda lo, hi, x: (not hi >= x, lo >= x),
+}
+
+
 @dataclass(frozen=True)
 class ComparisonSarg(Sarg):
     """``column OP literal`` (or a null test when ``op`` is a null op)."""
@@ -95,64 +120,68 @@ class ComparisonSarg(Sarg):
     def columns(self) -> set[str]:
         return {self.column}
 
-    def may_match(self, stats_by_column: dict[str, ColumnStats]) -> bool:
+    def truth(self, stats_by_column: dict[str, ColumnStats]) -> Truth:
         stats = stats_by_column.get(self.column)
         if stats is None:
-            return True  # no statistics -> cannot eliminate
+            return Truth.MAYBE  # no statistics -> cannot decide
         if self.op is SargOp.IS_NULL:
-            return stats.null_count > 0
+            if stats.null_count == 0:
+                return Truth.NO
+            return Truth.YES if stats.all_null else Truth.MAYBE
         if self.op is SargOp.IS_NOT_NULL:
-            return not stats.all_null
+            if stats.all_null:
+                return Truth.NO
+            return Truth.YES if stats.null_count == 0 else Truth.MAYBE
         if stats.all_null:
-            return False  # comparisons with NULL never match
+            return Truth.NO  # comparisons with NULL never match
         lo, hi = stats.minimum, stats.maximum
         lit = self.literal
-        if lit is None or not _comparable(lo, lit):
-            return True  # incomparable domains -> be conservative
-        if self.op is SargOp.EQ:
-            return lo <= lit <= hi
-        if self.op is SargOp.LT:
-            return lo < lit
-        if self.op is SargOp.LE:
-            return lo <= lit
-        if self.op is SargOp.GT:
-            return hi > lit
-        if self.op is SargOp.GE:
-            return hi >= lit
-        raise AssertionError(f"unhandled op {self.op}")  # pragma: no cover
+        if lit is None or lo != lo or hi != hi or not _comparable(lo, lit):
+            return Truth.MAYBE  # NaN bounds or incomparable domains
+        none, every = _DECIDE[self.op](lo, hi, lit)
+        if none:
+            return Truth.NO
+        exact = not stats.null_count and not stats.float_domain
+        if every and exact and not any(isinstance(v, float) for v in (lo, hi, lit)):
+            return Truth.YES
+        return Truth.MAYBE
 
 
 @dataclass(frozen=True)
 class AndSarg(Sarg):
-    """Conjunction: eliminable if any conjunct is eliminable."""
+    """Conjunction: NO if any conjunct is NO, YES if every one is YES."""
 
     children: tuple[Sarg, ...]
 
     def columns(self) -> set[str]:
         return set().union(*(c.columns() for c in self.children)) if self.children else set()
 
-    def may_match(self, stats_by_column: dict[str, ColumnStats]) -> bool:
-        return all(c.may_match(stats_by_column) for c in self.children)
+    def truth(self, stats_by_column: dict[str, ColumnStats]) -> Truth:
+        truths = {c.truth(stats_by_column) for c in self.children}
+        if Truth.NO in truths:
+            return Truth.NO
+        return Truth.MAYBE if Truth.MAYBE in truths else Truth.YES
 
 
 @dataclass(frozen=True)
 class OrSarg(Sarg):
-    """Disjunction: eliminable only if every disjunct is eliminable."""
+    """Disjunction: YES if any disjunct is YES, NO if every one is NO."""
 
     children: tuple[Sarg, ...]
 
     def columns(self) -> set[str]:
         return set().union(*(c.columns() for c in self.children)) if self.children else set()
 
-    def may_match(self, stats_by_column: dict[str, ColumnStats]) -> bool:
-        if not self.children:
-            return True
-        return any(c.may_match(stats_by_column) for c in self.children)
+    def truth(self, stats_by_column: dict[str, ColumnStats]) -> Truth:
+        truths = {c.truth(stats_by_column) for c in self.children}
+        if Truth.YES in truths:
+            return Truth.YES
+        return Truth.NO if truths == {Truth.NO} else Truth.MAYBE
 
 
 class _AlwaysTrue(Sarg):
-    def may_match(self, stats_by_column: dict[str, ColumnStats]) -> bool:
-        return True
+    def truth(self, stats_by_column: dict[str, ColumnStats]) -> Truth:
+        return Truth.MAYBE
 
     def columns(self) -> set[str]:
         return set()
@@ -164,3 +193,11 @@ class _AlwaysTrue(Sarg):
 def always_true() -> Sarg:
     """The SARG that never eliminates anything (no pushdown possible)."""
     return _AlwaysTrue()
+
+
+def conjunction(sargs) -> Sarg | None:
+    """One SARG for several conjuncts' (``None`` for none)."""
+    sargs = tuple(sargs)
+    if len(sargs) < 2:
+        return sargs[0] if sargs else None
+    return AndSarg(sargs)

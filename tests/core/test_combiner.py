@@ -125,6 +125,24 @@ class TestStitching:
         assert system.resilience.get("fallback_queries") == 1
         assert cache_table in system.breaker.quarantined_tables()
 
+    def test_cache_file_one_row_short_trips_the_row_check(self):
+        """The primary decodes nothing: its row-group directory counts."""
+        from repro.storage import OrcFileReader, OrcWriter
+
+        system = build_system()
+        system.cacher.populate(KEYS)
+        (path,) = system.catalog.table_files(CACHE_DATABASE, cache_table_name("db", "t"))
+        cache = OrcFileReader(system.session.fs.read(path))
+        writer = OrcWriter(cache.schema, row_group_size=10)
+        writer.write_rows(cache.read_rows()[:-1])
+        system.session.fs.delete(path)
+        system.session.fs.create(path, writer.finish())
+        result = system.sql(
+            "select get_json_object(payload, '$.m') as m from db.t where id >= 0"
+        )
+        assert sorted(r["m"] for r in result.rows) == list(range(60))
+        assert system.resilience.get("fallback_splits") == 1
+
     def test_corrupt_cache_file_falls_back(self):
         system = build_system()
         system.cacher.populate(KEYS)

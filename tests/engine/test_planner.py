@@ -12,7 +12,7 @@ from repro.engine import (
     Session,
     SortExec,
 )
-from repro.storage import AndSarg, ComparisonSarg, DataType, Schema
+from repro.storage import AndSarg, ComparisonSarg, DataType, SargOp, Schema
 
 
 @pytest.fixture
@@ -44,9 +44,9 @@ class TestColumnPruning:
         planned = planner_session.compile("select * from db.t")
         assert scan_of(planned.physical).columns == ["a", "b", "c", "payload"]
 
-    def test_count_star_reads_one_column(self, planner_session):
+    def test_count_star_reads_no_column(self, planner_session):
         planned = planner_session.compile("select count(*) from db.t")
-        assert len(scan_of(planned.physical).columns) == 1
+        assert scan_of(planned.physical).columns == []
 
     def test_json_column_required_by_get_json_object(self, planner_session):
         planned = planner_session.compile(
@@ -98,6 +98,39 @@ class TestSargExtraction:
         sarg = scan_of(planned.physical).sarg
         assert sarg.column == "a"
         assert sarg.op.value == ">"
+
+
+class TestJoinSidePushdown:
+    def test_one_side_conjuncts_reach_their_scans(self, planner_session):
+        """Q3's shape: each side's date conjunct filters that side's scan."""
+        planned = planner_session.compile(
+            "select x.a from db.t x join db.t y on x.a = y.a "
+            "where x.b = '20190101' and y.b = '20190103'"
+        )
+        join = planned.physical.child
+        assert isinstance(join, HashJoinExec)
+        for side, literal in ((join.left, "20190101"), (join.right, "20190103")):
+            assert isinstance(side, FilterExec)
+            (conjunct, sarg), = side.child.sargs
+            assert conjunct is side.condition
+            assert sarg == ComparisonSarg("b", SargOp.EQ, literal)
+
+    @pytest.mark.parametrize("conjunct", [
+        "b = 'k'",  # a bare name present on both sides
+        "get_json_object(x.payload, '$.k') = 'v'",  # an extraction
+        "(x.c > 1 or y.c > 1)",  # a cross-side OR
+        "x.a + 1 > 2",  # not column-vs-literal
+    ])
+    def test_everything_else_stays_above(self, planner_session, conjunct):
+        planned = planner_session.compile(
+            "select x.a from db.t x join db.u y on x.a = y.a "
+            f"where {conjunct} and y.c > 3"
+        )
+        above = planned.physical.child
+        assert isinstance(above, FilterExec)
+        assert above.condition.sql() == planned.logical.child.condition.left.sql()
+        assert isinstance(above.child.right, FilterExec)
+        assert isinstance(above.child.left, ScanExec)
 
 
 class TestSortPlacement:

@@ -3,7 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.expressions import _apply_unary, _between_result, _null_safe_compare
 from repro.storage import (
+    AndSarg,
     ColumnStats,
     ComparisonSarg,
     DataType,
@@ -11,6 +13,7 @@ from repro.storage import (
     OrcWriter,
     SargOp,
     Schema,
+    Truth,
 )
 
 rows_strategy = st.lists(
@@ -46,35 +49,54 @@ def test_orc_round_trip_any_rows(rows, row_group_size):
     assert reader.row_count == len(rows)
 
 
-@given(
-    st.lists(st.integers(min_value=-100, max_value=100), min_size=1, max_size=50),
-    st.integers(min_value=-100, max_value=100),
-    st.sampled_from(list(SargOp)[:5]),
-    st.integers(min_value=1, max_value=9),
-)
-@settings(max_examples=120, deadline=None)
-def test_sarg_elimination_is_sound(values, literal, op, row_group_size):
-    """A SARG-skipped row group must contain zero rows matching the
-    corresponding exact predicate."""
-    schema = Schema.of(("i", DataType.INT64))
-    writer = OrcWriter(schema, row_group_size=row_group_size)
+#: A column's value family per type: floats with NaN and ±0.0 mixed with
+#: ints (a float column accepts ints), ints, bools, strings.
+_FAMILIES = {
+    DataType.FLOAT64: st.one_of(
+        st.floats(-4, 4), st.sampled_from([0.0, -0.0, float("nan")]), st.integers(-4, 4)
+    ),
+    DataType.INT64: st.integers(-4, 4),
+    DataType.BOOL: st.booleans(),
+    DataType.STRING: st.text("abc", max_size=3),
+}
+
+
+@st.composite
+def _column(draw):
+    dtype = draw(st.sampled_from(list(_FAMILIES)))
+    values = draw(st.lists(st.none() | _FAMILIES[dtype], min_size=1, max_size=24))
+    literal = _FAMILIES[dtype] | st.sampled_from([1, 2.5, "b", True])
+    return dtype, values, draw(literal), draw(literal)
+
+
+@given(_column(), st.integers(min_value=1, max_value=9))
+@settings(max_examples=300, deadline=None)
+def test_sarg_elimination_is_sound(column, row_group_size):
+    """Per row group, for every SARG operator and BETWEEN: NO means the
+    engine's predicate is TRUE on no row, YES on every row — from the
+    footer's statistics and from ``ColumnStats.of`` alike."""
+    dtype, values, low, high = column
+    writer = OrcWriter(Schema.of(("c", dtype)), row_group_size=row_group_size)
     writer.write_rows([(v,) for v in values])
-    reader = OrcFileReader(writer.finish())
-    predicate = {
-        SargOp.EQ: lambda v: v == literal,
-        SargOp.LT: lambda v: v < literal,
-        SargOp.LE: lambda v: v <= literal,
-        SargOp.GT: lambda v: v > literal,
-        SargOp.GE: lambda v: v >= literal,
-    }[op]
-    sarg = ComparisonSarg("i", op, literal)
-    layout = reader.row_group_layout()
+    cases = [
+        (ComparisonSarg("c", op, low), lambda v, op=op: _null_safe_compare(op.value, v, low))
+        for op in list(SargOp)[:5]
+    ] + [
+        (ComparisonSarg("c", op), lambda v, op=op: _apply_unary(op.value, v))
+        for op in list(SargOp)[5:]
+    ]
+    between = (ComparisonSarg("c", SargOp.GE, low), ComparisonSarg("c", SargOp.LE, high))
+    cases.append((AndSarg(between), lambda v: _between_result(v, low, high)))
     start = 0
-    for rg in layout:
+    for rg in OrcFileReader(writer.finish()).row_group_layout():
         chunk = values[start : start + rg.row_count]
-        if not sarg.may_match(rg.column_stats):
-            assert not any(predicate(v) for v in chunk)
         start += rg.row_count
+        for stats in (rg.column_stats, {"c": ColumnStats.of(chunk)}):
+            for sarg, predicate in cases:
+                passed = [predicate(v) is True for v in chunk]
+                truth = sarg.truth(stats)
+                assert truth is not Truth.YES or all(passed), (sarg, chunk)
+                assert truth is not Truth.NO or not any(passed), (sarg, chunk)
 
 
 @given(st.lists(st.one_of(st.none(), st.integers(-50, 50)), max_size=40))

@@ -8,6 +8,7 @@ from repro.storage import (
     ComparisonSarg,
     OrSarg,
     SargOp,
+    Truth,
     always_true,
 )
 
@@ -18,54 +19,54 @@ def stats(lo, hi, nulls=0, count=10):
 
 class TestComparison:
     def test_eq_inside_range(self):
-        assert ComparisonSarg("c", SargOp.EQ, 5).may_match(stats(0, 10))
+        assert ComparisonSarg("c", SargOp.EQ, 5).truth(stats(0, 10)) is not Truth.NO
 
     def test_eq_outside_range(self):
-        assert not ComparisonSarg("c", SargOp.EQ, 50).may_match(stats(0, 10))
+        assert ComparisonSarg("c", SargOp.EQ, 50).truth(stats(0, 10)) is Truth.NO
 
     def test_lt(self):
-        assert ComparisonSarg("c", SargOp.LT, 1).may_match(stats(0, 10))
-        assert not ComparisonSarg("c", SargOp.LT, 0).may_match(stats(0, 10))
+        assert ComparisonSarg("c", SargOp.LT, 1).truth(stats(0, 10)) is not Truth.NO
+        assert ComparisonSarg("c", SargOp.LT, 0).truth(stats(0, 10)) is Truth.NO
 
     def test_le(self):
-        assert ComparisonSarg("c", SargOp.LE, 0).may_match(stats(0, 10))
-        assert not ComparisonSarg("c", SargOp.LE, -1).may_match(stats(0, 10))
+        assert ComparisonSarg("c", SargOp.LE, 0).truth(stats(0, 10)) is not Truth.NO
+        assert ComparisonSarg("c", SargOp.LE, -1).truth(stats(0, 10)) is Truth.NO
 
     def test_gt(self):
-        assert ComparisonSarg("c", SargOp.GT, 9).may_match(stats(0, 10))
-        assert not ComparisonSarg("c", SargOp.GT, 10).may_match(stats(0, 10))
+        assert ComparisonSarg("c", SargOp.GT, 9).truth(stats(0, 10)) is not Truth.NO
+        assert ComparisonSarg("c", SargOp.GT, 10).truth(stats(0, 10)) is Truth.NO
 
     def test_ge(self):
-        assert ComparisonSarg("c", SargOp.GE, 10).may_match(stats(0, 10))
-        assert not ComparisonSarg("c", SargOp.GE, 11).may_match(stats(0, 10))
+        assert ComparisonSarg("c", SargOp.GE, 10).truth(stats(0, 10)) is not Truth.NO
+        assert ComparisonSarg("c", SargOp.GE, 11).truth(stats(0, 10)) is Truth.NO
 
     def test_string_range(self):
         s = stats("aaa", "mmm")
-        assert ComparisonSarg("c", SargOp.EQ, "bbb").may_match(s)
-        assert not ComparisonSarg("c", SargOp.EQ, "zzz").may_match(s)
+        assert ComparisonSarg("c", SargOp.EQ, "bbb").truth(s) is not Truth.NO
+        assert ComparisonSarg("c", SargOp.EQ, "zzz").truth(s) is Truth.NO
 
     def test_missing_stats_conservative(self):
-        assert ComparisonSarg("other", SargOp.EQ, 5).may_match(stats(0, 10))
+        assert ComparisonSarg("other", SargOp.EQ, 5).truth(stats(0, 10)) is not Truth.NO
 
     def test_all_null_group_never_matches_comparison(self):
         s = stats(None, None, nulls=10, count=10)
-        assert not ComparisonSarg("c", SargOp.EQ, 5).may_match(s)
+        assert ComparisonSarg("c", SargOp.EQ, 5).truth(s) is Truth.NO
 
     def test_is_null(self):
-        assert ComparisonSarg("c", SargOp.IS_NULL).may_match(stats(0, 10, nulls=1))
-        assert not ComparisonSarg("c", SargOp.IS_NULL).may_match(stats(0, 10, nulls=0))
+        assert ComparisonSarg("c", SargOp.IS_NULL).truth(stats(0, 10, nulls=1)) is not Truth.NO
+        assert ComparisonSarg("c", SargOp.IS_NULL).truth(stats(0, 10, nulls=0)) is Truth.NO
 
     def test_is_not_null(self):
-        assert ComparisonSarg("c", SargOp.IS_NOT_NULL).may_match(stats(0, 10))
+        assert ComparisonSarg("c", SargOp.IS_NOT_NULL).truth(stats(0, 10)) is not Truth.NO
         all_null = stats(None, None, nulls=10, count=10)
-        assert not ComparisonSarg("c", SargOp.IS_NOT_NULL).may_match(all_null)
+        assert ComparisonSarg("c", SargOp.IS_NOT_NULL).truth(all_null) is Truth.NO
 
     def test_incomparable_types_conservative(self):
         # int literal against string stats: cannot eliminate.
-        assert ComparisonSarg("c", SargOp.EQ, 5).may_match(stats("a", "z"))
+        assert ComparisonSarg("c", SargOp.EQ, 5).truth(stats("a", "z")) is not Truth.NO
 
     def test_numeric_cross_type_comparable(self):
-        assert not ComparisonSarg("c", SargOp.GT, 10.5).may_match(stats(0, 10))
+        assert ComparisonSarg("c", SargOp.GT, 10.5).truth(stats(0, 10)) is Truth.NO
 
     def test_columns(self):
         assert ComparisonSarg("c", SargOp.EQ, 1).columns() == {"c"}
@@ -79,7 +80,7 @@ class TestCompound:
                 ComparisonSarg("c", SargOp.GT, 10),
             )
         )
-        assert not sarg.may_match(stats(0, 10))
+        assert sarg.truth(stats(0, 10)) is Truth.NO
 
     def test_and_passes_when_all_pass(self):
         sarg = AndSarg(
@@ -88,7 +89,7 @@ class TestCompound:
                 ComparisonSarg("c", SargOp.LE, 10),
             )
         )
-        assert sarg.may_match(stats(0, 10))
+        assert sarg.truth(stats(0, 10)) is not Truth.NO
 
     def test_or_requires_all_children_eliminable(self):
         sarg = OrSarg(
@@ -97,20 +98,20 @@ class TestCompound:
                 ComparisonSarg("c", SargOp.LT, -100),
             )
         )
-        assert not sarg.may_match(stats(0, 10))
+        assert sarg.truth(stats(0, 10)) is Truth.NO
         sarg2 = OrSarg(
             (
                 ComparisonSarg("c", SargOp.GT, 100),
                 ComparisonSarg("c", SargOp.EQ, 5),
             )
         )
-        assert sarg2.may_match(stats(0, 10))
+        assert sarg2.truth(stats(0, 10)) is not Truth.NO
 
     def test_empty_or_true(self):
-        assert OrSarg(()).may_match(stats(0, 10))
+        assert OrSarg(()).truth(stats(0, 10)) is not Truth.NO
 
     def test_always_true(self):
-        assert always_true().may_match(stats(0, 10))
+        assert always_true().truth(stats(0, 10)) is not Truth.NO
         assert always_true().columns() == set()
 
     def test_compound_columns(self):
@@ -158,5 +159,5 @@ class TestSoundnessProperty:
             values = [rng.randint(0, 10) for _ in range(20)]
             group_stats = {"c": ColumnStats.of(values)}
             sarg = ComparisonSarg("c", op, literal)
-            if not sarg.may_match(group_stats):
+            if sarg.truth(group_stats) is Truth.NO:
                 assert not any(ops[op](v) for v in values)
