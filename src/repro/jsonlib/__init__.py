@@ -11,10 +11,11 @@ Three parsers, three roles:
   Spark+Jackson bar.
 * :class:`~repro.jsonlib.projection.PathProjector` — validated
   multi-path projection, the **production raw path**: one validating
-  pass per document that materialises only the JSONPaths asked for, and
-  hands anything irregular to the reference parser, so its answers are
-  the reference's by construction. Used by the batch engine, the cacher
-  and the combiner's degraded fallback.
+  pass per document in the stdlib's C decoder, which keeps only the
+  values at the JSONPaths asked for, and hands whatever it declines to
+  the reference parser, so its answers are the reference's by
+  construction. Used by the batch engine, the cacher and the combiner's
+  degraded fallback.
 * :class:`~repro.jsonlib.mison.MisonParser` — structural-index projection
   (Mison / Pikkr), kept as **Fig 15's comparator**. It does not validate
   what it skips, so it is never a default.

@@ -164,11 +164,8 @@ def _walk(node: object, steps: tuple[Step, ...], i: int) -> object:
     while i < len(steps):
         step = steps[i]
         if isinstance(step, Member):
-            if not isinstance(node, dict):
-                return None
-            if step.name not in node:
-                return None
-            node = node[step.name]
+            # A missing key reads as None, as does every step after it.
+            node = node.get(step.name) if isinstance(node, dict) else None
         elif isinstance(step, Index):
             if not isinstance(node, list) or step.index >= len(node):
                 return None

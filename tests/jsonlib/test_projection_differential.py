@@ -32,6 +32,7 @@ from repro.jsonlib import (
     parse_path,
 )
 from repro.jsonlib.jsonpath import Index, Member
+from repro.workload.nobench import NoBenchGenerator
 from repro.workload.tables import TABLE_SPECS, DocumentFactory
 
 CASES = 6000
@@ -194,6 +195,24 @@ NAMED = {
     "depth 128 arrays": ('{"x":' + "[" * 127 + "1" + "]" * 127 + ',"a":1}', ["$.a"]),
     "depth 129 arrays": ('{"x":' + "[" * 128 + "1" + "]" * 128 + ',"a":1}', ["$.a"]),
     "depth 200": (nested(200), ["$.a.a"]),
+    # The C decoder's seams: where its grammar or limits differ from the
+    # reference's, and the guards that hold it there.
+    "constants wanted": ('{"a":NaN,"b":Infinity,"c":-Infinity}', ["$.a", "$.b", "$.c"]),
+    "constants unwanted": ('{"x":NaN,"y":-Infinity,"a":1}', ["$.a"]),
+    "constants in array": ('{"a":[1,Infinity],"x":[NaN]}', ["$.a[0]"]),
+    "raw control character": ('{"a":"x\x01y"}', ["$.a"]),
+    "byte-order mark": ('\ufeff{"a":1}', ["$.a"]),
+    "high surrogate then non-low escape": ('{"a":"\\ud800\\u0041"}', ["$.a"]),
+    "lone low surrogate": ('{"a":"\\udc00x"}', ["$.a"]),
+    "integer at the digit limit": ('{"a":' + "9" * 4300 + "}", ["$.a"]),
+    "integer past the digit limit": ('{"a":' + "9" * 4301 + "}", ["$.a"]),
+    "overflowing exponent": ('{"a":1e400}', ["$.a"]),
+    "200 empty arrays": ("[" + ",".join(["[]"] * 200) + "]", ["$[0]", "$[199]"]),
+    "arrays 128": ("[" * 128 + "0" + "]" * 128, ["$" + "[0]" * 128]),
+    "arrays 129": ("[" * 129 + "0" + "]" * 129, ["$[0]"]),
+    "arrays 129 empty": ("[" * 129 + "]" * 129, ["$[0]"]),
+    "brackets only in strings": ('{"a":"' + "{[" * 100 + '","b":["[{"]}', ["$.a", "$.b"]),
+    "root string of brackets": ('"' + "[" * 200 + '"', ["$.a"]),
 }
 
 
@@ -223,6 +242,25 @@ def test_malformed_raises_the_reference_error():
     with pytest.raises(JsonParseError) as expected:
         JacksonParser().parse('{"a":1,}')
     assert str(info.value) == str(expected.value)
+
+
+def test_regular_documents_never_reach_the_reference(monkeypatch):
+    """Table II's ten tables at three seeds and NoBench, through their
+    query paths, are answered by the decoder alone: a regression that
+    sends regular documents to the slow reference fails here."""
+    seeds = [DocumentFactory(spec, seed=n) for n in (1, 2) for spec in TABLE_SPECS]
+    factories = _FACTORIES + seeds
+    corpora = [(f.query_paths(), [f.json(i) for i in range(20)]) for f in factories]
+    nobench = ["$.str1", "$.num", "$.nested_obj.str", "$.thousandth", "$.dyn2.inner"]
+    corpora.append((nobench, [NoBenchGenerator().json(i) for i in range(200)]))
+
+    def refuse(self, text):
+        raise AssertionError("the reference parsed a regular document")
+
+    monkeypatch.setattr(JacksonParser, "parse", refuse)
+    for paths, texts in corpora:
+        projector = PathProjector(paths)
+        assert all(len(projector.parse(text)) == len(paths) for text in texts)
 
 
 # ----------------------------------------------------------------------

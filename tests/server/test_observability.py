@@ -19,6 +19,7 @@ from repro.workload import PathKey
 HOT_SQL = "select get_json_object(payload, '$.hot') as h from db.t"
 COLD_SQL = "select get_json_object(payload, '$.cold') as c from db.t"
 HOT_KEY = PathKey("db", "t", "payload", "$.hot")
+PROVEN_SQL = "select count(*) as n from db.t where id >= 0 and id < 100"
 
 
 def build_system(model="oracle") -> MaxsonSystem:
@@ -133,6 +134,8 @@ def scrapes():
         run_cached_day(server)
         server.ingest(2, (HOT_KEY, HOT_KEY))
         server.run_midnight_cycle(day=2)
+        # The ``id`` statistics of all six row groups prove the range.
+        assert server.execute(PROVEN_SQL, day=2).metrics.row_groups_proven == 6
         out = {"cycles": server.metrics_snapshot()}
         out["names"] = set(server.metrics.names())
     config = ServerConfig(
@@ -205,6 +208,7 @@ class TestEverySeries:
             ("telemetry_segments", "{}", "final", "segments"),
             ("telemetry_segments_rotated_total", "{}", "final", "segments_rotated"),
             ("telemetry_events_dropped_total", "{}", "final", "events_dropped"),
+            ("row_groups_proven_total", "{}", "cycles", 6),
         ],
     )
     def test_scripted_value(self, scrapes, series, labels, scrape, expected):
