@@ -180,14 +180,11 @@ def _serve_spec(args):
     this process, or in each shard of ``--shards N``."""
     from .cluster import ShardSpec
 
-    admission_timeout = args.admission_timeout
-    if args.max_queue_wait_ms is not None:
-        admission_timeout = args.max_queue_wait_ms / 1000.0
     server = {
         "max_workers": args.concurrency,
         "per_tenant_limit": max(1, args.concurrency // 2),
         "queue_capacity": args.queue_capacity,
-        "admission_timeout_seconds": admission_timeout,
+        "admission_timeout_seconds": args.max_queue_wait_ms / 1000.0,
         "default_deadline_ms": args.deadline_ms,
         "memory_soft_limit_bytes": args.memory_soft_limit_bytes,
         "drain_timeout_seconds": args.drain_timeout,
@@ -622,15 +619,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--rows", type=int, default=200)
     p_serve.add_argument("--seed", type=int, default=7)
     p_serve.add_argument("--queue-capacity", type=int, default=64)
-    p_serve.add_argument("--admission-timeout", type=float, default=30.0)
     p_serve.add_argument(
         "--max-queue-wait-ms",
         type=float,
-        default=None,
+        default=30000.0,
         metavar="MS",
-        help="bound on admission-queue wait (overrides --admission-timeout; "
-        "queries shed with a retry-after hint when the queue cannot drain "
-        "in time)",
+        help="bound on admission-queue wait (queries shed with a "
+        "retry-after hint when the queue cannot drain in time)",
     )
     p_serve.add_argument(
         "--deadline-ms",

@@ -197,8 +197,11 @@ class DocumentFactory:
                 self._category_pad = length
             return len(dumps(self.document(0)))
 
+        # Each slot holds at least ``length`` bytes: no longer one fits.
+        spare = self.spec.property_count - self.spec.path_count
+        slots = spare if has_filler else len(self.category_query_paths())
         target = self.spec.avg_json_bytes
-        low, high = 0, 8192
+        low, high = 0, target // max(1, slots)
         best = 0
         while low <= high:
             mid = (low + high) // 2

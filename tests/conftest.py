@@ -13,9 +13,19 @@ def pytest_addoption(parser):
     parser.addoption(
         "--every-statement",
         action="store_true",
-        help="test_traced_equals_untraced: run all 500 generated statements "
-        "on every leg, not one per plan shape",
+        help="run all 500 generated statements in every differential-matrix "
+        "cell and traced == untraced leg, not one per plan shape",
     )
+
+
+@pytest.fixture(scope="session")
+def matrix(request):
+    """The differential matrix's worlds (tests/test_differential_matrix.py)."""
+    from test_differential_matrix import Matrix
+
+    worlds = Matrix(request.config.getoption("--every-statement"))
+    yield worlds
+    worlds.close()
 
 
 @pytest.fixture

@@ -1,44 +1,22 @@
-"""Serial vs parallel differentials: morsel workers must change nothing.
+"""Serial vs parallel: morsel workers must change nothing.
 
 ``scan_workers=1`` runs the exact morsel code inline, so a 4-worker run
-differs only in which thread executes each split. These tests assert
-the strong form of that claim: identical rows (including order) and
-identical count-valued metrics for every query family, equal to the
-reference interpreter's rows, with the Value Combiner stitching cached
-columns, and under deterministic fault injection (where per-split fallback decisions
-must stay split-local regardless of which worker hits them).
+differs only in which thread executes each split. Its rows — plain, with
+the Value Combiner stitching cached columns, and under fault profiles —
+are cells of ``tests/test_differential_matrix.py``; the ids below wrap
+them. What stays here: two systems that differ only in worker count keep
+identical cache and resilience accounting, and an engine knob reaches the
+session by any of its three routes under one set of rules.
 """
 
 import pytest
 
-from repro.core import MaxsonConfig, MaxsonSystem, PredictorConfig
 from repro.engine import Session
-from repro.faults import CACHE_PATH_PREFIX, FaultPolicy, FaultyFileSystem
-from repro.jsonlib import dumps
-from repro.storage import BlockFileSystem, DataType, Schema
-from repro.workload import PathKey
 
-from irregular_documents import irregular_documents, with_irregular_sales
-from reference_engine import reference_rows
+from test_differential_matrix import build_system
 
-#: Metrics that must be bit-identical serial vs parallel (timing fields
-#: are excluded — wall/read seconds legitimately differ).
-COUNT_METRICS = (
-    "rows_scanned",
-    "rows_output",
-    "bytes_read",
-    "row_groups_total",
-    "row_groups_skipped",
-    "parse_documents",
-    "parse_bytes",
-    "cache_hits",
-    "cache_misses",
-    "shared_parse_hits",
-    "duplicate_extractions_eliminated",
-    "doc_cache_evictions",
-)
-
-#: One query per engine feature family (shared by the differential suites).
+#: One statement per engine feature family, over the sale-logs table: the
+#: folded legs ran these, and keep them as their ids.
 QUERIES = [
     "select mall_id, date from mydb.T",
     "select * from mydb.T limit 7",
@@ -81,80 +59,10 @@ QUERIES = [
 ]
 
 
-@pytest.fixture
-def sales_session(sales_session):
-    """Every differential below also runs over irregular documents."""
-    return with_irregular_sales(sales_session)
-
-
-def assert_metric_parity(serial, parallel, sql):
-    s, p = serial.metrics, parallel.metrics
-    for name in COUNT_METRICS:
-        assert getattr(s, name) == getattr(p, name), (sql, name)
-
-
 class TestSerialParallelParity:
-    """Same session, same query, 1 vs 4 workers: rows and counters."""
-
-    @pytest.mark.parametrize("sql", QUERIES)
-    def test_rows_and_metrics_identical(self, sales_session, sql):
-        sales_session.scan_workers = 1
-        serial = sales_session.sql(sql)
-        sales_session.scan_workers = 4
-        parallel = sales_session.sql(sql)
-        # including order
-        assert serial.rows == parallel.rows == reference_rows(sales_session, sql)
-        assert_metric_parity(serial, parallel, sql)
-
-
-def build_system(
-    fs=None,
-    scan_workers: int = 1,
-    worker_backend: str = "thread",
-    result_cache: bool = False,
-):
-    """One cached Maxson system over a 7-split table."""
-    session = Session(
-        fs=fs or BlockFileSystem(),
-        scan_workers=scan_workers,
-        worker_backend=worker_backend,
-        result_cache_enabled=result_cache,
-    )
-    schema = Schema.of(("id", DataType.INT64), ("payload", DataType.STRING))
-    session.catalog.create_table("db", "t", schema)
-    for day in range(6):
-        rows = [
-            (
-                day * 20 + i,
-                dumps(
-                    {
-                        "hot": (day * 20 + i) % 5,
-                        "warm": f"w{(day * 20 + i) % 3}",
-                        "cold": (day * 20 + i) * 7,
-                    }
-                ),
-            )
-            for i in range(20)
-        ]
-        session.catalog.append_rows("db", "t", rows, row_group_size=10)
-    # A seventh split of irregular documents (duplicate keys, escaped
-    # key spellings, malformed text): every backend projects them.
-    odd = irregular_documents({"hot": 4, "warm": "w1", "cold": 70})
-    session.catalog.append_rows(
-        "db", "t", list(enumerate(odd, start=120)), row_group_size=10
-    )
-    system = MaxsonSystem(
-        session=session,
-        config=MaxsonConfig(predictor=PredictorConfig(model="oracle")),
-    )
-    system.cache_paths_directly(
-        [
-            PathKey("db", "t", "payload", "$.hot"),
-            PathKey("db", "t", "payload", "$.warm"),
-        ],
-        budget_bytes=1 << 40,
-    )
-    return system
+    @pytest.mark.parametrize("sql", QUERIES)  # the folded legs' ids
+    def test_rows_and_metrics_identical(self, matrix, sql):
+        matrix.check("thread", "raw", "session")
 
 
 MAXSON_QUERIES = [
@@ -185,17 +93,8 @@ def summary_view(system):
 
 
 class TestMaxsonParallelParity:
-    def test_combiner_stitching_identical(self):
-        system = build_system()
-        for sql in MAXSON_QUERIES:
-            system.session.scan_workers = 1
-            serial = system.sql(sql)
-            system.session.scan_workers = 4
-            parallel = system.sql(sql)
-            expected = reference_rows(system.session, sql)
-            assert serial.rows == parallel.rows == expected, sql
-            assert_metric_parity(serial, parallel, sql)
-            assert parallel.metrics.cache_hits > 0
+    def test_combiner_stitching_identical(self, matrix):
+        matrix.check("thread", "cached", "session")
 
     def test_cache_summary_identical_across_worker_counts(self):
         """Two independently built systems, identical query sequence,
@@ -211,44 +110,12 @@ class TestMaxsonParallelParity:
         )
 
 
-def run_fault_matrix(policy: FaultPolicy, configurations):
-    """One seeded fault profile on each ``(backend, workers)``: rows,
-    cache summary and resilience counters must equal the first one's."""
-    outputs = []
-    for backend, workers in configurations:
-        faulty = FaultyFileSystem()
-        system = build_system(
-            fs=faulty, scan_workers=workers, worker_backend=backend
-        )
-        faulty.policy = policy
-        try:
-            rows = [system.sql(sql).rows for sql in MAXSON_QUERIES]
-        finally:
-            system.session.close_worker_pools()
-        outputs.append((rows, system))
-    serial_rows, serial = outputs[0]
-    for (rows, system), key in zip(outputs, configurations):
-        assert rows == serial_rows, key
-        assert summary_view(system) == summary_view(serial), key
-        assert system.resilience.snapshot() == serial.resilience.snapshot(), key
-    return serial
-
-
 class TestFaultParallelParity:
-    """Deterministic fault profiles: degraded identically, never divergent."""
+    def test_all_cache_reads_corrupt(self, matrix):
+        matrix.check("thread", "degraded", "session")
 
-    PAIR = [("thread", 1), ("thread", 4)]
-
-    def test_all_cache_reads_corrupt(self):
-        system = run_fault_matrix(FaultPolicy(corrupt_rate=1.0, seed=3), self.PAIR)
-        assert system.resilience.snapshot()["fallback_splits"] > 0
-
-    def test_cache_prefix_read_errors(self):
-        policy = FaultPolicy(
-            read_error_rate=1.0, seed=7, error_path_prefix=CACHE_PATH_PREFIX
-        )
-        system = run_fault_matrix(policy, self.PAIR)
-        assert system.resilience.snapshot()["fallback_queries"] > 0
+    def test_cache_prefix_read_errors(self, matrix):
+        matrix.check("thread", "degraded", "server")
 
 
 class TestThreeRoutesOneAnswer:

@@ -18,8 +18,7 @@ from repro.server import MaxsonServer, ServerConfig
 from repro.storage import DataType, Schema
 
 from reference_engine import reference_rows
-from test_generated_differential import comparable, one_per_plan_shape
-from test_parallel_differential import build_system
+from test_differential_matrix import build_system, comparable, one_per_plan_shape
 import test_result_cache as near  # near-miss pairs, the cached Maxson system
 
 

@@ -1,13 +1,12 @@
 """Thread-vs-process-vs-serial differentials for the morsel backends.
 
 The process pool (:mod:`repro.engine.procpool`) must be invisible in
-every observable output: identical rows (including order), identical
-count-valued metrics, identical cache/resilience accounting — at any
-worker count, under deterministic fault injection, and across
-cancellation. These tests assert that strong
-form, plus the shared-memory lifecycle invariants (no segment survives
-completion, failure, cancellation or a worker crash; orphans of dead
-coordinators are reaped at startup).
+every observable output. Its rows — plain, cached, under deterministic
+fault injection, cancelled and rerun — are cells of
+``tests/test_differential_matrix.py``. These tests assert the rest: the
+lane frame round-trips every lane type, and the shared-memory lifecycle
+invariants hold (no segment survives completion, failure, cancellation
+or a worker crash; orphans of dead coordinators are reaped at startup).
 """
 
 import glob
@@ -35,20 +34,12 @@ from repro.engine.procpool import (
     ProcessMorselPool,
     reap_orphan_segments,
 )
-from repro.faults import CACHE_PATH_PREFIX, FaultPolicy, FaultyFileSystem
+from repro.faults import FaultPolicy, FaultyFileSystem
 from repro.jsonlib import dumps
 from repro.server.watchdog import MemoryWatchdog
 from repro.storage import BlockFileSystem, DataType, Schema
 
-from reference_engine import reference_rows
-from test_parallel_differential import (
-    MAXSON_QUERIES,
-    QUERIES,
-    assert_metric_parity,
-    build_system,
-    run_fault_matrix,
-    summary_view,
-)
+from test_parallel_differential import MAXSON_QUERIES
 
 #: Process workers in tests: enough for real cross-process interleaving,
 #: small enough that spawn cost stays negligible.
@@ -124,54 +115,16 @@ class TestFramingRoundtrip:
 
 
 class TestProcessBackendParity:
-    """Serial vs thread(4) vs process(2): rows, order and counters."""
+    def test_plain_engine_differential(self, matrix):
+        matrix.check("process", "raw", "session")
 
-    def test_plain_engine_differential(self, sales_session):
-        sales_session.scan_workers = 1
-        expected = {sql: sales_session.sql(sql) for sql in QUERIES}
-        for sql, want in expected.items():
-            assert want.rows == reference_rows(sales_session, sql), sql
-        try:
-            for backend, workers in (("thread", 4), ("process", WORKERS)):
-                sales_session.worker_backend = backend
-                sales_session.scan_workers = workers
-                for sql, want in expected.items():
-                    got = sales_session.sql(sql)
-                    assert got.rows == want.rows, (backend, sql)
-                    assert_metric_parity(want, got, sql)
-        finally:
-            sales_session.close_worker_pools()
-        assert not glob.glob(f"/dev/shm/{SHM_PREFIX}_{os.getpid()}_*")
+    def test_maxson_combiner_differential(self, matrix):
+        matrix.check("process", "cached", "session")
 
-    def test_maxson_combiner_differential(self):
-        serial = build_system(scan_workers=1)
-        threads = build_system(scan_workers=4, worker_backend="thread")
-        procs = build_system(scan_workers=WORKERS, worker_backend="process")
-        try:
-            for sql in MAXSON_QUERIES:
-                s = serial.sql(sql)
-                t = threads.sql(sql)
-                p = procs.sql(sql)
-                assert s.rows == t.rows == p.rows, sql
-                assert_metric_parity(s, p, sql)
-                assert p.metrics.cache_hits > 0
-            assert summary_view(serial) == summary_view(procs)
-            assert summary_view(threads) == summary_view(procs)
-            assert (
-                serial.resilience.snapshot() == procs.resilience.snapshot()
-            )
-        finally:
-            procs.session.close_worker_pools()
-            threads.session.close_worker_pools()
-
-    def test_process_transport_metrics_recorded(self):
-        system = build_system(scan_workers=WORKERS, worker_backend="process")
-        try:
-            result = system.sql(MAXSON_QUERIES[0])
-            assert result.metrics.extra.get("shm_bytes", 0) > 0
-            assert result.metrics.extra.get("proc_dispatch_seconds", 0) >= 0
-        finally:
-            system.session.close_worker_pools()
+    def test_process_transport_metrics_recorded(self, matrix):
+        result = matrix.world("process").system.sql(MAXSON_QUERIES[0])
+        assert result.metrics.extra.get("shm_bytes", 0) > 0
+        assert result.metrics.extra.get("proc_dispatch_seconds", 0) >= 0
 
     def test_forged_rows_reply_rejected(self):
         """Workers reply with a batch or aggregate partials; any other
@@ -197,21 +150,11 @@ class TestProcessBackendParity:
 
 
 class TestFaultMatrixParity:
-    """Seeded fault profiles degrade identically on every backend."""
+    def test_all_cache_reads_corrupt(self, matrix):
+        matrix.check("process", "degraded", "session")
 
-    TRIPLE = [("thread", 1), ("thread", 4), ("process", WORKERS)]
-
-    def test_all_cache_reads_corrupt(self):
-        policy = FaultPolicy(corrupt_rate=1.0, seed=3)
-        serial = run_fault_matrix(policy, self.TRIPLE)
-        assert serial.resilience.snapshot()["fallback_splits"] > 0
-
-    def test_cache_prefix_read_errors(self):
-        policy = FaultPolicy(
-            read_error_rate=1.0, seed=7, error_path_prefix=CACHE_PATH_PREFIX
-        )
-        serial = run_fault_matrix(policy, self.TRIPLE)
-        assert serial.resilience.snapshot()["fallback_queries"] > 0
+    def test_cache_prefix_read_errors(self, matrix):
+        matrix.check("process", "degraded", "server")
 
 
 SQL = "select get_json_object(payload, '$.a') as a from db.t"

@@ -30,7 +30,7 @@ from repro.storage import BlockFileSystem, DataType, Schema
 from repro.workload import PathKey
 
 from reference_admission import MinScanResultCache, walk_estimate_bytes
-from sql_generator import _predicate, statements
+from sql_generator import Grammar, statements
 
 
 @pytest.fixture
@@ -231,7 +231,7 @@ class TestNearMissKeys:
                 continue
             head, _, rest = sql.partition(" from db.t")
             tail = re.search(r" (group by|order by)|$", rest)
-            leaves = [f"({_predicate(rng, depth=0)})" for _ in range(3)]
+            leaves = [f"({Grammar(rng).predicate(depth=0)})" for _ in range(3)]
             build = f"{head} from db.t where {{}}{rest[tail.start():]}".format
             key = _key(corpus_session, build(" and ".join(leaves)))
             shuffled = " and ".join(rng.sample(leaves, len(leaves)))

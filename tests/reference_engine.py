@@ -7,7 +7,7 @@ every row of every file (no pruning, no SARG, no row-group skipping),
 applies no plan modifier, and has its own scan, join, grouping,
 aggregates, sort and limit. From ``repro.engine`` it takes the SQL front
 end and the *scalar* semantics only (``Expression.evaluate`` over one row
-dict, one whole-document parse per ``get_json_object`` call); nothing from
+dict, one whole-document parse per distinct text); nothing from
 ``physical.py``, ``parallel.py``, ``rawfilter.py`` or ``core/combiner.py``.
 
 Operators map lists of ``(out, env, members)``: the row produced, what
@@ -20,7 +20,7 @@ from __future__ import annotations
 from repro.engine import logical as lp
 from repro.engine.errors import ExecutionError
 from repro.engine.expressions import AggregateCall, EvalContext, Literal, transform
-from repro.jsonlib import dumps
+from repro.jsonlib import JacksonParser, JsonParseError, dumps
 from repro.storage.readers import split_reader
 
 __all__ = ["reference_rows"]
@@ -29,7 +29,26 @@ __all__ = ["reference_rows"]
 def reference_rows(session, sql: str) -> list[dict]:
     """The rows ``sql`` must return over ``session``'s catalog."""
     logical = session.compile(sql).logical
-    return [out for out, _, _ in _run(logical, session.catalog, EvalContext())]
+    ctx = EvalContext(parser=_ParseOnce())
+    return [out for out, _, _ in _run(logical, session.catalog, ctx)]
+
+
+class _ParseOnce(JacksonParser):
+    """Parses each distinct text once; a failure is kept and raised again."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.parsed: dict[str, object] = {}
+
+    def parse(self, text: str) -> object:
+        if text not in self.parsed:
+            try:
+                self.parsed[text] = super().parse(text)
+            except JsonParseError as exc:
+                self.parsed[text] = exc
+        if isinstance(self.parsed[text], JsonParseError):
+            raise self.parsed[text]
+        return self.parsed[text]
 
 
 def _rank(value: object) -> tuple:

@@ -10,11 +10,13 @@ the cancellation.
 import pytest
 
 from repro.core import MaxsonConfig, MaxsonSystem, PredictorConfig
-from repro.engine import CancelToken, QueryCancelledError, Session
+from repro.engine import QueryCancelledError, Session
 from repro.faults import FaultPolicy, FaultyFileSystem
 from repro.jsonlib import dumps
 from repro.storage import DataType, Schema, FsError
 from repro.workload import PathKey
+
+from test_differential_matrix import CancelAfterChecks
 
 SQL = "select get_json_object(payload, '$.hot') as h from db.t"
 
@@ -29,22 +31,6 @@ PROFILES = {
         "seed": 9,
     },
 }
-
-
-class CancelAfterChecks(CancelToken):
-    """Cancels itself at the Nth cooperative check — a deterministic
-    mid-split cancellation point (the N+1th check raises)."""
-
-    __slots__ = ("limit",)
-
-    def __init__(self, limit: int) -> None:
-        super().__init__()
-        self.limit = limit
-
-    def check(self) -> None:
-        if self.checks >= self.limit:
-            self.cancel("mid-split test cancellation")
-        super().check()
 
 
 def build_system(policy_kwargs: dict, warm_cache: bool) -> MaxsonSystem:

@@ -101,10 +101,19 @@ class TestDocumentFactory:
         factory = DocumentFactory(spec)
         assert len(factory.query_paths()) == spec.path_count
 
+    #: ``(filler length, category pad)`` at seed 11, as the unbounded
+    #: ``[0, 8192]`` calibration search found them.
+    CALIBRATED = {
+        "Q1": (4, 70), "Q2": (67, 0), "Q3": (13, 0), "Q4": (11, 0), "Q5": (20, 0),
+        "Q6": (11, 0), "Q7": (13, 0), "Q8": (16, 0), "Q9": (57, 0), "Q10": (94, 0),
+    }
+
     def test_average_size_near_target(self, spec):
         factory = DocumentFactory(spec)
         average = factory.average_size(sample=10)
         assert 0.6 * spec.avg_json_bytes <= average <= 1.25 * spec.avg_json_bytes
+        calibrated = (factory._filler_len, factory._category_pad)
+        assert calibrated == self.CALIBRATED[spec.query_id]
 
     def test_query_paths_resolve(self, spec):
         from repro.jsonlib.jsonpath import evaluate
