@@ -1,11 +1,11 @@
-"""Cluster integration: replay accounting, routing, shed propagation,
+"""Cluster integration: differential equivalence, shed propagation,
 shard-aware audit, crash supervision, aggregated observability.
 
-The contract: a cluster answers **bit-identically** to a single server
-over the same deterministic warehouse — same rows, in the same order —
-and accounts sheds the same way; sharding may only change *where* a
-query runs. Its rows under generated statements are the router cells of
-``tests/test_differential_matrix.py``.
+The differential suite's contract: a cluster answers **bit-identically**
+to a single server over the same deterministic warehouse — same rows, in
+the same order — and accounts sheds the same way; sharding may only
+change *where* a query runs. Generated statements through the router
+are the router cells of ``tests/test_differential_matrix.py``.
 """
 
 import json
@@ -27,6 +27,7 @@ from repro.obs.promlint import validate_text
 from repro.server.admission import QueryShedError
 
 from irregular_documents import irregular_documents
+from reference_engine import reference_rows
 
 SPEC = ShardSpec(
     rows_per_table=40,
@@ -69,27 +70,43 @@ def literal_query(text: str, paths) -> tuple[str, list[dict]]:
 
 
 class TestDifferential:
-    """Rows through the router are cells of
-    ``tests/test_differential_matrix.py``; the row legs' ids wrap them."""
-
-    def test_rows_and_order_bit_identical(self, matrix):
-        matrix.check("serial", "raw", "router")
+    def test_rows_and_order_bit_identical(self, cluster, twin, queries):
+        system, server = twin
+        for query in queries.values():
+            expected = server.execute(query.sql, tenant="t-diff")
+            got = cluster.execute(query.sql, tenant="t-diff")
+            assert got["rows"] == expected.rows, query.query_id
+            assert expected.rows == reference_rows(system.session, query.sql)
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_engine_overrides_in_the_spec_bit_identical(self, matrix, backend):
+    def test_engine_overrides_in_the_spec_bit_identical(
+        self, twin, queries, backend
+    ):
         """``ShardSpec.server`` is a shard's only route to the engine
         knobs: they reach its session, and change no row."""
         overrides = {"scan_workers": 4, "worker_backend": backend}
         system, server = build_shard_server(
-            replace(SPEC, server={**SPEC.server, **overrides}, table_ids=["Q7"])
+            replace(SPEC, server={**SPEC.server, **overrides})
         )
         with server:
             session = system.session
             assert (session.scan_workers, session.worker_backend) == (4, backend)
-        matrix.check(backend, "raw", "server")
+            for query in queries.values():
+                got = server.execute(query.sql, tenant="t-diff")
+                expected = twin[1].execute(query.sql, tenant="t-diff")
+                assert got.rows == expected.rows, query.query_id
 
-    def test_irregular_documents_bit_identical(self, matrix):
-        matrix.check("thread", "raw", "router")
+    def test_irregular_documents_bit_identical(self, cluster, twin):
+        """The warehouse a ``ShardSpec`` generates holds only regular
+        documents, so irregular ones (duplicate keys, escaped key
+        spellings, malformed text) ride in as string literals: inside a
+        shard the batch path projects them like any column value."""
+        _, server = twin
+        for text in irregular_documents(IRREGULAR_BASE, vary_types=True):
+            sql, rows = literal_query(text, ("$.hot", "$.warm", "$.hot.x"))
+            expected = server.execute(sql, tenant="t-odd")
+            got = cluster.execute(sql, tenant="t-odd")
+            assert got["rows"] == expected.rows == rows, text[:80]
 
     def test_replay_accounting_matches_single_server(
         self, cluster, twin, queries
@@ -160,11 +177,11 @@ class TestResultCacheDifferential:
             assert got["metrics"]["result_cache_hits"] == want, sql
         return got["rows"]
 
-    def test_miss_hit_hit_bit_identical(self, matrix, pair, queries):
-        matrix.check("serial", "result", "router")
+    def test_miss_hit_hit_bit_identical(self, pair, queries):
         wire = as_json = 0
         for query in queries.values():
             rows = self.run(pair, query.sql)
+            assert rows == reference_rows(pair[1].system.session, query.sql)
             hit = pair[1].execute(query.sql, tenant="t-rc")
             wire += len(json.dumps(list(hit.frame()[0]))) + len(hit.frame()[2])
             as_json += len(json.dumps(rows, separators=(",", ":")))
@@ -340,5 +357,27 @@ class TestCrashSupervision:
 
 
 class TestFaultDifferential:
-    def test_transient_faults_keep_answers_identical(self, matrix):
-        matrix.check("thread", "degraded", "router")
+    def test_transient_faults_keep_answers_identical(self):
+        """Fault profile leg: seeded transient read errors inside the
+        shards; retries absorb them and rows still match the fault-free
+        twin bit for bit."""
+        faulty = ShardSpec(
+            rows_per_table=30,
+            days=1,
+            fault_profile="read_error=0.05,seed=3",
+            server={"max_workers": 2, "max_query_retries": 8},
+        )
+        clean = ShardSpec(
+            rows_per_table=30, days=1, server={"max_workers": 1}
+        )
+        system, server = build_shard_server(clean)
+        try:
+            queries = spec_queries(clean)
+            with ClusterRouter(2, spec=faulty) as router:
+                for query_id in ("Q1", "Q2", "Q5"):
+                    query = queries[query_id]
+                    expected = server.execute(query.sql, tenant="t-f")
+                    got = router.execute(query.sql, tenant="t-f")
+                    assert got["rows"] == expected.rows, query_id
+        finally:
+            server.shutdown(wait=False)

@@ -1,19 +1,32 @@
 """Serial vs parallel: morsel workers must change nothing.
 
 ``scan_workers=1`` runs the exact morsel code inline, so a 4-worker run
-differs only in which thread executes each split. Its rows — plain, with
-the Value Combiner stitching cached columns, and under fault profiles —
-are cells of ``tests/test_differential_matrix.py``; the ids below wrap
-them. What stays here: two systems that differ only in worker count keep
-identical cache and resilience accounting, and an engine knob reaches the
-session by any of its three routes under one set of rules.
+differs only in which thread executes each split. These tests assert the
+strong form over the sale-logs table (irregular documents included):
+identical rows (including order), equal to the reference interpreter's,
+and identical count-valued metrics; and over the seven-split ``db.t``,
+two systems that differ only in worker count or backend keep identical
+cache and resilience accounting, fault-free and under deterministic
+fault injection (per-split fallback decisions stay split-local whichever
+worker hits them). Generated statements on every backend are the cells
+of ``tests/test_differential_matrix.py``.
 """
 
 import pytest
 
 from repro.engine import Session
+from repro.faults import FaultyFileSystem, parse_fault_profile
 
-from test_differential_matrix import build_system
+from irregular_documents import with_irregular_sales
+from reference_engine import reference_rows
+from test_differential_matrix import build_system, counts
+
+
+@pytest.fixture
+def sales_session(sales_session):
+    """Every differential below also runs over irregular documents."""
+    return with_irregular_sales(sales_session)
+
 
 #: One statement per engine feature family, over the sale-logs table: the
 #: folded legs ran these, and keep them as their ids.
@@ -60,9 +73,17 @@ QUERIES = [
 
 
 class TestSerialParallelParity:
-    @pytest.mark.parametrize("sql", QUERIES)  # the folded legs' ids
-    def test_rows_and_metrics_identical(self, matrix, sql):
-        matrix.check("thread", "raw", "session")
+    """Same session, same query, 1 vs 4 workers: rows and counters."""
+
+    @pytest.mark.parametrize("sql", QUERIES)
+    def test_rows_and_metrics_identical(self, sales_session, sql):
+        sales_session.scan_workers = 1
+        serial = sales_session.sql(sql)
+        sales_session.scan_workers = 4
+        parallel = sales_session.sql(sql)
+        # including order
+        assert serial.rows == parallel.rows == reference_rows(sales_session, sql)
+        assert counts(serial) == counts(parallel), sql
 
 
 MAXSON_QUERIES = [
@@ -97,25 +118,50 @@ class TestMaxsonParallelParity:
         matrix.check("thread", "cached", "session")
 
     def test_cache_summary_identical_across_worker_counts(self):
-        """Two independently built systems, identical query sequence,
-        differing only in worker count: the whole efficacy/resilience
-        accounting must agree."""
-        serial = build_system(scan_workers=1)
-        parallel = build_system(scan_workers=4)
-        for sql in MAXSON_QUERIES:
-            assert serial.sql(sql).rows == parallel.sql(sql).rows, sql
-        assert summary_view(serial) == summary_view(parallel)
-        assert (
-            serial.resilience.snapshot() == parallel.resilience.snapshot()
-        )
+        """Three independently built systems, identical query sequence,
+        differing only in worker count and backend: the whole
+        efficacy/resilience accounting must agree."""
+        run_fault_matrix("", [("thread", 1), ("thread", 4), ("process", 2)])
+
+
+def run_fault_matrix(profile: str, configurations):
+    """One seeded fault profile on each ``(backend, workers)``: rows,
+    cache summary and resilience counters must equal the first one's."""
+    outputs = []
+    for backend, workers in configurations:
+        faulty = FaultyFileSystem()
+        system = build_system(fs=faulty, scan_workers=workers, worker_backend=backend)
+        faulty.policy = parse_fault_profile(profile)
+        try:
+            rows = [system.sql(sql).rows for sql in MAXSON_QUERIES]
+        finally:
+            system.session.close_worker_pools()
+        outputs.append((rows, system))
+    serial_rows, serial = outputs[0]
+    for (rows, system), key in zip(outputs, configurations):
+        assert rows == serial_rows, key
+        assert summary_view(system) == summary_view(serial), key
+        assert system.resilience.snapshot() == serial.resilience.snapshot(), key
+    return serial
+
+
+#: Fault profiles: every cache read corrupt; every cache read an I/O error.
+CORRUPT = "corrupt=1.0,seed=3"
+READ_ERRORS = "read_error=1.0,error_prefix=/warehouse/maxson_cache,seed=7"
 
 
 class TestFaultParallelParity:
-    def test_all_cache_reads_corrupt(self, matrix):
-        matrix.check("thread", "degraded", "session")
+    """Deterministic fault profiles: degraded identically, never divergent."""
 
-    def test_cache_prefix_read_errors(self, matrix):
-        matrix.check("thread", "degraded", "server")
+    PAIR = [("thread", 1), ("thread", 4)]
+
+    def test_all_cache_reads_corrupt(self):
+        system = run_fault_matrix(CORRUPT, self.PAIR)
+        assert system.resilience.snapshot()["fallback_splits"] > 0
+
+    def test_cache_prefix_read_errors(self):
+        system = run_fault_matrix(READ_ERRORS, self.PAIR)
+        assert system.resilience.snapshot()["fallback_queries"] > 0
 
 
 class TestThreeRoutesOneAnswer:

@@ -1,12 +1,14 @@
 """Thread-vs-process-vs-serial differentials for the morsel backends.
 
 The process pool (:mod:`repro.engine.procpool`) must be invisible in
-every observable output. Its rows — plain, cached, under deterministic
-fault injection, cancelled and rerun — are cells of
-``tests/test_differential_matrix.py``. These tests assert the rest: the
-lane frame round-trips every lane type, and the shared-memory lifecycle
-invariants hold (no segment survives completion, failure, cancellation
-or a worker crash; orphans of dead coordinators are reaped at startup).
+every observable output: identical rows (including order), identical
+count-valued metrics, identical cache/resilience accounting — at any
+worker count, under deterministic fault injection, and across
+cancellation. These tests assert that strong form, plus the
+shared-memory lifecycle invariants (no segment survives completion,
+failure, cancellation or a worker crash; orphans of dead coordinators
+are reaped at startup). Generated statements on the process backend are
+cells of ``tests/test_differential_matrix.py``.
 """
 
 import glob
@@ -39,7 +41,19 @@ from repro.jsonlib import dumps
 from repro.server.watchdog import MemoryWatchdog
 from repro.storage import BlockFileSystem, DataType, Schema
 
-from test_parallel_differential import MAXSON_QUERIES
+from reference_engine import reference_rows
+from test_differential_matrix import build_system, counts
+from test_parallel_differential import (
+    CORRUPT,
+    MAXSON_QUERIES,
+    QUERIES,
+    READ_ERRORS,
+    run_fault_matrix,
+    summary_view,
+)
+
+# sales_session: conftest's, plus a partition of irregular documents
+from test_parallel_differential import sales_session  # noqa: F401
 
 #: Process workers in tests: enough for real cross-process interleaving,
 #: small enough that spawn cost stays negligible.
@@ -115,11 +129,42 @@ class TestFramingRoundtrip:
 
 
 class TestProcessBackendParity:
-    def test_plain_engine_differential(self, matrix):
-        matrix.check("process", "raw", "session")
+    """Serial vs thread(4) vs process(2): rows, order and counters."""
 
-    def test_maxson_combiner_differential(self, matrix):
-        matrix.check("process", "cached", "session")
+    def test_plain_engine_differential(self, sales_session):
+        segments = f"/dev/shm/{SHM_PREFIX}_{os.getpid()}_*"
+        held = set(glob.glob(segments))  # other live pools' segments
+        sales_session.scan_workers = 1
+        expected = {sql: sales_session.sql(sql) for sql in QUERIES}
+        for sql, want in expected.items():
+            assert want.rows == reference_rows(sales_session, sql), sql
+        try:
+            for backend, workers in (("thread", 4), ("process", WORKERS)):
+                sales_session.worker_backend = backend
+                sales_session.scan_workers = workers
+                for sql, want in expected.items():
+                    got = sales_session.sql(sql)
+                    assert got.rows == want.rows, (backend, sql)
+                    assert counts(got) == counts(want), (backend, sql)
+        finally:
+            sales_session.close_worker_pools()
+        assert set(glob.glob(segments)) <= held
+
+    def test_maxson_combiner_differential(self):
+        serial = build_system(scan_workers=1)
+        threads = build_system(scan_workers=4, worker_backend="thread")
+        procs = build_system(scan_workers=WORKERS, worker_backend="process")
+        try:
+            for sql in MAXSON_QUERIES:
+                s, t, p = serial.sql(sql), threads.sql(sql), procs.sql(sql)
+                assert s.rows == t.rows == p.rows, sql
+                assert counts(s) == counts(p), sql
+                assert p.metrics.cache_hits > 0
+            assert summary_view(serial) == summary_view(threads) == summary_view(procs)
+            assert serial.resilience.snapshot() == procs.resilience.snapshot()
+        finally:
+            procs.session.close_worker_pools()
+            threads.session.close_worker_pools()
 
     def test_process_transport_metrics_recorded(self, matrix):
         result = matrix.world("process").system.sql(MAXSON_QUERIES[0])
@@ -150,11 +195,17 @@ class TestProcessBackendParity:
 
 
 class TestFaultMatrixParity:
-    def test_all_cache_reads_corrupt(self, matrix):
-        matrix.check("process", "degraded", "session")
+    """Seeded fault profiles degrade identically on every backend."""
 
-    def test_cache_prefix_read_errors(self, matrix):
-        matrix.check("process", "degraded", "server")
+    TRIPLE = [("thread", 1), ("thread", 4), ("process", WORKERS)]
+
+    def test_all_cache_reads_corrupt(self):
+        serial = run_fault_matrix(CORRUPT, self.TRIPLE)
+        assert serial.resilience.snapshot()["fallback_splits"] > 0
+
+    def test_cache_prefix_read_errors(self):
+        serial = run_fault_matrix(READ_ERRORS, self.TRIPLE)
+        assert serial.resilience.snapshot()["fallback_queries"] > 0
 
 
 SQL = "select get_json_object(payload, '$.a') as a from db.t"

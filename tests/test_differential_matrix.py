@@ -5,13 +5,15 @@ for raw / ``MaxsonServer.submit`` / ``ClusterRouter.submit``). Each cell
 runs ``tests/sql_generator.py`` statements and compares them with
 ``tests/reference_engine.py``: in order under ORDER BY, as a multiset
 otherwise; thread and process session cells on the raw and cached tiers
-also count what the serial session counts. Session and server cells share
-one system per backend over the seven-split ``db.t``; router cells one
-single-shard router per backend and profile over ``prod.t_q7``, their
-reference its in-process twin. Each cell runs once per session (the older
-files' legs wrap ``matrix.check``): one statement per plan shape, all 500
-where a leg always ran them, and all 500 everywhere with
-``--every-statement``.
+also count what the serial session counts. A cancelled statement raises
+mid-query (through the router, at a deadline every statement outlives)
+and leaves nothing held; a degraded one is never admitted to the result
+cache. Session and server cells share one system per backend over the
+seven-split ``db.t``; router cells one single-shard router per backend
+and profile over ``prod.t_q7``, their reference its in-process twin. Each
+cell runs once per session (the older legs it replaced wrap
+``matrix.check``): one statement per plan shape, all 500 where a leg
+always ran them, and all 500 everywhere with ``--every-statement``.
 """
 
 import re
@@ -83,6 +85,8 @@ COUNT_METRICS = (
 TIMEOUT = 120
 #: Cache reads fail half the time and come back corrupt half the time.
 DEGRADED = "read_error=0.5,corrupt=0.5,error_prefix=/warehouse/maxson_cache,seed=11"
+#: Every read takes 2 ms, so a Q7 statement outlives a 5 ms deadline.
+SLOW_READS, DEADLINE_MS = "latency=0.002", 5
 
 
 def build_system(fs=None, scan_workers=1, worker_backend="thread", paths=("hot", "warm")):
@@ -178,7 +182,9 @@ class World:
             self.server = MaxsonServer(self.system, ServerConfig(max_workers=2))
         if tier == "raw" and entry == "server":
             session.remove_plan_modifier(modifier)
-        session.configure(result_cache_enabled=tier == "result", result_cache_entries=4096)
+        # A fresh result cache for the tiers that admit into one.
+        enabled = tier in ("result", "degraded")
+        session.configure(result_cache_enabled=enabled, result_cache_entries=4096)
         if tier == "degraded":
             self.arm(parse_fault_profile(DEGRADED))
         try:
@@ -235,13 +241,16 @@ class World:
 class RouterWorld:
     """A single-shard router for one backend and profile: ``raw`` (no cache
     generation), ``cached`` (one midnight cycle over Q7's paths),
-    ``result`` (cached, with the result cache) or ``degraded`` (that, and
-    its cache reads faulted: a degraded answer must never be admitted)."""
+    ``result`` (cached, with the result cache), ``cancelled`` (cached, every
+    read slow, no deadline shed at admission) or ``degraded`` (result,
+    and its cache reads faulted: a degraded answer must never be admitted)."""
 
     def __init__(self, backend: str, profile: str):
         server = {**ROUTER_SPEC.server, **BACKENDS[backend]}
         server["result_cache"] = profile in ("result", "degraded")
-        fault_profile = DEGRADED if profile == "degraded" else ""
+        fault_profile = {"degraded": DEGRADED, "cancelled": SLOW_READS}.get(profile, "")
+        if profile == "cancelled":
+            server["deadline_shed_factor"] = 0.0
         spec = replace(ROUTER_SPEC, fault_profile=fault_profile, server=server)
         self.router = ClusterRouter(1, spec=spec)
         if profile != "raw":
@@ -258,8 +267,8 @@ class RouterWorld:
         return reply["rows"], reply["metrics"]
 
     def cancel(self, sql: str, entry: str) -> None:
-        # A deadline is the router's only cancel; this one has passed.
-        self.router.submit(sql, deadline_ms=1e-6).result(timeout=TIMEOUT)
+        # A deadline is the router's only cancel: it passes mid-query.
+        self.router.submit(sql, deadline_ms=DEADLINE_MS).result(timeout=TIMEOUT)
 
     def result_cache(self) -> dict:
         return self.router.shard_status()[0]["result_cache"]
@@ -299,7 +308,7 @@ class Matrix:
         return self._worlds[backend]
 
     def router(self, backend: str, tier: str) -> RouterWorld:
-        key = (backend, "cached" if tier == "cancelled" else tier)
+        key = (backend, tier)
         if self._router is None or self._router[0] != key:
             if self._router is not None:
                 self._router[1].close()
@@ -385,13 +394,15 @@ def _assert_cell(world, cell, sqls, expected, canonical, parity) -> None:
     before = world.counters(entry)
     if tier == "cancelled":
         run(sqls[0])  # warm: the pool and its cancel slab are up
-        idle = world.counters(entry)
+        idle, in_flight = world.counters(entry), 0
         for sql in sqls:
-            with pytest.raises((QueryCancelledError, QueryShedError)):
+            with pytest.raises((QueryCancelledError, QueryShedError)) as raised:
                 world.cancel(sql, entry)
+            in_flight += isinstance(raised.value, QueryCancelledError)  # not shed
             run(sql)
         left = world.counters(entry)
-        assert left == idle and left.get("leases", 0) == left.get("admitted", 0) == 0
+        assert in_flight and left == idle
+        assert left.get("leases", 0) == left.get("admitted", 0) == 0
     elif tier == "result":
         keyed = {sql for sql in sqls if canonical(sql) is not None}
         assert keyed  # a statement that does not canonicalise is never cached
@@ -403,15 +414,22 @@ def _assert_cell(world, cell, sqls, expected, canonical, parity) -> None:
                 assert cached, sql  # admitted while there is room
             assert run(sql)["result_cache_hits"] == cached, sql  # the second run is a hit
             run(near_miss(sql))  # its template, other parameters: not that hit
+    elif tier == "degraded":
+        fell = before["fallback_splits"]
+        for sql in sqls:
+            admitted = world.result_cache()["admissions"]
+            run(sql)
+            if world.counters(entry)["fallback_splits"] > fell:  # it degraded:
+                assert world.result_cache()["admissions"] == admitted, sql  # not admitted
+                fell = world.counters(entry)["fallback_splits"]
+        assert fell > before["fallback_splits"]
     else:
         hits = sum(run(sql)["cache_hits"] for sql in sqls)
         fallback = world.counters(entry)["fallback_splits"] - before["fallback_splits"]
         if tier == "raw":
             assert hits == 0
-        elif tier == "cached":
-            assert hits > 0 and fallback == 0
         else:
-            assert fallback > 0
+            assert hits > 0 and fallback == 0
     assert not wrong, f"{len(wrong)} of {len(sqls)} diverge in {cell}, first: {wrong[0]}"
     assert not drifted, f"{len(drifted)} count other metrics than serial, first: {drifted[0]}"
 
