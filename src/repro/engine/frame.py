@@ -12,7 +12,7 @@ once and forwarded as it is. All integers are little-endian::
 
     tag  values                     data
     b    bool / all-NULL            one byte a row: 0 NULL, 1 False, 2 True
-    i    int within int64           rows x int64; a NULL row holds 0
+    i    int within int64           rows x int of one width, 1/2/4/8; NULL holds 0
     f    float                      rows x float64, bit-exact; NULL holds 0.0
     s    str without NUL            UTF-8 (surrogates pass), NUL-separated
     j    anything else              one JSON array: mixed, nested, big ints
@@ -32,6 +32,7 @@ import json
 import struct
 from itertools import repeat
 
+from ..storage.codec import decode_ints, encode_ints
 from .batch import ColumnBatch
 from .errors import ExecutionError
 
@@ -50,8 +51,8 @@ _SEGMENT_HEAD = struct.Struct("<Q")
 _NULL = type(None)
 _BOOL_CODE = {None: 0, False: 1, True: 2}
 _BOOL_VALUE = (None, False, True)
-#: type -> (lane tag, ``struct`` code, the value a NULL row holds)
-_TYPED = {int: (b"i", "q", 0), float: (b"f", "d", 0.0), str: (b"s", "", "")}
+#: type -> (lane tag, the value a NULL row holds)
+_TYPED = {int: (b"i", 0), float: (b"f", 0.0), str: (b"s", "")}
 
 
 class FrameError(ExecutionError):
@@ -76,7 +77,7 @@ def _encode_lane(values: list) -> tuple[bytes, bytes, bytes]:
         return b"b", b"", bytes(map(_BOOL_CODE.__getitem__, values))
     kind = kinds.pop()
     if not kinds and kind in _TYPED:
-        tag, code, fill = _TYPED[kind]
+        tag, fill = _TYPED[kind]
         nulls, dense = b"", values
         if holes:
             nulls = _pack("I", [i for i, v in enumerate(values) if v is None])
@@ -85,11 +86,10 @@ def _encode_lane(values: list) -> tuple[bytes, bytes, bytes]:
             text = "\x00".join(dense)
             if text.count("\x00") == len(dense) - 1:
                 return tag, nulls, text.encode("utf-8", "surrogatepass")
-        else:
-            try:
-                return tag, nulls, _pack(code, dense)
-            except struct.error:  # an int beyond int64
-                pass
+        elif kind is float:
+            return tag, nulls, _pack("d", dense)
+        elif (lane := encode_ints(dense))[0] <= 8:  # else an int beyond int64
+            return tag, nulls, lane[1]
     return b"j", b"", json.dumps(values, separators=(",", ":")).encode()
 
 
@@ -97,7 +97,10 @@ def _decode_lane(tag: bytes, nulls, data, rows: int) -> list:
     if tag == b"b":
         out = list(map(_BOOL_VALUE.__getitem__, data))
     elif tag == b"i":
-        out = _unpack("q", data)
+        width = len(data) // rows if rows else 0
+        if width not in (1, 2, 4, 8) or width * rows != len(data):
+            raise FrameError(f"an int lane of {len(data)} bytes for {rows} rows")
+        out = decode_ints(data, width)
     elif tag == b"f":
         out = _unpack("d", data)
     elif tag == b"s":

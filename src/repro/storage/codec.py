@@ -1,22 +1,28 @@
 """Binary encoding primitives for the ORC-like file format.
 
-Column chunks are encoded with a presence bitmap followed by type-specific
-value streams: zigzag varints for integers, IEEE doubles for floats,
-length-prefixed UTF-8 for strings, and packed bits for booleans. The codec
-is deliberately byte-exact and versioned so files round-trip across
-writer/reader revisions.
+A column chunk is a type tag, a count, a presence bitmap, then the
+present values: IEEE doubles (tag 2), packed bits (4), and for INT64 and
+STRING either zigzag varints and varint-prefixed UTF-8 (tags 1 and 3,
+MORC 1 and 2) or a *narrow int lane* of the ints or of the UTF-8 lengths,
+then the bytes (tags 5 and 6, MORC 3). The tag says which, so a chunk of
+any version decodes here without a version argument.
 
-Encoding walks the values; decoding works a lane at a time (one integer
-for a bitmap, one ``struct`` call for the doubles, one table look-up per
-one-byte varint) over the same bytes. What those bytes mean is defined
-by the per-value decoder kept in ``tests/storage/reference_codec.py``,
-which the differential suite holds this one to.
+A narrow int lane is a varint width, then signed little-endian ints of
+that width: 1, 2, 4 or 8 bytes from the lane's min and max, wider only
+past int64. The lane frame's ``i`` lane (:mod:`repro.engine.frame`) is
+the same ints through the same :func:`encode_ints` / :func:`decode_ints`.
+Decoding works a lane at a time; what the bytes mean is defined by the
+per-value decoder in ``tests/storage/reference_codec.py``, which the
+differential suite holds this one to.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
+from array import array
+from itertools import accumulate, compress
 
 from .schema import DataType
 
@@ -25,8 +31,8 @@ __all__ = [
     "checksum_of",
     "write_varint",
     "read_varint",
-    "zigzag_encode",
-    "zigzag_decode",
+    "encode_ints",
+    "decode_ints",
     "encode_column",
     "decode_column",
 ]
@@ -60,12 +66,13 @@ def write_varint(out: bytearray, value: int) -> None:
             return
 
 
-def read_varint(data: bytes, pos: int) -> tuple[int, int]:
-    """Read an unsigned LEB128 varint; returns (value, new_pos)."""
+def read_varint(data: bytes, pos: int, end: int | None = None) -> tuple[int, int]:
+    """Read an unsigned LEB128 varint before ``end`` (default: len(data)); returns (value, new_pos)."""
+    end = len(data) if end is None else end
     result = 0
     shift = 0
     while True:
-        if pos >= len(data):
+        if pos >= end:
             raise CodecError("truncated varint")
         byte = data[pos]
         pos += 1
@@ -77,31 +84,51 @@ def read_varint(data: bytes, pos: int) -> tuple[int, int]:
             raise CodecError("varint too long")
 
 
-def zigzag_encode(value: int) -> int:
-    """Map a signed int to unsigned so small magnitudes stay small
-    (arbitrary precision: Python ints are unbounded)."""
-    return value << 1 if value >= 0 else ((-value) << 1) - 1
+#: The ``struct`` / ``array`` code of each narrow width (``array`` is native-endian).
+_INT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+_SWAP = sys.byteorder == "big"
 
 
-def zigzag_decode(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)
+def encode_ints(values: list[int]) -> tuple[int, bytes]:
+    """``(width, lane)``: the ints as signed little-endian ints of one
+    width, 1, 2, 4 or 8 bytes from their min and max, wider past int64."""
+    top = max(max(values), ~min(values)) if values else 0
+    width = (top.bit_length() + 8) // 8
+    if width > 8:
+        return width, b"".join(v.to_bytes(width, "little", signed=True) for v in values)
+    width = 1 << (width - 1).bit_length()
+    return width, struct.pack(f"<{len(values)}{_INT_CODES[width]}", *values)
 
 
-def _encode_presence(out: bytearray, values: list[object]) -> None:
-    bits = bytearray((len(values) + 7) // 8)
-    for i, v in enumerate(values):
-        if v is not None:
+def decode_ints(lane, width: int) -> list[int]:
+    """The ints of an :func:`encode_ints` lane; ``len(lane)`` must be a
+    multiple of ``width`` (> 0), which the callers check."""
+    if width not in _INT_CODES:  # past int64: one int per value
+        starts = range(0, len(lane), width)
+        return [int.from_bytes(lane[at : at + width], "little", signed=True) for at in starts]
+    ints = array(_INT_CODES[width])
+    ints.frombytes(lane)
+    if _SWAP:  # pragma: no cover - little-endian hosts
+        ints.byteswap()
+    return ints.tolist()
+
+
+def _bitmap(flags: list) -> bytes:
+    bits = bytearray((len(flags) + 7) // 8)
+    for i, flag in enumerate(flags):
+        if flag:
             bits[i >> 3] |= 1 << (i & 7)
-    out.extend(bits)
+    return bytes(bits)
 
 
-_TYPE_TAGS = {
-    DataType.INT64: 1,
-    DataType.FLOAT64: 2,
-    DataType.STRING: 3,
-    DataType.BOOL: 4,
-}
-_TAG_TYPES = {v: k for k, v in _TYPE_TAGS.items()}
+_TYPE_TAGS = {DataType.INT64: 5, DataType.FLOAT64: 2, DataType.STRING: 6, DataType.BOOL: 4}
+_TAG_TYPES = {1: DataType.INT64, 3: DataType.STRING, **{v: k for k, v in _TYPE_TAGS.items()}}
+
+
+def _write_ints(out: bytearray, values: list[int]) -> None:
+    width, lane = encode_ints(values)
+    write_varint(out, width)
+    out.extend(lane)
 
 
 def encode_column(dtype: DataType, values: list[object]) -> bytes:
@@ -109,34 +136,19 @@ def encode_column(dtype: DataType, values: list[object]) -> bytes:
     out = bytearray()
     out.append(_TYPE_TAGS[dtype])
     write_varint(out, len(values))
-    _encode_presence(out, values)
+    out.extend(_bitmap([v is not None for v in values]))
+    present = [v for v in values if v is not None]
+    raw: list[bytes] = []  # the strings' bytes, joined to the chunk once
     if dtype is DataType.INT64:
-        for v in values:
-            if v is not None:
-                write_varint(out, zigzag_encode(int(v)))
+        _write_ints(out, present)
     elif dtype is DataType.FLOAT64:
-        for v in values:
-            if v is not None:
-                out.extend(struct.pack("<d", float(v)))
+        out.extend(struct.pack(f"<{len(present)}d", *present))
     elif dtype is DataType.STRING:
-        for v in values:
-            if v is not None:
-                raw = str(v).encode("utf-8")
-                write_varint(out, len(raw))
-                out.extend(raw)
-    elif dtype is DataType.BOOL:
-        bits = bytearray((len(values) + 7) // 8)
-        for i, v in enumerate(values):
-            if v:
-                bits[i >> 3] |= 1 << (i & 7)
-        out.extend(bits)
-    else:  # pragma: no cover - the tag table is exhaustive
-        raise CodecError(f"unsupported dtype {dtype}")
-    return bytes(out)
-
-
-#: ``zigzag_decode`` of every one-byte varint.
-_ZIGZAG_BYTE = tuple(map(zigzag_decode, range(0x80)))
+        raw = [str(v).encode("utf-8") for v in present]
+        _write_ints(out, list(map(len, raw)))
+    else:
+        out.extend(_bitmap(values))
+    return b"".join([out, *raw])
 
 
 def _flags(bits: int, count: int) -> str:
@@ -158,9 +170,10 @@ def decode_column(
         end = len(data)
     if pos >= end:
         raise CodecError("empty column chunk")
-    dtype = _TAG_TYPES.get(data[pos])
+    tag = data[pos]
+    dtype = _TAG_TYPES.get(tag)
     if dtype is None:
-        raise CodecError(f"unknown type tag {data[pos]}")
+        raise CodecError(f"unknown type tag {tag}")
     count, pos = read_varint(data, pos + 1)
     nbytes = (count + 7) // 8
     if pos + nbytes > end:
@@ -169,61 +182,44 @@ def decode_column(
     presence = int.from_bytes(data[pos : pos + nbytes], "little") & full
     pos += nbytes
     n = count if presence == full else presence.bit_count()
-    dense: list[object]
-    if dtype is DataType.INT64:
-        lane = data[pos : min(pos + n, end)]
-        if len(lane) == n and lane.isascii():  # n one-byte varints
-            table = _ZIGZAG_BYTE
-            dense = [table[b] for b in lane]
-            pos += n
-        else:
-            dense = []
-            append = dense.append
-            for _ in range(n):
-                raw = shift = 0
-                while True:
-                    if pos >= end:
-                        raise CodecError("truncated varint")
-                    byte = data[pos]
-                    pos += 1
-                    raw |= (byte & 0x7F) << shift
-                    if byte < 0x80:
-                        break
-                    shift += 7
-                    if shift > 70:
-                        raise CodecError("varint too long")
-                append((raw >> 1) ^ -(raw & 1))
-    elif dtype is DataType.FLOAT64:
+    dense: list[object] = []
+    if tag >= 5:  # a narrow int lane: the ints, or the string lengths
+        width, pos = read_varint(data, pos, end)
+        stop = pos + width * n
+        if not width or stop > end:
+            raise CodecError("truncated int lane" if width else "zero-width int lane")
+        dense = decode_ints(data[pos:stop], width)
+        pos = stop
+        if tag == 6:
+            offsets = list(accumulate(dense, initial=pos))
+            if n and (min(dense) < 0 or offsets[-1] > end):
+                raise CodecError("truncated string")
+            dense = [data[a:b].decode() for a, b in zip(offsets, offsets[1:])]
+            pos = offsets[-1]
+    elif tag == 1:
+        for _ in range(n):
+            raw, pos = read_varint(data, pos, end)
+            dense.append((raw >> 1) ^ -(raw & 1))  # zigzag
+    elif tag == 2:
         if pos + 8 * n > end:
             raise CodecError("truncated float64")
         dense = list(struct.unpack_from(f"<{n}d", data, pos))
         pos += 8 * n
-    elif dtype is DataType.STRING:
-        dense = []
-        append = dense.append
+    elif tag == 3:
         for _ in range(n):
-            if pos >= end:
-                raise CodecError("truncated varint")
-            length = data[pos]
-            pos += 1
-            if length >= 0x80:  # a length of two bytes or more
-                length, pos = read_varint(data, pos - 1)
+            length, pos = read_varint(data, pos, end)
             if pos + length > end:
                 raise CodecError("truncated string")
-            append(str(data[pos : pos + length], "utf-8"))
+            dense.append(str(data[pos : pos + length], "utf-8"))
             pos += length
     else:
         if pos + nbytes > end:
             raise CodecError("truncated bool bitmap")
         bits = int.from_bytes(data[pos : pos + nbytes], "little")
         pos += nbytes
-        if n == count:
-            return dtype, [c == "1" for c in _flags(bits, count)], pos
-        values = [
-            (c == "1") if p == "1" else None
-            for p, c in zip(_flags(presence, count), _flags(bits, count))
-        ]
-        return dtype, values, pos
+        dense = [c == "1" for c in _flags(bits, count)]
+        if n < count:
+            dense = list(compress(dense, map(int, _flags(presence, count))))
     if n == count:
         return dtype, dense, pos
     take = iter(dense).__next__

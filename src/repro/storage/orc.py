@@ -25,6 +25,15 @@ its first decode, raising :class:`CorruptStripeError` instead of
 decoding garbage — the contract Maxson's graceful-degradation path
 (fall back to raw parsing) depends on. Version 1 files (no checksums)
 remain readable.
+
+Format version 3 keeps every layout above the column chunk (stripes,
+footer, presence bitmaps, CRCs) and writes INT64 and STRING chunks as
+narrow int lanes (:mod:`repro.storage.codec`): a lane's ints, or its
+strings' UTF-8 lengths, at one width of 1, 2, 4 or 8 bytes picked from
+the lane's min and max instead of one varint each, so a cached read
+decodes an int lane in one call. Only version 3 is written; versions 1
+and 2 still read, since raw files are append-only and never rewritten,
+and a chunk's tag tells the decoder which layout it holds.
 """
 
 from __future__ import annotations
@@ -56,7 +65,7 @@ __all__ = [
 ]
 
 MAGIC = b"MORC"
-VERSION = 2
+VERSION = 3
 
 #: Rows per row group — ORC's documented default.
 DEFAULT_ROW_GROUP_SIZE = 10_000
@@ -369,7 +378,7 @@ class OrcFileReader:
         if data[-len(MAGIC) :] != MAGIC:
             raise OrcError("truncated MORC file (bad tail magic)")
         self.version = data[len(MAGIC)]
-        if self.version not in (1, VERSION):
+        if not 1 <= self.version <= VERSION:
             raise OrcError(f"unsupported MORC version {self.version}")
         (footer_len,) = struct.unpack_from("<I", data, len(data) - len(MAGIC) - 4)
         # Version 2 stores the footer's own CRC32 just before its length.

@@ -6,7 +6,7 @@ per row group: ``NO`` (no row matches: skip the group), ``YES`` (every row
 matches: its conjunct need not be evaluated) or ``MAYBE``. Neither may be
 wrong, so ``YES`` asks more: no NULL in the group, and no float (a NaN
 compares false with everything, so min/max never see it). Readers add a
-third condition, a CRC-checked (version 2) footer.
+third condition, a CRC-checked (version ≥ 2) footer.
 """
 
 from __future__ import annotations

@@ -36,6 +36,8 @@ NAN_WITH_PAYLOAD = struct.unpack("<d", bytes.fromhex("010000000000f87f"))[0]
 _LENGTHS = [0, 1, 7, 8, 9, 1000]
 _KINDS = {
     "int": lambda r: r.randrange(-2000, 2000),
+    "int narrow": lambda r: r.randrange(-128, 128),
+    "int 32": lambda r: r.randrange(-(2**31), 2**31),
     "int64 edge": lambda r: r.choice([2**63 - 1, -(2**63), 0, -1]),
     "int beyond": lambda r: r.choice([2**63, -(2**63) - 1, 10**29, 5]),
     "float": lambda r: r.choice(
@@ -119,6 +121,42 @@ def test_declared_rows_are_bounded_by_the_body():
     for bad in (b"", b"\x00" * 8, struct.pack("<Q", 2) + b"[]", struct.pack("<Q", 2) + b"{}"):
         with pytest.raises(FrameError):
             decode_batch_frame(bad)
+
+
+def _lane_directory(body: bytes) -> tuple[bytes, int, int]:
+    """``(tag, nulls, bytes)`` of the first lane of a one-column frame."""
+    return struct.unpack_from("<cIQ", body, 16)
+
+
+def test_int_lanes_at_every_width_edge():
+    """An ``i`` lane takes the least width of 1/2/4/8 that holds its min
+    and max; an int past int64 takes the ``j`` escape."""
+    for bits, width in ((7, 1), (15, 2), (31, 4), (63, 8)):
+        for edge, fits in [
+            (-(2**bits) - 1, False),
+            (-(2**bits), True),
+            (2**bits - 1, True),
+            (2**bits, False),
+        ]:
+            batch = ColumnBatch(["n"], {"n": [0, edge, None, -1]}, 4)
+            check_round_trip(batch)
+            tag, _, nbytes = _lane_directory(encode_frame(batch))
+            if fits or bits < 63:
+                assert (tag, nbytes) == (b"i", 4 * (width if fits else 2 * width)), edge
+            else:
+                assert tag == b"j", edge
+
+
+def test_int_lane_of_a_width_not_one_two_four_or_eight_is_refused():
+    def frame(rows: int, data: bytes) -> bytes:
+        head = struct.pack("<IIII", rows, 1, 1, 0)
+        return head + struct.pack("<cIQ", b"i", 0, len(data)) + data
+
+    for nbytes in (3, 6, 12, 24):
+        assert decode_frame(frame(3, bytes(nbytes)), ["n"]) == (3, [[0, 0, 0]])
+    for nbytes in (0, 1, 5, 9, 15, 18, 48):
+        with pytest.raises(FrameError, match="int lane"):
+            decode_frame(frame(3, bytes(nbytes)), ["n"])
 
 
 def run_differential(cases: int, seed: int = 20200420) -> dict[str, int]:

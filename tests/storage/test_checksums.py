@@ -3,6 +3,7 @@
 import struct
 
 import pytest
+from reference_codec import writing_v2
 
 from repro.storage import DataType, OrcWriter, Schema, checksum_of
 from repro.storage.orc import (
@@ -27,9 +28,15 @@ def build_file(rows=40, row_group_size=10, rows_per_stripe=20) -> bytes:
 
 class TestRoundTrip:
     def test_v2_files_round_trip(self):
-        blob = build_file()
+        with writing_v2():
+            blob = build_file()
         reader = OrcFileReader(blob)
         assert reader.version == 2
+        assert reader.read_rows() == [(i, f"n{i}") for i in range(40)]
+
+    def test_v3_files_round_trip(self):
+        reader = OrcFileReader(build_file())
+        assert reader.version == 3
         assert reader.read_rows() == [(i, f"n{i}") for i in range(40)]
 
     def test_every_stripe_carries_a_checksum(self):
@@ -87,7 +94,8 @@ class TestCorruptionDetection:
 
 
 def as_v1(blob: bytes) -> bytes:
-    """Re-serialise a v2 file as v1: version byte 1, v1 footer, no CRCs."""
+    """Re-serialise a v2 or v3 file as v1: version byte 1, v1 footer, no
+    CRCs. The chunks are kept, and their tags still say how to read them."""
     reader = OrcFileReader(blob)
     footer = _encode_footer(reader.schema, reader.stripes, version=1)
     body_end = max(s.offset + s.length for s in reader.stripes)

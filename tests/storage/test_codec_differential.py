@@ -7,10 +7,15 @@ return the same dtype, the same values — floats compared bit for bit,
 the same error class wherever the reference refuses. With an ``end`` it
 must behave as the reference does on ``data[:end]``.
 
+Both chunk versions are held to it: version-2 chunks (varint ints and
+lengths) come from the oracle's own writer, version-3 chunks (narrow int
+lanes) from production's ``encode_column``.
+
 ``run_differential(cases)`` is the whole seeded run: generated lanes of
-every dtype and null pattern, back to back, then truncations and byte
-flips of them. Tier-1 calls it with ``CASES``, CI's bench-smoke step with
-ten times that. A mismatch is shrunk and printed as hex.
+every dtype and null pattern in either version, back to back, then
+truncations and byte flips of them. Tier-1 calls it with ``CASES``, CI's
+bench-smoke step with ten times that; it fails if either version ran no
+case. A mismatch is shrunk and printed as hex.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ from repro.storage.codec import CodecError, decode_column, encode_column
 from repro.storage.schema import DataType
 
 CASES = 2500
+#: chunk version -> the writer that makes its chunks
+WRITERS = {2: reference_codec.encode_column_v2, 3: encode_column}
 
 
 # ----------------------------------------------------------------------
@@ -118,23 +125,47 @@ NAMED = {
     "bool all null": (B, [None] * 16),
     "bool empty": (B, []),
     "count 150": (I, [i * 7 - 500 for i in range(150)]),
+    "int one value": (I, [-300]),
+    "int past int64 among small": (I, [1, -2, None, 2**64, 3, -(2**63) - 1, 0]),
+    "string one value": (S, ["𝄞"]),
+    "string non-ASCII": (S, ["naïve café", "日本語", "✓" * 50, "é", None, "ß"]),
+    "string long": (S, ["x" * 128, "é" * 64, "y" * 16_384, "✓" * 5462, None, "z"]),
 }
+# Every width edge, alone among small values: the lane's width is the
+# least that holds its min and max.
+for bits in (7, 15, 31, 63):
+    for label, edge in [
+        (f"-2**{bits}-1", -(2**bits) - 1),
+        (f"-2**{bits}", -(2**bits)),
+        (f"2**{bits}-1", 2**bits - 1),
+        (f"2**{bits}", 2**bits),
+    ]:
+        NAMED[f"int edge {label}"] = (I, [0, edge, None, -1, 1])
 
 
 @pytest.mark.parametrize("name", sorted(NAMED))
 def test_named_lane(name):
     dtype, values = NAMED[name]
-    chunk = encode_column(dtype, values)
-    blob = b"\x07\xff" + chunk + b"\x01\x02\x03"
-    for end in (None, 2 + len(chunk), len(blob), len(blob) + 5):
-        check(blob, 2, end)
-    got_dtype, got, pos = decode_column(blob, 2, 2 + len(chunk))
-    assert (got_dtype, pos) == (dtype, 2 + len(chunk))
-    assert [_bitwise(v) for v in got] == [_bitwise(v) for v in values]
-    # Every truncation (of a long chunk, some 500 of them), both spellings.
-    for cut in range(2, 2 + len(chunk), len(chunk) // 500 + 1):
-        check(blob[:cut], 2)
-        check(blob, 2, cut)
+    for write in WRITERS.values():
+        chunk = write(dtype, values)
+        blob = b"\x07\xff" + chunk + b"\x01\x02\x03"
+        for end in (None, 2 + len(chunk), len(blob), len(blob) + 5):
+            check(blob, 2, end)
+        got_dtype, got, pos = decode_column(blob, 2, 2 + len(chunk))
+        assert (got_dtype, pos) == (dtype, 2 + len(chunk))
+        assert [_bitwise(v) for v in got] == [_bitwise(v) for v in values]
+        # Every truncation (of a long chunk, some 500 of them), both spellings.
+        for cut in range(2, 2 + len(chunk), len(chunk) // 500 + 1):
+            check(blob[:cut], 2)
+            check(blob, 2, cut)
+
+
+def test_v3_int_lanes_take_the_narrowest_width():
+    for values, width in [([], 1), ([None], 1), ([-128, 127], 1), ([-129], 2), ([128], 2),
+                          ([2**15], 4), ([-(2**31) - 1], 8), ([2**63 - 1], 8), ([2**63], 9)]:
+        chunk = encode_column(I, values)
+        assert chunk[0] == 5 and chunk[2 + (len(values) + 7) // 8] == width, values
+    assert encode_column(S, ["x" * 200])[3:6] == b"\x02\xc8\x00"  # width 2, length 200
 
 
 def test_errors_are_the_reference_errors():
@@ -149,14 +180,21 @@ def test_errors_are_the_reference_errors():
         (b"\x03\x01\x01\x05ab", "truncated string"),
         (b"\x03\x01\x01", "truncated varint"),
         (b"\x04\x09\xff\x01\x00", "truncated bool bitmap"),
+        (b"\x05\x01\x01", "truncated varint"),
+        (b"\x05\x01\x01\x00", "zero-width int lane"),
+        (b"\x05\x02\x03\x02\x01\x00\x01", "truncated int lane"),
+        (b"\x05\x01\x01\xff\xff\xff\xff\x0f", "truncated int lane"),  # no huge allocation
+        (b"\x06\x01\x01\x01\x05ab", "truncated string"),
+        (b"\x06\x02\x03\x01\xff\x01a", "truncated string"),  # a negative length
     ]:
         with pytest.raises(CodecError) as bulk:
             decode_column(data)
         with pytest.raises(CodecError) as expected:
             reference_codec.decode_column(data)
         assert str(bulk.value) == str(expected.value) == message
-    with pytest.raises(UnicodeDecodeError):
-        decode_column(b"\x03\x01\x01\x01\xff")
+    for data in (b"\x03\x01\x01\x01\xff", b"\x06\x01\x01\x01\x01\xff"):
+        with pytest.raises(UnicodeDecodeError):
+            decode_column(data)
 
 
 # ----------------------------------------------------------------------
@@ -207,13 +245,18 @@ def _mutate(rng: random.Random, data: bytes) -> bytes:
 
 def run_differential(cases: int, seed: int = 20200420) -> dict[str, int]:
     """Check ``cases`` generated blobs; return how many chunk decodes were
-    accepted and how many refused, so a generator that drifted into
-    producing only one kind is visible."""
+    accepted and how many refused, and how many cases each (version,
+    dtype) ran, so a generator that drifted into producing only one kind
+    is visible. Fails if either version ran no case."""
     rng = random.Random(seed)
     tally = {"accepted": 0, "refused": 0}
     for _ in range(cases):
         lanes = [_lane(rng) for _ in range(rng.choice([1, 1, 2, 3]))]
-        chunks = [encode_column(dtype, values) for dtype, values in lanes]
+        version = rng.choice(list(WRITERS))
+        for dtype, _ in lanes:
+            key = f"v{version} {dtype.name}"
+            tally[key] = tally.get(key, 0) + 1
+        chunks = [WRITERS[version](dtype, values) for dtype, values in lanes]
         blob = bytes(rng.randrange(256) for _ in range(rng.randrange(3))) + b"".join(chunks)
         pos = len(blob) - sum(map(len, chunks))
         mutated = rng.random() < 0.6
@@ -234,6 +277,8 @@ def run_differential(cases: int, seed: int = 20200420) -> dict[str, int]:
             if not mutated:
                 assert expected == (dtype, [_bitwise(v) for v in values], true_end)
             pos = expected[2]
+    for version in WRITERS:
+        assert any(k.startswith(f"v{version} ") for k in tally), f"no v{version} case ran"
     return tally
 
 

@@ -11,6 +11,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from reference_codec import writing_v2
 from test_checksums import SCHEMA, as_v1, build_file
 
 from repro.storage import BlockFileSystem, OrcReader, OrcWriter
@@ -63,7 +64,8 @@ def test_identical_footers_share_a_directory_and_read_their_own_stripes():
 
 def test_a_v1_and_a_v2_file_with_equal_footer_bytes_do_not_share_an_entry():
     # With no stripes the two versions' footers are byte-identical.
-    v2 = OrcWriter(SCHEMA).finish()
+    with writing_v2():
+        v2 = OrcWriter(SCHEMA).finish()
     v1 = v2[:4] + b"\x01" + v2[5:-12] + v2[-8:]  # drop the footer CRC
     _decode_footer.cache_clear()
     readers = [OrcFileReader(v2), OrcFileReader(v1)]

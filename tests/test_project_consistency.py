@@ -205,6 +205,22 @@ class TestOneFrameCodec:
         # ``QueryResult.frame()``, its rows ``RpcConnection.call``'s decode.
         assert importers == {"procpool.py", "resultcache.py", "session.py", "rpc.py"}
 
+    def test_narrow_int_lane_is_the_codecs_and_the_frame_imports_it(self):
+        """One int-lane codec for cache tables, SHM, result-cache entries
+        and RPC bodies: ``encode_ints`` / ``decode_ints`` are defined in
+        ``storage/codec.py`` only, and ``engine/frame.py`` imports both."""
+        pair = {"encode_ints", "decode_ints"}
+        definers, frame_imports = set(), set()
+        for path in self.SRC.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.FunctionDef) and node.name in pair:
+                    definers.add(path.relative_to(self.SRC).as_posix())
+                elif isinstance(node, ast.ImportFrom) and path.name == "frame.py":
+                    if (node.module or "").endswith("storage.codec"):
+                        frame_imports |= {alias.name for alias in node.names}
+        assert definers == {"storage/codec.py"}
+        assert pair <= frame_imports
+
     def test_cluster_json_is_envelopes_only(self):
         """``json`` is called by ``send_frame`` / ``recv_frame`` alone, on
         the envelope, and ``"rows"`` is spelled only where a reply is
