@@ -26,6 +26,9 @@ embedding client) talks to instead of a single
 * at startup it runs :func:`~repro.engine.procpool.reap_orphan_segments`
   so shared-memory segments abandoned by dead shard pids of a previous
   run are unlinked before new shards spawn.
+
+Shards are not daemonic (a daemonic process may not start pool workers);
+a router that is never shut down is reaped by a finalizer.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
 from multiprocessing import get_context
+from multiprocessing.util import Finalize
 
 from ..engine.procpool import reap_orphan_segments
 from ..server.admission import AdmissionError
@@ -75,6 +79,20 @@ def _stop_process(process) -> None:
     if process.is_alive():
         process.kill()
         process.join(timeout=_KILL_GRACE)
+
+
+def _reap_shards(shards: dict, listener: socket.socket) -> None:
+    """Close every shard's connection (a shard exits at EOF), then reap
+    each process. The router's finalizer, run by ``shutdown`` or when a
+    router never shut down is collected or the interpreter exits: as a
+    ``multiprocessing`` finalizer it runs before the non-daemonic shards
+    are joined at exit, where a ``weakref.finalize`` may run after it."""
+    for shard in list(shards.values()):
+        shard.conn.close()
+    for shard in list(shards.values()):
+        if shard.process is not None:
+            _stop_process(shard.process)
+    listener.close()
 
 
 class ShardCrashError(RuntimeError):
@@ -128,6 +146,7 @@ class ClusterRouter:
         self._listener.listen(max(8, shards))
         self._host, self._port = self._listener.getsockname()
         self._lock = threading.Lock()
+        self._revive_lock = threading.Lock()
         self._shards: dict[int, _Shard] = {}
         self._closed = False
         self._started = time.perf_counter()
@@ -139,6 +158,9 @@ class ClusterRouter:
         self._respawns = 0
         self._per_shard_completed: dict[int, int] = {}
         self._latencies: list[float] = []
+        self._reaper = Finalize(
+            self, _reap_shards, args=(self._shards, self._listener), exitpriority=10
+        )
         for shard_id in range(shards):
             self._spawn(shard_id)
         self._pool = ThreadPoolExecutor(
@@ -155,7 +177,7 @@ class ClusterRouter:
         process = self._ctx.Process(
             target=shard_main,
             args=(spec.to_dict(), self._host, self._port),
-            daemon=True,
+            daemon=False,
             name=f"maxson-shard-{shard_id}",
         )
         process.start()
@@ -212,21 +234,24 @@ class ClusterRouter:
         return shard
 
     def _revive(self, shard_id: int) -> _Shard:
-        """Serialize crash recovery: first caller respawns, the rest
-        wait on the spawn happening under the router lock's shadow."""
-        with self._lock:
-            shard = self._shards.get(shard_id)
-            if shard is not None and not shard.conn.closed:
-                return shard
-            if not self.respawn or self._closed:
-                raise ShardCrashError(
-                    shard_id, f"shard {shard_id} is down (respawn disabled)"
-                )
-        self._reap_dead(shard_id)
-        replacement = self._spawn(shard_id)
-        with self._lock:
-            self._respawns += 1
-        return replacement
+        """Serialize crash recovery: the first caller respawns, the rest
+        wait for it on the revive lock and find the shard alive. (Two
+        concurrent spawns would each register a shard, and the one
+        overwritten would outlive the router: nothing reaps it.)"""
+        with self._revive_lock:
+            with self._lock:
+                shard = self._shards.get(shard_id)
+                if shard is not None and not shard.conn.closed:
+                    return shard
+                if not self.respawn or self._closed:
+                    raise ShardCrashError(
+                        shard_id, f"shard {shard_id} is down (respawn disabled)"
+                    )
+            self._reap_dead(shard_id)
+            replacement = self._spawn(shard_id)
+            with self._lock:
+                self._respawns += 1
+            return replacement
 
     def _reap_dead(self, shard_id: int) -> None:
         with self._lock:
@@ -538,11 +563,8 @@ class ClusterRouter:
                 shard.conn.call("shutdown", timeout=_SHUTDOWN_GRACE)
             except (ShardConnectionError, Exception):
                 pass
-            shard.conn.close()
-        for shard in shards:
-            if shard.process is not None:
-                _stop_process(shard.process)
-        self._listener.close()
+        with self._revive_lock:  # a respawn under way registers first
+            self._reaper()
         # Anything a hard-killed shard left in /dev/shm is ours to reap.
         reap_orphan_segments()
 

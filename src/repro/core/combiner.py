@@ -38,7 +38,7 @@ from ..engine.batch import ColumnBatch
 from ..engine.errors import CatalogError, ExecutionError
 from ..engine.metrics import QueryMetrics
 from ..engine.parallel import _fold_context_stats
-from ..engine.physical import ExecState, ScanExec, _sarg_label
+from ..engine.physical import ExecState, ScanExec, _rebuilt, _sarg_label
 from ..storage.fs import FsError
 from ..storage.orc import CorruptStripeError, OrcError
 from ..storage.readers import OrcReader, split_reader
@@ -84,6 +84,15 @@ class MaxsonScanExec(ScanExec):
             + _sarg_label("sarg", self.sargs)
             + _sarg_label("cache_sarg", self.cache_sargs)
         )
+
+    def filtered_by(self, condition) -> ScanExec:
+        from .pushdown import cache_sarg_pairs
+
+        scan = super().filtered_by(condition)
+        if not self.cache_sargs:
+            return scan
+        pairs = cache_sarg_pairs(condition, self.cached_fields)
+        return _rebuilt(scan, cache_sargs=pairs)
 
     def execute_batch(self, state: ExecState) -> ColumnBatch:
         # The inherited every-unit-inline driver. It is re-stated here, and

@@ -337,9 +337,12 @@ class Column(Expression):
 
 @dataclass(frozen=True)
 class Literal(Expression):
-    """A constant."""
+    """A constant. ``slot`` is its position in the canonical statement's
+    parameter vector (set when the statement is canonicalised), where a
+    cached template plan binds another statement's value."""
 
     value: object
+    slot: int | None = field(default=None, compare=False, repr=False)
 
     def evaluate(self, row: dict, context: EvalContext) -> object:
         return self.value

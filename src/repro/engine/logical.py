@@ -144,10 +144,11 @@ class LogicalSort(LogicalPlan):
 
 @dataclass
 class LogicalLimit(LogicalPlan):
-    """LIMIT n."""
+    """LIMIT n (``slot``: as :attr:`Literal.slot`)."""
 
     child: LogicalPlan
     count: int
+    slot: int | None = None
 
     def children(self) -> tuple[LogicalPlan, ...]:
         return (self.child,)

@@ -252,6 +252,15 @@ class MorselPipelineExec(PhysicalPlan):
     def _label(self) -> str:
         return "MorselPipeline"
 
+    def bind(self, binder) -> PhysicalPlan:
+        top = self.top.bind(binder)
+        if top is self.top:
+            return self
+        chain = [top]  # the bound stages, top down, re-linked by child
+        for _ in self.stages:
+            chain.append(chain[-1].child)
+        return MorselPipelineExec(scan=chain[-1], stages=chain[-2::-1])
+
     def _process(self, worker: ExecState, unit) -> tuple[ColumnBatch, bool]:
         """One split on a worker-local state: the scan's morsel, then
         every stage's body."""

@@ -15,6 +15,7 @@ rest of the plan never notices.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -49,6 +50,7 @@ __all__ = [
     "SortExec",
     "LimitExec",
     "HashJoinExec",
+    "bind_plan",
     "walk_plan",
     "expression_slots",
     "slot_expression",
@@ -148,6 +150,27 @@ class PhysicalPlan:
     def _label(self) -> str:
         return type(self).__name__
 
+    #: The fields holding the operator's expressions: one, a list of
+    #: expressions or sort keys, or ``None``.
+    expression_fields: tuple[str, ...] = ()
+
+    def bind(self, binder: "_Binder") -> "PhysicalPlan":
+        """This operator with the literals in and under it bound (see
+        :func:`bind_plan`); the operator itself when nothing changed."""
+        fields = {
+            name: child.bind(binder)
+            for name in ("child", "left", "right", "pipeline")
+            if isinstance(child := getattr(self, name, None), PhysicalPlan)
+        }
+        for name in self.expression_fields:
+            fields[name] = binder.bound(getattr(self, name))
+        return _rebuilt(self, **fields)
+
+    def filtered_by(self, condition: Expression) -> "PhysicalPlan":
+        """This operator under a re-bound filter ``condition``: what it
+        derived from the filter above it, derived again."""
+        return self
+
     def transform_nodes(self, fn) -> "PhysicalPlan":
         """Bottom-up plan rewrite; ``fn`` may return a replacement node."""
         for attr in ("child", "left", "right"):
@@ -246,6 +269,12 @@ class ScanExec(PhysicalPlan):
             f"Scan {self.database}.{self.table} cols={self.columns}"
             + _sarg_label("sarg", self.sargs)
         )
+
+    def filtered_by(self, condition: Expression) -> PhysicalPlan:
+        from .planner import _column_of, conjunct_sargs
+
+        sargs = conjunct_sargs(condition, _column_of(self)) if self.sargs else ()
+        return _rebuilt(self, sargs=sargs)
 
     def execute_batch(self, state: ExecState) -> ColumnBatch:
         """Every unit inline, in order, then :meth:`finish_morsels` — the
@@ -356,9 +385,16 @@ class FilterExec(UnaryExec):
     child: PhysicalPlan
     condition: Expression
     drop: frozenset = frozenset()
+    expression_fields = ("condition",)
 
     def _label(self) -> str:
         return f"Filter {self.condition.sql()}"
+
+    def bind(self, binder: "_Binder") -> PhysicalPlan:
+        bound = super().bind(binder)
+        if bound.condition is not self.condition:  # so ``bound`` is a copy
+            bound.child = bound.child.filtered_by(bound.condition)
+        return bound
 
     def apply(self, state: ExecState, batch: ColumnBatch) -> ColumnBatch:
         condition = self.condition
@@ -385,6 +421,7 @@ class ProjectExec(UnaryExec):
 
     child: PhysicalPlan
     expressions: list[Expression]
+    expression_fields = ("expressions",)
 
     def output_names(self) -> set[str]:
         return {e.output_name() for e in self.expressions}
@@ -422,6 +459,7 @@ class SortExec(UnaryExec):
 
     child: PhysicalPlan
     keys: list[SortKey]
+    expression_fields = ("keys",)
 
     def _label(self) -> str:
         keys = ", ".join(
@@ -449,13 +487,18 @@ class SortExec(UnaryExec):
 
 @dataclass
 class LimitExec(UnaryExec):
-    """LIMIT n."""
+    """LIMIT n (``slot``: as :attr:`Literal.slot`)."""
 
     child: PhysicalPlan
     count: int
+    slot: int | None = None
 
     def _label(self) -> str:
         return f"Limit {self.count}"
+
+    def bind(self, binder: "_Binder") -> PhysicalPlan:
+        count = binder.value(self.slot, self.count)
+        return _rebuilt(super().bind(binder), count=count)
 
     def apply(self, state: ExecState, batch: ColumnBatch) -> ColumnBatch:
         if batch.length <= self.count:
@@ -586,6 +629,7 @@ class GroupedAggregation:
 
     group_keys: list[Expression]
     output: list[Expression]
+    expression_fields = ("group_keys", "output")
 
     def output_names(self) -> set[str]:
         return {e.output_name() for e in self.output}
@@ -726,6 +770,7 @@ class HashJoinExec(PhysicalPlan):
     left_keys: list[Expression]
     right_keys: list[Expression]
     residual: Expression | None = None
+    expression_fields = ("left_keys", "right_keys", "residual")
 
     def children(self) -> tuple[PhysicalPlan, ...]:
         return (self.left, self.right)
@@ -789,6 +834,67 @@ class HashJoinExec(PhysicalPlan):
 
 
 # ----------------------------------------------------------------------
+# binding a template plan to a statement's parameters
+# ----------------------------------------------------------------------
+def _rebuilt(node: PhysicalPlan, **fields) -> PhysicalPlan:
+    """``node`` with ``fields`` set: the node itself when each is the
+    object it holds (untouched nodes are shared), else a shallow copy —
+    made without ``__init__``, which no operator needs to run twice."""
+    if all(getattr(node, name) is value for name, value in fields.items()):
+        return node
+    clone = object.__new__(type(node))
+    clone.__dict__.update(node.__dict__, **fields)
+    return clone
+
+
+class _Binder:
+    """One bind pass: each slot-tagged literal takes its value from the
+    parameter vector, and the slots met are recorded."""
+
+    def __init__(self, params: tuple) -> None:
+        self.params = params
+        self.seen: set[int] = set()
+
+    def value(self, slot: int | None, current: object) -> object:
+        if slot is None:
+            return current
+        self.seen.add(slot)
+        return self.params[slot][1]
+
+    def _literal(self, node: Expression) -> Expression | None:
+        if not isinstance(node, Literal) or node.slot is None:
+            return None
+        value = self.value(node.slot, node.value)
+        return None if value is node.value else Literal(value, node.slot)
+
+    def bound(self, value):
+        """An expression, a sort key, a list of them or ``None``, bound:
+        the value itself when nothing in it changed."""
+        if value is None:
+            return None
+        if isinstance(value, SortKey):
+            expr = self.bound(value.expression)
+            return value if expr is value.expression else SortKey(expr, value.ascending)
+        if isinstance(value, list):
+            items = [self.bound(item) for item in value]
+            return value if all(map(operator.is_, items, value)) else items
+        return transform(value, self._literal)
+
+
+def bind_plan(plan: PhysicalPlan, params: tuple) -> PhysicalPlan | None:
+    """``plan`` for another statement of its template, with parameters
+    ``params``: each literal set in its slot and what was derived from it
+    re-derived, untouched operators shared. ``None`` when the plan lacks
+    a slot: the planner matched a literal-bearing ``ORDER BY`` or
+    ``HAVING`` term to a select item by its text, which another
+    statement's literals need not repeat."""
+    binder = _Binder(params)
+    bound = plan.bind(binder)
+    slots = {i for i, param in enumerate(params) if isinstance(param, tuple)}
+    return bound if binder.seen == slots else None
+
+
+# ----------------------------------------------------------------------
 # plan-wide expression access (plan modifiers, path-set derivation)
 # ----------------------------------------------------------------------
 def walk_plan(plan: PhysicalPlan):
@@ -803,26 +909,12 @@ def expression_slots(plan: PhysicalPlan):
     ``holder[slot]`` for a list position, ``getattr(holder, slot)`` for
     an attribute. Read through :func:`slot_expression`."""
     for node in walk_plan(plan):
-        if isinstance(node, FilterExec):
-            yield node, "condition"
-        elif isinstance(node, ProjectExec):
-            for i in range(len(node.expressions)):
-                yield node.expressions, i
-        elif isinstance(node, GroupedAggregation):
-            for i in range(len(node.group_keys)):
-                yield node.group_keys, i
-            for i in range(len(node.output)):
-                yield node.output, i
-        elif isinstance(node, SortExec):
-            for i in range(len(node.keys)):
-                yield node.keys, i
-        elif isinstance(node, HashJoinExec):
-            for i in range(len(node.left_keys)):
-                yield node.left_keys, i
-            for i in range(len(node.right_keys)):
-                yield node.right_keys, i
-            if node.residual is not None:
-                yield node, "residual"
+        for name in node.expression_fields:
+            value = getattr(node, name)
+            if isinstance(value, list):
+                yield from ((value, i) for i in range(len(value)))
+            elif value is not None:
+                yield node, name
 
 
 def slot_expression(holder, slot) -> Expression:

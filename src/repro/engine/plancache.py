@@ -6,13 +6,14 @@ is cheap relative to scanning, but it is pure overhead on every
 recurrence, and under Maxson it repeats cache-registry lookups and plan
 rewrites too. This module caches the finished
 :class:`~repro.engine.planner.PlannedQuery` (post plan-modifier, post
-morsel rewrite, with its compiled batch closures) keyed by:
+morsel rewrite) keyed by:
 
-* the **canonical statement** — the result cache's canonical text,
-  parameter vector and output names
+* the **statement template** — the result cache's canonical text, the
+  type names of its parameters and its output names
   (:class:`~repro.engine.resultcache.CanonicalStatement`), so re-spaced,
-  re-cased and reordered spellings of a statement share one plan while a
-  changed literal or output alias does not (the plan produces the
+  re-cased and reordered spellings of a statement share one plan, and so
+  do statements that differ only in a literal or a ``LIMIT`` of the same
+  type, while a changed output alias does not (the plan produces the
   aliases as its column names); a statement that does not canonicalise
   is keyed on its exact text. The session's canonicalisation memo parses
   the statement once and hands that parse to the planner on a miss;
@@ -24,6 +25,9 @@ morsel rewrite, with its compiled batch closures) keyed by:
   circuit-breaker epoch, so registry swaps and quarantine transitions
   re-plan even if the catalog were untouched.
 
+A hit with other parameters than the plan was built with gets the plan
+**bound** to them (:func:`~repro.engine.physical.bind_plan`).
+
 Entries are LRU-evicted beyond ``capacity`` and, when the session runs
 under a unified :class:`~repro.engine.cachebudget.CacheLedger`, beyond
 the shared byte budget too. Lookups and stores are lock-guarded (the
@@ -33,10 +37,11 @@ server shares one session across request threads).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .cachebudget import CacheLedger
 from .metrics import QueryMetrics
+from .physical import bind_plan
 from .planner import PlannedQuery
 
 __all__ = ["CachedPlan", "PlanCache"]
@@ -53,6 +58,20 @@ class CachedPlan:
 
     planned: PlannedQuery
     planned_metrics: QueryMetrics
+    #: The parameters the plan was built with (``None``: never bound).
+    params: tuple | None = None
+
+    def bound(self, params: tuple | None) -> "CachedPlan | None":
+        """This entry for a statement with ``params``: itself for its own,
+        else its plan bound to them (the logical plan stays the template's:
+        nothing reads it once planned), or ``None`` when it cannot be."""
+        if params == self.params:
+            return self
+        physical = bind_plan(self.planned.physical, params)
+        if physical is None:
+            return None
+        planned = replace(self.planned, physical=physical)
+        return replace(self, planned=planned, params=params)
 
 
 #: Flat per-entry overhead estimate for a cached plan: operator objects,
@@ -64,8 +83,7 @@ _PLAN_ENTRY_OVERHEAD = 4096
 
 
 def _plan_entry_bytes(key: tuple) -> int:
-    statement = key[0]  # a CanonicalStatement, or a statement's exact text
-    return _PLAN_ENTRY_OVERHEAD + len(getattr(statement, "text", statement))
+    return _PLAN_ENTRY_OVERHEAD + len(key[0])  # a template's or a statement's text
 
 
 class PlanCache:
@@ -96,9 +114,13 @@ class PlanCache:
         else:
             self._charges.pop(key, None)
 
-    def get(self, key: tuple) -> CachedPlan | None:
+    def get(self, key: tuple, params: tuple | None = None) -> CachedPlan | None:
+        """The entry for ``key`` bound to ``params`` (a plan that cannot be
+        bound to them counts as a miss)."""
         with self._lock:
             entry = self._entries.get(key)
+            if entry is not None:
+                entry = entry.bound(params)
             if entry is None:
                 self.misses += 1
                 return None
@@ -107,11 +129,12 @@ class PlanCache:
             self.hits += 1
             return entry
 
-    def peek(self, key: tuple) -> CachedPlan | None:
-        """Counter-free, recency-free look-up (the flight recorder reads
-        a plan without skewing hit statistics or eviction order)."""
+    def peek(self, key: tuple, params: tuple | None = None) -> CachedPlan | None:
+        """:meth:`get` without counters or recency (the flight recorder
+        reads a plan without skewing hit statistics or eviction order)."""
         with self._lock:
-            return self._entries.get(key)
+            entry = self._entries.get(key)
+        return None if entry is None else entry.bound(params)
 
     def put(self, key: tuple, entry: CachedPlan) -> None:
         with self._lock:

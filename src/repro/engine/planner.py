@@ -305,7 +305,7 @@ class Planner:
         if isinstance(plan, LogicalSort):
             return self._lower_sort(plan, required)
         if isinstance(plan, LogicalLimit):
-            return LimitExec(self._lower(plan.child, required), plan.count)
+            return LimitExec(self._lower(plan.child, required), plan.count, plan.slot)
         if isinstance(plan, LogicalJoin):
             return self._lower_join(plan, required)
         raise PlanError(f"cannot lower {type(plan).__name__}")

@@ -29,7 +29,7 @@ from .expressions import (
     Literal,
     split_conjuncts,
 )
-from .physical import ExecState, FilterExec, PhysicalPlan, ScanExec, UnaryExec
+from .physical import ExecState, FilterExec, PhysicalPlan, ScanExec, UnaryExec, _rebuilt
 from .planner import PlannedQuery
 
 __all__ = ["SparserPrefilterExec", "SparserPlanModifier"]
@@ -91,6 +91,13 @@ class SparserPrefilterExec(UnaryExec):
     def _label(self) -> str:
         probes = ", ".join(f.describe() for f in self.cascade.filters)
         return f"SparserPrefilter {self.column} [{probes}]"
+
+    def filtered_by(self, condition: Expression) -> PhysicalPlan:
+        # The probed column was the first probe-able one: only its
+        # conjuncts made the cascade.
+        _, cascade = derive_cascade(condition, {self.column})
+        child = self.child.filtered_by(condition)
+        return _rebuilt(self, child=child, cascade=cascade)
 
     def apply(self, state: ExecState, batch: ColumnBatch) -> ColumnBatch:
         """Probe one batch (one split, under a morsel pipeline).

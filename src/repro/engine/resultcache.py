@@ -16,11 +16,12 @@ rendered lowercase), table aliases are positional (``t0``, ``t1``…),
 output aliases are stripped, commutative predicate chains (AND/OR,
 IN lists, ``=``/``!=`` operands) are ordered deterministically, and
 literals are replaced by placeholders whose values move into a separate
-*parameter vector*. Semantically equivalent statements therefore share
-one canonical text; statements differing only in literal values share
-the text (for recurrence statistics) but not the cache key. The memo
-holds the parse it rendered from until the session's planner takes it,
-so a statement is parsed once whether it is keyed, planned or both.
+*parameter vector* — a ``LIMIT`` count too — each literal keeping its
+slot there. Semantically equivalent statements therefore share one
+canonical text; statements differing only in literal values share the
+text (the template: one plan) but not the cache key. The memo holds the
+parse it rendered from until the session's planner takes it, so a
+statement is parsed once whether it is keyed, planned or both.
 
 **Result store.** Entries hold final result sets as encoded lane frames
 (:mod:`repro.engine.frame`: the bytes a shard's reply carries, so a hit
@@ -32,8 +33,8 @@ cache uses, so DDL, data appends, cache-generation swaps and
 circuit-breaker transitions all invalidate by key mismatch.
 
 **Benefit-based admission.** Candidates are scored Maxson-style by
-acceleration per byte — (observed execution seconds saved × recurrence
-count from the session's trace statistics) / result bytes — and compete
+acceleration per byte — (observed execution seconds saved × recurrences
+of the same statement, text and parameters) / result bytes — and compete
 for space with the plan and document caches under one shared
 :class:`~repro.engine.cachebudget.CacheLedger` byte budget: a candidate
 is admitted only if it fits the remaining budget or out-scores the
@@ -96,10 +97,9 @@ class CanonicalStatement:
     """The semantic identity of one parsed statement.
 
     ``text`` + ``params`` identify the statement (together with the
-    session's catalog/modifier tokens); ``text`` alone is the template
-    under which recurrence statistics accumulate, so two recurrences with
-    different literal values still count toward the same template's
-    popularity.
+    session's catalog/modifier tokens) and count its recurrences; ``text``
+    alone is the template, under which statements that differ only in
+    their literal values share one plan.
     """
 
     text: str
@@ -116,9 +116,9 @@ class _Renderer:
 
     ``params=None`` renders literals inline (used to order commutative
     operands deterministically, literal values included); a list collects
-    ``(type_name, value)`` pairs while the rendering emits ``?``. Type
-    names keep ``1``/``1.0``/``True`` distinct even though Python hashes
-    them equal.
+    ``(type_name, value)`` pairs while the rendering emits ``?`` and tags
+    the node with its slot. Type names keep ``1``/``1.0``/``True`` distinct
+    even though Python hashes them equal.
     """
 
     def __init__(self, alias_map: dict[str, str], params: list | None) -> None:
@@ -128,6 +128,13 @@ class _Renderer:
     def _inline(self) -> "_Renderer":
         return _Renderer(self.alias_map, None)
 
+    def param(self, node, value) -> str:
+        """``?`` for ``value``, bound into the next slot, which ``node``
+        (a frozen ``Literal`` or a ``LogicalLimit``) keeps."""
+        object.__setattr__(node, "slot", len(self.params))
+        self.params.append((type(value).__name__, value))
+        return "?"
+
     def expr(self, e: Expression) -> str:
         if isinstance(e, Alias):
             return self.expr(e.child)  # output aliases are not identity
@@ -136,8 +143,7 @@ class _Renderer:
         if isinstance(e, Literal):
             if self.params is None:
                 return f"{type(e.value).__name__}:{e.value!r}"
-            self.params.append((type(e.value).__name__, e.value))
-            return "?"
+            return self.param(e, e.value)
         if isinstance(e, Star):
             return "*"
         if isinstance(e, BinaryOp):
@@ -240,7 +246,7 @@ def _render_plan(node: LogicalPlan, r: _Renderer) -> str:
         )
         return f"sort({_render_plan(node.child, r)},[{keys}])"
     if isinstance(node, LogicalLimit):
-        return f"limit({_render_plan(node.child, r)},{node.count})"
+        return f"limit({_render_plan(node.child, r)},{r.param(node, node.count)})"
     raise _Uncanonical(type(node).__name__)
 
 
@@ -366,7 +372,7 @@ def _positional_sort(
     )
     text = f"sort({_render_plan(project, r)},[{keys}])"
     if isinstance(logical, LogicalLimit):
-        text = f"limit({text},{logical.count})"
+        text = f"limit({text},{r.param(logical, logical.count)})"
     return text
 
 
@@ -397,9 +403,15 @@ def _estimate_bytes(batch: ColumnBatch) -> int:
     return total
 
 
+def _identity(canonical: CanonicalStatement) -> tuple:
+    """What recurs: the canonical text *and* its parameters. Counted per
+    template, a literal's variants would inherit the template's count."""
+    return canonical.text, canonical.params
+
+
 @dataclass
 class _Entry:
-    canonical_text: str
+    statement: tuple  # its _identity
     nbytes: int
     cost_seconds: float
     referenced_paths: tuple
@@ -438,10 +450,10 @@ class ResultCache:
         #: and stamp is live, the rest are dropped when they surface.
         self._victims: list[tuple] = []
         self._stamp = 0
-        #: canonical text -> keys of the resident entries carrying it.
-        self._by_text: dict[str, set] = {}
-        #: canonical text -> times seen (the recurrence estimate).
-        self._recurrence: dict[str, int] = {}
+        #: statement identity -> keys of the resident entries carrying it.
+        self._by_statement: dict[tuple, set] = {}
+        #: statement identity -> times seen (the recurrence estimate).
+        self._recurrence: dict[tuple, int] = {}
         #: (exact statement text, catalog version) -> [its canonical
         #: statement or None, its parse until the planner takes it (a
         #: LogicalPlan or the parse error), then None].
@@ -482,17 +494,18 @@ class ResultCache:
             raise parse
         return None if parse is None else (parse, held[0] is not None)
 
-    def note_recurrence(self, canonical_text: str) -> int:
-        """Record one observation of a canonical text; returns the updated
+    def note_recurrence(self, canonical: CanonicalStatement) -> int:
+        """Record one observation of a statement; returns the updated
         recurrence count (the admission-time benefit multiplier)."""
+        statement = _identity(canonical)
         with self._lock:
-            count = self._recurrence.pop(canonical_text, 0) + 1
+            count = self._recurrence.pop(statement, 0) + 1
             while len(self._recurrence) >= _RECURRENCE_CAPACITY:
                 dropped = next(iter(self._recurrence))
                 del self._recurrence[dropped]  # its count falls back to 1
                 self._rescore_locked(dropped)
-            self._recurrence[canonical_text] = count
-            self._rescore_locked(canonical_text)
+            self._recurrence[statement] = count
+            self._rescore_locked(statement)
             return count
 
     # -- lookup ---------------------------------------------------------
@@ -534,11 +547,11 @@ class ResultCache:
         nbytes = None if self.capacity == 0 or drifted else _estimate_bytes(batch)
         with self._lock:
             admitted = nbytes is not None and self._make_room_locked(
-                key, canonical.text, cost_seconds, nbytes
+                key, _identity(canonical), cost_seconds, nbytes
             )
             if admitted:
                 entry = _Entry(
-                    canonical_text=canonical.text,
+                    statement=_identity(canonical),
                     nbytes=nbytes,
                     cost_seconds=cost_seconds,
                     referenced_paths=tuple(referenced_paths),
@@ -552,11 +565,11 @@ class ResultCache:
             self._counts["admissions" if admitted else "rejections"] += 1
             return admitted
 
-    def _make_room_locked(self, key: tuple, text: str, cost: float, nbytes) -> bool:
+    def _make_room_locked(self, key: tuple, stmt: tuple, cost: float, nbytes) -> bool:
         """Evict lower-scored entries until ``nbytes`` fit; False when they
         cannot (a resident entry scores at least as high, or the other
         tiers own the budget)."""
-        score = _score(cost, self._recurrence.get(text, 1), nbytes)
+        score = _score(cost, self._recurrence.get(stmt, 1), nbytes)
         budget = self.ledger.budget
         if budget is not None and nbytes > budget:
             return False
@@ -572,7 +585,7 @@ class ResultCache:
         return not self.ledger.over_budget(nbytes)
 
     def _score_of(self, entry: _Entry) -> float:
-        recurrence = self._recurrence.get(entry.canonical_text, 1)
+        recurrence = self._recurrence.get(entry.statement, 1)
         return _score(entry.cost_seconds, recurrence, entry.nbytes)
 
     def _store_locked(self, key: tuple, entry: _Entry) -> None:
@@ -580,7 +593,7 @@ class ResultCache:
         self._stamp += 1
         entry.stamp = self._stamp
         self._entries[key] = entry
-        self._by_text.setdefault(entry.canonical_text, set()).add(key)
+        self._by_statement.setdefault(entry.statement, set()).add(key)
         self._push_locked(key, entry)
 
     def _push_locked(self, key: tuple, entry: _Entry) -> None:
@@ -590,8 +603,8 @@ class ResultCache:
             self._victims = [(e.score, e.stamp, k) for k, e in self._entries.items()]
             heapq.heapify(self._victims)
 
-    def _rescore_locked(self, canonical_text: str) -> None:
-        for key in self._by_text.get(canonical_text, ()):
+    def _rescore_locked(self, statement: tuple) -> None:
+        for key in self._by_statement.get(statement, ()):
             self._push_locked(key, self._entries[key])
 
     def _victim_locked(self) -> tuple[tuple, _Entry]:
@@ -608,10 +621,10 @@ class ResultCache:
 
     def _evict_locked(self, key: tuple, count: bool = True) -> None:
         entry = self._entries.pop(key)
-        keys = self._by_text[entry.canonical_text]
+        keys = self._by_statement[entry.statement]
         keys.discard(key)
         if not keys:
-            del self._by_text[entry.canonical_text]
+            del self._by_statement[entry.statement]
         self.ledger.release("result", entry.nbytes)
         if count:
             self._counts["evictions"] += 1
@@ -643,7 +656,7 @@ class ResultCache:
             )
             self._entries.clear()
             self._victims.clear()
-            self._by_text.clear()
+            self._by_statement.clear()
             self._memo.clear()
 
     def __len__(self) -> int:

@@ -351,22 +351,29 @@ class Session:
         except Exception:  # noqa: BLE001 - diagnostics must not fail a query
             return None
 
-    def _plan_key(self, sql: str, tokens: tuple) -> tuple:
-        """The plan-cache key: the canonical statement, output names and
-        all (re-aliased statements share rows, not column labels), or the
-        exact text of a statement that does not canonicalise."""
-        statement = self.canonical_statement(sql) or sql
-        return (statement, self.catalog.version, tokens)
+    def _plan_key(self, sql: str, tokens: tuple) -> tuple[tuple, tuple | None]:
+        """``(plan-cache key, parameters)``: the key is the template —
+        canonical text, parameter type names (``1`` and ``1.0`` plan apart)
+        and output names (the plan emits them) — or the exact text of a
+        statement that does not canonicalise (no parameters)."""
+        statement = self.canonical_statement(sql)
+        version = self.catalog.version
+        if statement is None:
+            return (sql, None, None, version, tokens), None
+        params = statement.params
+        types = tuple(p[0] if isinstance(p, tuple) else p for p in params)
+        return (statement.text, types, statement.output_names, version, tokens), params
 
     def cached_plan(self, sql: str) -> PhysicalPlan | None:
         """The physical plan the plan cache holds for ``sql`` right now,
-        or ``None`` — never planned, evicted, or planned under a tracer
-        (traced queries bypass the plan cache). Counter-free."""
+        bound to its literals, or ``None`` — never planned, evicted, or
+        planned under a tracer (traced queries bypass the plan cache).
+        Counter-free."""
         cache = self._plan_cache
         _, tokens = self._modifier_snapshot()
         if cache is None or tokens is None:
             return None
-        entry = cache.peek(self._plan_key(sql, tokens))
+        entry = cache.peek(*self._plan_key(sql, tokens))
         return entry.planned.physical if entry is not None else None
 
     def shrink_caches_to(self, budget_bytes: int) -> int:
@@ -502,10 +509,10 @@ class Session:
         modifiers, tokens = self._modifier_snapshot()
         if tokens is None:  # an unkeyed modifier makes the query uncacheable
             cache = None
-        key = None
+        key = params = None
         if cache is not None:
-            key = self._plan_key(sql, tokens)
-            entry = cache.get(key)
+            key, params = self._plan_key(sql, tokens)
+            entry = cache.get(key, params)
             if entry is not None:
                 state = self._make_state(cancel_token=cancel_token)
                 # Replay the plan-time metric effects (e.g. Maxson's
@@ -539,6 +546,7 @@ class Session:
                 CachedPlan(
                     planned=planned,
                     planned_metrics=state.metrics.snapshot(),
+                    params=params,
                 ),
             )
             state.metrics.extra["plan_cache_misses"] = (
@@ -588,7 +596,7 @@ class Session:
         rcache = self._result_cache
         canonical, result_key = self._result_key(sql)
         if result_key is not None:
-            rcache.note_recurrence(canonical.text)
+            rcache.note_recurrence(canonical)
         result_cache_missed = False
         if result_key is not None and tracer is None:
             served = self._serve_cached_result(result_key, canonical)

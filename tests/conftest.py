@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import multiprocessing
+
 import pytest
 
 from repro.engine import Session
@@ -16,6 +19,16 @@ def pytest_addoption(parser):
         help="run all 500 generated statements in every differential-matrix "
         "cell and traced == untraced leg, not one per plan shape",
     )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_process_outlives_the_run():
+    """Every process a test starts — a shard, a pool worker — is gone when
+    the run ends (a router or pool nobody closed, once collected, by its
+    finalizer)."""
+    yield
+    gc.collect()
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,9 @@
 """Plan cache: recurring statements reuse their compiled plan, safely.
 
-The cache is keyed on (canonical statement, catalog version, modifier
-tokens), so the dangerous direction is *staleness*: a cached plan must
+The cache is keyed on (statement template, catalog version, modifier
+tokens), and a hit binds the statement's own literals into the template
+plan, so the dangerous directions are a *wrong binding* (a literal, SARG
+or LIMIT the statement did not ask for) and *staleness*: a cached plan must
 stop matching the moment anything that influenced planning changes — a
 DDL statement, appended data, a cache-generation swap, a registry
 repair. These tests pin each invalidation edge, plus the LRU mechanics
@@ -12,6 +14,7 @@ import pytest
 
 from repro.engine import Session, SqlSyntaxError
 from repro.engine.catalog import Catalog
+from repro.engine.planner import Planner
 from repro.jsonlib import dumps
 from repro.obs.trace import Tracer
 from repro.server import MaxsonServer, ServerConfig
@@ -31,23 +34,27 @@ def tiny(session: Session) -> Session:
 
 
 def shares_plan(session: Session, first: str, second: str) -> bool:
-    """Whether ``second``, run right after ``first``, hit its plan."""
-    session.sql(first)
+    """Whether ``second``, run right after ``first``, hit its plan; each
+    must return its own reference rows."""
+    rows = [session.sql(first).rows]
     hits = session.plan_cache_stats()["hits"]
-    session.sql(second)
+    rows.append(session.sql(second).rows)
+    for sql, got in zip((first, second), rows):
+        assert comparable(sql, got) == comparable(sql, reference_rows(session, sql))
     return session.plan_cache_stats()["hits"] == hits + 1
 
 
 class TestFingerprint:
-    """The plan key is the canonical statement (text, parameters, output
-    names): spellings of one statement share a plan, data does not."""
+    """The plan key is the statement template (text, parameter types,
+    output names): spellings of one statement share a plan, and so do its
+    literal variants, each bound to its own values."""
 
     def test_whitespace_insensitive(self, tiny):
         assert shares_plan(tiny, "select a from db.t", "select  a\nfrom db.t")
 
     def test_quoted_literals_keep_their_spacing(self, tiny):
-        where = "select a from db.t where b = "
-        assert not shares_plan(tiny, where + "'x  y'", where + "'x y'")
+        select = "select a, {} as k from db.t"
+        assert shares_plan(tiny, select.format("'x  y'"), select.format("'x y'"))
 
     def test_case_folds_outside_literals(self, tiny):
         # keywords and identifiers fold (the planner resolves
@@ -57,7 +64,40 @@ class TestFingerprint:
     def test_case_inside_literals_is_data(self, tiny):
         # ...but string literals are data and keep their case
         where = "select a from db.t where b = "
-        assert not shares_plan(tiny, where + "'X'", where + "'x'")
+        assert shares_plan(tiny, where + "'S1'", where + "'s1'")
+
+    @pytest.mark.parametrize("first, second", [
+        ("a > 5 and a > 3", "a > 1 and a > 9"),  # canonical order flips
+        ("a in (1, 9)", "a in (9, 2)"),
+        ("a between 2 and 6", "a between 5 and 10"),
+        ("a > 20", "a > 0"),  # a stale SARG would skip every row group...
+        ("a >= 0", "a >= 5"),  # ...or prove it
+        ("a >= 0 order by a limit 7", "a >= 0 order by a limit 2"),
+    ])
+    def test_template_hit_binds_exactly(self, tiny, first, second):
+        select = "select b from db.t where "
+        assert shares_plan(tiny, select + first, select + second)
+
+    def test_cached_field_sargs_rebind(self):
+        session = near.cached_result_system(result_cache=False)[0].session
+        sql = "select id from db.t where get_json_object(payload, '$.hot') > {}"
+        assert shares_plan(session, sql.format(10), sql.format(1))
+
+    def test_a_literal_matched_by_its_text_is_not_bound(self, tiny):
+        # HAVING's sum(a + 1) is the select item's column; sum(a + 10) is not
+        sql = "select b, sum(a + 1) as s from db.t group by b having sum(a + {}) > 25"
+        assert not shares_plan(tiny, sql.format(1), sql.format(10))
+
+    def test_string_and_int_literals_plan_apart(self, tiny):
+        where = "select a from db.t where b = "
+        assert not shares_plan(tiny, where + "'1'", where + "1")
+
+    def test_explain_renders_the_statements_own_literals(self, tiny):
+        sql = "select a from db.t where a between {} and 9 order by a limit {}"
+        tiny.sql(sql.format(2, 3))
+        plan = tiny.cached_plan(sql.format(4, 5)).describe()
+        assert "Limit 5" in plan and "BETWEEN 4 AND 9" in plan
+        assert plan == tiny.explain(sql.format(4, 5))
 
     def test_recased_statement_hits_plan_cache(self, tiny):
         tiny.sql("select a from db.t")
@@ -115,6 +155,14 @@ class TestOneParse:
         assert second.metrics.extra["result_cache_hits"] == 1
         assert second.rows == first.rows and str(served.value) == str(planned.value)
         assert parse_calls == [Q5_ADHOC, bad, bad]  # compile's own, the served one
+
+    def test_limit_variant_binds_without_planning(self, parse_calls, monkeypatch):
+        system, plans, real = build_system(), [], Planner.plan
+        system.sql(Q5_ADHOC)
+        monkeypatch.setattr(Planner, "plan", lambda *a: plans.append(a) or real(*a))
+        variant = Q5_ADHOC.replace("limit 137", "limit 3")
+        assert len(system.sql(variant).rows) == 3
+        assert parse_calls == [Q5_ADHOC, variant] and plans == []
 
     def test_rewrite_reads_each_tables_mtime_once(self, monkeypatch):
         system, reads, real = build_system(), [], Catalog.modification_time

@@ -119,6 +119,13 @@ class TestEndToEnd:
         assert result.metrics.parse_documents < 100
         assert result.metrics.extra["sparser_rows_dropped"] > 200
 
+    def test_template_hit_probes_its_own_literal(self, sparser_session):
+        sparser_session.sql(self.SQL)
+        variant = sparser_session.sql(self.SQL.replace("'k7'", "'k8'"))
+        assert variant.metrics.extra["plan_cache_hits"] == 1
+        assert {row["id"] % 30 for row in variant.rows} == {8}
+        assert len(variant.rows) == 10
+
     def test_plan_shows_prefilter(self, sparser_session):
         text = sparser_session.explain(self.SQL)
         assert "SparserPrefilter" in text

@@ -26,6 +26,7 @@ from repro.engine import resultcache
 from repro.engine.resultcache import _estimate_bytes, canonicalize
 from repro.faults import FaultPolicy, FaultyFileSystem
 from repro.jsonlib import dumps
+from repro.server import MaxsonServer, ServerConfig
 from repro.storage import BlockFileSystem, DataType, Schema
 from repro.workload import PathKey
 
@@ -95,7 +96,7 @@ class TestCanonicalization:
     def test_literals_bind_into_params(self, rc_session):
         a = canon(rc_session, "select a from db.t where a > 1")
         b = canon(rc_session, "select a from db.t where a > 5")
-        assert a.text == b.text  # same template = shared recurrence
+        assert a.text == b.text  # same template = shared plan
         assert a.params != b.params  # different answer = different key
 
     def test_numeric_type_kept_distinct_in_params(self, rc_session):
@@ -355,7 +356,7 @@ class TestAdmission:
             ("cold",), fixed_canonical("cold"), rows, cost_seconds=0.001
         )
         for _ in range(5):  # hot template recurs
-            cache.note_recurrence("hot")
+            cache.note_recurrence(fixed_canonical("hot"))
         assert cache.admit(
             ("hot",), fixed_canonical("hot"), rows, cost_seconds=0.1
         )
@@ -369,7 +370,7 @@ class TestAdmission:
         cache = ResultCache(ledger)
         rows = ColumnBatch.from_rows([{"v": "x" * 40}] * 20)
         for _ in range(5):
-            cache.note_recurrence("hot")
+            cache.note_recurrence(fixed_canonical("hot"))
         assert cache.admit(
             ("hot",), fixed_canonical("hot"), rows, cost_seconds=0.1
         )
@@ -379,6 +380,24 @@ class TestAdmission:
         stats = cache.stats()
         assert stats["rejections"] == 1 and stats["evictions"] == 0
         assert cache.fetch(("hot",)) is not None
+
+    def test_threshold_variants_leave_a_recurring_entry_alone(self):
+        """Recurrence counts per statement, text and parameters: each
+        threshold variant of A counts once, and cannot out-score B (counted
+        per template, the variants inherit A's count and evict B)."""
+        system, _ = cached_result_system()
+        system.session.configure(result_cache_entries=2)
+        sql = "select get_json_object(payload, '$.hot') as h from db.t where id {}"
+        with MaxsonServer(system, ServerConfig(result_cache=True)) as server:
+            def hit(sql):
+                extra = server.submit(sql).result(timeout=30).metrics.extra
+                return extra.get("result_cache_hits", 0)
+
+            for each in [sql.format("< 100"), sql.format(">= 0")] * 5:
+                hit(each)
+            for i in range(24):
+                hit(sql.format(f"< {101 + i}"))
+                assert i % 4 < 3 or hit(sql.format(">= 0")) == 1, i
 
     def test_recorded_replay_admits_and_evicts_as_before(self):
         """Entries hold frames, not tuples; the policy did not move. 300
@@ -391,7 +410,7 @@ class TestAdmission:
         outcome = ""
         for i in range(300):
             tag = f"q{rng.randrange(80)}"
-            cache.note_recurrence(tag)
+            cache.note_recurrence(fixed_canonical(tag))
             rows = [
                 {"v": rng.choice([None, 7, 1.5, True, "x" * rng.randrange(60), [1, 2]]), "w": i}
                 for _ in range(rng.randrange(1, 30))
@@ -431,7 +450,8 @@ class TestAdmission:
             rows = [{"v": "x" * rng.randrange(40)} for _ in range(rng.randrange(1, 8))]
             batch, shrink = ColumnBatch.from_rows(rows), rng.randrange(3000)
             admit = ("admit", key, fixed_canonical(tag), batch, cost)
-            note, shrink = ("note_recurrence", tag), ("shrink_to_bytes", shrink)
+            note = ("note_recurrence", fixed_canonical(tag))
+            shrink = ("shrink_to_bytes", shrink)
             ops.append(rng.choice([admit, admit, ("fetch", key), note, note, shrink]))
 
         def replay(cache):

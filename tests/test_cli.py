@@ -80,3 +80,20 @@ class TestCommands:
         assert "Maxson server status" in out
         assert "hit_ratio" in out
         assert "midnight cycles" in out
+
+    def test_replay_serve_process_backed_shards(self, capsys):
+        """Each shard starts its own process pool's workers."""
+        code = main(
+            [
+                "replay-serve",
+                "--shards", "2",
+                "--scan-workers", "2",
+                "--worker-backend", "process",
+                "--days", "1",
+                "--per-day", "6",
+                "--rows", "40",
+                "--verify",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0 and " 0 failed" in out and "(0 mismatched)" in out

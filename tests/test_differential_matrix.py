@@ -24,7 +24,6 @@ from unittest import mock
 import pytest
 
 from repro.cluster import ClusterRouter, ShardSpec, build_shard_server
-from repro.cluster.rpc import RpcError
 from repro.core import MaxsonConfig, MaxsonSystem, PredictorConfig
 from repro.engine import CancelToken, QueryCancelledError, Session
 from repro.faults import FaultPolicy, FaultyFileSystem, parse_fault_profile
@@ -434,17 +433,6 @@ def _assert_cell(world, cell, sqls, expected, canonical, parity) -> None:
     assert not drifted, f"{len(drifted)} count other metrics than serial, first: {drifted[0]}"
 
 
-#: A shard is a daemonic process, and a daemonic process may not start
-#: the process pool's workers: a process-backed shard fails every query.
-SHARD_CANNOT_SPAWN = pytest.mark.xfail(
-    raises=RpcError, strict=True, reason="a daemonic shard cannot spawn workers"
-)
-PARAMS = [
-    pytest.param(c, marks=SHARD_CANNOT_SPAWN) if c[::2] == ("process", "router") else c
-    for c in CELLS
-]
-
-
-@pytest.mark.parametrize("cell", PARAMS, ids="-".join)
+@pytest.mark.parametrize("cell", CELLS, ids="-".join)
 def test_cell(matrix, cell):
     matrix.check(*cell)
