@@ -7,23 +7,23 @@ so the loop is shaped the other way round:
 
 * Operators exchange :class:`ColumnBatch` — parallel value lists keyed by
   column name — instead of lists of per-row dicts.
-* :class:`BatchCompiler` lowers each :class:`~repro.engine.expressions.
-  Expression` to a closure over whole columns (a
-  :class:`CompiledExpression`). Scalar semantics come from the kernel
-  functions of :mod:`repro.engine.expressions` (``_apply_arith`` etc.),
-  the same ones ``Expression.evaluate`` calls.
-* Extraction calls route through the context's vectorized
+* An :class:`ExpressionProgram` lowers each :class:`~repro.engine.
+  expressions.Expression` of a plan, once, to a closure over whole
+  columns (a :class:`CompiledExpression`). Scalar semantics come from the
+  kernel functions of :mod:`repro.engine.expressions` (``_apply_arith``
+  etc.), the same ones ``Expression.evaluate`` calls.
+* Extraction calls route through the split's context's vectorized
   ``get_json_objects`` / ``get_xml_objects``, which share one parsed
   document per distinct text via :class:`~repro.jsonlib.doccache.
   DocumentCache` — parse-once sharing across every expression in the
   query.
-* The compiler memoises by expression *equality* (all expression nodes
+* The program memoises by expression *equality* (all expression nodes
   are frozen dataclasses), which is the engine's common-subexpression
   elimination: two textually identical ``get_json_object`` calls compile
   to one node and evaluate once per batch. Re-served results are counted
   into ``QueryMetrics.duplicate_extractions_eliminated``.
 
-The fallback contract: anything the compiler does not lower (scalar
+The fallback contract: anything the program does not lower (scalar
 functions, ``IN`` over non-literal options) becomes a closure that calls
 the scalar ``Expression.evaluate`` over ``batch.rows()``, so no
 expression is unsupported — only slower where not vectorized. The
@@ -44,7 +44,6 @@ from .expressions import (
     CachedField,
     CastExpr,
     Column,
-    EvalContext,
     Expression,
     ExtractionCall,
     GetJsonObject,
@@ -68,47 +67,9 @@ from .expressions import (
 __all__ = [
     "ColumnBatch",
     "CompiledExpression",
-    "BatchCompiler",
-    "ExpressionAnalysis",
+    "ExpressionProgram",
+    "conjunction_values",
 ]
-
-
-class ExpressionAnalysis:
-    """Immutable per-query expression facts, shared across worker forks.
-
-    Every morsel fork builds its own :class:`BatchCompiler` (closures
-    capture the fork's private context, and per-batch identity caches
-    must never be shared between concurrently executing splits), but the
-    *analysis* of an expression tree — today, its extraction-call count
-    — is a pure function of the frozen expression and identical in every
-    fork. The coordinator's ``ExecState`` owns one instance and hands it
-    read-only to each fork, so a query with N splits walks each
-    expression tree once instead of N times.
-    """
-
-    __slots__ = ("_extractions", "_lock")
-
-    def __init__(self) -> None:
-        self._extractions: dict[Expression, int] = {}
-        self._lock = threading.Lock()
-
-    def extraction_count(self, expr: Expression) -> int:
-        table = self._extractions
-        try:
-            cached = table.get(expr)
-            hashable = True
-        except TypeError:  # unhashable payload (e.g. Literal over a list)
-            cached = None
-            hashable = False
-        if cached is not None:
-            return cached
-        count = sum(
-            1 for node in walk(expr) if isinstance(node, ExtractionCall)
-        )
-        if hashable:
-            with self._lock:
-                table[expr] = count
-        return count
 
 
 class ColumnBatch:
@@ -122,7 +83,9 @@ class ColumnBatch:
     batch pay the conversion once.
     """
 
-    __slots__ = ("names", "columns", "length", "origin", "proven", "_rows", "_frame")
+    __slots__ = (
+        "names", "columns", "length", "origin", "proven", "memo", "_rows", "_frame"
+    )
 
     def __init__(self, names, columns: dict, length: int) -> None:
         self.names = tuple(names)
@@ -135,6 +98,10 @@ class ColumnBatch:
         #: Conjuncts the split's statistics prove TRUE on every row (kept
         #: by ``take``: a subset keeps the proof); the filter skips them.
         self.proven: frozenset = frozenset()
+        #: Each :class:`CompiledExpression` evaluated on this batch → its
+        #: values. The memo lives here, not on the node, because a node
+        #: serves concurrent splits while a batch belongs to one.
+        self.memo: dict = {}
         self._rows: list[dict] | None = None
         #: Memo of :func:`repro.engine.frame.encode_frame`.
         self._frame: bytes | None = None
@@ -212,68 +179,113 @@ class ColumnBatch:
 
 
 class CompiledExpression:
-    """A batch-lowered expression: ``evaluate(batch) -> list`` of values.
+    """A batch-lowered expression: ``evaluate(batch, state) -> list``.
 
-    Results are cached per batch (by identity, holding a strong
-    reference): when operator trees share a compiled node — the CSE case
-    — the second evaluation on the same batch is served from cache.
-    The cache follows ``take`` lineage: a batch filtered down from the
-    last-evaluated one gathers the cached values by index (expressions
-    are pure, so the surviving rows' values are unchanged), which keeps
-    CSE alive across a selective filter — e.g. a predicate's extraction
-    re-used in the projection. Every re-served extraction is counted
-    into ``QueryMetrics.duplicate_extractions_eliminated``.
+    Immutable and context-free: ``fn(batch, state)`` reads the split's run
+    state (an :class:`~repro.engine.physical.ExecState` — its ``context``
+    extracts, its ``metrics`` count) instead of capturing one, so a node
+    serves every split and every execution of its plan.
+
+    Results are memoised on the batch (:attr:`ColumnBatch.memo`): when
+    operators share a compiled node — the CSE case — the second
+    evaluation on the same batch is served from the memo. The memo
+    follows ``take`` lineage: a batch filtered down from one the node was
+    evaluated on gathers those values by index (expressions are pure, so
+    the surviving rows' values are unchanged), which keeps CSE alive
+    across a selective filter — e.g. a predicate's extraction re-used in
+    the projection. Every re-served extraction is counted into
+    ``QueryMetrics.duplicate_extractions_eliminated``.
     """
 
-    __slots__ = ("fn", "extractions", "compiler", "_last_batch", "_last_result")
+    __slots__ = ("fn", "extractions")
 
-    def __init__(self, fn, extractions: int, compiler: "BatchCompiler") -> None:
+    def __init__(self, fn, extractions: int) -> None:
         self.fn = fn
+        #: Extraction calls in the expression, counted when it compiled.
         self.extractions = extractions
-        self.compiler = compiler
-        self._last_batch: ColumnBatch | None = None
-        self._last_result: list | None = None
 
-    def evaluate(self, batch: ColumnBatch) -> list:
-        if self._last_batch is batch:
-            self._count_eliminated(batch.length)
-            return self._last_result
-        origin = batch.origin
-        if origin is not None and origin[0] is self._last_batch:
-            cached = self._last_result
-            result = [cached[i] for i in origin[1]]
-            self._count_eliminated(batch.length)
-        else:
-            result = self.fn(batch)
-        self._last_batch = batch
-        self._last_result = result
+    def evaluate(self, batch: ColumnBatch, state) -> list:
+        memo = batch.memo
+        result = memo.get(self)
+        if result is None:
+            origin = batch.origin
+            cached = None if origin is None else origin[0].memo.get(self)
+            if cached is None:
+                result = memo[self] = self.fn(batch, state)
+                return result
+            result = memo[self] = [cached[i] for i in origin[1]]
+        if self.extractions:
+            state.metrics.duplicate_extractions_eliminated += (
+                self.extractions * batch.length
+            )
         return result
 
-    def _count_eliminated(self, length: int) -> None:
-        metrics = self.compiler.metrics
-        if metrics is not None and self.extractions:
-            metrics.duplicate_extractions_eliminated += (
-                self.extractions * length
-            )
+
+def conjunction_values(nodes, batch: ColumnBatch, state) -> list:
+    """The SQL AND of compiled conjuncts over ``batch``, left to right,
+    each evaluated only on the rows the ones before it left undecided."""
+    values = nodes[0].evaluate(batch, state)
+    for node in nodes[1:]:
+        values = _logic_step(_combine_and, False, values, node, batch, state)
+    return values
 
 
-class BatchCompiler:
-    """Lower expression trees to column closures, memoised by equality.
+def _logic_step(combine, decided, left_values: list, right: CompiledExpression,
+                batch: ColumnBatch, state) -> list:
+    """AND/OR with batch-level short-circuiting.
 
-    One compiler serves a whole query execution, so identical expression
-    subtrees — wherever they occur in the plan — compile to the *same*
-    :class:`CompiledExpression` (expression nodes are frozen dataclasses
-    and compare by value). That sharing is the engine's
-    common-subexpression elimination.
+    Scalar ``evaluate`` never evaluates the right operand on rows the
+    left operand decides (False for AND, True for OR). The batch form
+    preserves that: the right side is evaluated only on the sub-batch of
+    undecided rows, so errors and parse costs it would have skipped
+    row-wise stay skipped batch-wise.
+    """
+    pending = [i for i, value in enumerate(left_values) if value is not decided]
+    if not pending:
+        return [decided] * batch.length
+    if len(pending) == batch.length:
+        right_values = right.evaluate(batch, state)
+        return [combine(a, b) for a, b in zip(left_values, right_values)]
+    out = [decided] * batch.length
+    right_values = right.evaluate(batch.take(pending), state)
+    for i, value in zip(pending, right_values):
+        out[i] = combine(left_values[i], value)
+    return out
+
+
+class ExpressionProgram:
+    """The expressions of one plan, each lowered once.
+
+    Built on the coordinator before any split runs
+    (:func:`repro.engine.physical.compile_plan`) and owned by the
+    :class:`~repro.engine.planner.PlannedQuery`, so a cached plan carries
+    its program to every execution and every fork reads the same one.
+    Identical expression subtrees anywhere in the plan compile to the
+    *same* :class:`CompiledExpression` (expression nodes are frozen
+    dataclasses and compare by value) — the engine's
+    common-subexpression elimination. Each operator's compiled form
+    (``PhysicalPlan.lower``) is kept by operator identity, so a batch
+    finds its nodes without hashing an expression tree.
     """
 
-    def __init__(self, context: EvalContext, metrics=None, analysis=None) -> None:
-        self.context = context
-        self.metrics = metrics
-        #: Shared read-only :class:`ExpressionAnalysis` (morsel forks of
-        #: one query reuse the coordinator's); private when unshared.
-        self.analysis = analysis if analysis is not None else ExpressionAnalysis()
+    def __init__(self, operators=()) -> None:
         self._memo: dict[Expression, CompiledExpression] = {}
+        self._operators: dict[int, tuple] = {}
+        self._lock = threading.Lock()
+        for operator in operators:
+            self.of(operator)
+
+    def of(self, operator):
+        """``operator.lower(self)``, made once. An operator the program was
+        not built over (a plan driven by hand) is lowered on first use."""
+        entry = self._operators.get(id(operator))
+        if entry is None or entry[0] is not operator:
+            with self._lock:
+                entry = self._operators.get(id(operator))
+                if entry is None or entry[0] is not operator:
+                    entry = (operator, operator.lower(self))
+                    self._operators[id(operator)] = entry
+        return entry[1]
 
     def compile(self, expr: Expression) -> CompiledExpression:
         memo = self._memo
@@ -281,39 +293,37 @@ class BatchCompiler:
             node = memo.get(expr)
         except TypeError:  # unhashable payload (e.g. Literal over a list)
             return self._lower(expr)
-        if node is not None:
-            return node
-        node = self._lower(expr)
-        try:
-            memo[expr] = node
-        except TypeError:
-            pass
+        if node is None:
+            node = memo[expr] = self._lower(expr)
         return node
 
     def _lower(self, expr: Expression) -> CompiledExpression:
         fn = self._lower_fn(expr)
         if fn is None:
             fn = self._fallback(expr)
-        extractions = self.analysis.extraction_count(expr)
-        return CompiledExpression(fn, extractions, self)
+        extractions = sum(
+            1 for node in walk(expr) if isinstance(node, ExtractionCall)
+        )
+        return CompiledExpression(fn, extractions)
 
-    def _fallback(self, expr: Expression):
+    @staticmethod
+    def _fallback(expr: Expression):
         """Scalar escape hatch: evaluate ``expr`` row by row."""
-        context = self.context
-        return lambda batch: [expr.evaluate(row, context) for row in batch.rows()]
+        return lambda batch, state: [
+            expr.evaluate(row, state.context) for row in batch.rows()
+        ]
 
     def _lower_fn(self, expr: Expression):
-        context = self.context
         if isinstance(expr, Literal):
             value = expr.value
-            return lambda batch: [value] * batch.length
+            return lambda batch, state: [value] * batch.length
         if isinstance(expr, Column):
             name = expr.name
-            return lambda batch: batch.column(name)
+            return lambda batch, state: batch.column(name)
         if isinstance(expr, CachedField):
             key = expr.env_key
 
-            def cached_field(batch: ColumnBatch) -> list:
+            def cached_field(batch: ColumnBatch, state) -> list:
                 try:
                     return batch.columns[key]
                 except KeyError:
@@ -324,54 +334,62 @@ class BatchCompiler:
 
             return cached_field
         if isinstance(expr, Alias):
-            child = self.compile(expr.child)
-            return child.evaluate
+            return self.compile(expr.child).evaluate
         if isinstance(expr, GetJsonObject):
             column = self.compile(expr.column)
             path = expr.path
-            return lambda batch: context.get_json_objects(
-                column.evaluate(batch), path
+            return lambda batch, state: state.context.get_json_objects(
+                column.evaluate(batch, state), path
             )
         if isinstance(expr, GetXmlObject):
             column = self.compile(expr.column)
             path = expr.path
-            return lambda batch: context.get_xml_objects(
-                column.evaluate(batch), path
+            return lambda batch, state: state.context.get_xml_objects(
+                column.evaluate(batch, state), path
             )
         if isinstance(expr, BinaryOp):
             left = self.compile(expr.left)
             right = self.compile(expr.right)
             op = expr.op
             if op in _LOGIC:
-                return self._lower_logic(op, left, right)
+                combine = _combine_and if op == "and" else _combine_or
+                decided = op != "and"
+                return lambda batch, state: _logic_step(
+                    combine, decided, left.evaluate(batch, state), right,
+                    batch, state,
+                )
             if op in _COMPARE:
-                return lambda batch: [
+                return lambda batch, state: [
                     _null_safe_compare(op, a, b)
-                    for a, b in zip(left.evaluate(batch), right.evaluate(batch))
+                    for a, b in zip(
+                        left.evaluate(batch, state), right.evaluate(batch, state)
+                    )
                 ]
-            return lambda batch: [
+            return lambda batch, state: [
                 _apply_arith(op, a, b)
-                for a, b in zip(left.evaluate(batch), right.evaluate(batch))
+                for a, b in zip(
+                    left.evaluate(batch, state), right.evaluate(batch, state)
+                )
             ]
         if isinstance(expr, UnaryOp):
             child = self.compile(expr.child)
             op = expr.op
-            return lambda batch: [
-                _apply_unary(op, value) for value in child.evaluate(batch)
+            return lambda batch, state: [
+                _apply_unary(op, value) for value in child.evaluate(batch, state)
             ]
         if isinstance(expr, CastExpr):
             child = self.compile(expr.child)
             target = expr.target
-            return lambda batch: [
-                _apply_cast(target, value) for value in child.evaluate(batch)
+            return lambda batch, state: [
+                _apply_cast(target, value) for value in child.evaluate(batch, state)
             ]
         if isinstance(expr, InList):
             if all(isinstance(option, Literal) for option in expr.options):
                 child = self.compile(expr.child)
                 options = tuple(option.value for option in expr.options)
-                return lambda batch: [
+                return lambda batch, state: [
                     _in_list_result(value, options)
-                    for value in child.evaluate(batch)
+                    for value in child.evaluate(batch, state)
                 ]
             # Non-literal options must keep the interpreter's lazy,
             # in-order option evaluation; fall back whole-node.
@@ -380,46 +398,12 @@ class BatchCompiler:
             child = self.compile(expr.child)
             low = self.compile(expr.low)
             high = self.compile(expr.high)
-            return lambda batch: [
+            return lambda batch, state: [
                 _between_result(value, lo, hi)
                 for value, lo, hi in zip(
-                    child.evaluate(batch),
-                    low.evaluate(batch),
-                    high.evaluate(batch),
+                    child.evaluate(batch, state),
+                    low.evaluate(batch, state),
+                    high.evaluate(batch, state),
                 )
             ]
         return None  # unknown node type: scalar fallback
-
-    def _lower_logic(self, op: str, left: CompiledExpression,
-                     right: CompiledExpression):
-        """AND/OR with batch-level short-circuiting.
-
-        Scalar ``evaluate`` never evaluates the right operand on rows the
-        left operand decides (False for AND, True for OR). The batch form
-        preserves that: the right side is evaluated only on the sub-batch
-        of undecided rows, so errors and parse costs it would have
-        skipped row-wise stay skipped batch-wise.
-        """
-        combine = _combine_and if op == "and" else _combine_or
-        decided = False if op == "and" else True
-
-        def logic(batch: ColumnBatch) -> list:
-            left_values = left.evaluate(batch)
-            pending = [
-                i for i, value in enumerate(left_values) if value is not decided
-            ]
-            if not pending:
-                return [decided] * batch.length
-            if len(pending) == batch.length:
-                right_values = right.evaluate(batch)
-                return [
-                    combine(a, b) for a, b in zip(left_values, right_values)
-                ]
-            out = [decided] * batch.length
-            sub = batch.take(pending)
-            right_values = right.evaluate(sub)
-            for i, value in zip(pending, right_values):
-                out[i] = combine(left_values[i], value)
-            return out
-
-        return logic

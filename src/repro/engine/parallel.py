@@ -15,8 +15,9 @@ Results are bit-identical at any worker count, including 1, because
 nothing about the computation depends on completion order:
 
 * each worker gets a forked :class:`~repro.engine.physical.ExecState`
-  (private parser, parse-once document cache, compiled-expression
-  cache), so no shared mutable evaluation state exists;
+  (private parser and parse-once document cache) and reads the plan's
+  one immutable expression program, whose per-batch results live on the
+  split's own batches, so no shared mutable evaluation state exists;
 * batches, metrics and partial aggregates are merged in split
   order, so concatenation order and float-sum association are fixed;
 * group order and group representatives follow first occurrence across

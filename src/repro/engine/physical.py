@@ -21,17 +21,17 @@ from dataclasses import dataclass, field
 
 from ..storage.readers import ReadResult, split_reader
 from ..storage.sargs import Sarg, conjunction
-from .batch import BatchCompiler, ColumnBatch, ExpressionAnalysis
+from .batch import ColumnBatch, ExpressionProgram, conjunction_values
 from .catalog import Catalog
 from .errors import ExecutionError
 from .expressions import (
     AggregateCall,
+    Column,
     EvalContext,
     Expression,
     GetJsonObject,
     Literal,
     _null_safe_compare,
-    conjoin,
     split_conjuncts,
     transform,
     walk,
@@ -51,6 +51,7 @@ __all__ = [
     "LimitExec",
     "HashJoinExec",
     "bind_plan",
+    "compile_plan",
     "walk_plan",
     "expression_slots",
     "slot_expression",
@@ -65,7 +66,10 @@ class ExecState:
     catalog: Catalog
     context: EvalContext
     metrics: QueryMetrics = field(default_factory=QueryMetrics)
-    compiler: BatchCompiler | None = None
+    #: The plan's compiled expressions, shared read-only by the
+    #: coordinator and every fork (the session hands in the plan's own;
+    #: a state driven by hand compiles into a private one as it runs).
+    program: ExpressionProgram = field(default_factory=ExpressionProgram)
     #: Optional :class:`repro.obs.trace.Tracer` for this execution. None
     #: on the untraced path; operators that emit interior spans (e.g. the
     #: Maxson combiner) must guard on ``state.tracer is not None``.
@@ -77,14 +81,6 @@ class ExecState:
     #: coordinator and every morsel worker. Checked at split/batch
     #: boundaries via :meth:`check_cancelled`.
     cancel_token: object | None = None
-    #: Immutable per-expression analysis memo (extraction counts) shared
-    #: read-only between the coordinator and every morsel fork. Compiled
-    #: expressions themselves stay fork-private — their per-batch result
-    #: caches are mutable — but the structural analysis never changes,
-    #: so forks skip re-walking each expression tree.
-    expression_analysis: ExpressionAnalysis = field(
-        default_factory=ExpressionAnalysis
-    )
 
     def check_cancelled(self) -> None:
         """Raise ``QueryCancelledError``/``DeadlineExceededError`` if due."""
@@ -95,9 +91,9 @@ class ExecState:
     def fork(self) -> "ExecState":
         """A worker-local state for one morsel.
 
-        Shares the catalog (and through it the file system) but gets a
-        private context/metrics/compiler, so parser stats, parse-once
-        document sharing and compiled-expression caches stay
+        Shares the catalog (and through it the file system) and the
+        plan's expression program, but gets a private context and
+        metrics, so parser stats and parse-once document sharing stay
         split-local. Forks drop the coordinator's tracer — when a split
         is traced, the morsel runner attaches a worker-local tracer to
         the fork and grafts its subtree back afterwards. Workers never
@@ -107,21 +103,8 @@ class ExecState:
             catalog=self.catalog,
             context=self.context.fresh(),
             cancel_token=self.cancel_token,
-            expression_analysis=self.expression_analysis,
+            program=self.program,
         )
-
-    def batch_compiler(self) -> BatchCompiler:
-        """The query-wide expression compiler (created lazily).
-
-        One compiler per execution is what makes common-subexpression
-        elimination work across operators: identical expression subtrees
-        anywhere in the plan compile to the same node.
-        """
-        if self.compiler is None:
-            self.compiler = BatchCompiler(
-                self.context, self.metrics, analysis=self.expression_analysis
-            )
-        return self.compiler
 
 
 class PhysicalPlan:
@@ -153,6 +136,11 @@ class PhysicalPlan:
     #: The fields holding the operator's expressions: one, a list of
     #: expressions or sort keys, or ``None``.
     expression_fields: tuple[str, ...] = ()
+
+    def lower(self, program: ExpressionProgram):
+        """What the operator evaluates, compiled by ``program``; read back
+        through ``state.program.of(self)``."""
+        return None
 
     def bind(self, binder: "_Binder") -> "PhysicalPlan":
         """This operator with the literals in and under it bound (see
@@ -396,16 +384,20 @@ class FilterExec(UnaryExec):
             bound.child = bound.child.filtered_by(bound.condition)
         return bound
 
+    def lower(self, program: ExpressionProgram) -> tuple:
+        return tuple((c, program.compile(c)) for c in split_conjuncts(self.condition))
+
     def apply(self, state: ExecState, batch: ColumnBatch) -> ColumnBatch:
-        condition = self.condition
-        if batch.proven:
-            condition = conjoin(
-                c for c in split_conjuncts(condition) if c not in batch.proven
-            )
+        proven = batch.proven
+        nodes = [
+            node
+            for conjunct, node in state.program.of(self)
+            if not proven or conjunct not in proven
+        ]
         names = [name for name in batch.names if name not in self.drop]
         indices = range(batch.length)
-        if condition is not None:
-            values = state.batch_compiler().compile(condition).evaluate(batch)
+        if nodes:
+            values = conjunction_values(nodes, batch, state)
             indices = [i for i, value in enumerate(values) if value is True]
         if len(indices) == batch.length and len(names) == len(batch.names):
             # Passing the child batch through unchanged lets downstream
@@ -429,17 +421,23 @@ class ProjectExec(UnaryExec):
     def _label(self) -> str:
         return f"Project [{', '.join(e.sql() for e in self.expressions)}]"
 
+    def lower(self, program: ExpressionProgram) -> list:
+        return [(e.output_name(), program.compile(e)) for e in self.expressions]
+
     def apply(self, state: ExecState, batch: ColumnBatch) -> ColumnBatch:
-        compiler = state.batch_compiler()
-        names: list[str] = []
-        columns: dict[str, list] = {}
-        for expr in self.expressions:
-            name = expr.output_name()
-            if name not in columns:
-                names.append(name)
-            # Duplicate output names keep the last expression's values.
-            columns[name] = compiler.compile(expr).evaluate(batch)
-        return ColumnBatch(names, columns, batch.length)
+        return _evaluated(state, state.program.of(self), batch)
+
+
+def _evaluated(state: ExecState, outputs: list, batch: ColumnBatch) -> ColumnBatch:
+    """The ``(name, compiled expression)`` outputs over ``batch``."""
+    names: list[str] = []
+    columns: dict[str, list] = {}
+    for name, node in outputs:
+        if name not in columns:
+            names.append(name)
+        # Duplicate output names keep the last expression's values.
+        columns[name] = node.evaluate(batch, state)
+    return ColumnBatch(names, columns, batch.length)
 
 
 def _sort_token(value: object) -> tuple:
@@ -468,18 +466,17 @@ class SortExec(UnaryExec):
         )
         return f"Sort [{keys}]"
 
+    def lower(self, program: ExpressionProgram) -> list:
+        return [(program.compile(k.expression), k.ascending) for k in reversed(self.keys)]
+
     def apply(self, state: ExecState, batch: ColumnBatch) -> ColumnBatch:
-        compiler = state.batch_compiler()
         indices = list(range(batch.length))
         # Same stable right-to-left multi-key sort, over row indices;
         # key columns are computed once per key instead of once per
         # comparison row.
-        for key in reversed(self.keys):
-            values = compiler.compile(key.expression).evaluate(batch)
-            indices.sort(
-                key=lambda i: _sort_token(values[i]),
-                reverse=not key.ascending,
-            )
+        for node, ascending in state.program.of(self):
+            values = node.evaluate(batch, state)
+            indices.sort(key=lambda i: _sort_token(values[i]), reverse=not ascending)
         if indices == list(range(batch.length)):
             return batch
         return batch.take(indices)
@@ -623,8 +620,8 @@ class GroupedAggregation:
     in split order in between.
 
     Output expressions may mix group keys, aggregates and arithmetic over
-    both; aggregates inside each output expression are computed first and
-    spliced in as literals before the outer expression evaluates.
+    both; each compiles once, reading its aggregates' results from slot
+    columns beside the group representatives' columns.
     """
 
     group_keys: list[Expression]
@@ -634,24 +631,35 @@ class GroupedAggregation:
     def output_names(self) -> set[str]:
         return {e.output_name() for e in self.output}
 
+    def lower(self, program: ExpressionProgram) -> tuple:
+        """``(aggregates, group keys, aggregate arguments, outputs)``."""
+        aggregates = collect_aggregates(self.output)
+        slots = {agg: Column(_slot(i)) for i, agg in enumerate(aggregates)}
+
+        def slotted(node: Expression) -> Expression | None:
+            return slots[node] if isinstance(node, AggregateCall) else None
+
+        return (
+            aggregates,
+            [program.compile(k) for k in self.group_keys],
+            [None if a.argument is None else program.compile(a.argument)
+             for a in aggregates],
+            [(e.output_name(), program.compile(transform(e, slotted))) for e in self.output],
+        )
+
     def accumulate(
         self, state: ExecState, batch: ColumnBatch
     ) -> tuple[dict[tuple, list[_Accumulator]], dict[tuple, dict]]:
         """``(groups, representatives)`` in first-occurrence order: per
         group key its accumulators and the first row that produced it."""
-        compiler = state.batch_compiler()
-        aggregates = collect_aggregates(self.output)
+        aggregates, keys, arguments, _ = state.program.of(self)
         # Group keys and aggregate arguments evaluate as whole columns —
         # this is where repeated extractions share parses — then rows
         # stream through the accumulators.
-        key_columns = [
-            compiler.compile(k).evaluate(batch) for k in self.group_keys
-        ]
+        key_columns = [node.evaluate(batch, state) for node in keys]
         argument_columns = [
-            None
-            if agg.argument is None
-            else compiler.compile(agg.argument).evaluate(batch)
-            for agg in aggregates
+            None if node is None else node.evaluate(batch, state)
+            for node in arguments
         ]
         groups: dict[tuple, list[_Accumulator]] = {}
         representatives: dict[tuple, dict] = {}
@@ -673,33 +681,23 @@ class GroupedAggregation:
     def finalise(
         self, state: ExecState, groups: dict, representatives: dict
     ) -> ColumnBatch:
-        aggregates = collect_aggregates(self.output)
-        if not groups and not self.group_keys:
+        """One output row per group: the outputs over a batch of the
+        representatives' columns plus one slot column per aggregate."""
+        aggregates, _, _, outputs = state.program.of(self)
+        if not groups:
+            if self.group_keys:
+                names = dict.fromkeys(name for name, _ in outputs)
+                return ColumnBatch(names, {name: [] for name in names}, 0)
             # Global aggregate over zero rows still yields one row.
             groups = {(): [_Accumulator(a.func, a.distinct) for a in aggregates]}
             representatives = {(): {}}
-        out: list[dict] = []
-        names = [e.output_name() for e in self.output]
-        for key, accumulators in groups.items():
-            results = {
-                agg: acc.result() for agg, acc in zip(aggregates, accumulators)
-            }
-
-            def _splice(node: Expression) -> Expression | None:
-                if isinstance(node, AggregateCall):
-                    return Literal(results[node])
-                return None
-
-            row_out: dict = {}
-            for name, expr in zip(names, self.output):
-                spliced = transform(expr, _splice)
-                row_out[name] = spliced.evaluate(
-                    representatives[key], state.context
-                )
-            out.append(row_out)
-        return ColumnBatch.from_rows(
-            out, list(dict.fromkeys(names)) if not out else None
-        )
+        rows = list(representatives.values())
+        names = list(rows[0])
+        columns = {name: [row[name] for row in rows] for name in names}
+        for i in range(len(aggregates)):
+            names.append(_slot(i))
+            columns[_slot(i)] = [acc[i].result() for acc in groups.values()]
+        return _evaluated(state, outputs, ColumnBatch(names, columns, len(rows)))
 
 
 @dataclass
@@ -716,6 +714,12 @@ class AggregateExec(GroupedAggregation, UnaryExec):
 
     def apply(self, state: ExecState, batch: ColumnBatch) -> ColumnBatch:
         return self.finalise(state, *self.accumulate(state, batch))
+
+
+def _slot(index: int) -> str:
+    """The column a finalised aggregate's results are read from (no SQL
+    identifier can spell it)."""
+    return f"\0aggregate{index}"
 
 
 def _hashable(value: object) -> object:
@@ -785,12 +789,19 @@ class HashJoinExec(PhysicalPlan):
         residual = f" residual={self.residual.sql()}" if self.residual else ""
         return f"HashJoin [{pairs}]{residual}"
 
+    def lower(self, program: ExpressionProgram) -> tuple:
+        return (
+            [program.compile(k) for k in self.left_keys],
+            [program.compile(k) for k in self.right_keys],
+            None if self.residual is None else program.compile(self.residual),
+        )
+
     def execute_batch(self, state: ExecState) -> ColumnBatch:
         left_batch = self.left.execute_batch(state)
         right_batch = self.right.execute_batch(state)
-        compiler = state.batch_compiler()
+        left_nodes, right_nodes, residual = state.program.of(self)
         right_keys = list(
-            zip(*(compiler.compile(k).evaluate(right_batch) for k in self.right_keys))
+            zip(*(node.evaluate(right_batch, state) for node in right_nodes))
         )
         table: dict[tuple, list[int]] = {}
         strings: dict[str, object] = {}
@@ -798,9 +809,7 @@ class HashJoinExec(PhysicalPlan):
             key = tuple([_join_key(value, strings) for value in values])
             if None not in key:  # NULL keys never join
                 table.setdefault(key, []).append(j)
-        left_keys = zip(
-            *(compiler.compile(k).evaluate(left_batch) for k in self.left_keys)
-        )
+        left_keys = zip(*(node.evaluate(left_batch, state) for node in left_nodes))
         # Probe to index pairs first, then gather whole columns — the
         # joined batch is never materialised as per-row dicts.
         left_index: list[int] = []
@@ -825,8 +834,8 @@ class HashJoinExec(PhysicalPlan):
                 names.append(name)
                 columns[name] = right_taken.columns[name]
         joined = ColumnBatch(names, columns, len(left_index))
-        if self.residual is not None and joined.length:
-            values = compiler.compile(self.residual).evaluate(joined)
+        if residual is not None and joined.length:
+            values = residual.evaluate(joined, state)
             keep = [i for i, value in enumerate(values) if value is True]
             if len(keep) != joined.length:
                 joined = joined.take(keep)
@@ -902,6 +911,12 @@ def walk_plan(plan: PhysicalPlan):
     yield plan
     for child in plan.children():
         yield from walk_plan(child)
+
+
+def compile_plan(plan: PhysicalPlan) -> ExpressionProgram:
+    """The program of ``plan``: every operator's expressions lowered once,
+    before any split runs (a traced plan's operators sit in ``inner``)."""
+    return ExpressionProgram(getattr(op, "inner", op) for op in walk_plan(plan))
 
 
 def expression_slots(plan: PhysicalPlan):

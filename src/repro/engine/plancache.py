@@ -26,7 +26,9 @@ morsel rewrite) keyed by:
   re-plan even if the catalog were untouched.
 
 A hit with other parameters than the plan was built with gets the plan
-**bound** to them (:func:`~repro.engine.physical.bind_plan`).
+**bound** to them (:func:`~repro.engine.physical.bind_plan`) and compiled;
+that variant is kept in the same LRU under ``key + (params,)``, so a
+recurring variant binds and compiles once while a one-shot one ages out.
 
 Entries are LRU-evicted beyond ``capacity`` and, when the session runs
 under a unified :class:`~repro.engine.cachebudget.CacheLedger`, beyond
@@ -41,7 +43,7 @@ from dataclasses import dataclass, replace
 
 from .cachebudget import CacheLedger
 from .metrics import QueryMetrics
-from .physical import bind_plan
+from .physical import bind_plan, compile_plan
 from .planner import PlannedQuery
 
 __all__ = ["CachedPlan", "PlanCache"]
@@ -49,7 +51,8 @@ __all__ = ["CachedPlan", "PlanCache"]
 
 @dataclass
 class CachedPlan:
-    """A reusable plan plus the plan-time metric effects to replay.
+    """A reusable plan (with its compiled expression program) plus the
+    plan-time metric effects to replay.
 
     Plan modifiers count plan-time events (Maxson's registry misses land
     in ``cache_misses`` during ``modify``); replaying the snapshot on a
@@ -63,22 +66,27 @@ class CachedPlan:
 
     def bound(self, params: tuple | None) -> "CachedPlan | None":
         """This entry for a statement with ``params``: itself for its own,
-        else its plan bound to them (the logical plan stays the template's:
-        nothing reads it once planned), or ``None`` when it cannot be."""
+        else its plan bound to them and compiled (the logical plan stays
+        the template's: nothing reads it once planned), or ``None`` when it
+        cannot be."""
         if params == self.params:
             return self
         physical = bind_plan(self.planned.physical, params)
         if physical is None:
             return None
-        planned = replace(self.planned, physical=physical)
+        planned = replace(
+            self.planned, physical=physical, program=compile_plan(physical)
+        )
         return replace(self, planned=planned, params=params)
 
 
 #: Flat per-entry overhead estimate for a cached plan: operator objects,
-#: compiled batch closures and the metrics snapshot. Plans are small and
-#: roughly uniform, so a constant plus the key text's length is enough
-#: for ledger purposes — the point is that many cached plans show up as
-#: real bytes against the shared budget, not byte-exact accounting.
+#: its compiled expression program and the metrics snapshot (a bound
+#: variant shares its template's untouched operators but has its own
+#: program). Plans are small and roughly uniform, so a constant plus the
+#: key text's length is enough for ledger purposes — the point is that
+#: many cached plans show up as real bytes against the shared budget,
+#: not byte-exact accounting.
 _PLAN_ENTRY_OVERHEAD = 4096
 
 
@@ -116,47 +124,67 @@ class PlanCache:
 
     def get(self, key: tuple, params: tuple | None = None) -> CachedPlan | None:
         """The entry for ``key`` bound to ``params`` (a plan that cannot be
-        bound to them counts as a miss)."""
+        bound to them counts as a miss). A variant is bound once and kept
+        under ``key + (params,)``, without evicting its template."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None:
-                entry = entry.bound(params)
+            if entry is None or params == entry.params:
+                variant_key = None
+            else:
+                variant_key = key + (params,)
+                variant = self._entries.get(variant_key)
+                entry = entry.bound(params) if variant is None else variant
             if entry is None:
                 self.misses += 1
                 return None
-            # Refresh recency: dicts iterate oldest-first.
+            # Refresh recency (dicts iterate oldest-first): the template
+            # first, so a variant's store never evicts it.
             self._entries[key] = self._entries.pop(key)
+            if variant_key is not None:
+                self._put_locked(variant_key, entry, keep=key)
             self.hits += 1
             return entry
 
     def peek(self, key: tuple, params: tuple | None = None) -> CachedPlan | None:
-        """:meth:`get` without counters or recency (the flight recorder
-        reads a plan without skewing hit statistics or eviction order)."""
+        """:meth:`get` without counters, recency or stores (the flight
+        recorder reads a plan without skewing hit statistics or eviction
+        order)."""
         with self._lock:
             entry = self._entries.get(key)
+            variant = self._entries.get(key + (params,))
+        if variant is not None:
+            return variant
         return None if entry is None else entry.bound(params)
 
     def put(self, key: tuple, entry: CachedPlan) -> None:
         with self._lock:
-            if key in self._entries:
-                self._entries[key] = entry
-                return
-            cost = _plan_entry_bytes(key)
-            while self._entries and (
-                len(self._entries) >= self.capacity
-                or (self.ledger is not None and self.ledger.over_budget(cost))
-            ):
-                self._evict_locked(next(iter(self._entries)))
-                self.evictions += 1
-            if self.capacity <= 0:
-                return
-            if self.ledger is not None and self.ledger.over_budget(cost):
-                # Other tiers already fill the budget: skip the store.
-                return
+            self._put_locked(key, entry)
+
+    def _put_locked(self, key: tuple, entry: CachedPlan, keep=None) -> None:
+        """Store (or refresh) ``key``, evicting LRU entries other than
+        ``keep`` to make room."""
+        if key in self._entries:
+            self._entries.pop(key)
             self._entries[key] = entry
-            self._charges[key] = cost
-            if self.ledger is not None:
-                self.ledger.charge("plan", cost)
+            return
+        cost = _plan_entry_bytes(key)
+        victims = [k for k in self._entries if k != keep]
+        for victim in victims:
+            if len(self._entries) < self.capacity and not (
+                self.ledger is not None and self.ledger.over_budget(cost)
+            ):
+                break
+            self._evict_locked(victim)
+            self.evictions += 1
+        if len(self._entries) >= self.capacity or (
+            self.ledger is not None and self.ledger.over_budget(cost)
+        ):
+            # Other tiers already fill the budget: skip the store.
+            return
+        self._entries[key] = entry
+        self._charges[key] = cost
+        if self.ledger is not None:
+            self.ledger.charge("plan", cost)
 
     def shrink_to_bytes(self, target_bytes: int) -> int:
         """Evict LRU entries until the plan tier fits ``target_bytes``.

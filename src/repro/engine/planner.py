@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..storage.sargs import AndSarg, ComparisonSarg, Sarg, SargOp
+from .batch import ExpressionProgram
 from .catalog import Catalog
 from .errors import PlanError
 from .expressions import (
@@ -93,6 +94,10 @@ class PlannedQuery:
     modifiers have run (``physical.json_paths_of``): what each execution
     context projects out of a document in one pass. Filled in by the
     session and kept with the plan in the plan cache."""
+    program: ExpressionProgram | None = None
+    """The final plan's :class:`~repro.engine.batch.ExpressionProgram`
+    (``physical.compile_plan``), built by the session once the plan is
+    final and kept with it in the plan cache."""
 
 
 _COMPARE_TO_SARG = {

@@ -62,6 +62,7 @@ from .cancel import CancelToken
 from .errors import ExecutionError
 from .frame import decode_batch_frame, encode_batch
 from .parallel import MorselAggregateExec, _fold_context_stats, _scan_of
+from .physical import ExecState, compile_plan
 
 __all__ = ["ProcessMorselPool", "reap_orphan_segments", "SHM_PREFIX"]
 
@@ -180,7 +181,7 @@ class _WorkerEnv:
         self.catalog = catalog
         #: The session's context as shipped; each task runs on a sibling.
         self.context = snapshot["context"]
-        self._plan_cache: tuple[bytes, object] | None = None
+        self._plan_cache: tuple | None = None
         flag_name = snapshot["flag_slab"]
         self.flag_buf = None
         self._flag_segment = None
@@ -194,16 +195,16 @@ class _WorkerEnv:
                 self.flag_buf = None
 
     def plan_for(self, blob: bytes):
-        """Unpickle the split's ``(pipeline, json_paths)``, memoising
-        the last plan: all splits of one query ship identical bytes, so
-        the plan warms on the first split and later splits skip the
-        unpickle."""
+        """``(pipeline, json_paths, program)`` for the split's shipped
+        ``(pipeline, json_paths)``, memoising the last plan: all splits of
+        one query — and every execution of a cached plan — ship identical
+        bytes, so the plan is unpickled and compiled on the first split
+        and later splits reuse both. The program is never pickled."""
         cached = self._plan_cache
-        if cached is not None and cached[0] == blob:
-            return cached[1]
-        plan = pickle.loads(blob)
-        self._plan_cache = (blob, plan)
-        return plan
+        if cached is None or cached[0] != blob:
+            plan, json_paths = pickle.loads(blob)
+            cached = self._plan_cache = (blob, plan, json_paths, compile_plan(plan))
+        return cached[1:]
 
 
 def _create_segment(name_prefix: str, size: int) -> shared_memory.SharedMemory:
@@ -229,15 +230,15 @@ def _create_segment(name_prefix: str, size: int) -> shared_memory.SharedMemory:
 
 
 def _run_task(env: _WorkerEnv, task: dict) -> dict:
-    from .physical import ExecState
-
     token = _WorkerCancelToken(
         env.flag_buf, task["slot"], task["remaining"]
     )
+    plan, json_paths, program = env.plan_for(task["plan"])
     worker = ExecState(
         catalog=env.catalog,
-        context=env.context.fresh(),
+        context=env.context.fresh(json_paths),
         cancel_token=token,
+        program=program,
     )
     tracer = None
     split_span = None
@@ -249,7 +250,6 @@ def _run_task(env: _WorkerEnv, task: dict) -> dict:
         split_span = tracer.begin(
             "split", backend="process", worker=f"pid-{os.getpid()}"
         )
-    plan, worker.context.json_paths = env.plan_for(task["plan"])
     # The scan replica's failure log (see MaxsonScanExec.__getstate__);
     # the replica is memoised across this query's splits, so start empty.
     failures = getattr(_scan_of(plan), "failure_log", [])

@@ -31,7 +31,7 @@ from .expressions import EvalContext
 from .frame import encode_frame, frame_rows
 from .metrics import QueryMetrics
 from .parallel import _fold_context_stats, parallelize_plan
-from .physical import ExecState, PhysicalPlan, json_paths_of
+from .physical import ExecState, PhysicalPlan, compile_plan, json_paths_of
 from .plancache import CachedPlan, PlanCache
 from .planner import PlannedQuery, Planner
 from .resultcache import ResultCache
@@ -515,6 +515,7 @@ class Session:
             entry = cache.get(key, params)
             if entry is not None:
                 state = self._make_state(cancel_token=cancel_token)
+                state.program = entry.planned.program
                 # Replay the plan-time metric effects (e.g. Maxson's
                 # registry misses are counted during modify()) so a
                 # cached query reports the same counters as a planned one.
@@ -540,6 +541,8 @@ class Session:
             from ..obs.instrument import instrument_plan
 
             planned.physical = instrument_plan(planned.physical)
+        # Compiled once, before any split runs; a cached plan keeps it.
+        state.program = planned.program = compile_plan(planned.physical)
         if cache is not None:
             cache.put(
                 key,

@@ -1,8 +1,8 @@
 """Unit tests for the vectorized execution building blocks.
 
 Covers :class:`~repro.engine.batch.ColumnBatch`,
-:class:`~repro.engine.batch.BatchCompiler` (memoised CSE, per-batch
-result cache, extraction accounting), the parse-once
+:class:`~repro.engine.batch.ExpressionProgram` (memoised CSE, the
+per-batch result memo, extraction accounting), the parse-once
 :class:`~repro.jsonlib.doccache.DocumentCache`, and what a session
 reports of them.
 """
@@ -10,7 +10,7 @@ reports of them.
 import pytest
 
 from repro.engine import ExecutionError, Session
-from repro.engine.batch import BatchCompiler, ColumnBatch
+from repro.engine.batch import ColumnBatch, ExpressionProgram
 from repro.engine.expressions import (
     BinaryOp,
     Column,
@@ -18,7 +18,7 @@ from repro.engine.expressions import (
     GetJsonObject,
     Literal,
 )
-from repro.engine.metrics import QueryMetrics
+from repro.engine.physical import ExecState
 from repro.jsonlib import INVALID, DocumentCache, JacksonParser, JsonParseError
 
 
@@ -87,29 +87,33 @@ class TestDocumentCache:
 
 
 class TestBatchCompiler:
+    """``ExpressionProgram``: one node per distinct expression, run per split."""
+
     def _extraction(self):
         return GetJsonObject(Column("logs"), "$.price")
 
     def test_equal_expressions_compile_to_one_node(self):
-        compiler = BatchCompiler(EvalContext())
-        first = compiler.compile(self._extraction())
-        second = compiler.compile(self._extraction())
+        program = ExpressionProgram()
+        first = program.compile(self._extraction())
+        second = program.compile(self._extraction())
         assert first is second
+        assert first.extractions == 1
 
     def test_duplicate_evaluation_served_from_cache_and_counted(self):
-        metrics = QueryMetrics()
-        context = EvalContext()
-        compiler = BatchCompiler(context, metrics=metrics)
-        node = compiler.compile(self._extraction())
+        state = ExecState(catalog=None, context=EvalContext())
+        node = ExpressionProgram().compile(self._extraction())
         batch = ColumnBatch.from_rows(
             [{"logs": '{"price": 5}'}, {"logs": '{"price": 7}'}]
         )
-        assert node.evaluate(batch) == [5, 7]
-        assert metrics.duplicate_extractions_eliminated == 0
-        assert node.evaluate(batch) == [5, 7]
-        assert metrics.duplicate_extractions_eliminated == 2
+        assert node.evaluate(batch, state) == [5, 7]
+        assert state.metrics.duplicate_extractions_eliminated == 0
+        assert node.evaluate(batch, state) == [5, 7]
+        assert state.metrics.duplicate_extractions_eliminated == 2
         # The re-served evaluation must not have re-parsed anything.
-        assert context.parser.stats.documents == 2
+        assert state.context.parser.stats.documents == 2
+        # A batch filtered from it gathers the memoised values by index.
+        assert node.evaluate(batch.take([1]), state) == [7]
+        assert state.metrics.duplicate_extractions_eliminated == 3
 
     def test_logic_short_circuit_skips_decided_rows(self):
         # Right side divides by the column; rows decided by the left
@@ -117,18 +121,19 @@ class TestBatchCompiler:
         left = BinaryOp("<", Column("n"), Literal(10))
         right = BinaryOp(">", BinaryOp("/", Literal(100), Column("n")), Literal(0))
         expr = BinaryOp("and", left, right)
-        compiler = BatchCompiler(EvalContext())
+        state = ExecState(catalog=None, context=EvalContext())
         batch = ColumnBatch.from_rows([{"n": 50}, {"n": 4}, {"n": 2}])
-        assert compiler.compile(expr).evaluate(batch) == [False, True, True]
+        node = ExpressionProgram().compile(expr)
+        assert node.evaluate(batch, state) == [False, True, True]
 
     def test_unknown_nodes_fall_back_to_interpreter(self):
         class Opaque(Literal):
             pass
 
-        compiler = BatchCompiler(EvalContext())
-        node = compiler.compile(Opaque(41))
+        node = ExpressionProgram().compile(Opaque(41))
         batch = ColumnBatch.from_rows([{"a": 0}])
-        assert node.evaluate(batch) == [41]
+        state = ExecState(catalog=None, context=EvalContext())
+        assert node.evaluate(batch, state) == [41]
 
 
 class TestExecutionModePlumbing:

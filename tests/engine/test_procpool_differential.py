@@ -446,24 +446,28 @@ class TestWatchdogShmAccounting:
 
 
 class TestSharedExpressionAnalysis:
-    def test_forks_share_the_analysis_memo(self):
-        session = Session(fs=BlockFileSystem())
-        state = session._make_state()
-        fork = state.fork()
-        assert fork.expression_analysis is state.expression_analysis
-        assert (
-            state.batch_compiler().analysis is state.expression_analysis
-        )
-        assert fork.batch_compiler().analysis is state.expression_analysis
+    """One expression program per plan: compiled on the coordinator,
+    read by every fork, its extraction counts fixed when it compiled."""
+
+    def test_forks_share_the_analysis_memo(self, sales_session):
+        sql = "select get_json_object(sale_logs, '$.price') as p from mydb.T"
+        planned, state, _ = sales_session._prepare(sql)
+        assert planned.program is not None
+        assert state.program is planned.program
+        assert state.fork().program is planned.program
+        again, hit_state, _ = sales_session._prepare(sql)  # a plan-cache hit
+        assert again.program is planned.program
+        assert hit_state.fork().program is planned.program
 
     def test_extraction_counts_memoized(self):
-        from repro.engine.batch import ExpressionAnalysis
+        from repro.engine.batch import ExpressionProgram
         from repro.engine.expressions import BinaryOp, Column, GetJsonObject
 
         one = GetJsonObject(Column("payload"), "$.a")
         expr = BinaryOp("=", one, GetJsonObject(Column("payload"), "$.b"))
-        analysis = ExpressionAnalysis()
-        assert analysis.extraction_count(expr) == 2
-        assert analysis.extraction_count(expr) == 2
-        assert analysis.extraction_count(one) == 1
-        assert len(analysis._extractions) == 2
+        program = ExpressionProgram()
+        node = program.compile(expr)
+        assert node.extractions == 2
+        assert program.compile(one).extractions == 1
+        assert program.compile(expr) is node
+        assert len(program._memo) == 4  # expr, its two calls, the column
