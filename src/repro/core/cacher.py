@@ -9,7 +9,8 @@ Pre-parses the chosen MPJPs out of the raw tables into *cache tables*:
 * cache table and field names encode the raw location
   (``{db}__{table}`` / ``{column}__{mangled path}``) so the mapping is
   recoverable from names alone, as in the paper;
-* the cache is dropped and re-populated every midnight cycle.
+* each midnight builds a new generation, copying the serving one's files
+  whose raw files have not changed (checksums verified) instead of parsing.
 
 Cache columns are *typed*: the cacher samples parsed values and stores
 int/float/bool columns natively so ORC min/max statistics (and therefore
@@ -29,7 +30,8 @@ from dataclasses import dataclass, field
 from ..engine.catalog import Catalog
 from ..engine.expressions import EvalContext, path_format
 from ..jsonlib.jackson import dumps
-from ..storage.orc import OrcFileReader, OrcWriter
+from ..storage.fs import FsError
+from ..storage.orc import OrcError, OrcFileReader, OrcWriter
 from ..storage.schema import DataType, Field, Schema
 from ..workload.trace import PathKey
 
@@ -79,6 +81,9 @@ class CacheBuildReport:
     entries: list[CacheEntry] = field(default_factory=list)
     tables_written: int = 0
     rows_parsed: int = 0
+    """Rows parsed from raw files; the rows of adopted files are not."""
+    files_adopted: int = 0
+    """Cache files copied from the previous generation instead of parsed."""
     build_seconds: float = 0.0
     bytes_written: int = 0
     failed: bool = False
@@ -273,6 +278,7 @@ class JsonPathCacher:
         type_sample_rows: int = 64,
         table_suffix: str = "",
         build_workers: int = 1,
+        predecessor: CacheRegistry | None = None,
     ) -> None:
         self.catalog = catalog
         self.registry = registry or CacheRegistry()
@@ -289,6 +295,8 @@ class JsonPathCacher:
         #: build thread, so crash-journal and generation-swap semantics —
         #: and deterministic fault injection at 1 — are unchanged.
         self.build_workers = max(1, int(build_workers))
+        #: The serving generation's registry (:meth:`_adoptable`).
+        self.predecessor = predecessor
 
     def _table_name(self, database: str, table: str) -> str:
         return cache_table_name(database, table) + self.table_suffix
@@ -314,13 +322,16 @@ class JsonPathCacher:
         for key in keys:
             groups.setdefault((key.database, key.table), []).append(key)
         for (database, table), group in sorted(groups.items()):
-            rows_before = report.rows_parsed
+            rows_before, adopted_before = report.rows_parsed, report.files_adopted
             with nullcontext() if tracer is None else tracer.span(
                 "cache_table", label=f"{database}.{table}", paths=len(group)
             ):
                 self._build_table(database, table, group, report)
                 if tracer is not None:
-                    tracer.annotate(rows_parsed=report.rows_parsed - rows_before)
+                    tracer.annotate(
+                        rows_parsed=report.rows_parsed - rows_before,
+                        files_adopted=report.files_adopted - adopted_before,
+                    )
         report.build_seconds = time.perf_counter() - started
         return report
 
@@ -351,9 +362,11 @@ class JsonPathCacher:
 
         A table with no cache table (every ``__g{N}`` generation build), a
         different registered key set, or fewer raw files than cache files
-        (compaction/repair) is built from file 0 with column types
-        inferred from a sample of it; otherwise the registered types are
-        kept and only the raw files past the last cache file are parsed.
+        (compaction/repair) is built from file 0: what :meth:`_adoptable`
+        finds is copied with its column types, the rest parsed with types
+        inferred from a sample of file 0 if nothing was; otherwise the
+        registered types are kept and only the raw files past the last
+        cache file are parsed.
         """
         keys = sorted(keys)  # canonical field order, stable across rebuilds
         catalog = self.catalog
@@ -368,11 +381,13 @@ class JsonPathCacher:
         context = EvalContext(
             json_paths=tuple(k.path for k in keys if path_format(k.path) == "json")
         )
+        rows = written = 0
         if not exists or set(registered) != set(keys) or start > len(raw_files):
             if not raw_files:
                 return
-            registered, start = {}, 0
-            dtypes = self._sample_dtypes(context, raw_files[0], keys)
+            registered = {}
+            adoptable, dtypes = self._adoptable(database, table, keys, raw_files)
+            dtypes = dtypes or self._sample_dtypes(context, raw_files[0], keys)
             fields = tuple(
                 Field(cache_field_name(key.column, key.path), dtype)
                 for key, dtype in zip(keys, dtypes)
@@ -380,13 +395,16 @@ class JsonPathCacher:
             if exists:
                 catalog.drop_table(CACHE_DATABASE, cache_table)
             info = catalog.create_table(CACHE_DATABASE, cache_table, Schema(fields))
+            start, rows, written = self._adopt(adoptable, info)
+            report.files_adopted += start
         else:
             info = catalog.get_table(CACHE_DATABASE, cache_table)
             dtypes = [registered[key].dtype for key in keys]
-        rows, written = self._write_files(
+        parsed, parsed_bytes = self._write_files(
             info, raw_files, start, keys, dtypes, context
         )
-        report.rows_parsed += rows
+        report.rows_parsed += parsed
+        rows, written = rows + parsed, written + parsed_bytes
         report.bytes_written += written
         report.tables_written += 1
         cache_time = catalog.modification_time(CACHE_DATABASE, cache_table)
@@ -404,6 +422,57 @@ class JsonPathCacher:
             )
             self.registry.register(entry)
             report.entries.append(entry)
+
+    def _adoptable(
+        self, database: str, table: str, keys: list[PathKey], raw_files: list[str]
+    ) -> tuple[list[str], list[DataType] | None]:
+        """The predecessor's cache files of this raw table that may be
+        adopted, and their column types; ``([], None)`` when none may.
+
+        The predecessor must cache exactly ``keys``. The longest prefix of
+        its files is taken in which raw file *i* has file *i*'s name and
+        has not been modified since file *i* was written (the per-file form
+        of the plan modifier's validity rule), so a changed raw file 0
+        takes neither files nor types from there."""
+        old = {
+            entry.key: entry
+            for entry in (self.predecessor.all_entries() if self.predecessor else ())
+            if (entry.key.database, entry.key.table) == (database, table)
+        }
+        old_table = old[keys[0]].cache_table if set(old) == set(keys) else ""
+        if not self.catalog.table_exists(CACHE_DATABASE, old_table):
+            return [], None
+        fs, adoptable = self.catalog.fs, []
+        for raw_path, path in zip(
+            raw_files, self.catalog.table_files(CACHE_DATABASE, old_table)
+        ):
+            raw, cached = fs.status(raw_path), fs.status(path)
+            if raw.path.rsplit("/", 1)[1] != cached.path.rsplit("/", 1)[1] or (
+                raw.modification_time > cached.modification_time
+            ):
+                break
+            adoptable.append(path)
+        return adoptable, ([old[key].dtype for key in keys] if adoptable else None)
+
+    def _adopt(self, paths: list[str], info) -> tuple[int, int, int]:
+        """Copy the predecessor's files ``paths``, in order, as the first
+        files of ``info``'s table; the files, rows and bytes adopted. Each
+        is copied once its footer and every stripe checksum verify. The
+        first that does not, or whose read faults, and every file after
+        it are left to be parsed from raw: a predecessor never fails the
+        build."""
+        rows = written = 0
+        for index, path in enumerate(paths):
+            try:
+                data = self.catalog.fs.read(path)
+                reader = OrcFileReader(data)
+                reader.verify()
+            except (FsError, OrcError):
+                return index, rows, written
+            self.catalog.fs.create(f"{info.location}/part-{index:05d}.orc", data)
+            rows += reader.row_count
+            written += len(data)
+        return len(paths), rows, written
 
     def _sample_dtypes(
         self, context: EvalContext, raw_path: str, keys: list[PathKey]

@@ -7,8 +7,8 @@ Wires the components into the nightly cycle the paper describes:
 2. at "midnight", the **predictor** proposes tomorrow's MPJPs;
 3. the **scoring function** measures and ranks them, and greedily selects
    under the byte budget;
-4. the **cacher** drops yesterday's cache and pre-parses the selection
-   into file-aligned cache tables;
+4. the **cacher** builds the selection into a new generation of
+   file-aligned cache tables, copying unchanged files, parsing the rest;
 5. from then on, the **plan modifier** rewrites every incoming query's
    physical plan to read cached values through the Value Combiner, with
    predicate pushdown onto the cache table.
@@ -291,6 +291,7 @@ class MaxsonSystem:
                 type_sample_rows=self.cacher.type_sample_rows,
                 table_suffix=f"__g{next_generation}",
                 build_workers=self.cacher.build_workers,
+                predecessor=self.registry,
             )
             # Write-ahead: record the build before its first table exists
             # so a crash mid-build leaves a pending journal entry that
@@ -339,6 +340,7 @@ class MaxsonSystem:
                     )
             self._count_build("build_seconds", build.build_seconds)
             self._count_build("generations_built", 1.0)
+            self._count_build("files_adopted", build.files_adopted)
             return build
 
     def _install_generation(self, generation: int, cacher: JsonPathCacher) -> None:

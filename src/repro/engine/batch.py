@@ -35,6 +35,7 @@ logical plan that shares only those scalar kernels.
 from __future__ import annotations
 
 import threading
+from itertools import repeat
 
 from .errors import ExecutionError
 from .expressions import (
@@ -133,24 +134,22 @@ class ColumnBatch:
 
     def rows(self) -> list[dict]:
         """Cached per-row dict views, for the compiler's scalar fallback
-        and for materialising result rows."""
+        and aggregate representatives."""
         if self._rows is None:
-            names = self.names
-            if not names:
-                self._rows = [{} for _ in range(self.length)]
-            else:
-                series = [self.columns[name] for name in names]
-                self._rows = [
-                    dict(zip(names, values)) for values in zip(*series)
-                ]
+            self._rows = self.to_rows()
         return self._rows
 
     def row(self, index: int) -> dict:
         return self.rows()[index]
 
     def to_rows(self) -> list[dict]:
-        """Fresh row dicts (callers may mutate them freely)."""
-        return [dict(row) for row in self.rows()]
+        """Fresh row dicts (callers may mutate them freely), built in one
+        pass over the columns."""
+        names = self.names
+        if not names:
+            return [{} for _ in range(self.length)]
+        series = [self.columns[name] for name in names]
+        return list(map(dict, map(zip, repeat(names), zip(*series))))
 
     def take(self, indices, names=None) -> "ColumnBatch":
         """A new batch holding the given row indices, in order, of the

@@ -152,6 +152,8 @@ _SERIES = {
     "row_groups_proven_total": "Row groups read whose statistics proved "
     "the pushed predicate",
     "trace_spans_total": "Spans exported to the JSONL trace sink",
+    "cache_files_adopted_total": "Cache files midnights copied from the "
+    "serving generation instead of parsing",
     "plan_cache_hits_total": "Served queries planned from the plan cache",
     "plan_cache_misses_total": "Served queries that compiled a fresh plan",
     "result_cache_hits_total": "Served queries answered from the semantic "
@@ -932,6 +934,9 @@ class MaxsonServer:
             )
         m["slow_queries_total"].advance_to(status.slow_queries)
         m["query_retries_total"].advance_to(status.query_retries)
+        m["cache_files_adopted_total"].advance_to(
+            int(self.system.cache_build_metrics.extra.get("files_adopted", 0))
+        )
         m["cache_generation"].set(status.generation)
         m["cached_paths"].set(status.cached_paths)
         m["cache_bytes"].set(status.cache_bytes)

@@ -425,6 +425,11 @@ class OrcFileReader:
             )
         self._verified_stripes.add(index)
 
+    def verify(self) -> None:
+        """Check every stripe's CRC32 now, not before its first decode."""
+        for index, stripe in enumerate(self.stripes):
+            self._verify_stripe(index, stripe)
+
     def row_group_layout(self) -> list[RowGroupInfo]:
         """All row groups of the file in row order (across stripes)."""
         out: list[RowGroupInfo] = []

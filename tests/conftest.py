@@ -12,6 +12,17 @@ from repro.jsonlib import dumps
 from repro.storage import BlockFileSystem, DataType, Schema
 
 
+#: CI's fault-matrix profiles: corruption and read errors confined to the
+#: cache database, and torn appends (.github/workflows/ci.yml).
+CACHE_FAULT_PROFILES = [
+    "corrupt=0.3,corrupt_prefix=/warehouse/maxson_cache,seed=3",
+    "read_error=0.2,error_prefix=/warehouse/maxson_cache,seed=7",
+    "corrupt=0.5,read_error=0.1,corrupt_prefix=/warehouse/maxson_cache,"
+    "error_prefix=/warehouse/maxson_cache,seed=13",
+    "torn_append=0.2,error_prefix=/warehouse/maxson_cache,seed=11",
+]
+
+
 def pytest_addoption(parser):
     parser.addoption(
         "--every-statement",
@@ -19,6 +30,18 @@ def pytest_addoption(parser):
         help="run all 500 generated statements in every differential-matrix "
         "cell and traced == untraced leg, not one per plan shape",
     )
+    parser.addoption(
+        "--fault-profile",
+        help="run the tests taking a ``fault_profile`` under this profile "
+        "only (default: each of CI's four cache fault profiles)",
+    )
+
+
+def pytest_generate_tests(metafunc):
+    if "fault_profile" in metafunc.fixturenames:
+        chosen = metafunc.config.getoption("--fault-profile")
+        profiles = [chosen] if chosen else CACHE_FAULT_PROFILES
+        metafunc.parametrize("fault_profile", profiles)
 
 
 @pytest.fixture(scope="session", autouse=True)

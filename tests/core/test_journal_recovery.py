@@ -1,12 +1,19 @@
 """Crash-safe build journal + orphan-generation recovery."""
 
+import dataclasses
+
 import pytest
 
-from repro.core import MaxsonSystem
+from repro.core import JsonPathCacher, MaxsonConfig, MaxsonSystem
 from repro.core.cacher import CACHE_DATABASE
 from repro.core.journal import JOURNAL_PATH, BuildJournal
 from repro.engine import Session
-from repro.faults import FaultPolicy, FaultyFileSystem, InjectedCrash
+from repro.faults import (
+    FaultPolicy,
+    FaultyFileSystem,
+    InjectedCrash,
+    parse_fault_profile,
+)
 from repro.jsonlib import dumps
 from repro.storage import BlockFileSystem, DataType, Schema
 from repro.workload import PathKey
@@ -15,7 +22,7 @@ KEYS = [PathKey("db", "t", "payload", "$.m")]
 SQL = "select id, get_json_object(payload, '$.m') as m from db.t"
 
 
-def build_system(fs=None, rows=30) -> MaxsonSystem:
+def build_system(fs=None, rows=30, workers=1) -> MaxsonSystem:
     session = Session(fs=fs or BlockFileSystem())
     schema = Schema.of(("id", DataType.INT64), ("payload", DataType.STRING))
     session.catalog.create_table("db", "t", schema)
@@ -29,7 +36,14 @@ def build_system(fs=None, rows=30) -> MaxsonSystem:
             [(i, dumps({"m": i})) for i in chunk],
             row_group_size=10,
         )
-    return MaxsonSystem(session=session)
+    return MaxsonSystem(session=session, config=MaxsonConfig(build_workers=workers))
+
+
+def cache_files(system: MaxsonSystem, table: str) -> list[bytes]:
+    return [
+        system.catalog.fs.read(path)
+        for path in system.catalog.table_files(CACHE_DATABASE, table)
+    ]
 
 
 class TestBuildJournal:
@@ -130,3 +144,33 @@ class TestCrashRecovery:
             assert system.journal.pending() == []
             result = server.execute(SQL)
             assert len(result.rows) == 30
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_crash_at_every_write_of_an_adopting_midnight(workers, fault_profile):
+    """Generation 1 caches two raw files; two partitions are appended, so
+    the next midnight adopts two files and parses two. Crashed at each of
+    its writes (under CI's fault profile) and recovered, the system
+    serves the reference rows, and the midnight after writes exactly the
+    files of a from-scratch populate."""
+    for crash_at in range(1, 5):
+        system = build_system(fs=FaultyFileSystem(), workers=workers)
+        system._swap_generation(KEYS)
+        for start in (30, 40):
+            system.catalog.append_rows(
+                "db", "t", [(i, dumps({"m": i})) for i in range(start, start + 10)]
+            )
+        reference = system.baseline_sql(SQL).rows
+        system.catalog.fs.policy = dataclasses.replace(
+            parse_fault_profile(fault_profile), crash_after_writes=crash_at
+        )
+        with pytest.raises(InjectedCrash):
+            system._swap_generation(KEYS)
+        system.recover_orphan_generations()
+        assert system.generation == 1 and system.journal.pending() == []
+        assert system.sql(SQL).rows == reference
+        system.catalog.fs.policy = FaultPolicy()
+        build = system._swap_generation(KEYS)  # four writes: the points swept
+        assert (build.files_adopted, build.rows_parsed) == (2, 20)
+        JsonPathCacher(system.catalog, table_suffix="__scratch").populate(KEYS)
+        assert cache_files(system, "db__t__g2") == cache_files(system, "db__t__scratch")

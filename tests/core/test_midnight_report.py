@@ -5,6 +5,7 @@ import pytest
 from repro.core import MaxsonConfig, MaxsonSystem, PredictorConfig
 from repro.engine import Session
 from repro.jsonlib import dumps
+from repro.obs import Tracer
 from repro.storage import BlockFileSystem, DataType, Schema
 
 
@@ -42,6 +43,24 @@ class TestMidnightReport:
         report = system.run_midnight_cycle(day=1)
         assert report.candidates_scored >= len(report.selected)
         assert report.build.rows_parsed > 0
+
+    def test_files_adopted_reported_and_traced(self):
+        """The second midnight selects the same paths over the unchanged
+        table, so it copies the one cache file instead of parsing it; the
+        report and the table's ``cache_table`` span both say so."""
+        system = build_system()
+        for j in range(6):
+            system.collector.record_planned(2, [("db", "t", "payload", f"$.f{j}")] * 2)
+        builds, spans = [], []
+        for day in (1, 2):
+            tracer = Tracer()
+            builds.append(system.run_midnight_cycle(day=day, tracer=tracer).build)
+            spans.append(tracer.root.find("cache_table").attributes)
+        assert [(b.files_adopted, b.rows_parsed) for b in builds] == [(0, 40), (1, 0)]
+        assert [(s["files_adopted"], s["rows_parsed"]) for s in spans] == [
+            (0, 40),
+            (1, 0),
+        ]
 
     def test_cycle_reproducible_across_systems(self):
         a = build_system().run_midnight_cycle(day=1)

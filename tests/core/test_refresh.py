@@ -2,11 +2,23 @@
 
 import pytest
 
-from repro.core import CACHE_DATABASE, JsonPathCacher, cache_table_name
+from repro.core import (
+    CACHE_DATABASE,
+    JsonPathCacher,
+    MaxsonConfig,
+    MaxsonSystem,
+    cache_table_name,
+)
 from repro.engine import Session
-from repro.faults import FaultPolicy, FaultyFileSystem, InjectedCrash
+from repro.faults import (
+    FaultPolicy,
+    FaultyFileSystem,
+    InjectedCrash,
+    parse_fault_profile,
+)
 from repro.jsonlib import dumps
-from repro.storage import BlockFileSystem, DataType, OrcFileReader, Schema
+from repro.storage import BlockFileSystem, DataType, OrcFileReader, OrcWriter, Schema
+from repro.storage.fs import TransientFsError
 from repro.workload import PathKey
 
 
@@ -160,18 +172,49 @@ class TestRefresh:
         assert columns["payload__m"] == list(range(20, 40))
 
 
-def cache_file_bytes(session: Session, suffix: str = "") -> list[bytes]:
+def cache_file_bytes(session: Session, suffix: str = "", paths=False) -> list:
     table = cache_table_name("db", "t") + suffix
-    return [
-        session.fs.read(path)
-        for path in session.catalog.table_files(CACHE_DATABASE, table)
-    ]
+    files = session.catalog.table_files(CACHE_DATABASE, table)
+    return files if paths else [session.fs.read(path) for path in files]
 
 
 def from_scratch(session: Session, key_list: list[PathKey]) -> list[bytes]:
     """The files a populate of ``key_list`` writes into tables of its own."""
     JsonPathCacher(session.catalog, table_suffix="__scratch").populate(key_list)
     return cache_file_bytes(session, "__scratch")
+
+
+def swap(system: MaxsonSystem, key_list: list[PathKey], policy=None):
+    """Build the next generation (under ``policy``, when given) and check
+    it against a from-scratch populate: the same files byte for byte and
+    the same registry entries. The build report."""
+    system.session.fs.policy = policy or FaultPolicy()
+    build = system._swap_generation(key_list)
+    system.session.fs.policy = FaultPolicy()
+    assert not build.failed, build.error
+    scratch = JsonPathCacher(system.catalog, table_suffix="__scratch")
+    entries = scratch.populate(key_list).entries
+    assert cache_file_bytes(system.session, f"__g{system.generation}") == (
+        cache_file_bytes(system.session, "__scratch")
+    )
+    system.catalog.drop_table(CACHE_DATABASE, cache_table_name("db", "t") + "__scratch")
+
+    def described(entries):
+        return {e.key: (e.rows, e.bytes_on_disk_share, e.dtype) for e in entries}
+
+    assert described(system.registry.all_entries()) == described(entries)
+    return build
+
+
+def generations(workers: int) -> MaxsonSystem:
+    """A system on a fault-injectable file system whose first generation
+    caches ``keys()`` over three raw files of 20 rows."""
+    session = make_session(FaultyFileSystem)
+    for start in (0, 20, 40):
+        append_partition(session, start)
+    system = MaxsonSystem(session=session, config=MaxsonConfig(build_workers=workers))
+    assert swap(system, keys()).files_adopted == 0  # nothing to adopt from
+    return system
 
 
 @pytest.mark.parametrize("workers", [1, 4])
@@ -230,3 +273,68 @@ class TestRefreshEqualsPopulate:
         assert cacher.registry.all_entries() == before
         assert cacher.refresh(keys()).rows_parsed == 20  # the missing file
         assert cache_file_bytes(session) == from_scratch(session, keys())
+
+    # -- a new generation adopts its predecessor's unchanged files --------
+    def test_unchanged_table_is_adopted_whole(self, workers):
+        system = generations(workers)
+        build = swap(system, keys())
+        assert (build.rows_parsed, build.files_adopted) == (0, 3)
+
+    def test_appended_partitions_alone_are_parsed(self, workers):
+        system = generations(workers)
+        for start in (60, 80):
+            append_partition(system.session, start)
+        build = swap(system, keys())
+        assert (build.rows_parsed, build.files_adopted) == (40, 3)
+
+    def test_deleted_raw_file_ends_adoption(self, workers):
+        system = generations(workers)
+        system.session.fs.delete(system.catalog.table_files("db", "t")[1])
+        build = swap(system, keys())  # raw part-00002 is not cache part-00001
+        assert (build.rows_parsed, build.files_adopted) == (20, 1)
+
+    def test_changed_key_set_rebuilds(self, workers):
+        system = generations(workers)
+        build = swap(system, keys()[:1])
+        assert (build.rows_parsed, build.files_adopted) == (60, 0)
+
+    def test_rewritten_raw_file_0_rebuilds_with_its_new_types(self, workers):
+        system = generations(workers)
+        fs, path = system.session.fs, system.catalog.table_files("db", "t")[0]
+        writer = OrcWriter(system.catalog.get_table("db", "t").schema, row_group_size=5)
+        writer.write_rows((i, dumps({"m": f"s{i}", "name": i})) for i in range(20))
+        fs.delete(path)
+        fs.create(path, writer.finish())
+        build = swap(system, keys())
+        assert (build.rows_parsed, build.files_adopted) == (60, 0)
+        assert [system.registry.lookup(key).dtype for key in keys()] == [
+            DataType.STRING,  # $.m, an int before
+            DataType.INT64,  # $.name, a string before
+        ]
+
+    @pytest.mark.parametrize("fault", ["byte_flip", "read_error"])
+    def test_faulty_predecessor_file_is_parsed(self, workers, fault, fault_profile):
+        """Predecessor file 1 is byte-flipped on disk or cannot be read,
+        and CI's profile faults the other reads of the cache: whatever
+        stops adoption is parsed from raw, and the build does not fail."""
+        system = generations(workers)
+        fs = system.session.fs
+        path = cache_file_bytes(system.session, "__g1", paths=True)[1]
+        policy = parse_fault_profile(fault_profile)
+        if fault == "byte_flip":
+            data = bytearray(fs.read(path))
+            data[OrcFileReader(bytes(data)).stripes[0].offset] ^= 0xFF
+            fs.delete(path)
+            fs.create(path, bytes(data))
+        else:
+            profile_read = policy.on_read
+
+            def on_read(read_path):
+                if read_path == path:
+                    raise TransientFsError(f"injected: {path}")
+                profile_read(read_path)
+
+            policy.on_read = on_read
+        build = swap(system, keys(), policy)
+        assert build.files_adopted <= 1
+        assert build.rows_parsed == 20 * (3 - build.files_adopted)

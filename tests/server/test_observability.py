@@ -209,6 +209,7 @@ class TestEverySeries:
             ("telemetry_segments_rotated_total", "{}", "final", "segments_rotated"),
             ("telemetry_events_dropped_total", "{}", "final", "events_dropped"),
             ("row_groups_proven_total", "{}", "cycles", 6),
+            ("cache_files_adopted_total", "{}", "cycles", 1),  # midnight 2's one file
         ],
     )
     def test_scripted_value(self, scrapes, series, labels, scrape, expected):
