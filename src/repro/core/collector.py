@@ -9,8 +9,10 @@ Query membership is kept as a *shape log*: per day, a count per distinct
 path tuple. Recurring templates make most of a day's queries repeats of
 a few shapes (the paper's 89% duplicate-parse traffic), so the log — and
 the scoring pass over it — grows with what the day contained, not with
-how often it was asked. Individual :class:`QueryRecord` s are a view
-expanded from the counts.
+how often it was asked. Recording a query is one bump of that log; the
+per-day path counts, the shapes as :class:`PathKey` tuples and the
+universe are read off it, once per day per change. Individual
+:class:`QueryRecord` s are a view expanded from the counts.
 
 Two ingestion routes exist:
 
@@ -48,11 +50,12 @@ class JsonPathCollector:
     """Date-partitioned JSONPath access statistics."""
 
     def __init__(self) -> None:
-        self._daily_counts: dict[int, Counter] = defaultdict(Counter)
-        #: day -> query shape (its path tuple, order and repeats kept)
-        #: -> number of queries of that shape
-        self._shapes: dict[int, Counter] = defaultdict(Counter)
-        self._universe: set[PathKey] = set()
+        #: day -> query shape as recorded (its path tuple, order and
+        #: repeats kept) -> number of queries of that shape
+        self._log: dict[int, Counter] = defaultdict(Counter)
+        #: day -> (shapes, path counts) read off its log; dropped when a
+        #: record lands on that day
+        self._views: dict[int, tuple[Counter, Counter]] = {}
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -64,18 +67,18 @@ class JsonPathCollector:
         paths: tuple[PathKey, ...] | list[PathKey],
         count: int = 1,
     ) -> None:
-        """Record ``count`` executed queries touching ``paths`` on ``day``."""
+        """Record ``count`` executed queries touching ``paths`` on ``day``:
+        one bump of the day's log. A path that is not a :class:`PathKey`
+        is its ``(database, table, column, path)`` tuple."""
         paths = tuple(paths)
         with self._lock:
-            self._shapes[day][paths] += count
-            daily = self._daily_counts[day]
-            for key in paths:
-                daily[key] += count
-            self._universe.update(paths)
+            self._log[day][paths] += count
+            self._views.pop(day, None)
 
     def record_planned(self, day: int, referenced: list[tuple[str, str, str, str]]) -> None:
-        """Record a planned query's (db, table, column, path) references."""
-        self.record_query(day, tuple(PathKey(*ref) for ref in referenced))
+        """Record a planned query's (db, table, column, path) references,
+        keyed as given: they become :class:`PathKey` s when read."""
+        self.record_query(day, referenced)
 
     def ingest_trace(self, trace: SyntheticTrace, up_to_day: int | None = None) -> None:
         """Bulk-load a synthetic trace (optionally only days < up_to_day)."""
@@ -87,23 +90,40 @@ class JsonPathCollector:
     # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------
+    def _view(self, day: int) -> tuple[Counter, Counter]:
+        """``(shapes, path counts)`` of ``day``, each in first-recorded
+        order, derived from its log once per change."""
+        view = self._views.get(day)
+        if view is None:
+            shapes: Counter = Counter()
+            counts: Counter = Counter()
+            for recorded, queries in self._log.get(day, {}).items():
+                shape = tuple(
+                    key if isinstance(key, PathKey) else PathKey(*key) for key in recorded
+                )
+                shapes[shape] += queries
+                for key in shape:
+                    counts[key] += queries
+            view = self._views[day] = (shapes, counts)
+        return view
+
     @property
     def days(self) -> list[int]:
         with self._lock:
-            return sorted(self._daily_counts)
+            return sorted(self._log)
 
     @property
     def universe(self) -> list[PathKey]:
         with self._lock:
-            return sorted(self._universe)
+            return sorted({key for day in self._log for key in self._view(day)[1]})
 
     def count(self, key: PathKey, day: int) -> int:
         with self._lock:
-            return self._daily_counts.get(day, Counter()).get(key, 0)
+            return self._view(day)[1].get(key, 0)
 
     def counts_on(self, day: int) -> Counter:
         with self._lock:
-            return Counter(self._daily_counts.get(day, Counter()))
+            return Counter(self._view(day)[1])
 
     def count_sequence(self, key: PathKey, days: list[int]) -> list[int]:
         """Access counts of ``key`` over the given days (paper's Count
@@ -117,7 +137,7 @@ class JsonPathCollector:
         with self._lock:
             out: Counter = Counter()
             for day in range(first_day, last_day + 1):
-                out.update(self._shapes.get(day, ()))
+                out.update(self._view(day)[0])
             return out
 
     def queries_on(self, day: int) -> list[QueryRecord]:
@@ -139,7 +159,7 @@ class JsonPathCollector:
     def mpjp_on(self, day: int, threshold: int = 2) -> set[PathKey]:
         """Paths parsed >= threshold times on ``day`` (the MPJP set)."""
         with self._lock:
-            counts = self._daily_counts.get(day, Counter())
+            counts = self._view(day)[1]
             return {key for key, value in counts.items() if value >= threshold}
 
     def mpjp_label(self, key: PathKey, day: int, threshold: int = 2) -> int:
@@ -149,8 +169,8 @@ class JsonPathCollector:
         """PathKey -> total parse count over all collected days."""
         with self._lock:
             out: Counter = Counter()
-            for counts in self._daily_counts.values():
-                out.update(counts)
+            for day in self._log:
+                out.update(self._view(day)[1])
             return out
 
     def duplicate_parse_fraction(self) -> float:
@@ -159,8 +179,8 @@ class JsonPathCollector:
         with self._lock:
             total = 0
             redundant = 0
-            for counts in self._daily_counts.values():
-                for value in counts.values():
+            for day in self._log:
+                for value in self._view(day)[1].values():
                     total += value
                     redundant += max(0, value - 1)
             return redundant / total if total else 0.0

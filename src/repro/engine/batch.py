@@ -267,9 +267,15 @@ class ExpressionProgram:
     finds its nodes without hashing an expression tree.
     """
 
-    def __init__(self, operators=()) -> None:
-        self._memo: dict[Expression, CompiledExpression] = {}
-        self._operators: dict[int, tuple] = {}
+    def __init__(self, operators=(), template: "ExpressionProgram | None" = None) -> None:
+        # A bound variant starts from its template's program: the operators
+        # it shares are found lowered, its own reuse every equal expression.
+        self._memo: dict[Expression, CompiledExpression] = (
+            {} if template is None else template._memo.copy()
+        )
+        self._operators: dict[int, tuple] = (
+            {} if template is None else template._operators.copy()
+        )
         self._lock = threading.Lock()
         for operator in operators:
             self.of(operator)

@@ -151,7 +151,10 @@ class Catalog:
                 if self.fs.exists(info.location)
                 else []
             )
-            path = f"{info.location}/part-{len(existing):05d}.orc"
+            # One past the highest part, not the file count: a table with
+            # a deleted middle file still appends after its last one.
+            index = max((int(f.path[-9:-4]) for f in existing), default=-1) + 1
+            path = f"{info.location}/part-{index:05d}.orc"
             self.fs.create(path, data)
             self._version += 1
         return path

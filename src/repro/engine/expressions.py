@@ -343,6 +343,12 @@ class Literal(Expression):
 
     value: object
     slot: int | None = field(default=None, compare=False, repr=False)
+    #: The value's type, so ``2`` and ``2.0`` (equal values) are different
+    #: literals: an expression program compiles one node per equal literal.
+    kind: type = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", type(self.value))
 
     def evaluate(self, row: dict, context: EvalContext) -> object:
         return self.value

@@ -913,10 +913,16 @@ def walk_plan(plan: PhysicalPlan):
         yield from walk_plan(child)
 
 
-def compile_plan(plan: PhysicalPlan) -> ExpressionProgram:
+def compile_plan(
+    plan: PhysicalPlan, template: ExpressionProgram | None = None
+) -> ExpressionProgram:
     """The program of ``plan``: every operator's expressions lowered once,
-    before any split runs (a traced plan's operators sit in ``inner``)."""
-    return ExpressionProgram(getattr(op, "inner", op) for op in walk_plan(plan))
+    before any split runs (a traced plan's operators sit in ``inner``).
+    A plan bound from a template compiles from the ``template``'s program,
+    lowering only what the bind replaced."""
+    return ExpressionProgram(
+        (getattr(op, "inner", op) for op in walk_plan(plan)), template
+    )
 
 
 def expression_slots(plan: PhysicalPlan):

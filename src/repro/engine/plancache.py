@@ -74,9 +74,8 @@ class CachedPlan:
         physical = bind_plan(self.planned.physical, params)
         if physical is None:
             return None
-        planned = replace(
-            self.planned, physical=physical, program=compile_plan(physical)
-        )
+        program = compile_plan(physical, self.planned.program)
+        planned = replace(self.planned, physical=physical, program=program)
         return replace(self, planned=planned, params=params)
 
 
@@ -168,17 +167,20 @@ class PlanCache:
             self._entries[key] = entry
             return
         cost = _plan_entry_bytes(key)
-        victims = [k for k in self._entries if k != keep]
-        for victim in victims:
-            if len(self._entries) < self.capacity and not (
+
+        def full() -> bool:
+            return len(self._entries) >= self.capacity or (
                 self.ledger is not None and self.ledger.over_budget(cost)
-            ):
+            )
+
+        while full():
+            # The oldest entry but ``keep``: a walk that stops at the front.
+            victim = next((k for k in self._entries if k != keep), None)
+            if victim is None:
                 break
             self._evict_locked(victim)
             self.evictions += 1
-        if len(self._entries) >= self.capacity or (
-            self.ledger is not None and self.ledger.over_budget(cost)
-        ):
+        if full():
             # Other tiers already fill the budget: skip the store.
             return
         self._entries[key] = entry

@@ -97,10 +97,11 @@ def _no_span(name: str, **attributes):
 class QueryResult:
     """Rows plus the metrics of the execution that produced them.
 
-    An executed query holds its ``batch`` and the rows built from it; a
-    result-cache hit holds the entry's lane ``frame`` — ``(names, row
-    count, body)``, see :mod:`repro.engine.frame` — and builds its row
-    dicts, fresh and the caller's to mutate, when ``rows`` is first read.
+    An executed query holds its ``batch``, a result-cache hit the entry's
+    lane ``frame`` — ``(names, row count, body)``, see
+    :mod:`repro.engine.frame`; either builds its row dicts, fresh and the
+    caller's to mutate, when ``rows`` is first read (a shard replies with
+    :meth:`frame` and never does).
     ``trace`` is the root :class:`repro.obs.trace.Span` of a traced query;
     ``referenced_json_paths`` the ``(database, table, column, path)``
     tuples the planner found, so callers (the Maxson stats collector) need
@@ -111,7 +112,6 @@ class QueryResult:
         self,
         metrics: QueryMetrics,
         plan: PhysicalPlan,
-        rows: list[dict] | None = None,
         trace: object | None = None,
         referenced_json_paths=(),
         batch: ColumnBatch | None = None,
@@ -119,7 +119,7 @@ class QueryResult:
     ) -> None:
         self.metrics, self.plan, self.trace = metrics, plan, trace
         self.referenced_json_paths = list(referenced_json_paths)
-        self._rows, self._batch, self._frame = rows, batch, frame
+        self._rows, self._batch, self._frame = None, batch, frame
 
     @property
     def rows(self) -> list[dict]:
@@ -625,7 +625,6 @@ class Session:
         try:
             with tracer.span("execute") if tracer is not None else nullcontext():
                 batch = planned.physical.execute_batch(state)
-                rows = batch.to_rows()
         except QueryCancelledError:
             # No partial rows, no result-cache admission: the exception
             # unwinds before any of the post-execution bookkeeping.
@@ -637,7 +636,7 @@ class Session:
         metrics = state.metrics
         metrics.plan_seconds = plan_seconds
         metrics.total_seconds = total
-        metrics.rows_output = len(rows)
+        metrics.rows_output = batch.length
         _fold_context_stats(metrics, state.context)
         self._observe_document_tier(state)
         # -- result-cache admission ------------------------------------
@@ -681,7 +680,6 @@ class Session:
         return QueryResult(
             metrics,
             planned.physical,
-            rows=rows,
             trace=trace_root,
             referenced_json_paths=planned.referenced_json_paths,
             batch=batch,

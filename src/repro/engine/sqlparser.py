@@ -19,6 +19,7 @@ standard aggregates, string/number literals and ``*``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import SqlSyntaxError
@@ -91,7 +92,7 @@ class Star(Expression):
         return "*"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Tok:
     kind: str  # 'ident' | 'number' | 'string' | 'punct' | 'eof'
     text: str
@@ -99,85 +100,93 @@ class _Tok:
     pos: int
 
 
+#: One token and the whitespace before it, or a comment, or the end. An
+#: identifier's tail ``\w`` is exactly ``str.isalnum()`` or ``_``. A number
+#: is its longest run (``(?=(…))\2`` never backtracks into a shorter one);
+#: one, or a ``.``, before a non-ASCII character and what matches nothing
+#: here take :func:`_lex_other`, where ``str.isdigit`` decides.
+_TOKEN = re.compile(
+    r"""[ \t\n\r]*(?:
+        ([A-Za-z_]\w*)
+      | (?=((?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]*)?))\2(?![^\x00-\x7f])
+      | ('[^']*(?:''[^']*)*')(?!')
+      | (<=|>=|!=|<>|[(),*=+/<>%]|-(?!-)|\.(?![0-9]|[^\x00-\x7f]))
+      | --[^\n]*\n?
+      | \Z
+    )""",
+    re.VERBOSE,
+)
+_WORD = re.compile(r"\w+")
+_SPACE = re.compile(r"[ \t\n\r]*")
+
+
 def _lex(sql: str) -> list[_Tok]:
     tokens: list[_Tok] = []
+    append = tokens.append
+    match = _TOKEN.match
     i = 0
     n = len(sql)
     while i < n:
-        ch = sql[i]
-        if ch in " \t\n\r":
-            i += 1
+        m = match(sql, i)
+        if m is None:
+            tok, i = _lex_other(sql, _SPACE.match(sql, i).end())
+            append(tok)
             continue
-        if ch == "-" and sql.startswith("--", i):
-            j = sql.find("\n", i)
-            i = n if j == -1 else j + 1
+        group = m.lastindex
+        i = m.end()
+        if group is None:  # whitespace, a comment or the end
             continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (sql[j].isalnum() or sql[j] in "_"):
-                j += 1
-            word = sql[i:j]
-            tokens.append(_Tok("ident", word, word, i))
-            i = j
-        elif ch.isdigit() or (
-            ch == "." and i + 1 < n and sql[i + 1].isdigit()
-        ):
-            j = i
-            seen_dot = False
-            seen_exp = False
-            while j < n:
-                c = sql[j]
-                if c.isdigit():
-                    j += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    j += 1
-                elif c in "eE" and not seen_exp and j > i:
-                    seen_exp = True
-                    j += 1
-                    if j < n and sql[j] in "+-":
-                        j += 1
-                else:
-                    break
-            raw = sql[i:j]
-            value: object
-            if seen_dot or seen_exp:
-                value = float(raw)
-            else:
-                value = int(raw)
-            tokens.append(_Tok("number", raw, value, i))
-            i = j
-        elif ch == "'":
-            j = i + 1
-            parts: list[str] = []
-            while j < n:
-                if sql[j] == "'":
-                    if j + 1 < n and sql[j + 1] == "'":
-                        parts.append("'")
-                        j += 2
-                        continue
-                    break
-                parts.append(sql[j])
-                j += 1
-            if j >= n:
-                raise SqlSyntaxError("unterminated string literal", i)
-            tokens.append(_Tok("string", sql[i : j + 1], "".join(parts), i))
-            i = j + 1
+        text = m.group(group)
+        pos = m.start(group)
+        if group == 1:
+            append(_Tok("ident", text, text, pos))
+        elif group == 2:
+            number = float(text) if "." in text or "e" in text or "E" in text else int(text)
+            append(_Tok("number", text, number, pos))
+        elif group == 3:
+            append(_Tok("string", text, text[1:-1].replace("''", "'"), pos))
         else:
-            for punct in ("<=", ">=", "!=", "<>"):
-                if sql.startswith(punct, i):
-                    text = "!=" if punct == "<>" else punct
-                    tokens.append(_Tok("punct", text, text, i))
-                    i += len(punct)
-                    break
-            else:
-                if ch in "(),.*=+-/<>%":
-                    tokens.append(_Tok("punct", ch, ch, i))
-                    i += 1
-                else:
-                    raise SqlSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Tok("eof", "", None, n))
+            text = "!=" if text == "<>" else text
+            append(_Tok("punct", text, text, pos))
+    append(_Tok("eof", "", None, n))
     return tokens
+
+
+def _lex_other(sql: str, i: int) -> tuple[_Tok, int]:
+    """The token at ``i`` that :data:`_TOKEN` leaves: one led by a
+    non-ASCII letter or digit, a number or ``.`` before a non-ASCII
+    character, or an error. Returns it and the offset after it."""
+    ch = sql[i]
+    n = len(sql)
+    if ch.isalpha():
+        j = _WORD.match(sql, i).end()
+        return _Tok("ident", sql[i:j], sql[i:j], i), j
+    if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
+        j = i
+        seen_dot = False
+        seen_exp = False
+        while j < n:
+            c = sql[j]
+            if c.isdigit():
+                j += 1
+            elif c == "." and not seen_dot and not seen_exp:
+                seen_dot = True
+                j += 1
+            elif c in "eE" and not seen_exp and j > i:
+                seen_exp = True
+                j += 1
+                if j < n and sql[j] in "+-":
+                    j += 1
+            else:
+                break
+        raw = sql[i:j]
+        value = float(raw) if seen_dot or seen_exp else int(raw)
+        return _Tok("number", raw, value, i), j
+    if ch == ".":
+        return _Tok("punct", ch, ch, i), i + 1
+    if ch == "'":
+        raise SqlSyntaxError("unterminated string literal", i)
+    raise SqlSyntaxError(f"unexpected character {ch!r}", i)
 
 
 class _Parser:

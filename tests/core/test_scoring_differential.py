@@ -19,7 +19,8 @@ from __future__ import annotations
 import random
 import sys
 import threading
-from collections import Counter
+from collections import Counter, defaultdict
+from dataclasses import astuple
 
 import pytest
 
@@ -278,6 +279,69 @@ def test_concurrent_record_query_loses_no_count():
         collector.counts_on(1).values()
     ) == sum(len(shape) * count for shape, count in expected.items())
     assert len(collector.queries_between(0, 1)) == threads_n * rounds
+
+
+# ----------------------------------------------------------------------
+# one-bump ingestion, statistics read off the log
+# ----------------------------------------------------------------------
+class EagerCollector:
+    """The statistics as ingestion kept them before recording became one
+    bump: each record updates the day's shapes, path counts and universe."""
+
+    def __init__(self) -> None:
+        self.shapes, self.counts = defaultdict(Counter), defaultdict(Counter)
+        self.universe: set = set()
+
+    def record(self, day: int, paths: tuple, count: int) -> None:
+        self.shapes[day][paths] += count
+        for key in paths:
+            self.counts[day][key] += count
+        self.universe.update(paths)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_one_bump_log_reads_like_eager_statistics(seed):
+    rng = random.Random(seed)
+    arrivals = []
+    while len(arrivals) < 30:
+        arrivals = generate(rng)[0]
+    collector, eager = JsonPathCollector(), EagerCollector()
+    for index, (day, paths) in enumerate(arrivals):
+        count = rng.choice((0, 1, 1, 3))
+        eager.record(day, paths, count)
+        if count == 1 and rng.random() < 0.5:  # a planned query's references
+            collector.record_planned(day, [astuple(key) for key in paths])
+        else:
+            collector.record_query(day, paths, count)
+        if index % 7 == 0:  # a read between records: views are re-derived
+            collector.counts_on(day)
+    assert collector.days == sorted(eager.counts)
+    assert collector.universe == sorted(eager.universe)
+    for day in range(-1, 11):
+        counts = collector.counts_on(day)
+        assert list(counts.items()) == list(eager.counts.get(day, {}).items())
+        assert all(collector.count(key, day) == n for key, n in counts.items())
+        assert collector.mpjp_on(day) == {k for k, n in counts.items() if n >= 2}
+    for first, last in ((0, 9), (2, 5), (4, 4), (6, 3)):
+        shapes: Counter = Counter()
+        for day in range(first, last + 1):
+            shapes.update(eager.shapes.get(day, {}))
+        assert list(collector.shapes_between(first, last).items()) == list(shapes.items())
+        assert collector.queries_between(first, last) == [
+            QueryRecord(day, paths)
+            for day in range(first, last + 1)
+            for paths, n in eager.shapes.get(day, {}).items()
+            for _ in range(n)
+        ]
+    total: Counter = Counter()
+    for counts in eager.counts.values():
+        total.update(counts)
+    assert list(collector.total_parses().items()) == list(total.items())
+    values = [n for counts in eager.counts.values() for n in counts.values()]
+    redundant = sum(max(0, n - 1) for n in values)
+    assert collector.duplicate_parse_fraction() == (
+        redundant / sum(values) if sum(values) else 0.0
+    )
 
 
 # ----------------------------------------------------------------------

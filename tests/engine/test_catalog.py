@@ -68,6 +68,22 @@ class TestData:
         assert second.endswith("part-00001.orc")
         assert catalog.table_files("db", "t") == [first, second]
 
+    def test_append_after_a_deleted_middle_file(self, catalog):
+        from repro.storage.readers import OrcReader
+
+        catalog.create_table("db", "t", SCHEMA)
+        paths = [catalog.append_rows("db", "t", [(i, f"r{i}")]) for i in range(3)]
+        catalog.fs.delete(paths[1])
+        fourth = catalog.append_rows("db", "t", [(3, "r3")])
+        assert fourth.endswith("part-00003.orc")
+        assert catalog.table_files("db", "t") == [paths[0], paths[2], fourth]
+        rows = [
+            row
+            for path in catalog.table_files("db", "t")
+            for row in OrcReader(catalog.fs, path).read_rows()
+        ]
+        assert rows == [(0, "r0"), (2, "r2"), (3, "r3")]
+
     def test_empty_table_has_no_files(self, catalog):
         catalog.create_table("db", "t", SCHEMA)
         assert catalog.table_files("db", "t") == []

@@ -9,6 +9,7 @@ import pytest
 
 from repro.engine import Session, plancache
 from repro.engine.batch import ExpressionProgram
+from repro.engine.expressions import Literal, walk
 from repro.engine.procpool import ProcessMorselPool, _WorkerEnv, build_snapshot
 from repro.jsonlib import dumps
 from repro.obs.trace import Tracer
@@ -81,6 +82,39 @@ def test_recurring_variant_binds_and_compiles_once(sales_session, monkeypatch):
     assert again.rows == first.rows == reference_rows(sales_session, SQL.format(500))
     stats = sales_session.plan_cache_stats()
     assert (stats["hits"], stats["misses"], stats["entries"]) == (2, 1, 2)
+
+
+@pytest.mark.parametrize("backend, workers", [("thread", 1), ("thread", 2), ("process", 2)])
+def test_variant_compiles_from_its_template(sales_session, monkeypatch, backend, workers):
+    """A ``LIMIT`` variant lowers nothing on its first bind; a threshold
+    variant lowers only what holds its literal."""
+    sql = SQL + " limit {}"
+    sales_session.configure(worker_backend=backend, scan_workers=workers)
+    lowerings = spy(monkeypatch, ExpressionProgram, "_lower")
+    try:
+        sales_session.sql(sql.format(300, 5))
+        del lowerings[:]
+        limited = sales_session.sql(sql.format(300, 3))
+        assert lowerings == []
+        threshold = sales_session.sql(sql.format(500, 5))
+    finally:
+        sales_session.close_worker_pools()
+    assert lowerings and all(Literal(500) in walk(expr) for _, expr in lowerings)
+    assert limited.rows == reference_rows(sales_session, sql.format(300, 3))
+    assert threshold.rows == reference_rows(sales_session, sql.format(500, 5))
+    stats = sales_session.plan_cache_stats()
+    assert (stats["hits"], stats["misses"]) == (2, 1)
+
+
+def test_equal_literals_of_other_types_compile_apart(sales_session):
+    """``2`` and ``2.0`` are one value but two literals, in one plan and
+    between a template's program and its variant's."""
+    price = "get_json_object(sale_logs, '$.price')"
+    sql = f"select {{}} as a, {{}} as b, {price} * {{}} as c, {price} * {{}} as d from mydb.T"
+    for literals in ((2, 2.0, 2.0, 3), (3, 3.0, 3.0, 2)):
+        statement = sql.format(*literals)
+        rows = sales_session.sql(statement).rows
+        assert repr(rows) == repr(reference_rows(sales_session, statement))
 
 
 def test_one_shot_variants_stay_inside_capacity(sales_session):

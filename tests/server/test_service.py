@@ -7,6 +7,8 @@ import pytest
 
 from repro.core import MaxsonConfig, MaxsonSystem, PredictorConfig
 from repro.engine import DeadlineExceededError, QueryCancelledError, Session
+from repro.engine.batch import ColumnBatch
+from repro.engine.frame import frame_rows
 from repro.faults import FaultPolicy, FaultyFileSystem
 from repro.jsonlib import dumps
 from repro.server import MaxsonServer, ServerConfig
@@ -54,6 +56,17 @@ class TestRequestPath:
     def test_submit_returns_future(self, server):
         future = server.submit(COLD_SQL, tenant="alpha", day=0)
         assert future.result().rows
+
+    def test_frame_reply_builds_no_rows(self, server, monkeypatch):
+        """A shard replies with the frame: executing the query and framing
+        its result build no row dicts."""
+        expected = server.system.baseline_sql(HOT_SQL).rows
+        built = []
+        to_rows = ColumnBatch.to_rows
+        monkeypatch.setattr(ColumnBatch, "to_rows", lambda b: built.append(b) or to_rows(b))
+        names, count, body = server.submit(HOT_SQL, day=0).result().frame()
+        assert built == [] and count == len(expected)
+        assert frame_rows(body, names) == expected
 
     def test_failure_counted_and_raised(self, server):
         with pytest.raises(Exception):
