@@ -11,7 +11,8 @@ so the loop is shaped the other way round:
   expressions.Expression` of a plan, once, to a closure over whole
   columns (a :class:`CompiledExpression`). Scalar semantics come from the
   kernel functions of :mod:`repro.engine.expressions` (``_apply_arith``
-  etc.), the same ones ``Expression.evaluate`` calls.
+  etc.) and the :data:`~repro.engine.functions.SCALAR_FUNCTIONS`
+  registry.
 * Extraction calls route through the split's context's vectorized
   ``get_json_objects`` / ``get_xml_objects``, which share one parsed
   document per distinct text via :class:`~repro.jsonlib.doccache.
@@ -23,13 +24,14 @@ so the loop is shaped the other way round:
   to one node and evaluate once per batch. Re-served results are counted
   into ``QueryMetrics.duplicate_extractions_eliminated``.
 
-The fallback contract: anything the program does not lower (scalar
-functions, ``IN`` over non-literal options) becomes a closure that calls
-the scalar ``Expression.evaluate`` over ``batch.rows()``, so no
-expression is unsupported — only slower where not vectorized. The
+The program is the engine's only evaluator: expression nodes have no
+row-wise ``evaluate``. Every node a plan can hold lowers — scalar
+functions and ``IN`` over non-literal options included — and one that
+has no row value (an aggregate call, ``*``) lowers to a closure that
+raises :class:`~repro.engine.errors.ExecutionError` when evaluated. The
 reference the differential tests compare this engine against is not
 here: it is ``tests/reference_engine.py``, an interpreter over the
-logical plan that shares only those scalar kernels.
+logical plan with its own expression evaluator.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ from .expressions import (
     _null_safe_compare,
     walk,
 )
+from .functions import SCALAR_FUNCTIONS, FunctionCall
 
 __all__ = [
     "ColumnBatch",
@@ -78,15 +81,12 @@ class ColumnBatch:
 
     ``names`` preserves column order (and may alias the same underlying
     list under two names — scans expose ``col`` and ``alias.col`` without
-    copying). ``rows()`` materialises per-row dict views lazily — for
-    the compiler's scalar fallback, aggregate representatives and the
-    final result rows — and is cached: repeated fallbacks on the same
-    batch pay the conversion once.
+    copying). Row dicts are built only when asked for: ``row(i)`` one
+    (an aggregate group's representative), ``to_rows()`` all of them (the
+    final result rows).
     """
 
-    __slots__ = (
-        "names", "columns", "length", "origin", "proven", "memo", "_rows", "_frame"
-    )
+    __slots__ = ("names", "columns", "length", "origin", "proven", "memo", "_frame")
 
     def __init__(self, names, columns: dict, length: int) -> None:
         self.names = tuple(names)
@@ -103,7 +103,6 @@ class ColumnBatch:
         #: values. The memo lives here, not on the node, because a node
         #: serves concurrent splits while a batch belongs to one.
         self.memo: dict = {}
-        self._rows: list[dict] | None = None
         #: Memo of :func:`repro.engine.frame.encode_frame`.
         self._frame: bytes | None = None
 
@@ -132,15 +131,10 @@ class ColumnBatch:
                 f"column {name!r} not found in row; have {sorted(set(self.names))}"
             ) from None
 
-    def rows(self) -> list[dict]:
-        """Cached per-row dict views, for the compiler's scalar fallback
-        and aggregate representatives."""
-        if self._rows is None:
-            self._rows = self.to_rows()
-        return self._rows
-
     def row(self, index: int) -> dict:
-        return self.rows()[index]
+        """A fresh dict of row ``index`` alone."""
+        columns = self.columns
+        return {name: columns[name][index] for name in self.names}
 
     def to_rows(self) -> list[dict]:
         """Fresh row dicts (callers may mutate them freely), built in one
@@ -233,11 +227,10 @@ def _logic_step(combine, decided, left_values: list, right: CompiledExpression,
                 batch: ColumnBatch, state) -> list:
     """AND/OR with batch-level short-circuiting.
 
-    Scalar ``evaluate`` never evaluates the right operand on rows the
-    left operand decides (False for AND, True for OR). The batch form
-    preserves that: the right side is evaluated only on the sub-batch of
-    undecided rows, so errors and parse costs it would have skipped
-    row-wise stay skipped batch-wise.
+    SQL never needs the right operand on rows the left operand decides
+    (False for AND, True for OR): the right side is evaluated only on the
+    sub-batch of undecided rows, so its errors and parse costs on the
+    decided ones are never paid.
     """
     pending = [i for i, value in enumerate(left_values) if value is not decided]
     if not pending:
@@ -250,6 +243,34 @@ def _logic_step(combine, decided, left_values: list, right: CompiledExpression,
     for i, value in zip(pending, right_values):
         out[i] = combine(left_values[i], value)
     return out
+
+
+def _in_options(values: list, options: list, batch: ColumnBatch, state) -> list:
+    """``value IN (options)`` over compiled options, in order, each
+    evaluated only on the rows still undecided — the child not NULL and
+    no earlier option matched — so an option's errors and parse costs on
+    a decided row are never paid."""
+    seen: list[list] = [[] for _ in values]
+    pending = [i for i, value in enumerate(values) if value is not None]
+    for option in options:
+        if not pending:
+            break
+        rows = batch if len(pending) == batch.length else batch.take(pending)
+        for i, other in zip(pending, option.evaluate(rows, state)):
+            seen[i].append(other)
+        pending = [
+            i for i in pending if _in_list_result(values[i], seen[i][-1:]) is not True
+        ]
+    return [_in_list_result(value, others) for value, others in zip(values, seen)]
+
+
+def _call(impl, arguments: tuple) -> object:
+    """A scalar function on one row's arguments; an argument it cannot
+    take (``TypeError``/``ValueError``) gives NULL, as in Hive."""
+    try:
+        return impl(*arguments)
+    except (TypeError, ValueError):
+        return None
 
 
 class ExpressionProgram:
@@ -303,20 +324,10 @@ class ExpressionProgram:
         return node
 
     def _lower(self, expr: Expression) -> CompiledExpression:
-        fn = self._lower_fn(expr)
-        if fn is None:
-            fn = self._fallback(expr)
         extractions = sum(
             1 for node in walk(expr) if isinstance(node, ExtractionCall)
         )
-        return CompiledExpression(fn, extractions)
-
-    @staticmethod
-    def _fallback(expr: Expression):
-        """Scalar escape hatch: evaluate ``expr`` row by row."""
-        return lambda batch, state: [
-            expr.evaluate(row, state.context) for row in batch.rows()
-        ]
+        return CompiledExpression(self._lower_fn(expr), extractions)
 
     def _lower_fn(self, expr: Expression):
         if isinstance(expr, Literal):
@@ -389,16 +400,17 @@ class ExpressionProgram:
                 _apply_cast(target, value) for value in child.evaluate(batch, state)
             ]
         if isinstance(expr, InList):
+            child = self.compile(expr.child)
             if all(isinstance(option, Literal) for option in expr.options):
-                child = self.compile(expr.child)
-                options = tuple(option.value for option in expr.options)
+                values = tuple(option.value for option in expr.options)
                 return lambda batch, state: [
-                    _in_list_result(value, options)
+                    _in_list_result(value, values)
                     for value in child.evaluate(batch, state)
                 ]
-            # Non-literal options must keep the interpreter's lazy,
-            # in-order option evaluation; fall back whole-node.
-            return None
+            options = [self.compile(option) for option in expr.options]
+            return lambda batch, state: _in_options(
+                child.evaluate(batch, state), options, batch, state
+            )
         if isinstance(expr, Between):
             child = self.compile(expr.child)
             low = self.compile(expr.low)
@@ -411,4 +423,16 @@ class ExpressionProgram:
                     high.evaluate(batch, state),
                 )
             ]
-        return None  # unknown node type: scalar fallback
+        if isinstance(expr, FunctionCall):
+            impl = SCALAR_FUNCTIONS[expr.name.lower()][0]
+            arguments = [self.compile(argument) for argument in expr.arguments]
+            return lambda batch, state: [
+                _call(impl, values)
+                for values in zip(*[a.evaluate(batch, state) for a in arguments])
+            ]
+        # No row value (an aggregate call, an unexpanded ``*``): compiling
+        # succeeds, evaluating raises.
+        def unlowerable(batch: ColumnBatch, state) -> list:
+            raise ExecutionError(f"{expr.sql()} cannot be evaluated as a row expression")
+
+        return unlowerable

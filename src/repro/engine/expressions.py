@@ -1,10 +1,13 @@
 """Expression trees for the query engine.
 
-Expressions evaluate against a *row environment* — a dict mapping column
-names to values — plus an :class:`EvalContext` that owns the JSON parser
-and its cost counters. The context is how the engine attributes time to
-"Parse" in the paper's cost breakdowns: every ``get_json_object``
-evaluation parses through ``context.parser``.
+The nodes are frozen dataclasses — data, not evaluators. The engine
+evaluates them one way only: :class:`~repro.engine.batch.
+ExpressionProgram` lowers a plan's trees to closures over whole columns,
+built from the scalar kernels below (``_null_safe_compare``,
+``_apply_arith``, ...). Extraction reads through an
+:class:`EvalContext`, which owns the JSON parser and its cost counters:
+it is how the engine attributes time to "Parse" in the paper's cost
+breakdowns.
 
 The tree is also what Maxson's plan rewriter walks (paper Algorithm 1):
 :class:`GetJsonObject` nodes matching a valid cache entry are replaced by
@@ -110,25 +113,6 @@ class EvalContext:
         except JsonParseError:
             return None
         return eval_path(raw_path, document)
-
-    def get_xml_object(self, text: object, raw_path: str) -> object:
-        """XML flavour of the same contract (paper's extension target)."""
-        if text is None:
-            return None
-        if not isinstance(text, str):
-            raise ExecutionError(
-                f"get_xml_object expects a string column, got {type(text).__name__}"
-            )
-        from ..xmllib.parser import XmlParseError, XmlParser
-        from ..xmllib.xpath import evaluate_xpath
-
-        if self.xml_parser is None:
-            self.xml_parser = XmlParser()
-        try:
-            document = self.xml_parser.parse(text)
-        except XmlParseError:
-            return None
-        return evaluate_xpath(raw_path, document)
 
     # -- vectorized, parse-once variants (batch execution path) --------
     def get_json_objects(self, texts: list, raw_path: str) -> list:
@@ -291,9 +275,6 @@ class EvalContext:
 class Expression:
     """Base class for all expression nodes."""
 
-    def evaluate(self, row: dict, context: EvalContext) -> object:
-        raise NotImplementedError
-
     def children(self) -> tuple["Expression", ...]:
         return ()
 
@@ -320,14 +301,6 @@ class Column(Expression):
 
     name: str
 
-    def evaluate(self, row: dict, context: EvalContext) -> object:
-        try:
-            return row[self.name]
-        except KeyError:
-            raise ExecutionError(
-                f"column {self.name!r} not found in row; have {sorted(row)}"
-            ) from None
-
     def output_name(self) -> str:
         return self.name.split(".")[-1]
 
@@ -350,9 +323,6 @@ class Literal(Expression):
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", type(self.value))
 
-    def evaluate(self, row: dict, context: EvalContext) -> object:
-        return self.value
-
     def sql(self) -> str:
         if isinstance(self.value, str):
             escaped = self.value.replace("'", "''")
@@ -368,9 +338,6 @@ class Alias(Expression):
 
     child: Expression
     name: str
-
-    def evaluate(self, row: dict, context: EvalContext) -> object:
-        return self.child.evaluate(row, context)
 
     def children(self) -> tuple[Expression, ...]:
         return (self.child,)
@@ -430,10 +397,6 @@ class GetJsonObject(ExtractionCall):
     def __post_init__(self) -> None:
         parse_path(self.path)  # validate eagerly; raises JsonPathError
 
-    def evaluate(self, row: dict, context: EvalContext) -> object:
-        text = self.column.evaluate(row, context)
-        return context.get_json_object(text, self.path)
-
     def _leaf(self) -> str:
         return parse_path(self.path).leaf or "value"
 
@@ -448,10 +411,6 @@ class GetXmlObject(ExtractionCall):
         from ..xmllib.xpath import parse_xpath
 
         parse_xpath(self.path)  # validate eagerly; raises XPathError
-
-    def evaluate(self, row: dict, context: EvalContext) -> object:
-        text = self.column.evaluate(row, context)
-        return context.get_xml_object(text, self.path)
 
     def _leaf(self) -> str:
         from ..xmllib.xpath import parse_xpath
@@ -472,15 +431,6 @@ class CachedField(Expression):
     column_id: int
     path: str
     env_key: str
-
-    def evaluate(self, row: dict, context: EvalContext) -> object:
-        try:
-            return row[self.env_key]
-        except KeyError:
-            raise ExecutionError(
-                f"cached field {self.env_key!r} missing from stitched row; "
-                "Value Combiner misconfigured"
-            ) from None
 
     def output_name(self) -> str:
         return self.env_key
@@ -540,9 +490,10 @@ def _coerce_pair(left: object, right: object) -> tuple | None:
         return None
 
 
-# Scalar kernels shared verbatim by ``Expression.evaluate`` and the batch
-# compiler (:mod:`repro.engine.batch`): one implementation per operator
-# means compiled and scalar evaluation cannot drift apart semantically.
+# Scalar kernels of the batch compiler (:mod:`repro.engine.batch`), one
+# per operator. The reference the differential tests use restates them
+# (``tests/reference_engine.py``) instead of importing them, so a fault
+# here shows as a difference instead of being shared by both sides.
 def _combine_and(left: object, right: object) -> object:
     """Three-valued AND given a non-False left and an evaluated right."""
     if left is None or right is None:
@@ -614,8 +565,9 @@ def _apply_cast(target: str, value: object) -> object:
 def _in_list_result(value: object, others) -> object:
     """``value IN others`` with SQL NULL semantics.
 
-    ``others`` may be a lazy iterable; a match short-circuits without
-    consuming (= evaluating) the remaining options.
+    ``others`` are the option values evaluated for the row, in order: all
+    of them, or those up to the first match (the compiler evaluates an
+    option only on rows no earlier one decided).
     """
     if value is None:
         return None
@@ -647,23 +599,6 @@ class BinaryOp(Expression):
     def __post_init__(self) -> None:
         if self.op not in _ARITH | _COMPARE | _LOGIC:
             raise PlanError(f"unknown operator {self.op!r}")
-
-    def evaluate(self, row: dict, context: EvalContext) -> object:
-        if self.op in _LOGIC:
-            left = self.left.evaluate(row, context)
-            # SQL short-circuit with three-valued logic.
-            if self.op == "and":
-                if left is False:
-                    return False
-                return _combine_and(left, self.right.evaluate(row, context))
-            if left is True:
-                return True
-            return _combine_or(left, self.right.evaluate(row, context))
-        left = self.left.evaluate(row, context)
-        right = self.right.evaluate(row, context)
-        if self.op in _COMPARE:
-            return _null_safe_compare(self.op, left, right)
-        return _apply_arith(self.op, left, right)
 
     def children(self) -> tuple[Expression, ...]:
         return (self.left, self.right)
@@ -699,9 +634,6 @@ class UnaryOp(Expression):
     op: str  # 'not' | 'neg' | 'is null' | 'is not null'
     child: Expression
 
-    def evaluate(self, row: dict, context: EvalContext) -> object:
-        return _apply_unary(self.op, self.child.evaluate(row, context))
-
     def children(self) -> tuple[Expression, ...]:
         return (self.child,)
 
@@ -722,9 +654,6 @@ class CastExpr(Expression):
 
     child: Expression
     target: str  # 'int' | 'double' | 'string' | 'boolean'
-
-    def evaluate(self, row: dict, context: EvalContext) -> object:
-        return _apply_cast(self.target, self.child.evaluate(row, context))
 
     def children(self) -> tuple[Expression, ...]:
         return (self.child,)
@@ -754,12 +683,6 @@ class InList(Expression):
     child: Expression
     options: tuple[Expression, ...]
 
-    def evaluate(self, row: dict, context: EvalContext) -> object:
-        value = self.child.evaluate(row, context)
-        return _in_list_result(
-            value, (option.evaluate(row, context) for option in self.options)
-        )
-
     def children(self) -> tuple[Expression, ...]:
         return (self.child, *self.options)
 
@@ -779,12 +702,6 @@ class Between(Expression):
     low: Expression
     high: Expression
 
-    def evaluate(self, row: dict, context: EvalContext) -> object:
-        value = self.child.evaluate(row, context)
-        low = self.low.evaluate(row, context)
-        high = self.high.evaluate(row, context)
-        return _between_result(value, low, high)
-
     def children(self) -> tuple[Expression, ...]:
         return (self.child, self.low, self.high)
 
@@ -803,7 +720,7 @@ _AGGREGATES = {"count", "sum", "avg", "min", "max"}
 class AggregateCall(Expression):
     """``count(*) / count(x) / sum(x) / avg(x) / min(x) / max(x)``.
 
-    Aggregate nodes never evaluate row-wise; the aggregation operator
+    Aggregate nodes have no row value; the aggregation operator
     consumes them directly (``argument`` may be None for ``count(*)``).
     """
 
@@ -816,11 +733,6 @@ class AggregateCall(Expression):
             raise PlanError(f"unknown aggregate {self.func!r}")
         if self.func != "count" and self.argument is None:
             raise PlanError(f"{self.func}() requires an argument")
-
-    def evaluate(self, row: dict, context: EvalContext) -> object:
-        raise ExecutionError(
-            f"aggregate {self.func}() evaluated outside an aggregation operator"
-        )
 
     def children(self) -> tuple[Expression, ...]:
         return (self.argument,) if self.argument is not None else ()

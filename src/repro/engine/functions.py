@@ -3,7 +3,9 @@
 A small registry of Hive-style scalar functions usable anywhere an
 expression is (SELECT list, WHERE, GROUP BY, ORDER BY). All functions
 follow the SQL NULL convention — NULL in, NULL out — except ``coalesce``
-and ``nvl``, whose purpose is to absorb NULLs.
+and ``nvl``, whose purpose is to absorb NULLs. An argument a function
+cannot take (its ``TypeError``/``ValueError``) gives NULL, as in Hive:
+the expression compiler (:mod:`repro.engine.batch`) applies that rule.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PlanError
-from .expressions import EvalContext, Expression
+from .expressions import Expression
 
 __all__ = ["FunctionCall", "SCALAR_FUNCTIONS", "is_scalar_function"]
 
@@ -117,14 +119,6 @@ class FunctionCall(Expression):
             raise PlanError(
                 f"{self.name}() takes {expect} arguments, got {n}"
             )
-
-    def evaluate(self, row: dict, context: EvalContext) -> object:
-        impl = SCALAR_FUNCTIONS[self.name.lower()][0]
-        values = [a.evaluate(row, context) for a in self.arguments]
-        try:
-            return impl(*values)
-        except (TypeError, ValueError):
-            return None  # Hive-style: uncastable input -> NULL
 
     def children(self) -> tuple[Expression, ...]:
         return self.arguments

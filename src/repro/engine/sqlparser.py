@@ -85,9 +85,6 @@ _AGG_NAMES = {"count", "sum", "avg", "min", "max"}
 class Star(Expression):
     """``SELECT *`` marker; expanded by the planner against the scan schema."""
 
-    def evaluate(self, row, context):  # pragma: no cover - expanded earlier
-        raise SqlSyntaxError("'*' must be expanded before evaluation")
-
     def sql(self) -> str:
         return "*"
 
@@ -141,8 +138,7 @@ def _lex(sql: str) -> list[_Tok]:
         if group == 1:
             append(_Tok("ident", text, text, pos))
         elif group == 2:
-            number = float(text) if "." in text or "e" in text or "E" in text else int(text)
-            append(_Tok("number", text, number, pos))
+            append(_number(text, pos))
         elif group == 3:
             append(_Tok("string", text, text[1:-1].replace("''", "'"), pos))
         else:
@@ -150,6 +146,17 @@ def _lex(sql: str) -> list[_Tok]:
             append(_Tok("punct", text, text, pos))
     append(_Tok("eof", "", None, n))
     return tokens
+
+
+def _number(text: str, pos: int) -> _Tok:
+    """The number token ``text`` at ``pos``; one with no digits after its
+    exponent (``3e``, ``1e+``) or a digit ``int`` cannot read (``²``) is
+    malformed."""
+    try:
+        value = float(text) if "." in text or "e" in text or "E" in text else int(text)
+    except ValueError:
+        raise SqlSyntaxError(f"malformed number {text!r}", pos) from None
+    return _Tok("number", text, value, pos)
 
 
 def _lex_other(sql: str, i: int) -> tuple[_Tok, int]:
@@ -179,9 +186,7 @@ def _lex_other(sql: str, i: int) -> tuple[_Tok, int]:
                     j += 1
             else:
                 break
-        raw = sql[i:j]
-        value = float(raw) if seen_dot or seen_exp else int(raw)
-        return _Tok("number", raw, value, i), j
+        return _number(sql[i:j], i), j
     if ch == ".":
         return _Tok("punct", ch, ch, i), i + 1
     if ch == "'":

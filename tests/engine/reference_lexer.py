@@ -64,10 +64,10 @@ def lex(sql: str) -> list[Tok]:
                     break
             raw = sql[i:j]
             value: object
-            if seen_dot or seen_exp:
-                value = float(raw)
-            else:
-                value = int(raw)
+            try:
+                value = float(raw) if seen_dot or seen_exp else int(raw)
+            except ValueError:  # '3e', '1e+', a lone '²'
+                raise SqlSyntaxError(f"malformed number {raw!r}", i) from None
             tokens.append(Tok("number", raw, value, i))
             i = j
         elif ch == "'":

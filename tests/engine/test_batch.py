@@ -12,10 +12,13 @@ import pytest
 from repro.engine import ExecutionError, Session
 from repro.engine.batch import ColumnBatch, ExpressionProgram
 from repro.engine.expressions import (
+    AggregateCall,
     BinaryOp,
     Column,
     EvalContext,
+    Expression,
     GetJsonObject,
+    InList,
     Literal,
 )
 from repro.engine.physical import ExecState
@@ -53,12 +56,14 @@ class TestColumnBatch:
         assert taken.columns["x"] is taken.columns["t.x"]
 
     def test_rows_are_cached_views(self):
-        batch = ColumnBatch.from_rows([{"a": 1}, {"a": 2}])
-        assert batch.rows() is batch.rows()
+        # ``row(i)`` builds row i alone, a fresh dict each time.
+        batch = ColumnBatch.from_rows([{"a": 1, "b": "x"}, {"a": 2, "b": "y"}])
+        assert [batch.row(i) for i in range(2)] == batch.to_rows()
+        assert batch.row(1) is not batch.row(1)
 
     def test_zero_column_rows(self):
         batch = ColumnBatch((), {}, 3)
-        assert batch.rows() == [{}, {}, {}]
+        assert batch.row(2) == {}
 
 
 class TestDocumentCache:
@@ -127,13 +132,38 @@ class TestBatchCompiler:
         assert node.evaluate(batch, state) == [False, True, True]
 
     def test_unknown_nodes_fall_back_to_interpreter(self):
-        class Opaque(Literal):
-            pass
+        # There is no interpreter to fall back to: a node with no row value
+        # compiles, and raises when it is evaluated.
+        class Opaque(Expression):
+            def sql(self) -> str:
+                return "opaque()"
 
-        node = ExpressionProgram().compile(Opaque(41))
         batch = ColumnBatch.from_rows([{"a": 0}])
         state = ExecState(catalog=None, context=EvalContext())
-        assert node.evaluate(batch, state) == [41]
+        for expr in (Opaque(), AggregateCall("sum", Column("a"))):
+            node = ExpressionProgram().compile(expr)
+            with pytest.raises(ExecutionError, match="row expression"):
+                node.evaluate(batch, state)
+
+    def test_in_evaluates_options_only_on_undecided_rows(self):
+        # The second option raises on a non-string column; rows the first
+        # option matched, and a NULL child, must never evaluate it.
+        options = (Column("one"), GetJsonObject(Column("doc"), "$.a"))
+        expr = InList(Column("n"), options)
+        rows = [
+            {"n": 1, "one": 1, "doc": 42},
+            {"n": None, "one": 1, "doc": 42},
+            {"n": 3, "one": 1, "doc": '{"a": 3}'},
+            {"n": 5, "one": 1, "doc": "{}"},
+            {"n": 7, "one": None, "doc": '{"a": 8}'},
+            {"n": 9, "one": 1, "doc": '{"a": 8}'},
+        ]
+        state = ExecState(catalog=None, context=EvalContext())
+        node = ExpressionProgram().compile(expr)
+        assert node.evaluate(ColumnBatch.from_rows(rows), state) == [
+            True, None, True, None, None, False,
+        ]
+        assert state.context.parser.stats.documents == 3
 
 
 class TestExecutionModePlumbing:
@@ -154,6 +184,21 @@ class TestExecutionModePlumbing:
             "and get_json_object(sale_logs, '$.turnover') > 0"
         )
         assert planned.duplicate_extractions == 1
+
+    def test_function_shares_its_argument_extraction(self, sales_session):
+        # The function's argument is the projection's bare extraction: one
+        # compiled node, so each document is parsed as often as without the
+        # function, and the re-served node is counted.
+        bare = sales_session.sql(
+            "select get_json_object(sale_logs, '$.item_name') as n from mydb.T"
+        )
+        both = sales_session.sql(
+            "select upper(get_json_object(sale_logs, '$.item_name')) as u, "
+            "get_json_object(sale_logs, '$.item_name') as n from mydb.T"
+        )
+        assert both.metrics.parse_documents == bare.metrics.parse_documents > 0
+        assert both.metrics.duplicate_extractions_eliminated == len(both.rows)
+        assert [r["u"] for r in both.rows] == [r["n"].upper() for r in bare.rows]
 
     def test_cse_counter_surfaces_in_query_metrics(self, sales_session):
         result = sales_session.sql(

@@ -2,13 +2,10 @@
 
 import pytest
 
-from repro.engine import EvalContext, Literal, PlanError, SqlSyntaxError
+from repro.engine import Literal, PlanError, SqlSyntaxError
 from repro.engine.functions import FunctionCall, is_scalar_function
 
-
-@pytest.fixture
-def ctx():
-    return EvalContext()
+from one_row import one_row
 
 
 def call(name, *values):
@@ -35,52 +32,52 @@ class TestRegistry:
 
 
 class TestStringFunctions:
-    def test_length(self, ctx):
-        assert call("length", "hello").evaluate({}, ctx) == 5
-        assert call("length", 1234).evaluate({}, ctx) == 4
+    def test_length(self):
+        assert one_row(call("length", "hello")) == 5
+        assert one_row(call("length", 1234)) == 4
 
-    def test_lower_upper_trim(self, ctx):
-        assert call("lower", "AbC").evaluate({}, ctx) == "abc"
-        assert call("upper", "AbC").evaluate({}, ctx) == "ABC"
-        assert call("trim", "  x ").evaluate({}, ctx) == "x"
+    def test_lower_upper_trim(self):
+        assert one_row(call("lower", "AbC")) == "abc"
+        assert one_row(call("upper", "AbC")) == "ABC"
+        assert one_row(call("trim", "  x ")) == "x"
 
-    def test_concat(self, ctx):
-        assert call("concat", "a", 1, True).evaluate({}, ctx) == "a1true"
+    def test_concat(self):
+        assert one_row(call("concat", "a", 1, True)) == "a1true"
 
-    def test_concat_null_propagates(self, ctx):
-        assert call("concat", "a", None).evaluate({}, ctx) is None
+    def test_concat_null_propagates(self):
+        assert one_row(call("concat", "a", None)) is None
 
-    def test_substr_positive(self, ctx):
-        assert call("substr", "hello", 2).evaluate({}, ctx) == "ello"
-        assert call("substr", "hello", 2, 3).evaluate({}, ctx) == "ell"
+    def test_substr_positive(self):
+        assert one_row(call("substr", "hello", 2)) == "ello"
+        assert one_row(call("substr", "hello", 2, 3)) == "ell"
 
-    def test_substr_negative_start(self, ctx):
-        assert call("substr", "hello", -3).evaluate({}, ctx) == "llo"
+    def test_substr_negative_start(self):
+        assert one_row(call("substr", "hello", -3)) == "llo"
 
-    def test_substr_zero_length(self, ctx):
-        assert call("substr", "hello", 1, 0).evaluate({}, ctx) == ""
+    def test_substr_zero_length(self):
+        assert one_row(call("substr", "hello", 1, 0)) == ""
 
 
 class TestNumericAndNulls:
-    def test_abs_round(self, ctx):
-        assert call("abs", -4).evaluate({}, ctx) == 4
-        assert call("round", 2.567, 1).evaluate({}, ctx) == 2.6
-        assert call("round", 2.4).evaluate({}, ctx) == 2.0
+    def test_abs_round(self):
+        assert one_row(call("abs", -4)) == 4
+        assert one_row(call("round", 2.567, 1)) == 2.6
+        assert one_row(call("round", 2.4)) == 2.0
 
-    def test_null_in_null_out(self, ctx):
-        assert call("abs", None).evaluate({}, ctx) is None
-        assert call("length", None).evaluate({}, ctx) is None
+    def test_null_in_null_out(self):
+        assert one_row(call("abs", None)) is None
+        assert one_row(call("length", None)) is None
 
-    def test_coalesce(self, ctx):
-        assert call("coalesce", None, None, 3, 4).evaluate({}, ctx) == 3
-        assert call("coalesce", None, None).evaluate({}, ctx) is None
+    def test_coalesce(self):
+        assert one_row(call("coalesce", None, None, 3, 4)) == 3
+        assert one_row(call("coalesce", None, None)) is None
 
-    def test_nvl(self, ctx):
-        assert call("nvl", None, "fallback").evaluate({}, ctx) == "fallback"
-        assert call("nvl", "x", "fallback").evaluate({}, ctx) == "x"
+    def test_nvl(self):
+        assert one_row(call("nvl", None, "fallback")) == "fallback"
+        assert one_row(call("nvl", "x", "fallback")) == "x"
 
-    def test_uncastable_yields_null(self, ctx):
-        assert call("abs", "not a number").evaluate({}, ctx) is None
+    def test_uncastable_yields_null(self):
+        assert one_row(call("abs", "not a number")) is None
 
 
 class TestSqlIntegration:

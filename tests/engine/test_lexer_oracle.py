@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from repro.engine import sqlparser
+from repro.engine import SqlSyntaxError, sqlparser
 
 import reference_lexer
 from sql_generator import MEMBERS, statements
@@ -22,6 +22,7 @@ EDGES = [
     "select 1e5, .5, 1.e3, 2E-3, 7e+1, 1.2.3, a.5 from db.t",
     "select 4.e from db.t",
     "select 3e from db.t",
+    "select 1e+ from db.t",
     "select a from db.t where a <> 1 and b != 2 and c <= 3 and d >= 4",
     "select a\tfrom\r\ndb.t\n",
     "select a ; from db.t",
@@ -41,8 +42,8 @@ FUZZ = ["".join(rng.choices(ALPHABET, k=rng.randint(1, 12))) for _ in range(2000
 def outcome(lex, sql: str):
     try:
         return [(t.kind, t.text, t.value, type(t.value), t.pos) for t in lex(sql)]
-    except Exception as exc:  # '3e' and a lone '²' raise ValueError
-        return type(exc), str(exc), getattr(exc, "position", None)
+    except SqlSyntaxError as exc:  # malformed numbers ('3e', '²') included
+        return type(exc), str(exc), exc.position
 
 
 @pytest.mark.parametrize(

@@ -152,6 +152,12 @@ class TestExpressions:
         assert self._where("a = 1.5").right == Literal(1.5)
         assert self._where("a = 1e3").right == Literal(1000.0)
 
+    @pytest.mark.parametrize("number", ["3e", "4.e", "1e+", "²"])
+    def test_malformed_number_is_syntax_error_at_its_offset(self, number):
+        with pytest.raises(SqlSyntaxError) as raised:
+            parse_sql(f"select a from db.t where a = {number}")
+        assert raised.value.position == 29
+
 
 class TestAggregatesAndClauses:
     def test_group_by(self):
