@@ -171,8 +171,6 @@ class MaxsonSystem:
         #: set, old-generation retirement waits for in-flight leases.
         self.generation_guard = None
         self._generation_lock = threading.RLock()
-        self._baseline_lock = threading.RLock()
-        self._baseline_depth = 0
 
     # ------------------------------------------------------------------
     # convenience constructors
@@ -239,31 +237,18 @@ class MaxsonSystem:
 
     def explain_analyze(self, sql: str, day: int | None = None) -> str:
         """``EXPLAIN ANALYZE`` through the Maxson-modified session; the
-        query still feeds the collector like any other."""
-        planned = self.session.compile(sql)
-        self.collector.record_planned(
-            day if day is not None else self.current_day,
-            planned.referenced_json_paths,
-        )
-        return self.session.explain_analyze(sql)
+        traced query feeds the collector like any other."""
+        from ..obs.explain import render_explain_analyze
+        from ..obs.trace import Tracer
+
+        result = self.sql(sql, day=day, tracer=Tracer())
+        return render_explain_analyze(result.trace, result.metrics, sql=sql)
 
     def baseline_sql(self, sql: str) -> QueryResult:
-        """Execute without Maxson (plain engine), for comparisons.
-
-        Safe to nest and to call re-entrantly: a depth counter keeps the
-        modifier uninstalled until the outermost call finishes, and both
-        install and removal are idempotent on the session.
-        """
-        with self._baseline_lock:
-            self._baseline_depth += 1
-            self.session.remove_plan_modifier(self.modifier)
-        try:
-            return self.session.sql(sql)
-        finally:
-            with self._baseline_lock:
-                self._baseline_depth -= 1
-                if self._baseline_depth == 0:
-                    self.session.add_plan_modifier(self.modifier)
+        """Execute without Maxson (plain engine), for comparisons. The
+        modifier set is this call's alone: queries served meanwhile still
+        run through Maxson, and the plan cache keeps its entries."""
+        return self.session.sql(sql, modifiers=())
 
     # ------------------------------------------------------------------
     # cache generations (double-buffered swap)

@@ -7,8 +7,8 @@ parse → logical plan → physical plan → execution, timing each stage into a
 Extension point: *physical plan modifiers*. Maxson registers one
 (:class:`repro.core.maxson_parser.MaxsonPlanModifier`) which rewrites the
 plan between compilation and execution — exactly where the paper's
-MaxsonParser sits relative to SparkSQL. The baseline engine runs with no
-modifiers installed.
+MaxsonParser sits relative to SparkSQL. The modifier set is an argument
+of the call: the baseline engine passes ``modifiers=()``.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..jsonlib.doccache import DEFAULT_DOC_CACHE_BYTES
 from ..jsonlib.jackson import JacksonParser
@@ -34,7 +35,7 @@ from .parallel import _fold_context_stats, parallelize_plan
 from .physical import ExecState, PhysicalPlan, compile_plan, json_paths_of
 from .plancache import CachedPlan, PlanCache
 from .planner import PlannedQuery, Planner
-from .resultcache import ResultCache
+from .resultcache import CanonicalStatement, ResultCache
 from .sqlparser import parse_sql
 
 __all__ = ["QueryResult", "Session", "WORKER_BACKENDS", "check_engine_knobs"]
@@ -92,6 +93,30 @@ def check_engine_knobs(**knobs) -> None:
 def _no_span(name: str, **attributes):
     """``Tracer.span`` for a query that carries no tracer."""
     return nullcontext()
+
+
+class _Resolved(NamedTuple):
+    """One call's modifiers and statement (:meth:`Session._resolve`)."""
+
+    sql: str
+    modifiers: list | tuple
+    tokens: tuple | None
+    version: int
+    canonical: CanonicalStatement | None
+    result_key: tuple | None
+
+    def plan_key(self) -> tuple[tuple | None, tuple | None]:
+        """``(plan-cache key, parameters)``, ``(None, None)`` when a modifier
+        is unkeyed: the template — canonical text, parameter type names
+        (``1`` and ``1.0`` plan apart), output names — or the exact text."""
+        if self.tokens is None:
+            return None, None
+        statement = self.canonical
+        if statement is None:
+            return (self.sql, None, None, self.version, self.tokens), None
+        params = statement.params
+        types = tuple(p[0] if isinstance(p, tuple) else p for p in params)
+        return (statement.text, types, statement.output_names, self.version, self.tokens), params
 
 
 class QueryResult:
@@ -192,13 +217,11 @@ class Session:
         self._lock = threading.RLock()
         self.cache_ledger = CacheLedger(budget=self.cache_budget_bytes)
         self._plan_cache: PlanCache | None = None
-        self._result_cache: ResultCache | None = None
+        #: The result tier and the canonicalisation memo: capacity 0 (no
+        #: results, a memo still) while ``result_cache_enabled`` is off.
+        self._result_cache = ResultCache(capacity=0)
         self._rebuild_plan_cache()
         self._rebuild_result_cache()
-        #: Canonicalisation memo while the result tier is off (plan-cache
-        #: keys, the planner's parse and the flight recorder read it either
-        #: way); stores no results.
-        self._statement_memo = ResultCache(capacity=0)
         #: The morsel worker pool (a ``ThreadPoolExecutor`` or a
         #: ``ProcessMorselPool``, built lazily) and the ``(backend,
         #: workers)`` it was built for.
@@ -214,8 +237,9 @@ class Session:
         """Register an object with ``modify(planned, state) -> PhysicalPlan``.
 
         Idempotent: registering an already-installed modifier is a no-op,
-        so nested install/remove pairs (e.g. re-entrant ``baseline_sql``)
-        cannot double-apply a modifier.
+        so a modifier is never applied twice. A call that runs without the
+        registered modifiers passes its own set (``sql(..., modifiers=())``)
+        instead of removing them from a session other threads share.
         """
         with self._lock:
             if modifier not in self._plan_modifiers:
@@ -279,11 +303,8 @@ class Session:
 
     def _rebuild_result_cache(self) -> None:
         self.invalidate_result_cache()
-        self._result_cache = (
-            ResultCache(self.cache_ledger, capacity=self.result_cache_entries)
-            if self.result_cache_enabled
-            else None
-        )
+        capacity = self.result_cache_entries if self.result_cache_enabled else 0
+        self._result_cache = ResultCache(self.cache_ledger, capacity=capacity)
 
     def plan_cache_stats(self) -> dict[str, int]:
         """Counters of the plan cache (all zero when disabled)."""
@@ -298,14 +319,11 @@ class Session:
 
         Keys already embed catalog/modifier tokens, so this is about
         releasing budget bytes promptly, not correctness."""
-        if self._result_cache is not None:
-            self._result_cache.clear()
+        self._result_cache.clear()
 
     def result_cache_stats(self) -> dict[str, int]:
-        """Counters of the result cache (all zero when disabled: the
-        capacity-0 memo's, which stores no results)."""
-        if self._result_cache is None:
-            return self._statement_memo.stats()
+        """Counters of the result cache (capacity and counters zero when
+        disabled: nothing is keyed, fetched or admitted)."""
         return self._result_cache.stats()
 
     def probable_result_cache_hit(self, sql: str) -> bool:
@@ -315,54 +333,51 @@ class Session:
         perturb hit/miss statistics. Never raises: canonicalization
         failures (e.g. syntax errors) simply report False.
         """
+        if not self.result_cache_enabled:
+            return False
         try:
-            _, key = self._result_key(sql)
+            key = self._resolve(sql).result_key
             return key is not None and self._result_cache.peek(key)
         except Exception:  # noqa: BLE001 - a hint must never fail a query
             return False
 
-    def _result_key(self, sql: str) -> tuple:
-        """``(canonical statement, result-cache key)``, or ``(None, None)``
-        when the tier is off, a modifier is unkeyed (bypassing it, as it
-        bypasses the plan cache) or the statement does not canonicalise.
-        The key has no worker count or backend: both return equal rows."""
-        rcache = self._result_cache
-        tokens = None if rcache is None else self._modifier_snapshot()[1]
-        if tokens is None:
-            return None, None
+    def _resolve(self, sql: str, modifiers=None) -> _Resolved:
+        """The call's modifiers (the registered ones by default) with one
+        cache-key token each, its canonical statement and the catalog
+        version, taken once: both cache keys derive from them, and neither
+        has a worker count or backend (both return equal rows).
+
+        A modifier declares cache-compatibility by exposing
+        ``plan_cache_token()`` (Maxson's does: registry identity +
+        breaker epoch). A modifier without one may rewrite differently
+        on every call, so its presence makes the whole query
+        uncacheable — ``tokens`` is ``None``, and both caches are
+        bypassed (every query still runs its ``modify``).
+        """
+        if modifiers is None:
+            with self._lock:
+                modifiers = list(self._plan_modifiers)
         version = self.catalog.version
-        canonical = rcache.canonicalize(sql, self.planner, version)
-        if canonical is None:
-            return None, None
-        return canonical, (canonical.text, canonical.params, version, tokens)
+        tokens = []
+        for modifier in modifiers:
+            token_fn = getattr(modifier, "plan_cache_token", None)
+            if not callable(token_fn):
+                return _Resolved(sql, modifiers, None, version, None, None)
+            tokens.append(token_fn())
+        tokens = tuple(tokens)
+        try:
+            canonical = self._result_cache.canonicalize(sql, self.planner, version)
+        except Exception:  # noqa: BLE001 - compiling raises the real error
+            canonical = None
+        keyed = canonical is not None and self.result_cache_enabled
+        result_key = (canonical.text, canonical.params, version, tokens) if keyed else None
+        return _Resolved(sql, modifiers, tokens, version, canonical, result_key)
 
-    def _memo(self) -> ResultCache:
-        """The canonicalisation memo: the result tier's, else the
-        results-free one (an empty ResultCache is falsy: test identity)."""
-        rcache = self._result_cache
-        return self._statement_memo if rcache is None else rcache
-
-    def canonical_statement(self, sql: str):
+    def canonical_statement(self, sql: str) -> CanonicalStatement | None:
         """The canonical form of ``sql`` (parsed at most once per statement
         text and catalog version), or ``None``. Never raises: the flight
         recorder asks about statements that failed to parse."""
-        try:
-            return self._memo().canonicalize(sql, self.planner, self.catalog.version)
-        except Exception:  # noqa: BLE001 - diagnostics must not fail a query
-            return None
-
-    def _plan_key(self, sql: str, tokens: tuple) -> tuple[tuple, tuple | None]:
-        """``(plan-cache key, parameters)``: the key is the template —
-        canonical text, parameter type names (``1`` and ``1.0`` plan apart)
-        and output names (the plan emits them) — or the exact text of a
-        statement that does not canonicalise (no parameters)."""
-        statement = self.canonical_statement(sql)
-        version = self.catalog.version
-        if statement is None:
-            return (sql, None, None, version, tokens), None
-        params = statement.params
-        types = tuple(p[0] if isinstance(p, tuple) else p for p in params)
-        return (statement.text, types, statement.output_names, version, tokens), params
+        return self._resolve(sql, ()).canonical
 
     def cached_plan(self, sql: str) -> PhysicalPlan | None:
         """The physical plan the plan cache holds for ``sql`` right now,
@@ -370,10 +385,10 @@ class Session:
         planned under a tracer (traced queries bypass the plan cache).
         Counter-free."""
         cache = self._plan_cache
-        _, tokens = self._modifier_snapshot()
-        if cache is None or tokens is None:
+        key, params = self._resolve(sql).plan_key()
+        if cache is None or key is None:
             return None
-        entry = cache.peek(*self._plan_key(sql, tokens))
+        entry = cache.peek(key, params)
         return entry.planned.physical if entry is not None else None
 
     def shrink_caches_to(self, budget_bytes: int) -> int:
@@ -387,9 +402,8 @@ class Session:
         before = self.cache_ledger.total()
         if before <= budget_bytes:
             return 0
-        if self._result_cache is not None:
-            other = before - self.cache_ledger.tier_bytes("result")
-            self._result_cache.shrink_to_bytes(max(0, budget_bytes - other))
+        other = before - self.cache_ledger.tier_bytes("result")
+        self._result_cache.shrink_to_bytes(max(0, budget_bytes - other))
         total = self.cache_ledger.total()
         if total > budget_bytes and self._plan_cache is not None:
             other = total - self.cache_ledger.tier_bytes("plan")
@@ -465,31 +479,11 @@ class Session:
             cancel_token=cancel_token,
         )
 
-    def _modifier_snapshot(self) -> tuple[list, tuple | None]:
-        """The registered modifiers plus one cache-key token each.
-
-        A modifier declares cache-compatibility by exposing
-        ``plan_cache_token()`` (Maxson's does: registry identity +
-        breaker epoch). A modifier without one may rewrite differently
-        on every call, so its presence makes the whole query
-        uncacheable — ``tokens`` comes back ``None`` and the plan cache
-        is bypassed (every query still runs its ``modify``).
-        """
-        with self._lock:
-            modifiers = list(self._plan_modifiers)
-        tokens = []
-        for modifier in modifiers:
-            token_fn = getattr(modifier, "plan_cache_token", None)
-            if not callable(token_fn):
-                return modifiers, None
-            tokens.append(token_fn())
-        return modifiers, tuple(tokens)
-
     # ------------------------------------------------------------------
     def compile(self, sql: str) -> PlannedQuery:
         """Parse and plan without executing; a parse the canonicalisation
         memo holds for ``sql`` is taken, not redone."""
-        taken = self._memo().take_parse(sql, self.catalog.version)
+        taken = self._result_cache.take_parse(sql, self.catalog.version)
         return self.planner.plan(*(taken or (parse_sql(sql), False)))
 
     def explain(self, sql: str) -> str:
@@ -498,20 +492,20 @@ class Session:
         return planned.physical.describe()
 
     def _prepare(
-        self, sql: str, tracer=None, cancel_token=None
+        self, sql: str, tracer=None, cancel_token=None, modifiers=None, resolved=None
     ) -> tuple[PlannedQuery, ExecState, float]:
+        """Plan ``sql`` under ``modifiers``, or as :meth:`sql` ``resolved`` it."""
         started = time.perf_counter()
+        if resolved is None:
+            resolved = self._resolve(sql, modifiers)
         # Traced queries bypass the plan cache entirely (no lookup, no
         # store): an instrumented plan's wrappers record into the state's
         # tracer and must never leak into untraced executions, and
-        # EXPLAIN ANALYZE should always show a freshly derived plan.
-        cache = self._plan_cache if tracer is None else None
-        modifiers, tokens = self._modifier_snapshot()
-        if tokens is None:  # an unkeyed modifier makes the query uncacheable
-            cache = None
-        key = params = None
+        # EXPLAIN ANALYZE should always show a freshly derived plan. An
+        # unkeyed modifier (no plan key) makes the query uncacheable.
+        key, params = resolved.plan_key()
+        cache = self._plan_cache if tracer is None and key is not None else None
         if cache is not None:
-            key, params = self._plan_key(sql, tokens)
             entry = cache.get(key, params)
             if entry is not None:
                 state = self._make_state(cancel_token=cancel_token)
@@ -529,8 +523,8 @@ class Session:
         with span("plan"):
             planned = self.compile(sql)
         state = self._make_state(tracer=tracer, cancel_token=cancel_token)
-        with span("rewrite", modifiers=len(modifiers)):
-            for modifier in modifiers:
+        with span("rewrite", modifiers=len(resolved.modifiers)):
+            for modifier in resolved.modifiers:
                 planned.physical = modifier.modify(planned, state)
         planned.json_paths = json_paths_of(planned.physical)
         # Morsel execution is the only scan path, traced or not, at any
@@ -565,8 +559,10 @@ class Session:
         tracer=None,
         deadline_ms: float | None = None,
         cancel_token=None,
+        modifiers=None,
     ) -> QueryResult:
-        """Compile and execute one SELECT statement.
+        """Compile and execute one SELECT statement under ``modifiers``
+        (the registered plan modifiers by default; ``()``: the plain engine).
 
         ``tracer`` (a :class:`repro.obs.trace.Tracer`) opts this query
         into span recording: the plan is instrumented so every operator
@@ -597,7 +593,8 @@ class Session:
             token.check()
         # -- semantic result cache -------------------------------------
         rcache = self._result_cache
-        canonical, result_key = self._result_key(sql)
+        resolved = self._resolve(sql, modifiers)
+        canonical, result_key = resolved.canonical, resolved.result_key
         if result_key is not None:
             rcache.note_recurrence(canonical)
         result_cache_missed = False
@@ -619,7 +616,7 @@ class Session:
             ):
                 pass
         planned, state, plan_seconds = self._prepare(
-            sql, tracer=tracer, cancel_token=token
+            sql, tracer=tracer, cancel_token=token, resolved=resolved
         )
         started = time.perf_counter()
         try:

@@ -209,11 +209,11 @@ class TestBaselineNesting:
         release = threading.Event()
         real_sql = system.session.sql
 
-        def slow_sql(sql):
+        def slow_sql(sql, tracer=None, deadline_ms=None, cancel_token=None, modifiers=None):
             if "cold" in sql:
                 entered.set()
                 assert release.wait(10)
-            return real_sql(sql)
+            return real_sql(sql, tracer, deadline_ms, cancel_token, modifiers)
 
         system.session.sql = slow_sql
         try:
@@ -225,12 +225,41 @@ class TestBaselineNesting:
             # nested baseline while the outer one is still executing
             inner = system.baseline_sql(HOT_SQL)
             assert inner.metrics.parse_documents > 0
+            # a query served meanwhile still runs through Maxson
+            assert system.sql(HOT_SQL).metrics.parse_documents == 0
             release.set()
             outer.join(10)
         finally:
             system.session.sql = real_sql
         # modifier reinstalled exactly once the outermost baseline ends
         assert system.sql(HOT_SQL).metrics.parse_documents == 0
+
+    def test_served_queries_read_the_cache_while_baselines_loop(self):
+        import sys
+        import threading
+
+        system = build_system()
+        system.cache_paths_directly(
+            [PathKey("db", "t", "payload", "$.hot")], budget_bytes=10**9
+        )
+        stop = threading.Event()
+
+        def baselines():
+            while not stop.is_set():
+                system.baseline_sql(HOT_SQL)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        looping = threading.Thread(target=baselines)
+        looping.start()
+        try:
+            parsed = [system.sql(HOT_SQL).metrics.parse_documents for _ in range(50)]
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            looping.join(10)
+        assert not looping.is_alive()
+        assert parsed == [0] * 50
 
 
 class TestBaselineToggle:
@@ -253,6 +282,20 @@ class TestBaselineToggle:
         system.baseline_sql(HOT_SQL)
         # modifier back in place
         assert system.sql(HOT_SQL).metrics.parse_documents == 0
+
+    def test_baseline_keeps_served_plans(self):
+        system = build_system()
+        system.cache_paths_directly(
+            [PathKey("db", "t", "payload", "$.hot")], budget_bytes=10**9
+        )
+        system.sql(HOT_SQL)
+        assert system.session.plan_cache_stats()["entries"] == 1
+        assert system.baseline_sql(HOT_SQL).metrics.parse_documents > 0
+        # the baseline's plan keys beside the served one, not over it
+        assert system.session.plan_cache_stats()["entries"] == 2
+        again = system.sql(HOT_SQL).metrics
+        assert again.extra.get("plan_cache_hits") == 1
+        assert again.parse_documents == 0
 
     def test_for_demo_constructor(self):
         system = MaxsonSystem.for_demo(rows_per_table=30)

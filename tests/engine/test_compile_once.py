@@ -120,7 +120,7 @@ def test_equal_literals_of_other_types_compile_apart(sales_session):
 def test_one_shot_variants_stay_inside_capacity(sales_session):
     sales_session.configure(plan_cache_entries=4)
     sql = "select mall_id from mydb.T limit {}"
-    template = sales_session._plan_key(sql.format(1), ())[0]
+    template = sales_session._resolve(sql.format(1)).plan_key()[0]
     for n in range(1, 201):
         assert len(sales_session.sql(sql.format(n)).rows) == n
         cache = sales_session._plan_cache

@@ -7,6 +7,8 @@ multi-day replay, and requires:
 * every completed query's rows are identical to the fault-free plain
   engine's answer for the same SQL (corruption is restricted to the
   cache database, so the raw data both engines read stays trustworthy);
+* every completed query ran through Maxson — a cache hit, a cache miss or
+  a degraded split — while the plain engine verified it;
 * the degraded-mode counters — fallbacks, corruption detections,
   quarantine skips, recovery actions — are all nonzero, proving the
   resilience paths actually ran rather than the faults never firing.
@@ -67,8 +69,18 @@ class TestFaultStress:
             error_path_prefix=CACHE_PATH_PREFIX,
         )
         with MaxsonServer(system, server_config()) as server:
+            futures = []
+            submit = server.submit
+            server.submit = lambda *a, **k: futures.append(submit(*a, **k)) or futures[-1]
             report = replay(server, requests, verify=True)
             status = report.status
+        served = [f.result().metrics for f in futures if f.exception() is None]
+        assert len(served) == report.completed
+        untouched = [
+            m for m in served
+            if not (m.cache_hits or m.cache_misses or m.extra.get("degraded_splits"))
+        ]
+        assert not untouched, "a verified query was served without Maxson"
 
         assert report.mismatched == 0, "a degraded query returned wrong rows"
         assert report.failed == 0

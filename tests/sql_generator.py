@@ -17,6 +17,19 @@ def statements(
     return [grammar.statement() for _ in range(count)]
 
 
+def null_statements(table: str = "db.t", numeric=NUMERIC, text: str = "warm") -> list[str]:
+    """Fixed statements whose rows a wrong NULL rule changes: a NULL ``IN``
+    option, and a NULL left operand under ``OR`` and under ``NOT`` (a text
+    member cast to int is NULL on every row)."""
+    num = f"get_json_object(payload, '$.{numeric[0]}')"
+    null = f"cast(get_json_object(payload, '$.{text}') as int)"
+    return [
+        f"select id, {num} as v from {table} where not ({num} in (1, {null})) or id < 5",
+        f"select id, {num} as v from {table} where {null} = 1 or {num} < 3",
+        f"select id, {num} as v from {table} where not ({null} > 1) or id < 5",
+    ]
+
+
 class Grammar:
     def __init__(self, rng, table="db.t", numeric=NUMERIC, text="warm"):
         self.rng, self.table = rng, table

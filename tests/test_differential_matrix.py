@@ -13,7 +13,8 @@ seven-split ``db.t``; router cells one single-shard router per backend
 and profile over ``prod.t_q7``, their reference its in-process twin. Each
 cell runs once per session (the older legs it replaced wrap
 ``matrix.check``): one statement per plan shape, all 500 where a leg
-always ran them, and all 500 everywhere with ``--every-statement``.
+always ran them, and all 500 everywhere with ``--every-statement`` —
+then three fixed statements whose rows a wrong NULL rule changes.
 """
 
 import re
@@ -35,7 +36,7 @@ from repro.workload import PathKey
 
 from irregular_documents import irregular_documents
 from reference_engine import reference_rows
-from sql_generator import MEMBERS, statements
+from sql_generator import MEMBERS, null_statements, statements
 
 BACKENDS = {
     "serial": {"scan_workers": 1},
@@ -60,6 +61,8 @@ EVERY_MEMBER = "select {} from db.t".format(
 #: Q7's query paths: a row-clustered metric, an integer and a category.
 ROUTER_MEMBERS = ("f000", "f008", "f004")
 ROUTER_STATEMENTS = statements(7, 500, "prod.t_q7", ROUTER_MEMBERS[:2], ROUTER_MEMBERS[2])
+NULLS = null_statements()
+ROUTER_NULLS = null_statements("prod.t_q7", ROUTER_MEMBERS[:2], ROUTER_MEMBERS[2])
 ROUTER_SPEC = ShardSpec(
     table_ids=["Q7"], rows_per_table=140, days=7, row_group_size=10,
     server={"max_workers": 2},
@@ -332,12 +335,12 @@ class Matrix:
 
     def statements(self, cell: tuple) -> list[str]:
         on_router = cell[2] == "router"
-        sqls = ROUTER_STATEMENTS if on_router else STATEMENTS
-        if self.every_statement or cell in EVERY_STATEMENT:
-            return sqls
-        if on_router not in self._shapes:
-            self._shapes[on_router] = one_per_plan_shape(self.session(cell[2]), sqls)
-        return self._shapes[on_router]
+        sqls, nulls = (ROUTER_STATEMENTS, ROUTER_NULLS) if on_router else (STATEMENTS, NULLS)
+        if not (self.every_statement or cell in EVERY_STATEMENT):
+            if on_router not in self._shapes:
+                self._shapes[on_router] = one_per_plan_shape(self.session(cell[2]), sqls)
+            sqls = self._shapes[on_router]
+        return sqls + nulls
 
     def expected(self, sql: str, entry: str) -> list[str]:
         if sql not in self._expected:
