@@ -42,13 +42,10 @@ def sparser_session() -> Session:
 
 def test_ablation_sparser_prefilter(benchmark, sparser_session):
     plain = sparser_session.sql(SQL)
-
-    modifier = SparserPlanModifier()
-    sparser_session.add_plan_modifier(modifier)
-    try:
-        filtered = once(benchmark, lambda: sparser_session.sql(SQL))
-    finally:
-        sparser_session.remove_plan_modifier(modifier)
+    sparser = (SparserPlanModifier(),)
+    filtered = once(
+        benchmark, lambda: sparser_session.sql(SQL, modifiers=sparser)
+    )
 
     assert filtered.rows == plain.rows
     payload = {

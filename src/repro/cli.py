@@ -203,7 +203,6 @@ def _serve_spec(args):
             trace_dir=args.trace_dir or None,
             slow_query_seconds=args.slow_query_ms / 1000.0,
             log_file=args.log_json or None,
-            log_all_queries=bool(args.log_json),
         )
     return ShardSpec(
         rows_per_table=args.rows,

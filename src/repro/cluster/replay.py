@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
-from ..server.config import ServerConfig
 from ..server.replay import ReplayRequest, build_replay_workload, replay
 from .router import ClusterRouter, ShardCrashError
 
@@ -60,9 +59,6 @@ class _RouterTarget:
     def __init__(self, router: ClusterRouter, report: ClusterReplayReport) -> None:
         self.router = router
         self.report = report
-        # The virtual clock is shard-local; every shard builds its server
-        # from this one spec, so they share one seconds-per-day constant.
-        self.config = ServerConfig(**dict(router.spec.server))
         self.ingest = router.ingest
         self.advance_to = router.advance_to
         self.status = router.status

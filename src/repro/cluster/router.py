@@ -44,6 +44,7 @@ from multiprocessing.util import Finalize
 
 from ..engine.procpool import reap_orphan_segments
 from ..server.admission import AdmissionError
+from ..server.config import DEFAULT_TENANT
 from ..server.status import percentile
 from .hashing import HashRing, route_key
 from .metacache import MetadataCache
@@ -123,21 +124,18 @@ class ClusterRouter:
         self,
         shards: int,
         spec: ShardSpec | None = None,
-        ring_replicas: int = 64,
         respawn: bool = True,
-        default_tenant: str = "default",
         client_pool_workers: int | None = None,
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
         self.spec = spec or ShardSpec()
         self.respawn = respawn
-        self.default_tenant = default_tenant
         #: SHM segments of dead pids (a previous router's shards) reaped
         #: before any new shard spawns — same recovery contract as the
         #: single server's startup.
         self.reaped_shm_segments = reap_orphan_segments()
-        self.ring = HashRing(range(shards), replicas=ring_replicas)
+        self.ring = HashRing(range(shards))
         self.metacache = MetadataCache()
         self._ctx = get_context("spawn")
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -280,7 +278,7 @@ class ClusterRouter:
 
     def shard_of(self, sql: str, tenant: str | None = None) -> int:
         database, table = self.table_of(sql)
-        return self.route(tenant or self.default_tenant, database, table)
+        return self.route(tenant or DEFAULT_TENANT, database, table)
 
     # ------------------------------------------------------------------
     # metadata (coordinator cache)
@@ -309,7 +307,7 @@ class ClusterRouter:
         "metrics": .., "shard": id}``. Admission/engine errors re-raise
         with their single-process types and fields; a shard crash raises
         :class:`ShardCrashError` after scheduling the respawn."""
-        tenant = tenant or self.default_tenant
+        tenant = tenant or DEFAULT_TENANT
         database, table = self.table_of(sql)
         shard_id = self.route(tenant, database, table)
         if database and database != "system":
@@ -386,7 +384,7 @@ class ClusterRouter:
             database, table = paths[0][0], paths[0][1]
         else:
             database, table = "", ""
-        shard_id = self.route(self.default_tenant, database, table)
+        shard_id = self.route(DEFAULT_TENANT, database, table)
         shard = self._shard_for(shard_id)
         shard.conn.call("ingest", day=day, paths=[list(p) for p in paths])
 

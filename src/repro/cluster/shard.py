@@ -266,10 +266,7 @@ def shard_main(spec_dict: dict, host: str, port: int) -> None:
                 )
                 respond(request_id, {"events": events})
             elif op == "midnight":
-                report = server.run_midnight_cycle(
-                    day=request.get("day"),
-                    history_days=int(request.get("history_days", 7)),
-                )
+                report = server.run_midnight_cycle(day=request.get("day"))
                 respond(
                     request_id,
                     {

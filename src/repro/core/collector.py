@@ -33,7 +33,7 @@ import threading
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from ..workload.trace import PathKey, SyntheticTrace
+from ..workload.trace import MPJP_THRESHOLD, PathKey, SyntheticTrace
 
 __all__ = ["QueryRecord", "JsonPathCollector"]
 
@@ -156,13 +156,15 @@ class JsonPathCollector:
                 out.extend(self.queries_on(day))
             return out
 
-    def mpjp_on(self, day: int, threshold: int = 2) -> set[PathKey]:
+    def mpjp_on(self, day: int, threshold: int = MPJP_THRESHOLD) -> set[PathKey]:
         """Paths parsed >= threshold times on ``day`` (the MPJP set)."""
         with self._lock:
             counts = self._view(day)[1]
             return {key for key, value in counts.items() if value >= threshold}
 
-    def mpjp_label(self, key: PathKey, day: int, threshold: int = 2) -> int:
+    def mpjp_label(
+        self, key: PathKey, day: int, threshold: int = MPJP_THRESHOLD
+    ) -> int:
         return int(self.count(key, day) >= threshold)
 
     def total_parses(self) -> Counter:

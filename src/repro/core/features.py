@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..workload.trace import PathKey
+from ..workload.trace import MPJP_THRESHOLD, PathKey
 from .collector import JsonPathCollector
 
 __all__ = ["FeatureConfig", "FeatureExtractor", "LabelledDataset"]
@@ -43,11 +43,12 @@ class FeatureConfig:
     """Windowing parameters.
 
     ``window_days`` is the paper's "Date Window Size" (1 week / 2 weeks /
-    1 month in Table IV). ``mpjp_threshold`` is the >=2 parses/day rule.
+    1 month in Table IV). ``mpjp_threshold`` is the MPJP rule
+    (:data:`~repro.workload.trace.MPJP_THRESHOLD` parses a day).
     """
 
     window_days: int = 7
-    mpjp_threshold: int = 2
+    mpjp_threshold: int = MPJP_THRESHOLD
 
 
 @dataclass
@@ -171,10 +172,10 @@ class FeatureExtractor:
             [
                 yesterday,
                 np.log1p(max(yesterday, 0.0)),
-                float(yesterday >= 2),
+                float(yesterday >= MPJP_THRESHOLD),
                 counts.mean() if len(counts) else 0.0,
                 counts.max() if len(counts) else 0.0,
-                float(np.mean(counts >= 2)) if len(counts) else 0.0,
+                float(np.mean(counts >= MPJP_THRESHOLD)) if len(counts) else 0.0,
                 float(np.mean(counts > 0)) if len(counts) else 0.0,
             ]
         )

@@ -18,7 +18,7 @@ returning the set of paths predicted to be Multiple-Parsed JSONPaths on
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,15 +44,12 @@ class PredictorConfig:
 
     model: str = "lstm_crf"
     window_days: int = 7
-    mpjp_threshold: int = 2
     hidden_size: int = 50
     num_layers: int = 2
     epochs: int = 8
     learning_rate: float = 5e-3
     all_possible_transitions: bool = True
     seed: int = 0
-    model_params: dict = field(default_factory=dict)
-    """Extra keyword overrides passed to the underlying model."""
 
 
 class JsonPathPredictor:
@@ -65,10 +62,7 @@ class JsonPathPredictor:
                 f"unknown model {self.config.model!r}; choose from {MODEL_NAMES}"
             )
         self.extractor = FeatureExtractor(
-            FeatureConfig(
-                window_days=self.config.window_days,
-                mpjp_threshold=self.config.mpjp_threshold,
-            )
+            FeatureConfig(window_days=self.config.window_days)
         )
         self._model = None
         self._scaler: StandardScaler | None = None
@@ -77,18 +71,12 @@ class JsonPathPredictor:
     # ------------------------------------------------------------------
     def _build_model(self):
         cfg = self.config
-        params = dict(cfg.model_params)
         if cfg.model == "lr":
-            params.setdefault("max_iterations", 400)
-            params.setdefault("class_weight", None)
-            return LogisticRegression(seed=cfg.seed, **params)
+            return LogisticRegression(max_iterations=400, seed=cfg.seed)
         if cfg.model == "svm":
-            params.setdefault("max_iter", 400)
-            return LinearSVM(seed=cfg.seed, **params)
+            return LinearSVM(max_iter=400, seed=cfg.seed)
         if cfg.model == "mlp":
-            params.setdefault("hidden_layer_sizes", (50, 10, 2))
-            params.setdefault("max_iter", 300)
-            return MLPClassifier(random_state=cfg.seed, **params)
+            return MLPClassifier(max_iter=300, random_state=cfg.seed)
         if cfg.model == "lstm":
             return LSTMSequenceClassifier(
                 input_size=self.extractor.timestep_dim,
@@ -97,7 +85,6 @@ class JsonPathPredictor:
                 learning_rate=cfg.learning_rate,
                 epochs=cfg.epochs,
                 seed=cfg.seed,
-                **params,
             )
         if cfg.model == "lstm_crf":
             return LSTMCRFTagger(
@@ -108,7 +95,6 @@ class JsonPathPredictor:
                 epochs=cfg.epochs,
                 all_possible_transitions=cfg.all_possible_transitions,
                 seed=cfg.seed,
-                **params,
             )
         return None  # oracle / always need no fitting
 
@@ -144,10 +130,7 @@ class JsonPathPredictor:
             return universe, np.ones(len(universe), dtype=int)
         if self.config.model == "oracle":
             labels = np.array(
-                [
-                    collector.mpjp_label(key, target_day, self.config.mpjp_threshold)
-                    for key in universe
-                ],
+                [collector.mpjp_label(key, target_day) for key in universe],
                 dtype=int,
             )
             return universe, labels
@@ -187,8 +170,6 @@ class JsonPathPredictor:
         for day in eval_days:
             universe, labels = self.predict_labels(collector, day, keys)
             for key, label in zip(universe, labels):
-                y_true.append(
-                    collector.mpjp_label(key, day, self.config.mpjp_threshold)
-                )
+                y_true.append(collector.mpjp_label(key, day))
                 y_pred.append(int(label))
         return precision_recall_f1(np.array(y_true), np.array(y_pred))

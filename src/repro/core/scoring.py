@@ -91,15 +91,9 @@ def _value_bytes(value: object) -> int:
 class ScoringFunction:
     """Measure, score and budget-select MPJPs."""
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        sample_rows: int = 64,
-        mpjp_threshold: int = 2,
-    ) -> None:
+    def __init__(self, catalog: Catalog, sample_rows: int = 64) -> None:
         self.catalog = catalog
         self.sample_rows = sample_rows
-        self.mpjp_threshold = mpjp_threshold
         #: (database, table) -> (the table's modification time when it
         #: was sampled, the stats measured then). A table that has moved
         #: since is measured again: its row count, hence every budget

@@ -70,18 +70,14 @@ class MaxsonConfig:
     (:class:`~repro.engine.session.Session`), not repeated here."""
 
     cache_budget_bytes: int = 512 * 1024 * 1024
-    mpjp_threshold: int = 2
     selection_strategy: str = "score"
     """'score' (the paper's ranking) or 'random' (Fig 11 comparator)."""
     enable_pushdown: bool = True
     predictor: PredictorConfig = field(default_factory=PredictorConfig)
-    scoring_sample_rows: int = 64
     random_seed: int = 0
     quarantine_seconds: float = 30.0
     """How long the circuit breaker quarantines a failing cache table
     before half-opening for a re-probe."""
-    breaker_failure_threshold: int = 1
-    """Cache-read failures before a table is quarantined."""
     build_workers: int = 1
     """Threads parsing raw files concurrently during cache builds. Cache
     files are still written sequentially in file order, so raw/cache
@@ -130,11 +126,7 @@ class MaxsonSystem:
             self.registry,
             build_workers=self.config.build_workers,
         )
-        self.scoring = ScoringFunction(
-            self.session.catalog,
-            sample_rows=self.config.scoring_sample_rows,
-            mpjp_threshold=self.config.mpjp_threshold,
-        )
+        self.scoring = ScoringFunction(self.session.catalog)
         self.predictor = JsonPathPredictor(self.config.predictor)
         #: Degraded-mode counters shared by the modifier, the combiner,
         #: the build/recovery paths and the server's status surface.
@@ -142,8 +134,7 @@ class MaxsonSystem:
         #: Quarantines failing cache tables; survives generation swaps
         #: (new generations use new table names, so they start clean).
         self.breaker = CacheCircuitBreaker(
-            quarantine_seconds=self.config.quarantine_seconds,
-            failure_threshold=self.config.breaker_failure_threshold,
+            quarantine_seconds=self.config.quarantine_seconds
         )
         self.journal = BuildJournal(
             self.session.catalog.fs,
@@ -473,11 +464,7 @@ class MaxsonSystem:
         if not build.failed:
             # Close the book on the generation this swap retired, then
             # start accounting for the one that now serves.
-            self.efficacy.close_pending(
-                self.collector,
-                up_to_day=day,
-                threshold=self.config.mpjp_threshold,
-            )
+            self.efficacy.close_pending(self.collector, up_to_day=day)
             self.efficacy.open_generation(self.generation, day, predicted, keys)
         return MidnightReport(
             day=day,

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from ..jsonlib.doccache import DEFAULT_DOC_CACHE_BYTES
-from ..jsonlib.jackson import JacksonParser
 from ..storage.fs import BlockFileSystem
 from .batch import ColumnBatch
 from .cachebudget import CacheLedger
@@ -182,7 +181,6 @@ class Session:
 
     fs: BlockFileSystem = field(default_factory=BlockFileSystem)
     catalog: Catalog = None  # type: ignore[assignment]
-    parser_factory: object = JacksonParser
     projection_parser_factory: object = None
     #: Split-level parallelism for morsel scans. 1 runs every morsel
     #: inline on the coordinator thread (the deterministic baseline);
@@ -459,7 +457,7 @@ class Session:
                 pool.close()
 
     def _context_factory(self) -> EvalContext:
-        context = EvalContext(parser=self.parser_factory())
+        context = EvalContext()
         if self.projection_parser_factory is not None:
             context.projection_parser = self.projection_parser_factory()
         # Under a unified budget the per-query document cache may not
@@ -486,9 +484,9 @@ class Session:
         taken = self._result_cache.take_parse(sql, self.catalog.version)
         return self.planner.plan(*(taken or (parse_sql(sql), False)))
 
-    def explain(self, sql: str) -> str:
-        """The physical plan as text, after plan modifiers run."""
-        planned, _, _ = self._prepare(sql)
+    def explain(self, sql: str, modifiers=None) -> str:
+        """The physical plan as text, after ``modifiers`` run (as in :meth:`sql`)."""
+        planned, _, _ = self._prepare(sql, modifiers=modifiers)
         return planned.physical.describe()
 
     def _prepare(

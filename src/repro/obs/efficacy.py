@@ -25,6 +25,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
+from ..workload.trace import MPJP_THRESHOLD
+
 __all__ = ["GenerationEfficacy", "EfficacyAccountant"]
 
 
@@ -98,7 +100,7 @@ class EfficacyAccountant:
             )
 
     def close_pending(
-        self, collector, up_to_day: int, threshold: int = 2
+        self, collector, up_to_day: int, threshold: int = MPJP_THRESHOLD
     ) -> GenerationEfficacy | None:
         """Score the open generation against days ``[day, up_to_day)``.
 

@@ -20,7 +20,10 @@ from dataclasses import dataclass
 
 from ..engine.session import check_engine_knobs
 
-__all__ = ["ServerConfig"]
+__all__ = ["DEFAULT_TENANT", "ServerConfig"]
+
+#: Tenant a request is charged to when it names none.
+DEFAULT_TENANT = "default"
 
 
 @dataclass
@@ -39,17 +42,8 @@ class ServerConfig:
     admission_timeout_seconds: float = 10.0
     """How long a request may wait for a tenant slot before timing out."""
 
-    default_tenant: str = "default"
-    """Tenant used when a request names none."""
-
-    midnight_history_days: int = 7
-    """Scoring window handed to the midnight cycle."""
-
     refresh_interval_seconds: float = 0.0
     """Virtual seconds between incremental cache refreshes (0 = off)."""
-
-    seconds_per_day: float = 86400.0
-    """Length of one virtual day on the maintenance clock."""
 
     max_query_retries: int = 2
     """Attempts to re-run a query that hit a *transient* fs fault
@@ -59,10 +53,6 @@ class ServerConfig:
     """Base of the exponential backoff between retry attempts. The
     actual delay is drawn uniformly from ``[0, base * 2**attempt]``
     (full jitter) so concurrent retries do not re-collide."""
-
-    retry_jitter_seed: int | None = 0
-    """Seed for the retry-backoff RNG; fixed by default so tests replay
-    identical schedules. ``None`` uses entropy."""
 
     default_deadline_ms: float | None = None
     """Wall-time budget applied to every query that does not carry its
@@ -139,11 +129,8 @@ class ServerConfig:
     """Byte budget for all telemetry segments together. Over it, the
     oldest sealed segments are deleted (ring-buffer rotation); the
     occupancy is published to the cache ledger as a reported
-    ``telemetry`` tier."""
-
-    telemetry_segment_bytes: int = 64 * 1024
-    """Segment size before the telemetry store seals the active segment
-    and starts a new one — the granularity of budget rotation."""
+    ``telemetry`` tier, rotated a segment at a time: a segment seals at a
+    quarter of the budget, at most 64 KiB."""
 
     trace_dir: str | None = None
     """Directory for JSONL trace export. When set, every query and every
@@ -158,10 +145,8 @@ class ServerConfig:
 
     log_file: str | None = None
     """Path for the structured NDJSON event log (queries, failures,
-    midnight cycles). ``None`` keeps the logger counting but silent."""
-
-    log_all_queries: bool = False
-    """Log every completed query, not just slow ones."""
+    midnight cycles), every completed query included. ``None`` keeps the
+    logger counting but silent."""
 
     def __post_init__(self) -> None:
         if self.max_workers < 1:
@@ -172,8 +157,6 @@ class ServerConfig:
             raise ValueError("queue_capacity must be >= 0")
         if self.admission_timeout_seconds < 0:
             raise ValueError("admission_timeout_seconds must be >= 0")
-        if self.seconds_per_day <= 0:
-            raise ValueError("seconds_per_day must be positive")
         if self.max_query_retries < 0:
             raise ValueError("max_query_retries must be >= 0")
         if self.retry_backoff_seconds < 0:
@@ -196,8 +179,6 @@ class ServerConfig:
             raise ValueError("slow_query_seconds must be >= 0")
         if self.telemetry_budget_bytes < 1:
             raise ValueError("telemetry_budget_bytes must be >= 1")
-        if self.telemetry_segment_bytes < 1:
-            raise ValueError("telemetry_segment_bytes must be >= 1")
 
     def engine_overrides(self) -> dict:
         """The :class:`~repro.engine.session.Session` knobs this config

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 from ..storage.fs import FsError
 from ..workload.queries import RepresentativeQuery
+from .scheduler import SECONDS_PER_DAY
 from .service import MaxsonServer, outcome_of
 from .status import ServerStatus
 
@@ -141,8 +142,9 @@ def replay(
 
     ``target`` is a :class:`MaxsonServer`, or anything with its
     ``submit`` (a future whose result has ``rows``) / ``ingest`` /
-    ``advance_to`` / ``status`` and ``config.seconds_per_day`` — the
-    cluster replay passes a router adapter and its own ``report`` to
+    ``advance_to`` / ``status``, on a clock of
+    :data:`~repro.server.scheduler.SECONDS_PER_DAY` a day — the cluster
+    replay passes a router adapter and its own ``report`` to
     fill. All of a day's requests are in flight together; the midnight
     cycle for the next day runs from this driver thread while the *last*
     day's stragglers may still be executing — the exact interleaving the
@@ -202,7 +204,7 @@ def replay(
         # Cross midnight into day+1: predict/score/build/swap. Runs while
         # any stragglers of this day still hold generation leases.
         if day < last_day:
-            target.advance_to((day + 1) * target.config.seconds_per_day)
+            target.advance_to((day + 1) * SECONDS_PER_DAY)
     report.days = len(by_day)
     report.wall_seconds = time.perf_counter() - started
     scheduler = getattr(target, "scheduler", None)

@@ -23,13 +23,18 @@ from __future__ import annotations
 
 import threading
 
-__all__ = ["VirtualClock", "MaintenanceScheduler"]
+__all__ = ["SECONDS_PER_DAY", "VirtualClock", "MaintenanceScheduler"]
+
+#: Length of one virtual day on a served system's maintenance clock.
+SECONDS_PER_DAY = 86400.0
 
 
 class VirtualClock:
     """Monotonic virtual seconds, partitioned into days."""
 
-    def __init__(self, seconds_per_day: float = 86400.0, start_day: int = 0) -> None:
+    def __init__(
+        self, seconds_per_day: float = SECONDS_PER_DAY, start_day: int = 0
+    ) -> None:
         if seconds_per_day <= 0:
             raise ValueError("seconds_per_day must be positive")
         self.seconds_per_day = seconds_per_day
@@ -68,12 +73,10 @@ class MaintenanceScheduler:
         server,
         clock: VirtualClock | None = None,
         refresh_interval_seconds: float = 0.0,
-        history_days: int = 7,
     ) -> None:
         self.server = server
         self.clock = clock or VirtualClock()
         self.refresh_interval_seconds = refresh_interval_seconds
-        self.history_days = history_days
         self._lock = threading.Lock()
         self._last_cycle_day = self.clock.day
         self._last_refresh_seconds = self.clock.seconds
@@ -97,9 +100,7 @@ class MaintenanceScheduler:
             while self._last_cycle_day < day:
                 target = self._last_cycle_day + 1
                 try:
-                    report = self.server.run_midnight_cycle(
-                        day=target, history_days=self.history_days
-                    )
+                    report = self.server.run_midnight_cycle(day=target)
                     self.reports.append(report)
                     actions.append(f"midnight:{target}")
                 except Exception:

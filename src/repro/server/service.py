@@ -46,9 +46,9 @@ from ..obs.trace import TraceSink, Tracer, export_subtree
 from ..storage.fs import TransientFsError
 from ..workload.trace import PathKey
 from .admission import AdmissionController, AdmissionError, QueryShedError
-from .config import ServerConfig
+from .config import DEFAULT_TENANT, ServerConfig
 from .generation import GenerationGuard
-from .scheduler import MaintenanceScheduler, VirtualClock
+from .scheduler import MaintenanceScheduler
 from .status import ServerStatus, percentile
 from .watchdog import MemoryWatchdog
 
@@ -239,7 +239,6 @@ class MaxsonServer:
         self.retry_policy = RetryPolicy(
             max_retries=self.config.max_query_retries,
             backoff_seconds=self.config.retry_backoff_seconds,
-            seed=self.config.retry_jitter_seed,
         )
         self.watchdog = (
             MemoryWatchdog(
@@ -258,10 +257,7 @@ class MaxsonServer:
         #: result segments (see :func:`repro.engine.procpool.reap_orphan_segments`).
         self.reaped_shm_segments = reap_orphan_segments()
         self.scheduler = MaintenanceScheduler(
-            self,
-            clock=VirtualClock(seconds_per_day=self.config.seconds_per_day),
-            refresh_interval_seconds=self.config.refresh_interval_seconds,
-            history_days=self.config.midnight_history_days,
+            self, refresh_interval_seconds=self.config.refresh_interval_seconds
         )
         self._pool = ThreadPoolExecutor(
             max_workers=self.config.max_workers, thread_name_prefix="maxson"
@@ -298,7 +294,7 @@ class MaxsonServer:
         self.logger = StructuredLogger(
             path=self.config.log_file,
             slow_query_seconds=self.config.slow_query_seconds,
-            log_all_queries=self.config.log_all_queries,
+            log_all_queries=self.config.log_file is not None,
         )
         self.metrics = MetricsRegistry()
         self._m = {}
@@ -318,12 +314,13 @@ class MaxsonServer:
         # ---- system tables (self-hosted telemetry) ------------------
         self.telemetry = None
         if self.config.system_tables:
-            from ..obs.systables import TelemetryStore
+            from ..obs.systables import DEFAULT_SEGMENT_BYTES, TelemetryStore
 
+            budget = self.config.telemetry_budget_bytes
             self.telemetry = TelemetryStore(
                 self.system.catalog,
-                budget_bytes=self.config.telemetry_budget_bytes,
-                segment_bytes=self.config.telemetry_segment_bytes,
+                budget_bytes=budget,
+                segment_bytes=min(DEFAULT_SEGMENT_BYTES, budget // 4),
                 ledger=self.system.session.cache_ledger,
             )
             # Worker lifecycle (process backend spawn/crash/exit) and
@@ -371,7 +368,7 @@ class MaxsonServer:
         query_id = f"q-{next(self._query_ids)}"
         request = _Request(
             query_id=query_id,
-            tenant=tenant or self.config.default_tenant,
+            tenant=tenant or DEFAULT_TENANT,
             sql=sql,
             day=day,
             # Every query gets a token (deadline or not) so drain can
@@ -782,16 +779,12 @@ class MaxsonServer:
         that came due (see :meth:`MaintenanceScheduler.advance_to`)."""
         return self.scheduler.advance_to(seconds)
 
-    def run_midnight_cycle(
-        self, day: int | None = None, history_days: int = 7
-    ) -> MidnightReport:
+    def run_midnight_cycle(self, day: int | None = None) -> MidnightReport:
         """Build and atomically swap in the next cache generation."""
         tracer = None
         if self.trace_sink is not None:
             tracer = Tracer(trace_id=f"midnight-{self.system.generation + 1}")
-        report = self.system.run_midnight_cycle(
-            day=day, history_days=history_days, tracer=tracer
-        )
+        report = self.system.run_midnight_cycle(day=day, tracer=tracer)
         if tracer is not None:
             self._export_spans(
                 tracer,
@@ -915,7 +908,7 @@ class MaxsonServer:
         """Run one query under a fresh tracer (through admission and a
         generation lease, like any served query) and render the
         annotated plan."""
-        tenant = tenant or self.config.default_tenant
+        tenant = tenant or DEFAULT_TENANT
         with self.admission.admit(tenant), self.generation_guard.lease():
             return self.system.explain_analyze(sql)
 

@@ -27,7 +27,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PathKey", "TraceQuery", "TableUpdate", "TraceConfig", "SyntheticTrace"]
+__all__ = [
+    "MPJP_THRESHOLD",
+    "PathKey",
+    "TraceQuery",
+    "TableUpdate",
+    "TraceConfig",
+    "SyntheticTrace",
+]
+
+#: The paper's MPJP rule (§I): a JSONPath parsed at least this many times
+#: on one day is a Multiple-Parsed JSONPath. Ground truth, features,
+#: oracle labels and the efficacy book all read it from here.
+MPJP_THRESHOLD = 2
 
 
 @dataclass(frozen=True, order=True)
@@ -395,7 +407,9 @@ class SyntheticTrace:
             hist[min(update.seconds // 3600, 23)] += 1
         return hist
 
-    def mpjp_labels(self, day: int, threshold: int = 2) -> dict[PathKey, int]:
+    def mpjp_labels(
+        self, day: int, threshold: int = MPJP_THRESHOLD
+    ) -> dict[PathKey, int]:
         """1 if the path was parsed >= threshold times on ``day`` else 0,
         for every path in the universe (the MPJP definition, §I)."""
         counts = self.daily_path_counts(day)

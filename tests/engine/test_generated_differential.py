@@ -45,10 +45,10 @@ def test_result_cache_serves_the_reference(matrix):
     matrix.check("serial", "result", "session")
 
 
-def assert_tracing_changes_nothing(session, sqls) -> None:
+def assert_tracing_changes_nothing(session, sqls, modifiers=None) -> None:
     for sql in sqls:
-        plain = session.sql(sql)
-        traced = session.sql(sql, tracer=Tracer())
+        plain = session.sql(sql, modifiers=modifiers)
+        traced = session.sql(sql, tracer=Tracer(), modifiers=modifiers)
         assert traced.rows == plain.rows, sql
         assert counts(traced) == counts(plain), sql
         assert traced.metrics.extra.get("degraded_splits") == (
@@ -58,7 +58,7 @@ def assert_tracing_changes_nothing(session, sqls) -> None:
         # (an unset label reads as the span's name)
         spans = operator_root(traced.trace).walk()
         assert {span.label for span in spans if span.label != span.name} == {
-            line.strip() for line in session.explain(sql).splitlines()
+            line.strip() for line in session.explain(sql, modifiers).splitlines()
         }, sql
         reconcile.assert_reconciles(traced)
 
@@ -70,14 +70,11 @@ def test_traced_equals_untraced(world, workers, backend, request):
     fs.policy = FaultPolicy()  # an earlier test's may still be installed
     session = system.session
     session.scan_workers, session.worker_backend = workers, backend
-    session.remove_plan_modifier(system.modifier)  # the plain engine parses
-    try:
-        shapes = one_per_plan_shape(session, STATEMENTS)
-        print(f"{len(shapes)} plan shapes in {len(STATEMENTS)} statements")
-        every = request.config.getoption("--every-statement")
-        assert_tracing_changes_nothing(session, STATEMENTS if every else shapes)
-    finally:
-        session.add_plan_modifier(system.modifier)
+    # modifiers=(): the plain engine parses every path.
+    shapes = one_per_plan_shape(session, STATEMENTS, modifiers=())
+    print(f"{len(shapes)} plan shapes in {len(STATEMENTS)} statements")
+    every = request.config.getoption("--every-statement")
+    assert_tracing_changes_nothing(session, STATEMENTS if every else shapes, ())
     assert_tracing_changes_nothing(session, STATEMENTS[::5])  # every path cached
     fixture = reconcile.TestDegradedReconciliation()
     for corrupt in (False, True):

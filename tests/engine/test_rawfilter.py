@@ -103,12 +103,7 @@ class TestEndToEnd:
 
     def test_results_match_unmodified_engine(self, sparser_session):
         with_prefilter = sparser_session.sql(self.SQL)
-        modifier = sparser_session._plan_modifiers[0]
-        sparser_session.remove_plan_modifier(modifier)
-        try:
-            plain = sparser_session.sql(self.SQL)
-        finally:
-            sparser_session.add_plan_modifier(modifier)
+        plain = sparser_session.sql(self.SQL, modifiers=())
         assert with_prefilter.rows == plain.rows
         assert len(with_prefilter.rows) == 10
 

@@ -145,8 +145,7 @@ def scrapes():
         system_tables=True,
         result_cache=True,
         memory_soft_limit_bytes=10**9,
-        telemetry_budget_bytes=1024,
-        telemetry_segment_bytes=256,
+        telemetry_budget_bytes=1024,  # segments seal at 256 bytes
     )
     with MaxsonServer(build_system(), config) as server:
         session = server.system.session
@@ -291,9 +290,7 @@ class TestTracesAndLogs:
 
     def test_structured_log_file(self, tmp_path):
         log = tmp_path / "server.ndjson"
-        config = ServerConfig(
-            max_workers=2, log_file=str(log), log_all_queries=True
-        )
+        config = ServerConfig(max_workers=2, log_file=str(log))
         with MaxsonServer(build_system(), config) as server:
             server.execute(HOT_SQL, tenant="alpha", day=0)
             server.run_midnight_cycle(day=1)

@@ -10,8 +10,8 @@ class FakeServer:
         self.cycles = []
         self.refreshed = 0
 
-    def run_midnight_cycle(self, day, history_days):
-        self.cycles.append((day, history_days))
+    def run_midnight_cycle(self, day):
+        self.cycles.append(day)
         return f"report-day-{day}"
 
     def refresh_cache(self):
@@ -48,12 +48,10 @@ class TestScheduler:
 
     def test_one_cycle_per_crossed_boundary(self):
         server = FakeServer()
-        sched = MaintenanceScheduler(
-            server, clock=VirtualClock(10.0), history_days=5
-        )
+        sched = MaintenanceScheduler(server, clock=VirtualClock(10.0))
         actions = sched.advance_to(35.0)  # crosses days 1, 2, 3
         assert actions == ["midnight:1", "midnight:2", "midnight:3"]
-        assert server.cycles == [(1, 5), (2, 5), (3, 5)]
+        assert server.cycles == [1, 2, 3]
         assert sched.reports == ["report-day-1", "report-day-2", "report-day-3"]
         # advancing again within day 3 fires nothing more
         assert sched.advance_to(36.0) == []

@@ -203,7 +203,6 @@ class TestEveryOutcomeSettlesOnce:
             system_tables=True,
             trace_dir=str(tmp_path),
             log_file=str(log),
-            log_all_queries=True,
         )
         server = MaxsonServer(build_system(read_latency=0.01), config)
         try:

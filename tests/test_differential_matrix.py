@@ -128,12 +128,12 @@ def comparable(sql: str, rows: list[dict]) -> list[str]:
     return rows if " order by " in sql else sorted(rows)
 
 
-def one_per_plan_shape(session, sqls) -> list[str]:
+def one_per_plan_shape(session, sqls, modifiers=None) -> list[str]:
     """The first statement of each distinct plan shape: the operators
     ``Session.explain`` lists and their nesting, arguments dropped."""
     by_shape: dict[tuple, str] = {}
     for sql in sqls:
-        lines = session.explain(sql).splitlines()
+        lines = session.explain(sql, modifiers).splitlines()
         shape = tuple((len(line) - len(line.lstrip()), line.split()[0]) for line in lines)
         by_shape.setdefault(shape, sql)
     return list(by_shape.values())

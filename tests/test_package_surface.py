@@ -142,27 +142,26 @@ class TestDocstrings:
             assert cls.__doc__ and cls.__doc__.strip()
 
 
-#: Every settable field of the four config objects. A change that adds a
+#: Every settable field of the config objects. A change that adds a
 #: knob has to add it here, where a reviewer sees the option count move.
 CONFIG_SURFACE = {
     "repro.engine.Session": """
-        fs catalog parser_factory projection_parser_factory scan_workers
-        worker_backend plan_cache_entries result_cache_enabled
-        result_cache_entries cache_budget_bytes worker_observer""",
+        fs catalog projection_parser_factory scan_workers worker_backend
+        plan_cache_entries result_cache_enabled result_cache_entries
+        cache_budget_bytes worker_observer""",
     "repro.core.MaxsonConfig": """
-        cache_budget_bytes mpjp_threshold selection_strategy enable_pushdown
-        predictor scoring_sample_rows random_seed quarantine_seconds
-        breaker_failure_threshold build_workers""",
+        cache_budget_bytes selection_strategy enable_pushdown predictor
+        random_seed quarantine_seconds build_workers""",
+    "repro.core.PredictorConfig": """
+        model window_days hidden_size num_layers epochs learning_rate
+        all_possible_transitions seed""",
     "repro.server.ServerConfig": """
         max_workers per_tenant_limit queue_capacity admission_timeout_seconds
-        default_tenant midnight_history_days refresh_interval_seconds
-        seconds_per_day max_query_retries retry_backoff_seconds
-        retry_jitter_seed default_deadline_ms deadline_shed_factor
-        memory_soft_limit_bytes drain_timeout_seconds build_workers
-        scan_workers worker_backend plan_cache_entries result_cache
-        cache_budget_bytes system_tables telemetry_budget_bytes
-        telemetry_segment_bytes trace_dir slow_query_seconds log_file
-        log_all_queries""",
+        refresh_interval_seconds max_query_retries retry_backoff_seconds
+        default_deadline_ms deadline_shed_factor memory_soft_limit_bytes
+        drain_timeout_seconds build_workers scan_workers worker_backend
+        plan_cache_entries result_cache cache_budget_bytes system_tables
+        telemetry_budget_bytes trace_dir slow_query_seconds log_file""",
     "repro.cluster.ShardSpec": """
         shard_id rows_per_table days row_group_size table_ids fault_profile
         read_latency_seconds model server""",

@@ -268,6 +268,9 @@ class TestOneOwnerPerKnob:
         "result_cache_enabled": {"Session"},
         "result_cache": {"ServerConfig", "ServerStatus"},
         "build_workers": {"MaxsonConfig", "ServerConfig"},
+        # The MPJP rule is ``MPJP_THRESHOLD``; only the features take another
+        # (unit tests do), so the predictor and efficacy book cannot disagree.
+        "mpjp_threshold": {"FeatureConfig"},
     }
 
     def nodes(self, *types):
