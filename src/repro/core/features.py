@@ -43,12 +43,11 @@ class FeatureConfig:
     """Windowing parameters.
 
     ``window_days`` is the paper's "Date Window Size" (1 week / 2 weeks /
-    1 month in Table IV). ``mpjp_threshold`` is the MPJP rule
-    (:data:`~repro.workload.trace.MPJP_THRESHOLD` parses a day).
+    1 month in Table IV). The MPJP rule the labels and the ``was_mpjp``
+    feature read is :data:`~repro.workload.trace.MPJP_THRESHOLD`.
     """
 
     window_days: int = 7
-    mpjp_threshold: int = MPJP_THRESHOLD
 
 
 @dataclass
@@ -107,16 +106,16 @@ class FeatureExtractor:
             # Scaled to O(1) magnitudes: unnormalised counts/datediffs
             # saturate the LSTM gates and stall training.
             datediff = (target_day - day) / cfg.window_days
-            was_mpjp = float(count >= cfg.mpjp_threshold)
+            was_mpjp = float(count >= MPJP_THRESHOLD)
             temporal = np.array(
                 [min(count, 50) / 10.0, np.log1p(count), datediff, was_mpjp]
             )
             rows.append(np.concatenate([temporal, location]))
-            labels.append(int(count >= cfg.mpjp_threshold))
+            labels.append(int(count >= MPJP_THRESHOLD))
         # Target day: count unknown at prediction time -> masked.
         masked = np.array([-1.0, -1.0, 0.0, -1.0])
         rows.append(np.concatenate([masked, location]))
-        labels.append(collector.mpjp_label(key, target_day, cfg.mpjp_threshold))
+        labels.append(collector.mpjp_label(key, target_day))
         return np.stack(rows), np.array(labels, dtype=int)
 
     def dataset(

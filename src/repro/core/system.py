@@ -206,16 +206,19 @@ class MaxsonSystem:
         tracer=None,
         deadline_ms: float | None = None,
         cancel_token=None,
+        resolved=None,
     ) -> QueryResult:
         """Execute SQL through the Maxson-modified session and collect its
         JSONPath references. ``tracer`` opts the query into span
-        recording; ``deadline_ms``/``cancel_token`` bound its wall time
-        (see :meth:`Session.sql`)."""
+        recording; ``deadline_ms``/``cancel_token`` bound its wall time;
+        ``resolved`` is the session's earlier resolution of ``sql`` (see
+        :meth:`Session.sql`)."""
         result = self.session.sql(
             sql,
             tracer=tracer,
             deadline_ms=deadline_ms,
             cancel_token=cancel_token,
+            resolved=resolved,
         )
         # The result carries the planner's path references, so recurring
         # queries feed the collector without a second compile (which

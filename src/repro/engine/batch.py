@@ -13,11 +13,13 @@ so the loop is shaped the other way round:
   kernel functions of :mod:`repro.engine.expressions` (``_apply_arith``
   etc.) and the :data:`~repro.engine.functions.SCALAR_FUNCTIONS`
   registry.
-* Extraction calls route through the split's context's vectorized
-  ``get_json_objects`` / ``get_xml_objects``, which share one parsed
-  document per distinct text via :class:`~repro.jsonlib.doccache.
-  DocumentCache` — parse-once sharing across every expression in the
-  query.
+* A ``get_json_object`` reads one *projection node* per column: the
+  split's context's ``project_json`` over the batch's texts, memoised
+  on the batch like any node, which is one :class:`~repro.jsonlib.
+  doccache.DocumentCache` lookup per row however many paths are read —
+  the cache projects each distinct text once per query. Each extraction
+  is one slot of those tuples. ``get_xml_object`` reads the context's
+  ``get_xml_objects`` over a cache of parsed trees.
 * The program memoises by expression *equality* (all expression nodes
   are frozen dataclasses), which is the engine's common-subexpression
   elimination: two textually identical ``get_json_object`` calls compile
@@ -38,6 +40,9 @@ from __future__ import annotations
 
 import threading
 from itertools import repeat
+from operator import itemgetter
+
+from ..jsonlib.jsonpath import parse_path
 
 from .errors import ExecutionError
 from .expressions import (
@@ -297,6 +302,9 @@ class ExpressionProgram:
         self._operators: dict[int, tuple] = (
             {} if template is None else template._operators.copy()
         )
+        self._projections: dict[Expression, CompiledExpression] = (
+            {} if template is None else template._projections.copy()
+        )
         self._lock = threading.Lock()
         for operator in operators:
             self.of(operator)
@@ -353,10 +361,37 @@ class ExpressionProgram:
             return self.compile(expr.child).evaluate
         if isinstance(expr, GetJsonObject):
             column = self.compile(expr.column)
-            path = expr.path
-            return lambda batch, state: state.context.get_json_objects(
-                column.evaluate(batch, state), path
-            )
+            path = parse_path(expr.path).raw
+            # One node per column projects its texts over the context's
+            # declared paths; it is no expression of the plan.
+            projection = self._projections.get(expr.column)
+            if projection is None:
+                projection = self._projections[expr.column] = CompiledExpression(
+                    lambda batch, state: state.context.project_json(
+                        column.evaluate(batch, state)
+                    ),
+                    0,
+                )
+
+            def get_json_object(batch: ColumnBatch, state) -> list:
+                context = state.context
+                if context.projection_parser is not None:
+                    return context.get_json_objects(column.evaluate(batch, state), path)
+                slot = context.json_slot(path)
+                origin = batch.origin
+                shared = projection in batch.memo or (
+                    origin is not None and projection in origin[0].memo
+                )
+                rows = projection.evaluate(batch, state)
+                if rows and len(rows[0]) <= slot:
+                    # Projected before a hand-driven context declared ``path``.
+                    rows = batch.memo[projection] = projection.fn(batch, state)
+                elif shared:  # another extraction projected them: shared parses
+                    texts = column.evaluate(batch, state)
+                    context.json_documents.hits += len(texts) - texts.count(None)
+                return list(map(itemgetter(slot), rows))
+
+            return get_json_object
         if isinstance(expr, GetXmlObject):
             column = self.compile(expr.column)
             path = expr.path

@@ -19,6 +19,7 @@ under the placeholder's output name).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from ..jsonlib.doccache import DEFAULT_DOC_CACHE_BYTES, INVALID, DocumentCache
 from ..jsonlib.errors import JsonParseError
@@ -116,38 +117,50 @@ class EvalContext:
 
     # -- vectorized, parse-once variants (batch execution path) --------
     def get_json_objects(self, texts: list, raw_path: str) -> list:
-        """Vectorized ``get_json_object`` over a whole column.
-
-        Projects each distinct document once per context (not once per
-        consuming expression): the first sight of a text makes one
-        validating pass that reads every path in :attr:`json_paths`, and
-        the shared :class:`~repro.jsonlib.doccache.DocumentCache` keeps
-        that small tuple. Row semantics and error messages are identical
-        to :meth:`get_json_object`.
-        """
+        """Vectorized ``get_json_object`` over a whole column: one slot of
+        :meth:`project_json`'s tuples. Row semantics and error messages
+        are identical to :meth:`get_json_object`."""
         if self.projection_parser is not None:
             # Projecting parsers skip full parsing already; nothing to
             # share, so delegate row-by-row for identical behaviour.
             return [self.get_json_object(text, raw_path) for text in texts]
-        path = parse_path(raw_path).raw
+        slot = self.json_slot(parse_path(raw_path).raw)
+        return list(map(itemgetter(slot), self.project_json(texts)))
+
+    def json_slot(self, path: str) -> int:
+        """The position of canonical JSONPath ``path`` in the tuples
+        :meth:`project_json` returns, declaring it if the context lacks it."""
         documents = self.json_documents
         if documents is None or path not in documents.parser.index:
             documents = self._declare_json_paths([path])
-        slot = documents.parser.index[path]
-        out = []
-        append = out.append
+        return documents.parser.index[path]
+
+    def project_json(self, texts: list) -> list[tuple]:
+        """The declared paths' values of each text, as the tuple a
+        :class:`~repro.jsonlib.projection.PathProjector` reads, at one
+        shared :class:`~repro.jsonlib.doccache.DocumentCache` lookup per
+        string: each distinct document is projected once per context, not
+        once per consuming expression. ``None`` and malformed texts read
+        as the projector's ``nulls``; any other non-string raises."""
+        documents = self.json_documents
+        if documents is None:
+            documents = self._declare_json_paths([])
+        nulls = documents.parser.nulls
+        document = documents.document
+        rows = []
+        append = rows.append
         for text in texts:
-            if text is None:
-                append(None)
-                continue
-            if not isinstance(text, str):
+            if isinstance(text, str):
+                values = document(text)
+                append(nulls if values is INVALID else values)
+            elif text is None:
+                append(nulls)
+            else:
                 raise ExecutionError(
                     "get_json_object expects a string column, "
                     f"got {type(text).__name__}"
                 )
-            values = documents.document(text)
-            append(None if values is INVALID else values[slot])
-        return out
+        return rows
 
     def _declare_json_paths(self, paths: list[str]) -> DocumentCache:
         """``json_documents``, made to hold the canonical ``paths`` beside
@@ -218,14 +231,9 @@ class EvalContext:
             documents = self.json_documents
             if documents is None or not documents.parser.index.keys() >= set(paths):
                 documents = self._declare_json_paths(paths)
-            index = documents.parser.index
-            sinks = [(out[i], index[p]) for i, p in zip(by_format["json"], paths)]
-            for row, text in enumerate(texts):
-                if isinstance(text, str):
-                    values = documents.document(text)
-                    if values is not INVALID:
-                        for column, slot in sinks:
-                            column[row] = values[slot]
+            rows = self.project_json([t if isinstance(t, str) else None for t in texts])
+            for i, path in zip(by_format["json"], paths):
+                out[i] = list(map(itemgetter(documents.parser.index[path]), rows))
         if by_format["xml"]:
             from ..xmllib.xpath import evaluate_xpath
 

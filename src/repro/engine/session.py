@@ -324,7 +324,7 @@ class Session:
         disabled: nothing is keyed, fetched or admitted)."""
         return self._result_cache.stats()
 
-    def probable_result_cache_hit(self, sql: str) -> bool:
+    def probable_result_cache_hit(self, sql: str, resolved=None) -> bool:
         """Whether ``sql`` would (probably) be served from the result
         cache right now. A counter-free hint for admission priority —
         cheap recurrences jump the queue, so the answer must not
@@ -334,10 +334,28 @@ class Session:
         if not self.result_cache_enabled:
             return False
         try:
-            key = self._resolve(sql).result_key
+            key = (resolved or self._resolve(sql)).result_key
             return key is not None and self._result_cache.peek(key)
         except Exception:  # noqa: BLE001 - a hint must never fail a query
             return False
+
+    def resolve(self, sql: str) -> _Resolved:
+        """``sql`` resolved under the registered modifiers, for a caller
+        that runs it soon with ``sql(…, resolved=)`` (the server's admission)."""
+        return self._resolve(sql)
+
+    def _still_resolves(self, resolved: _Resolved) -> bool:
+        """Whether the catalog version, the modifiers and their tokens are
+        what they were when ``resolved`` was taken (an unkeyed modifier's
+        resolution is taken again: it is cheap and keys nothing)."""
+        with self._lock:
+            modifiers = list(self._plan_modifiers)
+        return (
+            resolved.tokens is not None
+            and resolved.version == self.catalog.version
+            and resolved.modifiers == modifiers
+            and resolved.tokens == tuple(m.plan_cache_token() for m in modifiers)
+        )
 
     def _resolve(self, sql: str, modifiers=None) -> _Resolved:
         """The call's modifiers (the registered ones by default) with one
@@ -558,9 +576,12 @@ class Session:
         deadline_ms: float | None = None,
         cancel_token=None,
         modifiers=None,
+        resolved: _Resolved | None = None,
     ) -> QueryResult:
         """Compile and execute one SELECT statement under ``modifiers``
         (the registered plan modifiers by default; ``()``: the plain engine).
+        ``resolved`` is :meth:`resolve`'s earlier answer for ``sql``, used
+        if nothing it depends on has changed since.
 
         ``tracer`` (a :class:`repro.obs.trace.Tracer`) opts this query
         into span recording: the plan is instrumented so every operator
@@ -591,7 +612,8 @@ class Session:
             token.check()
         # -- semantic result cache -------------------------------------
         rcache = self._result_cache
-        resolved = self._resolve(sql, modifiers)
+        if resolved is None or not self._still_resolves(resolved):
+            resolved = self._resolve(sql, modifiers)
         canonical, result_key = resolved.canonical, resolved.result_key
         if result_key is not None:
             rcache.note_recurrence(canonical)

@@ -95,6 +95,7 @@ class _Tok:
     text: str
     value: object
     pos: int
+    lower: str = ""  # an identifier's lower-cased text, what keywords match
 
 
 #: One token and the whitespace before it, or a comment, or the end. An
@@ -136,7 +137,8 @@ def _lex(sql: str) -> list[_Tok]:
         text = m.group(group)
         pos = m.start(group)
         if group == 1:
-            append(_Tok("ident", text, text, pos))
+            lower = text.lower()  # kept only if it differs: no second copy
+            append(_Tok("ident", text, text, pos, text if lower == text else lower))
         elif group == 2:
             append(_number(text, pos))
         elif group == 3:
@@ -167,7 +169,7 @@ def _lex_other(sql: str, i: int) -> tuple[_Tok, int]:
     n = len(sql)
     if ch.isalpha():
         j = _WORD.match(sql, i).end()
-        return _Tok("ident", sql[i:j], sql[i:j], i), j
+        return _Tok("ident", sql[i:j], sql[i:j], i, sql[i:j].lower()), j
     if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
         j = i
         seen_dot = False
@@ -210,8 +212,7 @@ class _Parser:
         return tok
 
     def at_keyword(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text.lower() in words
+        return self.tokens[self.i].lower in words
 
     def eat_keyword(self, word: str) -> bool:
         if self.at_keyword(word):
@@ -294,7 +295,7 @@ class _Parser:
             return Alias(expr, tok.text)
         # Implicit alias: `expr name` (but not before a clause keyword).
         tok = self.peek()
-        if tok.kind == "ident" and tok.text.lower() not in _KEYWORDS:
+        if tok.kind == "ident" and tok.lower not in _KEYWORDS:
             self.next()
             return Alias(expr, tok.text)
         return expr
@@ -332,7 +333,7 @@ class _Parser:
             alias = tok.text
         else:
             tok = self.peek()
-            if tok.kind == "ident" and tok.text.lower() not in _KEYWORDS:
+            if tok.kind == "ident" and tok.lower not in _KEYWORDS:
                 self.next()
                 alias = tok.text
         return LogicalScan(database, table, alias)
@@ -431,7 +432,7 @@ class _Parser:
             self.expect_punct(")")
             return expr
         if tok.kind == "ident":
-            lowered = tok.text.lower()
+            lowered = tok.lower
             if lowered == "null":
                 self.next()
                 return Literal(None)
@@ -477,7 +478,7 @@ class _Parser:
             "string": "string",
             "varchar": "string",
             "boolean": "boolean",
-        }.get(tok.text.lower())
+        }.get(tok.lower)
         if target is None:
             raise SqlSyntaxError(f"unsupported CAST target {tok.text!r}", tok.pos)
         self.expect_punct(")")

@@ -11,11 +11,12 @@ Three parsers, three roles:
   Spark+Jackson bar.
 * :class:`~repro.jsonlib.projection.PathProjector` — validated
   multi-path projection, the **production raw path**: one validating
-  pass per document in the stdlib's C decoder, which keeps only the
-  values at the JSONPaths asked for, and hands whatever it declines to
-  the reference parser, so its answers are the reference's by
-  construction. Used by the batch engine, the cacher and the combiner's
-  degraded fallback.
+  pass per document in the stdlib's C decoder, after which the values at
+  the JSONPaths asked for are read along a trie of their member steps
+  (a shared prefix once), and whatever it declines goes to the reference
+  parser, so its answers are the reference's by construction. Used,
+  through ``EvalContext.project_json``, by the batch engine (once per
+  column per batch), the cacher and the combiner's degraded fallback.
 * :class:`~repro.jsonlib.mison.MisonParser` — structural-index projection
   (Mison / Pikkr), kept as **Fig 15's comparator**. It does not validate
   what it skips, so it is never a default.

@@ -1,34 +1,30 @@
 """Parse-once document sharing.
 
 Maxson's thesis is that raw data should never be parsed twice — yet an
-execution engine can silently re-introduce duplicate parsing when several
-expressions extract different paths from the *same* source column: each
-``get_json_object`` call re-parses the document once per expression per
-row. :class:`DocumentCache` is the shared-parse primitive that fixes
-this: it wraps a parser and memoises parsed documents by source text, so
-within one evaluation scope (an :class:`~repro.engine.expressions.
-EvalContext` — a query's, a split's, a cache build's, a degraded
-fallback's) every distinct document is parsed exactly once no matter how
-many consumers evaluate paths against it.
+execution engine re-introduces duplicate parsing when several expressions
+extract paths from the *same* column. :class:`DocumentCache` is the
+shared-parse primitive: it wraps a parser and memoises what it returns by
+source text, so within one evaluation scope (an :class:`~repro.engine.
+expressions.EvalContext` — a query's, a split's, a cache build's, a
+degraded fallback's) every distinct document is parsed once. For JSON the
+parser is a :class:`~repro.jsonlib.projection.PathProjector` and the
+cache holds each text's tuple of path values; the engine asks it once per
+row per column per batch (``EvalContext.project_json``), however many
+``get_json_object`` calls read the column.
 
 Cost accounting contract: the wrapped parser's
 :class:`~repro.jsonlib.jackson.ParseStats` charge each unique parse
-**once** — a cache hit never re-charges parse time, documents or bytes to
-the stats, which is what keeps the engine's "Parse" breakdown honest
-under sharing (over-reporting would count the same wall-clock parse once
-per consuming expression). Hits are tracked separately in :attr:`hits`
-and surfaced as ``shared_parse_hits`` in query metrics.
+**once** — a hit re-charges no time, documents or bytes. Hits are counted
+in :attr:`hits` and surfaced as ``shared_parse_hits`` in query metrics,
+together with the rows an extraction read from a projection its batch
+already held. Failed parses are cached too (as :data:`INVALID`): a
+malformed document costs one parse attempt per scope, and the parser's
+``errors`` counter moves once.
 
-Failed parses are cached too (as :data:`INVALID`): a malformed document
-costs one parse attempt per scope, not one per consuming expression, and
-the parser's ``errors`` counter moves once.
-
-The cache is bounded two ways: by entry count (``max_entries``) and by a
-byte budget (``max_bytes``, charged as the length of the *source text* —
-a cheap proxy for the parsed tree that needs no traversal). Eviction is
-LRU: a hit refreshes the entry, so a handful of hot documents survive a
-scan over many cold ones. Evictions are counted and surfaced as
-``doc_cache_evictions`` in query metrics.
+The cache is bounded by entry count (``max_entries``) and by a byte
+budget (``max_bytes``, charged as the length of the *source text*, a
+cheap proxy that needs no traversal). Eviction is LRU: a hit refreshes
+the entry. Evictions are surfaced as ``doc_cache_evictions``.
 """
 
 from __future__ import annotations

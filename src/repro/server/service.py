@@ -116,6 +116,7 @@ class _Request:
     token: CancelToken
     tracer: Tracer | None
     started: float
+    resolved: object = None  # the session's resolution, taken at admission
     probable_hit: bool = False
     admitted: bool = False  # holds a tenant's admission slot
     leased: bool = False  # holds a generation lease
@@ -405,8 +406,11 @@ class MaxsonServer:
         and keep flowing under memory pressure — serving them releases
         pressure faster than recomputing anything.
         """
-        request.probable_hit = self.system.session.probable_result_cache_hit(
-            request.sql
+        session = self.system.session
+        if session.result_cache_enabled:  # the hint needs the result key
+            request.resolved = session.resolve(request.sql)
+        request.probable_hit = session.probable_result_cache_hit(
+            request.sql, request.resolved
         )
         # Watchdog ordering: shrink caches → shed → (the breaker is
         # never touched).
@@ -454,6 +458,7 @@ class MaxsonServer:
                     day=request.day,
                     tracer=request.tracer,
                     cancel_token=token,
+                    resolved=request.resolved,
                 )
             except TransientFsError as exc:
                 if not self.retry_policy.should_retry(

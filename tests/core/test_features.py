@@ -49,8 +49,8 @@ class TestSequenceFor:
         assert labels[-1] == 1  # 5 accesses >= 2 -> MPJP
 
     def test_labels_match_threshold(self):
-        extractor = FeatureExtractor(FeatureConfig(window_days=2, mpjp_threshold=3))
-        collector = collector_with({6: 3, 7: 2, 8: 3})
+        extractor = FeatureExtractor(FeatureConfig(window_days=2))
+        collector = collector_with({6: 2, 7: 1, 8: 2})  # MPJP_THRESHOLD is 2
         _, labels = extractor.sequence_for(collector, key(), 8)
         assert list(labels) == [1, 0, 1]
 

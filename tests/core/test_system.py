@@ -209,11 +209,12 @@ class TestBaselineNesting:
         release = threading.Event()
         real_sql = system.session.sql
 
-        def slow_sql(sql, tracer=None, deadline_ms=None, cancel_token=None, modifiers=None):
+        def slow_sql(sql, tracer=None, deadline_ms=None, cancel_token=None,
+                     modifiers=None, resolved=None):
             if "cold" in sql:
                 entered.set()
                 assert release.wait(10)
-            return real_sql(sql, tracer, deadline_ms, cancel_token, modifiers)
+            return real_sql(sql, tracer, deadline_ms, cancel_token, modifiers, resolved)
 
         system.session.sql = slow_sql
         try:

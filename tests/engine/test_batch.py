@@ -120,6 +120,17 @@ class TestBatchCompiler:
         assert node.evaluate(batch.take([1]), state) == [7]
         assert state.metrics.duplicate_extractions_eliminated == 3
 
+    def test_undeclared_path_reprojects_a_held_projection(self):
+        # A hand-driven context declares each path as an extraction meets
+        # it; the projection a batch already holds lacks the new slot.
+        state = ExecState(catalog=None, context=EvalContext())
+        program = ExpressionProgram()
+        a, b = (program.compile(GetJsonObject(Column("logs"), p)) for p in ("$.a", "$.b"))
+        batch = ColumnBatch.from_rows([{"logs": '{"a": 1, "b": 2}'}, {"logs": None}])
+        assert a.evaluate(batch, state) == [1, None]
+        assert b.evaluate(batch.take([0]), state) == [2]
+        assert state.context.parser.stats.documents == 2
+
     def test_logic_short_circuit_skips_decided_rows(self):
         # Right side divides by the column; rows decided by the left
         # operand must never evaluate it (parity with the interpreter).

@@ -51,14 +51,17 @@ STATEMENTS = [
 #: per statement, as reported at the parent commit (whole-tree batch path,
 #: with only the tokenizer fix applied so the fixture's ``\u-123``
 #: document does not fail the query). The last row is ``STATEMENTS[0]``
-#: under a 4 kB cache budget, which makes the document cache evict.
+#: under a 4 kB cache budget, which makes the document cache evict; it
+#: was ``(180, 27265, 120, 111)`` while each extraction looked its
+#: documents up again, and reads as unevicted since a batch projects
+#: each column once.
 PARENT_COUNTERS = [
     (100, 10157, 200, 0),
     (100, 10157, 122, 0),
     (107, 10353, 100, 0),
     (100, 10157, 100, 0),
     (100, 10157, 100, 0),
-    (180, 27265, 120, 111),
+    (100, 10157, 200, 31),
 ]
 
 
@@ -118,6 +121,53 @@ class TestCountersUnchanged:
                 assert counters(got) == counters(expected), sql
         finally:
             every_session.close_worker_pools()
+
+
+#: 29 paths over one column, most under shared prefixes, and a filter.
+WIDE_PATHS = [f"$.f{i:02d}" for i in range(18)] + [
+    "$.n.k", "$.n.m.x", "$.n.m.y", "$.n.m", "$.n.z[0]", "$.n.z[*].q",
+    "$.n.m.w.v", "$.arr[1]", "$.arr[*]", "$.n.gone.x", "$.f00.x",
+]
+WIDE_SQL = (
+    "select "
+    + ", ".join(f"get_json_object(payload, '{p}') as c{i}" for i, p in enumerate(WIDE_PATHS))
+    + " from db.wide where get_json_object(payload, '$.n.k') > 2"
+)
+
+
+class TestOneProjectionPerText:
+    """Each distinct text is projected once per query, however many
+    expressions read it, even while the document cache evicts."""
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_one_parse_per_distinct_text(self, backend):
+        session = Session(fs=BlockFileSystem(), cache_budget_bytes=4_000)
+        schema = Schema.of(("id", DataType.INT64), ("payload", DataType.STRING))
+        session.catalog.create_table("db", "wide", schema)
+        texts = [
+            dumps({
+                **{f"f{j:02d}": i * 31 + j for j in range(18)},
+                "n": {"k": i % 5, "m": {"x": i, "y": [i], "w": {"v": "s"}},
+                      "z": [{"q": i}, {"q": None}]},
+                "arr": [i, str(i)],
+            })
+            for i in range(40)
+        ]
+        session.catalog.append_rows(
+            "db", "wide", list(enumerate(texts)), row_group_size=10
+        )
+        assert len(WIDE_PATHS) == 29
+        if backend != "serial":
+            session.scan_workers = 2
+            session.worker_backend = backend
+        try:
+            result = session.sql(WIDE_SQL)
+        finally:
+            session.close_worker_pools()
+        assert result.metrics.parse_documents == len(set(texts))
+        assert result.metrics.doc_cache_evictions > 0
+        assert len(result.rows) == 16
+        assert result.rows == reference_rows(session, WIDE_SQL)
 
 
 class TestMalformedYieldsNull:

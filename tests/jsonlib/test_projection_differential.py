@@ -32,6 +32,7 @@ from repro.jsonlib import (
     parse_path,
 )
 from repro.jsonlib.jsonpath import Index, Member
+from repro.jsonlib.projection import _FINDS, _brackets_exceed
 from repro.workload.nobench import NoBenchGenerator
 from repro.workload.tables import TABLE_SPECS, DocumentFactory
 
@@ -213,6 +214,18 @@ NAMED = {
     "arrays 129 empty": ("[" * 129 + "]" * 129, ["$[0]"]),
     "brackets only in strings": ('{"a":"' + "{[" * 100 + '","b":["[{"]}', ["$.a", "$.b"]),
     "root string of brackets": ('"' + "[" * 200 + '"', ["$.a"]),
+    # The trie of member steps: a prefix read once for every path under it.
+    "trie: member and its prefix": ('{"a":{"b":1,"c":2}}', ["$.a", "$.a.b"]),
+    "trie: null intermediate": ('{"a":null,"b":{"c":null}}', ["$.a.b", "$.b.c.d", "$.a"]),
+    "trie: list intermediate": ('{"a":[{"b":1}],"c":[[2]]}', ["$.a.b", "$.a.b.c", "$.c.d", "$.a"]),
+    "trie: scalar intermediate": ('{"a":1,"b":"s","c":true}', ["$.a.b", "$.b.c", "$.c.d.e"]),
+    "trie: declared order is not trie order": (
+        '{"a":{"b":1,"c":{"d":2}},"e":3}', ["$.a.c.d", "$.e", "$[0]", "$.a.b", "$.a"]
+    ),
+    "trie: tails under a shared prefix": (
+        '{"a":{"b":[{"c":1},{"c":2}],"d":[5,6]}}',
+        ["$.a.b[0].c", "$.a.b[*].c", "$.a.d[1]", "$.a.b", "$.a.d[*]", "$.a.x[0]"],
+    ),
 }
 
 
@@ -234,6 +247,32 @@ def test_values_are_the_reference_values():
     projector = PathProjector(["$.a.b[1].c", "$.d", "$.e", "$.a", "$.zz"])
     assert projector.parse(text) == (2.5, "x", None, {"b": [1, {"c": 2.5}]}, None)
     assert projector.index == {"$.a.b[1].c": 0, "$.d": 1, "$.e": 2, "$.a": 3, "$.zz": 4}
+
+
+@pytest.mark.parametrize("name", sorted(n for n in NAMED if n.startswith("trie:")))
+def test_tuple_is_in_the_declared_order(name):
+    text, paths = NAMED[name]
+    document = JacksonParser().parse(text)
+    expected = tuple(evaluate(p, document) for p in dict.fromkeys(paths))
+    assert repr(PathProjector(paths).parse(text)) == repr(expected)
+
+
+def test_depth_guard_through_the_find_count_switch():
+    """Every bracket count up to past the switch, at every limit near it."""
+    for count in range(2 * _FINDS + 3):
+        for text in ("{" * count, "[" * count, "x[" * (count // 2) + '"{' * (count - count // 2)):
+            for limit in range(2 * _FINDS + 3):
+                assert _brackets_exceed(text, limit) == (count > limit), (text, limit)
+    assert _brackets_exceed("{" * 128, 128) is False
+    assert _brackets_exceed("{" * 128 + "[", 128) is True
+
+
+def test_depth_guard_fuzz():
+    rng = random.Random(39)
+    for _ in range(5000):
+        text = "".join(rng.choices('{[]}"a \\', k=rng.randint(0, 3 * _FINDS)))
+        limit = rng.choice([0, 1, _FINDS - 1, _FINDS, _FINDS + 1, rng.randint(0, 3 * _FINDS), 128])
+        assert _brackets_exceed(text, limit) == (text.count("{") + text.count("[") > limit)
 
 
 def test_malformed_raises_the_reference_error():

@@ -68,6 +68,28 @@ class TestRequestPath:
         assert built == [] and count == len(expected)
         assert frame_rows(body, names) == expected
 
+    def test_served_request_resolves_once(self, monkeypatch):
+        """Admission resolves the statement (its result-cache hint needs
+        the key); the query runs on that resolution."""
+        calls = []
+        resolve = Session._resolve
+        monkeypatch.setattr(
+            Session, "_resolve", lambda *a, **k: calls.append(a) or resolve(*a, **k)
+        )
+        config = ServerConfig(max_workers=2, result_cache=True)
+        with MaxsonServer(build_system(), config) as srv:
+            for _ in range(2):  # a miss, then a hit
+                calls.clear()
+                srv.execute(HOT_SQL, day=0)
+                assert len(calls) == 1
+            assert srv.system.session.result_cache_stats()["hits"] == 1
+
+    def test_stale_resolution_is_taken_again(self):
+        session = build_system().session
+        resolved = session.resolve(HOT_SQL)
+        session.catalog.append_rows("db", "t", [(60, dumps({"hot": 9}))])
+        assert len(session.sql(HOT_SQL, resolved=resolved).rows) == 61
+
     def test_failure_counted_and_raised(self, server):
         with pytest.raises(Exception):
             server.execute("select nope from db.missing", day=0)
