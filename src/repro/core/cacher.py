@@ -31,7 +31,7 @@ from ..engine.catalog import Catalog
 from ..engine.expressions import EvalContext, path_format
 from ..jsonlib.jackson import dumps
 from ..storage.fs import FsError
-from ..storage.orc import OrcError, OrcFileReader, OrcWriter
+from ..storage.orc import VERSION, OrcError, OrcFileReader, OrcWriter
 from ..storage.schema import DataType, Field, Schema
 from ..workload.trace import PathKey
 
@@ -457,10 +457,11 @@ class JsonPathCacher:
     def _adopt(self, paths: list[str], info) -> tuple[int, int, int]:
         """Copy the predecessor's files ``paths``, in order, as the first
         files of ``info``'s table; the files, rows and bytes adopted. Each
-        is copied once its footer and every stripe checksum verify. The
-        first that does not, or whose read faults, and every file after
-        it are left to be parsed from raw: a predecessor never fails the
-        build."""
+        is copied once its footer and every chunk CRC verify, if it is in
+        the format version a populate writes. The first that is not, or
+        whose read faults, and every file after it are left to be parsed
+        from raw: a predecessor never fails the build, and a generation
+        never mixes format versions."""
         rows = written = 0
         for index, path in enumerate(paths):
             try:
@@ -468,6 +469,8 @@ class JsonPathCacher:
                 reader = OrcFileReader(data)
                 reader.verify()
             except (FsError, OrcError):
+                return index, rows, written
+            if reader.version != VERSION:
                 return index, rows, written
             self.catalog.fs.create(f"{info.location}/part-{index:05d}.orc", data)
             rows += reader.row_count

@@ -21,7 +21,7 @@ statistics prove for the split is not evaluated, nor a lane only it reads decode
 
 **Graceful degradation.** A cache file that cannot be read — missing,
 misaligned with the raw table, transiently erroring, or failing its
-stripe/footer checksum — never fails the query and never leaks garbage:
+chunk/footer checksum — never fails the query and never leaks garbage:
 the affected split falls back to parsing the raw JSON column directly
 with the routine the cacher built the file with (DESIGN §9 "Build
 path"). The failure trips the system's circuit breaker so subsequent

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from ..jsonlib.doccache import DEFAULT_DOC_CACHE_BYTES, INVALID, DocumentCache
+from ..jsonlib.doccache import DEFAULT_DOC_CACHE_BYTES, DocumentCache
 from ..jsonlib.errors import JsonParseError
 from ..jsonlib.jackson import JacksonParser
 from ..jsonlib.jsonpath import evaluate as eval_path
@@ -137,30 +137,19 @@ class EvalContext:
 
     def project_json(self, texts: list) -> list[tuple]:
         """The declared paths' values of each text, as the tuple a
-        :class:`~repro.jsonlib.projection.PathProjector` reads, at one
-        shared :class:`~repro.jsonlib.doccache.DocumentCache` lookup per
-        string: each distinct document is projected once per context, not
-        once per consuming expression. ``None`` and malformed texts read
-        as the projector's ``nulls``; any other non-string raises."""
+        :class:`~repro.jsonlib.projection.PathProjector` reads, through
+        one :meth:`~repro.jsonlib.doccache.DocumentCache.column` lookup
+        of the shared document cache: each distinct document is projected
+        once per context, not once per consuming expression. ``None`` and
+        malformed texts read as the projector's ``nulls``; any other
+        non-string raises."""
         documents = self.json_documents
         if documents is None:
             documents = self._declare_json_paths([])
-        nulls = documents.parser.nulls
-        document = documents.document
-        rows = []
-        append = rows.append
-        for text in texts:
-            if isinstance(text, str):
-                values = document(text)
-                append(nulls if values is INVALID else values)
-            elif text is None:
-                append(nulls)
-            else:
-                raise ExecutionError(
-                    "get_json_object expects a string column, "
-                    f"got {type(text).__name__}"
-                )
-        return rows
+        try:
+            return documents.column(texts, documents.parser.nulls)
+        except TypeError as exc:
+            raise ExecutionError(f"get_json_object {exc}") from None
 
     def _declare_json_paths(self, paths: list[str]) -> DocumentCache:
         """``json_documents``, made to hold the canonical ``paths`` beside
@@ -195,21 +184,11 @@ class EvalContext:
         """Vectorized ``get_xml_object`` with the same sharing contract."""
         from ..xmllib.xpath import evaluate_xpath
 
-        documents = self._xml_scope()
-        out = []
-        append = out.append
-        for text in texts:
-            if text is None:
-                append(None)
-                continue
-            if not isinstance(text, str):
-                raise ExecutionError(
-                    "get_xml_object expects a string column, "
-                    f"got {type(text).__name__}"
-                )
-            document = documents.document(text)
-            append(None if document is INVALID else evaluate_xpath(raw_path, document))
-        return out
+        try:
+            documents = self._xml_scope().column(texts, None)
+        except TypeError as exc:
+            raise ExecutionError(f"get_xml_object {exc}") from None
+        return [None if d is None else evaluate_xpath(raw_path, d) for d in documents]
 
     def extract_paths(self, texts: list, raw_paths: list[str]) -> list[list]:
         """One value list per path of ``raw_paths`` (``$...`` JSONPaths and
@@ -238,13 +217,11 @@ class EvalContext:
             from ..xmllib.xpath import evaluate_xpath
 
             sinks = [(out[i], raw_paths[i]) for i in by_format["xml"]]
-            documents = self._xml_scope()
-            for row, text in enumerate(texts):
-                if isinstance(text, str):
-                    document = documents.document(text)
-                    if document is not INVALID:
-                        for column, raw_path in sinks:
-                            column[row] = evaluate_xpath(raw_path, document)
+            strings = [t if isinstance(t, str) else None for t in texts]
+            for row, document in enumerate(self._xml_scope().column(strings, None)):
+                if document is not None:
+                    for column, raw_path in sinks:
+                        column[row] = evaluate_xpath(raw_path, document)
         return out
 
     def fresh(self, json_paths: tuple[str, ...] | None = None) -> "EvalContext":

@@ -9,8 +9,9 @@ expressions.EvalContext` — a query's, a split's, a cache build's, a
 degraded fallback's) every distinct document is parsed once. For JSON the
 parser is a :class:`~repro.jsonlib.projection.PathProjector` and the
 cache holds each text's tuple of path values; the engine asks it once per
-row per column per batch (``EvalContext.project_json``), however many
-``get_json_object`` calls read the column.
+column per batch (:meth:`DocumentCache.column`, from
+``EvalContext.project_json``), however many ``get_json_object`` calls
+read the column.
 
 Cost accounting contract: the wrapped parser's
 :class:`~repro.jsonlib.jackson.ParseStats` charge each unique parse
@@ -34,6 +35,9 @@ __all__ = ["DEFAULT_DOC_CACHE_BYTES", "INVALID", "DocumentCache"]
 #: Sentinel cached for documents the parser rejected. Distinct from
 #: ``None`` because ``"null"`` is a *valid* document that parses to None.
 INVALID = object()
+
+#: What ``dict.pop`` returns for a text the cache does not hold.
+_UNCACHED = object()
 
 #: Default per-scope byte budget (source-text bytes). Generous enough
 #: that typical queries never evict, small enough that a scan over large
@@ -116,6 +120,28 @@ class DocumentCache:
         documents[text] = document
         self.current_bytes += size
         return document
+
+    def column(self, texts: list, absent: object) -> list:
+        """:meth:`document` of each text in one call, ``absent`` for a
+        ``None`` text or an :data:`INVALID` document. A hit refreshes and
+        counts as there; a miss goes through :meth:`document`. Raises
+        ``TypeError`` at a text neither a string nor ``None``."""
+        documents = self._documents
+        out = []
+        for text in texts:
+            if not isinstance(text, str):
+                if text is not None:
+                    raise TypeError(f"expects a string column, got {type(text).__name__}")
+                out.append(absent)
+                continue
+            document = documents.pop(text, _UNCACHED)
+            if document is _UNCACHED:
+                document = self.document(text)
+            else:
+                documents[text] = document  # re-inserted: most recent
+                self.hits += 1
+            out.append(absent if document is INVALID else document)
+        return out
 
     def __len__(self) -> int:
         return len(self._documents)

@@ -33,7 +33,11 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON value")
 
 
-_decode = json.JSONDecoder(strict=False, parse_constant=_reject_constant).decode
+#: The decoder's C scanner, called as ``JSONDecoder.decode`` calls it, less
+#: its two Python frames and the whitespace matches a text seldom needs.
+_scan = json.JSONDecoder(strict=False, parse_constant=_reject_constant).scan_once
+_space = json.decoder.WHITESPACE.match
+_SPACE = " \t\n\r"
 
 #: Brackets :func:`_brackets_exceed` finds by ``str.find`` before it counts.
 _FINDS = 8
@@ -125,11 +129,15 @@ class PathProjector:
         started = time.perf_counter()
         limit = self.parser.max_depth
         try:
-            document = _decode(text)
+            # ``decode``'s rule: one value, JSON whitespace around it; no
+            # value raises StopIteration, extra data declines.
+            document, end = _scan(text, _space(text).end() if text[:1] in _SPACE else 0)
             # At most ``limit`` brackets cannot nest past the limit; more
             # go to the reference, which measures the depth itself.
-            declined = _brackets_exceed(text, limit)
-        except (ValueError, RecursionError):
+            declined = (
+                end != len(text) and _space(text, end).end() != len(text)
+            ) or _brackets_exceed(text, limit)
+        except (ValueError, RecursionError, StopIteration):
             declined = True
         stats = self.stats
         if declined:

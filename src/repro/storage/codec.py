@@ -42,10 +42,10 @@ class CodecError(Exception):
     """Corrupt or truncated encoded data."""
 
 
-def checksum_of(data: bytes) -> int:
-    """CRC32 of a byte span (detects every single-byte flip).
+def checksum_of(data) -> int:
+    """CRC32 of a byte span or buffer (detects every single-byte flip).
 
-    Used by the ORC-like format for per-stripe and footer integrity:
+    Used by the ORC-like format for per-chunk and footer integrity:
     readers verify before decoding so corruption surfaces as a typed
     error instead of garbage values.
     """

@@ -31,9 +31,16 @@ footer, presence bitmaps, CRCs) and writes INT64 and STRING chunks as
 narrow int lanes (:mod:`repro.storage.codec`): a lane's ints, or its
 strings' UTF-8 lengths, at one width of 1, 2, 4 or 8 bytes picked from
 the lane's min and max instead of one varint each, so a cached read
-decodes an int lane in one call. Only version 3 is written; versions 1
-and 2 still read, since raw files are append-only and never rewritten,
-and a chunk's tag tells the decoder which layout it holds.
+decodes an int lane in one call. Versions 1 to 3 still read, since raw
+files are append-only and never rewritten, and a chunk's tag tells the
+decoder which layout it holds.
+
+Format version 4, the one written, keeps a CRC32 (u32) per column chunk
+instead of per stripe, beside the chunk lengths in the row-group
+directory, so a read hashes only the chunks it decodes, each just before
+decoding it; :meth:`OrcFileReader.verify` checks every chunk. Its
+row-group minima and maxima are bare tagged values (a type byte, then a
+zigzag varint, 8 float bytes or a varint length plus UTF-8).
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ __all__ = [
 ]
 
 MAGIC = b"MORC"
-VERSION = 3
+VERSION = 4
 
 #: Rows per row group — ORC's documented default.
 DEFAULT_ROW_GROUP_SIZE = 10_000
@@ -83,9 +90,10 @@ class OrcError(Exception):
 
 
 class CorruptStripeError(OrcError):
-    """A stripe's bytes do not match the checksum recorded in the footer.
+    """A chunk's (before version 4, a stripe's) bytes do not match the
+    checksum recorded in the footer.
 
-    Raised *before* any value of the stripe is decoded, so a corrupt
+    Raised *before* any value of the chunk is decoded, so a corrupt
     cache table can never leak wrong JSONPath values into query results.
     """
 
@@ -96,12 +104,14 @@ class RowGroupInfo:
 
     ``chunk_lengths`` holds the encoded byte length of each column chunk
     (schema order) so readers can seek past unwanted chunks instead of
-    decoding them — the moral equivalent of ORC's row index streams.
+    decoding them — the moral equivalent of ORC's row index streams —
+    and ``chunk_checksums`` their CRC32s (version 4; empty before).
     """
 
     row_count: int
     column_stats: dict[str, ColumnStats]
     chunk_lengths: tuple[int, ...]
+    chunk_checksums: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -113,7 +123,8 @@ class StripeInfo:
     row_count: int
     row_groups: tuple[RowGroupInfo, ...]
     checksum: int = 0
-    """CRC32 of the stripe's bytes (0 in version-1 files: unverified)."""
+    """CRC32 of the stripe's bytes in versions 2 and 3 (0 in version 1,
+    unverified, and in version 4, whose CRCs are per chunk)."""
 
 
 @dataclass
@@ -157,8 +168,9 @@ class OrcWriter:
         self.schema = schema
         self.row_group_size = row_group_size
         self.stripe_bytes = stripe_bytes
+        self.version = VERSION
         self._buffer = bytearray(MAGIC)
-        self._buffer.append(VERSION)
+        self._buffer.append(self.version)
         self._stripes: list[StripeInfo] = []
         self._pending = _PendingStripe(columns=[[] for _ in schema.fields])
         self._finished = False
@@ -195,17 +207,20 @@ class OrcWriter:
             end = min(start + self.row_group_size, total)
             stats: dict[str, ColumnStats] = {}
             lengths: list[int] = []
+            sums: list[int] = []
             for fld, column in zip(self.schema.fields, self._pending.columns):
                 values = column[start:end]
                 stats[fld.name] = ColumnStats.of(values)
                 encoded = encode_column(fld.dtype, values)
                 lengths.append(len(encoded))
+                sums.append(checksum_of(encoded))
                 chunk.extend(encoded)
             row_groups.append(
                 RowGroupInfo(
                     row_count=end - start,
                     column_stats=stats,
                     chunk_lengths=tuple(lengths),
+                    chunk_checksums=tuple(sums) if self.version >= 4 else (),
                 )
             )
         self._buffer.extend(chunk)
@@ -215,7 +230,7 @@ class OrcWriter:
                 length=len(chunk),
                 row_count=total,
                 row_groups=tuple(row_groups),
-                checksum=checksum_of(bytes(chunk)),
+                checksum=checksum_of(chunk) if self.version < 4 else 0,
             )
         )
         self._pending = _PendingStripe(columns=[[] for _ in self.schema.fields])
@@ -226,7 +241,7 @@ class OrcWriter:
             raise OrcError("writer already finished")
         self._flush_stripe()
         self._finished = True
-        footer = _encode_footer(self.schema, self._stripes)
+        footer = _encode_footer(self.schema, self._stripes, self.version)
         self._buffer.extend(footer)
         self._buffer.extend(struct.pack("<I", checksum_of(footer)))
         self._buffer.extend(struct.pack("<I", len(footer)))
@@ -242,7 +257,7 @@ _CODE_DTYPES = {i: t for i, t in enumerate(DataType)}
 
 
 def _encode_stat_value(out: bytearray, value: object) -> None:
-    # A single stats value: reuse the column codec on a 1-element column.
+    # Versions 1-3: a flag, then the value as a one-element column chunk.
     if value is None:
         out.append(0)
         return
@@ -260,9 +275,50 @@ def _decode_stat_value(data: bytes, pos: int) -> tuple[object, int]:
     return values[0], pos
 
 
-def _encode_footer(
-    schema: Schema, stripes: list[StripeInfo], version: int = VERSION
-) -> bytes:
+#: Version 4's bare statistic type bytes; NULL, False and True are the byte alone.
+_NULL, _INT, _FLOAT, _STR, _FALSE, _TRUE = range(6)
+_CONSTANTS = {_NULL: None, _FALSE: False, _TRUE: True}
+
+
+def _encode_bare(out: bytearray, value: object) -> None:
+    """A version-4 statistic: a type byte, then a zigzag varint of any
+    size, 8 float bytes, or a varint length plus UTF-8."""
+    if value is None or isinstance(value, bool):
+        out.append(_NULL if value is None else _TRUE if value else _FALSE)
+    elif isinstance(value, int):
+        out.append(_INT)
+        write_varint(out, value << 1 if value >= 0 else ~value << 1 | 1)
+    elif isinstance(value, float):
+        out.append(_FLOAT)
+        out.extend(struct.pack("<d", value))
+    else:
+        raw = value.encode("utf-8")
+        out.append(_STR)
+        write_varint(out, len(raw))
+        out.extend(raw)
+
+
+def _decode_bare(data: bytes, pos: int) -> tuple[object, int]:
+    tag = data[pos]
+    pos += 1
+    if tag == _INT:  # read_varint stops at 77 bits; a statistic has no bound
+        end = pos
+        while data[end] & 0x80:
+            end += 1
+        zigzag = sum((b & 0x7F) << 7 * i for i, b in enumerate(data[pos : end + 1]))
+        return zigzag >> 1 ^ -(zigzag & 1), end + 1
+    if tag == _FLOAT:
+        return struct.unpack_from("<d", data, pos)[0], pos + 8
+    if tag == _STR:
+        length, pos = read_varint(data, pos)
+        return data[pos : pos + length].decode("utf-8"), pos + length
+    if tag not in _CONSTANTS:
+        raise CodecError(f"unknown statistic type {tag}")
+    return _CONSTANTS[tag], pos
+
+
+def _encode_footer(schema: Schema, stripes: list[StripeInfo], version: int) -> bytes:
+    encode_stat = _encode_bare if version >= 4 else _encode_stat_value
     out = bytearray()
     write_varint(out, len(schema))
     for fld in schema.fields:
@@ -275,16 +331,18 @@ def _encode_footer(
         write_varint(out, stripe.offset)
         write_varint(out, stripe.length)
         write_varint(out, stripe.row_count)
-        if version >= 2:
+        if 2 <= version < 4:
             write_varint(out, stripe.checksum)
         write_varint(out, len(stripe.row_groups))
         for rg in stripe.row_groups:
             write_varint(out, rg.row_count)
-            for length, fld in zip(rg.chunk_lengths, schema.fields):
-                write_varint(out, length)
+            for index, fld in enumerate(schema.fields):
+                write_varint(out, rg.chunk_lengths[index])
+                if version >= 4:
+                    out.extend(struct.pack("<I", rg.chunk_checksums[index]))
                 stats = rg.column_stats[fld.name]
-                _encode_stat_value(out, stats.minimum)
-                _encode_stat_value(out, stats.maximum)
+                encode_stat(out, stats.minimum)
+                encode_stat(out, stats.maximum)
                 write_varint(out, stats.null_count)
                 write_varint(out, stats.value_count)
     return bytes(out)
@@ -295,9 +353,7 @@ _DECODE_ERRORS = (CodecError, UnicodeDecodeError, struct.error, IndexError)
 
 
 @lru_cache(maxsize=256)
-def _decode_footer(
-    data: bytes, version: int = VERSION
-) -> tuple[Schema, tuple[StripeInfo, ...]]:
+def _decode_footer(data: bytes, version: int) -> tuple[Schema, tuple[StripeInfo, ...]]:
     """Decode a footer: a pure function of its bytes and the version.
 
     Files are immutable and the result is frozen, so it is memoised on
@@ -318,6 +374,7 @@ def _decode_footer(
         pos += 1
         fields.append(Field(name, dtype))
     schema = Schema(tuple(fields))
+    decode_stat = _decode_bare if version >= 4 else _decode_stat_value
     n_stripes, pos = read_varint(data, pos)
     stripes: list[StripeInfo] = []
     for _ in range(n_stripes):
@@ -325,7 +382,7 @@ def _decode_footer(
         length, pos = read_varint(data, pos)
         row_count, pos = read_varint(data, pos)
         checksum = 0
-        if version >= 2:
+        if 2 <= version < 4:
             checksum, pos = read_varint(data, pos)
         n_groups, pos = read_varint(data, pos)
         groups: list[RowGroupInfo] = []
@@ -333,11 +390,15 @@ def _decode_footer(
             rg_rows, pos = read_varint(data, pos)
             stats: dict[str, ColumnStats] = {}
             lengths: list[int] = []
+            sums: list[int] = []
             for fld in fields:
                 chunk_len, pos = read_varint(data, pos)
                 lengths.append(chunk_len)
-                minimum, pos = _decode_stat_value(data, pos)
-                maximum, pos = _decode_stat_value(data, pos)
+                if version >= 4:
+                    sums.append(struct.unpack_from("<I", data, pos)[0])
+                    pos += 4
+                minimum, pos = decode_stat(data, pos)
+                maximum, pos = decode_stat(data, pos)
                 null_count, pos = read_varint(data, pos)
                 value_count, pos = read_varint(data, pos)
                 floats = fld.dtype is DataType.FLOAT64
@@ -347,6 +408,7 @@ def _decode_footer(
                     row_count=rg_rows,
                     column_stats=stats,
                     chunk_lengths=tuple(lengths),
+                    chunk_checksums=tuple(sums),
                 )
             )
         stripes.append(
@@ -366,10 +428,11 @@ class OrcFileReader:
 
     Opening verifies the footer's checksum and takes the decoded
     directory for those footer bytes (decoded once per distinct content,
-    see :func:`_decode_footer`); stripes are verified and decoded lazily,
-    a lane at a time. Column pruning (read only some columns) and
-    row-group skipping (via a boolean include mask) are both supported —
-    they are the levers Maxson's predicate pushdown pulls.
+    see :func:`_decode_footer`); chunks (before version 4, stripes) are
+    verified and decoded lazily, a lane at a time. Column pruning (read
+    only some columns) and row-group skipping (via a boolean include mask)
+    are both supported — they are the levers Maxson's predicate pushdown
+    pulls.
     """
 
     def __init__(self, data: bytes) -> None:
@@ -409,13 +472,13 @@ class OrcFileReader:
         return len(self.stripes)
 
     def _verify_stripe(self, index: int, stripe: StripeInfo) -> None:
-        """Check the stripe's CRC32 before its first decode (version ≥ 2).
+        """Check a version 2 or 3 stripe's CRC32 before its first decode.
 
         Verification is lazy and cached per stripe: fully skipped stripes
         are never checksummed (their bytes are never interpreted), and a
         verified stripe is not re-hashed on later column reads.
         """
-        if self.version < 2 or index in self._verified_stripes:
+        if not 2 <= self.version < 4 or index in self._verified_stripes:
             return
         span = self._data[stripe.offset : stripe.offset + stripe.length]
         if checksum_of(span) != stripe.checksum:
@@ -425,10 +488,25 @@ class OrcFileReader:
             )
         self._verified_stripes.add(index)
 
+    @staticmethod
+    def _verify_chunk(view: memoryview, pos: int, length: int, checksum: int) -> None:
+        """Check a version-4 chunk's CRC32, over ``view`` so nothing is copied."""
+        if checksum_of(view[pos : pos + length]) != checksum:
+            raise CorruptStripeError(
+                f"chunk checksum mismatch (offset={pos}, length={length})"
+            )
+
     def verify(self) -> None:
-        """Check every stripe's CRC32 now, not before its first decode."""
+        """Check every chunk's (before version 4, stripe's) CRC32 now, not
+        before its first decode."""
+        view = memoryview(self._data)
         for index, stripe in enumerate(self.stripes):
             self._verify_stripe(index, stripe)
+            pos = stripe.offset
+            for rg in stripe.row_groups:
+                for length, checksum in zip(rg.chunk_lengths, rg.chunk_checksums):
+                    self._verify_chunk(view, pos, length, checksum)
+                    pos += length
 
     def row_group_layout(self) -> list[RowGroupInfo]:
         """All row groups of the file in row order (across stripes)."""
@@ -456,12 +534,13 @@ class OrcFileReader:
             self.schema.index_of(name)  # raise early on unknown columns
         columns: dict[str, list[object]] = {name: [] for name in wanted}
         fields = [(f.name, f.name in columns) for f in self.schema.fields]
+        unsummed = (None,) * len(fields)
         data = self._data
+        view = memoryview(data)
         bytes_decoded = 0
         group_index = -1
         for stripe_index, stripe in enumerate(self.stripes):
             pos = stripe.offset
-            verified = False
             for rg in stripe.row_groups:
                 group_index += 1
                 if (
@@ -471,13 +550,15 @@ class OrcFileReader:
                 ):
                     pos += sum(rg.chunk_lengths)  # true seek: skipped chunks cost nothing
                     continue
-                for (name, selected), chunk_len in zip(fields, rg.chunk_lengths):
+                sums = rg.chunk_checksums or unsummed
+                for (name, selected), chunk_len, checksum in zip(fields, rg.chunk_lengths, sums):
                     if not selected:
                         pos += chunk_len
                         continue
-                    if not verified:
+                    if checksum is None:  # before version 4: the stripe, once
                         self._verify_stripe(stripe_index, stripe)
-                        verified = True
+                    else:
+                        self._verify_chunk(view, pos, chunk_len, checksum)
                     try:
                         _, values, end = decode_column(data, pos, pos + chunk_len)
                     except _DECODE_ERRORS as exc:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .fs import BlockFileSystem, FsError
 from .orc import OrcError, OrcFileReader
-from .sargs import Sarg, Truth
+from .sargs import AndSarg, Sarg, Truth, kleene_and
 
 __all__ = ["ReadResult", "OrcReader", "NdjsonReader", "split_reader"]
 
@@ -68,7 +68,7 @@ class OrcReader:
         self.sarg = sarg
         self._file = OrcFileReader(fs.read(path))
         self._mask: list[bool] | None = None
-        self._truths: list[Truth] = []
+        self._truths_of: dict[Sarg, list[Truth]] = {}
         self._shared_mask: list[bool] | None = None
 
     @property
@@ -97,8 +97,7 @@ class OrcReader:
             if self.sarg is None:
                 mask = [True] * len(self._file.row_group_layout())
             else:
-                self._truths = self.truths(self.sarg)
-                mask = [truth is not Truth.NO for truth in self._truths]
+                mask = [truth is not Truth.NO for truth in self.truths(self.sarg)]
             if self._shared_mask is not None:
                 if len(self._shared_mask) != len(mask):
                     raise OrcError(
@@ -125,11 +124,18 @@ class OrcReader:
 
     def truths(self, sarg: Sarg) -> list[Truth]:
         """``sarg``'s truth per row group; a version-1 footer carries no
-        checksum, so its statistics may skip a group but prove none."""
-        layout = self._file.row_group_layout()
-        truths = [sarg.truth(rg.column_stats) for rg in layout]
-        if self._file.version < 2:
-            truths = [Truth.MAYBE if t is Truth.YES else t for t in truths]
+        checksum, so its statistics may skip a group but prove none. A
+        conjunction's is its conjuncts' (memoised) by Kleene AND."""
+        truths = self._truths_of.get(sarg)
+        if truths is not None:
+            return truths
+        if isinstance(sarg, AndSarg) and sarg.children:
+            truths = list(map(kleene_and, zip(*map(self.truths, sarg.children))))
+        else:
+            truths = [sarg.truth(rg.column_stats) for rg in self._file.row_group_layout()]
+            if self._file.version < 2:
+                truths = [Truth.MAYBE if t is Truth.YES else t for t in truths]
+        self._truths_of[sarg] = truths
         return truths
 
     def proves(self, sarg: Sarg) -> bool:
@@ -162,7 +168,7 @@ class OrcReader:
             bytes_read=bytes_read,
             row_groups_proven=sum(
                 truth is Truth.YES and keep
-                for truth, keep in zip(self._truths, mask)
+                for truth, keep in zip(self._truths_of.get(self.sarg, ()), mask)
             ),
         )
 

@@ -24,6 +24,7 @@ __all__ = [
     "Truth",
     "always_true",
     "conjunction",
+    "kleene_and",
 ]
 
 
@@ -157,10 +158,15 @@ class AndSarg(Sarg):
         return set().union(*(c.columns() for c in self.children)) if self.children else set()
 
     def truth(self, stats_by_column: dict[str, ColumnStats]) -> Truth:
-        truths = {c.truth(stats_by_column) for c in self.children}
-        if Truth.NO in truths:
-            return Truth.NO
-        return Truth.MAYBE if Truth.MAYBE in truths else Truth.YES
+        return kleene_and(c.truth(stats_by_column) for c in self.children)
+
+
+def kleene_and(truths) -> Truth:
+    """NO if any of ``truths`` is NO, YES if every one is YES, else MAYBE."""
+    truths = set(truths)
+    if Truth.NO in truths:
+        return Truth.NO
+    return Truth.MAYBE if Truth.MAYBE in truths else Truth.YES
 
 
 @dataclass(frozen=True)

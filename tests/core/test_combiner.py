@@ -152,10 +152,18 @@ class TestStitching:
         blob[len(blob) // 2] ^= 0xFF
         system.session.fs.delete(cache_files[0])
         system.session.fs.create(cache_files[0], bytes(blob))
+        # The flip lands in a ``$.s`` chunk: MORC 4 verifies only the
+        # chunks a read decodes, so ``$.m`` alone reads from the cache...
         result = system.sql(
             "select id, get_json_object(payload, '$.m') as m from db.t"
         )
         assert [r["m"] for r in result.rows] == [r["id"] for r in result.rows]
+        assert system.resilience.get("fallback_splits") == 0
+        # ...and a read of ``$.s`` meets the damage and falls back.
+        result = system.sql(
+            "select id, get_json_object(payload, '$.s') as s from db.t"
+        )
+        assert [r["s"] for r in result.rows] == [f"v{r['id']}" for r in result.rows]
         assert system.resilience.get("fallback_splits") >= 1
 
     def test_row_count_mismatch_detected(self):

@@ -1,5 +1,7 @@
 """Tests for the incremental cache refresh extension."""
 
+from unittest import mock
+
 import pytest
 
 from repro.core import (
@@ -17,7 +19,7 @@ from repro.faults import (
     parse_fault_profile,
 )
 from repro.jsonlib import dumps
-from repro.storage import BlockFileSystem, DataType, OrcFileReader, OrcWriter, Schema
+from repro.storage import BlockFileSystem, DataType, OrcFileReader, OrcWriter, Schema, orc
 from repro.storage.fs import TransientFsError
 from repro.workload import PathKey
 
@@ -292,6 +294,15 @@ class TestRefreshEqualsPopulate:
         system.session.fs.delete(system.catalog.table_files("db", "t")[1])
         build = swap(system, keys())  # raw part-00002 is not cache part-00001
         assert (build.rows_parsed, build.files_adopted) == (20, 1)
+
+    def test_older_format_predecessor_is_parsed(self, workers):
+        """A version-3 predecessor is parsed again, not adopted, so the new
+        generation is what a populate writes: all of it version 4."""
+        with mock.patch.object(orc, "VERSION", 3):  # the writer writes version 3
+            system = generations(workers)
+        assert OrcFileReader(cache_file_bytes(system.session, "__g1")[0]).version == 3
+        build = swap(system, keys())
+        assert (build.rows_parsed, build.files_adopted) == (60, 0)
 
     def test_changed_key_set_rebuilds(self, workers):
         system = generations(workers)

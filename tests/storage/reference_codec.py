@@ -10,7 +10,8 @@ chunk's bytes *mean*; production code never imports it.
 ``encode_column_v2`` is the version-2 writer that left ``src/`` with the
 format bump, kept byte for byte so the differential suite can still make
 varint chunks, and :func:`writing_v2` makes ``OrcWriter`` write whole
-version-2 files with it.
+version-2 files with it; :func:`writing_v3` makes it write version 3
+(narrow lanes, a CRC per stripe, one-value-chunk statistics).
 """
 
 from __future__ import annotations
@@ -75,6 +76,13 @@ def encode_column_v2(dtype: DataType, values: list[object]) -> bytes:
 def writing_v2():
     """Inside this block ``OrcWriter`` writes MORC version 2 files."""
     with mock.patch.multiple(orc, encode_column=encode_column_v2, VERSION=2):
+        yield
+
+
+@contextmanager
+def writing_v3():
+    """Inside this block ``OrcWriter`` writes MORC version 3 files."""
+    with mock.patch.object(orc, "VERSION", 3):
         yield
 
 

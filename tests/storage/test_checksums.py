@@ -1,11 +1,15 @@
-"""MORC v2 integrity: per-stripe checksums and the footer CRC."""
+"""MORC integrity: per-chunk checksums (per-stripe before version 4)
+and the footer CRC."""
 
+import random
 import struct
+from itertools import combinations
+from unittest import mock
 
 import pytest
-from reference_codec import writing_v2
+from reference_codec import writing_v2, writing_v3
 
-from repro.storage import DataType, OrcWriter, Schema, checksum_of
+from repro.storage import DataType, OrcWriter, Schema, checksum_of, orc
 from repro.storage.orc import (
     MAGIC,
     CorruptStripeError,
@@ -15,6 +19,11 @@ from repro.storage.orc import (
 )
 
 SCHEMA = Schema.of(("id", DataType.INT64), ("name", DataType.STRING))
+FLIP_SCHEMA = Schema.of(
+    ("i", DataType.INT64), ("f", DataType.FLOAT64), ("s", DataType.STRING), ("b", DataType.BOOL)
+)
+#: Small files the byte-flip sweep writes in tier-1 (CI runs ten times as many).
+FLIP_FILES = 1
 
 
 def build_file(rows=40, row_group_size=10, rows_per_stripe=20) -> bytes:
@@ -35,16 +44,26 @@ class TestRoundTrip:
         assert reader.read_rows() == [(i, f"n{i}") for i in range(40)]
 
     def test_v3_files_round_trip(self):
-        reader = OrcFileReader(build_file())
-        assert reader.version == 3
-        assert reader.read_rows() == [(i, f"n{i}") for i in range(40)]
+        with writing_v3():
+            v3 = build_file()
+        for blob, version in ((v3, 3), (build_file(), 4)):
+            reader = OrcFileReader(blob)
+            assert reader.version == version
+            assert reader.read_rows() == [(i, f"n{i}") for i in range(40)]
 
     def test_every_stripe_carries_a_checksum(self):
+        """Version 4: every chunk of every stripe carries its CRC32 in the
+        row-group directory, and the stripe's own CRC is gone."""
         reader = OrcFileReader(build_file())
         assert reader.stripe_count == 2
         for stripe in reader.stripes:
-            span = reader._data[stripe.offset : stripe.offset + stripe.length]
-            assert stripe.checksum == checksum_of(span)
+            assert stripe.checksum == 0
+            pos = stripe.offset
+            for rg in stripe.row_groups:
+                for length, crc in zip(rg.chunk_lengths, rg.chunk_checksums, strict=True):
+                    assert crc == checksum_of(reader._data[pos : pos + length])
+                    pos += length
+            assert pos == stripe.offset + stripe.length
 
 
 class TestCorruptionDetection:
@@ -91,6 +110,88 @@ class TestCorruptionDetection:
         # touching the corrupt stripe still raises
         with pytest.raises(CorruptStripeError):
             corrupted.read_rows()
+
+    def test_flip_in_an_unread_chunk_is_harmless(self):
+        """A read verifies only the chunks it decodes: damage in a pruned
+        column's chunk raises for that column and for ``verify``, and
+        nowhere else."""
+        blob = bytearray(build_file())
+        first = OrcFileReader(bytes(blob)).stripes[0]
+        blob[first.offset + first.row_groups[0].chunk_lengths[0] + 1] ^= 0xFF  # a "name" chunk
+        corrupted = OrcFileReader(bytes(blob))
+        assert corrupted.read_rows(["id"]) == [(i,) for i in range(40)]
+        for check in (lambda: corrupted.read_rows(["name"]), corrupted.verify):
+            with pytest.raises(CorruptStripeError):
+                check()
+
+    def test_a_read_hashes_only_the_chunks_it_decodes(self):
+        schema = Schema.of(("a", DataType.INT64), ("b", DataType.STRING), ("c", DataType.BOOL))
+        writer = OrcWriter(schema, row_group_size=5)
+        writer.write_rows((i, "json" * i, i % 3 == 0) for i in range(20))
+        reader = OrcFileReader(writer.finish())
+        hashed = []
+
+        def counting(span):
+            hashed.append(len(span))
+            return checksum_of(span)
+
+        with mock.patch.object(orc, "checksum_of", counting):
+            columns, decoded = reader.read_columns(["a", "c"])
+        assert columns["c"] == [i % 3 == 0 for i in range(20)]
+        assert len(hashed) == 2 * 4 and sum(hashed) == decoded
+        assert decoded < reader.stripes[0].length // 4
+
+
+def small_file(rng: random.Random) -> tuple[list[tuple], bytes]:
+    """Two stripes of two row groups of three rows: every dtype, NULLs."""
+    writer = OrcWriter(FLIP_SCHEMA, row_group_size=3, stripe_bytes=1 << 30)
+    rows = [
+        tuple(
+            None if rng.random() < 0.2 else value
+            for value in (rng.randint(-300, 300), rng.random(), "é" * rng.randint(0, 3), rng.random() < 0.5)
+        )
+        for _ in range(12)
+    ]
+    for n, row in enumerate(rows, 1):
+        writer.write_row(row)
+        if n == 6:
+            writer._flush_stripe()
+    return rows, writer.finish()
+
+
+def run_flips(files: int, seed: int = 20201101) -> dict[str, int]:
+    """Flip each byte of ``files`` small version-4 files in turn and read
+    every column subset: each read raises ``OrcError`` (which
+    ``CorruptStripeError`` is) or returns exactly the written values.
+    Returns how many reads did which; fails if either never happened."""
+    rng = random.Random(seed)
+    subsets = [list(c) for k in range(1, 5) for c in combinations(FLIP_SCHEMA.names, k)]
+    tally = {"raised": 0, "returned": 0}
+    for _ in range(files):
+        rows, blob = small_file(rng)
+        written = dict(zip(FLIP_SCHEMA.names, map(list, zip(*rows))))
+        for position in range(len(blob)):
+            mutated = bytearray(blob)
+            mutated[position] ^= rng.choice((0xFF, 0x80, 0x01))
+            try:
+                reader = OrcFileReader(bytes(mutated))
+            except OrcError:
+                tally["raised"] += len(subsets)
+                continue
+            for names in subsets:
+                try:
+                    columns, _ = reader.read_columns(names)
+                except OrcError:
+                    tally["raised"] += 1
+                    continue
+                assert repr(columns) == repr({n: written[n] for n in names}), (position, names)
+                tally["returned"] += 1
+    assert tally["raised"] and tally["returned"], tally
+    return tally
+
+
+def test_any_byte_flip_raises_or_reads_true():
+    run_flips(FLIP_FILES)
 
 
 def as_v1(blob: bytes) -> bytes:
