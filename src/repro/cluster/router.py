@@ -45,7 +45,7 @@ from multiprocessing.util import Finalize
 from ..engine.procpool import reap_orphan_segments
 from ..server.admission import AdmissionError
 from ..server.config import DEFAULT_TENANT
-from ..server.status import percentile
+from ..server.status import _MAX_LATENCY_SAMPLES, percentile
 from .hashing import HashRing, route_key
 from .metacache import MetadataCache
 from .rpc import RpcConnection, ShardConnectionError, recv_frame
@@ -353,8 +353,8 @@ class ClusterRouter:
                 self._per_shard_completed.get(shard_id, 0) + 1
             )
             self._latencies.append(elapsed)
-            if len(self._latencies) > 65536:
-                del self._latencies[:32768]
+            if len(self._latencies) > _MAX_LATENCY_SAMPLES:
+                del self._latencies[: -_MAX_LATENCY_SAMPLES // 2]
         response["shard"] = shard_id
         return response
 

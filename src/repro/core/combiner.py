@@ -67,7 +67,6 @@ class MaxsonScanExec(ScanExec):
     cached_fields: list[CachedFieldRequest] = field(default_factory=list)
     cache_sargs: tuple = ()
     """``(conjunct, SARG over cached fields)`` pairs (Algorithm 3)."""
-    share_mask_with_primary: bool = True
     breaker: object = None
     """Optional :class:`~repro.core.resilience.CacheCircuitBreaker`."""
     resilience: object = None
@@ -307,8 +306,7 @@ class MaxsonScanExec(ScanExec):
                 fs, raw_path, columns=self.columns, sarg=self.sarg
             )
             if (
-                self.share_mask_with_primary
-                and cache_reader.can_align_row_groups()
+                cache_reader.can_align_row_groups()
                 and primary_reader.can_align_row_groups()
                 and len(cache_reader.row_group_mask)
                 == len(primary_reader.row_group_mask)

@@ -424,11 +424,6 @@ class MaxsonSystem:
     # ------------------------------------------------------------------
     # the midnight cycle
     # ------------------------------------------------------------------
-    def train_predictor(
-        self, train_days: list[int], keys: list[PathKey] | None = None
-    ) -> None:
-        self.predictor.fit(self.collector, train_days, keys)
-
     def _select_and_swap(
         self,
         day: int,

@@ -182,31 +182,20 @@ def frame_rows(body, names) -> list[dict]:
     return list(map(dict, map(zip, repeat(names), zip(*columns))))
 
 
-def encode_batch(batch: ColumnBatch, trace: dict | None = None) -> bytes:
-    """A shared-memory segment: ``[u64 header length][JSON header][frame]``.
-
-    The header names the columns and carries ``trace`` (a worker span
-    subtree from :func:`repro.obs.trace.export_subtree`) — the
-    "result-segment header frame" of the cross-process trace-propagation
-    protocol — so span shipment costs no extra pipe message or segment.
-    """
-    header: dict = {"names": list(batch.names)}
-    if trace is not None:
-        header["trace"] = trace
-    blob = json.dumps(header, separators=(",", ":"), default=str).encode()
+def encode_batch(batch: ColumnBatch) -> bytes:
+    """A shared-memory segment: ``[u64 header length][JSON header][frame]``,
+    the header naming the columns."""
+    blob = json.dumps({"names": list(batch.names)}, separators=(",", ":")).encode()
     return b"".join([_SEGMENT_HEAD.pack(len(blob)), blob, encode_frame(batch)])
 
 
-def decode_batch_frame(buf) -> tuple[ColumnBatch, dict]:
-    """``(batch, header extras)`` of an :func:`encode_batch` segment;
-    extras carry the optional ``trace`` subtree."""
+def decode_batch_frame(buf) -> ColumnBatch:
+    """The batch of an :func:`encode_batch` segment."""
     view = memoryview(buf)
     try:
         (length,) = _SEGMENT_HEAD.unpack_from(view)
-        header = json.loads(bytes(view[8 : 8 + length]))
-        names = tuple(header.pop("names"))
-    except (struct.error, ValueError, KeyError, AttributeError, TypeError) as exc:
+        names = tuple(json.loads(bytes(view[8 : 8 + length]))["names"])
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
         raise FrameError(f"malformed segment header: {exc}") from exc
     rows, columns = decode_frame(view[8 + length :], names)
-    return ColumnBatch(names, dict(zip(names, columns)), rows), header
-
+    return ColumnBatch(names, dict(zip(names, columns)), rows)

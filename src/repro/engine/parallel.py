@@ -26,6 +26,14 @@ nothing about the computation depends on completion order:
   whole-scan accounting (cache hits, breaker close, degraded counters)
   settles once on the coordinator (``finish_morsels``).
 
+One runner
+----------
+Every split on every backend — inline, thread pool, process worker —
+runs through :func:`_run_split`, the only place a ``split`` span opens;
+the split's span subtree rides home in its metrics. Pooled splits are
+collected by one :func:`_gather`, and a failing query grafts what
+completed through one :func:`_graft_completed`.
+
 ``scan_workers == 1`` runs the identical morsel path inline, so "serial"
 and "parallel" differ only in which thread executes a split. There is no
 other scan path: the pipeline applies the absorbed operators' own bodies
@@ -106,95 +114,107 @@ def _reads_live_segments(plan) -> bool:
     return scan is not None and scan.database.lower() == "system"
 
 
-def _graft_worker_spans(state: ExecState, results: list) -> None:
-    """Attach completed workers' span subtrees on an error path, so the
-    coordinator tree stays well-formed (every recorded split appears
-    exactly once) even when the query is about to fail."""
-    if state.tracer is None:
-        return
-    for entry in results:
-        if entry is None:
+def _run_split(
+    worker: ExecState, plan, unit, traced: bool, backend: str, name: str
+) -> tuple:
+    """Run one split of ``plan`` on the worker-local state ``worker`` —
+    a fork on the coordinator (inline or thread pool), the warm snapshot
+    in a process worker. The one place a ``split`` span opens: when
+    ``traced``, the worker gets its own tracer and the split's subtree
+    rides home in ``metrics.extra["span_tree"]``. Returns ``(payload,
+    fallback, metrics, seconds)``."""
+    worker.check_cancelled()
+    span = None
+    if traced:
+        from ..obs.trace import Tracer
+
+        worker.tracer = Tracer(clock=time.perf_counter)
+        span = worker.tracer.begin("split", backend=backend, worker=name)
+    started = time.perf_counter()
+    payload, fallback = plan.run_split(worker, unit)
+    _fold_context_stats(worker.metrics, worker.context)
+    seconds = time.perf_counter() - started
+    if span is not None:
+        from ..obs.trace import export_subtree
+
+        worker.tracer.end(span)
+        worker.metrics.extra["span_tree"] = export_subtree(span)
+    return payload, fallback, worker.metrics, seconds
+
+
+def _gather(futures: list, on_error=None) -> tuple[list, BaseException | None]:
+    """``(completed, first_error)`` of split futures, in split order.
+
+    At the first error ``on_error`` runs, splits not yet started are
+    cancelled and running ones drained, so no split of the query is still
+    running when the error surfaces; a drained split that completed is
+    kept, so its subtree is grafted and its cache failures replayed."""
+    completed: list = []
+    first_error: BaseException | None = None
+    for future in futures:
+        if first_error is not None and future.cancelled():
             continue
-        metrics = entry[2]
+        try:
+            completed.append(future.result())
+        except BaseException as exc:  # noqa: BLE001 - returned to the caller
+            if first_error is None:
+                first_error = exc
+                if on_error is not None:
+                    on_error()
+                for later in futures:
+                    later.cancel()
+    return completed, first_error
+
+
+def _graft_completed(state: ExecState, completed: list) -> None:
+    """The failure path: graft completed splits' span subtrees, so the
+    coordinator tree stays well-formed (every recorded split appears
+    exactly once) when the query is about to fail, and fold their
+    transport accounting into the query's own metrics."""
+    extra = state.metrics.extra
+    for _, _, metrics, _ in completed:
         subtree = metrics.extra.pop("span_tree", None)
-        if isinstance(subtree, dict):
+        for key in ("proc_dispatch_seconds", "shm_bytes"):
+            value = metrics.extra.get(key)
+            if value:
+                extra[key] = extra.get(key, 0) + value
+        if state.tracer is not None and subtree is not None:
             state.tracer.graft(subtree)
 
 
-def _run_morsels(state: ExecState, units: list, fn, plan=None) -> list:
-    """Run ``fn(worker_state, unit)`` for every unit; results in unit order.
+def _run_morsels(state: ExecState, plan, units: list) -> list:
+    """Run every split of ``plan``; results in split order.
 
-    Dispatches to the session's worker pool when the state carries one
-    and there is genuine parallelism to exploit; otherwise runs inline.
-    Each invocation gets a forked state; the returned tuples carry the
-    worker's metrics so the coordinator can merge them deterministically.
-
-    ``plan`` describes the same work declaratively for the process
-    backend (:mod:`repro.engine.procpool`), whose workers cannot run the
-    ``fn`` closure and instead ship the pipeline itself.
+    Inline when the state carries no worker pool or there is one split,
+    else on the session's pool: a thread pool runs :func:`_run_split` on
+    forked states, a process pool (:mod:`repro.engine.procpool`) ships
+    the plan itself to workers that run it on their snapshots. The
+    returned tuples carry each split's metrics so the coordinator merges
+    them deterministically.
     """
+    traced = state.tracer is not None
 
     def task(unit):
-        worker = state.fork()
-        worker.check_cancelled()
-        split_span = None
-        if state.tracer is not None:
-            from ..obs.trace import Tracer, export_subtree
-
-            tracer = Tracer(clock=time.perf_counter)
-            worker.tracer = tracer
-            split_span = tracer.begin(
-                "split",
-                backend="thread",
-                worker=threading.current_thread().name,
-            )
-        started = time.perf_counter()
-        try:
-            payload, fallback = fn(worker, unit)
-        finally:
-            if split_span is not None:
-                tracer.end(split_span)
-        _fold_context_stats(worker.metrics, worker.context)
-        if split_span is not None:
-            worker.metrics.extra["span_tree"] = export_subtree(split_span)
-        return payload, fallback, worker.metrics, time.perf_counter() - started
+        name = threading.current_thread().name
+        return _run_split(state.fork(), plan, unit, traced, "thread", name)
 
     pool = state.scan_pool
-    if pool is not None and len(units) > 1:
-        state.check_cancelled()
-        run_in_processes = getattr(pool, "run_morsels", None)
-        if run_in_processes is not None and plan is not None:
-            if _reads_live_segments(plan):
-                # Process snapshots cannot see live telemetry appends;
-                # run system-table scans inline on the coordinator.
-                return [task(unit) for unit in units]
-            return run_in_processes(state, plan, units)
-        futures = [pool.submit(task, unit) for unit in units]
-        results = []
-        first_error: BaseException | None = None
-        for future in futures:
-            if first_error is not None:
-                # Free workers promptly: unstarted morsels are dropped;
-                # running ones unwind at their next cancellation check.
-                future.cancel()
-                continue
-            try:
-                results.append(future.result())
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                first_error = exc
-        if first_error is not None:
-            # Drain stragglers so no morsel of this query is still
-            # running when the error surfaces to the caller.
-            for future in futures:
-                if not future.cancel():
-                    try:
-                        future.result()
-                    except BaseException:  # noqa: BLE001 - already failing
-                        pass
-            _graft_worker_spans(state, results)
-            raise first_error
-        return results
-    return [task(unit) for unit in units]
+    run_in_processes = getattr(pool, "run_morsels", None)
+    # Process snapshots cannot see live telemetry appends, so a process
+    # pool leaves system-table scans inline on the coordinator.
+    if pool is None or len(units) < 2 or (
+        run_in_processes is not None and _reads_live_segments(plan)
+    ):
+        return [task(unit) for unit in units]
+    state.check_cancelled()
+    if run_in_processes is None:
+        completed, error = _gather([pool.submit(task, unit) for unit in units])
+    else:
+        completed, error = run_in_processes(state, plan, units)
+    if error is not None:
+        _graft_completed(state, completed)
+        raise error
+    return completed
 
 
 def _settle(state: ExecState, scan: ScanExec, results: list, row_counts: list) -> int:
@@ -262,7 +282,7 @@ class MorselPipelineExec(PhysicalPlan):
             chain.append(chain[-1].child)
         return MorselPipelineExec(scan=chain[-1], stages=chain[-2::-1])
 
-    def _process(self, worker: ExecState, unit) -> tuple[ColumnBatch, bool]:
+    def run_split(self, worker: ExecState, unit) -> tuple[ColumnBatch, bool]:
         """One split on a worker-local state: the scan's morsel, then
         every stage's body."""
         batch, fallback = self.scan.run_morsel(worker, unit)
@@ -273,9 +293,7 @@ class MorselPipelineExec(PhysicalPlan):
 
     def execute_batch(self, state: ExecState) -> ColumnBatch:
         scan = _scan_of(self)
-        results = _run_morsels(
-            state, scan.morsel_units(state), self._process, plan=self
-        )
+        results = _run_morsels(state, self, scan.morsel_units(state))
         batches = [batch for batch, _, _, _ in results]
         _settle(state, scan, results, [b.length for b in batches])
         if batches:
@@ -314,15 +332,15 @@ class MorselAggregateExec(GroupedAggregation, PhysicalPlan):
         keys = ", ".join(e.sql() for e in self.group_keys) or "<global>"
         return f"MorselAggregate keys=[{keys}]"
 
-    def _partials(self, worker: ExecState, unit):
-        batch, fallback = self.pipeline._process(worker, unit)
+    def run_split(self, worker: ExecState, unit):
+        """One split's partial aggregates: the pipeline's batch,
+        accumulated."""
+        batch, fallback = self.pipeline.run_split(worker, unit)
         return (*self.accumulate(worker, batch), batch.length), fallback
 
     def execute_batch(self, state: ExecState) -> ColumnBatch:
         scan = _scan_of(self)
-        results = _run_morsels(
-            state, scan.morsel_units(state), self._partials, plan=self
-        )
+        results = _run_morsels(state, self, scan.morsel_units(state))
         payloads = [payload for payload, _, _, _ in results]
         _settle(state, scan, results, [p[2] for p in payloads])
         merged: dict[tuple, list[_Accumulator]] = {}

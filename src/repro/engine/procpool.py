@@ -17,14 +17,17 @@ Design (DESIGN.md §14):
   by ``catalog.version`` — never re-shipped per split — mirroring
   Presto's worker-side metadata cache. Workers never write, so replicas
   cannot drift inside one version.
+* **One split runner.** A worker runs its split through
+  :func:`repro.engine.parallel._run_split`, as inline and thread splits
+  do, and ships the result.
 * **Typed shared-memory framing.** A split's :class:`ColumnBatch`
   result returns through a ``multiprocessing.shared_memory`` segment
-  holding a JSON header (names, span subtree) and the typed lane frame
-  of :mod:`repro.engine.frame` — the codec result-cache entries and RPC
+  holding a JSON header (the names) and the typed lane frame of
+  :mod:`repro.engine.frame` — the codec result-cache entries and RPC
   replies use too. Row data is never pickled on the hot path; only small
-  control metadata (per-split metrics, fallback flags, aggregate
-  partials) crosses the pipe. Column aliasing (several names sharing
-  one list) survives the trip, which ``_concat_batches``'s
+  control metadata (per-split metrics with their span subtree, fallback
+  flags, aggregate partials) crosses the pipe. Column aliasing (several
+  names sharing one list) survives the trip, which ``_concat_batches``'s
   identity-based merge depends on.
 * **Deterministic adoption + reaping.** The coordinator adopts each
   segment, decodes it and unlinks it in a ``finally`` — completion,
@@ -58,10 +61,11 @@ import uuid
 from concurrent.futures import ThreadPoolExecutor
 from multiprocessing import get_context, shared_memory
 
+from .batch import ColumnBatch
 from .cancel import CancelToken
 from .errors import ExecutionError
 from .frame import decode_batch_frame, encode_batch
-from .parallel import MorselAggregateExec, _fold_context_stats, _scan_of
+from .parallel import _gather, _run_split, _scan_of
 from .physical import ExecState, compile_plan
 
 __all__ = ["ProcessMorselPool", "reap_orphan_segments", "SHM_PREFIX"]
@@ -240,51 +244,30 @@ def _run_task(env: _WorkerEnv, task: dict) -> dict:
         cancel_token=token,
         program=program,
     )
-    tracer = None
-    split_span = None
-    if task.get("trace"):
-        from ..obs.trace import Tracer
-
-        tracer = Tracer(clock=time.perf_counter)
-        worker.tracer = tracer
-        split_span = tracer.begin(
-            "split", backend="process", worker=f"pid-{os.getpid()}"
-        )
     # The scan replica's failure log (see MaxsonScanExec.__getstate__);
     # the replica is memoised across this query's splits, so start empty.
     failures = getattr(_scan_of(plan), "failure_log", [])
     failures.clear()
-    started = time.perf_counter()
-    if isinstance(plan, MorselAggregateExec):
-        payload, fallback = plan._partials(worker, task["unit"])
-    else:
-        payload, fallback = plan._process(worker, task["unit"])
-    _fold_context_stats(worker.metrics, worker.context)
-    seconds = time.perf_counter() - started
-    tree = None
-    if tracer is not None:
-        from ..obs.trace import export_subtree
-
-        tracer.end(split_span)
-        tree = export_subtree(split_span)
+    name = f"pid-{os.getpid()}"
+    payload, fallback, metrics, seconds = _run_split(
+        worker, plan, task["unit"], task["trace"], "process", name
+    )
     reply = {
         "fallback": fallback,
         "failures": failures,
-        "metrics": worker.metrics,
+        "metrics": metrics,
         "seconds": seconds,
         "shm": None,
         "shm_bytes": 0,
     }
-    if isinstance(plan, MorselAggregateExec):
+    if not isinstance(payload, ColumnBatch):
         # Partial aggregates are tiny group->accumulator maps, not
-        # ColumnBatches; they travel on the pipe — and so does the span
-        # subtree (there is no result segment to carry it).
+        # ColumnBatches; they travel on the pipe.
         reply["kind"] = "agg"
         reply["partials"] = payload
-        reply["trace"] = tree
         return reply
     reply["kind"] = "batch"
-    frame = encode_batch(payload, trace=tree)
+    frame = encode_batch(payload)
     segment = _create_segment(task["shm_prefix"], len(frame))
     try:
         segment.buf[: len(frame)] = frame
@@ -502,13 +485,13 @@ class ProcessMorselPool:
             self._live_segments.pop(name, None)
 
     # -- execution ------------------------------------------------------
-    def run_morsels(self, state, plan, units: list) -> list:
-        """Execute every unit in worker processes; results in unit order.
-
-        Returns the same ``(payload, fallback, metrics, seconds)``
-        tuples the thread path's ``task()`` produces, after replaying
-        worker-recorded cache failures against the coordinator plan in
-        split order.
+    def run_morsels(self, state, plan, units: list) -> tuple:
+        """Execute every unit in worker processes: ``(completed,
+        first_error)`` as :func:`~repro.engine.parallel._gather` returns
+        them, each completed split the ``(payload, fallback, metrics,
+        seconds)`` of its worker's :func:`~repro.engine.parallel._run_split`,
+        after replaying worker-recorded cache failures against the
+        coordinator plan in split order.
         """
         self.ensure_snapshot(state.catalog.version)
         # The plan's JSONPath set rides with the pipeline, so a worker's
@@ -535,26 +518,8 @@ class ProcessMorselPool:
                 )
                 for unit in units
             ]
-            raw_results: list = []
-            first_error: BaseException | None = None
-            for future in futures:
-                if first_error is not None:
-                    # Cancel splits not yet started; drain in-flight
-                    # ones so no morsel of this query is running when
-                    # the error surfaces (and every adopted segment is
-                    # unlinked) — but keep completed splits' results so
-                    # their cache failures still replay below.
-                    if future.cancel():
-                        raw_results.append(None)
-                        continue
-                try:
-                    raw_results.append(future.result())
-                except BaseException as exc:  # noqa: BLE001 - re-raised
-                    raw_results.append(None)
-                    if first_error is None:
-                        first_error = exc
-                        # Unstick any worker still mid-split.
-                        raise_flag()
+            # At the first error, unstick any worker still mid-split.
+            replies, error = _gather(futures, on_error=raise_flag)
         finally:
             if token is not None:
                 token.remove_cancel_callback(raise_flag)
@@ -569,32 +534,10 @@ class ProcessMorselPool:
         # that completed even when the query itself errors (e.g. a later
         # split's cancellation or deadline).
         replay = getattr(_scan_of(plan), "replay_cache_failures", None)
-        results = []
-        for entry in raw_results:
-            if entry is None:
-                continue
-            payload, fallback, metrics, seconds, failures = entry
+        for *_, failures in replies:
             if failures and replay is not None:
                 replay(failures)
-            results.append((payload, fallback, metrics, seconds))
-        if first_error is not None:
-            # Completed splits' results never reach _settle on this
-            # path, so their transport accounting (dispatch overhead,
-            # SHM bytes) and span subtrees would vanish — fold the
-            # extras into the query's own metrics and graft the spans
-            # now, so failed/cancelled/deadline queries account like
-            # the thread backend does.
-            extra = state.metrics.extra
-            for _, _, metrics, _ in results:
-                subtree = metrics.extra.pop("span_tree", None)
-                for key in ("proc_dispatch_seconds", "shm_bytes"):
-                    value = metrics.extra.get(key)
-                    if value:
-                        extra[key] = extra.get(key, 0) + value
-                if traced and isinstance(subtree, dict):
-                    state.tracer.graft(subtree)
-            raise first_error
-        return results
+        return [reply[:4] for reply in replies], error
 
     def _run_unit(self, plan_blob, unit, slot, token, traced=False):
         dispatched = time.perf_counter()
@@ -717,9 +660,6 @@ class ProcessMorselPool:
         ) + max(0.0, elapsed - seconds)
         kind = reply["kind"]
         if kind == "agg":
-            tree = reply.get("trace")
-            if isinstance(tree, dict):
-                extra["span_tree"] = tree
             return reply["partials"], fallback, metrics, seconds, failures
         name = reply["shm"]
         nbytes = reply["shm_bytes"]
@@ -743,12 +683,8 @@ class ProcessMorselPool:
                 segment.unlink()
         finally:
             self._untrack_segment(name)
-        batch, extras = decode_batch_frame(frame)
-        tree = extras.get("trace")
-        if isinstance(tree, dict):
-            extra["span_tree"] = tree
         extra["shm_bytes"] = extra.get("shm_bytes", 0) + nbytes
-        return batch, fallback, metrics, seconds, failures
+        return decode_batch_frame(frame), fallback, metrics, seconds, failures
 
 
 def build_snapshot(session) -> dict:

@@ -79,7 +79,7 @@ from .logical import (
     LogicalScan,
     LogicalSort,
 )
-from .planner import _resolve_keys_against_output
+from .planner import _collect_scans, _resolve_keys_against_output
 from .sqlparser import Star, parse_sql
 
 __all__ = ["CanonicalStatement", "ResultCache", "canonicalize"]
@@ -208,15 +208,6 @@ def _flatten(op: str, e: Expression) -> list[Expression]:
     if isinstance(e, BinaryOp) and e.op == op:
         return _flatten(op, e.left) + _flatten(op, e.right)
     return [e]
-
-
-def _collect_scans(plan: LogicalPlan) -> list[LogicalScan]:
-    if isinstance(plan, LogicalScan):
-        return [plan]
-    out: list[LogicalScan] = []
-    for child in plan.children():
-        out.extend(_collect_scans(child))
-    return out
 
 
 def _render_plan(node: LogicalPlan, r: _Renderer) -> str:

@@ -49,13 +49,10 @@ from .admission import AdmissionController, AdmissionError, QueryShedError
 from .config import DEFAULT_TENANT, ServerConfig
 from .generation import GenerationGuard
 from .scheduler import MaintenanceScheduler
-from .status import ServerStatus, percentile
+from .status import _MAX_LATENCY_SAMPLES, ServerStatus, percentile
 from .watchdog import MemoryWatchdog
 
 __all__ = ["MaxsonServer", "outcome_of"]
-
-#: Latency samples kept for percentile estimation (newest win).
-_MAX_LATENCY_SAMPLES = 65536
 
 #: Shed-reason labels by admission error class name.
 _SHED_REASONS = {

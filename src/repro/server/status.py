@@ -16,6 +16,11 @@ from dataclasses import dataclass, field
 __all__ = ["percentile", "ServerStatus"]
 
 
+#: Latency samples a server or router keeps for percentile estimation;
+#: past it the oldest half is dropped (newest win).
+_MAX_LATENCY_SAMPLES = 65536
+
+
 def percentile(sorted_values: list[float], fraction: float) -> float:
     """Nearest-rank percentile of an already-sorted sample (0.0 if empty).
 

@@ -79,11 +79,6 @@ def _normalise(path: str) -> str:
     return path
 
 
-def _parent(path: str) -> str:
-    head, _, _ = path.rpartition("/")
-    return head or "/"
-
-
 @dataclass
 class BlockFileSystem:
     """An in-memory append-only file system with HDFS-like semantics.

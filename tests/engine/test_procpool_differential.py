@@ -61,7 +61,7 @@ WORKERS = 2
 
 
 def roundtrip(batch: ColumnBatch) -> ColumnBatch:
-    return decode_batch_frame(memoryview(encode_batch(batch)))[0]
+    return decode_batch_frame(memoryview(encode_batch(batch)))
 
 
 class TestFramingRoundtrip:

@@ -201,3 +201,44 @@ class TestWorkerCrash:
             assert shape(process_tracer.root) == shape(thread_tracer.root)
         finally:
             session.close_worker_pools()
+
+
+class TestOneSplitRunner:
+    def test_one_runner_call_per_split_and_one_split_span_shape(self, monkeypatch):
+        """Serial, thread and process splits all run through
+        ``parallel._run_split``, once each, and trace alike. The process
+        route runs its worker half in this process, on a ``_WorkerEnv``
+        built from the session's snapshot, so the call is countable."""
+        from repro.engine import parallel, procpool
+
+        calls, real = [], parallel._run_split
+        counting = lambda *args: calls.append(args[4]) or real(*args)  # noqa: E731
+        monkeypatch.setattr(parallel, "_run_split", counting)
+        monkeypatch.setattr(procpool, "_run_split", counting)
+
+        def in_process(pool, plan_blob, unit, slot, token, traced=False):
+            task = dict(plan=plan_blob, unit=unit, slot=None, remaining=None,
+                        shm_prefix=pool._shm_prefix, trace=traced)
+            return pool._adopt(procpool._run_task(env, task), 0.0)
+
+        monkeypatch.setattr(procpool.ProcessMorselPool, "_run_unit", in_process)
+        transport = {"shm_bytes", "dispatch_seconds"}
+        grouped = "select count(*) as n from db.t group by id % 3"
+        keys = set()
+        for workers, backend in [(1, "thread"), (WORKERS, "thread"), (WORKERS, "process")]:
+            session = build_session(backend=backend)
+            session.scan_workers = workers
+            env = procpool._WorkerEnv(procpool.build_snapshot(session))
+            try:
+                for sql in (SQL, grouped):
+                    for tracer in (None, Tracer()):
+                        del calls[:]
+                        session.sql(sql, tracer=tracer)
+                        assert calls == [backend if workers > 1 else "thread"] * 6
+                        if tracer is not None:
+                            splits = [s for s in tracer.spans() if s.name == "split"]
+                            assert len(splits) == 6
+                            keys |= {frozenset(s.attributes) - transport for s in splits}
+            finally:
+                session.close_worker_pools()
+        assert len(keys) == 1, keys
