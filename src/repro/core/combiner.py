@@ -40,7 +40,7 @@ from ..engine.metrics import QueryMetrics
 from ..engine.parallel import _fold_context_stats
 from ..engine.physical import ExecState, ScanExec, _rebuilt, _sarg_label
 from ..storage.fs import FsError
-from ..storage.orc import CorruptStripeError, OrcError
+from ..storage.orc import OrcError
 from ..storage.readers import OrcReader, split_reader
 from ..storage.sargs import conjunction
 from .cacher import CACHE_DATABASE, CacheEntry, cache_columns
@@ -71,9 +71,6 @@ class MaxsonScanExec(ScanExec):
     """Optional :class:`~repro.core.resilience.CacheCircuitBreaker`."""
     resilience: object = None
     """Optional :class:`~repro.core.resilience.ResilienceStats`."""
-    failure_log: list | None = None
-    """On a process-worker replica (see :meth:`__getstate__`): the cache
-    failures of the split being run, as ``(cache_table, is_corruption)``."""
 
     def _label(self) -> str:
         cached = ", ".join(r.entry.field_name for r in self.cached_fields)
@@ -94,7 +91,7 @@ class MaxsonScanExec(ScanExec):
         return _rebuilt(scan, cache_sargs=pairs)
 
     def execute_batch(self, state: ExecState) -> ColumnBatch:
-        # The inherited every-unit-inline driver. It is re-stated here, and
+        # The inherited one-stage pipeline. It is re-stated here, and
         # run_morsel below is not folded into a hook of the base method,
         # only because bench/trace.py wraps both names as plain functions
         # of this class (``MaxsonScanExec.__dict__``).
@@ -111,8 +108,6 @@ class MaxsonScanExec(ScanExec):
         misaligned cache degrades every unit to raw parsing
         (``cache_path`` None).
         """
-        if not self.cached_fields:
-            return super().morsel_units(state)
         cache_table = self.cached_fields[0].entry.cache_table
         for request in self.cached_fields:
             if request.entry.cache_table != cache_table:
@@ -125,7 +120,7 @@ class MaxsonScanExec(ScanExec):
         except (CatalogError, FsError):
             cache_files = None
         if cache_files is None or len(cache_files) != len(raw_files):
-            self._note_cache_failure(cache_table, None)
+            self.replay_cache_failures([(cache_table, False)])
             return [(raw_path, None) for raw_path in raw_files]
         return list(zip(raw_files, cache_files))
 
@@ -137,16 +132,14 @@ class MaxsonScanExec(ScanExec):
     def run_morsel(self, state: ExecState, unit) -> tuple[ColumnBatch, bool]:
         """Algorithm 2 for one split, with split-local degraded fallback.
 
-        Runs on a worker thread: only worker-local ``state`` and the
-        thread-safe breaker/resilience objects are touched. The shared
-        skip mask (Algorithm 3) is computed inside ``_split_columns``,
+        Runs on a worker: only worker-local ``state`` is touched, and a
+        cache failure is noted there for the coordinator to settle. The
+        shared skip mask (Algorithm 3) is computed inside ``_split_columns``,
         once per split, and handed to both readers of this worker. A
         failing cache split falls back to raw parsing for that split
         only; the stitched values flow through as columns, so no per-row
         dicts are built on the cached fast path.
         """
-        if not self.cached_fields:
-            return super().run_morsel(state, unit)
         state.check_cancelled()
         started = time.perf_counter()
         raw_path, cache_path = unit
@@ -163,9 +156,7 @@ class MaxsonScanExec(ScanExec):
                     state, raw_path, cache_path
                 )
             except (FsError, OrcError, ExecutionError) as exc:
-                self._note_cache_failure(
-                    self.cached_fields[0].entry.cache_table, exc
-                )
+                self._note_cache_failure(state, exc)
                 fallback = True
         if fallback:
             columns, length = self._fallback_columns(state, raw_path)
@@ -180,8 +171,6 @@ class MaxsonScanExec(ScanExec):
         """Whole-scan accounting, once on the coordinator: any degraded
         split marks the query degraded; a fully-validated scan counts its
         cache hits and closes the breaker."""
-        if not self.cached_fields:
-            return
         if fallback_splits:
             # Per-query degraded marker: the session's result cache
             # checks it to keep degraded answers out of admission.
@@ -203,36 +192,23 @@ class MaxsonScanExec(ScanExec):
         worker (``ProcessMorselPool.run_morsels``, the only place a plan is
         pickled) — and is supported for nothing else; copy a scan on the
         coordinator with ``dataclasses.replace``. Breaker and resilience
-        hold coordinator locks (and must act on the shared instances
-        anyway), so the replica drops them and records failures in
-        ``failure_log`` for split-ordered replay on the coordinator."""
-        return {
-            **self.__dict__,
-            "breaker": None,
-            "resilience": None,
-            "failure_log": [],
-        }
+        hold coordinator locks, and a split never touches them, so the
+        replica drops them."""
+        return {**self.__dict__, "breaker": None, "resilience": None}
 
-    def _note_cache_failure(self, cache_table: str, exc: Exception | None) -> None:
-        if self.failure_log is not None:  # a worker replica
-            self.failure_log.append(
-                (cache_table, isinstance(exc, (CorruptStripeError, OrcError)))
-            )
-        if self.breaker is not None:
-            self.breaker.record_failure(cache_table)
-        if self.resilience is not None and isinstance(
-            exc, (CorruptStripeError, OrcError)
-        ):
-            self.resilience.add("corruption_events")
+    def _note_cache_failure(self, state: ExecState, exc: Exception) -> None:
+        """Note the split's cache failure in its own metrics, as
+        ``(cache_table, is_corruption)``, for :meth:`replay_cache_failures`."""
+        cache_table = self.cached_fields[0].entry.cache_table
+        failures = state.metrics.extra.setdefault("cache_failures", [])
+        failures.append((cache_table, isinstance(exc, OrcError)))
 
     def replay_cache_failures(self, entries: list) -> None:
-        """Coordinator-side replay of worker-recorded cache failures.
-
-        ``entries`` is one split's ``failure_log``:
-        ``(cache_table, is_corruption)`` tuples, replayed in split order
-        so breaker trips and corruption counters match what the thread
-        backend records while executing the same splits itself.
-        """
+        """Record cache failures, as ``(cache_table, is_corruption)``, on
+        the breaker and resilience counters: the one place a scan reaches
+        ``record_failure``. The coordinator calls it for each split that
+        ran, in split order (``parallel._settle``), and for a cache table
+        that does not match its raw table (:meth:`morsel_units`)."""
         for cache_table, corruption in entries:
             if self.breaker is not None:
                 self.breaker.record_failure(cache_table)
@@ -326,8 +302,7 @@ class MaxsonScanExec(ScanExec):
             else:
                 # Cannot align (multi-stripe or layout mismatch): read both
                 # sides fully; the residual filter preserves correctness.
-                cache_reader = OrcReader(fs, cache_path, columns=cache_reader.columns)
-                primary_reader = split_reader(fs, raw_path, columns=self.columns)
+                cache_reader.sarg = primary_reader.sarg = None
         proven = self._proven(cache_reader, self.cache_sargs)
         if primary_reader is not None:
             proven |= self._proven(primary_reader, self.sargs)

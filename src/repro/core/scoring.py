@@ -78,14 +78,14 @@ def _value_bytes(value: object) -> int:
     if value is None:
         return 1
     if isinstance(value, str):
-        return len(value.encode("utf-8"))
+        return len(value.encode("utf-8", "surrogatepass"))
     if isinstance(value, bool):
         return 1
     if isinstance(value, int):
         return 8
     if isinstance(value, float):
         return 8
-    return len(dumps(value).encode("utf-8"))
+    return len(dumps(value).encode("utf-8", "surrogatepass"))
 
 
 class ScoringFunction:

@@ -22,17 +22,20 @@ nothing about the computation depends on completion order:
   order, so concatenation order and float-sum association are fixed;
 * group order and group representatives follow first occurrence across
   ordered splits — the same rows serial execution would pick;
-* per-split fallback stays split-local (the combiner's morsel API), and
-  whole-scan accounting (cache hits, breaker close, degraded counters)
-  settles once on the coordinator (``finish_morsels``).
+* per-split fallback stays split-local (the combiner's morsel API): a
+  split's cache failures, metrics and span subtree come home as values
+  and :func:`_settle` applies them on the coordinator, in split order,
+  whether the query succeeds or fails; whole-scan accounting (cache
+  hits, breaker close, degraded counters) follows once
+  (``finish_morsels``).
 
-One runner
-----------
+One runner, one settle
+----------------------
 Every split on every backend — inline, thread pool, process worker —
 runs through :func:`_run_split`, the only place a ``split`` span opens;
-the split's span subtree rides home in its metrics. Pooled splits are
-collected by one :func:`_gather`, and a failing query grafts what
-completed through one :func:`_graft_completed`.
+a failing split's result rides home on its error. Inline and pooled
+splits are collected alike (:func:`_failed` keeps a failing split's
+result) and settled by one :func:`_settle`.
 
 ``scan_workers == 1`` runs the identical morsel path inline, so "serial"
 and "parallel" differ only in which thread executes a split. There is no
@@ -91,27 +94,11 @@ def _unwrapped(node):
     return getattr(node, "inner", node)
 
 
-def _scan_of(plan) -> ScanExec | None:
+def _scan_of(plan) -> ScanExec:
     """The scan feeding a morsel plan (pipeline or partial aggregate) —
     unwrapped, for the coordinator half of the morsel API and the scan's
     own fields; only ``run_morsel`` goes through ``pipeline.scan``."""
-    if plan is None:
-        return None
-    pipeline = getattr(plan, "pipeline", plan)
-    return _unwrapped(getattr(pipeline, "scan", None))
-
-
-def _reads_live_segments(plan) -> bool:
-    """True when the plan scans ``system.*`` telemetry segments.
-
-    Telemetry appends deliberately never bump the catalog version, so a
-    process worker's warm snapshot would miss segments written since it
-    was built and silently return stale rows. Such scans stay in this
-    process (thread pool or inline), where the live file system is
-    visible.
-    """
-    scan = _scan_of(plan)
-    return scan is not None and scan.database.lower() == "system"
+    return _unwrapped(getattr(plan, "pipeline", plan).scan)
 
 
 def _run_split(
@@ -121,8 +108,11 @@ def _run_split(
     a fork on the coordinator (inline or thread pool), the warm snapshot
     in a process worker. The one place a ``split`` span opens: when
     ``traced``, the worker gets its own tracer and the split's subtree
-    rides home in ``metrics.extra["span_tree"]``. Returns ``(payload,
-    fallback, metrics, seconds)``."""
+    rides home in ``metrics.extra["span_tree"]``, beside the split's
+    cache failures (``"cache_failures"``). Returns ``(payload, fallback,
+    metrics, seconds)``; a split that fails raises its error carrying that
+    tuple (payload ``None``) as ``split_result``, so what it did before
+    failing comes home with the error on every backend."""
     worker.check_cancelled()
     span = None
     if traced:
@@ -131,15 +121,35 @@ def _run_split(
         worker.tracer = Tracer(clock=time.perf_counter)
         span = worker.tracer.begin("split", backend=backend, worker=name)
     started = time.perf_counter()
-    payload, fallback = plan.run_split(worker, unit)
+    payload, fallback, error = None, False, None
+    try:
+        payload, fallback = plan.run_split(worker, unit)
+    except BaseException as exc:  # noqa: BLE001 - re-raised below
+        error = exc
     _fold_context_stats(worker.metrics, worker.context)
     seconds = time.perf_counter() - started
     if span is not None:
         from ..obs.trace import export_subtree
 
+        span.attributes.update(fallback=bool(fallback), seconds=seconds)
+        if error is not None:
+            span.attributes["error"] = f"{type(error).__name__}: {error}"
         worker.tracer.end(span)
         worker.metrics.extra["span_tree"] = export_subtree(span)
-    return payload, fallback, worker.metrics, seconds
+    result = (payload, fallback, worker.metrics, seconds)
+    if error is not None:
+        error.split_result = result
+        raise error
+    return result
+
+
+def _failed(completed: list, error: BaseException) -> BaseException:
+    """A split's ``error``, after appending to ``completed`` the
+    ``split_result`` it carries — what the split did before failing."""
+    done = vars(error).pop("split_result", None)
+    if done is not None:
+        completed.append(done)
+    return error
 
 
 def _gather(futures: list, on_error=None) -> tuple[list, BaseException | None]:
@@ -147,8 +157,8 @@ def _gather(futures: list, on_error=None) -> tuple[list, BaseException | None]:
 
     At the first error ``on_error`` runs, splits not yet started are
     cancelled and running ones drained, so no split of the query is still
-    running when the error surfaces; a drained split that completed is
-    kept, so its subtree is grafted and its cache failures replayed."""
+    running when the error surfaces. Pools start splits in order, so the
+    splits that ran are a prefix of the split order."""
     completed: list = []
     first_error: BaseException | None = None
     for future in futures:
@@ -157,6 +167,7 @@ def _gather(futures: list, on_error=None) -> tuple[list, BaseException | None]:
         try:
             completed.append(future.result())
         except BaseException as exc:  # noqa: BLE001 - returned to the caller
+            _failed(completed, exc)
             if first_error is None:
                 first_error = exc
                 if on_error is not None:
@@ -166,32 +177,47 @@ def _gather(futures: list, on_error=None) -> tuple[list, BaseException | None]:
     return completed, first_error
 
 
-def _graft_completed(state: ExecState, completed: list) -> None:
-    """The failure path: graft completed splits' span subtrees, so the
-    coordinator tree stays well-formed (every recorded split appears
-    exactly once) when the query is about to fail, and fold their
-    transport accounting into the query's own metrics."""
-    extra = state.metrics.extra
-    for _, _, metrics, _ in completed:
-        subtree = metrics.extra.pop("span_tree", None)
-        for key in ("proc_dispatch_seconds", "shm_bytes"):
-            value = metrics.extra.get(key)
-            if value:
-                extra[key] = extra.get(key, 0) + value
-        if state.tracer is not None and subtree is not None:
-            state.tracer.graft(subtree)
+#: Process-backend transport extras → the split span attribute showing them.
+_TRANSPORT = (("shm_bytes", "shm_bytes"), ("proc_dispatch_seconds", "dispatch_seconds"))
 
 
-def _run_morsels(state: ExecState, plan, units: list) -> list:
-    """Run every split of ``plan``; results in split order.
+def _settle(state: ExecState, scan: ScanExec, completed: list) -> int:
+    """Settle every split that ran, on the coordinator and in split
+    order, whether the query succeeds or fails: merge its metrics, graft
+    its span subtree (with its index and transport extras) and replay its
+    cache failures — the only way a split reaches the breaker. Returns
+    the fallback split count."""
+    fallback_splits = 0
+    for index, (_, fallback, metrics, _) in enumerate(completed):
+        extra = metrics.extra
+        subtree = extra.pop("span_tree", None)
+        failures = extra.pop("cache_failures", None)
+        if failures:
+            scan.replay_cache_failures(failures)
+        state.metrics.merge(metrics)
+        if fallback:
+            fallback_splits += 1
+        if subtree is not None:
+            span = state.tracer.graft(subtree)
+            span.attributes["index"] = index
+            for key, attribute in _TRANSPORT:
+                if key in extra:
+                    span.attributes[attribute] = extra[key]
+    return fallback_splits
+
+
+def _run_morsels(state: ExecState, plan) -> list:
+    """Run every split of ``plan``'s scan; payloads in split order.
 
     Inline when the state carries no worker pool or there is one split,
     else on the session's pool: a thread pool runs :func:`_run_split` on
     forked states, a process pool (:mod:`repro.engine.procpool`) ships
-    the plan itself to workers that run it on their snapshots. The
-    returned tuples carry each split's metrics so the coordinator merges
-    them deterministically.
+    the plan itself to workers that run it on their snapshots. Every
+    split that ran is then settled (:func:`_settle`); the first error is
+    raised after that, else the scan's whole-scan accounting runs.
     """
+    scan = _scan_of(plan)
+    units = scan.morsel_units(state)
     traced = state.tracer is not None
 
     def task(unit):
@@ -200,49 +226,30 @@ def _run_morsels(state: ExecState, plan, units: list) -> list:
 
     pool = state.scan_pool
     run_in_processes = getattr(pool, "run_morsels", None)
-    # Process snapshots cannot see live telemetry appends, so a process
-    # pool leaves system-table scans inline on the coordinator.
+    # Telemetry appends never bump the catalog version, so a process
+    # worker's snapshot would miss new ``system.*`` segments and return
+    # stale rows: a process pool leaves system-table scans inline.
     if pool is None or len(units) < 2 or (
-        run_in_processes is not None and _reads_live_segments(plan)
+        run_in_processes is not None and scan.database.lower() == "system"
     ):
-        return [task(unit) for unit in units]
-    state.check_cancelled()
-    if run_in_processes is None:
-        completed, error = _gather([pool.submit(task, unit) for unit in units])
+        completed, error = [], None
+        for unit in units:
+            try:
+                completed.append(task(unit))
+            except BaseException as exc:  # noqa: BLE001 - raised once settled
+                error = _failed(completed, exc)
+                break
     else:
-        completed, error = run_in_processes(state, plan, units)
+        state.check_cancelled()
+        if run_in_processes is None:
+            completed, error = _gather([pool.submit(task, unit) for unit in units])
+        else:
+            completed, error = run_in_processes(state, plan, units)
+    fallback_splits = _settle(state, scan, completed)
     if error is not None:
-        _graft_completed(state, completed)
         raise error
-    return completed
-
-
-def _settle(state: ExecState, scan: ScanExec, results: list, row_counts: list) -> int:
-    """Coordinator-side merge: metrics in split order, per-split spans,
-    then the scan's whole-scan accounting. Returns fallback split count."""
-    fallback_splits = 0
-    for index, (_, fallback, metrics, seconds) in enumerate(results):
-        # The worker's exported span subtree is transport, not a counter:
-        # pop it before the merge (merge would try to add dicts).
-        subtree = metrics.extra.pop("span_tree", None)
-        state.metrics.merge(metrics)
-        if fallback:
-            fallback_splits += 1
-        if state.tracer is not None:
-            span = state.tracer.graft(subtree)
-            span.attributes["index"] = index
-            span.attributes["rows"] = row_counts[index]
-            span.attributes["fallback"] = bool(fallback)
-            span.attributes["seconds"] = seconds
-            # Process-backend transport accounting, when present.
-            shm_bytes = metrics.extra.get("shm_bytes")
-            if shm_bytes is not None:
-                span.attributes["shm_bytes"] = shm_bytes
-            dispatch = metrics.extra.get("proc_dispatch_seconds")
-            if dispatch is not None:
-                span.attributes["dispatch_seconds"] = dispatch
     scan.finish_morsels(state, fallback_splits)
-    return fallback_splits
+    return [payload for payload, _, _, _ in completed]
 
 
 @dataclass
@@ -284,18 +291,17 @@ class MorselPipelineExec(PhysicalPlan):
 
     def run_split(self, worker: ExecState, unit) -> tuple[ColumnBatch, bool]:
         """One split on a worker-local state: the scan's morsel, then
-        every stage's body."""
+        every stage's body. A traced split span shows the rows out."""
         batch, fallback = self.scan.run_morsel(worker, unit)
         worker.check_cancelled()
         for stage in self.stages:
             batch = stage.apply(worker, batch)
+        if worker.tracer is not None:
+            worker.tracer.annotate(rows=batch.length)
         return batch, fallback
 
     def execute_batch(self, state: ExecState) -> ColumnBatch:
-        scan = _scan_of(self)
-        results = _run_morsels(state, self, scan.morsel_units(state))
-        batches = [batch for batch, _, _, _ in results]
-        _settle(state, scan, results, [b.length for b in batches])
+        batches = _run_morsels(state, self)
         if batches:
             return concat_batches(batches)
         # No split ran, so the plan alone shapes the (empty) output: a
@@ -304,7 +310,7 @@ class MorselPipelineExec(PhysicalPlan):
         if isinstance(top, ProjectExec):
             names = dict.fromkeys(e.output_name() for e in top.expressions)
         else:
-            names = scan.morsel_output_names()
+            names = _scan_of(self).morsel_output_names()
         return concat_batches([], list(names))
 
 
@@ -336,16 +342,12 @@ class MorselAggregateExec(GroupedAggregation, PhysicalPlan):
         """One split's partial aggregates: the pipeline's batch,
         accumulated."""
         batch, fallback = self.pipeline.run_split(worker, unit)
-        return (*self.accumulate(worker, batch), batch.length), fallback
+        return self.accumulate(worker, batch), fallback
 
     def execute_batch(self, state: ExecState) -> ColumnBatch:
-        scan = _scan_of(self)
-        results = _run_morsels(state, self, scan.morsel_units(state))
-        payloads = [payload for payload, _, _, _ in results]
-        _settle(state, scan, results, [p[2] for p in payloads])
         merged: dict[tuple, list[_Accumulator]] = {}
         representatives: dict[tuple, dict] = {}
-        for groups, reps, _ in payloads:
+        for groups, reps in _run_morsels(state, self):
             for key, accumulators in groups.items():
                 mine = merged.get(key)
                 if mine is None:

@@ -265,16 +265,11 @@ class ScanExec(PhysicalPlan):
         return _rebuilt(self, sargs=sargs)
 
     def execute_batch(self, state: ExecState) -> ColumnBatch:
-        """Every unit inline, in order, then :meth:`finish_morsels` — the
-        morsel API driven by hand. Served plans run the same units through
-        a ``MorselPipelineExec``; this is a bare scan pulled on its own."""
-        results = [
-            self.run_morsel(state, unit) for unit in self.morsel_units(state)
-        ]
-        self.finish_morsels(state, sum(fallback for _, fallback in results))
-        return concat_batches(
-            [batch for batch, _ in results], self.morsel_output_names()
-        )
+        """A bare scan pulled on its own runs as a one-stage
+        ``MorselPipelineExec``, the path served plans take."""
+        from .parallel import MorselPipelineExec
+
+        return MorselPipelineExec(scan=self).execute_batch(state)
 
     # -- morsel API (split-level parallel execution) -------------------
     def morsel_units(self, state: ExecState) -> list:

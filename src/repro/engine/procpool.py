@@ -40,12 +40,12 @@ Design (DESIGN.md §14):
   it from the existing ``check()`` sites via :class:`_WorkerCancelToken`.
   Deadlines ship as remaining-seconds at dispatch and are enforced on
   the worker's own monotonic clock.
-* **Split-order accounting parity.** Workers execute with
-  breaker/resilience stripped from the plan and record per-split cache
-  failures into ``scan.failure_log``; the coordinator replays them in
-  split order against the real breaker/resilience objects, then merges
-  metrics/partials exactly like the thread backend — results are
-  bit-identical to serial and thread execution at any worker count.
+* **One settle.** A split's metrics — with its cache failures and
+  span subtree — come home in its reply, or on its error when it fails,
+  and :func:`repro.engine.parallel._settle` applies them on the
+  coordinator in split order, as for inline and thread splits — results
+  and accounting are identical to serial and thread execution at any
+  worker count.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from .batch import ColumnBatch
 from .cancel import CancelToken
 from .errors import ExecutionError
 from .frame import decode_batch_frame, encode_batch
-from .parallel import _gather, _run_split, _scan_of
+from .parallel import _gather, _run_split
 from .physical import ExecState, compile_plan
 
 __all__ = ["ProcessMorselPool", "reap_orphan_segments", "SHM_PREFIX"]
@@ -244,17 +244,12 @@ def _run_task(env: _WorkerEnv, task: dict) -> dict:
         cancel_token=token,
         program=program,
     )
-    # The scan replica's failure log (see MaxsonScanExec.__getstate__);
-    # the replica is memoised across this query's splits, so start empty.
-    failures = getattr(_scan_of(plan), "failure_log", [])
-    failures.clear()
     name = f"pid-{os.getpid()}"
     payload, fallback, metrics, seconds = _run_split(
         worker, plan, task["unit"], task["trace"], "process", name
     )
     reply = {
         "fallback": fallback,
-        "failures": failures,
         "metrics": metrics,
         "seconds": seconds,
         "shm": None,
@@ -488,10 +483,8 @@ class ProcessMorselPool:
     def run_morsels(self, state, plan, units: list) -> tuple:
         """Execute every unit in worker processes: ``(completed,
         first_error)`` as :func:`~repro.engine.parallel._gather` returns
-        them, each completed split the ``(payload, fallback, metrics,
-        seconds)`` of its worker's :func:`~repro.engine.parallel._run_split`,
-        after replaying worker-recorded cache failures against the
-        coordinator plan in split order.
+        them, each split the ``(payload, fallback, metrics, seconds)`` of
+        its worker's :func:`~repro.engine.parallel._run_split`.
         """
         self.ensure_snapshot(state.catalog.version)
         # The plan's JSONPath set rides with the pipeline, so a worker's
@@ -519,7 +512,7 @@ class ProcessMorselPool:
                 for unit in units
             ]
             # At the first error, unstick any worker still mid-split.
-            replies, error = _gather(futures, on_error=raise_flag)
+            return _gather(futures, on_error=raise_flag)
         finally:
             if token is not None:
                 token.remove_cancel_callback(raise_flag)
@@ -528,16 +521,6 @@ class ProcessMorselPool:
             except (ValueError, IndexError):
                 pass
             self._flag_slots.put(slot)
-        # Replay worker-recorded cache failures in split order before
-        # surfacing any error: the thread backend records failures live,
-        # so breaker trips / corruption counters must advance for splits
-        # that completed even when the query itself errors (e.g. a later
-        # split's cancellation or deadline).
-        replay = getattr(_scan_of(plan), "replay_cache_failures", None)
-        for *_, failures in replies:
-            if failures and replay is not None:
-                replay(failures)
-        return [reply[:4] for reply in replies], error
 
     def _run_unit(self, plan_blob, unit, slot, token, traced=False):
         dispatched = time.perf_counter()
@@ -652,7 +635,6 @@ class ProcessMorselPool:
         unlinked on every path before anything is decoded."""
         metrics = reply["metrics"]
         fallback = reply["fallback"]
-        failures = reply["failures"]
         seconds = reply["seconds"]
         extra = metrics.extra
         extra["proc_dispatch_seconds"] = extra.get(
@@ -660,7 +642,7 @@ class ProcessMorselPool:
         ) + max(0.0, elapsed - seconds)
         kind = reply["kind"]
         if kind == "agg":
-            return reply["partials"], fallback, metrics, seconds, failures
+            return reply["partials"], fallback, metrics, seconds
         name = reply["shm"]
         nbytes = reply["shm_bytes"]
         # Already tracked by _run_unit (while the worker handle was
@@ -684,7 +666,7 @@ class ProcessMorselPool:
         finally:
             self._untrack_segment(name)
         extra["shm_bytes"] = extra.get("shm_bytes", 0) + nbytes
-        return decode_batch_frame(frame), fallback, metrics, seconds, failures
+        return decode_batch_frame(frame), fallback, metrics, seconds
 
 
 def build_snapshot(session) -> dict:

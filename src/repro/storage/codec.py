@@ -5,7 +5,8 @@ present values: IEEE doubles (tag 2), packed bits (4), and for INT64 and
 STRING either zigzag varints and varint-prefixed UTF-8 (tags 1 and 3,
 MORC 1 and 2) or a *narrow int lane* of the ints or of the UTF-8 lengths,
 then the bytes (tags 5 and 6, MORC 3). The tag says which, so a chunk of
-any version decodes here without a version argument.
+any version decodes here without a version argument. Strings encode with
+``surrogatepass``: a lone surrogate (valid JSON, ``"\\ud800"``) round-trips.
 
 A narrow int lane is a varint width, then signed little-endian ints of
 that width: 1, 2, 4 or 8 bytes from the lane's min and max, wider only
@@ -144,7 +145,7 @@ def encode_column(dtype: DataType, values: list[object]) -> bytes:
     elif dtype is DataType.FLOAT64:
         out.extend(struct.pack(f"<{len(present)}d", *present))
     elif dtype is DataType.STRING:
-        raw = [str(v).encode("utf-8") for v in present]
+        raw = [str(v).encode("utf-8", "surrogatepass") for v in present]
         _write_ints(out, list(map(len, raw)))
     else:
         out.extend(_bitmap(values))
@@ -194,7 +195,8 @@ def decode_column(
             offsets = list(accumulate(dense, initial=pos))
             if n and (min(dense) < 0 or offsets[-1] > end):
                 raise CodecError("truncated string")
-            dense = [data[a:b].decode() for a, b in zip(offsets, offsets[1:])]
+            spans = zip(offsets, offsets[1:])
+            dense = [data[a:b].decode("utf-8", "surrogatepass") for a, b in spans]
             pos = offsets[-1]
     elif tag == 1:
         for _ in range(n):
@@ -210,7 +212,7 @@ def decode_column(
             length, pos = read_varint(data, pos, end)
             if pos + length > end:
                 raise CodecError("truncated string")
-            dense.append(str(data[pos : pos + length], "utf-8"))
+            dense.append(data[pos : pos + length].decode("utf-8", "surrogatepass"))
             pos += length
     else:
         if pos + nbytes > end:

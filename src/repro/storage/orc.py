@@ -292,7 +292,7 @@ def _encode_bare(out: bytearray, value: object) -> None:
         out.append(_FLOAT)
         out.extend(struct.pack("<d", value))
     else:
-        raw = value.encode("utf-8")
+        raw = value.encode("utf-8", "surrogatepass")
         out.append(_STR)
         write_varint(out, len(raw))
         out.extend(raw)
@@ -311,7 +311,7 @@ def _decode_bare(data: bytes, pos: int) -> tuple[object, int]:
         return struct.unpack_from("<d", data, pos)[0], pos + 8
     if tag == _STR:
         length, pos = read_varint(data, pos)
-        return data[pos : pos + length].decode("utf-8"), pos + length
+        return data[pos : pos + length].decode("utf-8", "surrogatepass"), pos + length
     if tag not in _CONSTANTS:
         raise CodecError(f"unknown statistic type {tag}")
     return _CONSTANTS[tag], pos

@@ -67,9 +67,17 @@ class OrcReader:
         self.columns = columns
         self.sarg = sarg
         self._file = OrcFileReader(fs.read(path))
-        self._mask: list[bool] | None = None
         self._truths_of: dict[Sarg, list[Truth]] = {}
         self._shared_mask: list[bool] | None = None
+
+    @property
+    def sarg(self) -> Sarg | None:
+        return self._sarg
+
+    @sarg.setter
+    def sarg(self, sarg: Sarg | None) -> None:
+        """Set before the first read; the mask follows the new SARG."""
+        self._sarg, self._mask = sarg, None
 
     @property
     def schema(self):

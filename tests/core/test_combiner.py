@@ -58,9 +58,9 @@ class TestStitching:
 
     def test_traced_plan_pickles_to_a_worker_replica(self):
         """What the process backend ships: wrappers intact, the scan under
-        them without breaker/resilience and with an empty failure log. (A
-        wrapper must not answer the pickle protocol's ``__getstate__``
-        probe with the scan's — Python 3.10 asks the instance.)"""
+        them without breaker/resilience. (A wrapper must not answer the
+        pickle protocol's ``__getstate__`` probe with the scan's — Python
+        3.10 asks the instance.)"""
         import pickle
 
         from repro.obs import Tracer
@@ -74,12 +74,11 @@ class TestStitching:
         )
         pipeline = planned.physical.inner
         assert pipeline.scan.inner.breaker is not None
-        assert pipeline.scan.inner.failure_log is None
         replica = pickle.loads(pickle.dumps(pipeline))
         assert [type(s) for s in replica.stages] == [TracedExec]
         assert replica.stages[0].inner.child is replica.scan.inner
         scan = replica.scan.inner
-        assert (scan.breaker, scan.resilience, scan.failure_log) == (None, None, [])
+        assert (scan.breaker, scan.resilience) == (None, None)
         assert replica.describe() == pipeline.describe()
 
     def test_multiple_files_alignment(self):
@@ -229,3 +228,22 @@ class TestCacheOnlyAndMetrics:
             "select id, get_json_object(payload, '$.m') as m from db.t"
         )
         assert [r["m"] for r in result.rows] == [1, None, None]
+
+    def test_lone_surrogate_value_caches(self):
+        """``"\\ud800"`` is valid JSON: its value is scored, cached (chunk
+        and footer statistics) and served like any other string."""
+        session = Session(fs=BlockFileSystem())
+        schema = Schema.of(("id", DataType.INT64), ("payload", DataType.STRING))
+        session.catalog.create_table("db", "t", schema)
+        rows = [(i, dumps({"s": f"v{i}"})) for i in range(20)]
+        rows[7] = (7, '{"s": "\\ud800"}')
+        session.catalog.append_rows("db", "t", rows, row_group_size=10)
+        system = MaxsonSystem(session=session)
+        sql = "select id, get_json_object(payload, '$.s') as s from db.t"
+        baseline = system.baseline_sql(sql)
+        assert baseline.rows[7]["s"] == "\ud800"
+        system.cache_paths_directly([KEYS[1]], budget_bytes=1 << 40)
+        result = system.sql(sql)
+        assert result.rows == baseline.rows
+        assert result.metrics.parse_documents == 0
+        assert result.metrics.cache_hits == 1

@@ -48,6 +48,17 @@ class TestMultiStripe:
         assert result.metrics.parse_documents == 0
         assert result.metrics.row_groups_skipped == 0
 
+    def test_misaligned_split_opens_each_file_once(self):
+        """The split's readers drop their SARGs instead of reopening."""
+        system = build_multistripe_system()
+        baseline = system.baseline_sql(SQL)
+        system.cacher.populate([PathKey("db", "t", "payload", "$.m")])
+        stats = system.session.fs.stats
+        reads = stats.reads
+        result = system.sql(SQL)
+        assert stats.reads - reads == 2  # the raw file and its cache file
+        assert result.rows == baseline.rows
+
     def test_cache_only_read_still_works(self):
         system = build_multistripe_system()
         sql = "select get_json_object(payload, '$.m') as m from db.t"

@@ -36,10 +36,13 @@ from repro.engine.procpool import (
     ProcessMorselPool,
     reap_orphan_segments,
 )
+from repro.core import CACHE_DATABASE, MaxsonSystem
 from repro.faults import FaultPolicy, FaultyFileSystem
 from repro.jsonlib import dumps
 from repro.server.watchdog import MemoryWatchdog
 from repro.storage import BlockFileSystem, DataType, Schema
+from repro.storage.fs import TransientFsError
+from repro.workload import PathKey
 
 from reference_engine import reference_rows
 from test_differential_matrix import build_system, counts
@@ -183,7 +186,7 @@ class TestProcessBackendParity:
         segment.close()
         reply = dict(
             kind="rows", shm=name, shm_bytes=len(frame),
-            metrics=QueryMetrics(), fallback=False, failures=[], seconds=0.0,
+            metrics=QueryMetrics(), fallback=False, seconds=0.0,
         )
         pool = ProcessMorselPool(1, snapshot_fn=dict)
         try:
@@ -206,6 +209,38 @@ class TestFaultMatrixParity:
     def test_cache_prefix_read_errors(self):
         serial = run_fault_matrix(READ_ERRORS, self.TRIPLE)
         assert serial.resilience.snapshot()["fallback_queries"] > 0
+
+    def test_failing_split_settles_its_cache_failure(self):
+        """Split 0's cache file is junk and its raw file unreadable: the
+        split notes a corrupt cache read, falls back and fails. Every
+        backend settles that failure before the query raises."""
+        outcomes = []
+        for backend, workers in self.TRIPLE:
+            fs = FaultyFileSystem()
+            session = Session(fs=fs, scan_workers=workers, worker_backend=backend)
+            schema = Schema.of(("id", DataType.INT64), ("payload", DataType.STRING))
+            session.catalog.create_table("db", "t", schema)
+            for part in range(4):
+                rows = [(n, dumps({"m": n})) for n in range(part * 10, part * 10 + 10)]
+                session.catalog.append_rows("db", "t", rows, row_group_size=5)
+            system = MaxsonSystem(session=session)
+            system.cacher.populate([PathKey("db", "t", "payload", "$.m")])
+            cache = system.catalog.table_files(CACHE_DATABASE, "db__t")[0]
+            fs.delete(cache)
+            fs.create(cache, b"not an orc file")
+            raw = system.catalog.table_files("db", "t")[0]
+            fs.policy = FaultPolicy(read_error_rate=1.0, error_path_prefix=raw)
+            try:
+                with pytest.raises(TransientFsError):
+                    system.sql("select get_json_object(payload, '$.m') as m from db.t")
+            finally:
+                session.close_worker_pools()
+            outcomes.append(
+                (system.resilience.snapshot(), system.breaker.quarantined_tables())
+            )
+        assert outcomes[0][0]["corruption_events"] == 1
+        assert outcomes[0][1] == ["db__t"]
+        assert outcomes == [outcomes[0]] * len(self.TRIPLE)
 
 
 SQL = "select get_json_object(payload, '$.a') as a from db.t"

@@ -24,13 +24,13 @@ SQL = "select get_json_object(payload, '$.a') as a from db.t"
 WORKERS = 2
 
 
-def build_session(fs=None, backend="thread") -> Session:
+def build_session(fs=None, backend="thread", days=6) -> Session:
     session = Session(fs=fs or BlockFileSystem())
     session.scan_workers = WORKERS
     session.worker_backend = backend
     schema = Schema.of(("id", DataType.INT64), ("payload", DataType.STRING))
     session.catalog.create_table("db", "t", schema)
-    for day in range(6):
+    for day in range(days):
         rows = [
             (i, dumps({"a": i % 7, "b": f"x{i}"}))
             for i in range(day * 20, day * 20 + 20)
@@ -117,6 +117,30 @@ class TestFailingSplit:
                 if any(span.name == "split" for span in spans):
                     return  # at least one grafted worker subtree survived
         pytest.skip("no run mixed completed and failed splits")
+
+
+    @pytest.mark.parametrize(
+        "workers,backend", [(1, "thread"), (WORKERS, "thread"), (WORKERS, "process")]
+    )
+    def test_failing_query_tree_holds_every_split_that_ran(self, workers, backend):
+        """The last split's raw file is unreadable: the three completed
+        splits and the failing one, marked with its error, each appear
+        once, inline as on either pool."""
+        fs = FaultyFileSystem()
+        session = build_session(fs=fs, backend=backend, days=4)
+        session.scan_workers = workers
+        last = session.catalog.table_files("db", "t")[-1]
+        fs.policy = FaultPolicy(read_error_rate=1.0, error_path_prefix=last)
+        tracer = Tracer()
+        try:
+            with pytest.raises(FsError):
+                session.sql(SQL, tracer=tracer)
+        finally:
+            session.close_worker_pools()
+        splits = [s for s in assert_well_formed(tracer) if s.name == "split"]
+        assert [s.attributes["index"] for s in splits] == [0, 1, 2, 3]
+        assert [bool(s.attributes.get("error")) for s in splits] == [False] * 3 + [True]
+        assert "TransientFsError" in splits[-1].attributes["error"]
 
 
 class TestMidSplitCancellation:

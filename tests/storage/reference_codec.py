@@ -60,7 +60,7 @@ def encode_column_v2(dtype: DataType, values: list[object]) -> bytes:
     elif dtype is S:
         for v in values:
             if v is not None:
-                raw = str(v).encode("utf-8")
+                raw = str(v).encode("utf-8", "surrogatepass")
                 write_varint(out, len(raw))
                 out.extend(raw)
     else:
@@ -125,7 +125,7 @@ def decode_column(data: bytes, pos: int = 0) -> tuple[DataType, list[object], in
             for i in range(count):
                 if present[i]:
                     length = values[i]
-                    values[i] = data[pos : pos + length].decode("utf-8")
+                    values[i] = data[pos : pos + length].decode("utf-8", "surrogatepass")
                     pos += length
     elif dtype is DataType.INT64:
         for i in range(count):
@@ -145,7 +145,7 @@ def decode_column(data: bytes, pos: int = 0) -> tuple[DataType, list[object], in
                 length, pos = read_varint(data, pos)
                 if pos + length > len(data):
                     raise CodecError("truncated string")
-                values[i] = data[pos : pos + length].decode("utf-8")
+                values[i] = data[pos : pos + length].decode("utf-8", "surrogatepass")
                 pos += length
     elif dtype is DataType.BOOL:
         nbytes = (count + 7) // 8

@@ -130,6 +130,7 @@ NAMED = {
     "string one value": (S, ["𝄞"]),
     "string non-ASCII": (S, ["naïve café", "日本語", "✓" * 50, "é", None, "ß"]),
     "string long": (S, ["x" * 128, "é" * 64, "y" * 16_384, "✓" * 5462, None, "z"]),
+    "string lone surrogates": (S, ["\ud800", None, "a\udfffb", "𝄞"]),
 }
 # Every width edge, alone among small values: the lane's width is the
 # least that holds its min and max.
