@@ -30,8 +30,9 @@ from dataclasses import dataclass, field
 from ..engine.catalog import Catalog
 from ..engine.expressions import EvalContext, path_format
 from ..jsonlib.jackson import dumps
+from ..obs.trace import span_if
 from ..storage.fs import FsError
-from ..storage.orc import VERSION, OrcError, OrcFileReader, OrcWriter
+from ..storage.orc import OrcError, OrcFileReader, OrcWriter
 from ..storage.schema import DataType, Field, Schema
 from ..workload.trace import PathKey
 
@@ -323,9 +324,7 @@ class JsonPathCacher:
             groups.setdefault((key.database, key.table), []).append(key)
         for (database, table), group in sorted(groups.items()):
             rows_before, adopted_before = report.rows_parsed, report.files_adopted
-            with nullcontext() if tracer is None else tracer.span(
-                "cache_table", label=f"{database}.{table}", paths=len(group)
-            ):
+            with span_if(tracer, "cache_table", label=f"{database}.{table}", paths=len(group)):
                 self._build_table(database, table, group, report)
                 if tracer is not None:
                     tracer.annotate(
@@ -457,11 +456,11 @@ class JsonPathCacher:
     def _adopt(self, paths: list[str], info) -> tuple[int, int, int]:
         """Copy the predecessor's files ``paths``, in order, as the first
         files of ``info``'s table; the files, rows and bytes adopted. Each
-        is copied once its footer and every chunk CRC verify, if it is in
-        the format version a populate writes. The first that is not, or
-        whose read faults, and every file after it are left to be parsed
-        from raw: a predecessor never fails the build, and a generation
-        never mixes format versions."""
+        is copied once it opens (a reader opens only the version a
+        populate writes) and every chunk CRC verifies. The first whose
+        read faults, and every file after it, are left to be parsed from
+        raw: a predecessor never fails the build, and a generation never
+        mixes format versions."""
         rows = written = 0
         for index, path in enumerate(paths):
             try:
@@ -469,8 +468,6 @@ class JsonPathCacher:
                 reader = OrcFileReader(data)
                 reader.verify()
             except (FsError, OrcError):
-                return index, rows, written
-            if reader.version != VERSION:
                 return index, rows, written
             self.catalog.fs.create(f"{info.location}/part-{index:05d}.orc", data)
             rows += reader.row_count

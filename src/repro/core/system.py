@@ -32,12 +32,12 @@ torn cache.
 from __future__ import annotations
 
 import threading
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from ..engine.catalog import Catalog
 from ..engine.metrics import QueryMetrics
 from ..engine.session import QueryResult, Session
+from ..obs.trace import span_if
 from ..storage.fs import BlockFileSystem
 from ..workload.trace import PathKey
 from .cacher import (
@@ -54,13 +54,6 @@ from .resilience import CacheCircuitBreaker, ResilienceStats
 from .scoring import ScoredPath, ScoringFunction
 
 __all__ = ["MaxsonConfig", "MidnightReport", "MaxsonSystem"]
-
-
-def _span(tracer, name: str, **attributes):
-    """A tracer span, or a no-op context when tracing is off."""
-    if tracer is None:
-        return nullcontext()
-    return tracer.span(name, **attributes)
 
 
 @dataclass
@@ -277,7 +270,7 @@ class MaxsonSystem:
             # recover_orphan_generations() can act on after restart.
             self.journal.begin(next_generation)
             try:
-                with _span(
+                with span_if(
                     tracer,
                     "build",
                     generation=next_generation,
@@ -300,7 +293,7 @@ class MaxsonSystem:
             self.journal.commit(next_generation)
             old_registry = self.registry
             guard = self.generation_guard
-            with _span(
+            with span_if(
                 tracer,
                 "swap",
                 generation=next_generation,
@@ -439,7 +432,7 @@ class MaxsonSystem:
         open its efficacy book. ``predicted`` is what was proposed for
         ``day`` (the cacheable paths plus those over missing tables)."""
         scoring = self.scoring
-        with _span(tracer, "score"):
+        with span_if(tracer, "score"):
             scored = scoring.score(cacheable, shapes)
             if strategy == "random":
                 selected = scoring.random_selection(
@@ -497,14 +490,14 @@ class MaxsonSystem:
         traced queries record their operator tree.
         """
         target_day = day if day is not None else self.current_day + 1
-        with _span(tracer, "midnight", day=target_day):
-            with _span(tracer, "collect"):
+        with span_if(tracer, "midnight", day=target_day):
+            with span_if(tracer, "collect"):
                 shapes = self.collector.shapes_between(
                     max(0, target_day - history_days), target_day - 1
                 )
                 if tracer is not None:
                     tracer.annotate(history_records=sum(shapes.values()))
-            with _span(tracer, "predict"):
+            with span_if(tracer, "predict"):
                 predicted = self.predictor.predict(
                     self.collector, target_day, candidate_keys
                 )

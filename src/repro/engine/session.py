@@ -16,11 +16,11 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from ..jsonlib.doccache import DEFAULT_DOC_CACHE_BYTES
+from ..obs.trace import span_if
 from ..storage.fs import BlockFileSystem
 from .batch import ColumnBatch
 from .cachebudget import CacheLedger
@@ -87,11 +87,6 @@ def check_engine_knobs(**knobs) -> None:
             raise ValueError(
                 f"{name} must be >= {_KNOB_FLOORS[name]}, got {value!r}"
             )
-
-
-def _no_span(name: str, **attributes):
-    """``Tracer.span`` for a query that carries no tracer."""
-    return nullcontext()
 
 
 class _Resolved(NamedTuple):
@@ -535,11 +530,10 @@ class Session:
                 )
                 state.context.json_paths = entry.planned.json_paths
                 return entry.planned, state, time.perf_counter() - started
-        span = tracer.span if tracer is not None else _no_span
-        with span("plan"):
+        with span_if(tracer, "plan"):
             planned = self.compile(sql)
         state = self._make_state(tracer=tracer, cancel_token=cancel_token)
-        with span("rewrite", modifiers=len(resolved.modifiers)):
+        with span_if(tracer, "rewrite", modifiers=len(resolved.modifiers)):
             for modifier in resolved.modifiers:
                 planned.physical = modifier.modify(planned, state)
         planned.json_paths = json_paths_of(planned.physical)
@@ -624,29 +618,31 @@ class Session:
                 return served
             result_cache_missed = True
         query_span = tracer.begin("query") if tracer is not None else None
-        if tracer is not None and result_key is not None:
-            # Traced queries never serve from the result cache (EXPLAIN
-            # ANALYZE must show a real execution) but still record the
-            # decision as a span.
-            would_hit = rcache.peek(result_key)
-            with tracer.span(
-                "result_cache",
-                decision="bypass_traced" if would_hit else "miss",
-                cached=would_hit,
-            ):
-                pass
-        planned, state, plan_seconds = self._prepare(
-            sql, tracer=tracer, cancel_token=token, resolved=resolved
-        )
-        started = time.perf_counter()
         try:
-            with tracer.span("execute") if tracer is not None else nullcontext():
+            if tracer is not None and result_key is not None:
+                # Traced queries never serve from the result cache (EXPLAIN
+                # ANALYZE must show a real execution) but still record the
+                # decision as a span.
+                would_hit = rcache.peek(result_key)
+                with tracer.span(
+                    "result_cache",
+                    decision="bypass_traced" if would_hit else "miss",
+                    cached=would_hit,
+                ):
+                    pass
+            planned, state, plan_seconds = self._prepare(
+                sql, tracer=tracer, cancel_token=token, resolved=resolved
+            )
+            started = time.perf_counter()
+            with span_if(tracer, "execute"):
                 batch = planned.physical.execute_batch(state)
-        except QueryCancelledError:
+        except BaseException as exc:
             # No partial rows, no result-cache admission: the exception
-            # unwinds before any of the post-execution bookkeeping.
+            # unwinds before any of the post-execution bookkeeping, and a
+            # traced query's root closes with how it ended.
             if query_span is not None:
-                query_span.attributes["status"] = "cancelled"
+                cancelled = isinstance(exc, QueryCancelledError)
+                query_span.attributes["status"] = "cancelled" if cancelled else "failed"
                 tracer.end(query_span)
             raise
         total = time.perf_counter() - started

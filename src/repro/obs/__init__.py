@@ -14,10 +14,10 @@ Four concerns, one subsystem:
   precision/recall of the MPJP prediction against realized parse demand,
   count- and byte-weighted.
 
-Nothing here is imported by the engine at module load; the engine
-reaches into :mod:`repro.obs` lazily and only when a query carries a
-tracer, keeping the disabled path byte-identical to the uninstrumented
-code.
+The engine imports only :func:`~repro.obs.trace.span_if` (a span, or
+a no-op when there is no tracer) at module load; the rest it reaches
+lazily and only when a query carries a tracer, keeping the disabled path
+byte-identical to the uninstrumented code.
 """
 
 from .efficacy import EfficacyAccountant, GenerationEfficacy

@@ -30,10 +30,10 @@ import itertools
 import json
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
-__all__ = ["Span", "Tracer", "TraceSink", "export_subtree"]
+__all__ = ["Span", "Tracer", "TraceSink", "export_subtree", "span_if"]
 
 _trace_ids = itertools.count(1)
 
@@ -247,6 +247,13 @@ class Tracer:
             root.parent_id = self.root.span_id
             self.root.children.append(root)
         return root
+
+
+def span_if(tracer: Tracer | None, name: str, label: str = "", **attributes):
+    """``tracer.span(name, …)``, or a no-op context when ``tracer`` is None."""
+    if tracer is None:
+        return nullcontext()
+    return tracer.span(name, label=label, **attributes)
 
 
 def export_subtree(span: Span) -> dict:

@@ -539,10 +539,6 @@ class MaxsonServer:
             )
         traced = tracer is not None and tracer.root is not None
         if traced:
-            # A query that raised outside the session's cancellation
-            # path left its spans open; close them so the partial tree
-            # exports with real durations.
-            tracer.end(tracer.root)
             self._export_spans(
                 tracer,
                 query_id=request.query_id,

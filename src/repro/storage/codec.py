@@ -1,12 +1,11 @@
 """Binary encoding primitives for the ORC-like file format.
 
 A column chunk is a type tag, a count, a presence bitmap, then the
-present values: IEEE doubles (tag 2), packed bits (4), and for INT64 and
-STRING either zigzag varints and varint-prefixed UTF-8 (tags 1 and 3,
-MORC 1 and 2) or a *narrow int lane* of the ints or of the UTF-8 lengths,
-then the bytes (tags 5 and 6, MORC 3). The tag says which, so a chunk of
-any version decodes here without a version argument. Strings encode with
-``surrogatepass``: a lone surrogate (valid JSON, ``"\\ud800"``) round-trips.
+present values: IEEE doubles (tag 2), packed bits (tag 4), a *narrow int
+lane* of the ints (tag 5), or a narrow int lane of the strings' UTF-8
+lengths, then their bytes (tag 6). Any other tag is refused. Strings
+encode with ``surrogatepass``: a lone surrogate (valid JSON,
+``"\\ud800"``) round-trips.
 
 A narrow int lane is a varint width, then signed little-endian ints of
 that width: 1, 2, 4 or 8 bytes from the lane's min and max, wider only
@@ -123,7 +122,7 @@ def _bitmap(flags: list) -> bytes:
 
 
 _TYPE_TAGS = {DataType.INT64: 5, DataType.FLOAT64: 2, DataType.STRING: 6, DataType.BOOL: 4}
-_TAG_TYPES = {1: DataType.INT64, 3: DataType.STRING, **{v: k for k, v in _TYPE_TAGS.items()}}
+_TAG_TYPES = {v: k for k, v in _TYPE_TAGS.items()}
 
 
 def _write_ints(out: bytearray, values: list[int]) -> None:
@@ -198,22 +197,11 @@ def decode_column(
             spans = zip(offsets, offsets[1:])
             dense = [data[a:b].decode("utf-8", "surrogatepass") for a, b in spans]
             pos = offsets[-1]
-    elif tag == 1:
-        for _ in range(n):
-            raw, pos = read_varint(data, pos, end)
-            dense.append((raw >> 1) ^ -(raw & 1))  # zigzag
     elif tag == 2:
         if pos + 8 * n > end:
             raise CodecError("truncated float64")
         dense = list(struct.unpack_from(f"<{n}d", data, pos))
         pos += 8 * n
-    elif tag == 3:
-        for _ in range(n):
-            length, pos = read_varint(data, pos, end)
-            if pos + length > end:
-                raise CodecError("truncated string")
-            dense.append(data[pos : pos + length].decode("utf-8", "surrogatepass"))
-            pos += length
     else:
         if pos + nbytes > end:
             raise CodecError("truncated bool bitmap")

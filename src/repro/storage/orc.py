@@ -15,32 +15,23 @@ Files serialise to ``bytes`` and live in a
 
     magic "MORC"  version u8
     stripe 0 .. stripe N-1           (column chunks, row-group major)
-    footer                           (schema, stripe directory + checksums, stats)
+    footer                           (schema, stripe directory, chunk CRCs, stats)
     footer_crc32 u32-le  footer_length u32-le  magic "MORC"
 
-Format version 2 adds integrity checksums: every stripe's CRC32 lives in
-the footer's stripe directory and the footer itself carries a trailing
-CRC32. Readers verify the footer eagerly and each stripe lazily before
-its first decode, raising :class:`CorruptStripeError` instead of
-decoding garbage — the contract Maxson's graceful-degradation path
-(fall back to raw parsing) depends on. Version 1 files (no checksums)
-remain readable.
+The stripe directory lists each row group's chunk lengths, a CRC32 (u32)
+per column chunk beside each length, and per-column statistics whose
+minima and maxima are bare tagged values (a type byte, then a zigzag
+varint, 8 float bytes or a varint length plus UTF-8). Readers verify the
+footer's CRC at open and each chunk's just before decoding it, so a read
+hashes only the chunks it decodes and raises :class:`CorruptStripeError`
+instead of decoding garbage — the contract Maxson's graceful-degradation
+path (fall back to raw parsing) depends on; :meth:`OrcFileReader.verify`
+checks every chunk. The chunks themselves are :mod:`repro.storage.codec`'s.
 
-Format version 3 keeps every layout above the column chunk (stripes,
-footer, presence bitmaps, CRCs) and writes INT64 and STRING chunks as
-narrow int lanes (:mod:`repro.storage.codec`): a lane's ints, or its
-strings' UTF-8 lengths, at one width of 1, 2, 4 or 8 bytes picked from
-the lane's min and max instead of one varint each, so a cached read
-decodes an int lane in one call. Versions 1 to 3 still read, since raw
-files are append-only and never rewritten, and a chunk's tag tells the
-decoder which layout it holds.
-
-Format version 4, the one written, keeps a CRC32 (u32) per column chunk
-instead of per stripe, beside the chunk lengths in the row-group
-directory, so a read hashes only the chunks it decodes, each just before
-decoding it; :meth:`OrcFileReader.verify` checks every chunk. Its
-row-group minima and maxima are bare tagged values (a type byte, then a
-zigzag varint, 8 float bytes or a varint length plus UTF-8).
+A reader opens only the version written here (:data:`VERSION`, 4).
+Every file lives in memory and is written by this process's
+:class:`OrcWriter`, so no older file can exist to be read; a file of
+another version is refused at open with :class:`OrcError`.
 """
 
 from __future__ import annotations
@@ -90,8 +81,7 @@ class OrcError(Exception):
 
 
 class CorruptStripeError(OrcError):
-    """A chunk's (before version 4, a stripe's) bytes do not match the
-    checksum recorded in the footer.
+    """A chunk's bytes do not match the checksum recorded in the footer.
 
     Raised *before* any value of the chunk is decoded, so a corrupt
     cache table can never leak wrong JSONPath values into query results.
@@ -105,13 +95,13 @@ class RowGroupInfo:
     ``chunk_lengths`` holds the encoded byte length of each column chunk
     (schema order) so readers can seek past unwanted chunks instead of
     decoding them — the moral equivalent of ORC's row index streams —
-    and ``chunk_checksums`` their CRC32s (version 4; empty before).
+    and ``chunk_checksums`` their CRC32s.
     """
 
     row_count: int
     column_stats: dict[str, ColumnStats]
     chunk_lengths: tuple[int, ...]
-    chunk_checksums: tuple[int, ...] = ()
+    chunk_checksums: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -122,9 +112,6 @@ class StripeInfo:
     length: int
     row_count: int
     row_groups: tuple[RowGroupInfo, ...]
-    checksum: int = 0
-    """CRC32 of the stripe's bytes in versions 2 and 3 (0 in version 1,
-    unverified, and in version 4, whose CRCs are per chunk)."""
 
 
 @dataclass
@@ -168,9 +155,8 @@ class OrcWriter:
         self.schema = schema
         self.row_group_size = row_group_size
         self.stripe_bytes = stripe_bytes
-        self.version = VERSION
         self._buffer = bytearray(MAGIC)
-        self._buffer.append(self.version)
+        self._buffer.append(VERSION)
         self._stripes: list[StripeInfo] = []
         self._pending = _PendingStripe(columns=[[] for _ in schema.fields])
         self._finished = False
@@ -220,7 +206,7 @@ class OrcWriter:
                     row_count=end - start,
                     column_stats=stats,
                     chunk_lengths=tuple(lengths),
-                    chunk_checksums=tuple(sums) if self.version >= 4 else (),
+                    chunk_checksums=tuple(sums),
                 )
             )
         self._buffer.extend(chunk)
@@ -230,7 +216,6 @@ class OrcWriter:
                 length=len(chunk),
                 row_count=total,
                 row_groups=tuple(row_groups),
-                checksum=checksum_of(chunk) if self.version < 4 else 0,
             )
         )
         self._pending = _PendingStripe(columns=[[] for _ in self.schema.fields])
@@ -241,7 +226,7 @@ class OrcWriter:
             raise OrcError("writer already finished")
         self._flush_stripe()
         self._finished = True
-        footer = _encode_footer(self.schema, self._stripes, self.version)
+        footer = _encode_footer(self.schema, self._stripes)
         self._buffer.extend(footer)
         self._buffer.extend(struct.pack("<I", checksum_of(footer)))
         self._buffer.extend(struct.pack("<I", len(footer)))
@@ -255,34 +240,14 @@ class OrcWriter:
 _DTYPE_CODES = {t: i for i, t in enumerate(DataType)}
 _CODE_DTYPES = {i: t for i, t in enumerate(DataType)}
 
-
-def _encode_stat_value(out: bytearray, value: object) -> None:
-    # Versions 1-3: a flag, then the value as a one-element column chunk.
-    if value is None:
-        out.append(0)
-        return
-    out.append(1)
-    dtype = DataType.infer(value)
-    out.extend(encode_column(dtype, [value]))
-
-
-def _decode_stat_value(data: bytes, pos: int) -> tuple[object, int]:
-    flag = data[pos]
-    pos += 1
-    if flag == 0:
-        return None, pos
-    _, values, pos = decode_column(data, pos)
-    return values[0], pos
-
-
-#: Version 4's bare statistic type bytes; NULL, False and True are the byte alone.
+#: A bare statistic's type byte; NULL, False and True are the byte alone.
 _NULL, _INT, _FLOAT, _STR, _FALSE, _TRUE = range(6)
 _CONSTANTS = {_NULL: None, _FALSE: False, _TRUE: True}
 
 
 def _encode_bare(out: bytearray, value: object) -> None:
-    """A version-4 statistic: a type byte, then a zigzag varint of any
-    size, 8 float bytes, or a varint length plus UTF-8."""
+    """A statistic: a type byte, then a zigzag varint of any size, 8
+    float bytes, or a varint length plus UTF-8."""
     if value is None or isinstance(value, bool):
         out.append(_NULL if value is None else _TRUE if value else _FALSE)
     elif isinstance(value, int):
@@ -317,8 +282,7 @@ def _decode_bare(data: bytes, pos: int) -> tuple[object, int]:
     return _CONSTANTS[tag], pos
 
 
-def _encode_footer(schema: Schema, stripes: list[StripeInfo], version: int) -> bytes:
-    encode_stat = _encode_bare if version >= 4 else _encode_stat_value
+def _encode_footer(schema: Schema, stripes: list[StripeInfo]) -> bytes:
     out = bytearray()
     write_varint(out, len(schema))
     for fld in schema.fields:
@@ -331,18 +295,15 @@ def _encode_footer(schema: Schema, stripes: list[StripeInfo], version: int) -> b
         write_varint(out, stripe.offset)
         write_varint(out, stripe.length)
         write_varint(out, stripe.row_count)
-        if 2 <= version < 4:
-            write_varint(out, stripe.checksum)
         write_varint(out, len(stripe.row_groups))
         for rg in stripe.row_groups:
             write_varint(out, rg.row_count)
             for index, fld in enumerate(schema.fields):
                 write_varint(out, rg.chunk_lengths[index])
-                if version >= 4:
-                    out.extend(struct.pack("<I", rg.chunk_checksums[index]))
+                out.extend(struct.pack("<I", rg.chunk_checksums[index]))
                 stats = rg.column_stats[fld.name]
-                encode_stat(out, stats.minimum)
-                encode_stat(out, stats.maximum)
+                _encode_bare(out, stats.minimum)
+                _encode_bare(out, stats.maximum)
                 write_varint(out, stats.null_count)
                 write_varint(out, stats.value_count)
     return bytes(out)
@@ -353,11 +314,11 @@ _DECODE_ERRORS = (CodecError, UnicodeDecodeError, struct.error, IndexError)
 
 
 @lru_cache(maxsize=256)
-def _decode_footer(data: bytes, version: int) -> tuple[Schema, tuple[StripeInfo, ...]]:
-    """Decode a footer: a pure function of its bytes and the version.
+def _decode_footer(data: bytes) -> tuple[Schema, tuple[StripeInfo, ...]]:
+    """Decode a footer: a pure function of its bytes.
 
     Files are immutable and the result is frozen, so it is memoised on
-    exactly that key — every reader of the same file content (or of
+    the footer bytes alone — every reader of the same file content (or of
     another file with an identical footer) shares one decoded directory.
     Nothing here needs invalidating: different bytes are a different key.
     """
@@ -374,16 +335,12 @@ def _decode_footer(data: bytes, version: int) -> tuple[Schema, tuple[StripeInfo,
         pos += 1
         fields.append(Field(name, dtype))
     schema = Schema(tuple(fields))
-    decode_stat = _decode_bare if version >= 4 else _decode_stat_value
     n_stripes, pos = read_varint(data, pos)
     stripes: list[StripeInfo] = []
     for _ in range(n_stripes):
         offset, pos = read_varint(data, pos)
         length, pos = read_varint(data, pos)
         row_count, pos = read_varint(data, pos)
-        checksum = 0
-        if 2 <= version < 4:
-            checksum, pos = read_varint(data, pos)
         n_groups, pos = read_varint(data, pos)
         groups: list[RowGroupInfo] = []
         for _ in range(n_groups):
@@ -394,11 +351,10 @@ def _decode_footer(data: bytes, version: int) -> tuple[Schema, tuple[StripeInfo,
             for fld in fields:
                 chunk_len, pos = read_varint(data, pos)
                 lengths.append(chunk_len)
-                if version >= 4:
-                    sums.append(struct.unpack_from("<I", data, pos)[0])
-                    pos += 4
-                minimum, pos = decode_stat(data, pos)
-                maximum, pos = decode_stat(data, pos)
+                sums.append(struct.unpack_from("<I", data, pos)[0])
+                pos += 4
+                minimum, pos = _decode_bare(data, pos)
+                maximum, pos = _decode_bare(data, pos)
                 null_count, pos = read_varint(data, pos)
                 value_count, pos = read_varint(data, pos)
                 floats = fld.dtype is DataType.FLOAT64
@@ -412,13 +368,7 @@ def _decode_footer(data: bytes, version: int) -> tuple[Schema, tuple[StripeInfo,
                 )
             )
         stripes.append(
-            StripeInfo(
-                offset=offset,
-                length=length,
-                row_count=row_count,
-                row_groups=tuple(groups),
-                checksum=checksum,
-            )
+            StripeInfo(offset=offset, length=length, row_count=row_count, row_groups=tuple(groups))
         )
     return schema, tuple(stripes)
 
@@ -426,13 +376,12 @@ def _decode_footer(data: bytes, version: int) -> tuple[Schema, tuple[StripeInfo,
 class OrcFileReader:
     """Random-access reader over serialised ORC-like bytes.
 
-    Opening verifies the footer's checksum and takes the decoded
-    directory for those footer bytes (decoded once per distinct content,
-    see :func:`_decode_footer`); chunks (before version 4, stripes) are
-    verified and decoded lazily, a lane at a time. Column pruning (read
-    only some columns) and row-group skipping (via a boolean include mask)
-    are both supported — they are the levers Maxson's predicate pushdown
-    pulls.
+    Opening checks the version byte and the footer's checksum and takes
+    the decoded directory for those footer bytes (decoded once per
+    distinct footer, see :func:`_decode_footer`); chunks are verified and
+    decoded lazily, a lane at a time. Column pruning (read only some
+    columns) and row-group skipping (via a boolean include mask) are both
+    supported — they are the levers Maxson's predicate pushdown pulls.
     """
 
     def __init__(self, data: bytes) -> None:
@@ -440,28 +389,20 @@ class OrcFileReader:
             raise OrcError("not an MORC file (bad magic)")
         if data[-len(MAGIC) :] != MAGIC:
             raise OrcError("truncated MORC file (bad tail magic)")
-        self.version = data[len(MAGIC)]
-        if not 1 <= self.version <= VERSION:
-            raise OrcError(f"unsupported MORC version {self.version}")
-        (footer_len,) = struct.unpack_from("<I", data, len(data) - len(MAGIC) - 4)
-        # Version 2 stores the footer's own CRC32 just before its length.
-        tail_fixed = len(MAGIC) + 4 + (4 if self.version >= 2 else 0)
-        footer_start = len(data) - tail_fixed - footer_len
+        if data[len(MAGIC)] != VERSION:
+            raise OrcError(f"unsupported MORC version {data[len(MAGIC)]}")
+        footer_crc, footer_len = struct.unpack_from("<II", data, len(data) - len(MAGIC) - 8)
+        footer_start = len(data) - len(MAGIC) - 8 - footer_len
         if footer_start < len(MAGIC) + 1:
             raise OrcError("corrupt footer length")
         footer = data[footer_start : footer_start + footer_len]
-        if self.version >= 2:
-            (footer_crc,) = struct.unpack_from(
-                "<I", data, len(data) - len(MAGIC) - 8
-            )
-            if checksum_of(footer) != footer_crc:
-                raise OrcError("corrupt footer (checksum mismatch)")
+        if checksum_of(footer) != footer_crc:
+            raise OrcError("corrupt footer (checksum mismatch)")
         try:
-            self.schema, self.stripes = _decode_footer(footer, self.version)
+            self.schema, self.stripes = _decode_footer(footer)
         except _DECODE_ERRORS as exc:
             raise OrcError(f"corrupt footer: {exc}") from exc
         self._data = data
-        self._verified_stripes: set[int] = set()
 
     @property
     def row_count(self) -> int:
@@ -471,37 +412,18 @@ class OrcFileReader:
     def stripe_count(self) -> int:
         return len(self.stripes)
 
-    def _verify_stripe(self, index: int, stripe: StripeInfo) -> None:
-        """Check a version 2 or 3 stripe's CRC32 before its first decode.
-
-        Verification is lazy and cached per stripe: fully skipped stripes
-        are never checksummed (their bytes are never interpreted), and a
-        verified stripe is not re-hashed on later column reads.
-        """
-        if not 2 <= self.version < 4 or index in self._verified_stripes:
-            return
-        span = self._data[stripe.offset : stripe.offset + stripe.length]
-        if checksum_of(span) != stripe.checksum:
-            raise CorruptStripeError(
-                f"stripe {index} checksum mismatch "
-                f"(offset={stripe.offset}, length={stripe.length})"
-            )
-        self._verified_stripes.add(index)
-
     @staticmethod
     def _verify_chunk(view: memoryview, pos: int, length: int, checksum: int) -> None:
-        """Check a version-4 chunk's CRC32, over ``view`` so nothing is copied."""
+        """Check a chunk's CRC32, over ``view`` so nothing is copied."""
         if checksum_of(view[pos : pos + length]) != checksum:
             raise CorruptStripeError(
                 f"chunk checksum mismatch (offset={pos}, length={length})"
             )
 
     def verify(self) -> None:
-        """Check every chunk's (before version 4, stripe's) CRC32 now, not
-        before its first decode."""
+        """Check every chunk's CRC32 now, not before its first decode."""
         view = memoryview(self._data)
-        for index, stripe in enumerate(self.stripes):
-            self._verify_stripe(index, stripe)
+        for stripe in self.stripes:
             pos = stripe.offset
             for rg in stripe.row_groups:
                 for length, checksum in zip(rg.chunk_lengths, rg.chunk_checksums):
@@ -534,12 +456,11 @@ class OrcFileReader:
             self.schema.index_of(name)  # raise early on unknown columns
         columns: dict[str, list[object]] = {name: [] for name in wanted}
         fields = [(f.name, f.name in columns) for f in self.schema.fields]
-        unsummed = (None,) * len(fields)
         data = self._data
         view = memoryview(data)
         bytes_decoded = 0
         group_index = -1
-        for stripe_index, stripe in enumerate(self.stripes):
+        for stripe in self.stripes:
             pos = stripe.offset
             for rg in stripe.row_groups:
                 group_index += 1
@@ -550,15 +471,13 @@ class OrcFileReader:
                 ):
                     pos += sum(rg.chunk_lengths)  # true seek: skipped chunks cost nothing
                     continue
-                sums = rg.chunk_checksums or unsummed
-                for (name, selected), chunk_len, checksum in zip(fields, rg.chunk_lengths, sums):
+                for (name, selected), chunk_len, checksum in zip(
+                    fields, rg.chunk_lengths, rg.chunk_checksums
+                ):
                     if not selected:
                         pos += chunk_len
                         continue
-                    if checksum is None:  # before version 4: the stripe, once
-                        self._verify_stripe(stripe_index, stripe)
-                    else:
-                        self._verify_chunk(view, pos, chunk_len, checksum)
+                    self._verify_chunk(view, pos, chunk_len, checksum)
                     try:
                         _, values, end = decode_column(data, pos, pos + chunk_len)
                     except _DECODE_ERRORS as exc:

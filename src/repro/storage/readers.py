@@ -131,9 +131,8 @@ class OrcReader:
         return self.stripe_count == 1
 
     def truths(self, sarg: Sarg) -> list[Truth]:
-        """``sarg``'s truth per row group; a version-1 footer carries no
-        checksum, so its statistics may skip a group but prove none. A
-        conjunction's is its conjuncts' (memoised) by Kleene AND."""
+        """``sarg``'s truth per row group; a conjunction's is its
+        conjuncts' (memoised) by Kleene AND."""
         truths = self._truths_of.get(sarg)
         if truths is not None:
             return truths
@@ -141,8 +140,6 @@ class OrcReader:
             truths = list(map(kleene_and, zip(*map(self.truths, sarg.children))))
         else:
             truths = [sarg.truth(rg.column_stats) for rg in self._file.row_group_layout()]
-            if self._file.version < 2:
-                truths = [Truth.MAYBE if t is Truth.YES else t for t in truths]
         self._truths_of[sarg] = truths
         return truths
 

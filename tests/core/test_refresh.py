@@ -1,7 +1,5 @@
 """Tests for the incremental cache refresh extension."""
 
-from unittest import mock
-
 import pytest
 
 from repro.core import (
@@ -296,11 +294,18 @@ class TestRefreshEqualsPopulate:
         assert (build.rows_parsed, build.files_adopted) == (20, 1)
 
     def test_older_format_predecessor_is_parsed(self, workers):
-        """A version-3 predecessor is parsed again, not adopted, so the new
-        generation is what a populate writes: all of it version 4."""
-        with mock.patch.object(orc, "VERSION", 3):  # the writer writes version 3
-            system = generations(workers)
-        assert OrcFileReader(cache_file_bytes(system.session, "__g1")[0]).version == 3
+        """A predecessor whose files carry another version byte does not
+        open, so it is parsed again, not adopted: the new generation is
+        what a populate writes, all of it in the version written."""
+        system = generations(workers)
+        fs = system.session.fs
+        for path in cache_file_bytes(system.session, "__g1", paths=True):
+            data = bytearray(fs.read(path))
+            data[len(orc.MAGIC)] = orc.VERSION - 1
+            fs.delete(path)
+            fs.create(path, bytes(data))
+            with pytest.raises(orc.OrcError, match="unsupported MORC version"):
+                OrcFileReader(bytes(data))
         build = swap(system, keys())
         assert (build.rows_parsed, build.files_adopted) == (60, 0)
 

@@ -1,14 +1,14 @@
 """Circuit breaker + graceful degradation of cache reads."""
 
-import struct
+from unittest import mock
 
 from repro.core import MaxsonSystem, cache_table_name
 from repro.core.cacher import CACHE_DATABASE
 from repro.core.resilience import CacheCircuitBreaker, ResilienceStats
 from repro.engine import Session
 from repro.jsonlib import dumps
-from repro.storage import BlockFileSystem, DataType, OrcFileReader, Schema
-from repro.storage.orc import MAGIC, _encode_footer
+from repro.storage import BlockFileSystem, DataType, OrcFileReader, Schema, orc
+from repro.storage.codec import encode_column
 from repro.workload import PathKey
 
 KEYS = [PathKey("db", "t", "payload", "$.m")]
@@ -140,9 +140,10 @@ class TestGracefulDegradation:
         assert cache_table not in system.breaker.quarantined_tables()
 
     def test_bad_chunk_in_an_unchecksummed_file_degrades_only_its_split(self):
-        """A version-1 cache file has no stripe CRC, so torn bytes reach the
-        chunk decoder; whatever it raises must be the ``OrcError`` the
-        split fallback catches, not a failed query."""
+        """A chunk whose CRC matches its bytes but whose bytes do not decode
+        (the writer summed them torn) reaches the chunk decoder; whatever
+        it raises must be the ``OrcError`` the split fallback catches, not a
+        failed query."""
         session = Session(fs=BlockFileSystem())
         schema = Schema.of(("id", DataType.INT64), ("payload", DataType.STRING))
         session.catalog.create_table("db", "t", schema)
@@ -150,16 +151,15 @@ class TestGracefulDegradation:
             rows = [(i, dumps({"s": f"name-{i}"})) for i in range(start, start + 30)]
             session.catalog.append_rows("db", "t", rows, row_group_size=10)
         system = MaxsonSystem(session=session)
-        system.cacher.populate([PathKey("db", "t", "payload", "$.s")])
-        fs = system.session.fs
+
+        def torn(dtype, values):  # rows 0-9 of file 0: not UTF-8, then summed
+            chunk = encode_column(dtype, values)
+            return chunk.replace(b"name-3", b"\xffame-3") if "name-3" in values else chunk
+
+        with mock.patch.object(orc, "encode_column", torn):
+            system.cacher.populate([PathKey("db", "t", "payload", "$.s")])
         path = system.catalog.table_files(CACHE_DATABASE, cache_table_name("db", "t"))[0]
-        reader = OrcFileReader(fs.read(path))
-        body = bytearray(reader._data[: reader.stripes[-1].offset + reader.stripes[-1].length])
-        body[len(MAGIC)] = 1
-        body[body.index(b"name-3")] = 0xFF  # not UTF-8, inside a string chunk
-        footer = _encode_footer(reader.schema, reader.stripes, version=1)
-        fs.delete(path)
-        fs.create(path, bytes(body) + footer + struct.pack("<I", len(footer)) + MAGIC)
+        OrcFileReader(system.session.fs.read(path)).verify()  # every CRC matches
         sql = "select id, get_json_object(payload, '$.s') as s from db.t"
         result = system.sql(sql)
         assert result.rows == system.baseline_sql(sql).rows

@@ -13,7 +13,7 @@ import os
 import pytest
 
 from repro.engine import DeadlineExceededError, Session
-from repro.engine.errors import ExecutionError
+from repro.engine.errors import CatalogError, ExecutionError
 from repro.faults import FaultPolicy, FaultyFileSystem
 from repro.jsonlib import dumps
 from repro.obs import Tracer
@@ -141,6 +141,23 @@ class TestFailingSplit:
         assert [s.attributes["index"] for s in splits] == [0, 1, 2, 3]
         assert [bool(s.attributes.get("error")) for s in splits] == [False] * 3 + [True]
         assert "TransientFsError" in splits[-1].attributes["error"]
+
+    def test_failing_query_closes_its_root_as_failed(self):
+        """An error that is not a cancellation, at execute or at plan
+        time, still ends the ``query`` span: it has a duration and a
+        ``status``."""
+        fs = FaultyFileSystem()
+        session = build_session(fs=fs, days=4)
+        session.scan_workers = 1
+        last = session.catalog.table_files("db", "t")[-1]
+        fs.policy = FaultPolicy(read_error_rate=1.0, error_path_prefix=last)
+        for sql, error in [(SQL, FsError), ("select id from db.missing", CatalogError)]:
+            tracer = Tracer()
+            with pytest.raises(error):
+                session.sql(sql, tracer=tracer)
+            assert tracer.root.name == "query" and tracer.current is None
+            assert tracer.root.wall_seconds > 0
+            assert tracer.root.attributes["status"] == "failed"
 
 
 class TestMidSplitCancellation:

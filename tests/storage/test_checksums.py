@@ -1,20 +1,22 @@
-"""MORC integrity: per-chunk checksums (per-stripe before version 4)
-and the footer CRC."""
+"""MORC integrity: per-chunk checksums, the footer CRC, and the version
+byte."""
 
 import random
 import struct
+from dataclasses import replace
 from itertools import combinations
 from unittest import mock
 
 import pytest
-from reference_codec import writing_v2, writing_v3
 
 from repro.storage import DataType, OrcWriter, Schema, checksum_of, orc
 from repro.storage.orc import (
     MAGIC,
+    VERSION,
     CorruptStripeError,
     OrcError,
     OrcFileReader,
+    StripeInfo,
     _encode_footer,
 )
 
@@ -35,29 +37,37 @@ def build_file(rows=40, row_group_size=10, rows_per_stripe=20) -> bytes:
     return writer.finish()
 
 
+def with_version(blob: bytes, version: int) -> bytes:
+    """``blob`` with another version byte; its CRCs still match."""
+    return blob[: len(MAGIC)] + bytes([version]) + blob[len(MAGIC) + 1 :]
+
+
+def assert_refused(blob: bytes, version: int) -> None:
+    with pytest.raises(OrcError, match=f"^unsupported MORC version {version}$"):
+        OrcFileReader(blob)
+
+
 class TestRoundTrip:
     def test_v2_files_round_trip(self):
-        with writing_v2():
-            blob = build_file()
-        reader = OrcFileReader(blob)
-        assert reader.version == 2
-        assert reader.read_rows() == [(i, f"n{i}") for i in range(40)]
+        """Only the version written is read: a version-2 byte is refused
+        at open, before the footer is looked at."""
+        blob = build_file()
+        assert OrcFileReader(blob).read_rows() == [(i, f"n{i}") for i in range(40)]
+        assert_refused(with_version(blob, 2), 2)
 
     def test_v3_files_round_trip(self):
-        with writing_v3():
-            v3 = build_file()
-        for blob, version in ((v3, 3), (build_file(), 4)):
-            reader = OrcFileReader(blob)
-            assert reader.version == version
-            assert reader.read_rows() == [(i, f"n{i}") for i in range(40)]
+        blob = build_file()
+        assert blob[len(MAGIC)] == VERSION == 4
+        for version in (3, 5, 0, 255):
+            assert_refused(with_version(blob, version), version)
 
     def test_every_stripe_carries_a_checksum(self):
-        """Version 4: every chunk of every stripe carries its CRC32 in the
-        row-group directory, and the stripe's own CRC is gone."""
+        """Every chunk of every stripe carries its CRC32 in the row-group
+        directory, and a stripe has no CRC of its own."""
         reader = OrcFileReader(build_file())
         assert reader.stripe_count == 2
+        assert "checksum" not in StripeInfo.__dataclass_fields__
         for stripe in reader.stripes:
-            assert stripe.checksum == 0
             pos = stripe.offset
             for rg in stripe.row_groups:
                 for length, crc in zip(rg.chunk_lengths, rg.chunk_checksums, strict=True):
@@ -194,43 +204,50 @@ def test_any_byte_flip_raises_or_reads_true():
     run_flips(FLIP_FILES)
 
 
-def as_v1(blob: bytes) -> bytes:
-    """Re-serialise a v2 or v3 file as v1: version byte 1, v1 footer, no
-    CRCs. The chunks are kept, and their tags still say how to read them."""
+def resealed(blob: bytes, body: bytes) -> bytes:
+    """``body`` (``blob``'s magic, version and stripes, edited in place)
+    under ``blob``'s footer with every chunk CRC and the footer CRC
+    recomputed to match it: damage only the decoders can meet."""
     reader = OrcFileReader(blob)
-    footer = _encode_footer(reader.schema, reader.stripes, version=1)
-    body_end = max(s.offset + s.length for s in reader.stripes)
-    v1 = bytearray()
-    v1 += MAGIC
-    v1.append(1)
-    v1 += blob[len(MAGIC) + 1 : body_end]
-    v1 += footer
-    v1 += struct.pack("<I", len(footer))
-    v1 += MAGIC
-    return bytes(v1)
+    stripes = []
+    for stripe in reader.stripes:
+        pos, groups = stripe.offset, []
+        for rg in stripe.row_groups:
+            sums = []
+            for length in rg.chunk_lengths:
+                sums.append(checksum_of(body[pos : pos + length]))
+                pos += length
+            groups.append(replace(rg, chunk_checksums=tuple(sums)))
+        stripes.append(replace(stripe, row_groups=tuple(groups)))
+    footer = _encode_footer(reader.schema, stripes)
+    return bytes(body) + footer + struct.pack("<II", checksum_of(footer), len(footer)) + MAGIC
 
 
 class TestBackwardCompatibility:
     def test_v1_files_still_readable(self):
-        """A pre-checksum (version 1) file opens and reads normally."""
+        """A version-1 file is refused at open: no reader of it is left."""
         blob = build_file()
-        v1_reader = OrcFileReader(as_v1(blob))
-        assert v1_reader.version == 1
-        assert v1_reader.read_rows() == OrcFileReader(blob).read_rows()
+        assert_refused(with_version(blob, 1), 1)
+        v1 = bytearray(blob)  # version 1's layout had no footer CRC either
+        v1[len(MAGIC)] = 1
+        del v1[-12:-8]
+        assert_refused(bytes(v1), 1)
 
     def test_v1_damage_is_an_orc_error_or_nothing(self):
-        """No checksum catches a flipped byte in a v1 file, so the decoders
-        meet it: whatever they make of it (bad UTF-8, a short chunk, an
-        unknown dtype code) surfaces as ``OrcError`` — the one storage
-        error the scan's split fallback catches — or the read returns."""
-        v1 = as_v1(build_file(rows=20, row_group_size=5, rows_per_stripe=10))
+        """A flipped chunk byte under recomputed chunk and footer CRCs
+        passes every checksum, so the decoders meet it: whatever they make
+        of it (bad UTF-8, a short chunk, an unknown tag) surfaces as
+        ``OrcError`` — the one storage error the scan's split fallback
+        catches — or the read returns."""
+        blob = build_file(rows=20, row_group_size=5, rows_per_stripe=10)
+        body_end = max(s.offset + s.length for s in OrcFileReader(blob).stripes)
         raised = 0
-        for position in range(len(v1)):
+        for position in range(len(MAGIC) + 1, body_end):
             for flip in (0xFF, 0x80, 0x01):
-                mutated = bytearray(v1)
-                mutated[position] ^= flip
+                body = bytearray(blob[:body_end])
+                body[position] ^= flip
                 try:
-                    OrcFileReader(bytes(mutated)).read_rows()
+                    OrcFileReader(resealed(blob, body)).read_rows()
                 except OrcError:
                     raised += 1
-        assert raised > len(v1)  # the sweep does reach the decoders
+        assert raised > body_end  # the sweep does reach the decoders

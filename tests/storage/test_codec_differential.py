@@ -7,15 +7,14 @@ return the same dtype, the same values — floats compared bit for bit,
 the same error class wherever the reference refuses. With an ``end`` it
 must behave as the reference does on ``data[:end]``.
 
-Both chunk versions are held to it: version-2 chunks (varint ints and
-lengths) come from the oracle's own writer, version-3 chunks (narrow int
-lanes) from production's ``encode_column``.
+The chunks come from production's ``encode_column``, the one layout
+MORC writes (narrow int lanes for ints and string lengths).
 
 ``run_differential(cases)`` is the whole seeded run: generated lanes of
-every dtype and null pattern in either version, back to back, then
-truncations and byte flips of them. Tier-1 calls it with ``CASES``, CI's
-bench-smoke step with ten times that; it fails if either version ran no
-case. A mismatch is shrunk and printed as hex.
+every dtype and null pattern, back to back, then truncations and byte
+flips of them. Tier-1 calls it with ``CASES``, CI's bench-smoke step with
+ten times that; it fails if a dtype ran no case. A mismatch is shrunk and
+printed as hex.
 """
 
 from __future__ import annotations
@@ -31,8 +30,6 @@ from repro.storage.codec import CodecError, decode_column, encode_column
 from repro.storage.schema import DataType
 
 CASES = 2500
-#: chunk version -> the writer that makes its chunks
-WRITERS = {2: reference_codec.encode_column_v2, 3: encode_column}
 
 
 # ----------------------------------------------------------------------
@@ -147,18 +144,17 @@ for bits in (7, 15, 31, 63):
 @pytest.mark.parametrize("name", sorted(NAMED))
 def test_named_lane(name):
     dtype, values = NAMED[name]
-    for write in WRITERS.values():
-        chunk = write(dtype, values)
-        blob = b"\x07\xff" + chunk + b"\x01\x02\x03"
-        for end in (None, 2 + len(chunk), len(blob), len(blob) + 5):
-            check(blob, 2, end)
-        got_dtype, got, pos = decode_column(blob, 2, 2 + len(chunk))
-        assert (got_dtype, pos) == (dtype, 2 + len(chunk))
-        assert [_bitwise(v) for v in got] == [_bitwise(v) for v in values]
-        # Every truncation (of a long chunk, some 500 of them), both spellings.
-        for cut in range(2, 2 + len(chunk), len(chunk) // 500 + 1):
-            check(blob[:cut], 2)
-            check(blob, 2, cut)
+    chunk = encode_column(dtype, values)
+    blob = b"\x07\xff" + chunk + b"\x01\x02\x03"
+    for end in (None, 2 + len(chunk), len(blob), len(blob) + 5):
+        check(blob, 2, end)
+    got_dtype, got, pos = decode_column(blob, 2, 2 + len(chunk))
+    assert (got_dtype, pos) == (dtype, 2 + len(chunk))
+    assert [_bitwise(v) for v in got] == [_bitwise(v) for v in values]
+    # Every truncation (of a long chunk, some 500 of them), both spellings.
+    for cut in range(2, 2 + len(chunk), len(chunk) // 500 + 1):
+        check(blob[:cut], 2)
+        check(blob, 2, cut)
 
 
 def test_v3_int_lanes_take_the_narrowest_width():
@@ -173,13 +169,14 @@ def test_errors_are_the_reference_errors():
     for data, message in [
         (b"", "empty column chunk"),
         (b"\x09\x01\x01", "unknown type tag 9"),
-        (b"\x01" + b"\xff" * 12, "varint too long"),
-        (b"\x01\x09\xff", "truncated presence bitmap"),
-        (b"\x01\x02\x03\x05", "truncated varint"),
-        (b"\x01\x01\x01" + b"\x80" * 11 + b"\x01", "varint too long"),
+        (b"\x01\x01\x01\x02", "unknown type tag 1"),  # a varint int lane
+        (b"\x03\x01\x01\x01a", "unknown type tag 3"),  # a varint string lane
+        (b"\x05" + b"\xff" * 12, "varint too long"),
+        (b"\x05\x09\xff", "truncated presence bitmap"),
+        (b"\x05\x02\x03\x85", "truncated varint"),
+        (b"\x05\x01\x01" + b"\x80" * 11 + b"\x01", "varint too long"),
         (b"\x02\x01\x01\x00\x00\x00", "truncated float64"),
-        (b"\x03\x01\x01\x05ab", "truncated string"),
-        (b"\x03\x01\x01", "truncated varint"),
+        (b"\x06\x01\x01", "truncated varint"),
         (b"\x04\x09\xff\x01\x00", "truncated bool bitmap"),
         (b"\x05\x01\x01", "truncated varint"),
         (b"\x05\x01\x01\x00", "zero-width int lane"),
@@ -193,9 +190,8 @@ def test_errors_are_the_reference_errors():
         with pytest.raises(CodecError) as expected:
             reference_codec.decode_column(data)
         assert str(bulk.value) == str(expected.value) == message
-    for data in (b"\x03\x01\x01\x01\xff", b"\x06\x01\x01\x01\x01\xff"):
-        with pytest.raises(UnicodeDecodeError):
-            decode_column(data)
+    with pytest.raises(UnicodeDecodeError):
+        decode_column(b"\x06\x01\x01\x01\x01\xff")
 
 
 # ----------------------------------------------------------------------
@@ -208,9 +204,9 @@ _FLOATS = [0.0, -0.0, 1.5, -2.25, math.inf, -math.inf, math.nan, NAN_WITH_PAYLOA
 
 def _int(rng: random.Random, kind: int) -> int:
     if kind == 0:
-        return rng.randrange(-64, 64)  # one-byte varints only
+        return rng.randrange(-64, 64)  # one-byte lanes only
     if kind == 1:
-        return rng.randrange(-2000, 2000)  # one and two bytes mixed
+        return rng.randrange(-2000, 2000)  # one- and two-byte lanes
     magnitude = rng.choice([2**6, 2**13, 2**31, 2**62, 2**63, 2**64, 2**70])
     return rng.randrange(-magnitude - 1, magnitude + 1)
 
@@ -246,18 +242,16 @@ def _mutate(rng: random.Random, data: bytes) -> bytes:
 
 def run_differential(cases: int, seed: int = 20200420) -> dict[str, int]:
     """Check ``cases`` generated blobs; return how many chunk decodes were
-    accepted and how many refused, and how many cases each (version,
-    dtype) ran, so a generator that drifted into producing only one kind
-    is visible. Fails if either version ran no case."""
+    accepted and how many refused, and how many cases each dtype ran, so
+    a generator that drifted into producing only one kind is visible.
+    Fails if a dtype ran no case."""
     rng = random.Random(seed)
     tally = {"accepted": 0, "refused": 0}
     for _ in range(cases):
         lanes = [_lane(rng) for _ in range(rng.choice([1, 1, 2, 3]))]
-        version = rng.choice(list(WRITERS))
         for dtype, _ in lanes:
-            key = f"v{version} {dtype.name}"
-            tally[key] = tally.get(key, 0) + 1
-        chunks = [WRITERS[version](dtype, values) for dtype, values in lanes]
+            tally[dtype.name] = tally.get(dtype.name, 0) + 1
+        chunks = [encode_column(dtype, values) for dtype, values in lanes]
         blob = bytes(rng.randrange(256) for _ in range(rng.randrange(3))) + b"".join(chunks)
         pos = len(blob) - sum(map(len, chunks))
         mutated = rng.random() < 0.6
@@ -278,8 +272,8 @@ def run_differential(cases: int, seed: int = 20200420) -> dict[str, int]:
             if not mutated:
                 assert expected == (dtype, [_bitwise(v) for v in values], true_end)
             pos = expected[2]
-    for version in WRITERS:
-        assert any(k.startswith(f"v{version} ") for k in tally), f"no v{version} case ran"
+    missing = [dtype.name for dtype in DataType if dtype.name not in tally]
+    assert not missing, f"no {missing} case ran"
     return tally
 
 

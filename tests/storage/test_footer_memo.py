@@ -1,18 +1,18 @@
 """One footer decode per distinct file content: safe, and bounded.
 
-``_decode_footer`` is memoised on ``(footer bytes, version)``. Files are
+``_decode_footer`` is memoised on the footer bytes alone. Files are
 immutable and the key *is* the content, so there is nothing to
-invalidate; what has to hold is that the footer CRC is still checked on
-every open (before the lookup), that sharing a directory never mixes up
-two files' stripes, and that the memo cannot grow without bound.
+invalidate; what has to hold is that the version byte and the footer CRC
+are still checked on every open (before the lookup), that sharing a
+directory never mixes up two files' stripes, and that the memo cannot
+grow without bound.
 """
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from reference_codec import writing_v2
-from test_checksums import SCHEMA, as_v1, build_file
+from test_checksums import SCHEMA, build_file, with_version
 
 from repro.storage import BlockFileSystem, OrcReader, OrcWriter
 from repro.storage.orc import CorruptStripeError, OrcError, OrcFileReader, _decode_footer
@@ -48,31 +48,30 @@ def test_corrupted_copy_at_the_same_path_is_refused():
 
 
 def test_identical_footers_share_a_directory_and_read_their_own_stripes():
-    # Version 1 has no stripe CRC, so two files whose rows differ but whose
-    # statistics and chunk lengths agree carry the very same footer bytes.
+    # The same content at two paths is one entry, two readers over their
+    # own bytes; other rows carry other chunk CRCs, so another footer.
     first, second = [0, 1, 2, 3, 4, 5, 6, 7], [0, 2, 1, 3, 4, 6, 5, 7]
-    a, b = OrcFileReader(as_v1(file_of(first))), OrcFileReader(as_v1(file_of(second)))
-    assert a.stripes is b.stripes and a.schema is b.schema
-    assert a.read_rows() == [(i, f"n{i}") for i in first]
-    assert b.read_rows() == [(i, f"n{i}") for i in second]
-    # Version 2: the same content at two paths is one entry, two readers.
     blob = file_of(first)
     c, d = OrcFileReader(blob), OrcFileReader(bytes(bytearray(blob)))
-    assert c.stripes is d.stripes and c.stripes is not a.stripes
-    assert c.read_rows() == d.read_rows() == a.read_rows()
+    assert c.stripes is d.stripes and c.schema is d.schema
+    assert c._data is not d._data
+    assert c.read_rows() == d.read_rows() == [(i, f"n{i}") for i in first]
+    other = OrcFileReader(file_of(second))
+    assert other.stripes is not c.stripes and other.schema == c.schema
+    assert other.read_rows() == [(i, f"n{i}") for i in second]
 
 
 def test_a_v1_and_a_v2_file_with_equal_footer_bytes_do_not_share_an_entry():
-    # With no stripes the two versions' footers are byte-identical.
-    with writing_v2():
-        v2 = OrcWriter(SCHEMA).finish()
-    v1 = v2[:4] + b"\x01" + v2[5:-12] + v2[-8:]  # drop the footer CRC
+    # A forged version byte over a footer already in the memo is refused
+    # before the memo is consulted, so neither hits nor misses move.
+    blob = OrcWriter(SCHEMA).finish()
     _decode_footer.cache_clear()
-    readers = [OrcFileReader(v2), OrcFileReader(v1)]
-    assert [r.version for r in readers] == [2, 1]
-    assert [r.read_rows() for r in readers] == [[], []]
+    assert OrcFileReader(blob).read_rows() == []
+    for version in (1, 2, 3):
+        with pytest.raises(OrcError, match=f"unsupported MORC version {version}"):
+            OrcFileReader(with_version(blob, version))
     info = _decode_footer.cache_info()
-    assert (info.hits, info.misses) == (0, 2)
+    assert (info.hits, info.misses) == (0, 1)
 
 
 def test_memo_is_bounded():
