@@ -95,8 +95,7 @@ class Catalog:
                 raise CatalogError(f"no such table: {database}.{name}")
             info = self._tables.pop(key)
             self._version += 1
-        if self.fs.exists(info.location):
-            self.fs.delete(info.location)
+        self.fs.delete(info.location)
 
     def get_table(self, database: str, name: str) -> TableInfo:
         with self._lock:
@@ -146,11 +145,7 @@ class Catalog:
         # Choosing the next part index and creating the file must be one
         # atomic step or two concurrent appends would collide on a name.
         with self._lock:
-            existing = (
-                self.fs.list_directory(info.location)
-                if self.fs.exists(info.location)
-                else []
-            )
+            existing = self.fs.list_directory(info.location)
             # One past the highest part, not the file count: a table with
             # a deleted middle file still appends after its last one.
             index = max((int(f.path[-9:-4]) for f in existing), default=-1) + 1
@@ -161,17 +156,12 @@ class Catalog:
 
     def table_files(self, database: str, name: str) -> list[str]:
         """File paths of the table, in split-index order."""
-        info = self.get_table(database, name)
-        if not self.fs.exists(info.location):
-            return []
-        return self.fs.file_splits(info.location)
+        return self.fs.file_splits(self.get_table(database, name).location)
 
     def modification_time(self, database: str, name: str) -> float:
         """Latest mtime across the table's files (0.0 for empty tables)."""
-        info = self.get_table(database, name)
-        if not self.fs.exists(info.location):
-            return 0.0
-        return self.fs.directory_mtime(info.location)
+        statuses = self.fs.list_directory(self.get_table(database, name).location)
+        return max((s.modification_time for s in statuses), default=0.0)
 
     def table_bytes(self, database: str, name: str) -> int:
         """Total on-disk size of the table."""

@@ -97,6 +97,11 @@ class BlockFileSystem:
     #: waits — the property morsel-parallel scans exploit.
     read_latency_seconds: float = 0.0
     _files: dict[str, _File] = field(default_factory=dict)
+    #: :meth:`list_directory`'s answers by directory prefix; every write
+    #: clears it under the lock it holds.
+    _listings: dict[str, list[FileStatus]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
     stats: IoStats = field(default_factory=IoStats)
     # Server mode reads and writes from many threads; the lock keeps
     # directory listings consistent with concurrent creates/deletes and
@@ -120,6 +125,7 @@ class BlockFileSystem:
             if path in self._files:
                 raise FsError(f"file exists: {path}")
             self._files[path] = _File(data=data, modification_time=self._now())
+            self._listings.clear()
             self.stats.bytes_written += len(data)
             self.stats.writes += 1
             return self.status(path)
@@ -134,6 +140,7 @@ class BlockFileSystem:
             self._files[path] = _File(
                 data=existing.data + data, modification_time=self._now()
             )
+            self._listings.clear()
             self.stats.bytes_written += len(data)
             self.stats.writes += 1
             return self.status(path)
@@ -147,6 +154,7 @@ class BlockFileSystem:
         """
         path = _normalise(path)
         with self._lock:
+            self._listings.clear()
             if path in self._files:
                 del self._files[path]
                 return True
@@ -206,16 +214,20 @@ class BlockFileSystem:
 
         Sorted lexicographically by name — the ordering guarantee Maxson's
         cacher relies on so file index *i* of the cache table corresponds
-        to file index *i* of the raw table.
+        to file index *i* of the raw table. Kept per directory until the
+        next write, so a query's listings do not scan the file system.
         """
         prefix = _normalise(path).rstrip("/") + "/"
         with self._lock:
-            names = [
-                p
-                for p in self._files
-                if p.startswith(prefix) and "/" not in p[len(prefix) :]
-            ]
-            return [self.status(p) for p in sorted(names)]
+            listing = self._listings.get(prefix)
+            if listing is None:
+                names = [
+                    p
+                    for p in self._files
+                    if p.startswith(prefix) and "/" not in p[len(prefix) :]
+                ]
+                listing = self._listings[prefix] = [self.status(p) for p in sorted(names)]
+            return list(listing)
 
     def directory_mtime(self, path: str) -> float:
         """Latest modification time across a directory's files."""
@@ -226,7 +238,7 @@ class BlockFileSystem:
 
     def directory_size(self, path: str) -> int:
         """Total bytes across a directory's files (0 if missing)."""
-        return sum(s.length for s in self.list_directory(path)) if self.exists(path) else 0
+        return sum(s.length for s in self.list_directory(path))
 
     # ------------------------------------------------------------------
     # splits

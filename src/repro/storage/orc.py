@@ -21,14 +21,18 @@ Files serialise to ``bytes`` and live in a
 The stripe directory lists each row group's chunk lengths, a CRC32 (u32)
 per column chunk beside each length, and per-column statistics whose
 minima and maxima are bare tagged values (a type byte, then a zigzag
-varint, 8 float bytes or a varint length plus UTF-8). Readers verify the
-footer's CRC at open and each chunk's just before decoding it, so a read
-hashes only the chunks it decodes and raises :class:`CorruptStripeError`
-instead of decoding garbage — the contract Maxson's graceful-degradation
-path (fall back to raw parsing) depends on; :meth:`OrcFileReader.verify`
-checks every chunk. The chunks themselves are :mod:`repro.storage.codec`'s.
+varint, 8 float bytes or a varint length plus UTF-8). A string bound
+longer than :data:`STAT_CHARS` characters — a raw table's whole JSON
+document — is not stored: the group's minimum and maximum are both
+written as NULL, which every SARG reads as "cannot decide". Readers
+verify the footer's CRC at open and each chunk's just before decoding
+it, so a read hashes only the chunks it decodes and raises
+:class:`CorruptStripeError` instead of decoding garbage — the contract
+Maxson's graceful-degradation path (fall back to raw parsing) depends
+on; :meth:`OrcFileReader.verify` checks every chunk. The chunks
+themselves are :mod:`repro.storage.codec`'s.
 
-A reader opens only the version written here (:data:`VERSION`, 4).
+A reader opens only the version written here (:data:`VERSION`, 5).
 Every file lives in memory and is written by this process's
 :class:`OrcWriter`, so no older file can exist to be read; a file of
 another version is refused at open with :class:`OrcError`.
@@ -48,7 +52,7 @@ from .codec import (
     read_varint,
     write_varint,
 )
-from .sargs import ColumnStats
+from .sargs import AndSarg, ColumnStats, Sarg, Truth, kleene_and
 from .schema import DataType, Field, Schema
 
 __all__ = [
@@ -63,7 +67,14 @@ __all__ = [
 ]
 
 MAGIC = b"MORC"
-VERSION = 4
+VERSION = 5
+
+#: The longest string a footer statistic holds — Parquet's default
+#: column-index truncation length.
+STAT_CHARS = 64
+
+#: SARG truths kept per footer (beside its decoded directory).
+TRUTHS_PER_FOOTER = 128
 
 #: Rows per row group — ORC's documented default.
 DEFAULT_ROW_GROUP_SIZE = 10_000
@@ -302,8 +313,11 @@ def _encode_footer(schema: Schema, stripes: list[StripeInfo]) -> bytes:
                 write_varint(out, rg.chunk_lengths[index])
                 out.extend(struct.pack("<I", rg.chunk_checksums[index]))
                 stats = rg.column_stats[fld.name]
-                _encode_bare(out, stats.minimum)
-                _encode_bare(out, stats.maximum)
+                bounds = (stats.minimum, stats.maximum)
+                if any(isinstance(b, str) and len(b) > STAT_CHARS for b in bounds):
+                    bounds = (None, None)
+                for bound in bounds:
+                    _encode_bare(out, bound)
                 write_varint(out, stats.null_count)
                 write_varint(out, stats.value_count)
     return bytes(out)
@@ -314,12 +328,14 @@ _DECODE_ERRORS = (CodecError, UnicodeDecodeError, struct.error, IndexError)
 
 
 @lru_cache(maxsize=256)
-def _decode_footer(data: bytes) -> tuple[Schema, tuple[StripeInfo, ...]]:
+def _decode_footer(data: bytes) -> tuple[Schema, tuple[StripeInfo, ...], dict]:
     """Decode a footer: a pure function of its bytes.
 
     Files are immutable and the result is frozen, so it is memoised on
     the footer bytes alone — every reader of the same file content (or of
-    another file with an identical footer) shares one decoded directory.
+    another file with an identical footer) shares one decoded directory,
+    and one dict of SARG truths (:meth:`OrcFileReader.truths`), which are
+    a pure function of the directory's statistics and the SARG's key.
     Nothing here needs invalidating: different bytes are a different key.
     """
     pos = 0
@@ -370,7 +386,7 @@ def _decode_footer(data: bytes) -> tuple[Schema, tuple[StripeInfo, ...]]:
         stripes.append(
             StripeInfo(offset=offset, length=length, row_count=row_count, row_groups=tuple(groups))
         )
-    return schema, tuple(stripes)
+    return schema, tuple(stripes), {}
 
 
 class OrcFileReader:
@@ -399,7 +415,7 @@ class OrcFileReader:
         if checksum_of(footer) != footer_crc:
             raise OrcError("corrupt footer (checksum mismatch)")
         try:
-            self.schema, self.stripes = _decode_footer(footer)
+            self.schema, self.stripes, self._truths = _decode_footer(footer)
         except _DECODE_ERRORS as exc:
             raise OrcError(f"corrupt footer: {exc}") from exc
         self._data = data
@@ -436,6 +452,22 @@ class OrcFileReader:
         for stripe in self.stripes:
             out.extend(stripe.row_groups)
         return out
+
+    def truths(self, sarg: Sarg) -> tuple[Truth, ...]:
+        """``sarg``'s truth per row group, a conjunction's its conjuncts'
+        by Kleene AND; memoised on ``sarg.key`` for every reader of this
+        footer, and cleared whole when :data:`TRUTHS_PER_FOOTER` is met."""
+        memo = self._truths
+        truths = memo.get(sarg.key)
+        if truths is None:
+            if isinstance(sarg, AndSarg) and sarg.children:
+                truths = tuple(map(kleene_and, zip(*map(self.truths, sarg.children))))
+            else:
+                truths = tuple(sarg.truth(rg.column_stats) for rg in self.row_group_layout())
+            if len(memo) >= TRUTHS_PER_FOOTER:
+                memo.clear()
+            memo[sarg.key] = truths
+        return truths
 
     def read_columns(
         self,

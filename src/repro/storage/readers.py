@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .fs import BlockFileSystem, FsError
 from .orc import OrcError, OrcFileReader
-from .sargs import AndSarg, Sarg, Truth, kleene_and
+from .sargs import Sarg, Truth
 
 __all__ = ["ReadResult", "OrcReader", "NdjsonReader", "split_reader"]
 
@@ -67,7 +67,6 @@ class OrcReader:
         self.columns = columns
         self.sarg = sarg
         self._file = OrcFileReader(fs.read(path))
-        self._truths_of: dict[Sarg, list[Truth]] = {}
         self._shared_mask: list[bool] | None = None
 
     @property
@@ -130,18 +129,10 @@ class OrcReader:
         """Pushdown sharing precondition: the file has exactly one stripe."""
         return self.stripe_count == 1
 
-    def truths(self, sarg: Sarg) -> list[Truth]:
-        """``sarg``'s truth per row group; a conjunction's is its
-        conjuncts' (memoised) by Kleene AND."""
-        truths = self._truths_of.get(sarg)
-        if truths is not None:
-            return truths
-        if isinstance(sarg, AndSarg) and sarg.children:
-            truths = list(map(kleene_and, zip(*map(self.truths, sarg.children))))
-        else:
-            truths = [sarg.truth(rg.column_stats) for rg in self._file.row_group_layout()]
-        self._truths_of[sarg] = truths
-        return truths
+    def truths(self, sarg: Sarg) -> tuple[Truth, ...]:
+        """``sarg``'s truth per row group, shared by every reader of the
+        file's footer (:meth:`OrcFileReader.truths`)."""
+        return self._file.truths(sarg)
 
     def proves(self, sarg: Sarg) -> bool:
         """True when the statistics prove ``sarg`` for every row group
@@ -160,6 +151,7 @@ class OrcReader:
         the row count comes from the row-group directory, so a read of no
         column still counts its rows."""
         mask = self.row_group_mask
+        truths = self.truths(self.sarg) if self.sarg is not None else ()
         columns, bytes_read = self._file.read_columns(self.columns, mask)
         layout = self._file.row_group_layout()
         rows = sum(rg.row_count for rg, keep in zip(layout, mask) if keep)
@@ -173,7 +165,7 @@ class OrcReader:
             bytes_read=bytes_read,
             row_groups_proven=sum(
                 truth is Truth.YES and keep
-                for truth, keep in zip(self._truths_of.get(self.sarg, ()), mask)
+                for truth, keep in zip(truths, mask)
             ),
         )
 

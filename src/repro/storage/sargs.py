@@ -6,13 +6,18 @@ per row group: ``NO`` (no row matches: skip the group), ``YES`` (every row
 matches: its conjunct need not be evaluated) or ``MAYBE``. Neither may be
 wrong, so ``YES`` asks more: no NULL in the group, and no float (a NaN
 compares false with everything, so min/max never see it). Readers add a
-third condition, a CRC-checked (version ≥ 2) footer.
+third condition: every open checks the footer's CRC.
+
+A SARG's :attr:`Sarg.key` is type-exact where ``==`` is not: the literals
+``1``, ``1.0`` and ``True`` compare equal but may decide a row group
+differently, so readers memoise truths on the key.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 __all__ = [
     "ColumnStats",
@@ -89,6 +94,11 @@ class Sarg:
         """The column names this SARG inspects."""
         raise NotImplementedError
 
+    @cached_property
+    def key(self) -> tuple:
+        """Equal keys, equal truths on any statistics (see the module)."""
+        return (type(self), *(child.key for child in getattr(self, "children", ())))
+
 
 def _comparable(a: object, b: object) -> bool:
     """min/max comparisons are only meaningful within one type family."""
@@ -120,6 +130,10 @@ class ComparisonSarg(Sarg):
 
     def columns(self) -> set[str]:
         return {self.column}
+
+    @cached_property
+    def key(self) -> tuple:
+        return (self.column, self.op.value, type(self.literal), self.literal)
 
     def truth(self, stats_by_column: dict[str, ColumnStats]) -> Truth:
         stats = stats_by_column.get(self.column)

@@ -57,8 +57,8 @@ class TestRoundTrip:
 
     def test_v3_files_round_trip(self):
         blob = build_file()
-        assert blob[len(MAGIC)] == VERSION == 4
-        for version in (3, 5, 0, 255):
+        assert blob[len(MAGIC)] == VERSION == 5
+        for version in (3, 4, 6, 0, 255):
             assert_refused(with_version(blob, version), version)
 
     def test_every_stripe_carries_a_checksum(self):

@@ -2,13 +2,15 @@
 
 ``stored_bytes_per_user_byte`` is a benchmark metric with a 1 % bound; a
 reader-side optimisation must leave every written byte where it was. The
-version-4 digest (a CRC per chunk, bare statistics) and the demo's cache
-bytes are pinned; they are compared, not regenerated.
+version-5 digest (a CRC per chunk, bare statistics, no string bound past
+64 characters) and the demo's cache bytes are pinned; they are compared,
+not regenerated.
 
-The files the last version-2 and version-3 writers wrote are committed
-beside this one (``golden_v2.morc``, ``golden_v3.morc``) under their
-pinned digests. A reader opens only the version written, so both are
-refused at open, with their version in the message.
+The files the last version-2, -3 and -4 writers wrote are committed
+beside this one (``golden_v2.morc``, ``golden_v3.morc``,
+``golden_v4.morc``) under their pinned digests. A reader opens only the
+version written, so all three are refused at open, with their version in
+the message.
 """
 
 from hashlib import blake2b
@@ -42,9 +44,11 @@ GOLDEN_V2 = Path(__file__).with_name("golden_v2.morc")
 GOLDEN_FILE_V3 = "bd27c027ae8255d1362a90b76ca20a4b0216c2d89e0a16385977125c48aeae24"
 GOLDEN_V3 = Path(__file__).with_name("golden_v3.morc")
 GOLDEN_FILE_V4 = "456625e0aad23669cfa83a76ec7d9d08e3843b58390bea1c8e1a36c577866454"
-#: The demo's cache tables in MORC 4; version 3 wrote 164,737 bytes and
-#: version 2 166,581.
-GOLDEN_DEMO_BYTES = 163_572
+GOLDEN_V4 = Path(__file__).with_name("golden_v4.morc")
+GOLDEN_FILE_V5 = "68d63abd3d2a295b437bfec4ed05874a7f1794122d0259cd114ef8daaaaefc02"
+#: The demo's cache tables in MORC 5; version 4 wrote 163,572 bytes,
+#: version 3 164,737 and version 2 166,581.
+GOLDEN_DEMO_BYTES = 161_796
 
 
 def golden_bytes() -> bytes:
@@ -74,12 +78,24 @@ def test_v3_writer_output_is_pinned():
 
 
 def test_v4_writer_output_is_pinned():
-    data = golden_bytes()
-    assert VERSION == 4 and data[4] == 4
+    data = GOLDEN_V4.read_bytes()
+    assert len(data) == 4022 and data[4] == 4
     assert blake2b(data, digest_size=32).hexdigest() == GOLDEN_FILE_V4
+    with pytest.raises(OrcError, match="unsupported MORC version 4"):
+        OrcFileReader(data)
+
+
+def test_v5_writer_output_is_pinned():
+    data = golden_bytes()
+    assert VERSION == 5 and data[4] == 5
+    assert blake2b(data, digest_size=32).hexdigest() == GOLDEN_FILE_V5
     reader = OrcFileReader(data)
     assert [len(s.row_groups) for s in reader.stripes] == [2, 1]
     assert reader.read_rows() == ROWS
+    # Every group holds a string past 64 characters: no string bound.
+    for rg in reader.row_group_layout():
+        stats = rg.column_stats["s"]
+        assert (stats.minimum, stats.maximum) == (None, None) and not stats.all_null
 
 
 def test_demo_cache_tables_cost_the_same_bytes():
@@ -90,4 +106,4 @@ def test_demo_cache_tables_cost_the_same_bytes():
         for path in DocumentFactory(spec).query_paths()
     ]
     report = system.cache_paths_directly(keys, budget_bytes=1 << 40)
-    assert report.build.bytes_written == GOLDEN_DEMO_BYTES <= 164_737
+    assert report.build.bytes_written == GOLDEN_DEMO_BYTES <= 163_572

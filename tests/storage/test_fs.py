@@ -137,3 +137,59 @@ class TestClockAndStats:
         assert fs.stats.writes == 1
         fs.stats.reset()
         assert fs.stats.bytes_read == 0
+
+
+class TestListingMemo:
+    """``list_directory`` keeps its answer per directory; every write
+    clears it, so no listing outlives the file system it describes."""
+
+    @staticmethod
+    def listed(fs: BlockFileSystem, path: str = "/t") -> list[tuple[str, int]]:
+        return [(s.path, s.length) for s in fs.list_directory(path)]
+
+    def test_create_append_and_delete_each_refresh_the_listing(self, fs: BlockFileSystem):
+        assert self.listed(fs) == []
+        fs.create("/t/a", b"1")
+        assert self.listed(fs) == [("/t/a", 1)]
+        fs.append("/t/a", b"23")
+        assert self.listed(fs) == [("/t/a", 3)]
+        fs.create("/t/sub/b", b"4")
+        assert self.listed(fs) == [("/t/a", 3)] and self.listed(fs, "/t/sub") == [("/t/sub/b", 1)]
+        fs.delete("/t/sub")
+        assert self.listed(fs, "/t/sub") == []
+        fs.delete("/t/a")
+        assert self.listed(fs) == []
+
+    def test_a_torn_append_refreshes_the_listing(self):
+        from repro.faults import FaultPolicy, FaultyFileSystem
+        from repro.faults.policy import TornWriteError
+
+        fs = FaultyFileSystem()
+        fs.create("/t/a", b"1")
+        assert self.listed(fs) == [("/t/a", 1)]
+        fs.policy = FaultPolicy(torn_append_rate=1.0, error_path_prefix="/")
+        with pytest.raises(TornWriteError):
+            fs.append("/t/a", b"2345")
+        torn = self.listed(fs)
+        assert torn[0][0] == "/t/a" and 1 < torn[0][1] < 5
+        assert torn == [(s.path, s.length) for s in [fs.status("/t/a")]]
+
+    def test_a_returned_listing_is_the_callers_own(self, fs: BlockFileSystem):
+        fs.create("/t/a", b"1")
+        fs.list_directory("/t").clear()
+        assert self.listed(fs) == [("/t/a", 1)]
+
+    def test_a_process_worker_lists_the_files_it_was_shipped(self):
+        from repro.engine import Session
+        from repro.engine.procpool import _WorkerEnv, build_snapshot
+        from repro.storage import DataType, Schema
+
+        session = Session()
+        session.catalog.create_table("db", "t", Schema.of(("id", DataType.INT64)))
+        session.catalog.append_rows("db", "t", [(1,)])
+        snapshot = build_snapshot(session)
+        session.catalog.append_rows("db", "t", [(2,)])
+        now = session.catalog.table_files("db", "t")  # a listing kept
+        assert len(now) == 2
+        env = _WorkerEnv(snapshot)
+        assert env.catalog.table_files("db", "t") == now[:1]

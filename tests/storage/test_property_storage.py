@@ -49,6 +49,13 @@ def test_orc_round_trip_any_rows(rows, row_group_size):
     assert reader.row_count == len(rows)
 
 
+#: Strings on both sides of the footer's 64-character statistic bound:
+#: short ones, and 62-67 characters sharing a prefix, with non-BMP
+#: characters and lone surrogates in the tail that decides their order.
+_LONG_STRINGS = st.text(
+    st.sampled_from(["a", "b", "\U0001d11e", "\ud800", "\udfff"]), max_size=5
+).map(lambda tail: "a" * 62 + tail)
+
 #: A column's value family per type: floats with NaN and ±0.0 mixed with
 #: ints (a float column accepts ints), ints, bools, strings.
 _FAMILIES = {
@@ -57,7 +64,8 @@ _FAMILIES = {
     ),
     DataType.INT64: st.integers(-4, 4),
     DataType.BOOL: st.booleans(),
-    DataType.STRING: st.text("abc", max_size=3),
+    DataType.STRING: st.text("abc", max_size=3)
+    | _LONG_STRINGS,
 }
 
 
